@@ -53,8 +53,10 @@ type Stats struct {
 	// number of elementary cycles found in it.
 	Nodes, Edges, Cycles int
 	Elapsed              time.Duration
-	// CycleElapsed is the portion of Elapsed spent in cycle search.
-	CycleElapsed time.Duration
+	// ComposeElapsed is the portion of Elapsed spent applying placements
+	// and composing the protocol dependency table (closure rounds
+	// included); CycleElapsed the portion spent in cycle search.
+	ComposeElapsed, CycleElapsed time.Duration
 }
 
 // Report is the outcome of one deadlock analysis.
@@ -119,16 +121,14 @@ func Analyze(controllers []*rel.Table, v *rel.Table, opts Options) (_ *Report, e
 	}
 	stats := Stats{ControllerRows: total}
 
+	// Every placement set holds every individual table with the
+	// placement's role identifications applied.
+	composeStart := time.Now()
 	placements := Placements()
 	if opts.NoPlacements {
 		placements = placements[:1]
 	}
-	// Per-placement sets of individual tables.
-	type set struct {
-		placement Placement
-		tables    [][]DepRow
-	}
-	sets := make([]set, len(placements))
+	sets := make([][][]DepRow, len(placements))
 	for pi, p := range placements {
 		tables := make([][]DepRow, len(individual))
 		for ti, rows := range individual {
@@ -139,54 +139,16 @@ func Analyze(controllers []*rel.Table, v *rel.Table, opts Options) (_ *Report, e
 			tables[ti] = mod
 			stats.PlacementRows += len(mod)
 		}
-		sets[pi] = set{placement: p, tables: tables}
+		sets[pi] = tables
 	}
-
-	// Pairwise dependency tables per placement set, on the shared pool.
-	type job struct{ si, i, j int }
-	var jobs []job
-	for si := range sets {
-		for i := range sets[si].tables {
-			for j := range sets[si].tables {
-				jobs = append(jobs, job{si: si, i: i, j: j})
-			}
-		}
-	}
-	results := make([][]DepRow, len(jobs))
-	exec.Each(workers, len(jobs), 1, func(k, _, _ int) error {
-		jb := jobs[k]
-		results[k] = Compose(sets[jb.si].tables[jb.i], sets[jb.si].tables[jb.j], opts.Relaxed)
-		return nil
-	})
 
 	// The protocol dependency table: union of all individual tables (all
-	// placements) and all pairwise tables.
-	var protocol []DepRow
-	for _, s := range sets {
-		for _, t := range s.tables {
-			protocol = append(protocol, t...)
-		}
-	}
-	for _, r := range results {
-		stats.ComposedRows += len(r)
-		protocol = append(protocol, r...)
-	}
-	protocol = dedupe(protocol)
-	stats.Rounds = 1
-
-	// Optional closure (the paper's abandoned first attempt).
-	if opts.Closure {
-		for {
-			added := Compose(protocol, protocol, opts.Relaxed)
-			before := len(protocol)
-			protocol = dedupe(append(protocol, added...))
-			stats.Rounds++
-			if len(protocol) == before {
-				break
-			}
-		}
-	}
-	stats.ProtocolRows = len(protocol)
+	// placements) and all pairwise tables, plus the optional closure (the
+	// paper's abandoned first attempt).
+	comp := composeProtocol(sets, opts.Relaxed, opts.Closure, exec, workers)
+	protocol := comp.rows
+	stats.ComposedRows, stats.Rounds, stats.ProtocolRows = comp.composed, comp.rounds, len(protocol)
+	stats.ComposeElapsed = time.Since(composeStart)
 
 	g := NewVCG(protocol)
 	cycleStart := time.Now()
@@ -197,6 +159,9 @@ func Analyze(controllers []*rel.Table, v *rel.Table, opts Options) (_ *Report, e
 	stats.Cycles = len(cycles)
 	stats.Elapsed = time.Since(start)
 	span.SetAttr(
+		obs.Int("composed_rows", stats.ComposedRows),
+		obs.Int("atoms", comp.atoms),
+		obs.Duration("compose_elapsed", stats.ComposeElapsed),
 		obs.Int("protocol_rows", stats.ProtocolRows),
 		obs.Int("nodes", stats.Nodes),
 		obs.Int("edges", stats.Edges),

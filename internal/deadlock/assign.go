@@ -11,6 +11,7 @@ package deadlock
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"coherdb/internal/rel"
 )
@@ -73,20 +74,12 @@ func (a *Assignment) Channels() []string {
 			out = append(out, v)
 		}
 	}
-	sortStrings(out)
+	sort.Strings(out)
 	return out
 }
 
 // Table returns the underlying V table.
 func (a *Assignment) Table() *rel.Table { return a.tab }
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
 
 // Placement is one of the five quad-placement relations of §4.1: a
 // substitution over the node roles induced by which of local (L), home (H)

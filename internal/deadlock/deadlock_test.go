@@ -2,11 +2,14 @@ package deadlock
 
 import (
 	"errors"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"coherdb/internal/constraint"
+	"coherdb/internal/obs"
 	"coherdb/internal/protocol"
 	"coherdb/internal/rel"
 )
@@ -359,6 +362,45 @@ func TestProtocolTableShape(t *testing.T) {
 	}
 	if rep.Stats.ControllerRows == 0 || rep.Stats.ComposedRows == 0 {
 		t.Fatalf("stats incomplete: %+v", rep.Stats)
+	}
+}
+
+// TestAnalyzeSpanAttribution checks the per-stage attribution: composition
+// time is a part of the analysis time, and the deadlock.analyze span carries
+// the composition's row count, atom count and elapsed time.
+func TestAnalyzeSpanAttribution(t *testing.T) {
+	tables := controllerTables(t)
+	c := obs.NewCollector(16)
+	opts := DefaultOptions()
+	opts.Tracer = c
+	rep, err := Analyze(tables, assignment(t, protocol.AssignVC4), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := rep.Stats
+	if st.ComposeElapsed <= 0 || st.ComposeElapsed+st.CycleElapsed > st.Elapsed {
+		t.Fatalf("stage times: compose %v + cycles %v vs elapsed %v", st.ComposeElapsed, st.CycleElapsed, st.Elapsed)
+	}
+	var attrs map[string]string
+	for _, sp := range c.Spans() {
+		if sp.Name == "deadlock.analyze" {
+			attrs = map[string]string{}
+			for _, a := range sp.Attrs {
+				attrs[a.Key] = a.Value
+			}
+		}
+	}
+	if attrs == nil {
+		t.Fatal("no deadlock.analyze span")
+	}
+	if got := attrs["composed_rows"]; got != strconv.Itoa(st.ComposedRows) {
+		t.Errorf("composed_rows = %q, want %d", got, st.ComposedRows)
+	}
+	if n, err := strconv.Atoi(attrs["atoms"]); err != nil || n <= 0 {
+		t.Errorf("atoms = %q", attrs["atoms"])
+	}
+	if d, err := time.ParseDuration(attrs["compose_elapsed"]); err != nil || d != st.ComposeElapsed {
+		t.Errorf("compose_elapsed = %q, want %v", attrs["compose_elapsed"], st.ComposeElapsed)
 	}
 }
 

@@ -124,61 +124,3 @@ func applyPlacement(r DepRow, p Placement) DepRow {
 	}
 	return r
 }
-
-// composeKeyExact keys an assignment on (m, s, d, v) for the exact
-// composition requirement.
-func composeKeyExact(a VAssign) string {
-	return a.M + "\x1f" + a.S + "\x1f" + a.D + "\x1f" + a.VC
-}
-
-// composeKeyRelaxed keys an assignment on (s, d, v), ignoring the message —
-// the §4.1 relaxation that captures transaction interleavings: two
-// different transactions' messages meeting on the same channel between the
-// same endpoints.
-func composeKeyRelaxed(a VAssign) string {
-	return a.S + "\x1f" + a.D + "\x1f" + a.VC
-}
-
-// Compose builds the pairwise dependency table of t1 and t2 (§4.1): for
-// rows R=(R1,R2) in t1 and S=(S3,S4) in t2, if R2 matches S3 the row
-// (R1,S4) is added; by symmetry S composed with R adds (S3,R2) when S4
-// matches R1. With relaxed true the match ignores messages.
-func Compose(t1, t2 []DepRow, relaxed bool) []DepRow {
-	key := composeKeyExact
-	if relaxed {
-		key = composeKeyRelaxed
-	}
-	// Index t2 rows by input key.
-	byIn := make(map[string][]int, len(t2))
-	for j, s := range t2 {
-		byIn[key(s.In)] = append(byIn[key(s.In)], j)
-	}
-	var out []DepRow
-	for _, r := range t1 {
-		for _, j := range byIn[key(r.Out)] {
-			s := t2[j]
-			out = append(out, DepRow{
-				In:     r.In,
-				Out:    s.Out,
-				Origin: r.Origin + "*" + s.Origin,
-			})
-		}
-	}
-	return out
-}
-
-// dedupe removes duplicate dependency rows (same assignments, any origin),
-// keeping the first occurrence.
-func dedupe(rows []DepRow) []DepRow {
-	seen := make(map[string]struct{}, len(rows))
-	out := rows[:0:0]
-	for _, r := range rows {
-		k := composeKeyExact(r.In) + "\x1e" + composeKeyExact(r.Out)
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = struct{}{}
-		out = append(out, r)
-	}
-	return out
-}

@@ -1,8 +1,11 @@
 package deadlock
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+
+	"coherdb/internal/pool"
 )
 
 // randDepRows generates a small random dependency table over a handful of
@@ -21,6 +24,47 @@ func randDepRows(rng *rand.Rand, n int) []DepRow {
 		}
 	}
 	return out
+}
+
+// Property: the interned composer produces exactly the string-keyed
+// oracle's protocol table — the same rows in the same first-occurrence
+// order with the same origins, and the same counts — relaxed and exact,
+// with and without closure, serial and parallel.
+func TestQuickInternedComposeMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	exec := pool.Shared()
+	for trial := 0; trial < 200; trial++ {
+		sets := make([][][]DepRow, 1+rng.Intn(3))
+		for si := range sets {
+			sets[si] = make([][]DepRow, 1+rng.Intn(4))
+			for ti := range sets[si] {
+				rows := randDepRows(rng, rng.Intn(12))
+				origin := fmt.Sprintf("T%d@p%d", ti, si)
+				for i := range rows {
+					rows[i].Origin = origin
+				}
+				sets[si][ti] = rows
+			}
+		}
+		relaxed, closure := rng.Intn(2) == 0, rng.Intn(4) == 0
+		workers := 1 + rng.Intn(exec.Size())
+		want, composed, rounds := oracleProtocol(sets, relaxed, closure)
+		got := composeProtocol(sets, relaxed, closure, exec, workers)
+		if got.composed != composed || got.rounds != rounds {
+			t.Fatalf("trial %d (relaxed=%v closure=%v): composed/rounds = %d/%d, oracle %d/%d",
+				trial, relaxed, closure, got.composed, got.rounds, composed, rounds)
+		}
+		if len(got.rows) != len(want) {
+			t.Fatalf("trial %d (relaxed=%v closure=%v): %d rows, oracle %d",
+				trial, relaxed, closure, len(got.rows), len(want))
+		}
+		for i := range want {
+			if got.rows[i] != want[i] {
+				t.Fatalf("trial %d (relaxed=%v closure=%v): row %d = %s, oracle %s",
+					trial, relaxed, closure, i, got.rows[i], want[i])
+			}
+		}
+	}
 }
 
 // Property: relaxed composition finds a superset of exact composition.

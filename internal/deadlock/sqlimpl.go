@@ -2,6 +2,7 @@ package deadlock
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"coherdb/internal/rel"
@@ -75,19 +76,7 @@ func AnalyzeSQL(controllers []*rel.Table, v *rel.Table, db *sqlmini.DB) (*Report
 	var placed []string
 	for i, p := range Placements() {
 		name := fmt.Sprintf("deps_p%d", i)
-		subst := func(col string) string {
-			if len(p.Subst) == 0 {
-				return col
-			}
-			expr := "CASE "
-			for from, to := range p.Subst {
-				expr += fmt.Sprintf("WHEN %s = '%s' THEN '%s' ", col, from, to)
-			}
-			return expr + "ELSE " + col + " END AS " + col
-		}
-		stmt := fmt.Sprintf(
-			"CREATE TABLE %s AS SELECT DISTINCT m1, %s, %s, vc1, m2, %s, %s, vc2 FROM alldeps",
-			name, subst("s1"), subst("d1"), subst("s2"), subst("d2"))
+		stmt := placementStmt(name, p)
 		db.DropTable(name)
 		if _, err := db.Exec(stmt); err != nil {
 			return nil, fmt.Errorf("deadlock: SQL placement %s: %w", p.Name, err)
@@ -145,4 +134,29 @@ func AnalyzeSQL(controllers []*rel.Table, v *rel.Table, db *sqlmini.DB) (*Report
 		Protocol: rows,
 		Stats:    Stats{ProtocolRows: len(rows), Rounds: 1},
 	}, nil
+}
+
+// placementStmt is the CREATE TABLE ... AS SELECT that applies placement p
+// to alldeps as CASE projections over the role columns. Substitutions are
+// emitted in sorted order so the statement text — and with it the DB's plan
+// cache key — is the same on every call.
+func placementStmt(name string, p Placement) string {
+	from := make([]string, 0, len(p.Subst))
+	for f := range p.Subst {
+		from = append(from, f)
+	}
+	sort.Strings(from)
+	subst := func(col string) string {
+		if len(from) == 0 {
+			return col
+		}
+		expr := "CASE "
+		for _, f := range from {
+			expr += fmt.Sprintf("WHEN %s = '%s' THEN '%s' ", col, f, p.Subst[f])
+		}
+		return expr + "ELSE " + col + " END AS " + col
+	}
+	return fmt.Sprintf(
+		"CREATE TABLE %s AS SELECT DISTINCT m1, %s, %s, vc1, m2, %s, %s, vc2 FROM alldeps",
+		name, subst("s1"), subst("d1"), subst("s2"), subst("d2"))
 }

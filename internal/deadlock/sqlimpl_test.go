@@ -75,6 +75,20 @@ func TestSQLImplementationDependencyRows(t *testing.T) {
 	}
 }
 
+// TestPlacementStatementsDeterministic checks that every placement's SQL
+// text is the same on every build, so repeated analyses on one DB hit its
+// plan cache (substitution maps iterate in random order).
+func TestPlacementStatementsDeterministic(t *testing.T) {
+	for i, p := range Placements() {
+		first := placementStmt("deps_p", p)
+		for try := 0; try < 50; try++ {
+			if again := placementStmt("deps_p", Placements()[i]); again != first {
+				t.Fatalf("placement %s: statement changed between builds:\n%s\n%s", p.Name, first, again)
+			}
+		}
+	}
+}
+
 func TestSQLImplementationBadInputs(t *testing.T) {
 	tables := controllerTables(t)
 	bad := rel.MustNewTable("V", "m", "s")

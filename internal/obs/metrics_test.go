@@ -80,7 +80,9 @@ func TestFormatFloatSpecials(t *testing.T) {
 // reference, and the rendered exposition must be byte-identical.
 func TestHistogramConcurrentObserve(t *testing.T) {
 	bounds := []float64{0.001, 0.01, 0.1, 1}
-	values := []float64{0.0005, 0.005, 0.05, 0.5, 5}
+	// Powers of two, one per bucket: every partial sum is exact, so the
+	// rendered sum cannot depend on the order the goroutines add in.
+	values := []float64{1.0 / 2048, 1.0 / 256, 1.0 / 32, 0.5, 4}
 
 	render := func(r *Registry) string {
 		var buf bytes.Buffer

@@ -30,8 +30,9 @@
 # the lock-free metrics plane, the segment store and the
 # segmented-vs-serial model-checker equivalence, the
 # vectorized-vs-scalar equivalence suites, the MVCC epoch/catalog layer
-# and the query server (concurrent sessions, admission, drain), and
-# TestNilTracerOverheadBound enforces the <5% off-path instrumentation
+# and the query server (concurrent sessions, admission, drain), the
+# deadlock analysis (pairwise composition fans out over shared interned
+# tables on the pool), and TestNilTracerOverheadBound enforces the <5% off-path instrumentation
 # budget before any number is recorded.
 #
 # After writing the summary, the script diffs it against the previous
@@ -91,6 +92,9 @@ go test -race -run 'TestCatalog|TestConcurrentSnapshotReaders|TestCarryIndexes|T
 
 echo "== race-detector query-server tests =="
 go test -race ./internal/server/...
+
+echo "== race-detector deadlock-composition tests =="
+go test -race ./internal/deadlock/...
 
 echo "== nil-tracer overhead bound (<5%) =="
 go test -run 'TestNilTracerOverheadBound' -count=1 .
