@@ -53,7 +53,9 @@ func (s *Suite) RestoreInputs(g *delta.Graph) {
 	for i, inv := range s.invs {
 		ins[i] = g.Inputs(inv.Name)
 	}
+	s.mu.Lock()
 	s.inputs = ins
+	s.mu.Unlock()
 }
 
 // SpecHash fingerprints everything a carried-over result depends on: each

@@ -10,6 +10,8 @@ import (
 // extracted once from its SQL and cached on the suite. A nil entry means
 // the SQL could not be analyzed; such invariants are always re-checked.
 func (s *Suite) inputSets() [][]delta.Input {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.inputs != nil {
 		return s.inputs
 	}

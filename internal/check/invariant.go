@@ -13,6 +13,7 @@ package check
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"coherdb/internal/delta"
@@ -59,7 +60,9 @@ func (r Result) Passed() bool { return r.Err == nil && r.Violations != nil && r.
 type Suite struct {
 	invs []Invariant
 	// inputs caches each invariant's (table, columns) dependency list,
-	// extracted from its SQL; see inputSets. Dropped on Add.
+	// extracted from its SQL; see inputSets. Dropped on Add. mu guards it:
+	// concurrent server sessions re-check through one shared suite.
+	mu     sync.Mutex
 	inputs [][]delta.Input
 }
 
@@ -84,7 +87,9 @@ func (s *Suite) Add(inv Invariant) *Suite {
 		}
 	}
 	s.invs = append(s.invs, inv)
+	s.mu.Lock()
 	s.inputs = nil
+	s.mu.Unlock()
 	return s
 }
 

@@ -225,15 +225,19 @@ func evalGroups(cur [][]uint32, width int, domain []uint32, fire []compiledConst
 // triple, with the sweep cache amortizing subtrees over earlier columns.
 // Kept as the cross-check oracle for the vectorized sweep.
 func evalGroupsScalar(cur [][]uint32, width int, domain []uint32, fire []compiledConstraint, reps []int32, verdicts []bool, workers int) error {
+	progs, err := scalarPrograms(fire)
+	if err != nil {
+		return err
+	}
 	dlen := len(domain)
 	if workers <= 1 || len(reps)*dlen < sweepSmallJob {
 		// Micro-step fast path: the whole sweep runs on the calling
 		// goroutine — spawning workers and dealing single-group batches
 		// through the cursor costs more than the evaluations themselves.
 		scratch := make([]uint32, width)
-		insts := make([]*sqlmini.Instance, len(fire))
-		for i, c := range fire {
-			insts[i] = c.prog.Instance()
+		insts := make([]*sqlmini.Instance, len(progs))
+		for i, p := range progs {
+			insts[i] = p.Instance()
 		}
 		var firstErr error
 	groups:
@@ -246,8 +250,8 @@ func evalGroupsScalar(cur [][]uint32, width int, domain []uint32, fire []compile
 			for di, c := range domain {
 				scratch[width-1] = c
 				pass := true
-				for i, cc := range fire {
-					t, err := cc.prog.EvalCodes(insts[i], scratch)
+				for i, p := range progs {
+					t, err := p.EvalCodes(insts[i], scratch)
 					if err != nil {
 						firstErr = err
 						break groups
@@ -260,8 +264,8 @@ func evalGroupsScalar(cur [][]uint32, width int, domain []uint32, fire []compile
 				verdicts[base+di] = pass
 			}
 		}
-		for i, c := range fire {
-			c.prog.Release(insts[i])
+		for i, p := range progs {
+			p.Release(insts[i])
 		}
 		return firstErr
 	}
@@ -277,13 +281,13 @@ func evalGroupsScalar(cur [][]uint32, width int, domain []uint32, fire []compile
 		go func(w int) {
 			defer wg.Done()
 			scratch := make([]uint32, width)
-			insts := make([]*sqlmini.Instance, len(fire))
-			for i, c := range fire {
-				insts[i] = c.prog.Instance()
+			insts := make([]*sqlmini.Instance, len(progs))
+			for i, p := range progs {
+				insts[i] = p.Instance()
 			}
 			defer func() {
-				for i, c := range fire {
-					c.prog.Release(insts[i])
+				for i, p := range progs {
+					p.Release(insts[i])
 				}
 			}()
 			for {
@@ -300,8 +304,8 @@ func evalGroupsScalar(cur [][]uint32, width int, domain []uint32, fire []compile
 					for di, c := range domain {
 						scratch[width-1] = c
 						pass := true
-						for i, cc := range fire {
-							t, err := cc.prog.EvalCodes(insts[i], scratch)
+						for i, p := range progs {
+							t, err := p.EvalCodes(insts[i], scratch)
 							if err != nil {
 								errs[w] = err
 								return
@@ -324,6 +328,20 @@ func evalGroupsScalar(cur [][]uint32, width int, domain []uint32, fire []compile
 		}
 	}
 	return nil
+}
+
+// scalarPrograms returns the scalar programs of fire, compiling any not
+// yet used.
+func scalarPrograms(fire []compiledConstraint) ([]*sqlmini.Program, error) {
+	progs := make([]*sqlmini.Program, len(fire))
+	for i, c := range fire {
+		p, err := c.program()
+		if err != nil {
+			return nil, err
+		}
+		progs[i] = p
+	}
+	return progs, nil
 }
 
 // emitExtensions materializes the surviving extensions from the verdict

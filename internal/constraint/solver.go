@@ -32,7 +32,11 @@ type Stats struct {
 	// the same step.
 	MemoHits uint64
 	// CompileTime is the one-off cost of lowering the column constraints
-	// into position-bound closures before the solve loop.
+	// into position-bound closures before the solve loop. For incremental
+	// solves it covers the column-at-a-time sweep programs only: a
+	// constraint's scalar program is compiled lazily, on the first
+	// sub-cutover step that runs it, and that time lands in the step.
+	// Monolithic compiles and counts both.
 	CompileTime time.Duration
 	// StepStats holds one entry per column-extension step, in step order
 	// (incremental solves only; Monolithic tests complete assignments and
@@ -255,6 +259,11 @@ func MonolithicOpts(spec *Spec, opts Options) (_ *rel.Table, stats Stats, err er
 	}
 	t0 := time.Now()
 	cc, err := spec.compiledConstraints()
+	if err != nil {
+		stats.CompileTime = time.Since(t0)
+		return nil, stats, err
+	}
+	progs, err := scalarPrograms(cc)
 	stats.CompileTime = time.Since(t0)
 	if err != nil {
 		return nil, stats, err
@@ -287,9 +296,9 @@ func MonolithicOpts(spec *Spec, opts Options) (_ *rel.Table, stats Stats, err er
 			// Per-worker program instances. Monolithic enumeration changes
 			// many columns between candidates, so the sweep cache is
 			// invalidated before every evaluation.
-			insts := make([]*sqlmini.Instance, len(cc))
-			for i, c := range cc {
-				insts[i] = c.prog.Instance()
+			insts := make([]*sqlmini.Instance, len(progs))
+			for i, p := range progs {
+				insts[i] = p.Instance()
 			}
 			for {
 				bi, lo, hi, ok := cursor.grab()
@@ -307,9 +316,9 @@ func MonolithicOpts(spec *Spec, opts Options) (_ *rel.Table, stats Stats, err er
 					}
 					tested[w]++
 					ok := true
-					for i, c := range cc {
+					for i, p := range progs {
 						insts[i].NextRow()
-						t, err := c.prog.EvalCodes(insts[i], row)
+						t, err := p.EvalCodes(insts[i], row)
 						if err != nil {
 							errs[w] = err
 							return

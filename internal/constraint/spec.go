@@ -206,10 +206,21 @@ func (s *Spec) Constrain(col, expr string) error {
 	}
 	// The constraint vocabulary is fixed per protocol and re-parsed on
 	// every solver run; the cached parse shares an immutable tree, and
-	// ResolveSymbols builds new nodes rather than mutating it.
+	// ResolveSymbols copies rather than mutates the nodes it rewrites.
 	e, err := sqlmini.ParseExprCached(expr)
 	if err != nil {
 		return fmt.Errorf("constraint for %s.%s: %w", s.Name, col, err)
+	}
+	return s.ConstrainExpr(col, e)
+}
+
+// ConstrainExpr is Constrain for an already parsed expression, such as a
+// rule chain assembled from shared condition trees. Bare identifiers are
+// resolved as in Constrain; a tree that is already resolved is stored as
+// given, so its nodes stay shared. The tree must not be mutated afterwards.
+func (s *Spec) ConstrainExpr(col string, e sqlmini.Expr) error {
+	if !s.HasColumn(col) {
+		return fmt.Errorf("%w: %q in spec %q", ErrNoColumn, col, s.Name)
 	}
 	resolved := sqlmini.ResolveSymbols(e, s.HasColumn)
 	// Validate that every referenced column exists after resolution
@@ -282,20 +293,43 @@ func (s *Spec) ColumnIndex() map[string]int {
 }
 
 // compiledConstraint is one column constraint lowered to a compiled
-// program, plus its scheduling metadata: the row positions it reads and
-// the step at which it becomes checkable.
+// sweep program, plus its scheduling metadata: the row positions it reads
+// and the step at which it becomes checkable.
 type compiledConstraint struct {
-	col   string
-	prog  *sqlmini.Program
-	sweep *sqlmini.SweepProg // column-at-a-time form of prog over the fire column
-	refs  []int              // row positions the constraint reads, own column included
-	fire  int                // max referenced position: the step the constraint fires at
+	col    string
+	sweep  *sqlmini.SweepProg // column-at-a-time program over the fire column
+	scalar *scalarProgram     // row-at-a-time form, compiled on first use
+	refs   []int              // row positions the constraint reads, own column included
+	fire   int                // max referenced position: the step the constraint fires at
 }
 
-// compiledConstraints lowers every column constraint into a position-bound
-// closure program, cached on the spec until the next mutation. Each
-// program is sweep-compiled around the column added at its firing step, so
-// the incremental solver's domain sweep evaluates subtrees over earlier
+// scalarProgram is a constraint's row-at-a-time sweep program. Only the
+// scalar paths run it — evalGroupsScalar's sub-cutover steps and
+// Monolithic — so it is compiled on first use, once per compiled
+// constraint, and constraints that only fire on large steps (all of D's
+// output chains) never pay for it.
+type scalarProgram struct {
+	once    sync.Once
+	compile func() (*sqlmini.Program, error)
+	prog    *sqlmini.Program
+	err     error
+}
+
+// program returns the constraint's scalar program, compiling it on the
+// first call.
+func (c compiledConstraint) program() (*sqlmini.Program, error) {
+	p := c.scalar
+	p.once.Do(func() {
+		p.prog, p.err = p.compile()
+		p.compile = nil
+	})
+	return p.prog, p.err
+}
+
+// compiledConstraints lowers every column constraint into a column-at-a-
+// time sweep program, cached on the spec until the next mutation. Each
+// program is compiled around the column added at its firing step, so the
+// incremental solver's domain sweep evaluates subtrees over earlier
 // columns once per candidate row instead of once per (row, value) pair.
 // The returned slice is shared and must not be mutated.
 func (s *Spec) compiledConstraints() ([]compiledConstraint, error) {
@@ -318,18 +352,21 @@ func (s *Spec) compiledConstraints() ([]compiledConstraint, error) {
 			}
 		}
 		sort.Ints(cc.refs)
-		prog, err := ev.CompileSweep(e, s.colIdx, cc.fire)
-		if err != nil {
-			return nil, fmt.Errorf("constraint: compiling constraint for %s.%s: %w", s.Name, col, err)
-		}
-		cc.prog = prog
-		// The vectorized sweep accepts exactly what CompileSweep accepts
-		// (irreducible subtrees lower to a looped scalar closure), so a
-		// failure here is the same class of spec error.
+		var err error
 		cc.sweep, err = ev.CompileSweepVec(e, s.colIdx, cc.fire)
 		if err != nil {
 			return nil, fmt.Errorf("constraint: compiling constraint for %s.%s: %w", s.Name, col, err)
 		}
+		// CompileSweep accepts exactly what CompileSweepVec accepts, so the
+		// deferred compile fails only on the same class of spec error.
+		fire := cc.fire
+		cc.scalar = &scalarProgram{compile: func() (*sqlmini.Program, error) {
+			prog, err := ev.CompileSweep(e, s.colIdx, fire)
+			if err != nil {
+				return nil, fmt.Errorf("constraint: compiling constraint for %s.%s: %w", s.Name, col, err)
+			}
+			return prog, nil
+		}}
 		out = append(out, cc)
 	}
 	sort.Slice(out, func(i, j int) bool {

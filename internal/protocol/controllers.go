@@ -67,11 +67,11 @@ func (b *ctrlBuilder) rule(id, when string, set map[string]string) {
 	b.rs.Add(Rule{ID: id, When: when, Set: set})
 }
 
-func (b *ctrlBuilder) finish(legalityCol string) (*constraint.Spec, error) {
+func (b *ctrlBuilder) finish(legalityCol string) (*constraint.Spec, *RuleSet, error) {
 	if err := b.rs.CompileInto(b.spec, legalityCol, b.outs); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return b.spec, nil
+	return b.spec, b.rs, nil
 }
 
 // msgSet builds a message output group value set.
@@ -85,7 +85,9 @@ func msgSet(prefix, msg, src, dest, rsrc string) map[string]string {
 // services the directory's memory accesses and forwarded writebacks; the
 // §4.2 dependency row R1 — (wb, home, home) in, (compl, home, home) out —
 // comes from this table.
-func BuildMemorySpec() (*constraint.Spec, error) {
+func BuildMemorySpec() (*constraint.Spec, error) { return specOnly(buildMemory()) }
+
+func buildMemory() (*constraint.Spec, *RuleSet, error) {
 	b := newCtrl(MemoryTable)
 	b.input("inmsg", true, "mread", "mwrite", "mrmw", "mwrpart", "wb")
 	b.input("inmsgsrc", true, RoleHome)
@@ -130,7 +132,9 @@ func BuildMemorySpec() (*constraint.Spec, error) {
 // by it are node-internal (local->local). A retried transaction aborts to
 // a stable state and the processor re-executes the operation, so retries
 // never induce a channel dependency.
-func BuildCacheSpec() (*constraint.Spec, error) {
+func BuildCacheSpec() (*constraint.Spec, error) { return specOnly(buildCache()) }
+
+func buildCache() (*constraint.Spec, *RuleSet, error) {
 	b := newCtrl(CacheTable)
 	states := append(CacheStates(), CacheTransients()...)
 	b.input("inmsg", true,
@@ -263,7 +267,9 @@ func BuildCacheSpec() (*constraint.Spec, error) {
 // the MSHRs, injects node requests into the network (local role), delivers
 // completions node-internally, and closes each completed transaction with
 // the final compl toward home (§4.3).
-func BuildNodeSpec() (*constraint.Spec, error) {
+func BuildNodeSpec() (*constraint.Spec, error) { return specOnly(buildNode()) }
+
+func buildNode() (*constraint.Spec, *RuleSet, error) {
 	b := newCtrl(NodeTable)
 	requests := []string{"read", "readex", "upgrade", "readinv", "wb", "pwb",
 		"flush", "replhint", "prefetch", "ioread", "iowrite", "ucread",
@@ -323,7 +329,9 @@ func BuildNodeSpec() (*constraint.Spec, error) {
 // BuildRACSpec constructs the remote access cache controller table R: the
 // quad-level cache that satisfies local misses to remote lines and fields
 // incoming snoops for them.
-func BuildRACSpec() (*constraint.Spec, error) {
+func BuildRACSpec() (*constraint.Spec, error) { return specOnly(buildRAC()) }
+
+func buildRAC() (*constraint.Spec, *RuleSet, error) {
 	b := newCtrl(RACTable)
 	states := []string{"I", "S", "M", "IS_p", "IM_p", "MI_p"}
 	b.input("inmsg", true,
@@ -399,7 +407,9 @@ func BuildRACSpec() (*constraint.Spec, error) {
 }
 
 // BuildIOBridgeSpec constructs the I/O bridge controller table IO.
-func BuildIOBridgeSpec() (*constraint.Spec, error) {
+func BuildIOBridgeSpec() (*constraint.Spec, error) { return specOnly(buildIOBridge()) }
+
+func buildIOBridge() (*constraint.Spec, *RuleSet, error) {
 	b := newCtrl(IOBridgeTable)
 	b.input("inmsg", true, "ioread", "iowrite", "iodata", "iocompl", "intr")
 	b.input("inmsgsrc", true, RoleLocal, RoleHome)
@@ -444,7 +454,9 @@ func BuildIOBridgeSpec() (*constraint.Spec, error) {
 }
 
 // BuildInterruptSpec constructs the interrupt delivery controller table INT.
-func BuildInterruptSpec() (*constraint.Spec, error) {
+func BuildInterruptSpec() (*constraint.Spec, error) { return specOnly(buildInterrupt()) }
+
+func buildInterrupt() (*constraint.Spec, *RuleSet, error) {
 	b := newCtrl(InterruptTable)
 	b.input("inmsg", true, "intr", "intrack")
 	b.input("inmsgsrc", true, RoleLocal, RoleHome)
@@ -473,7 +485,9 @@ func BuildInterruptSpec() (*constraint.Spec, error) {
 }
 
 // BuildSyncSpec constructs the barrier/fence controller table SY.
-func BuildSyncSpec() (*constraint.Spec, error) {
+func BuildSyncSpec() (*constraint.Spec, error) { return specOnly(buildSync()) }
+
+func buildSync() (*constraint.Spec, *RuleSet, error) {
 	b := newCtrl(SyncTable)
 	b.input("inmsg", true, "sync", "syncack")
 	b.input("inmsgsrc", true, RoleLocal, RoleHome)
@@ -500,25 +514,46 @@ func BuildSyncSpec() (*constraint.Spec, error) {
 	return b.finish("syncst")
 }
 
+// controller is one controller table's builder, which also returns the
+// rule set it compiled into the spec.
+type controller struct {
+	name  string
+	build func() (*constraint.Spec, *RuleSet, error)
+}
+
+// controllers lists the eight controller builders in a stable order.
+func controllers() []controller {
+	return []controller{
+		{DirectoryTable, buildDirectory},
+		{MemoryTable, buildMemory},
+		{CacheTable, buildCache},
+		{NodeTable, buildNode},
+		{RACTable, buildRAC},
+		{IOBridgeTable, buildIOBridge},
+		{InterruptTable, buildInterrupt},
+		{SyncTable, buildSync},
+	}
+}
+
+// specOnly drops a builder's rule set.
+func specOnly(s *constraint.Spec, _ *RuleSet, err error) (*constraint.Spec, error) { return s, err }
+
 // SpecBuilders returns the eight controller spec builders keyed by table
 // name, in a stable order.
 func SpecBuilders() []struct {
 	Name  string
 	Build func() (*constraint.Spec, error)
 } {
-	return []struct {
+	cs := controllers()
+	out := make([]struct {
 		Name  string
 		Build func() (*constraint.Spec, error)
-	}{
-		{DirectoryTable, BuildDirectorySpec},
-		{MemoryTable, BuildMemorySpec},
-		{CacheTable, BuildCacheSpec},
-		{NodeTable, BuildNodeSpec},
-		{RACTable, BuildRACSpec},
-		{IOBridgeTable, BuildIOBridgeSpec},
-		{InterruptTable, BuildInterruptSpec},
-		{SyncTable, BuildSyncSpec},
+	}, len(cs))
+	for i, c := range cs {
+		out[i].Name = c.name
+		out[i].Build = func() (*constraint.Spec, error) { return specOnly(c.build()) }
 	}
+	return out
 }
 
 // BuildAllSpecs builds all eight controller specifications.

@@ -86,41 +86,43 @@ func uncachedBusyStates() []string {
 // BuildDirectorySpec constructs the constraint specification for table D.
 // Solving it with constraint.Solve yields the full directory controller
 // table (~30 columns × ~450-500 rows, 40 busy states).
-func BuildDirectorySpec() (*constraint.Spec, error) {
+func BuildDirectorySpec() (*constraint.Spec, error) { return specOnly(buildDirectory()) }
+
+func buildDirectory() (*constraint.Spec, *RuleSet, error) {
 	s := constraint.NewSpec(DirectoryTable)
 	RegisterFuncs(s.RegisterFunc)
 
 	// ---- input columns --------------------------------------------------
 	inMsgs := dirInputMessages()
 	if err := s.AddColumn(constraint.Column{Name: "inmsg", Kind: constraint.Input, Values: inMsgs, NoNull: true}); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := s.AddColumn(constraint.Column{Name: "inmsgsrc", Kind: constraint.Input, Values: Roles(), NoNull: true}); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := s.AddColumn(constraint.Column{Name: "inmsgdest", Kind: constraint.Input, Values: []string{RoleHome}, NoNull: true}); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := s.AddColumn(constraint.Column{Name: "inmsgrsrc", Kind: constraint.Input, Values: []string{QReq, QResp}, NoNull: true}); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := s.AddColumn(constraint.Column{Name: "bdirhit", Kind: constraint.Input, Values: []string{"hit", "miss"}, NoNull: true}); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := s.AddColumn(constraint.Column{Name: "bdirst", Kind: constraint.Input, Values: append([]string{DirI}, BusyStates()...)}); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := s.AddColumn(constraint.Column{Name: "bdirpv", Kind: constraint.Input, Values: PVEncodings()}); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := s.AddColumn(constraint.Column{Name: "dirhit", Kind: constraint.Input, Values: []string{"hit", "miss"}}); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := s.AddColumn(constraint.Column{Name: "dirst", Kind: constraint.Input, Values: DirStates()}); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := s.AddColumn(constraint.Column{Name: "dirpv", Kind: constraint.Input, Values: PVEncodings()}); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// ---- output columns -------------------------------------------------
@@ -159,7 +161,7 @@ func BuildDirectorySpec() (*constraint.Spec, error) {
 	}
 	for _, c := range outCols {
 		if err := addOut(c.name, c.vals...); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 
@@ -192,9 +194,9 @@ func BuildDirectorySpec() (*constraint.Spec, error) {
 	// ---- transition rules -> output constraints --------------------------
 	rs := DirectoryRules()
 	if err := rs.CompileInto(s, "", outputNames(outCols)); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return s, nil
+	return s, rs, nil
 }
 
 func outputNames(cols []struct {

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"coherdb/internal/constraint"
+	"coherdb/internal/obs"
 	"coherdb/internal/rel"
 	"coherdb/internal/sqlmini"
 )
@@ -18,10 +19,14 @@ func GenerateAll(db *sqlmini.DB) (map[string]constraint.Stats, error) {
 }
 
 // GenerateAllOpts is GenerateAll with explicit solver options (workers,
-// tracer, metrics), forwarded to every per-controller solve.
+// tracer, metrics), forwarded to every per-controller solve. With a tracer
+// set, each controller's spec construction is a protocol.build_spec span
+// carrying its rule and constraint counts, beside the solve's
+// constraint.solve span, so generation time splits into build, compile
+// (the solve span's compile_time) and solve.
 func GenerateAllOpts(db *sqlmini.DB, opts constraint.Options) (map[string]constraint.Stats, error) {
 	RegisterFuncs(db.Register)
-	builders := SpecBuilders()
+	builders := controllers()
 	type result struct {
 		name  string
 		tab   *rel.Table
@@ -30,18 +35,23 @@ func GenerateAllOpts(db *sqlmini.DB, opts constraint.Options) (map[string]constr
 	}
 	results := make([]result, len(builders))
 	var wg sync.WaitGroup
-	for i, sb := range builders {
+	for i, c := range builders {
 		wg.Add(1)
-		go func(i int, name string, build func() (*constraint.Spec, error)) {
+		go func() {
 			defer wg.Done()
-			spec, err := build()
+			span := obs.StartSpan(opts.Tracer, "protocol.build_spec", obs.String("controller", c.name))
+			spec, rs, err := c.build()
 			if err != nil {
-				results[i] = result{name: name, err: err}
+				span.SetAttr(obs.String("error", err.Error()))
+				span.Finish()
+				results[i] = result{name: c.name, err: err}
 				return
 			}
+			span.SetAttr(obs.Int("rules", rs.Len()), obs.Int("constraints", spec.ConstraintCount()))
+			span.Finish()
 			tab, stats, err := constraint.SolveOpts(spec, opts)
-			results[i] = result{name: name, tab: tab, stats: stats, err: err}
-		}(i, sb.Name, sb.Build)
+			results[i] = result{name: c.name, tab: tab, stats: stats, err: err}
+		}()
 	}
 	wg.Wait()
 	stats := make(map[string]constraint.Stats, len(builders))

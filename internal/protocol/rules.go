@@ -5,6 +5,8 @@ import (
 	"strings"
 
 	"coherdb/internal/constraint"
+	"coherdb/internal/rel"
+	"coherdb/internal/sqlmini"
 )
 
 // Rule is one controller transition case: when the input condition When
@@ -15,8 +17,11 @@ import (
 //	when1 ? col = v1 : when2 ? col = v2 : ... : col = NULL
 //
 // so the spec handed to the solver is exactly the paper's database input.
-// A rule's When must be written over input columns only; the first matching
-// rule (in order) defines every output of a row.
+// CompileInto builds each chain as an expression tree over the rules'
+// parsed conditions rather than as text, so a condition is parsed and
+// resolved once per spec however many chains it appears in. A rule's When
+// must be written over input columns only; the first matching rule (in
+// order) defines every output of a row.
 type Rule struct {
 	// ID identifies the rule in diagnostics, e.g. "readex@SI".
 	ID string
@@ -63,71 +68,86 @@ func (rs *RuleSet) Len() int { return len(rs.rules) }
 func (rs *RuleSet) Rules() []Rule { return append([]Rule(nil), rs.rules...) }
 
 // CompileInto attaches the compiled constraints to spec: one ternary chain
-// per output column (over the rules that mention it, in priority order),
-// and a legality disjunction over all rule conditions attached to
-// legalityCol (pass "" to skip the legality constraint when per-column
-// input constraints already define legality exactly).
+// per output column (over every rule, in priority order), and a legality
+// disjunction over all rule conditions attached to legalityCol (pass "" to
+// skip the legality constraint when per-column input constraints already
+// define legality exactly).
+//
+// Each rule's When is parsed once (through the shared expression cache)
+// and resolved once against spec; the legality disjunction and every chain
+// are then assembled as trees sharing those condition nodes, in exactly
+// the shape the parser gives the equivalent text: right-nested ternaries,
+// left-nested ORs, and `col = "v"` / `col = NULL` comparisons.
 func (rs *RuleSet) CompileInto(spec *constraint.Spec, legalityCol string, outputs []string) error {
-	if legalityCol != "" {
-		var sb strings.Builder
-		for i, r := range rs.rules {
-			if i > 0 {
-				sb.WriteString(" or ")
-			}
-			sb.WriteString("(")
-			sb.WriteString(r.When)
-			sb.WriteString(")")
+	conds := make([]sqlmini.Expr, len(rs.rules))
+	for i, r := range rs.rules {
+		e, err := sqlmini.ParseExprCached(r.When)
+		if err != nil {
+			return fmt.Errorf("protocol: rule %s: %w", r.ID, err)
 		}
-		if err := spec.Constrain(legalityCol, sb.String()); err != nil {
+		conds[i] = sqlmini.ResolveSymbols(e, spec.HasColumn)
+	}
+	if legalityCol != "" {
+		if len(conds) == 0 {
+			return fmt.Errorf("protocol: legality constraint: no rules")
+		}
+		legal := conds[0]
+		for _, c := range conds[1:] {
+			legal = sqlmini.Binary{Op: "OR", L: legal, R: c}
+		}
+		if err := spec.ConstrainExpr(legalityCol, legal); err != nil {
 			return fmt.Errorf("protocol: legality constraint: %w", err)
 		}
 	}
 	for _, col := range outputs {
-		expr := rs.chainFor(col)
-		if expr == "" {
-			continue
-		}
-		if err := spec.Constrain(col, expr); err != nil {
+		if err := spec.ConstrainExpr(col, rs.chain(col, conds)); err != nil {
 			return fmt.Errorf("protocol: constraint for %s: %w", col, err)
 		}
 	}
 	return nil
 }
 
-// chainFor builds the ternary constraint chain for one output column.
-// Every rule participates (with NULL when it does not set the column) so
-// that rule priority is preserved even for overlapping conditions.
-func (rs *RuleSet) chainFor(col string) string {
-	var sb strings.Builder
-	any := false
+// chain builds the ternary constraint chain for one output column over
+// the rules' resolved conditions. Every rule participates (with NULL when
+// it does not set the column) so that rule priority is preserved even for
+// overlapping conditions; a column no rule sets is noop everywhere. When
+// no rule matches the output must be NULL (such rows are pruned by the
+// legality constraint anyway).
+func (rs *RuleSet) chain(col string, conds []sqlmini.Expr) sqlmini.Expr {
+	target := sqlmini.Col{Name: col}
+	sets := make(map[string]sqlmini.Expr) // one `col = v` node per value
+	set := func(v string) sqlmini.Expr {
+		if e, ok := sets[v]; ok {
+			return e
+		}
+		val := rel.Null()
+		if v != "NULL" {
+			val = rel.S(v)
+		}
+		e := sqlmini.Expr(sqlmini.Binary{Op: "=", L: target, R: sqlmini.Lit{Val: val}})
+		sets[v] = e
+		return e
+	}
+	noop := set("NULL")
+	used := false
 	for _, r := range rs.rules {
-		v, ok := r.Set[col]
-		if ok && v != "NULL" {
-			any = true
+		if v, ok := r.Set[col]; ok && v != "NULL" {
+			used = true
+			break
 		}
 	}
-	if !any {
-		// A column no rule ever sets is noop everywhere.
-		return col + " = NULL"
+	if !used {
+		return noop
 	}
-	for _, r := range rs.rules {
-		v, ok := r.Set[col]
-		if !ok {
-			v = "NULL"
+	var e sqlmini.Expr = noop
+	for i := len(rs.rules) - 1; i >= 0; i-- {
+		then := noop
+		if v, ok := rs.rules[i].Set[col]; ok {
+			then = set(v)
 		}
-		sb.WriteString("(")
-		sb.WriteString(r.When)
-		sb.WriteString(") ? ")
-		sb.WriteString(col)
-		sb.WriteString(" = ")
-		sb.WriteString(quoteVal(v))
-		sb.WriteString(" : ")
+		e = sqlmini.Ternary{Cond: conds[i], Then: then, Else: e}
 	}
-	// No rule matched: output must be NULL (such rows are pruned by the
-	// legality constraint anyway).
-	sb.WriteString(col)
-	sb.WriteString(" = NULL")
-	return sb.String()
+	return e
 }
 
 // quoteVal renders a rule value as a constraint literal. "NULL" stays the
@@ -138,21 +158,6 @@ func quoteVal(v string) string {
 		return "NULL"
 	}
 	return `"` + v + `"`
-}
-
-// LegalityExpr returns the OR of all rule conditions — the set of legal
-// input combinations covered by the rules.
-func (rs *RuleSet) LegalityExpr() string {
-	var sb strings.Builder
-	for i, r := range rs.rules {
-		if i > 0 {
-			sb.WriteString(" or ")
-		}
-		sb.WriteString("(")
-		sb.WriteString(r.When)
-		sb.WriteString(")")
-	}
-	return sb.String()
 }
 
 // eq builds the atom `col = "value"` (or `col = NULL`).

@@ -19,7 +19,7 @@ func TestRuleSetBasics(t *testing.T) {
 	if got := rs.Rules(); len(got) != 2 || got[0].ID != "a" || got[1].ID != "b2" {
 		t.Fatalf("rules = %+v", got)
 	}
-	if rs.LegalityExpr() == "" {
+	if legalityText(rs) != `(x = "1") or (x = "2")` {
 		t.Fatal("legality empty")
 	}
 }

@@ -62,7 +62,7 @@ func BuildSnoopBusSpec() (*constraint.Spec, error) {
 	// The responder's completion frees the bus.
 	b.rule("bdone@granted", all(eq("inmsg", "bdone"), eq("busst", "granted")),
 		map[string]string{"nxtbusst": "free"})
-	return b.finish("busst")
+	return specOnly(b.finish("busst"))
 }
 
 // BuildSnoopCacheSpec constructs the snooping cache table SC: processor
@@ -164,7 +164,7 @@ func BuildSnoopCacheSpec() (*constraint.Spec, error) {
 	b.rule("other-gets@MI_b", whenBus("gets", "other", "MI_b"), supply("MI_b"))
 	b.rule("other-getx@MI_b", whenBus("getx", "other", "MI_b"), supply("I"))
 
-	return b.finish("cachest")
+	return specOnly(b.finish("cachest"))
 }
 
 // BuildSnoopMemorySpec constructs the snooping memory table SM: memory
@@ -218,7 +218,7 @@ func BuildSnoopMemorySpec() (*constraint.Spec, error) {
 	// The owner's supplied data is absorbed into memory.
 	b.rule("bdata@yes", whenAt("bdata", "yes"), map[string]string{"nxtowned": "yes"})
 	b.rule("bdata@no", whenAt("bdata", "no"), map[string]string{"nxtowned": "no"})
-	return b.finish("owned")
+	return specOnly(b.finish("owned"))
 }
 
 // SnoopSpecBuilders returns the snooping protocol's controller builders.

@@ -495,20 +495,21 @@ func (p *Prepared) QueryEmpty() (bool, error) {
 	return t.Empty(), nil
 }
 
-// exprCache backs ParseExprCached: constraint expressions are a fixed
-// vocabulary re-parsed on every solver run, and parsed Exprs are
-// immutable value trees, so sharing them is safe.
+// exprCache backs ParseExprCached: constraint expressions — hand-written
+// column constraints and the protocol rules' conditions, from which the
+// rule compiler assembles its ternary chains as trees — are a fixed
+// vocabulary re-parsed on every generation, and parsed Exprs are immutable
+// value trees, so sharing them is safe.
 var (
 	exprCacheMu sync.Mutex
 	exprCache   = map[string]Expr{}
 )
 
-// maxCachedExprLen bounds which expression texts are retained. Short
-// hand-written constraints dominate solver runs and are worth keeping;
-// the rule compiler's generated multi-kilobyte ternary chains are parsed
-// once per generation and retaining their pointer-dense trees for the
-// process lifetime taxes every later GC cycle more than the re-parse
-// costs.
+// maxCachedExprLen bounds which expression texts are retained. Every
+// constraint and rule condition the protocols use is well under it (the
+// directory's rule conditions are at most 66 bytes); longer texts are
+// one-off inputs whose trees are not worth holding for the process
+// lifetime.
 const maxCachedExprLen = 256
 
 // ParseExprCached is ParseExpr behind a process-wide bounded cache, for

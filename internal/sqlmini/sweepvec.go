@@ -13,8 +13,9 @@ import (
 // full closure-tree walk — memo checks, ternary-chain dispatch, one
 // virtual call per node per domain value. CompileSweepVec inverts the
 // loop: each compiled node evaluates the WHOLE domain per call, so stable
-// subtrees are computed once per row and broadcast, a ternary with a
-// stable condition descends only the chosen branch, and the sweep-reading
+// subtrees are computed once per row and broadcast, a chain of ternaries
+// with stable conditions runs as one first-match loop that descends only
+// the chosen branch, and the sweep-reading
 // leaves (=, <>, IN, IS NULL against the swept column) become tight loops
 // over the domain's code vector. Subtrees the vectorizer cannot lower —
 // ordered comparisons, function calls over the swept column — fall back to
@@ -114,7 +115,7 @@ func (in *Instance) svBuf(slot, n int) []tri {
 // and computes identical truth lanes; see the equivalence note above.
 func (ev *Evaluator) CompileSweepVec(e Expr, colIndex map[string]int, sweep int) (*SweepProg, error) {
 	c := &compiler{ev: ev, ix: colIndex, sweep: sweep}
-	s := &sweepCompiler{c: c}
+	s := &sweepCompiler{c: c, stable: &compiler{ev: ev, ix: colIndex, sweep: -1}}
 	root, err := s.comp(e)
 	if err != nil {
 		return nil, err
@@ -129,9 +130,14 @@ func (ev *Evaluator) CompileSweepVec(e Expr, colIndex map[string]int, sweep int)
 }
 
 // sweepCompiler drives sweep vectorization, delegating scalar subtree
-// compilation (and its cache-slot bookkeeping) to the shared compiler.
+// compilation to two compilers: c gives the stable subtrees inside
+// fallback nodes cache slots (a fallback runs its closure once per lane),
+// while stable compiles broadcast subtrees and stable ternary conditions
+// without slots — the vectorized sweep evaluates each of those once per
+// row, so a slot would only add a check and a store.
 type sweepCompiler struct {
 	c       *compiler
+	stable  *compiler
 	svSlots int
 }
 
@@ -184,11 +190,10 @@ func (s *sweepCompiler) comp(e Expr) (svFn, error) {
 	}
 }
 
-// broadcast compiles a sweep-stable subtree: one scalar evaluation per
-// call, copied into every lane. The scalar closure keeps its sweep-cache
-// slots, so nested Calls over stable arguments still memoize per row.
+// broadcast compiles a sweep-stable subtree: one slot-free scalar
+// evaluation per call, copied into every lane.
 func (s *sweepCompiler) broadcast(e Expr) (svFn, error) {
-	fn, _, err := s.c.bool(e)
+	fn, _, err := s.stable.bool(e)
 	if err != nil {
 		return nil, err
 	}
@@ -439,38 +444,60 @@ func (s *sweepCompiler) isNull(x IsNull) (svFn, error) {
 	}, nil
 }
 
+// sweepArm is one stable-condition arm of a flat first-match chain.
+type sweepArm struct {
+	cond triFn
+	then svFn
+}
+
 // ternary lowers cond ? then : else. The protocol constraints are chains
-// of these with sweep-stable rule conditions, so the stable-condition case
-// — evaluate the condition once, descend only the chosen branch — is the
-// one that turns a per-value chain walk into a single dispatch per row.
-// Sweep-dependent conditions evaluate all three lane vectors and select,
-// with all-true/all-other short-circuits.
+// of these, right-nested down the Else branches, with sweep-stable rule
+// conditions: such a run compiles to one first-match loop that evaluates
+// each condition once per row and descends only the first arm that holds,
+// with the remaining Else compiled normally. The first condition that
+// reads the sweep column ends the run; that ternary evaluates all three
+// lane vectors and selects, with all-true/all-other short-circuits.
 func (s *sweepCompiler) ternary(x Ternary) (svFn, error) {
-	condReads, err := s.readsSweep(x.Cond)
-	if err != nil {
-		return nil, err
+	var arms []sweepArm
+	var rest Expr = x
+	for {
+		t, ok := rest.(Ternary)
+		if !ok {
+			break
+		}
+		reads, err := s.readsSweep(t.Cond)
+		if err != nil {
+			return nil, err
+		}
+		if reads {
+			break
+		}
+		cond, _, err := s.stable.bool(t.Cond)
+		if err != nil {
+			return nil, err
+		}
+		then, err := s.comp(t.Then)
+		if err != nil {
+			return nil, err
+		}
+		arms = append(arms, sweepArm{cond: cond, then: then})
+		rest = t.Else
 	}
-	if !condReads {
-		cond, _, err := s.c.bool(x.Cond)
-		if err != nil {
-			return nil, err
-		}
-		then, err := s.comp(x.Then)
-		if err != nil {
-			return nil, err
-		}
-		els, err := s.comp(x.Else)
+	if len(arms) > 0 {
+		els, err := s.comp(rest)
 		if err != nil {
 			return nil, err
 		}
 		return func(in *Instance, crow []uint32, domain []uint32, out []tri) error {
-			t, err := cond(in, crow)
-			if err != nil {
-				return err
-			}
-			// Unknown behaves as false: the else branch (paper's ternary).
-			if t == triTrue {
-				return then(in, crow, domain, out)
+			for _, a := range arms {
+				t, err := a.cond(in, crow)
+				if err != nil {
+					return err
+				}
+				// Unknown behaves as false: the else branch (paper's ternary).
+				if t == triTrue {
+					return a.then(in, crow, domain, out)
+				}
 			}
 			return els(in, crow, domain, out)
 		}, nil

@@ -1,6 +1,7 @@
 package sqlmini
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -176,8 +177,10 @@ func randSweepExpr(rng *rand.Rand, names []string, depth int) Expr {
 // CompileSweep on random expressions: for random base rows and domains,
 // every lane EvalSweepTrue keeps must match EvalCodes on the row with the
 // sweep column substituted — in both NULL dialects, with the sweep cache
-// exercised across consecutive rows.
+// exercised across consecutive rows. The chains subtest does the same for
+// long rule chains against the tree-walking Evaluator too.
 func TestSweepVecMatchesScalarSweep(t *testing.T) {
+	t.Run("chains", testSweepVecChains)
 	rng := rand.New(rand.NewSource(7))
 	names := []string{"a", "b", "c", "d"}
 	ix := map[string]int{"a": 0, "b": 1, "c": 2, "d": 3}
@@ -226,6 +229,147 @@ func TestSweepVecMatchesScalarSweep(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// errBoom is what the boom test function returns on the value "r".
+var errBoom = errors.New("boom on r")
+
+// boomFunc is a registered test function that returns its argument but
+// fails on "r", so errors raised inside stable chain conditions are
+// checked across every evaluation path.
+func boomFunc(args []rel.Value) (rel.Value, error) {
+	if args[0].Equal(rel.S("r")) {
+		return rel.Null(), errBoom
+	}
+	return args[0], nil
+}
+
+// randChain builds a right-nested first-match chain of n arms, the shape
+// the rule compiler emits, over names with names[sweep] as the swept
+// column. Most conditions are stable and rarely true, so long chains are
+// walked deep; the rest read the sweep column (ending a flat run), come out
+// Unknown (a bare column, or a compare with NULL in the strict dialect), or
+// call boom over a stable column. Then-arms compare the sweep column or,
+// while depth allows, nest a shorter chain.
+func randChain(rng *rand.Rand, names []string, sweep, n, depth int) Expr {
+	sweepCol := Col{Name: names[sweep]}
+	stableCol := func() Expr {
+		i := rng.Intn(len(names) - 1)
+		if i >= sweep {
+			i++
+		}
+		return Col{Name: names[i]}
+	}
+	lit := func() Expr { return Lit{Val: vecTestValues[rng.Intn(len(vecTestValues))]} }
+	rareLit := func() Expr {
+		if rng.Intn(8) == 0 {
+			return lit()
+		}
+		return Lit{Val: rel.S(fmt.Sprintf("z%d", rng.Intn(50)))}
+	}
+	cond := func() Expr {
+		switch r := rng.Intn(40); {
+		case r < 2:
+			return Binary{Op: "=", L: sweepCol, R: lit()}
+		case r < 3:
+			return Binary{Op: "=", L: Call{Name: "boom", Args: []Expr{stableCol()}}, R: rareLit()}
+		case r < 5:
+			return Binary{Op: "=", L: stableCol(), R: Lit{Val: rel.Null()}}
+		case r < 6:
+			return stableCol()
+		case r < 14:
+			return Binary{Op: "AND", L: Binary{Op: "=", L: stableCol(), R: lit()}, R: Binary{Op: "=", L: stableCol(), R: rareLit()}}
+		default:
+			return Binary{Op: "=", L: stableCol(), R: rareLit()}
+		}
+	}
+	then := func() Expr {
+		if depth > 0 && rng.Intn(10) == 0 {
+			return randChain(rng, names, sweep, 1+rng.Intn(8), depth-1)
+		}
+		return Binary{Op: "=", L: sweepCol, R: lit()}
+	}
+	var e Expr = Binary{Op: "=", L: sweepCol, R: Lit{Val: rel.Null()}}
+	for i := 0; i < n; i++ {
+		e = Ternary{Cond: cond(), Then: then(), Else: e}
+	}
+	return e
+}
+
+// testSweepVecChains cross-checks the flat first-match lowering of rule
+// chains: seeded random chains of 1–600 arms, in both NULL dialects, must
+// give the vectorized sweep, the scalar sweep and the tree-walking
+// Evaluator the same verdict on every lane — and the same error whenever a
+// stable condition's function call fails.
+func testSweepVecChains(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	names := []string{"a", "b", "c", "d"}
+	ix := map[string]int{"a": 0, "b": 1, "c": 2, "d": 3}
+	funcs := map[string]Func{"boom": boomFunc}
+	errRows := 0
+	for trial := 0; trial < 120; trial++ {
+		sweep := rng.Intn(len(names))
+		e := randChain(rng, names, sweep, 1+rng.Intn(600), 2)
+		for _, strict := range []bool{false, true} {
+			ev := &Evaluator{Funcs: funcs, NullEq: !strict}
+			sp, err := ev.CompileSweepVec(e, ix, sweep)
+			if err != nil {
+				t.Fatalf("trial %d strict=%v: sweep-vec compile: %v", trial, strict, err)
+			}
+			prog, err := ev.CompileSweep(e, ix, sweep)
+			if err != nil {
+				t.Fatalf("trial %d strict=%v: sweep compile: %v", trial, strict, err)
+			}
+			vin, sin := sp.Instance(), prog.Instance()
+			domain := make([]uint32, 1+rng.Intn(6))
+			for i := range domain {
+				domain[i] = dict.Code(vecTestValues[rng.Intn(len(vecTestValues))])
+			}
+			keep := make([]bool, len(domain))
+			crow := make([]uint32, len(names))
+			env := make(MapEnv, len(names))
+			for row := 0; row < 6; row++ {
+				for j := range crow {
+					crow[j] = dict.Code(vecTestValues[rng.Intn(len(vecTestValues))])
+					env[names[j]] = dict.Value(crow[j])
+				}
+				vin.NextRow()
+				sin.NextRow()
+				for i := range keep {
+					keep[i] = true
+				}
+				_, verr := sp.EvalSweepTrue(vin, crow, domain, keep)
+				var laneErr error
+				for di, d := range domain {
+					crow[sweep] = d
+					env[names[sweep]] = dict.Value(d)
+					want, werr := ev.True(e, env)
+					got, gerr := prog.EvalCodes(sin, crow)
+					if fmt.Sprint(gerr) != fmt.Sprint(werr) || got != want {
+						t.Fatalf("trial %d strict=%v row %d lane %d: scalar sweep (%v, %v), evaluator (%v, %v)",
+							trial, strict, row, di, got, gerr, want, werr)
+					}
+					if werr != nil {
+						laneErr = werr
+						continue
+					}
+					if verr == nil && keep[di] != want {
+						t.Fatalf("trial %d strict=%v row %d lane %d: vectorized=%v evaluator=%v",
+							trial, strict, row, di, keep[di], want)
+					}
+				}
+				if fmt.Sprint(verr) != fmt.Sprint(laneErr) {
+					t.Fatalf("trial %d strict=%v row %d: vectorized error %v, lane error %v", trial, strict, row, verr, laneErr)
+				}
+				if verr != nil {
+					errRows++
+				}
+			}
+		}
+	}
+	if errRows == 0 {
+		t.Fatal("no row reached a failing boom call; the error path went untested")
 	}
 }
 

@@ -16,7 +16,8 @@
 # hot path must never produce a green benchmark report.
 #
 # The default pattern covers the generation-sensitive benchmarks (the
-# compiled-kernel solver on table D and the Fig. 3 incremental sweep)
+# compiled-kernel solver on table D, all eight controllers generated from
+# freshly built specs, and the Fig. 3 incremental sweep)
 # plus the planner-sensitive ones: the invariant suite (the paper's
 # every-revision workload), the substrate SELECT/JOIN microbenchmarks,
 # the prepared-statement floor, the EXPLAIN ANALYZE pair (plain vs
@@ -32,8 +33,10 @@
 # vectorized-vs-scalar equivalence suites, the MVCC epoch/catalog layer
 # and the query server (concurrent sessions, admission, drain), the
 # deadlock analysis (pairwise composition fans out over shared interned
-# tables on the pool), and TestNilTracerOverheadBound enforces the <5% off-path instrumentation
-# budget before any number is recorded.
+# tables on the pool), protocol generation (eight specs solved at once
+# over shared cached rule-condition trees), and TestNilTracerOverheadBound
+# enforces the <5% off-path instrumentation budget before any number is
+# recorded.
 #
 # After writing the summary, the script diffs it against the previous
 # revision's baseline (BENCH_BASELINE, default BENCH_9.json) and prints a
@@ -45,7 +48,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-PATTERN="${1:-BenchmarkGenerateDirectoryD$|BenchmarkGenerateIncremental$|BenchmarkInvariantSuite$|BenchmarkInvariantSuiteSerial$|BenchmarkDeltaRecheck$|BenchmarkSQLSelectWhere$|BenchmarkSQLJoin$|BenchmarkSQLPreparedSelect$|BenchmarkExplainAnalyzeOverhead$|BenchmarkVectorizedFilter|BenchmarkStateExplore|BenchmarkSegmentPack}"
+PATTERN="${1:-BenchmarkGenerateDirectoryD$|BenchmarkGenerateAllControllers$|BenchmarkGenerateIncremental$|BenchmarkInvariantSuite$|BenchmarkInvariantSuiteSerial$|BenchmarkDeltaRecheck$|BenchmarkSQLSelectWhere$|BenchmarkSQLJoin$|BenchmarkSQLPreparedSelect$|BenchmarkExplainAnalyzeOverhead$|BenchmarkVectorizedFilter|BenchmarkStateExplore|BenchmarkSegmentPack}"
 SERVER_PATTERN="${BENCH_SERVER_PATTERN:-BenchmarkServerQPS$}"
 OUT="${BENCH_OUT:-BENCH_10.json}"
 BASELINE="${BENCH_BASELINE:-BENCH_9.json}"
@@ -95,6 +98,9 @@ go test -race ./internal/server/...
 
 echo "== race-detector deadlock-composition tests =="
 go test -race ./internal/deadlock/...
+
+echo "== race-detector protocol-generation tests =="
+go test -race ./internal/protocol/...
 
 echo "== nil-tracer overhead bound (<5%) =="
 go test -run 'TestNilTracerOverheadBound' -count=1 .
