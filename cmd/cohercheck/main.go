@@ -46,8 +46,8 @@ func main() {
 	listen := flag.String("listen", "", "serve live diagnostics (metrics, healthz, pprof, traces, queries) on this address, e.g. :8080")
 	traceOut := flag.String("trace-out", "", "write the span tree as Chrome trace_event JSON (Perfetto-loadable) to this file at exit")
 	workers := flag.Int("workers", 0, "bound parallelism in generation, checking and deadlock analysis (0 = GOMAXPROCS)")
-	segmented := flag.Bool("segmented", false, "with -modelcheck: use the out-of-core engine (compressed segment store, sharded visited index, parallel frontier)")
-	maxMem := flag.String("max-mem", "", "with -modelcheck: memory budget, e.g. 256M; implies -segmented, spills to -spill-dir or stops at the budget")
+	flag.Bool("segmented", false, "ignored: -modelcheck always runs the out-of-core engine (accepted so existing command lines keep working)")
+	maxMem := flag.String("max-mem", "", "with -modelcheck: memory budget, e.g. 256M; spills to -spill-dir or stops at the budget")
 	spillDir := flag.String("spill-dir", "", "with -modelcheck: directory for spilled state segments")
 	baselineCache := flag.String("baseline-cache", "", "with -incremental: cache file for the passing baseline, keyed by a hash of the specs and table contents; a fresh process with a matching hash skips the baseline run")
 	flag.Parse()
@@ -74,7 +74,7 @@ func main() {
 		fail(err)
 	}
 	if *mc {
-		if err := runModelCheck(p, *assign, *segmented, *maxMem, *spillDir); err != nil {
+		if err := runModelCheck(p, *assign, *maxMem, *spillDir); err != nil {
 			fail(err)
 		}
 		flush()
@@ -245,20 +245,14 @@ func runIncremental(p *core.Pipeline, workers int, tr obs.Tracer, reg *obs.Regis
 // runModelCheck explores the Fig. 4 configuration exhaustively under the
 // given assignment (default: both vc4 and fixed) — the baseline the paper
 // contrasts the SQL analysis with.
-func runModelCheck(p *core.Pipeline, assign string, segmented bool, maxMem, spillDir string) error {
-	mcOpts := modelcheck.Options{MaxStates: 2000000, CheckCoherence: true}
+func runModelCheck(p *core.Pipeline, assign, maxMem, spillDir string) error {
+	mcOpts := modelcheck.Options{MaxStates: 2000000, CheckCoherence: true, SpillDir: spillDir}
 	if maxMem != "" {
 		budget, err := segment.ParseBytes(maxMem)
 		if err != nil {
 			return err
 		}
 		mcOpts.MemBudget = budget
-		segmented = true
-	}
-	if segmented {
-		mcOpts.Segmented = true
-		mcOpts.SpillDir = spillDir
-		mcOpts.HashStates = true
 	}
 	tables := sim.Tables{
 		D: p.DB.MustTable(protocol.DirectoryTable),
@@ -300,14 +294,12 @@ func runModelCheck(p *core.Pipeline, assign string, segmented bool, maxMem, spil
 		}
 		fmt.Printf("== model checking %s: %d states, %d edges, depth %d (%v)\n",
 			name, rep.States, rep.Edges, rep.Depth, rep.Elapsed.Round(1000))
-		if mcOpts.Segmented {
-			m := rep.Mem
-			fmt.Printf("   memory: %dB/state (%dB resident, %dB spilled in %d/%d segments; index %dB, dict %dB, frontier %dB; %d spills, %d faults, %d replays)\n",
-				m.BytesPerState, m.ResidentBytes, m.SpilledBytes,
-				m.SpilledSegments, m.Segments, m.IndexBytes, m.DictBytes, m.FrontierBytes,
-				m.Spills, m.Faults, m.Replays)
-			fmt.Printf("   reachable-set hash: %016x\n", rep.StateHash)
-		}
+		m := rep.Mem
+		fmt.Printf("   memory: %dB/state (%dB resident, %dB spilled in %d/%d segments; index %dB, dict %dB, frontier %dB; %d spills, %d faults, %d replays)\n",
+			m.BytesPerState, m.ResidentBytes, m.SpilledBytes,
+			m.SpilledSegments, m.Segments, m.IndexBytes, m.DictBytes, m.FrontierBytes,
+			m.Spills, m.Faults, m.Replays)
+		fmt.Printf("   reachable-set hash: %016x\n", rep.StateHash)
 		if rep.Violation != nil {
 			fmt.Printf("   %s found; counter-example (%d actions):\n", rep.Violation.Kind, len(rep.Violation.Trace))
 			for _, a := range rep.Violation.Trace {

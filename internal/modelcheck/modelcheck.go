@@ -1,7 +1,8 @@
 // Package modelcheck is an explicit-state model checker over the
 // table-driven protocol: it explores every scheduling interleaving of a
-// simulated system (breadth-first over sim.System fingerprints) and checks
-// deadlock freedom and coherence safety in every reachable state.
+// simulated system breadth-first, keeping each visited state as a
+// compressed code tuple (see segmented.go), and checks deadlock freedom
+// and coherence safety in every reachable state.
 //
 // It is the baseline the paper discusses (§4.2: "Model checkers based on
 // formal approaches... can detect such deadlocks. However, to use these
@@ -13,7 +14,6 @@ package modelcheck
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"coherdb/internal/sim"
@@ -32,45 +32,40 @@ type Options struct {
 	MaxStates int
 	// CheckCoherence verifies MESI safety in every state.
 	CheckCoherence bool
-
-	// Segmented switches to the out-of-core engine: the visited set
-	// lives in compressed code segments (internal/segment) probed
-	// through sharded fingerprint indexes, the frontier is expanded in
-	// parallel on internal/pool with a deterministic merge, and sealed
-	// segments optionally spill to SpillDir under MemBudget pressure.
-	// Results (states, violations, reachable-set hash) are identical
-	// to the in-memory engine.
-	Segmented bool
-	// MemBudget caps retained bytes. The in-memory engine returns
-	// ErrBudget when its retained clones + fingerprints exceed it; the
-	// segmented engine spills cold segments to SpillDir instead, or
-	// returns ErrBudget when no SpillDir is configured. 0 = unlimited.
+	// MemBudget caps retained bytes: compressed segments, visited index
+	// and codec dictionary. Under pressure sealed segments spill to
+	// SpillDir; with no SpillDir the search stops with ErrBudget at the
+	// end of the level that exceeded it. 0 = unlimited.
 	MemBudget int64
-	// SpillDir enables spill-to-disk for the segmented engine.
+	// SpillDir is where sealed segments spill under MemBudget pressure.
 	SpillDir string
-	// Shards is the visited-index shard count (segmented engine;
-	// rounded up to a power of two; 0 means 16).
-	Shards int
 	// Workers bounds parallel frontier expansion (0 = all pool workers).
 	Workers int
-	// ExpandChunk is how many frontier states one parallel expansion
-	// round covers; it bounds transient per-round memory (0 = 1024).
-	ExpandChunk int
-	// BlockRows is the segment seal threshold (0 = 4096).
-	BlockRows int
-	// HashStates computes Report.StateHash, the order-insensitive
-	// fingerprint of the reachable set, on either engine.
+
+	// Deprecated: Segmented is ignored. Every exploration runs the one
+	// out-of-core engine.
+	Segmented bool
+	// Deprecated: HashStates is ignored. Report.StateHash is always
+	// computed.
 	HashStates bool
+
+	// shards is the visited-index shard count (rounded up to a power of
+	// two; 0 means 16).
+	shards int
+	// expandChunk is how many frontier states one parallel expansion
+	// round covers; it bounds transient per-round memory (0 = 1024).
+	expandChunk int
+	// blockRows is the segment seal threshold (0 = 4096).
+	blockRows int
 }
 
 // MemStats is the memory accounting of one exploration.
 type MemStats struct {
 	// ResidentBytes is retained in-memory state: compressed segments
-	// plus unsealed tails for the segmented engine, retained clones +
-	// fingerprint strings for the in-memory one.
+	// plus unsealed tails.
 	ResidentBytes int64
 	// SpilledBytes / Segments / SpilledSegments / Spills / Faults
-	// describe the segment stores (zero for the in-memory engine).
+	// describe the segment stores.
 	SpilledBytes    int64
 	Segments        int64
 	SpilledSegments int64
@@ -106,144 +101,15 @@ type Report struct {
 	Elapsed   time.Duration
 	Violation *CounterExample
 	// StateHash is the order-insensitive XOR of the value-level hashes
-	// of every reached state (set when Options.HashStates): two
-	// explorations reached the same set iff the hashes match. It is
-	// independent of dictionary code assignment, so it compares across
-	// engines and processes.
+	// of every reached state: two explorations reached the same set iff
+	// the hashes match. It is independent of dictionary code
+	// assignment, so it compares across runs, options and processes.
 	StateHash uint64
-	// Mem is the engine's memory accounting.
+	// Mem is the exploration's memory accounting.
 	Mem MemStats
 }
 
 // Deadlocked reports whether a deadlock counter-example was found.
 func (r *Report) Deadlocked() bool {
 	return r.Violation != nil && r.Violation.Kind == "deadlock"
-}
-
-// node is one explored state; parent/action record the BFS tree for
-// counter-example reconstruction.
-type node struct {
-	sys    *sim.System
-	parent int
-	action sim.Action
-	depth  int
-}
-
-// Explore runs a breadth-first search over all interleavings of the given
-// initial system. The system passed in is not modified. With
-// Options.Segmented it dispatches to the out-of-core engine, which
-// reaches the same states and violations at a fraction of the bytes
-// per state.
-func Explore(initial *sim.System, opts Options) (*Report, error) {
-	if opts.Segmented {
-		return exploreSegmented(initial, opts)
-	}
-	limit := opts.MaxStates
-	if limit <= 0 {
-		limit = 200000
-	}
-	start := time.Now()
-	rep := &Report{}
-	var retained int64
-	finish := func() *Report {
-		rep.Elapsed = time.Since(start)
-		rep.Mem.ResidentBytes = retained
-		if rep.States > 0 {
-			rep.Mem.BytesPerState = retained / int64(rep.States)
-		}
-		return rep
-	}
-	var codec *sim.StateCodec
-	var scratch []uint32
-	if opts.HashStates {
-		codec = sim.NewStateCodec(initial)
-	}
-	hash := func(s *sim.System) {
-		if codec != nil {
-			scratch = codec.Encode(s, scratch)
-			rep.StateHash ^= codec.ValueHash(scratch)
-		}
-	}
-	rootFP := initial.Fingerprint()
-	seen := map[string]bool{rootFP: true}
-	all := []node{{sys: initial.Clone(), parent: -1}}
-	queue := []int{0}
-	rep.States = 1
-	retained += all[0].sys.ApproxBytes() + int64(len(rootFP)) + seenEntryBytes
-	hash(all[0].sys)
-
-	for len(queue) > 0 {
-		idx := queue[0]
-		queue = queue[1:]
-		cur := all[idx]
-		if cur.depth > rep.Depth {
-			rep.Depth = cur.depth
-		}
-		if opts.CheckCoherence {
-			if v := cur.sys.SafetyViolations(); len(v) > 0 {
-				rep.Violation = &CounterExample{
-					Kind:   "coherence",
-					Trace:  traceOf(all, idx),
-					Detail: fmt.Sprintf("%v", v),
-				}
-				return finish(), nil
-			}
-		}
-		progressed := false
-		for _, a := range cur.sys.CandidateActions() {
-			succ := cur.sys.Clone()
-			changed, err := succ.Apply(a)
-			if err != nil {
-				return nil, err
-			}
-			if !changed {
-				continue
-			}
-			progressed = true
-			rep.Edges++
-			fp := succ.Fingerprint()
-			if seen[fp] {
-				continue
-			}
-			seen[fp] = true
-			rep.States++
-			if rep.States > limit {
-				return finish(), ErrLimit
-			}
-			hash(succ)
-			retained += succ.ApproxBytes() + int64(len(fp)) + seenEntryBytes
-			if opts.MemBudget > 0 && retained > opts.MemBudget {
-				return finish(), ErrBudget
-			}
-			all = append(all, node{sys: succ, parent: idx, action: a, depth: cur.depth + 1})
-			queue = append(queue, len(all)-1)
-		}
-		if !progressed && !cur.sys.Idle() {
-			rep.Violation = &CounterExample{
-				Kind:   "deadlock",
-				Trace:  traceOf(all, idx),
-				Detail: "no enabled action and work remains",
-			}
-			return finish(), nil
-		}
-	}
-	return finish(), nil
-}
-
-// seenEntryBytes approximates the map-entry overhead of one visited
-// fingerprint in the in-memory engine (bucket slot + string header).
-const seenEntryBytes = 64
-
-// traceOf rebuilds the action path from the root to all[idx].
-func traceOf(all []node, idx int) []sim.Action {
-	var rev []sim.Action
-	for idx >= 0 && all[idx].parent >= 0 {
-		rev = append(rev, all[idx].action)
-		idx = all[idx].parent
-	}
-	out := make([]sim.Action, len(rev))
-	for i := range rev {
-		out[i] = rev[len(rev)-1-i]
-	}
-	return out
 }

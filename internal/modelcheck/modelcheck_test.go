@@ -84,6 +84,18 @@ func figure4Setup(s *sim.System) {
 	s.Node(1).Script(sim.Op{Kind: "previct", Addr: lineA})
 }
 
+// withPrreads is figure4Setup plus n prread operations on fresh lines,
+// alternating between the nodes: the widened Fig. 4 workload of the
+// state-explosion benchmarks.
+func withPrreads(n int) func(*sim.System) {
+	return func(s *sim.System) {
+		figure4Setup(s)
+		for k := 0; k < n; k++ {
+			s.Node(k % 2).Script(sim.Op{Kind: "prread", Addr: sim.Addr(0x100 + k)})
+		}
+	}
+}
+
 func TestExploreSimpleReadIsClean(t *testing.T) {
 	sys := buildSystem(t, protocol.AssignFixed, map[string]int{"VC0": 2}, func(s *sim.System) {
 		s.Node(0).Script(sim.Op{Kind: "prread", Addr: 1})

@@ -12,18 +12,18 @@ import (
 	"coherdb/internal/sim"
 )
 
-// The out-of-core engine: states are fixed-width uint32 code tuples
+// The exploration engine: states are fixed-width uint32 code tuples
 // (sim.StateCodec) appended to a compressed segment store; membership
 // is an exact sharded hash index over that store; the frontier expands
 // level-synchronously in parallel rounds on internal/pool with a
-// deterministic batch-ordered merge, so states, edges, violations and
-// the reachable-set hash are identical to the in-memory engine's.
+// deterministic batch-ordered merge, so state ids follow BFS discovery
+// order exactly and no result (states, edges, violations, reachable-set
+// hash) depends on the worker count.
 //
 // Per state the engine retains ~a few dozen compressed bytes (tuple +
-// 8B search-tree entry + 16B index slot) instead of an in-memory
-// System clone plus fingerprint string (~2–4 KiB), and sealed segments
-// spill to disk under budget pressure — the 2–3 orders of magnitude
-// the ROADMAP asks for. Counter-example traces and violation details
+// 8B search-tree entry + 16B index slot) where a System clone plus
+// fingerprint string costs ~2–4 KiB, and sealed segments spill to disk
+// under budget pressure. Counter-example traces and violation details
 // come from replaying the recorded action path from the root.
 
 // rootParent marks state 0's parent slot in the search tree store.
@@ -58,25 +58,120 @@ type segEngine struct {
 	limit int
 }
 
-func exploreSegmented(initial *sim.System, opts Options) (*Report, error) {
-	limit := opts.MaxStates
-	if limit <= 0 {
-		limit = 200000
-	}
-	shards := opts.Shards
-	if shards <= 0 {
-		shards = 16
-	}
-	blockRows := opts.BlockRows
-	if blockRows <= 0 {
-		blockRows = 4096
-	}
-	chunk := opts.ExpandChunk
+// Explore runs a breadth-first search over all interleavings of the given
+// initial system. The system passed in is not modified.
+func Explore(initial *sim.System, opts Options) (*Report, error) {
+	start := time.Now()
+	e := newEngine(initial, opts)
+	defer e.close()
+	segment.Track("modelcheck_visited", e.vstore)
+	segment.Track("modelcheck_tree", e.tstore)
+	defer segment.Untrack("modelcheck_visited")
+	defer segment.Untrack("modelcheck_tree")
+	chunk := opts.expandChunk
 	if chunk <= 0 {
 		chunk = 1024
 	}
 
-	start := time.Now()
+	finish := func() *Report {
+		e.rep.Elapsed = time.Since(start)
+		e.fillMemStats()
+		return e.rep
+	}
+
+	levelLo, levelHi := int64(0), int64(1)
+	for depth := 0; levelLo < levelHi; depth++ {
+		e.rep.Depth = depth
+
+		// Phase 1: streaming coherence scan over the level's sealed
+		// rows — no System, no row materialization, just code compares
+		// against the codec's pre-interned M/E/S codes.
+		coherMin := int64(-1)
+		if opts.CheckCoherence {
+			coherMin = e.coherenceScan(levelLo, levelHi)
+		}
+		expandHi := levelHi
+		if coherMin >= 0 {
+			// A BFS dequeues (and expands) only the states before
+			// the violating one.
+			expandHi = coherMin
+		}
+
+		// Phase 2: expand in rounds — parallel generation with a
+		// deterministic batch-ordered merge, then sequential
+		// dedupe/accept so state ids follow BFS discovery order
+		// exactly.
+		deadlockMin := int64(-1)
+		for rlo := levelLo; rlo < expandHi && deadlockMin < 0; rlo += int64(chunk) {
+			rhi := rlo + int64(chunk)
+			if rhi > expandHi {
+				rhi = expandHi
+			}
+			cands, roundDeadlock, err := e.expandRound(rlo, rhi)
+			if err != nil {
+				return nil, err
+			}
+			if roundDeadlock >= 0 {
+				deadlockMin = roundDeadlock
+			}
+			if e.acceptRound(cands, deadlockMin >= 0) {
+				return finish(), ErrLimit
+			}
+		}
+
+		if deadlockMin >= 0 || coherMin >= 0 {
+			vid, kind := coherMin, "coherence"
+			if deadlockMin >= 0 && (coherMin < 0 || deadlockMin < coherMin) {
+				vid, kind = deadlockMin, "deadlock"
+			}
+			detail := "no enabled action and work remains"
+			if kind == "coherence" {
+				sys := e.materializeLocked(vid)
+				detail = fmt.Sprintf("%v", sys.SafetyViolations())
+			}
+			e.rep.Violation = &CounterExample{
+				Kind:   kind,
+				Trace:  e.actionPath(vid),
+				Detail: detail,
+			}
+			return finish(), nil
+		}
+
+		// Drop the consumed level from the frontier cache.
+		for sid := levelLo; sid < levelHi; sid++ {
+			if sys, ok := e.cache[sid]; ok {
+				e.frontierRoom.Add(sys.ApproxBytes())
+				delete(e.cache, sid)
+			}
+		}
+		levelLo, levelHi = levelHi, e.vstore.Rows()
+
+		// Budget enforcement without a spill directory: stop with
+		// ErrBudget instead of silently exceeding the cap.
+		if opts.MemBudget > 0 && opts.SpillDir == "" && e.retainedBytes() > opts.MemBudget {
+			return finish(), ErrBudget
+		}
+		e.rebalanceFrontier()
+	}
+	return finish(), nil
+}
+
+// newEngine sizes the stores, index and codec from opts and records the
+// initial system as state 0, cached as the first frontier. The caller
+// closes the engine.
+func newEngine(initial *sim.System, opts Options) *segEngine {
+	limit := opts.MaxStates
+	if limit <= 0 {
+		limit = 200000
+	}
+	shards := opts.shards
+	if shards <= 0 {
+		shards = 16
+	}
+	blockRows := opts.blockRows
+	if blockRows <= 0 {
+		blockRows = 4096
+	}
 	codec := sim.NewStateCodec(initial)
 	// Budget split: the visited tuples dominate, the search tree is a
 	// narrow width-2 store; both share the spill directory. The index,
@@ -103,112 +198,23 @@ func exploreSegmented(initial *sim.System, opts Options) (*Report, error) {
 		rep:   &Report{},
 		limit: limit,
 	}
-	defer e.vstore.Close()
-	defer e.tstore.Close()
 	e.idx = segment.NewVisited(e.vstore, shards)
-	segment.Track("modelcheck_visited", e.vstore)
-	segment.Track("modelcheck_tree", e.tstore)
-	defer segment.Untrack("modelcheck_visited")
-	defer segment.Untrack("modelcheck_tree")
 
-	finish := func() *Report {
-		e.rep.Elapsed = time.Since(start)
-		e.fillMemStats()
-		return e.rep
-	}
-
-	// Root state.
 	rootTuple := codec.Encode(e.root, nil)
 	rootHash := segment.HashTuple(rootTuple)
 	id := e.vstore.Append(rootTuple)
 	e.idx.Insert(e.idx.ShardOf(rootHash), rootHash, id)
 	e.tstore.Append([]uint32{rootParent, 0})
 	e.rep.States = 1
-	if opts.HashStates {
-		e.rep.StateHash ^= codec.ValueHash(rootTuple)
-	}
+	e.rep.StateHash ^= codec.ValueHash(rootTuple)
 	e.rebalanceFrontier()
 	e.cacheSystem(0, e.root, e.root.ApproxBytes())
+	return e
+}
 
-	levelLo, levelHi := int64(0), int64(1)
-	for depth := 0; levelLo < levelHi; depth++ {
-		e.rep.Depth = depth
-
-		// Phase 1: streaming coherence scan over the level's sealed
-		// rows — no System, no row materialization, just code compares
-		// against the codec's pre-interned M/E/S codes.
-		coherMin := int64(-1)
-		if opts.CheckCoherence {
-			coherMin = e.coherenceScan(levelLo, levelHi)
-		}
-		expandHi := levelHi
-		if coherMin >= 0 {
-			// The in-memory engine would have dequeued (and expanded)
-			// only the states before the violating one.
-			expandHi = coherMin
-		}
-
-		// Phase 2: expand in rounds — parallel generation with a
-		// deterministic batch-ordered merge, then sequential
-		// dedupe/accept so state ids match the in-memory engine's
-		// discovery order exactly.
-		deadlockMin := int64(-1)
-		for rlo := levelLo; rlo < expandHi && deadlockMin < 0; rlo += int64(chunk) {
-			rhi := rlo + int64(chunk)
-			if rhi > expandHi {
-				rhi = expandHi
-			}
-			cands, roundDeadlock, err := e.expandRound(rlo, rhi)
-			if err != nil {
-				return nil, err
-			}
-			if roundDeadlock >= 0 {
-				deadlockMin = roundDeadlock
-			}
-			stop, err := e.acceptRound(cands, deadlockMin >= 0)
-			if err != nil {
-				return finish(), err
-			}
-			if stop {
-				return finish(), ErrLimit
-			}
-		}
-
-		if deadlockMin >= 0 || coherMin >= 0 {
-			vid, kind := coherMin, "coherence"
-			if deadlockMin >= 0 && (coherMin < 0 || deadlockMin < coherMin) {
-				vid, kind = deadlockMin, "deadlock"
-			}
-			detail := "no enabled action and work remains"
-			if kind == "coherence" {
-				sys := e.materialize(vid)
-				detail = fmt.Sprintf("%v", sys.SafetyViolations())
-			}
-			e.rep.Violation = &CounterExample{
-				Kind:   kind,
-				Trace:  e.actionPath(vid),
-				Detail: detail,
-			}
-			return finish(), nil
-		}
-
-		// Drop the consumed level from the frontier cache.
-		for sid := levelLo; sid < levelHi; sid++ {
-			if sys, ok := e.cache[sid]; ok {
-				e.frontierRoom.Add(sys.ApproxBytes())
-				delete(e.cache, sid)
-			}
-		}
-		levelLo, levelHi = levelHi, e.vstore.Rows()
-
-		// Budget enforcement without a spill directory: stop like the
-		// in-memory engine instead of silently exceeding the cap.
-		if opts.MemBudget > 0 && opts.SpillDir == "" && e.retainedBytes() > opts.MemBudget {
-			return finish(), ErrBudget
-		}
-		e.rebalanceFrontier()
-	}
-	return finish(), nil
+func (e *segEngine) close() {
+	e.vstore.Close()
+	e.tstore.Close()
 }
 
 // retainedBytes sums the engine's unavoidable residency: segment
@@ -284,7 +290,7 @@ func (e *segEngine) coherenceScan(lo, hi int64) int64 {
 
 // expandRound expands states [rlo, rhi) in parallel and returns their
 // changed successors in deterministic order (by state id, then
-// candidate-action order — the in-memory engine's discovery order),
+// candidate-action order — BFS discovery order),
 // plus the lowest deadlocked state id (-1 if none).
 func (e *segEngine) expandRound(rlo, rhi int64) ([]cand, int64, error) {
 	n := int(rhi - rlo)
@@ -369,10 +375,12 @@ func (e *segEngine) expandRound(rlo, rhi int64) ([]cand, int64, error) {
 // dedupe (pre-filter verdicts are definitive; fresh candidates probe
 // again to catch same-round acceptances), append accepted tuples to
 // the stores and index, and admit systems to the frontier cache.
-// Returns stop=true when MaxStates is exceeded. When discard is set
-// (a deadlock ends the level) successors are counted but not kept,
-// matching the in-memory engine's early return.
-func (e *segEngine) acceptRound(cands []cand, discard bool) (bool, error) {
+// Returns true when MaxStates is exceeded. When discard is set
+// (a deadlock ends the level) successors are counted but not kept: the
+// search stops at the deadlocked state. A candidate's System was handed
+// out without reserving frontier room, so dropping one (duplicate or
+// discarded) gives nothing back; only cacheSystem debits the room.
+func (e *segEngine) acceptRound(cands []cand, discard bool) bool {
 	var probe []uint32
 	tree := make([]uint32, 2)
 	for i := range cands {
@@ -387,9 +395,6 @@ func (e *segEngine) acceptRound(cands []cand, discard bool) (bool, error) {
 		_, found, p := e.idx.Lookup(e.idx.ShardOf(c.hash), c.hash, c.tuple, probe)
 		probe = p
 		if found {
-			if c.sys != nil {
-				e.frontierRoom.Add(c.sysBytes)
-			}
 			continue
 		}
 		id := e.vstore.Append(c.tuple)
@@ -398,23 +403,21 @@ func (e *segEngine) acceptRound(cands []cand, discard bool) (bool, error) {
 		tree[1] = e.codec.EncodeAction(c.action)
 		e.tstore.Append(tree)
 		e.rep.States++
-		if e.opts.HashStates {
-			e.rep.StateHash ^= e.codec.ValueHash(c.tuple)
-		}
+		e.rep.StateHash ^= e.codec.ValueHash(c.tuple)
 		if e.rep.States > e.limit {
-			return true, nil
+			return true
 		}
 		if c.sys != nil {
 			e.cacheSystem(id, c.sys, c.sysBytes)
 		}
 	}
-	return false, nil
+	return false
 }
 
 // materializeLocked rebuilds the System for a state by replaying its
 // recorded action path from the root (frontier-cache miss under budget
-// pressure). Callers hold the engine's replay mutex; the underlying
-// store reads are themselves safe for concurrency.
+// pressure). Parallel expansion calls it under its replay mutex; the
+// underlying store reads are themselves safe for concurrency.
 func (e *segEngine) materializeLocked(id int64) *sim.System {
 	if sys, ok := e.cache[id]; ok {
 		return sys
@@ -428,11 +431,6 @@ func (e *segEngine) materializeLocked(id int64) *sim.System {
 	}
 	e.replays.Add(1)
 	return sys
-}
-
-// materialize is the sequential-context variant.
-func (e *segEngine) materialize(id int64) *sim.System {
-	return e.materializeLocked(id)
 }
 
 // actionPath rebuilds the action sequence from the root to state id

@@ -5,64 +5,60 @@ import (
 	"testing"
 
 	"coherdb/internal/protocol"
+	"coherdb/internal/segment"
 	"coherdb/internal/sim"
 )
 
-// exploreBoth runs the in-memory and segmented engines over fresh
-// clones of the same initial system and returns both reports.
-func exploreBoth(t *testing.T, sys *sim.System, base Options, seg Options) (*Report, *Report) {
+// exploreAgainstOracle runs the oracle and Explore with opts over the
+// same initial system and returns both reports. The oracle sees only the
+// options that change what a search finds: MaxStates and CheckCoherence.
+func exploreAgainstOracle(t *testing.T, sys *sim.System, opts Options) (*Report, *Report) {
 	t.Helper()
-	base.Segmented = false
-	base.HashStates = true
-	seg.Segmented = true
-	seg.HashStates = true
-	serial, err := Explore(sys, base)
+	want, err := exploreOracle(sys, Options{MaxStates: opts.MaxStates, CheckCoherence: opts.CheckCoherence})
 	if err != nil {
-		t.Fatalf("serial explore: %v", err)
+		t.Fatalf("oracle explore: %v", err)
 	}
-	segRep, err := Explore(sys, seg)
+	got, err := Explore(sys, opts)
 	if err != nil {
-		t.Fatalf("segmented explore: %v", err)
+		t.Fatalf("explore: %v", err)
 	}
-	return serial, segRep
+	return want, got
 }
 
 // requireCleanEquivalent asserts the strong contract for violation-free
 // runs: identical state count, edge count, depth and reachable-set hash.
-func requireCleanEquivalent(t *testing.T, serial, seg *Report) {
+func requireCleanEquivalent(t *testing.T, want, got *Report) {
 	t.Helper()
-	if serial.Violation != nil || seg.Violation != nil {
-		t.Fatalf("unexpected violation: serial=%+v segmented=%+v", serial.Violation, seg.Violation)
+	if want.Violation != nil || got.Violation != nil {
+		t.Fatalf("unexpected violation: oracle=%+v explore=%+v", want.Violation, got.Violation)
 	}
-	if serial.States != seg.States || serial.Edges != seg.Edges || serial.Depth != seg.Depth {
-		t.Fatalf("serial (states=%d edges=%d depth=%d) != segmented (states=%d edges=%d depth=%d)",
-			serial.States, serial.Edges, serial.Depth, seg.States, seg.Edges, seg.Depth)
+	if want.States != got.States || want.Edges != got.Edges || want.Depth != got.Depth {
+		t.Fatalf("oracle (states=%d edges=%d depth=%d) != explore (states=%d edges=%d depth=%d)",
+			want.States, want.Edges, want.Depth, got.States, got.Edges, got.Depth)
 	}
-	if serial.StateHash != seg.StateHash {
-		t.Fatalf("reachable-set hash mismatch: serial=%016x segmented=%016x",
-			serial.StateHash, seg.StateHash)
+	if want.StateHash != got.StateHash {
+		t.Fatalf("reachable-set hash mismatch: oracle=%016x explore=%016x",
+			want.StateHash, got.StateHash)
 	}
-	if serial.StateHash == 0 {
+	if want.StateHash == 0 {
 		t.Fatal("StateHash not computed")
 	}
 }
 
 func TestSegmentedCleanEquivalence(t *testing.T) {
 	sys := buildSystem(t, protocol.AssignFixed, map[string]int{"VC0": 2}, figure4Setup)
-	serial, seg := exploreBoth(t, sys,
-		Options{MaxStates: 500000, CheckCoherence: true},
-		Options{MaxStates: 500000, CheckCoherence: true})
-	requireCleanEquivalent(t, serial, seg)
-	if seg.Mem.BytesPerState <= 0 {
-		t.Fatalf("segmented BytesPerState = %d", seg.Mem.BytesPerState)
+	want, got := exploreAgainstOracle(t, sys, Options{MaxStates: 500000, CheckCoherence: true})
+	requireCleanEquivalent(t, want, got)
+	if got.Mem.BytesPerState <= 0 {
+		t.Fatalf("BytesPerState = %d", got.Mem.BytesPerState)
 	}
-	if seg.Mem.BytesPerState >= serial.Mem.BytesPerState {
-		t.Fatalf("segmented bytes/state %d not below in-memory %d",
-			seg.Mem.BytesPerState, serial.Mem.BytesPerState)
+	if got.Mem.BytesPerState >= want.Mem.BytesPerState {
+		t.Fatalf("bytes/state %d not below the oracle's %d",
+			got.Mem.BytesPerState, want.Mem.BytesPerState)
 	}
-	t.Logf("states=%d edges=%d depth=%d hash=%016x; bytes/state in-memory=%d segmented=%d",
-		seg.States, seg.Edges, seg.Depth, seg.StateHash,
-		serial.Mem.BytesPerState, seg.Mem.BytesPerState)
+	t.Logf("states=%d edges=%d depth=%d hash=%016x; bytes/state oracle=%d explore=%d",
+		got.States, got.Edges, got.Depth, got.StateHash,
+		want.Mem.BytesPerState, got.Mem.BytesPerState)
 }
 
 func TestSegmentedCleanEquivalenceParallelAndSharded(t *testing.T) {
@@ -72,178 +68,223 @@ func TestSegmentedCleanEquivalenceParallelAndSharded(t *testing.T) {
 		opts Options
 	}{
 		{"workers1", Options{Workers: 1}},
-		{"shards1_chunk7", Options{Shards: 1, ExpandChunk: 7}},
-		{"shards64_block32", Options{Shards: 64, BlockRows: 32}},
+		{"shards1_chunk7", Options{shards: 1, expandChunk: 7}},
+		{"shards64_block32", Options{shards: 64, blockRows: 32}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			o := tc.opts
 			o.MaxStates = 500000
 			o.CheckCoherence = true
-			serial, seg := exploreBoth(t, sys,
-				Options{MaxStates: 500000, CheckCoherence: true}, o)
-			requireCleanEquivalent(t, serial, seg)
+			want, got := exploreAgainstOracle(t, sys, o)
+			requireCleanEquivalent(t, want, got)
 		})
 	}
 }
 
 func TestSegmentedSpilledEquivalence(t *testing.T) {
 	sys := buildSystem(t, protocol.AssignFixed, map[string]int{"VC0": 2}, figure4Setup)
-	serial, seg := exploreBoth(t, sys,
-		Options{MaxStates: 500000, CheckCoherence: true},
-		Options{
-			MaxStates:      500000,
-			CheckCoherence: true,
-			MemBudget:      8 << 10, // tiny: forces spilling and replays
-			SpillDir:       t.TempDir(),
-			BlockRows:      32,
-		})
-	requireCleanEquivalent(t, serial, seg)
-	if seg.Mem.Spills == 0 || seg.Mem.SpilledBytes == 0 {
-		t.Fatalf("expected spills under an 8KiB budget, got %+v", seg.Mem)
+	want, got := exploreAgainstOracle(t, sys, Options{
+		MaxStates:      500000,
+		CheckCoherence: true,
+		MemBudget:      8 << 10, // tiny: forces spilling and replays
+		SpillDir:       t.TempDir(),
+		blockRows:      32,
+	})
+	requireCleanEquivalent(t, want, got)
+	if got.Mem.Spills == 0 || got.Mem.SpilledBytes == 0 {
+		t.Fatalf("expected spills under an 8KiB budget, got %+v", got.Mem)
 	}
 	t.Logf("spilled run: %d spills, %d faults, %d replays, resident=%dB spilled=%dB",
-		seg.Mem.Spills, seg.Mem.Faults, seg.Mem.Replays,
-		seg.Mem.ResidentBytes, seg.Mem.SpilledBytes)
+		got.Mem.Spills, got.Mem.Faults, got.Mem.Replays,
+		got.Mem.ResidentBytes, got.Mem.SpilledBytes)
 }
 
 func TestSegmentedDeadlockEquivalence(t *testing.T) {
 	sys := buildSystem(t, protocol.AssignVC4, map[string]int{"VC0": 2}, figure4Setup)
-	serial, err := Explore(sys, Options{MaxStates: 500000})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
 		name string
 		opts Options
 	}{
 		{"plain", Options{}},
-		{"spilled", Options{MemBudget: 64 << 10, BlockRows: 64}},
-		{"chunked", Options{ExpandChunk: 5}},
+		{"spilled", Options{MemBudget: 64 << 10, blockRows: 64}},
+		{"chunked", Options{expandChunk: 5}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			o := tc.opts
-			o.Segmented = true
 			o.MaxStates = 500000
 			if o.MemBudget > 0 {
 				o.SpillDir = t.TempDir()
 			}
-			seg, err := Explore(sys, o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameViolation(t, serial, seg)
+			want, got := exploreAgainstOracle(t, sys, o)
+			requireSameViolation(t, want, got)
 		})
 	}
 }
 
-func requireSameViolation(t *testing.T, serial, seg *Report) {
+// requireSameViolation asserts the contract for violating runs: the
+// same kind and the same counter-example trace. State and edge counts
+// may differ, because Explore stops at a round boundary, not at the
+// violating state.
+func requireSameViolation(t *testing.T, want, got *Report) {
 	t.Helper()
-	if serial.Violation == nil || seg.Violation == nil {
-		t.Fatalf("violation missing: serial=%+v segmented=%+v", serial.Violation, seg.Violation)
+	if want.Violation == nil || got.Violation == nil {
+		t.Fatalf("violation missing: oracle=%+v explore=%+v", want.Violation, got.Violation)
 	}
-	if serial.Violation.Kind != seg.Violation.Kind {
-		t.Fatalf("kind: serial=%s segmented=%s", serial.Violation.Kind, seg.Violation.Kind)
+	if want.Violation.Kind != got.Violation.Kind {
+		t.Fatalf("kind: oracle=%s explore=%s", want.Violation.Kind, got.Violation.Kind)
 	}
-	if len(serial.Violation.Trace) != len(seg.Violation.Trace) {
-		t.Fatalf("trace length: serial=%d segmented=%d",
-			len(serial.Violation.Trace), len(seg.Violation.Trace))
+	if len(want.Violation.Trace) != len(got.Violation.Trace) {
+		t.Fatalf("trace length: oracle=%d explore=%d",
+			len(want.Violation.Trace), len(got.Violation.Trace))
 	}
-	for i := range serial.Violation.Trace {
-		if serial.Violation.Trace[i] != seg.Violation.Trace[i] {
-			t.Fatalf("trace[%d]: serial=%v segmented=%v",
-				i, serial.Violation.Trace[i], seg.Violation.Trace[i])
+	for i := range want.Violation.Trace {
+		if want.Violation.Trace[i] != got.Violation.Trace[i] {
+			t.Fatalf("trace[%d]: oracle=%v explore=%v",
+				i, want.Violation.Trace[i], got.Violation.Trace[i])
 		}
 	}
 }
 
+// coherenceAtRoot seeds two modified copies of the same line, so
+// coherence is violated in the initial state.
+func coherenceAtRoot(s *sim.System) {
+	s.Node(0).SetCache(1, protocol.CacheM)
+	s.Node(1).SetCache(1, protocol.CacheM)
+	s.Dir().SetOwner(1, sim.NodeID(0))
+}
+
 func TestSegmentedCoherenceViolationEquivalence(t *testing.T) {
-	// Two modified copies of the same line: coherence is violated in the
-	// initial state, so both engines must report it with an empty trace.
-	seed := func(s *sim.System) {
-		s.Node(0).SetCache(1, protocol.CacheM)
-		s.Node(1).SetCache(1, protocol.CacheM)
-		s.Dir().SetOwner(1, sim.NodeID(0))
-	}
-	sys := buildSystem(t, protocol.AssignFixed, nil, seed)
-	serial, err := Explore(sys, Options{CheckCoherence: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seg, err := Explore(sys, Options{CheckCoherence: true, Segmented: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameViolation(t, serial, seg)
-	if serial.Violation.Kind != "coherence" || len(seg.Violation.Trace) != 0 {
-		t.Fatalf("want coherence at the root with empty trace, got %+v", seg.Violation)
+	sys := buildSystem(t, protocol.AssignFixed, nil, coherenceAtRoot)
+	want, got := exploreAgainstOracle(t, sys, Options{CheckCoherence: true})
+	requireSameViolation(t, want, got)
+	if got.Violation.Kind != "coherence" || len(got.Violation.Trace) != 0 {
+		t.Fatalf("want coherence at the root with empty trace, got %+v", got.Violation)
 	}
 }
 
 func TestSegmentedStateLimit(t *testing.T) {
 	sys := buildSystem(t, protocol.AssignFixed, map[string]int{"VC0": 2}, figure4Setup)
-	rep, err := Explore(sys, Options{MaxStates: 10, Segmented: true})
-	if !errors.Is(err, ErrLimit) {
-		t.Fatalf("err = %v, want ErrLimit", err)
-	}
-	if rep.States != 11 {
-		t.Fatalf("states at limit = %d, want limit+1", rep.States)
+	for _, tc := range []struct {
+		name    string
+		explore func(*sim.System, Options) (*Report, error)
+	}{{"oracle", exploreOracle}, {"explore", Explore}} {
+		rep, err := tc.explore(sys, Options{MaxStates: 10})
+		if !errors.Is(err, ErrLimit) {
+			t.Fatalf("%s: err = %v, want ErrLimit", tc.name, err)
+		}
+		if rep.States != 11 {
+			t.Fatalf("%s: states at limit = %d, want limit+1", tc.name, rep.States)
+		}
 	}
 }
 
 func TestSegmentedBudgetWithoutSpillDir(t *testing.T) {
 	sys := buildSystem(t, protocol.AssignFixed, map[string]int{"VC0": 2}, figure4Setup)
-	_, err := Explore(sys, Options{Segmented: true, MemBudget: 4 << 10})
+	_, err := Explore(sys, Options{MemBudget: 4 << 10})
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("err = %v, want ErrBudget", err)
 	}
-	// The in-memory engine hits the same wall far earlier (its states
-	// cost ~100x more), which is the whole point of the segment store.
-	_, err = Explore(sys, Options{MemBudget: 4 << 10})
+	// The oracle hits the same wall far earlier (its states cost ~100x
+	// more), which is the whole point of the segment store.
+	_, err = exploreOracle(sys, Options{MemBudget: 4 << 10})
 	if !errors.Is(err, ErrBudget) {
-		t.Fatalf("in-memory err = %v, want ErrBudget", err)
+		t.Fatalf("oracle err = %v, want ErrBudget", err)
 	}
 }
 
 func TestSegmentedLeavesInitialUntouched(t *testing.T) {
 	sys := buildSystem(t, protocol.AssignFixed, nil, figure4Setup)
 	before := sys.Fingerprint()
-	if _, err := Explore(sys, Options{Segmented: true, CheckCoherence: true}); err != nil {
+	if _, err := Explore(sys, Options{CheckCoherence: true}); err != nil {
 		t.Fatal(err)
 	}
 	if sys.Fingerprint() != before {
-		t.Fatal("segmented Explore mutated the initial system")
+		t.Fatal("Explore mutated the initial system")
 	}
 }
 
-// TestSegmentedWorkloadMatrix sweeps the generated-controller workloads
-// the ISSUE's acceptance criteria reference: every (assignment,
-// workload) pair must produce the identical reachable-set fingerprint
-// and the identical violations on both engines.
+// matrixWorkloads are the generated-controller workloads the
+// equivalence matrix and the frozen golden cover.
+var matrixWorkloads = []struct {
+	name  string
+	setup func(*sim.System)
+}{
+	{"read", func(s *sim.System) {
+		s.Node(0).Script(sim.Op{Kind: "prread", Addr: 1})
+	}},
+	{"read_read", func(s *sim.System) {
+		s.Node(0).Script(sim.Op{Kind: "prread", Addr: 1})
+		s.Node(1).Script(sim.Op{Kind: "prread", Addr: 1})
+	}},
+	{"write_read", func(s *sim.System) {
+		s.Node(0).Script(sim.Op{Kind: "prwrite", Addr: 1})
+		s.Node(1).Script(sim.Op{Kind: "prread", Addr: 1})
+	}},
+	{"evict_cross", figure4Setup},
+}
+
+// TestSegmentedWorkloadMatrix sweeps the generated-controller workloads:
+// every one must produce the oracle's reachable-set fingerprint.
 func TestSegmentedWorkloadMatrix(t *testing.T) {
-	workloads := []struct {
-		name  string
-		setup func(*sim.System)
-	}{
-		{"read", func(s *sim.System) {
-			s.Node(0).Script(sim.Op{Kind: "prread", Addr: 1})
-		}},
-		{"read_read", func(s *sim.System) {
-			s.Node(0).Script(sim.Op{Kind: "prread", Addr: 1})
-			s.Node(1).Script(sim.Op{Kind: "prread", Addr: 1})
-		}},
-		{"write_read", func(s *sim.System) {
-			s.Node(0).Script(sim.Op{Kind: "prwrite", Addr: 1})
-			s.Node(1).Script(sim.Op{Kind: "prread", Addr: 1})
-		}},
-		{"evict_cross", figure4Setup},
-	}
-	for _, w := range workloads {
+	for _, w := range matrixWorkloads {
 		t.Run(w.name, func(t *testing.T) {
 			sys := buildSystem(t, protocol.AssignFixed, map[string]int{"VC0": 2}, w.setup)
-			serial, seg := exploreBoth(t, sys,
-				Options{MaxStates: 500000, CheckCoherence: true},
-				Options{MaxStates: 500000, CheckCoherence: true, ExpandChunk: 16})
-			requireCleanEquivalent(t, serial, seg)
+			want, got := exploreAgainstOracle(t, sys,
+				Options{MaxStates: 500000, CheckCoherence: true, expandChunk: 16})
+			requireCleanEquivalent(t, want, got)
 		})
+	}
+}
+
+// TestFrontierRoomDuplicateCandidate pins the frontier cache's
+// accounting: a successor is handed its System without reserving room,
+// so when a same-round duplicate is dropped the room must not grow. Two
+// candidates for one state leave the room exactly one System below
+// where it started: the accepted one's.
+func TestFrontierRoomDuplicateCandidate(t *testing.T) {
+	sys := buildSystem(t, protocol.AssignFixed, map[string]int{"VC0": 2}, figure4Setup)
+	e := newEngine(sys, Options{MemBudget: 1 << 20})
+	defer e.close()
+
+	root := e.cache[0]
+	var succ *sim.System
+	var act sim.Action
+	for _, a := range root.CandidateActions() {
+		s := root.Clone()
+		changed, err := s.Apply(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if changed {
+			succ, act = s, a
+			break
+		}
+	}
+	if succ == nil {
+		t.Fatal("root has no changed successor")
+	}
+	tuple := e.codec.Encode(succ, nil)
+	candFor := func(s *sim.System) cand {
+		return cand{
+			parent: 0, action: act,
+			tuple: append([]uint32(nil), tuple...), hash: segment.HashTuple(tuple),
+			seenID: -1, sys: s, sysBytes: s.ApproxBytes(),
+		}
+	}
+
+	before := e.frontierRoom.Load()
+	if before <= 0 {
+		t.Fatalf("frontier room %d, want room under a 1 MiB budget", before)
+	}
+	if e.acceptRound([]cand{candFor(succ), candFor(succ.Clone())}, false) {
+		t.Fatal("state limit hit")
+	}
+	if e.rep.States != 2 || e.cache[1] != succ {
+		t.Fatalf("states = %d, cached = %v; want the first candidate accepted as state 1",
+			e.rep.States, e.cache[1] != nil)
+	}
+	if got, want := e.frontierRoom.Load(), before-succ.ApproxBytes(); got != want {
+		t.Fatalf("frontier room = %d, want %d (start %d minus one System of %d bytes)",
+			got, want, before, succ.ApproxBytes())
 	}
 }

@@ -44,9 +44,9 @@ const (
 )
 
 // ApproxBytes estimates the heap bytes one retained Clone of this
-// system costs — what the in-memory model checker pays per stored
-// state. It is an estimate (Go map overhead varies with load factor),
-// tuned to be slightly conservative; the budget-aware engines use it
+// system costs — what the model checker's frontier cache pays per
+// cached state. It is an estimate (Go map overhead varies with load
+// factor), tuned to be slightly conservative; budget-aware code uses it
 // for admission accounting, never for correctness.
 func (s *System) ApproxBytes() int64 {
 	n := int64(systemFixedBytes)

@@ -23,13 +23,15 @@
 # the prepared-statement floor, the EXPLAIN ANALYZE pair (plain vs
 # instrumented execution of the same join), the scalar-vs-vectorized
 # filter pair, the segment pack/unpack throughput, the out-of-core
-# state-exploration trio (in-memory vs segmented vs spilled at a fixed
-# memory budget, with states and bytes/state as extra metrics), and the
+# state-exploration pair (budget-stopped vs spilled at a fixed memory
+# budget, with states and bytes/state as extra metrics; the spilled run
+# must reach ≥100x the states the retired in-memory engine held), and the
 # multi-session server under reader/writer interference
 # (BenchmarkServerQPS: ns/op is per-statement latency across concurrent
 # line-protocol clients, p99-ns its tail). The race gates also cover
-# the lock-free metrics plane, the segment store and the
-# segmented-vs-serial model-checker equivalence, the
+# the lock-free metrics plane, the segment store and the model checker
+# (every engine variant against the in-memory BFS test oracle, plus the
+# frozen exploration golden), the
 # vectorized-vs-scalar equivalence suites, the MVCC epoch/catalog layer
 # and the query server (concurrent sessions, admission, drain), the
 # deadlock analysis (pairwise composition fans out over shared interned
@@ -85,8 +87,8 @@ go test -race -run 'TestEditScriptEquivalence' ./internal/check/
 echo "== race-detector segment-store tests =="
 go test -race ./internal/segment/
 
-echo "== race-detector segmented model-checker equivalence =="
-go test -race -run 'TestSegmented|TestStateCodecMatchesFingerprint|TestTraceLogOutOfCore' \
+echo "== race-detector model-checker equivalence (oracle + golden) =="
+go test -race -run 'TestSegmented|TestFrozenExploreGolden|TestOracle|TestFrontierRoom|TestStateCodecMatchesFingerprint|TestTraceLogOutOfCore' \
     ./internal/modelcheck/ ./internal/sim/
 
 echo "== race-detector MVCC catalog + session tests =="
