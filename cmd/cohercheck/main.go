@@ -295,10 +295,10 @@ func runModelCheck(p *core.Pipeline, assign, maxMem, spillDir string) error {
 		fmt.Printf("== model checking %s: %d states, %d edges, depth %d (%v)\n",
 			name, rep.States, rep.Edges, rep.Depth, rep.Elapsed.Round(1000))
 		m := rep.Mem
-		fmt.Printf("   memory: %dB/state (%dB resident, %dB spilled in %d/%d segments; index %dB, dict %dB, frontier %dB; %d spills, %d faults, %d replays)\n",
+		fmt.Printf("   memory: %dB/state (%dB resident, %dB spilled in %d/%d segments; index %dB, dict %dB; %d spills, %d faults)\n",
 			m.BytesPerState, m.ResidentBytes, m.SpilledBytes,
-			m.SpilledSegments, m.Segments, m.IndexBytes, m.DictBytes, m.FrontierBytes,
-			m.Spills, m.Faults, m.Replays)
+			m.SpilledSegments, m.Segments, m.IndexBytes, m.DictBytes,
+			m.Spills, m.Faults)
 		fmt.Printf("   reachable-set hash: %016x\n", rep.StateHash)
 		if rep.Violation != nil {
 			fmt.Printf("   %s found; counter-example (%d actions):\n", rep.Violation.Kind, len(rep.Violation.Trace))

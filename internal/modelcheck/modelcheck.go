@@ -71,16 +71,19 @@ type MemStats struct {
 	SpilledSegments int64
 	Spills          int64
 	Faults          int64
-	// IndexBytes is the sharded visited index; DictBytes the codec
-	// dictionary; FrontierBytes the cached frontier systems.
-	IndexBytes    int64
-	DictBytes     int64
-	FrontierBytes int64
-	// Replays counts states re-materialized by replaying their action
-	// path from the root (frontier cache misses under budget pressure).
-	Replays int64
+	// IndexBytes is the sharded visited index; DictBytes the codec's
+	// dictionary and decode memo.
+	IndexBytes int64
+	DictBytes  int64
 	// BytesPerState is total retained+spilled bytes over states.
 	BytesPerState int64
+
+	// Deprecated: FrontierBytes is always zero. Every state is expanded
+	// by decoding its stored tuple, so no frontier systems are kept.
+	FrontierBytes int64
+	// Deprecated: Replays is always zero. No state is rebuilt by
+	// replaying its action path from the root.
+	Replays int64
 }
 
 // CounterExample is a path from the initial state to a bad state.

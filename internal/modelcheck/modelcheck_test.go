@@ -2,13 +2,16 @@ package modelcheck
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 
 	"coherdb/internal/constraint"
+	"coherdb/internal/hwmap"
 	"coherdb/internal/protocol"
 	"coherdb/internal/rel"
 	"coherdb/internal/sim"
+	"coherdb/internal/sqlmini"
 )
 
 var (
@@ -161,6 +164,66 @@ func TestExploreLeavesInitialUntouched(t *testing.T) {
 	}
 	if sys.Fingerprint() != before {
 		t.Fatal("Explore mutated the initial system")
+	}
+}
+
+// TestExploreRefusesUnencodedState covers each setting under which a
+// system's behaviour depends on state the codec does not encode: Explore
+// must refuse it with sim.ErrUnencodedState and name the setting,
+// instead of merging states that behave differently.
+func TestExploreRefusesUnencodedState(t *testing.T) {
+	for _, tc := range []struct {
+		name, setting string
+		config        func(*sim.Config)
+		setup         func(*sim.System)
+	}{
+		{name: "max_retries", setting: "MaxRetries 3",
+			config: func(c *sim.Config) { c.MaxRetries = 3 }},
+		{name: "mem_latency", setting: "MemLatency 2",
+			config: func(c *sim.Config) { c.MemLatency = 2 }},
+		{name: "channel_latency", setting: "latency 1 on channel VC0",
+			config: func(c *sim.Config) { c.ChannelLatency = map[string]int{"VC0": 1} }},
+		{name: "delayed_op", setting: "delayed to step 5",
+			setup: func(s *sim.System) { s.Node(1).Script(sim.Op{Kind: "prread", Addr: 1, Delay: 5}) }},
+		{name: "implementation_directory", setting: "Mapping",
+			config: func(c *sim.Config) {
+				m, err := hwmap.Partition(sqlmini.NewDB(), genTables(t).D)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.Mapping = m
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			v, err := protocol.BuildAssignment(protocol.AssignFixed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := sim.Config{
+				Nodes: 2, ChannelCap: 1,
+				Tables:     genTables(t).Map(),
+				Assignment: v,
+				MaxSteps:   100000,
+			}
+			if tc.config != nil {
+				tc.config(&cfg)
+			}
+			sys, err := sim.NewSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys.Node(0).Script(sim.Op{Kind: "prread", Addr: 1})
+			if tc.setup != nil {
+				tc.setup(sys)
+			}
+			rep, err := Explore(sys, Options{})
+			if !errors.Is(err, sim.ErrUnencodedState) || rep != nil {
+				t.Fatalf("Explore = %v, %v; want nil, an error wrapping sim.ErrUnencodedState", rep, err)
+			}
+			if !strings.Contains(err.Error(), tc.setting) {
+				t.Fatalf("error %q does not name %q", err, tc.setting)
+			}
+		})
 	}
 }
 

@@ -3,8 +3,6 @@ package modelcheck
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"coherdb/internal/pool"
@@ -23,8 +21,10 @@ import (
 // Per state the engine retains ~a few dozen compressed bytes (tuple +
 // 8B search-tree entry + 16B index slot) where a System clone plus
 // fingerprint string costs ~2–4 KiB, and sealed segments spill to disk
-// under budget pressure. Counter-example traces and violation details
-// come from replaying the recorded action path from the root.
+// under budget pressure. The tuple is the only representation of a
+// state: expansion decodes it into scratch systems
+// (sim.StateCodec.DecodeInto), and the search-tree store of parents and
+// actions is read only to build counter-example traces.
 
 // rootParent marks state 0's parent slot in the search tree store.
 const rootParent = math.MaxUint32
@@ -32,13 +32,11 @@ const rootParent = math.MaxUint32
 // cand is one changed successor produced during parallel expansion,
 // in deterministic (state id, action) order.
 type cand struct {
-	parent   int64
-	action   sim.Action
-	tuple    []uint32
-	hash     uint64
-	seenID   int64 // >= 0 when the parallel pre-filter found it visited
-	sys      *sim.System
-	sysBytes int64
+	parent int64
+	action sim.Action
+	tuple  []uint32
+	hash   uint64
+	seenID int64 // >= 0 when the parallel pre-filter found it visited
 }
 
 type segEngine struct {
@@ -50,17 +48,18 @@ type segEngine struct {
 	tstore *segment.Store // [parent, action code] per state
 	idx    *segment.Visited
 
-	cache        map[int64]*sim.System // frontier systems kept under budget
-	frontierRoom atomic.Int64
-	replays      atomic.Int64
-
 	rep   *Report
 	limit int
 }
 
 // Explore runs a breadth-first search over all interleavings of the given
-// initial system. The system passed in is not modified.
+// initial system. The system passed in is not modified. A system whose
+// behaviour depends on state the codec does not encode is refused with
+// an error wrapping sim.ErrUnencodedState.
 func Explore(initial *sim.System, opts Options) (*Report, error) {
+	if err := initial.CheckEncodable(); err != nil {
+		return nil, fmt.Errorf("modelcheck: cannot explore: %w", err)
+	}
 	start := time.Now()
 	e := newEngine(initial, opts)
 	defer e.close()
@@ -126,7 +125,8 @@ func Explore(initial *sim.System, opts Options) (*Report, error) {
 			}
 			detail := "no enabled action and work remains"
 			if kind == "coherence" {
-				sys := e.materializeLocked(vid)
+				sys := e.root.Clone()
+				e.codec.DecodeInto(e.vstore.Tuple(vid, nil), sys)
 				detail = fmt.Sprintf("%v", sys.SafetyViolations())
 			}
 			e.rep.Violation = &CounterExample{
@@ -137,13 +137,6 @@ func Explore(initial *sim.System, opts Options) (*Report, error) {
 			return finish(), nil
 		}
 
-		// Drop the consumed level from the frontier cache.
-		for sid := levelLo; sid < levelHi; sid++ {
-			if sys, ok := e.cache[sid]; ok {
-				e.frontierRoom.Add(sys.ApproxBytes())
-				delete(e.cache, sid)
-			}
-		}
 		levelLo, levelHi = levelHi, e.vstore.Rows()
 
 		// Budget enforcement without a spill directory: stop with
@@ -151,14 +144,12 @@ func Explore(initial *sim.System, opts Options) (*Report, error) {
 		if opts.MemBudget > 0 && opts.SpillDir == "" && e.retainedBytes() > opts.MemBudget {
 			return finish(), ErrBudget
 		}
-		e.rebalanceFrontier()
 	}
 	return finish(), nil
 }
 
 // newEngine sizes the stores, index and codec from opts and records the
-// initial system as state 0, cached as the first frontier. The caller
-// closes the engine.
+// initial system as state 0. The caller closes the engine.
 func newEngine(initial *sim.System, opts Options) *segEngine {
 	limit := opts.MaxStates
 	if limit <= 0 {
@@ -174,9 +165,8 @@ func newEngine(initial *sim.System, opts Options) *segEngine {
 	}
 	codec := sim.NewStateCodec(initial)
 	// Budget split: the visited tuples dominate, the search tree is a
-	// narrow width-2 store; both share the spill directory. The index,
-	// codec dictionary and frontier cache are accounted against what
-	// remains each level.
+	// narrow width-2 store; both share the spill directory. The index
+	// and codec are accounted against what remains each level.
 	var vb, tb int64
 	if opts.MemBudget > 0 && opts.SpillDir != "" {
 		vb = opts.MemBudget / 2
@@ -194,7 +184,6 @@ func newEngine(initial *sim.System, opts Options) *segEngine {
 			Width: 2, BlockRows: blockRows,
 			Budget: tb, SpillDir: opts.SpillDir,
 		}),
-		cache: map[int64]*sim.System{},
 		rep:   &Report{},
 		limit: limit,
 	}
@@ -207,8 +196,6 @@ func newEngine(initial *sim.System, opts Options) *segEngine {
 	e.tstore.Append([]uint32{rootParent, 0})
 	e.rep.States = 1
 	e.rep.StateHash ^= codec.ValueHash(rootTuple)
-	e.rebalanceFrontier()
-	e.cacheSystem(0, e.root, e.root.ApproxBytes())
 	return e
 }
 
@@ -217,46 +204,11 @@ func (e *segEngine) close() {
 	e.tstore.Close()
 }
 
-// retainedBytes sums the engine's unavoidable residency: segment
-// stores, visited index and codec dictionary. The frontier cache is
-// excluded — it bounds itself to whatever room the budget leaves and
-// degrades to replay-from-root, so it is never a reason to fail.
+// retainedBytes sums the engine's residency: segment stores, visited
+// index and codec (dictionary and decode memo).
 func (e *segEngine) retainedBytes() int64 {
 	vs, ts := e.vstore.Stats(), e.tstore.Stats()
-	return vs.ResidentBytes + ts.ResidentBytes + e.idx.Bytes() + e.codec.Dict().Bytes()
-}
-
-func (e *segEngine) frontierBytes() int64 {
-	n := int64(0)
-	for _, sys := range e.cache {
-		n += sys.ApproxBytes()
-	}
-	return n
-}
-
-// rebalanceFrontier recomputes how many bytes the frontier cache may
-// still claim: whatever the budget leaves after stores, index and
-// dictionary. Unbudgeted runs cache everything.
-func (e *segEngine) rebalanceFrontier() {
-	if e.opts.MemBudget <= 0 {
-		e.frontierRoom.Store(math.MaxInt64 / 2)
-		return
-	}
-	vs, ts := e.vstore.Stats(), e.tstore.Stats()
-	fixed := vs.ResidentBytes + ts.ResidentBytes + e.idx.Bytes() + e.codec.Dict().Bytes()
-	room := e.opts.MemBudget - fixed - e.frontierBytes()
-	if room < 0 {
-		room = 0
-	}
-	e.frontierRoom.Store(room)
-}
-
-func (e *segEngine) cacheSystem(id int64, sys *sim.System, bytes int64) {
-	if e.opts.MemBudget > 0 && e.frontierRoom.Load() <= 0 {
-		return
-	}
-	e.cache[id] = sys
-	e.frontierRoom.Add(-bytes)
+	return vs.ResidentBytes + ts.ResidentBytes + e.idx.Bytes() + e.codec.Bytes()
 }
 
 // coherenceScan streams the level's tuples and returns the lowest
@@ -292,8 +244,19 @@ func (e *segEngine) coherenceScan(lo, hi int64) int64 {
 // changed successors in deterministic order (by state id, then
 // candidate-action order — BFS discovery order),
 // plus the lowest deadlocked state id (-1 if none).
+//
+// The round's tuples are read once, in order, with Stream, which reads
+// spilled segments without caching them. Each batch decodes its states
+// into two scratch systems: base once per state, for the candidate
+// actions and the idle check, and succ afresh before every action.
 func (e *segEngine) expandRound(rlo, rhi int64) ([]cand, int64, error) {
 	n := int(rhi - rlo)
+	w := e.codec.Width()
+	tuples := make([]uint32, 0, n*w)
+	e.vstore.Stream(rlo, rhi, func(_ int64, t []uint32) bool {
+		tuples = append(tuples, t...)
+		return true
+	})
 	const morsel = 8
 	batches := pool.Batches(n, morsel)
 	perBatch := make([][]cand, batches)
@@ -301,22 +264,18 @@ func (e *segEngine) expandRound(rlo, rhi int64) ([]cand, int64, error) {
 	for i := range deadlocks {
 		deadlocks[i] = -1
 	}
-	var mu sync.Mutex // guards replay-path materialization (store faults are internally locked; this serializes cache misses only)
 
 	_, err := pool.Shared().Each(e.opts.Workers, n, morsel, func(batch, blo, bhi int) error {
+		base, succ := e.root.Clone(), e.root.Clone()
 		var scratch, probe []uint32
 		var out []cand
 		for i := blo; i < bhi; i++ {
 			id := rlo + int64(i)
-			base := e.cache[id]
-			if base == nil {
-				mu.Lock()
-				base = e.materializeLocked(id)
-				mu.Unlock()
-			}
+			tuple := tuples[i*w : (i+1)*w]
+			e.codec.DecodeInto(tuple, base)
 			progressed := false
 			for _, a := range base.CandidateActions() {
-				succ := base.Clone()
+				e.codec.DecodeInto(tuple, succ)
 				changed, err := succ.Apply(a)
 				if err != nil {
 					return err
@@ -340,9 +299,6 @@ func (e *segEngine) expandRound(rlo, rhi int64) ([]cand, int64, error) {
 				fid, found, probe = e.idx.Lookup(e.idx.ShardOf(c.hash), c.hash, scratch, probe)
 				if found {
 					c.seenID = fid
-				} else if e.frontierRoom.Load() > 0 {
-					c.sys = succ
-					c.sysBytes = succ.ApproxBytes()
 				}
 				out = append(out, c)
 			}
@@ -373,13 +329,10 @@ func (e *segEngine) expandRound(rlo, rhi int64) ([]cand, int64, error) {
 
 // acceptRound merges one round's candidates sequentially: count edges,
 // dedupe (pre-filter verdicts are definitive; fresh candidates probe
-// again to catch same-round acceptances), append accepted tuples to
-// the stores and index, and admit systems to the frontier cache.
-// Returns true when MaxStates is exceeded. When discard is set
-// (a deadlock ends the level) successors are counted but not kept: the
-// search stops at the deadlocked state. A candidate's System was handed
-// out without reserving frontier room, so dropping one (duplicate or
-// discarded) gives nothing back; only cacheSystem debits the room.
+// again to catch same-round acceptances), and append accepted tuples to
+// the stores and index. Returns true when MaxStates is exceeded. When
+// discard is set (a deadlock ends the level) successors are counted but
+// not kept: the search stops at the deadlocked state.
 func (e *segEngine) acceptRound(cands []cand, discard bool) bool {
 	var probe []uint32
 	tree := make([]uint32, 2)
@@ -407,34 +360,12 @@ func (e *segEngine) acceptRound(cands []cand, discard bool) bool {
 		if e.rep.States > e.limit {
 			return true
 		}
-		if c.sys != nil {
-			e.cacheSystem(id, c.sys, c.sysBytes)
-		}
 	}
 	return false
 }
 
-// materializeLocked rebuilds the System for a state by replaying its
-// recorded action path from the root (frontier-cache miss under budget
-// pressure). Parallel expansion calls it under its replay mutex; the
-// underlying store reads are themselves safe for concurrency.
-func (e *segEngine) materializeLocked(id int64) *sim.System {
-	if sys, ok := e.cache[id]; ok {
-		return sys
-	}
-	path := e.actionPath(id)
-	sys := e.root.Clone()
-	for _, a := range path {
-		if _, err := sys.Apply(a); err != nil {
-			panic(fmt.Sprintf("modelcheck: replay diverged at %v: %v", a, err))
-		}
-	}
-	e.replays.Add(1)
-	return sys
-}
-
-// actionPath rebuilds the action sequence from the root to state id
-// from the width-2 search-tree store.
+// actionPath rebuilds the counter-example action sequence from the root
+// to state id from the width-2 search-tree store.
 func (e *segEngine) actionPath(id int64) []sim.Action {
 	var codes []uint32
 	var buf []uint32
@@ -463,9 +394,7 @@ func (e *segEngine) fillMemStats() {
 	m.Spills = vs.Spills + ts.Spills
 	m.Faults = vs.Faults + ts.Faults
 	m.IndexBytes = e.idx.Bytes()
-	m.DictBytes = e.codec.Dict().Bytes()
-	m.FrontierBytes = e.frontierBytes()
-	m.Replays = e.replays.Load()
+	m.DictBytes = e.codec.Bytes()
 	if e.rep.States > 0 {
 		total := m.ResidentBytes + m.SpilledBytes + m.IndexBytes + m.DictBytes
 		m.BytesPerState = total / int64(e.rep.States)

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"coherdb/internal/protocol"
-	"coherdb/internal/segment"
 	"coherdb/internal/sim"
 )
 
@@ -86,7 +85,7 @@ func TestSegmentedSpilledEquivalence(t *testing.T) {
 	want, got := exploreAgainstOracle(t, sys, Options{
 		MaxStates:      500000,
 		CheckCoherence: true,
-		MemBudget:      8 << 10, // tiny: forces spilling and replays
+		MemBudget:      8 << 10, // tiny: forces spilling and faults
 		SpillDir:       t.TempDir(),
 		blockRows:      32,
 	})
@@ -94,8 +93,8 @@ func TestSegmentedSpilledEquivalence(t *testing.T) {
 	if got.Mem.Spills == 0 || got.Mem.SpilledBytes == 0 {
 		t.Fatalf("expected spills under an 8KiB budget, got %+v", got.Mem)
 	}
-	t.Logf("spilled run: %d spills, %d faults, %d replays, resident=%dB spilled=%dB",
-		got.Mem.Spills, got.Mem.Faults, got.Mem.Replays,
+	t.Logf("spilled run: %d spills, %d faults, resident=%dB spilled=%dB",
+		got.Mem.Spills, got.Mem.Faults,
 		got.Mem.ResidentBytes, got.Mem.SpilledBytes)
 }
 
@@ -233,58 +232,5 @@ func TestSegmentedWorkloadMatrix(t *testing.T) {
 				Options{MaxStates: 500000, CheckCoherence: true, expandChunk: 16})
 			requireCleanEquivalent(t, want, got)
 		})
-	}
-}
-
-// TestFrontierRoomDuplicateCandidate pins the frontier cache's
-// accounting: a successor is handed its System without reserving room,
-// so when a same-round duplicate is dropped the room must not grow. Two
-// candidates for one state leave the room exactly one System below
-// where it started: the accepted one's.
-func TestFrontierRoomDuplicateCandidate(t *testing.T) {
-	sys := buildSystem(t, protocol.AssignFixed, map[string]int{"VC0": 2}, figure4Setup)
-	e := newEngine(sys, Options{MemBudget: 1 << 20})
-	defer e.close()
-
-	root := e.cache[0]
-	var succ *sim.System
-	var act sim.Action
-	for _, a := range root.CandidateActions() {
-		s := root.Clone()
-		changed, err := s.Apply(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if changed {
-			succ, act = s, a
-			break
-		}
-	}
-	if succ == nil {
-		t.Fatal("root has no changed successor")
-	}
-	tuple := e.codec.Encode(succ, nil)
-	candFor := func(s *sim.System) cand {
-		return cand{
-			parent: 0, action: act,
-			tuple: append([]uint32(nil), tuple...), hash: segment.HashTuple(tuple),
-			seenID: -1, sys: s, sysBytes: s.ApproxBytes(),
-		}
-	}
-
-	before := e.frontierRoom.Load()
-	if before <= 0 {
-		t.Fatalf("frontier room %d, want room under a 1 MiB budget", before)
-	}
-	if e.acceptRound([]cand{candFor(succ), candFor(succ.Clone())}, false) {
-		t.Fatal("state limit hit")
-	}
-	if e.rep.States != 2 || e.cache[1] != succ {
-		t.Fatalf("states = %d, cached = %v; want the first candidate accepted as state 1",
-			e.rep.States, e.cache[1] != nil)
-	}
-	if got, want := e.frontierRoom.Load(), before-succ.ApproxBytes(); got != want {
-		t.Fatalf("frontier room = %d, want %d (start %d minus one System of %d bytes)",
-			got, want, before, succ.ApproxBytes())
 	}
 }

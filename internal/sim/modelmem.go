@@ -5,9 +5,12 @@ package sim
 // the ORIGINAL system's stats and is shared by every clone — a data
 // race under concurrent Apply). The detached cores are inherited by all
 // further Clones of the result, so a whole parallel exploration derived
-// from one CloneDetached root is race-free.
+// from one CloneDetached root is race-free. The result does not trace
+// either: tracing never changes behaviour, and scratch systems reused
+// across many states would otherwise accumulate logs.
 func (s *System) CloneDetached() *System {
 	c := s.Clone()
+	c.cfg.Trace = false
 	detach := func(tc *tableCore) *tableCore {
 		if tc == nil || tc.hits == nil {
 			return tc
@@ -44,10 +47,11 @@ const (
 )
 
 // ApproxBytes estimates the heap bytes one retained Clone of this
-// system costs — what the model checker's frontier cache pays per
-// cached state. It is an estimate (Go map overhead varies with load
-// factor), tuned to be slightly conservative; budget-aware code uses it
-// for admission accounting, never for correctness.
+// system costs: what a search that keeps a System per visited state
+// pays per state, such as the in-memory test oracle in package
+// modelcheck, whose budget accounting uses it. It is an estimate (Go
+// map overhead varies with load factor), tuned to be slightly
+// conservative, for accounting only, never for correctness.
 func (s *System) ApproxBytes() int64 {
 	n := int64(systemFixedBytes)
 	for _, ch := range s.channels {

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"coherdb/internal/protocol"
@@ -100,6 +102,132 @@ func equalU32(a, b []uint32) bool {
 		}
 	}
 	return true
+}
+
+// TestStateCodecDecodeRoundTrip randomly walks the action graph and
+// decodes every visited tuple into one scratch system, which the
+// previous state left dirty. The decoded system must encode back to the
+// tuple and fingerprint like the original, and every candidate action
+// must do to it what it does to a clone of the original: the same
+// changed flag, the same error and the same successor tuple.
+func TestStateCodecDecodeRoundTrip(t *testing.T) {
+	for _, assign := range []string{protocol.AssignFixed, protocol.AssignVC4} {
+		t.Run(assign, func(t *testing.T) {
+			root := fig4CodecSystem(t, assign)
+			codec := NewStateCodec(root)
+			scratch := root.Clone()
+			rng := rand.New(rand.NewSource(7))
+
+			checked := 0
+			check := func(orig *System) {
+				t.Helper()
+				tuple := codec.Encode(orig, nil)
+				codec.DecodeInto(tuple, scratch)
+				if got := codec.Encode(scratch, nil); !equalU32(got, tuple) {
+					t.Fatalf("state %d: decoded system encodes to %v, want %v", checked, got, tuple)
+				}
+				if got, want := scratch.Fingerprint(), orig.Fingerprint(); got != want {
+					t.Fatalf("state %d: decoded fingerprint\n%s\nwant\n%s", checked, got, want)
+				}
+				// The fingerprint leaves out each message's VC.
+				for name, ch := range orig.channels {
+					if got, want := scratch.channels[name].Snapshot(), ch.Snapshot(); fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Fatalf("state %d: decoded channel %q holds %v, want %v", checked, name, got, want)
+					}
+				}
+				acts := orig.CandidateActions()
+				if got := scratch.CandidateActions(); fmt.Sprint(got) != fmt.Sprint(acts) || scratch.Idle() != orig.Idle() {
+					t.Fatalf("state %d: decoded actions %v idle=%v, want %v idle=%v",
+						checked, got, scratch.Idle(), acts, orig.Idle())
+				}
+				for _, a := range acts {
+					want := orig.Clone()
+					wantChanged, wantErr := want.Apply(a)
+					codec.DecodeInto(tuple, scratch)
+					gotChanged, gotErr := scratch.Apply(a)
+					if gotChanged != wantChanged || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+						t.Fatalf("state %d, %v: decoded changed=%v err=%v, original changed=%v err=%v",
+							checked, a, gotChanged, gotErr, wantChanged, wantErr)
+					}
+					if got, want := codec.Encode(scratch, nil), codec.Encode(want, nil); !equalU32(got, want) {
+						t.Fatalf("state %d, %v: decoded successor %v, original successor %v", checked, a, got, want)
+					}
+				}
+				checked++
+			}
+
+			check(root)
+			for walk := 0; walk < 30; walk++ {
+				cur := root.Clone()
+				for step := 0; step < 40; step++ {
+					cands := cur.CandidateActions()
+					if len(cands) == 0 {
+						break
+					}
+					if _, err := cur.Apply(cands[rng.Intn(len(cands))]); err != nil {
+						t.Fatal(err)
+					}
+					check(cur)
+				}
+			}
+			if checked < 100 {
+				t.Fatalf("walks checked only %d states", checked)
+			}
+		})
+	}
+}
+
+// TestStateCodecDecodeConcurrent has several goroutines encode, decode
+// and step the same states in different orders through one fresh codec,
+// so dictionary interning and the decode memo fill under contention.
+// Run it with -race.
+func TestStateCodecDecodeConcurrent(t *testing.T) {
+	root := fig4CodecSystem(t, protocol.AssignFixed).CloneDetached()
+	rng := rand.New(rand.NewSource(11))
+	var states []*System
+	for walk := 0; walk < 10; walk++ {
+		cur := root.Clone()
+		for step := 0; step < 30; step++ {
+			cands := cur.CandidateActions()
+			if len(cands) == 0 {
+				break
+			}
+			if _, err := cur.Apply(cands[rng.Intn(len(cands))]); err != nil {
+				t.Fatal(err)
+			}
+			states = append(states, cur.Clone())
+		}
+	}
+
+	codec := NewStateCodec(root)
+	const workers = 4
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		order := rng.Perm(len(states))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			scratch := root.Clone()
+			var tuple, again []uint32
+			for _, i := range order {
+				tuple = codec.Encode(states[i], tuple)
+				codec.DecodeInto(tuple, scratch)
+				if again = codec.Encode(scratch, again); !equalU32(again, tuple) {
+					t.Errorf("state %d: decoded system encodes to %v, want %v", i, again, tuple)
+					return
+				}
+				for _, a := range scratch.CandidateActions() {
+					codec.DecodeInto(tuple, scratch)
+					if _, err := scratch.Apply(a); err != nil {
+						t.Errorf("state %d, %v: %v", i, a, err)
+						return
+					}
+					again = codec.Encode(scratch, again)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestStateCodecActionRoundTrip(t *testing.T) {

@@ -15,6 +15,9 @@ import (
 var (
 	ErrNoRow    = errors.New("sim: no controller table row matches")
 	ErrBadTable = errors.New("sim: controller table missing or malformed")
+	// ErrUnencodedState marks a system whose behaviour depends on state
+	// the StateCodec does not encode (see System.CheckEncodable).
+	ErrUnencodedState = errors.New("sim: behaviour depends on state the state codec does not encode")
 )
 
 // Op is one processor operation in a node's script.

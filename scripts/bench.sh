@@ -31,7 +31,8 @@
 # line-protocol clients, p99-ns its tail). The race gates also cover
 # the lock-free metrics plane, the segment store and the model checker
 # (every engine variant against the in-memory BFS test oracle, plus the
-# frozen exploration golden), the
+# frozen exploration golden, the state codec's decode round trip with
+# its shared decode memo, and the refusal of unencodable systems), the
 # vectorized-vs-scalar equivalence suites, the MVCC epoch/catalog layer
 # and the query server (concurrent sessions, admission, drain), the
 # deadlock analysis (pairwise composition fans out over shared interned
@@ -88,7 +89,7 @@ echo "== race-detector segment-store tests =="
 go test -race ./internal/segment/
 
 echo "== race-detector model-checker equivalence (oracle + golden) =="
-go test -race -run 'TestSegmented|TestFrozenExploreGolden|TestOracle|TestFrontierRoom|TestStateCodecMatchesFingerprint|TestTraceLogOutOfCore' \
+go test -race -run 'TestSegmented|TestFrozenExploreGolden|TestOracle|TestExploreRefusesUnencodedState|TestStateCodecMatchesFingerprint|TestStateCodecDecode|TestTraceLogOutOfCore' \
     ./internal/modelcheck/ ./internal/sim/
 
 echo "== race-detector MVCC catalog + session tests =="
