@@ -9,11 +9,12 @@ import (
 
 // extendStats reports one extension step's work.
 type extendStats struct {
-	tested   uint64 // candidate (row, value) pairs decided
-	memoHits uint64 // pairs decided from the projection memo
+	tested     uint64 // candidate (row, value) pairs decided
+	memoHits   uint64 // pairs decided from the projection memo
+	selections uint64 // first-match selections evaluated
 }
 
-// extendCompiled extends every row in cur (width-1 codes each) with every
+// extend extends every row in cur (width-1 codes each) with every
 // code in domain, keeping extensions on which all fire predicates hold.
 // Rows are dictionary-code rows throughout — the solver never boxes a
 // rel.Value between the domain encoding and the final table. Output rows
@@ -28,8 +29,13 @@ type extendStats struct {
 // evaluated once. The readex fragment has thousands of intermediate rows
 // but only dozens of distinct projections; work drops from
 // O(rows x domain) evaluations to O(groups x domain).
-func extendCompiled(cur [][]uint32, width int, domain []uint32, fire []compiledConstraint, refs []int, workers int) ([][]uint32, extendStats, error) {
+//
+// A firing family member evaluates only the branch of its group's arm,
+// which the family's selector picks before the sweep, once per solve for
+// each row (see solveRun.arms).
+func (r *solveRun) extend(cur [][]uint32, width int, domain []uint32, fire []compiledConstraint, refs []int) ([][]uint32, extendStats, error) {
 	var st extendStats
+	workers := r.workers
 	if len(cur) == 0 || len(domain) == 0 {
 		return nil, st, nil
 	}
@@ -80,8 +86,10 @@ func extendCompiled(cur [][]uint32, width int, domain []uint32, fire []compiledC
 	st.memoHits = uint64(len(cur)-len(reps)) * uint64(dlen)
 
 	// Evaluate each distinct (projection, value) pair once, in parallel.
+	arms, selections := r.arms(cur, reps, fire)
+	st.selections = selections
 	verdicts := make([]bool, len(reps)*dlen)
-	if err := evalGroups(cur, width, domain, fire, reps, verdicts, workers); err != nil {
+	if err := evalGroups(cur, width, domain, fire, reps, arms, verdicts, workers); err != nil {
 		return nil, st, err
 	}
 
@@ -90,20 +98,6 @@ func extendCompiled(cur [][]uint32, width int, domain []uint32, fire []compiledC
 	next := emitExtensions(cur, width, domain, groupOf, verdicts, workers)
 	return next, st, nil
 }
-
-// sweepVectorized gates the solver's column-at-a-time domain sweep;
-// equivalence tests flip it to cross-check the vectorized and scalar
-// sweeps over full protocol generations. Not synchronized: set it before
-// solving, not during.
-var sweepVectorized = true
-
-// sweepScalarCutover is the work volume — groups × domain lanes — below
-// which the vectorized sweep's per-group setup (lane buffers, broadcast
-// of sweep-stable subtrees) costs more than the lanes it amortizes; such
-// steps run the pooled scalar closures instead. Kept small: DirectoryD's
-// production steps have hundreds of groups over single-digit domains,
-// and the vectorized sweep already wins there.
-const sweepScalarCutover = 256
 
 // sweepSmallJob is the work volume below which a step runs inline on the
 // calling goroutine: dealing single-group batches through the cursor to
@@ -115,211 +109,118 @@ const sweepSmallJob = 4096
 // evalGroups fills verdicts[g*len(domain)+di] for every group g and domain
 // index di by running the fire programs on the group's representative row
 // extended with domain[di]. Every firing program carries a column-at-a-
-// time sweep form (see sqlmini.CompileSweepVec): one EvalSweepTrue call
-// decides the whole domain for one (group, constraint) pair, evaluating
-// sweep-stable rule conditions once per group and the sweep-reading
-// leaves as tight loops over the domain's code vector. Constraints
+// time sweep form (see sqlmini.CompileSweepBranches): one EvalSweepTrue
+// call decides the whole domain for one (group, constraint) pair,
+// evaluating sweep-stable subtrees once per group and the sweep-reading
+// leaves as tight loops over the domain's code vector. A family member
+// runs only the branch its group's arm (arms[i]) names. Constraints
 // conjoin by AND-ing into a shared keep vector, stopping early when no
 // lane survives.
-func evalGroups(cur [][]uint32, width int, domain []uint32, fire []compiledConstraint, reps []int32, verdicts []bool, workers int) error {
-	if !sweepVectorized || len(reps)*len(domain) < sweepScalarCutover {
-		return evalGroupsScalar(cur, width, domain, fire, reps, verdicts, workers)
-	}
-	dlen := len(domain)
-	if workers <= 1 || len(reps)*dlen < sweepSmallJob {
+func evalGroups(cur [][]uint32, width int, domain []uint32, fire []compiledConstraint, reps []int32, arms []groupArms, verdicts []bool, workers int) error {
+	s := groupSweep{cur: cur, domain: domain, fire: fire, reps: reps, arms: arms, verdicts: verdicts}
+	if workers <= 1 || len(reps)*len(domain) < sweepSmallJob {
 		// Small-step fast path: sweep inline on the calling goroutine.
-		scratch := make([]uint32, width)
-		keep := make([]bool, dlen)
-		insts := make([]*sqlmini.Instance, len(fire))
-		for i, c := range fire {
-			insts[i] = c.sweep.Instance()
-		}
-		var firstErr error
-	groups:
-		for g := range reps {
-			copy(scratch, cur[reps[g]])
-			for _, in := range insts {
-				in.NextRow()
-			}
-			for di := range keep {
-				keep[di] = true
-			}
-			for i, cc := range fire {
-				any, err := cc.sweep.EvalSweepTrue(insts[i], scratch, domain, keep)
-				if err != nil {
-					firstErr = err
-					break groups
-				}
-				if !any {
-					break
-				}
-			}
-			copy(verdicts[g*dlen:(g+1)*dlen], keep)
-		}
-		for i, c := range fire {
-			c.sweep.Release(insts[i])
-		}
-		return firstErr
-	}
-	cursor := newBatchCursor(uint64(len(reps)), workers)
-	nw := workers
-	if nb := cursor.numBatches(); nw > nb {
-		nw = nb
-	}
-	errs := make([]error, nw)
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			scratch := make([]uint32, width)
-			keep := make([]bool, dlen)
-			insts := make([]*sqlmini.Instance, len(fire))
-			for i, c := range fire {
-				insts[i] = c.sweep.Instance()
-			}
-			defer func() {
-				for i, c := range fire {
-					c.sweep.Release(insts[i])
-				}
-			}()
-			for {
-				_, lo, hi, ok := cursor.grab()
-				if !ok {
-					return
-				}
-				for g := lo; g < hi; g++ {
-					copy(scratch, cur[reps[g]])
-					for _, in := range insts {
-						in.NextRow()
-					}
-					for di := range keep {
-						keep[di] = true
-					}
-					for i, cc := range fire {
-						any, err := cc.sweep.EvalSweepTrue(insts[i], scratch, domain, keep)
-						if err != nil {
-							errs[w] = err
-							return
-						}
-						if !any {
-							break
-						}
-					}
-					copy(verdicts[int(g)*dlen:int(g+1)*dlen], keep)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// evalGroupsScalar is the row-at-a-time sweep the vectorized path
-// replaced: one EvalCodes closure-tree walk per (group, value, constraint)
-// triple, with the sweep cache amortizing subtrees over earlier columns.
-// Kept as the cross-check oracle for the vectorized sweep.
-func evalGroupsScalar(cur [][]uint32, width int, domain []uint32, fire []compiledConstraint, reps []int32, verdicts []bool, workers int) error {
-	progs, err := scalarPrograms(fire)
-	if err != nil {
+		w := s.worker(width)
+		err := s.run(w, 0, len(reps))
+		s.release(w)
 		return err
 	}
-	dlen := len(domain)
-	if workers <= 1 || len(reps)*dlen < sweepSmallJob {
-		// Micro-step fast path: the whole sweep runs on the calling
-		// goroutine — spawning workers and dealing single-group batches
-		// through the cursor costs more than the evaluations themselves.
-		scratch := make([]uint32, width)
-		insts := make([]*sqlmini.Instance, len(progs))
-		for i, p := range progs {
-			insts[i] = p.Instance()
+	return s.parallel(width, workers)
+}
+
+// groupSweep is one step's verdict computation for evalGroups.
+type groupSweep struct {
+	cur      [][]uint32
+	domain   []uint32
+	fire     []compiledConstraint
+	reps     []int32
+	arms     []groupArms
+	verdicts []bool
+}
+
+// sweepWorker is one goroutine's evaluation state: an instance per fire
+// program, the extended row, and the conjunction's lane vector.
+type sweepWorker struct {
+	insts   []*sqlmini.Instance
+	scratch []uint32
+	keep    []bool
+}
+
+func (s *groupSweep) worker(width int) sweepWorker {
+	w := sweepWorker{
+		insts:   make([]*sqlmini.Instance, len(s.fire)),
+		scratch: make([]uint32, width),
+		keep:    make([]bool, len(s.domain)),
+	}
+	for i, c := range s.fire {
+		w.insts[i] = c.sweep.Instance()
+	}
+	return w
+}
+
+func (s *groupSweep) release(w sweepWorker) {
+	for i, c := range s.fire {
+		c.sweep.Release(w.insts[i])
+	}
+}
+
+// run decides groups [lo, hi).
+func (s *groupSweep) run(w sweepWorker, lo, hi int) error {
+	dlen := len(s.domain)
+	for g := lo; g < hi; g++ {
+		copy(w.scratch, s.cur[s.reps[g]])
+		for _, in := range w.insts {
+			in.NextRow()
 		}
-		var firstErr error
-	groups:
-		for g := range reps {
-			copy(scratch, cur[reps[g]])
-			base := g * dlen
-			for _, in := range insts {
-				in.NextRow()
-			}
-			for di, c := range domain {
-				scratch[width-1] = c
-				pass := true
-				for i, p := range progs {
-					t, err := p.EvalCodes(insts[i], scratch)
-					if err != nil {
-						firstErr = err
-						break groups
-					}
-					if !t {
-						pass = false
-						break
-					}
+		for di := range w.keep {
+			w.keep[di] = true
+		}
+		for i, cc := range s.fire {
+			branch := 0
+			if s.arms != nil && s.arms[i].arm != nil {
+				arm := s.arms[i].arm[g]
+				if arm < 0 {
+					return s.arms[i].errs[-1-arm]
 				}
-				verdicts[base+di] = pass
+				branch = int(cc.branch[arm])
+			}
+			any, err := cc.sweep.EvalSweepTrue(w.insts[i], branch, w.scratch, s.domain, w.keep)
+			if err != nil {
+				return err
+			}
+			if !any {
+				break
 			}
 		}
-		for i, p := range progs {
-			p.Release(insts[i])
-		}
-		return firstErr
+		copy(s.verdicts[g*dlen:(g+1)*dlen], w.keep)
 	}
-	cursor := newBatchCursor(uint64(len(reps)), workers)
-	nw := workers
-	if nb := cursor.numBatches(); nw > nb {
-		nw = nb
-	}
+	return nil
+}
+
+// parallel runs the sweep on up to workers goroutines, dealing groups in
+// batches. It takes s by value so the inline path keeps s on its stack.
+func (s groupSweep) parallel(width, workers int) error {
+	cursor := newBatchCursor(uint64(len(s.reps)), workers)
+	nw := min(workers, cursor.numBatches())
 	errs := make([]error, nw)
 	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
+	for i := 0; i < nw; i++ {
 		wg.Add(1)
-		go func(w int) {
+		go func(i int) {
 			defer wg.Done()
-			scratch := make([]uint32, width)
-			insts := make([]*sqlmini.Instance, len(progs))
-			for i, p := range progs {
-				insts[i] = p.Instance()
-			}
-			defer func() {
-				for i, p := range progs {
-					p.Release(insts[i])
-				}
-			}()
+			w := s.worker(width)
+			defer s.release(w)
 			for {
 				_, lo, hi, ok := cursor.grab()
 				if !ok {
 					return
 				}
-				for g := lo; g < hi; g++ {
-					copy(scratch, cur[reps[g]])
-					base := int(g) * dlen
-					for _, in := range insts {
-						in.NextRow()
-					}
-					for di, c := range domain {
-						scratch[width-1] = c
-						pass := true
-						for i, p := range progs {
-							t, err := p.EvalCodes(insts[i], scratch)
-							if err != nil {
-								errs[w] = err
-								return
-							}
-							if !t {
-								pass = false
-								break
-							}
-						}
-						verdicts[base+di] = pass
-					}
+				if err := s.run(w, int(lo), int(hi)); err != nil {
+					errs[i] = err
+					return
 				}
 			}
-		}(w)
+		}(i)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -328,20 +229,6 @@ func evalGroupsScalar(cur [][]uint32, width int, domain []uint32, fire []compile
 		}
 	}
 	return nil
-}
-
-// scalarPrograms returns the scalar programs of fire, compiling any not
-// yet used.
-func scalarPrograms(fire []compiledConstraint) ([]*sqlmini.Program, error) {
-	progs := make([]*sqlmini.Program, len(fire))
-	for i, c := range fire {
-		p, err := c.program()
-		if err != nil {
-			return nil, err
-		}
-		progs[i] = p
-	}
-	return progs, nil
 }
 
 // emitExtensions materializes the surviving extensions from the verdict

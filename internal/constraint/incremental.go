@@ -92,10 +92,8 @@ func (s *IncrementalSolver) SolveSpec(spec *Spec) (_ *rel.Table, stats Stats, er
 		s.valid = false
 		return nil, stats, err
 	}
-	fireAt := make([][]compiledConstraint, len(spec.cols))
-	for _, c := range cc {
-		fireAt[c.fire] = append(fireAt[c.fire], c)
-	}
+	run := newSolveRun(spec, cc, s.opts.workers(), span, &stats)
+	fireAt := run.fireAt
 
 	// A re-registered function can change any constraint's meaning without
 	// touching its expression; drop everything.
@@ -148,61 +146,20 @@ func (s *IncrementalSolver) SolveSpec(spec *Spec) (_ *rel.Table, stats Stats, er
 		cur = s.memo[reuse-1].rows
 	}
 	s.memo = s.memo[:reuse]
-	workers := s.opts.workers()
-
 	for i := reuse; i < len(spec.cols); i++ {
 		col := spec.cols[i]
-		stats.Steps++
-		t0 := time.Now()
-		stepSpan := span.Child("constraint.step", obs.String("column", col.Name))
-
-		fire := fireAt[i]
-		var fireRefs []int
-		seenRef := make([]bool, i+1)
-		for _, c := range fire {
-			for _, pos := range c.refs {
-				if !seenRef[pos] {
-					seenRef[pos] = true
-					fireRefs = append(fireRefs, pos)
-				}
-			}
+		if domains[i] == nil {
+			domains[i] = encodeDomain(col.Domain())
 		}
-
-		domain := domains[i]
-		if domain == nil {
-			domain = encodeDomain(col.Domain())
-		}
-		next, est, err := extendCompiled(cur, i+1, domain, fire, fireRefs, workers)
-		if err != nil {
+		if cur, err = run.step(cur, i, domains[i]); err != nil {
 			s.valid = false
-			stepSpan.Finish()
 			return nil, stats, err
 		}
-		stats.Candidates += est.tested
-		stats.MemoHits += est.memoHits
-		stats.Pruned += est.tested - uint64(len(next))
-		cur = next
-		st := StepStat{
-			Column:     col.Name,
-			Domain:     len(domain),
-			Rows:       len(cur),
-			Candidates: est.tested,
-			MemoHits:   est.memoHits,
-			Elapsed:    time.Since(t0),
-		}
-		stats.StepStats = append(stats.StepStats, st)
 		s.memo = append(s.memo, stepMemo{
-			sig:  stepSig{column: col.Name, domain: domain, fire: fireSigs(fire, spec)},
+			sig:  stepSig{column: col.Name, domain: domains[i], fire: fireSigs(fireAt[i], spec)},
 			rows: cur,
-			stat: st,
+			stat: stats.StepStats[len(stats.StepStats)-1],
 		})
-		stepSpan.SetAttr(
-			obs.Int("domain", len(domain)),
-			obs.Int("rows", len(cur)),
-			obs.Uint64("candidates", est.tested),
-			obs.Uint64("memo_hits", est.memoHits),
-		)
-		stepSpan.Finish()
 		if len(cur) == 0 {
 			break // inconsistent constraints: empty table (paper §3)
 		}

@@ -31,12 +31,22 @@ type Stats struct {
 	// sharing a referenced-column projection with an earlier candidate at
 	// the same step.
 	MemoHits uint64
+	// ArmSelections is the number of first-match selections evaluated,
+	// however many of a rule-chain family's members fire. A family whose
+	// members fire at several steps selects once per distinct projection
+	// of a row onto its condition columns, and later steps look the arm up
+	// in the solve's memo without counting. A family whose members all
+	// fire at one step selects once per group of that step. Monolithic
+	// evaluates whole chains and selects none.
+	ArmSelections uint64
 	// CompileTime is the one-off cost of lowering the column constraints
-	// into position-bound closures before the solve loop. For incremental
-	// solves it covers the column-at-a-time sweep programs only: a
-	// constraint's scalar program is compiled lazily, on the first
-	// sub-cutover step that runs it, and that time lands in the step.
-	// Monolithic compiles and counts both.
+	// before the solve loop, paid on a spec's first solve and near zero
+	// once its compilation is cached. For incremental solves it covers
+	// each rule-chain family's Selector over its shared conditions, each
+	// member's distinct then and else branches, and every other
+	// constraint whole, all as column-at-a-time sweep programs.
+	// Monolithic also compiles, and counts, every constraint whole as a
+	// row-at-a-time program, on the first Monolithic solve of the spec.
 	CompileTime time.Duration
 	// StepStats holds one entry per column-extension step, in step order
 	// (incremental solves only; Monolithic tests complete assignments and
@@ -58,7 +68,8 @@ type StepStat struct {
 	// Candidates is the number of partial assignments the step tested;
 	// MemoHits counts the verdicts served by the projection memo.
 	Candidates, MemoHits uint64
-	// Elapsed is the step's wall time, including domain interning.
+	// Elapsed is the step's wall time. Its domain is interned before the
+	// step starts and is not counted.
 	Elapsed time.Duration
 }
 
@@ -86,6 +97,7 @@ func (o Options) observe(span *obs.Span, controller string, stats Stats, err err
 		obs.Uint64("candidates", stats.Candidates),
 		obs.Uint64("pruned", stats.Pruned),
 		obs.Uint64("memo_hits", stats.MemoHits),
+		obs.Uint64("arm_selections", stats.ArmSelections),
 		obs.Duration("compile_time", stats.CompileTime),
 		obs.Int("rows", stats.Rows),
 	)
@@ -147,61 +159,16 @@ func SolveOpts(spec *Spec, opts Options) (_ *rel.Table, stats Stats, err error) 
 	if err != nil {
 		return nil, stats, err
 	}
-	fireAt := make([][]compiledConstraint, len(spec.cols))
-	for _, c := range cc {
-		fireAt[c.fire] = append(fireAt[c.fire], c)
-	}
-
-	workers := opts.workers()
+	run := newSolveRun(spec, cc, opts.workers(), span, &stats)
 
 	// cur holds the partial table's rows as dictionary-code rows; domains
 	// are interned once per step and the whole solve runs on uint32
 	// compares, emitting codes straight into the columnar result table.
 	cur := [][]uint32{{}}
-
 	for i, col := range spec.cols {
-		stats.Steps++
-		t0 := time.Now()
-		stepSpan := span.Child("constraint.step", obs.String("column", col.Name))
-
-		// Constraints that become checkable at this step, and the union of
-		// the row positions they read.
-		fire := fireAt[i]
-		var fireRefs []int
-		seenRef := make([]bool, i+1)
-		for _, c := range fire {
-			for _, pos := range c.refs {
-				if !seenRef[pos] {
-					seenRef[pos] = true
-					fireRefs = append(fireRefs, pos)
-				}
-			}
-		}
-
-		domain := encodeDomain(col.Domain())
-		next, est, err := extendCompiled(cur, i+1, domain, fire, fireRefs, workers)
-		if err != nil {
+		if cur, err = run.step(cur, i, encodeDomain(col.Domain())); err != nil {
 			return nil, stats, err
 		}
-		stats.Candidates += est.tested
-		stats.MemoHits += est.memoHits
-		stats.Pruned += est.tested - uint64(len(next))
-		cur = next
-		stats.StepStats = append(stats.StepStats, StepStat{
-			Column:     col.Name,
-			Domain:     len(domain),
-			Rows:       len(cur),
-			Candidates: est.tested,
-			MemoHits:   est.memoHits,
-			Elapsed:    time.Since(t0),
-		})
-		stepSpan.SetAttr(
-			obs.Int("domain", len(domain)),
-			obs.Int("rows", len(cur)),
-			obs.Uint64("candidates", est.tested),
-			obs.Uint64("memo_hits", est.memoHits),
-		)
-		stepSpan.Finish()
 		if len(cur) == 0 {
 			break // inconsistent constraints: empty table (paper §3)
 		}
@@ -222,6 +189,123 @@ func SolveOpts(spec *Spec, opts Options) (_ *rel.Table, stats Stats, err error) 
 	}
 	stats.Rows = out.NumRows()
 	return out, stats, nil
+}
+
+// solveRun is the state of one column-at-a-time solve (SolveOpts or
+// IncrementalSolver.SolveSpec): the constraints firing at each step and
+// the arm memo of every family that has fired. The memos belong to the
+// solve, so concurrent solves of one spec share nothing mutable.
+type solveRun struct {
+	spec    *Spec
+	fireAt  [][]compiledConstraint
+	memos   map[*family]*armMemo // allocated at a family's first firing step
+	workers int
+	span    *obs.Span
+	stats   *Stats
+}
+
+func newSolveRun(spec *Spec, cc []compiledConstraint, workers int, span *obs.Span, stats *Stats) solveRun {
+	fireAt := make([][]compiledConstraint, len(spec.cols))
+	for _, c := range cc {
+		fireAt[c.fire] = append(fireAt[c.fire], c)
+	}
+	return solveRun{spec: spec, fireAt: fireAt, workers: workers, span: span, stats: stats}
+}
+
+// step appends column i to the partial table cur, sweeping domain (the
+// column's interned domain, see encodeDomain), and records the step in
+// the run's Stats and a constraint.step span. It is the loop body of both
+// SolveOpts and IncrementalSolver.SolveSpec.
+func (r *solveRun) step(cur [][]uint32, i int, domain []uint32) ([][]uint32, error) {
+	col := r.spec.cols[i]
+	r.stats.Steps++
+	t0 := time.Now()
+	stepSpan := r.span.Child("constraint.step", obs.String("column", col.Name))
+	defer stepSpan.Finish()
+
+	// Constraints that become checkable at this step, and the union of
+	// the row positions they read.
+	fire := r.fireAt[i]
+	var fireRefs []int
+	seenRef := make([]bool, i+1)
+	for _, c := range fire {
+		for _, pos := range c.refs {
+			if !seenRef[pos] {
+				seenRef[pos] = true
+				fireRefs = append(fireRefs, pos)
+			}
+		}
+	}
+
+	next, est, err := r.extend(cur, i+1, domain, fire, fireRefs)
+	if err != nil {
+		return nil, err
+	}
+	r.stats.Candidates += est.tested
+	r.stats.MemoHits += est.memoHits
+	r.stats.Pruned += est.tested - uint64(len(next))
+	r.stats.ArmSelections += est.selections
+	r.stats.StepStats = append(r.stats.StepStats, StepStat{
+		Column:     col.Name,
+		Domain:     len(domain),
+		Rows:       len(next),
+		Candidates: est.tested,
+		MemoHits:   est.memoHits,
+		Elapsed:    time.Since(t0),
+	})
+	stepSpan.SetAttr(
+		obs.Int("domain", len(domain)),
+		obs.Int("rows", len(next)),
+		obs.Uint64("candidates", est.tested),
+		obs.Uint64("memo_hits", est.memoHits),
+	)
+	return next, nil
+}
+
+// arms returns the arm of every group at this step for each firing family
+// member (zero for the other constraints), selecting through the family's
+// memo; members of one family share one selection.
+func (r *solveRun) arms(cur [][]uint32, reps []int32, fire []compiledConstraint) ([]groupArms, uint64) {
+	var out []groupArms
+	var selections uint64
+	for i, c := range fire {
+		if c.fam == nil {
+			continue
+		}
+		if out == nil {
+			out = make([]groupArms, len(fire))
+		}
+		if j := firstMember(fire[:i], c.fam); j >= 0 {
+			out[i] = out[j]
+			continue
+		}
+		var n uint64
+		if c.fam.memo {
+			m := r.memos[c.fam]
+			if m == nil {
+				if r.memos == nil {
+					r.memos = make(map[*family]*armMemo)
+				}
+				m = &armMemo{keys: newGroupTable(len(reps))}
+				r.memos[c.fam] = m
+			}
+			out[i], n = m.selectArms(c.fam, cur, reps)
+		} else {
+			out[i], n = c.fam.selectGroups(cur, reps)
+		}
+		selections += n
+	}
+	return out, selections
+}
+
+// firstMember returns the index of fam's first member in fire, or -1.
+func firstMember(fire []compiledConstraint, fam *family) int {
+	for j, c := range fire {
+		if c.fam == fam {
+			return j
+		}
+	}
+	return -1
 }
 
 // encodeDomain interns a column table into the shared dictionary once, so
@@ -357,6 +441,20 @@ func MonolithicOpts(spec *Spec, opts Options) (_ *rel.Table, stats Stats, err er
 	stats.Rows = out.NumRows()
 	stats.Pruned = stats.Candidates - uint64(stats.Rows)
 	return out, stats, nil
+}
+
+// scalarPrograms returns the whole-constraint row-at-a-time programs of
+// cons, compiling any not yet used.
+func scalarPrograms(cons []compiledConstraint) ([]*sqlmini.Program, error) {
+	progs := make([]*sqlmini.Program, len(cons))
+	for i, c := range cons {
+		p, err := c.program()
+		if err != nil {
+			return nil, err
+		}
+		progs[i] = p
+	}
+	return progs, nil
 }
 
 // InputSpec projects the spec onto its input columns: the sub-spec whose

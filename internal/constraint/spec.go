@@ -225,10 +225,14 @@ func (s *Spec) ConstrainExpr(col string, e sqlmini.Expr) error {
 	resolved := sqlmini.ResolveSymbols(e, s.HasColumn)
 	// Validate that every referenced column exists after resolution
 	// (qualified references are not part of the constraint dialect).
-	for ref := range sqlmini.Columns(resolved) {
-		if !s.HasColumn(ref) {
-			return fmt.Errorf("%w: constraint for %s.%s references %q", ErrNoColumn, s.Name, col, ref)
+	missing := ""
+	sqlmini.VisitColumns(resolved, func(ref string) {
+		if missing == "" && !s.HasColumn(ref) {
+			missing = ref
 		}
+	})
+	if missing != "" {
+		return fmt.Errorf("%w: constraint for %s.%s references %q", ErrNoColumn, s.Name, col, missing)
 	}
 	s.constraints[col] = resolved
 	s.genCtr++
@@ -292,22 +296,26 @@ func (s *Spec) ColumnIndex() map[string]int {
 	return out
 }
 
-// compiledConstraint is one column constraint lowered to a compiled
-// sweep program, plus its scheduling metadata: the row positions it reads
-// and the step at which it becomes checkable.
+// compiledConstraint is one column constraint lowered for the solver,
+// plus its scheduling metadata: the row positions it reads and the step at
+// which it becomes checkable.
 type compiledConstraint struct {
-	col    string
-	sweep  *sqlmini.SweepProg // column-at-a-time program over the fire column
-	scalar *scalarProgram     // row-at-a-time form, compiled on first use
-	refs   []int              // row positions the constraint reads, own column included
-	fire   int                // max referenced position: the step the constraint fires at
+	col string
+	// sweep is the column-at-a-time program over the fire column. For a
+	// family member (fam set) its branches are the member's distinct then
+	// and else branches and branch[arm] is the one the family's selector
+	// arm takes; any other constraint compiles whole into branch 0.
+	sweep  *sqlmini.SweepProg
+	fam    *family
+	branch []int32
+	scalar *scalarProgram // whole constraint, row at a time, for Monolithic
+	refs   []int          // row positions the constraint reads, own column included
+	fire   int            // max referenced position: the step the constraint fires at
 }
 
-// scalarProgram is a constraint's row-at-a-time sweep program. Only the
-// scalar paths run it — evalGroupsScalar's sub-cutover steps and
-// Monolithic — so it is compiled on first use, once per compiled
-// constraint, and constraints that only fire on large steps (all of D's
-// output chains) never pay for it.
+// scalarProgram is a whole constraint's row-at-a-time sweep program. Only
+// Monolithic runs it, so it is compiled on first use, once per compiled
+// constraint, and incremental solves never pay for it.
 type scalarProgram struct {
 	once    sync.Once
 	compile func() (*sqlmini.Program, error)
@@ -326,55 +334,37 @@ func (c compiledConstraint) program() (*sqlmini.Program, error) {
 	return p.prog, p.err
 }
 
-// compiledConstraints lowers every column constraint into a column-at-a-
-// time sweep program, cached on the spec until the next mutation. Each
-// program is compiled around the column added at its firing step, so the
-// incremental solver's domain sweep evaluates subtrees over earlier
-// columns once per candidate row instead of once per (row, value) pair.
-// The returned slice is shared and must not be mutated.
+// compiledConstraints lowers every column constraint for the solver,
+// cached on the spec until the next mutation. Each program is compiled
+// around the column added at its firing step, so the incremental solver's
+// domain sweep evaluates subtrees over earlier columns once per candidate
+// row instead of once per (row, value) pair; rule chains that share their
+// leading conditions form families (see family.go) that compile those
+// conditions once. The returned slice, ordered by fire step and then
+// column, is shared and must not be mutated.
 func (s *Spec) compiledConstraints() ([]compiledConstraint, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.compiled != nil {
 		return s.compiled, nil
 	}
-	ev := s.evaluator()
-	out := make([]compiledConstraint, 0, len(s.constraints))
-	for col, e := range s.constraints {
-		cc := compiledConstraint{col: col}
-		names := sqlmini.Columns(e)
-		names[col] = struct{}{}
-		for n := range names {
-			p := s.colIdx[n]
-			cc.refs = append(cc.refs, p)
-			if p > cc.fire {
-				cc.fire = p
-			}
-		}
-		sort.Ints(cc.refs)
-		var err error
-		cc.sweep, err = ev.CompileSweepVec(e, s.colIdx, cc.fire)
+	cols := make([]string, 0, len(s.constraints))
+	for col := range s.constraints {
+		cols = append(cols, col)
+	}
+	// Column order makes the families, and the output order, independent
+	// of map iteration.
+	sort.Strings(cols)
+	w := newChainScan(s)
+	out := make([]compiledConstraint, 0, len(cols))
+	for _, col := range cols {
+		cc, err := w.compile(col, s.constraints[col])
 		if err != nil {
-			return nil, fmt.Errorf("constraint: compiling constraint for %s.%s: %w", s.Name, col, err)
+			return nil, err
 		}
-		// CompileSweep accepts exactly what CompileSweepVec accepts, so the
-		// deferred compile fails only on the same class of spec error.
-		fire := cc.fire
-		cc.scalar = &scalarProgram{compile: func() (*sqlmini.Program, error) {
-			prog, err := ev.CompileSweep(e, s.colIdx, fire)
-			if err != nil {
-				return nil, fmt.Errorf("constraint: compiling constraint for %s.%s: %w", s.Name, col, err)
-			}
-			return prog, nil
-		}}
 		out = append(out, cc)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].fire != out[j].fire {
-			return out[i].fire < out[j].fire
-		}
-		return out[i].col < out[j].col
-	})
+	sort.SliceStable(out, func(i, j int) bool { return out[i].fire < out[j].fire })
 	s.compiled = out
 	return out, nil
 }

@@ -3,24 +3,14 @@ package constraint
 import (
 	"math/rand"
 	"testing"
-
-	"coherdb/internal/rel"
 )
-
-// withScalarSweep runs fn with the column-at-a-time sweep disabled, so the
-// solver evaluates constraints through the row-at-a-time oracle.
-func withScalarSweep(t *testing.T, fn func()) {
-	t.Helper()
-	sweepVectorized = false
-	defer func() { sweepVectorized = true }()
-	fn()
-}
 
 // TestVectorizedSweepMatchesScalar is the solver half of the vectorized-
 // execution equivalence gate: the Fig. 3 fragment and a batch of random
-// specs must generate row-identical tables whether evalGroups decides each
-// (row, value) pair through EvalCodes or whole domains through
-// EvalSweepTrue.
+// specs must generate row-identical tables whether each constraint is
+// decided for whole domains through EvalSweepTrue (Solve, with rule chains
+// split into selector arms) or row at a time through the whole
+// constraint's scalar program (Monolithic).
 func TestVectorizedSweepMatchesScalar(t *testing.T) {
 	specs := []*Spec{figure3Spec(t)}
 	rng := rand.New(rand.NewSource(31))
@@ -32,15 +22,10 @@ func TestVectorizedSweepMatchesScalar(t *testing.T) {
 		if err != nil {
 			t.Fatalf("spec %d vectorized: %v", i, err)
 		}
-		var scal *rel.Table
-		withScalarSweep(t, func() {
-			s.invalidate() // fresh compile, same constraints
-			tab, _, serr := Solve(s)
-			if serr != nil {
-				t.Fatalf("spec %d scalar: %v", i, serr)
-			}
-			scal = tab
-		})
+		scal, _, err := Monolithic(s)
+		if err != nil {
+			t.Fatalf("spec %d scalar: %v", i, err)
+		}
 		eq, err := vec.EqualRows(scal)
 		if err != nil {
 			t.Fatalf("spec %d: %v", i, err)

@@ -117,7 +117,9 @@ const (
 	kindHistogram
 )
 
-// metric is one registered instrument.
+// metric is one registered instrument. get sets the one instrument field
+// its kind names before publishing it; the fields never change afterwards,
+// so readers holding the pointer need no lock.
 type metric struct {
 	name   string
 	kind   metricKind
@@ -198,13 +200,30 @@ func escapeHelp(v string) string {
 	return strings.ReplaceAll(v, "\n", `\n`)
 }
 
-func (r *Registry) get(name string, kind metricKind, labels []Label) *metric {
+// get returns the instrument registered under name and labels, creating
+// it on first use. The instrument is built inside the critical section, so
+// a metric is complete before WriteMetrics can see it and never changes
+// afterwards. bounds matter only when a histogram is created.
+func (r *Registry) get(name string, kind metricKind, labels []Label, bounds []float64) *metric {
 	key := labelKey(name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	m, ok := r.metrics[key]
 	if !ok {
 		m = &metric{name: name, kind: kind, labels: append([]Label(nil), labels...)}
+		switch kind {
+		case kindCounter:
+			m.c = &Counter{}
+		case kindGauge:
+			m.g = &Gauge{}
+		default:
+			if bounds == nil {
+				bounds = DurationBuckets
+			}
+			bs := append([]float64(nil), bounds...)
+			sort.Float64s(bs)
+			m.h = &Histogram{bounds: bs, counts: make([]atomic.Uint64, len(bs)+1)}
+		}
 		r.metrics[key] = m
 	}
 	if m.kind != kind {
@@ -216,43 +235,20 @@ func (r *Registry) get(name string, kind metricKind, labels []Label) *metric {
 // Counter returns (creating on first use) the counter with the given name
 // and labels.
 func (r *Registry) Counter(name string, labels ...Label) *Counter {
-	m := r.get(name, kindCounter, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m.c == nil {
-		m.c = &Counter{}
-	}
-	return m.c
+	return r.get(name, kindCounter, labels, nil).c
 }
 
 // Gauge returns (creating on first use) the gauge with the given name and
 // labels.
 func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
-	m := r.get(name, kindGauge, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m.g == nil {
-		m.g = &Gauge{}
-	}
-	return m.g
+	return r.get(name, kindGauge, labels, nil).g
 }
 
 // Histogram returns (creating on first use) the histogram with the given
 // name, bucket upper bounds and labels. A nil bounds slice means
 // DurationBuckets. Bounds are fixed at first creation.
 func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Histogram {
-	m := r.get(name, kindHistogram, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m.h == nil {
-		if bounds == nil {
-			bounds = DurationBuckets
-		}
-		bs := append([]float64(nil), bounds...)
-		sort.Float64s(bs)
-		m.h = &Histogram{bounds: bs, counts: make([]atomic.Uint64, len(bs)+1)}
-	}
-	return m.h
+	return r.get(name, kindHistogram, labels, bounds).h
 }
 
 // WriteMetrics renders every instrument in the Prometheus text exposition
@@ -320,24 +316,13 @@ func series(name string, labels []Label, extra ...Label) string {
 func writeMetric(w io.Writer, m *metric) error {
 	switch m.kind {
 	case kindCounter:
-		var v int64
-		if m.c != nil {
-			v = m.c.Value()
-		}
-		_, err := fmt.Fprintf(w, "%s %d\n", series(m.name, m.labels), v)
+		_, err := fmt.Fprintf(w, "%s %d\n", series(m.name, m.labels), m.c.Value())
 		return err
 	case kindGauge:
-		var v int64
-		if m.g != nil {
-			v = m.g.Value()
-		}
-		_, err := fmt.Fprintf(w, "%s %d\n", series(m.name, m.labels), v)
+		_, err := fmt.Fprintf(w, "%s %d\n", series(m.name, m.labels), m.g.Value())
 		return err
 	default:
 		h := m.h
-		if h == nil {
-			return nil
-		}
 		counts, count, sum := h.snapshot()
 		var cum uint64
 		for i, b := range h.bounds {

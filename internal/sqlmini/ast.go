@@ -97,74 +97,123 @@ func (e Col) String() string {
 	return e.Name
 }
 
-func (e Unary) String() string { return "(" + e.Op + " " + e.X.String() + ")" }
+func (e Unary) String() string   { return render(e) }
+func (e Binary) String() string  { return render(e) }
+func (e InList) String() string  { return render(e) }
+func (e IsNull) String() string  { return render(e) }
+func (e Between) String() string { return render(e) }
+func (e Ternary) String() string { return render(e) }
+func (e Case) String() string    { return render(e) }
+func (e Call) String() string    { return render(e) }
 
-func (e Binary) String() string {
-	return "(" + e.L.String() + " " + e.Op + " " + e.R.String() + ")"
+// render writes e through one strings.Builder. Concatenating each child's
+// own String would copy a subtree once per ancestor, which is quadratic on
+// the right-nested rule chains the constraint specs hold.
+func render(e Expr) string {
+	var sb strings.Builder
+	writeExpr(&sb, e)
+	return sb.String()
 }
 
-func (e InList) String() string {
-	var sb strings.Builder
-	sb.WriteString("(")
-	sb.WriteString(e.X.String())
-	if e.Negate {
-		sb.WriteString(" NOT")
+// writeExpr appends e's dialect syntax to sb.
+func writeExpr(sb *strings.Builder, e Expr) {
+	switch x := e.(type) {
+	case Lit:
+		sb.WriteString(x.Val.Quoted())
+	case Col:
+		writeCol(sb, x)
+	case boundCol:
+		writeCol(sb, x.Col)
+	case Unary:
+		sb.WriteString("(")
+		sb.WriteString(x.Op)
+		sb.WriteString(" ")
+		writeExpr(sb, x.X)
+		sb.WriteString(")")
+	case Binary:
+		sb.WriteString("(")
+		writeExpr(sb, x.L)
+		sb.WriteString(" ")
+		sb.WriteString(x.Op)
+		sb.WriteString(" ")
+		writeExpr(sb, x.R)
+		sb.WriteString(")")
+	case InList:
+		sb.WriteString("(")
+		writeExpr(sb, x.X)
+		if x.Negate {
+			sb.WriteString(" NOT")
+		}
+		sb.WriteString(" IN (")
+		writeList(sb, x.Set)
+		sb.WriteString("))")
+	case IsNull:
+		sb.WriteString("(")
+		writeExpr(sb, x.X)
+		if x.Negate {
+			sb.WriteString(" IS NOT NULL)")
+		} else {
+			sb.WriteString(" IS NULL)")
+		}
+	case Between:
+		sb.WriteString("(")
+		writeExpr(sb, x.X)
+		if x.Negate {
+			sb.WriteString(" NOT BETWEEN ")
+		} else {
+			sb.WriteString(" BETWEEN ")
+		}
+		writeExpr(sb, x.Lo)
+		sb.WriteString(" AND ")
+		writeExpr(sb, x.Hi)
+		sb.WriteString(")")
+	case Ternary:
+		sb.WriteString("(")
+		writeExpr(sb, x.Cond)
+		sb.WriteString(" ? ")
+		writeExpr(sb, x.Then)
+		sb.WriteString(" : ")
+		writeExpr(sb, x.Else)
+		sb.WriteString(")")
+	case Case:
+		sb.WriteString("CASE")
+		for _, w := range x.Whens {
+			sb.WriteString(" WHEN ")
+			writeExpr(sb, w.Cond)
+			sb.WriteString(" THEN ")
+			writeExpr(sb, w.Val)
+		}
+		if x.Else != nil {
+			sb.WriteString(" ELSE ")
+			writeExpr(sb, x.Else)
+		}
+		sb.WriteString(" END")
+	case Call:
+		sb.WriteString(x.Name)
+		sb.WriteString("(")
+		writeList(sb, x.Args)
+		sb.WriteString(")")
+	default:
+		sb.WriteString(e.String())
 	}
-	sb.WriteString(" IN (")
-	for i, s := range e.Set {
+}
+
+func writeCol(sb *strings.Builder, c Col) {
+	if c.Qualifier != "" {
+		sb.WriteString(c.Qualifier)
+		sb.WriteString(".")
+	}
+	sb.WriteString(c.Name)
+}
+
+// writeList appends es separated by ", ".
+func writeList(sb *strings.Builder, es []Expr) {
+	for i, e := range es {
 		if i > 0 {
 			sb.WriteString(", ")
 		}
-		sb.WriteString(s.String())
+		writeExpr(sb, e)
 	}
-	sb.WriteString("))")
-	return sb.String()
-}
-
-func (e IsNull) String() string {
-	if e.Negate {
-		return "(" + e.X.String() + " IS NOT NULL)"
-	}
-	return "(" + e.X.String() + " IS NULL)"
-}
-
-func (e Between) String() string {
-	not := ""
-	if e.Negate {
-		not = "NOT "
-	}
-	return "(" + e.X.String() + " " + not + "BETWEEN " + e.Lo.String() + " AND " + e.Hi.String() + ")"
-}
-
-func (e Ternary) String() string {
-	return "(" + e.Cond.String() + " ? " + e.Then.String() + " : " + e.Else.String() + ")"
-}
-
-func (e Case) String() string {
-	var sb strings.Builder
-	sb.WriteString("CASE")
-	for _, w := range e.Whens {
-		sb.WriteString(" WHEN " + w.Cond.String() + " THEN " + w.Val.String())
-	}
-	if e.Else != nil {
-		sb.WriteString(" ELSE " + e.Else.String())
-	}
-	sb.WriteString(" END")
-	return sb.String()
-}
-
-func (e Call) String() string {
-	var sb strings.Builder
-	sb.WriteString(e.Name)
-	sb.WriteString("(")
-	for i, a := range e.Args {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		sb.WriteString(a.String())
-	}
-	sb.WriteString(")")
-	return sb.String()
 }
 
 // Stmt is a SQL statement.

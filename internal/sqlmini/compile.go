@@ -3,7 +3,6 @@ package sqlmini
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"coherdb/internal/rel"
 )
@@ -68,11 +67,6 @@ type Program struct {
 	root     triFn
 	triSlots int
 	valSlots int
-
-	// insts pools released Instances so short solves (the constraint
-	// solver's micro-steps) reuse evaluation state instead of allocating
-	// memo slots per worker per step. Mirrors SweepProg's pool.
-	insts sync.Pool
 }
 
 // Instance is one worker's evaluation state for a Program: the cache
@@ -89,12 +83,8 @@ type Instance struct {
 	svBufs  [][]tri  // lane buffers for SweepProg combiners (see sweepvec.go)
 }
 
-// Instance returns evaluation state for p, reusing a released one when
-// available.
+// Instance returns fresh evaluation state for p.
 func (p *Program) Instance() *Instance {
-	if in, _ := p.insts.Get().(*Instance); in != nil {
-		return in
-	}
 	return &Instance{
 		gen:     1,
 		triMemo: make([]uint64, p.triSlots),
@@ -102,14 +92,6 @@ func (p *Program) Instance() *Instance {
 		valMemo: make([]uint64, p.valSlots),
 		vals:    make([]rel.Value, p.valSlots),
 	}
-}
-
-// Release puts an instance back into p's pool. The generation stamp on the
-// cache slots keeps a later user from reading this user's memo entries —
-// NextRow already separates rows within one user the same way.
-func (p *Program) Release(in *Instance) {
-	in.NextRow()
-	p.insts.Put(in)
 }
 
 // NextRow invalidates the sweep cache: call it whenever any column other

@@ -346,48 +346,50 @@ func (ev *Evaluator) evalBetween(x Between, env Env) (rel.Value, error) {
 // mentions has been generated.
 func Columns(e Expr) map[string]struct{} {
 	out := make(map[string]struct{})
-	collectCols(e, out)
+	VisitColumns(e, func(name string) { out[name] = struct{}{} })
 	return out
 }
 
-func collectCols(e Expr, out map[string]struct{}) {
+// VisitColumns calls fn with the (unqualified) name of every column
+// reference in e, in tree order, once per reference. The walk allocates
+// nothing.
+func VisitColumns(e Expr, fn func(name string)) {
 	switch x := e.(type) {
-	case Lit:
 	case Col:
-		out[x.Name] = struct{}{}
+		fn(x.Name)
 	case boundCol:
-		out[x.Name] = struct{}{}
+		fn(x.Name)
 	case Unary:
-		collectCols(x.X, out)
+		VisitColumns(x.X, fn)
 	case Binary:
-		collectCols(x.L, out)
-		collectCols(x.R, out)
+		VisitColumns(x.L, fn)
+		VisitColumns(x.R, fn)
 	case InList:
-		collectCols(x.X, out)
+		VisitColumns(x.X, fn)
 		for _, s := range x.Set {
-			collectCols(s, out)
+			VisitColumns(s, fn)
 		}
 	case IsNull:
-		collectCols(x.X, out)
+		VisitColumns(x.X, fn)
 	case Between:
-		collectCols(x.X, out)
-		collectCols(x.Lo, out)
-		collectCols(x.Hi, out)
+		VisitColumns(x.X, fn)
+		VisitColumns(x.Lo, fn)
+		VisitColumns(x.Hi, fn)
 	case Ternary:
-		collectCols(x.Cond, out)
-		collectCols(x.Then, out)
-		collectCols(x.Else, out)
+		VisitColumns(x.Cond, fn)
+		VisitColumns(x.Then, fn)
+		VisitColumns(x.Else, fn)
 	case Case:
 		for _, w := range x.Whens {
-			collectCols(w.Cond, out)
-			collectCols(w.Val, out)
+			VisitColumns(w.Cond, fn)
+			VisitColumns(w.Val, fn)
 		}
 		if x.Else != nil {
-			collectCols(x.Else, out)
+			VisitColumns(x.Else, fn)
 		}
 	case Call:
 		for _, a := range x.Args {
-			collectCols(a, out)
+			VisitColumns(a, fn)
 		}
 	}
 }

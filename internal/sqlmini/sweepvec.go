@@ -13,15 +13,14 @@ import (
 // full closure-tree walk — memo checks, ternary-chain dispatch, one
 // virtual call per node per domain value. CompileSweepVec inverts the
 // loop: each compiled node evaluates the WHOLE domain per call, so stable
-// subtrees are computed once per row and broadcast, a chain of ternaries
-// with stable conditions runs as one first-match loop that descends only
-// the chosen branch, and the sweep-reading
-// leaves (=, <>, IN, IS NULL against the swept column) become tight loops
-// over the domain's code vector. Subtrees the vectorizer cannot lower —
-// ordered comparisons, function calls over the swept column — fall back to
-// the scalar closure looped per domain value, with the scalar sweep cache
-// still amortizing their stable inner subtrees; compilation therefore
-// never declines.
+// subtrees are computed once per row and broadcast, a ternary with a
+// stable condition descends only the branch it takes, and the
+// sweep-reading leaves (=, <>, IN, IS NULL against the swept column)
+// become tight loops over the domain's code vector. Subtrees the
+// vectorizer cannot lower — ordered comparisons, function calls over the
+// swept column — fall back to the scalar closure looped per domain value,
+// with the scalar sweep cache still amortizing their stable inner
+// subtrees; compilation therefore never declines.
 //
 // Equivalence: for every (row, domain value) pair, the lane written here
 // equals what the scalar CompileSweep program computes on the extended
@@ -39,10 +38,12 @@ import (
 // (fallback nodes write it); all other positions are read-only.
 type svFn func(in *Instance, crow []uint32, domain []uint32, out []tri) error
 
-// SweepProg is a compiled column-at-a-time sweep program. Like Program it
-// holds no mutable state; evaluation goes through a per-worker Instance.
+// SweepProg is a compiled column-at-a-time sweep program: one or more
+// branch expressions over the same sweep column, sharing one Instance.
+// Like Program it holds no mutable state; evaluation goes through a
+// per-worker Instance.
 type SweepProg struct {
-	root     svFn
+	branches []svFn
 	triSlots int
 	valSlots int
 	svSlots  int
@@ -77,15 +78,17 @@ func (p *SweepProg) Release(in *Instance) {
 	p.insts.Put(in)
 }
 
-// EvalSweepTrue evaluates the program for every domain value and clears
-// keep[i] for the lanes that are not definitely true (WHERE semantics),
-// leaving already-false lanes false — the AND-combining shape the solver's
-// per-column constraint conjunction wants. It reports whether any lane is
-// still true, so callers can stop conjoining early. len(keep) must equal
-// len(domain); crow must cover the sweep column.
-func (p *SweepProg) EvalSweepTrue(in *Instance, crow []uint32, domain []uint32, keep []bool) (bool, error) {
+// EvalSweepTrue evaluates the program's branch for every domain value and
+// clears keep[i] for the lanes that are not definitely true (WHERE
+// semantics), leaving already-false lanes false — the AND-combining shape
+// the solver's per-column constraint conjunction wants. It reports whether
+// any lane is still true, so callers can stop conjoining early. branch
+// indexes the expressions the program was compiled from (0 for
+// CompileSweepVec). len(keep) must equal len(domain); crow must cover the
+// sweep column.
+func (p *SweepProg) EvalSweepTrue(in *Instance, branch int, crow []uint32, domain []uint32, keep []bool) (bool, error) {
 	out := in.svBuf(p.svSlots, len(domain))
-	if err := p.root(in, crow, domain, out); err != nil {
+	if err := p.branches[branch](in, crow, domain, out); err != nil {
 		return false, err
 	}
 	any := false
@@ -114,14 +117,27 @@ func (in *Instance) svBuf(slot, n int) []tri {
 // accepts (unknown columns and functions are the same compile-time errors)
 // and computes identical truth lanes; see the equivalence note above.
 func (ev *Evaluator) CompileSweepVec(e Expr, colIndex map[string]int, sweep int) (*SweepProg, error) {
+	return ev.CompileSweepBranches([]Expr{e}, colIndex, sweep)
+}
+
+// CompileSweepBranches is CompileSweepVec for several expressions over one
+// sweep column: branch i of the program is es[i], and every branch runs
+// through the same Instance. The constraint solver compiles the distinct
+// then and else branches of a rule chain this way and lets a Selector
+// pick the branch per row.
+func (ev *Evaluator) CompileSweepBranches(es []Expr, colIndex map[string]int, sweep int) (*SweepProg, error) {
 	c := &compiler{ev: ev, ix: colIndex, sweep: sweep}
 	s := &sweepCompiler{c: c, stable: &compiler{ev: ev, ix: colIndex, sweep: -1}}
-	root, err := s.comp(e)
-	if err != nil {
-		return nil, err
+	branches := make([]svFn, len(es))
+	for i, e := range es {
+		fn, err := s.comp(e)
+		if err != nil {
+			return nil, err
+		}
+		branches[i] = fn
 	}
 	return &SweepProg{
-		root:     root,
+		branches: branches,
 		triSlots: c.triSlots,
 		valSlots: c.valSlots,
 		svSlots:  s.svSlots,
@@ -129,12 +145,55 @@ func (ev *Evaluator) CompileSweepVec(e Expr, colIndex map[string]int, sweep int)
 	}, nil
 }
 
+// Selector decides which arm of a rule chain a row takes: the index of the
+// first of the chain's conditions that is definitely true, Unknown counting
+// as false exactly as for a ternary's condition. When the conditions do
+// not read a sweep column, one selection serves a row's whole domain sweep
+// and every chain that tests the same conditions in the same order.
+type Selector struct {
+	conds []triFn
+}
+
+// CompileSelector compiles conds, in priority order, into a Selector over
+// code rows bound by colIndex. It accepts what CompileSweep accepts.
+func (ev *Evaluator) CompileSelector(conds []Expr, colIndex map[string]int) (*Selector, error) {
+	// Without a sweep column the compiler allots no cache slots, so the
+	// closures never touch an Instance and the Selector is safe for
+	// concurrent use.
+	c := &compiler{ev: ev, ix: colIndex, sweep: -1}
+	fns := make([]triFn, len(conds))
+	for i, e := range conds {
+		fn, _, err := c.bool(e)
+		if err != nil {
+			return nil, err
+		}
+		fns[i] = fn
+	}
+	return &Selector{conds: fns}, nil
+}
+
+// Select returns the index of the first condition definitely true on crow,
+// or the number of conditions (the else arm) when none is. A failing
+// condition ends the walk with its error, as it ends the chain's.
+func (s *Selector) Select(crow []uint32) (int, error) {
+	for i, fn := range s.conds {
+		t, err := fn(nil, crow)
+		if err != nil {
+			return 0, err
+		}
+		if t == triTrue {
+			return i, nil
+		}
+	}
+	return len(s.conds), nil
+}
+
 // sweepCompiler drives sweep vectorization, delegating scalar subtree
 // compilation to two compilers: c gives the stable subtrees inside
 // fallback nodes cache slots (a fallback runs its closure once per lane),
-// while stable compiles broadcast subtrees and stable ternary conditions
-// without slots — the vectorized sweep evaluates each of those once per
-// row, so a slot would only add a check and a store.
+// while stable compiles broadcast subtrees without slots — the vectorized
+// sweep evaluates each of those once per row, so a slot would only add a
+// check and a store.
 type sweepCompiler struct {
 	c       *compiler
 	stable  *compiler
@@ -444,64 +503,13 @@ func (s *sweepCompiler) isNull(x IsNull) (svFn, error) {
 	}, nil
 }
 
-// sweepArm is one stable-condition arm of a flat first-match chain.
-type sweepArm struct {
-	cond triFn
-	then svFn
-}
-
-// ternary lowers cond ? then : else. The protocol constraints are chains
-// of these, right-nested down the Else branches, with sweep-stable rule
-// conditions: such a run compiles to one first-match loop that evaluates
-// each condition once per row and descends only the first arm that holds,
-// with the remaining Else compiled normally. The first condition that
-// reads the sweep column ends the run; that ternary evaluates all three
-// lane vectors and selects, with all-true/all-other short-circuits.
+// ternary lowers cond ? then : else: all three lane vectors are evaluated
+// and selected per lane, with all-true/all-other short-circuits. A
+// sweep-stable condition broadcasts one truth value to every lane, so such
+// a ternary descends only the branch it takes. (The solver does not send
+// the protocols' rule chains through here: their stable conditions become
+// a Selector, evaluated once per row for all chains that share them.)
 func (s *sweepCompiler) ternary(x Ternary) (svFn, error) {
-	var arms []sweepArm
-	var rest Expr = x
-	for {
-		t, ok := rest.(Ternary)
-		if !ok {
-			break
-		}
-		reads, err := s.readsSweep(t.Cond)
-		if err != nil {
-			return nil, err
-		}
-		if reads {
-			break
-		}
-		cond, _, err := s.stable.bool(t.Cond)
-		if err != nil {
-			return nil, err
-		}
-		then, err := s.comp(t.Then)
-		if err != nil {
-			return nil, err
-		}
-		arms = append(arms, sweepArm{cond: cond, then: then})
-		rest = t.Else
-	}
-	if len(arms) > 0 {
-		els, err := s.comp(rest)
-		if err != nil {
-			return nil, err
-		}
-		return func(in *Instance, crow []uint32, domain []uint32, out []tri) error {
-			for _, a := range arms {
-				t, err := a.cond(in, crow)
-				if err != nil {
-					return err
-				}
-				// Unknown behaves as false: the else branch (paper's ternary).
-				if t == triTrue {
-					return a.then(in, crow, domain, out)
-				}
-			}
-			return els(in, crow, domain, out)
-		}, nil
-	}
 	cond, err := s.comp(x.Cond)
 	if err != nil {
 		return nil, err

@@ -213,7 +213,7 @@ func TestSweepVecMatchesScalarSweep(t *testing.T) {
 				for i := range keep {
 					keep[i] = true
 				}
-				if _, err := sp.EvalSweepTrue(vin, crow, domain, keep); err != nil {
+				if _, err := sp.EvalSweepTrue(vin, 0, crow, domain, keep); err != nil {
 					t.Fatalf("trial %d strict=%v: EvalSweepTrue of %s: %v", trial, strict, e, err)
 				}
 				for di, d := range domain {
@@ -248,7 +248,7 @@ func boomFunc(args []rel.Value) (rel.Value, error) {
 // randChain builds a right-nested first-match chain of n arms, the shape
 // the rule compiler emits, over names with names[sweep] as the swept
 // column. Most conditions are stable and rarely true, so long chains are
-// walked deep; the rest read the sweep column (ending a flat run), come out
+// walked deep; the rest read the sweep column (ending a stable run), come out
 // Unknown (a bare column, or a compare with NULL in the strict dialect), or
 // call boom over a stable column. Then-arms compare the sweep column or,
 // while depth allows, nest a shorter chain.
@@ -297,11 +297,31 @@ func randChain(rng *rand.Rand, names []string, sweep, n, depth int) Expr {
 	return e
 }
 
-// testSweepVecChains cross-checks the flat first-match lowering of rule
-// chains: seeded random chains of 1–600 arms, in both NULL dialects, must
-// give the vectorized sweep, the scalar sweep and the tree-walking
-// Evaluator the same verdict on every lane — and the same error whenever a
-// stable condition's function call fails.
+// splitChain reads e as the constraint solver does: the conditions of its
+// leading right-nested ternary arms that do not read the sweep column, the
+// arms' then branches, and the rest of the chain as the last branch.
+func splitChain(e Expr, sweepCol string) (conds, branches []Expr) {
+	for {
+		t, ok := e.(Ternary)
+		if !ok {
+			break
+		}
+		if _, reads := Columns(t.Cond)[sweepCol]; reads {
+			break
+		}
+		conds = append(conds, t.Cond)
+		branches = append(branches, t.Then)
+		e = t.Else
+	}
+	return conds, append(branches, e)
+}
+
+// testSweepVecChains cross-checks three lowerings of rule chains: seeded
+// random chains of 1–600 arms, in both NULL dialects, must give the
+// vectorized sweep of the whole chain, the scalar sweep, the tree-walking
+// Evaluator, and a Selector over the leading stable conditions followed by
+// the chosen branch of CompileSweepBranches the same verdict on every lane
+// — and the same error whenever a condition's function call fails.
 func testSweepVecChains(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	names := []string{"a", "b", "c", "d"}
@@ -321,12 +341,22 @@ func testSweepVecChains(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d strict=%v: sweep compile: %v", trial, strict, err)
 			}
-			vin, sin := sp.Instance(), prog.Instance()
+			conds, branches := splitChain(e, names[sweep])
+			sel, err := ev.CompileSelector(conds, ix)
+			if err != nil {
+				t.Fatalf("trial %d strict=%v: selector compile: %v", trial, strict, err)
+			}
+			bp, err := ev.CompileSweepBranches(branches, ix, sweep)
+			if err != nil {
+				t.Fatalf("trial %d strict=%v: branches compile: %v", trial, strict, err)
+			}
+			vin, sin, bin := sp.Instance(), prog.Instance(), bp.Instance()
 			domain := make([]uint32, 1+rng.Intn(6))
 			for i := range domain {
 				domain[i] = dict.Code(vecTestValues[rng.Intn(len(vecTestValues))])
 			}
 			keep := make([]bool, len(domain))
+			bkeep := make([]bool, len(domain))
 			crow := make([]uint32, len(names))
 			env := make(MapEnv, len(names))
 			for row := 0; row < 6; row++ {
@@ -336,10 +366,16 @@ func testSweepVecChains(t *testing.T) {
 				}
 				vin.NextRow()
 				sin.NextRow()
+				bin.NextRow()
 				for i := range keep {
 					keep[i] = true
+					bkeep[i] = true
 				}
-				_, verr := sp.EvalSweepTrue(vin, crow, domain, keep)
+				_, verr := sp.EvalSweepTrue(vin, 0, crow, domain, keep)
+				arm, berr := sel.Select(crow)
+				if berr == nil {
+					_, berr = bp.EvalSweepTrue(bin, arm, crow, domain, bkeep)
+				}
 				var laneErr error
 				for di, d := range domain {
 					crow[sweep] = d
@@ -358,9 +394,16 @@ func testSweepVecChains(t *testing.T) {
 						t.Fatalf("trial %d strict=%v row %d lane %d: vectorized=%v evaluator=%v",
 							trial, strict, row, di, keep[di], want)
 					}
+					if berr == nil && bkeep[di] != want {
+						t.Fatalf("trial %d strict=%v row %d lane %d: selector arm %d of %d gives %v, evaluator %v",
+							trial, strict, row, di, arm, len(conds), bkeep[di], want)
+					}
 				}
 				if fmt.Sprint(verr) != fmt.Sprint(laneErr) {
 					t.Fatalf("trial %d strict=%v row %d: vectorized error %v, lane error %v", trial, strict, row, verr, laneErr)
+				}
+				if fmt.Sprint(berr) != fmt.Sprint(laneErr) {
+					t.Fatalf("trial %d strict=%v row %d: selector path error %v, lane error %v", trial, strict, row, berr, laneErr)
 				}
 				if verr != nil {
 					errRows++

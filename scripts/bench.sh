@@ -65,7 +65,7 @@ echo "== race-detector storage-engine tests =="
 go test -race ./internal/rel/...
 
 echo "== race-detector solver tests =="
-go test -race -run 'TestSolve|TestMonolithic|TestConcurrentSolves|TestQuickSolveEqualsMonolithic|TestBatchCursor|TestCompiledPredConcurrentUse|TestVectorizedSweepMatchesScalar' \
+go test -race -run 'TestSolve|TestMonolithic|TestConcurrentSolves|TestQuickSolveEqualsMonolithic|TestBatchCursor|TestCompiledPredConcurrentUse|TestVectorizedSweepMatchesScalar|TestQuickSharedChainsMatchOracles|TestIncrementalMemberLeavesFamily|TestArmSelectionsOncePerRow|TestFamilySplit|TestFamilySelectionErrors' \
     ./internal/constraint/ ./internal/sqlmini/
 
 echo "== race-detector parallel-executor tests =="
