@@ -407,6 +407,49 @@ func BenchmarkMapAndReconstruct(b *testing.B) {
 	}
 }
 
+// BenchmarkMapPhase splits the push-button run's map phase into its steps:
+// partitioning ED into the nine implementation tables, the reconstruction
+// check, the executable equivalence check (every ED row routed through the
+// nine tables) and the implementation invariant suite, beside the whole
+// phase as core.MapToHardware runs it on a fresh pipeline.
+func BenchmarkMapPhase(b *testing.B) {
+	d := pipeline(b).DB.MustTable(protocol.DirectoryTable)
+	db := sqlmini.NewDB()
+	m, err := hwmap.Partition(db, d)
+	if err != nil {
+		b.Fatal(err)
+	}
+	steps := []struct {
+		name string
+		run  func() error
+	}{
+		{"partition", func() error { _, err := hwmap.Partition(sqlmini.NewDB(), d); return err }},
+		{"verify", func() error { _, err := m.Verify(); return err }},
+		{"equivalence", m.VerifyEquivalence},
+		{"impl-suite", func() error {
+			if sum := check.Summarize(check.ImplementationSuite().Run(db, check.Options{})); sum.Failed+sum.Errors > 0 {
+				return fmt.Errorf("implementation suite: %s", sum)
+			}
+			return nil
+		}},
+		{"map-to-hardware", func() error {
+			p := core.New()
+			p.DB.PutTable(d)
+			return p.MapToHardware()
+		}},
+	}
+	for _, st := range steps {
+		b.Run(st.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := st.run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // --- A3: explicit-state model checking vs SQL static analysis ------------
 // The paper (§4.2): model checkers can find such deadlocks but hit state
 // explosion. The same Fig. 4 configuration is checked both ways; the SQL

@@ -122,13 +122,14 @@ func (p *Pipeline) Observe(t obs.Tracer, m *obs.Registry) {
 	p.DB.SetMetrics(m)
 }
 
-// phase starts timing a pipeline phase. The returned func must be
-// deferred: it records the phase's Elapsed even when the phase fails,
-// finishes the phase span, and observes the phase-duration histogram.
-func (p *Pipeline) phase(name string) func() {
+// phase starts timing a pipeline phase and returns its span, the parent
+// of any step spans. The returned func must be deferred: it records the
+// phase's Elapsed even when the phase fails, finishes the phase span, and
+// observes the phase-duration histogram.
+func (p *Pipeline) phase(name string) (*obs.Span, func()) {
 	start := time.Now()
 	span := obs.StartSpan(p.Tracer, "pipeline."+name)
-	return func() {
+	return span, func() {
 		d := time.Since(start)
 		p.Report.Elapsed[name] = d
 		span.Finish()
@@ -169,7 +170,8 @@ func Run(opts Options) (*Pipeline, error) {
 
 // Generate builds all eight controller tables into the database.
 func (p *Pipeline) Generate() error {
-	defer p.phase("generate")()
+	_, done := p.phase("generate")
+	defer done()
 	stats, err := protocol.GenerateAllOpts(p.DB, constraint.Options{
 		Workers: p.Workers,
 		Tracer:  p.Tracer,
@@ -184,7 +186,8 @@ func (p *Pipeline) Generate() error {
 
 // CheckInvariants runs the ~50-invariant static suite.
 func (p *Pipeline) CheckInvariants(workers int) error {
-	defer p.phase("invariants")()
+	_, done := p.phase("invariants")
+	defer done()
 	results := check.ProtocolSuite().Run(p.DB, check.Options{Workers: workers, Tracer: p.Tracer, Metrics: p.Metrics})
 	p.Report.Invariants = results
 	p.Report.InvariantSummary = check.Summarize(results)
@@ -198,7 +201,8 @@ func (p *Pipeline) CheckInvariants(workers int) error {
 // assignment must be cycle free. workers bounds composition parallelism
 // (0 means the analyzer's default).
 func (p *Pipeline) CheckDeadlocks(order []string, workers int) error {
-	defer p.phase("deadlock")()
+	_, done := p.phase("deadlock")
+	defer done()
 	if len(order) == 0 {
 		order = protocol.AssignmentNames()
 	}
@@ -232,15 +236,35 @@ func (p *Pipeline) CheckDeadlocks(order []string, workers int) error {
 }
 
 // MapToHardware builds ED, partitions it into the nine implementation
-// tables and verifies the reconstruction.
+// tables and verifies the reconstruction. Its steps report as the
+// hwmap.partition, hwmap.verify and hwmap.equivalence children of the
+// phase span.
 func (p *Pipeline) MapToHardware() error {
-	defer p.phase("mapping")()
+	span, done := p.phase("mapping")
+	defer done()
 	d, ok := p.DB.Table(protocol.DirectoryTable)
 	if !ok {
 		return fmt.Errorf("core: table D not generated yet")
 	}
-	m, reused, err := p.partitioner.PartitionIncremental(p.DB, d)
-	if err != nil {
+	var m *hwmap.Mapping
+	step := func(name string, f func() error) error {
+		sp := span.Child(name)
+		defer sp.Finish()
+		err := f()
+		if sp != nil && m != nil {
+			impl := 0
+			for _, t := range m.Tables {
+				impl += t.NumRows()
+			}
+			sp.SetAttr(obs.Int("ed_rows", m.Extended.NumRows()), obs.Int("impl_rows", impl))
+		}
+		return err
+	}
+	var reused bool
+	if err := step("hwmap.partition", func() (err error) {
+		m, reused, err = p.partitioner.PartitionIncremental(p.DB, d)
+		return err
+	}); err != nil {
 		return err
 	}
 	if reused && p.Report.Mapping == m && p.Report.ImplChecks != nil {
@@ -248,10 +272,10 @@ func (p *Pipeline) MapToHardware() error {
 		// implementation tables, and their checks are all still valid.
 		return nil
 	}
-	if _, err := m.Verify(); err != nil {
+	if err := step("hwmap.verify", func() error { _, err := m.Verify(); return err }); err != nil {
 		return err
 	}
-	if err := m.VerifyEquivalence(); err != nil {
+	if err := step("hwmap.equivalence", m.VerifyEquivalence); err != nil {
 		return err
 	}
 	p.Report.Mapping = m

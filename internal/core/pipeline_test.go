@@ -4,10 +4,12 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
+	"coherdb/internal/obs"
 	"coherdb/internal/protocol"
 	"coherdb/internal/rel"
 )
@@ -156,5 +158,59 @@ func TestRunStopsAtFailingPhase(t *testing.T) {
 	})
 	if !errors.Is(err, ErrStillDeadlocked) {
 		t.Fatalf("err = %v, want ErrStillDeadlocked", err)
+	}
+}
+
+// TestMapPhaseSpans checks the map phase's per-step attribution: one
+// hwmap.partition, hwmap.verify and hwmap.equivalence span each, children
+// of the pipeline.mapping span and inside it, with ED's and the nine
+// implementation tables' row counts.
+func TestMapPhaseSpans(t *testing.T) {
+	c := obs.NewCollector(1 << 16)
+	p := New()
+	p.Observe(c, nil)
+	if err := p.Generate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.MapToHardware(); err != nil {
+		t.Fatal(err)
+	}
+	var phase *obs.Span
+	steps := map[string][]obs.Span{}
+	for _, sp := range c.Spans() {
+		switch sp.Name {
+		case "pipeline.mapping":
+			phase = &sp
+		case "hwmap.partition", "hwmap.verify", "hwmap.equivalence":
+			steps[sp.Name] = append(steps[sp.Name], sp)
+		}
+	}
+	if phase == nil {
+		t.Fatal("no pipeline.mapping span")
+	}
+	m := p.Report.Mapping
+	impl := 0
+	for _, tab := range m.Tables {
+		impl += tab.NumRows()
+	}
+	for _, name := range []string{"hwmap.partition", "hwmap.verify", "hwmap.equivalence"} {
+		got := steps[name]
+		if len(got) != 1 {
+			t.Fatalf("%d %s spans, want 1", len(got), name)
+		}
+		sp := got[0]
+		if sp.ParentID != phase.ID {
+			t.Errorf("%s: parent %d, want pipeline.mapping (%d)", name, sp.ParentID, phase.ID)
+		}
+		if sp.Start.Before(phase.Start) || sp.End.After(phase.End) {
+			t.Errorf("%s [%v, %v] is not inside pipeline.mapping [%v, %v]", name, sp.Start, sp.End, phase.Start, phase.End)
+		}
+		attrs := map[string]string{}
+		for _, a := range sp.Attrs {
+			attrs[a.Key] = a.Value
+		}
+		if attrs["ed_rows"] != strconv.Itoa(m.Extended.NumRows()) || attrs["impl_rows"] != strconv.Itoa(impl) {
+			t.Errorf("%s: attrs %v, want ed_rows=%d impl_rows=%d", name, attrs, m.Extended.NumRows(), impl)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package hwmap
 
 import (
+	"errors"
 	"fmt"
 
 	"coherdb/internal/protocol"
@@ -13,159 +14,98 @@ import (
 // the same input key, and the per-table outputs are combined. It is the
 // software twin of the generated hardware and the basis of the
 // table-vs-implementation equivalence check.
+//
+// Each table is matched the way the hardware does: a TCAM-style ternary
+// match (rel.Matcher) in which a NULL input cell is a dontcare (§3: the
+// NULL value "helps in optimal mapping of tables to hardware") and the
+// most specific matching row wins. Keys and outputs are dictionary codes.
 type Controller struct {
-	request  []*implLookup
-	response []*implLookup
+	dict     *rel.Dict
+	request  []implTable
+	response []implTable
+	// pos maps each output column to its slot in an output tuple.
+	pos map[string]int
 }
 
-// implLookup matches one implementation table the way the hardware does: a
-// TCAM-style ternary match in which a NULL input cell is a dontcare (§3:
-// the NULL value "helps in optimal mapping of tables to hardware"). Rows
-// are bucketed by the incoming message; the most specific matching row
-// (fewest dontcares) wins.
-type implLookup struct {
-	name    string
-	outCols []string
-	inIdx   []int
-	outIdx  []int
-	tab     *rel.Table
-	// inCodes holds the input columns as zero-copy dictionary-code vectors
-	// so the ternary match is integer compares. byMsg stays keyed by
-	// Str() — S("") and NULL collide under it, and that looseness is part
-	// of the matcher's observed behaviour.
-	inCodes [][]uint32
-	byMsg   map[string][]int
-}
-
-// noCode marks an input value absent from the dictionary: no table cell
-// can equal it, so it never matches a non-dontcare cell.
-const noCode = ^uint32(0)
-
-func newImplLookup(t *rel.Table) (*implLookup, error) {
-	l := &implLookup{name: t.Name(), tab: t, byMsg: make(map[string][]int)}
-	l.inIdx = make([]int, len(edInputCols))
-	l.inCodes = make([][]uint32, len(edInputCols))
-	for i, c := range edInputCols {
-		j := t.ColIndex(c)
-		if j < 0 {
-			return nil, fmt.Errorf("hwmap: implementation table %q lacks input %q", t.Name(), c)
-		}
-		l.inIdx[i] = j
-		l.inCodes[i] = t.ColCodes(j)
-	}
-	l.outCols = t.Columns()[len(edInputCols):]
-	l.outIdx = make([]int, len(l.outCols))
-	for i, c := range l.outCols {
-		l.outIdx[i] = t.ColIndex(c)
-	}
-	msgIdx := t.ColIndex("inmsg")
-	exact := map[string]int{}
-	for r := 0; r < t.NumRows(); r++ {
-		msg := t.At(r, msgIdx).Str()
-		l.byMsg[msg] = append(l.byMsg[msg], r)
-		key := t.RowKey(r, l.inIdx)
-		if prev, dup := exact[key]; dup {
-			same := true
-			for _, j := range l.outIdx {
-				if t.CodeAt(prev, j) != t.CodeAt(r, j) {
-					same = false
-					break
-				}
-			}
-			if !same {
-				return nil, fmt.Errorf("hwmap: table %q is nondeterministic for one input", t.Name())
-			}
-			continue
-		}
-		exact[key] = r
-	}
-	return l, nil
-}
-
-// match finds the most specific row matching the inputs (NULL row cells are
-// dontcares) and returns its outputs. The inputs encode once through a
-// read-only dictionary probe; candidate rows then score with integer
-// compares against the column code vectors.
-func (l *implLookup) match(inputs map[string]rel.Value) ([]rel.Value, bool) {
-	d := l.tab.Dict()
-	bcodes := make([]uint32, len(l.inIdx))
-	for i := range l.inIdx {
-		if c, ok := d.LookupCode(inputs[edInputCols[i]]); ok {
-			bcodes[i] = c
-		} else {
-			bcodes[i] = noCode
-		}
-	}
-	best, bestScore := -1, -1
-	for _, r := range l.byMsg[inputs["inmsg"].Str()] {
-		score := 0
-		ok := true
-		for i := range l.inIdx {
-			want := l.inCodes[i][r]
-			if want == rel.NullCode {
-				continue
-			}
-			if want != bcodes[i] {
-				ok = false
-				break
-			}
-			score++
-		}
-		if ok && score > bestScore {
-			best, bestScore = r, score
-		}
-	}
-	if best < 0 {
-		return nil, false
-	}
-	outs := make([]rel.Value, len(l.outIdx))
-	for i, j := range l.outIdx {
-		outs[i] = l.tab.At(best, j)
-	}
-	return outs, true
+// implTable is one implementation table compiled for lookup: out holds
+// its output columns' code vectors and slot their output-tuple slots.
+type implTable struct {
+	match *rel.Matcher
+	out   [][]uint32
+	slot  []int
 }
 
 // NewController builds the executable controller from a mapping.
 func NewController(m *Mapping) (*Controller, error) {
-	c := &Controller{}
+	c := &Controller{dict: rel.SharedDict(), pos: map[string]int{}}
 	for i, t := range m.Tables {
-		l, err := newImplLookup(t)
+		match, err := rel.NewMatcher(t, edInputCols)
+		if errors.Is(err, rel.ErrNondeterministic) {
+			return nil, fmt.Errorf("hwmap: table %q is nondeterministic for one input", t.Name())
+		}
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("hwmap: implementation table %q: %w", t.Name(), err)
+		}
+		it := implTable{match: match}
+		for j, col := range t.ColumnsRef()[len(edInputCols):] {
+			p, ok := c.pos[col]
+			if !ok {
+				p = len(c.pos)
+				c.pos[col] = p
+			}
+			it.out = append(it.out, t.ColCodes(len(edInputCols)+j))
+			it.slot = append(it.slot, p)
 		}
 		if i < len(requestOutputGroups) {
-			c.request = append(c.request, l)
+			c.request = append(c.request, it)
 		} else {
-			c.response = append(c.response, l)
+			c.response = append(c.response, it)
 		}
 	}
 	return c, nil
 }
 
-// Lookup routes one input combination through the split controller and
-// returns the combined outputs keyed by column name. The boolean reports
+// InputColumns returns ED's input columns: the order of a lookup key.
+func InputColumns() []string { return append([]string(nil), edInputCols...) }
+
+// Lookup routes one input combination through the split controller. key
+// holds one code per ED input column, in InputColumns order. The combined
+// outputs come back as one code per output column, NULL where no matched
+// table produces the column; read them with Output. The boolean reports
 // whether any table matched.
-func (c *Controller) Lookup(inputs map[string]rel.Value) (map[string]rel.Value, bool) {
+func (c *Controller) Lookup(key []uint32) ([]uint32, bool) {
 	tables := c.response
-	if protocol.IsRequest(inputs["inmsg"].Str()) {
+	if key[0] != rel.NoCode && protocol.IsRequest(c.dict.Value(key[0]).Str()) {
 		tables = c.request
 	}
-	out := map[string]rel.Value{}
+	out := make([]uint32, len(c.pos))
+	return out, c.lookup(tables, key, out)
+}
+
+// lookup matches key against tables and writes their outputs into out.
+func (c *Controller) lookup(tables []implTable, key, out []uint32) bool {
+	clear(out)
 	matched := false
-	for _, l := range tables {
-		vals, ok := l.match(inputs)
-		if !ok {
+	for _, t := range tables {
+		r := t.match.Match(key)
+		if r < 0 {
 			continue
 		}
 		matched = true
-		for i, col := range l.outCols {
-			out[col] = vals[i]
+		for i, col := range t.out {
+			out[t.slot[i]] = col[r]
 		}
 	}
-	if !matched {
-		return nil, false
+	return matched
+}
+
+// Output decodes column col of a Lookup result; a column no table
+// produces reads as NULL.
+func (c *Controller) Output(out []uint32, col string) rel.Value {
+	if p, ok := c.pos[col]; ok {
+		return c.dict.Value(out[p])
 	}
-	return out, true
+	return rel.Null()
 }
 
 // VerifyEquivalence proves the split controller behaves exactly like the
@@ -173,34 +113,63 @@ func (c *Controller) Lookup(inputs map[string]rel.Value) (map[string]rel.Value, 
 // implementation tables reproduces every output column. This is the §5
 // guarantee — "the debugged tables must be mapped to an implementation
 // while preserving all the properties established by static analyses" —
-// checked executably rather than by reconstruction alone.
+// checked executably rather than by reconstruction alone. ED's input code
+// columns stream straight into the matchers; under the shared dictionary
+// code equality is Value.Equal, so values are decoded only to report a
+// failure.
 func (m *Mapping) VerifyEquivalence() error {
 	ctrl, err := NewController(m)
 	if err != nil {
 		return err
 	}
 	ed := m.Extended
-	for i := 0; i < ed.NumRows(); i++ {
-		inputs := map[string]rel.Value{}
-		for _, col := range edInputCols {
-			inputs[col] = ed.Get(i, col)
+	in := make([][]uint32, len(edInputCols))
+	for k, col := range edInputCols {
+		in[k] = ed.ColCodes(ed.ColIndex(col))
+	}
+	type outCheck struct {
+		col  string
+		want []uint32
+		slot int // -1 when no table produces the column
+	}
+	var checks []outCheck
+	for j, col := range ed.ColumnsRef() {
+		if !isOutputCol(col) && col != ColFdback {
+			continue
 		}
-		got, ok := ctrl.Lookup(inputs)
+		slot, ok := ctrl.pos[col]
 		if !ok {
+			slot = -1
+		}
+		checks = append(checks, outCheck{col, ed.ColCodes(j), slot})
+	}
+	key := make([]uint32, len(edInputCols))
+	out := make([]uint32, len(ctrl.pos))
+	isReq := map[uint32]bool{}
+	for i := 0; i < ed.NumRows(); i++ {
+		for k, col := range in {
+			key[k] = col[i]
+		}
+		req, seen := isReq[key[0]]
+		if !seen {
+			req = protocol.IsRequest(ed.Dict().Value(key[0]).Str())
+			isReq[key[0]] = req
+		}
+		tables := ctrl.response
+		if req {
+			tables = ctrl.request
+		}
+		if !ctrl.lookup(tables, key, out) {
 			return fmt.Errorf("%w: row %d has no implementation behaviour", ErrBroken, i)
 		}
-		for _, col := range ed.Columns() {
-			if !isOutputCol(col) && col != ColFdback {
-				continue
+		for _, ch := range checks {
+			have := rel.NullCode
+			if ch.slot >= 0 {
+				have = out[ch.slot]
 			}
-			want := ed.Get(i, col)
-			have, present := got[col]
-			if !present {
-				have = rel.Null()
-			}
-			if !have.Equal(want) {
+			if want := ch.want[i]; have != want {
 				return fmt.Errorf("%w: row %d column %s: implementation says %v, table says %v",
-					ErrBroken, i, col, have, want)
+					ErrBroken, i, ch.col, ed.Dict().Value(have), ed.Dict().Value(want))
 			}
 		}
 	}

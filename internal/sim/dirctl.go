@@ -26,10 +26,10 @@ type busyEntry struct {
 
 // dirCtl executes the generated directory table D.
 type dirCtl struct {
-	sys  *System
-	core *tableCore
-	dir  map[Addr]*dirEntry
-	busy map[Addr]*busyEntry
+	sys   *System
+	match *rel.Matcher
+	dir   map[Addr]*dirEntry
+	busy  map[Addr]*busyEntry
 }
 
 var dirInputs = []string{
@@ -37,20 +37,40 @@ var dirInputs = []string{
 	"bdirhit", "bdirst", "bdirpv", "dirhit", "dirst", "dirpv",
 }
 
+// Positions in a directory key: D's inputs in dirInputs order, then the
+// two Figure 5 queue statuses, which only the implementation binds.
+const (
+	kInmsg = iota
+	kInmsgsrc
+	kInmsgdest
+	kInmsgrsrc
+	kBdirhit
+	kBdirst
+	kBdirpv
+	kDirhit
+	kDirst
+	kDirpv
+	kQstatus
+	kDqstatus
+	dirKeyLen
+)
+
+// dirKey is one directory lookup's input codes; zero slots are NULL.
+type dirKey [dirKeyLen]uint32
+
 func newDirCtl(s *System, tab *rel.Table) (*dirCtl, error) {
 	if tab == nil {
 		return nil, fmt.Errorf("%w: D", ErrBadTable)
 	}
-	core, err := newTableCore(tab, dirInputs)
+	m, err := rel.NewMatcher(tab, dirInputs)
 	if err != nil {
 		return nil, err
 	}
-	core.hits = &s.stats.Transitions
 	return &dirCtl{
-		sys:  s,
-		core: core,
-		dir:  make(map[Addr]*dirEntry),
-		busy: make(map[Addr]*busyEntry),
+		sys:   s,
+		match: m,
+		dir:   make(map[Addr]*dirEntry),
+		busy:  make(map[Addr]*busyEntry),
 	}, nil
 }
 
@@ -99,27 +119,28 @@ var snoopResponseSet = map[string]bool{
 	"idone": true, "sdone": true, "sdata": true, "swbdata": true, "intrack": true,
 }
 
-// srcRole computes the role the sender plays for this message, mirroring
+// srcRole codes the role the sender plays for this message, mirroring
 // the table's inmsgsrc constraint.
-func (d *dirCtl) srcRole(msg Message) string {
+func (d *dirCtl) srcRole(msg Message) uint32 {
 	switch {
 	case snoopResponseSet[msg.Type]:
-		return protocol.RoleRemote
+		return d.sys.sym.remote
 	case msg.From == Mem:
-		return protocol.RoleHome
+		return d.sys.sym.home
 	default:
-		return protocol.RoleLocal
+		return d.sys.sym.local
 	}
 }
 
-func pvOf(st string) string {
+// pvOf codes the presence vector a stable directory state implies.
+func (d *dirCtl) pvOf(st string) uint32 {
 	switch st {
 	case protocol.DirSI:
-		return protocol.PVGone
+		return d.sys.sym.pvGone
 	case protocol.DirMESI:
-		return protocol.PVOne
+		return d.sys.sym.pvOne
 	default:
-		return protocol.PVZero
+		return d.sys.sym.pvZero
 	}
 }
 
@@ -132,51 +153,41 @@ var cacheableSet = func() map[string]bool {
 }()
 
 // rowGetter abstracts a matched controller row: rel.Row satisfies it, and
-// so does the implementation controller's output map.
+// so does the implementation controller's output tuple (implRow).
 type rowGetter interface {
 	Get(col string) rel.Value
 }
 
-// mapRow adapts a column->value map to rowGetter.
-type mapRow map[string]rel.Value
-
-// Get implements rowGetter; absent columns read as NULL.
-func (m mapRow) Get(col string) rel.Value { return m[col] }
-
-// bindingFor builds the D-table input binding for one message, together
-// with the current busy and directory entries.
-func (d *dirCtl) bindingFor(msg Message) (map[string]rel.Value, *busyEntry, *dirEntry, error) {
+// keyFor builds the D-table input key for one message, together with the
+// current busy and directory entries.
+func (d *dirCtl) keyFor(msg Message) (dirKey, *busyEntry, *dirEntry, error) {
 	isReq := protocol.IsRequest(msg.Type)
 	be := d.busy[msg.Addr]
 	de := d.dir[msg.Addr]
+	sym := d.sys.sym
 
-	binding := map[string]rel.Value{
-		"inmsg":     rel.S(msg.Type),
-		"inmsgsrc":  rel.S(d.srcRole(msg)),
-		"inmsgdest": rel.S(protocol.RoleHome),
-		"inmsgrsrc": rel.S(protocol.QResp),
-		"bdirhit":   rel.S("miss"),
-		"bdirst":    rel.S(protocol.DirI),
-		"bdirpv":    rel.Null(),
-		"dirhit":    rel.Null(),
-		"dirst":     rel.Null(),
-		"dirpv":     rel.Null(),
-	}
+	var key dirKey
+	key[kInmsg] = sym.code(msg.Type)
+	key[kInmsgsrc] = d.srcRole(msg)
+	key[kInmsgdest] = sym.home
+	key[kInmsgrsrc] = sym.respQ
+	key[kBdirhit] = sym.miss
+	key[kBdirst] = sym.dirI
 	if isReq {
-		binding["inmsgrsrc"] = rel.S(protocol.QReq)
+		key[kInmsgrsrc] = sym.reqQ
 	}
 	if be != nil {
-		binding["bdirhit"] = rel.S("hit")
-		binding["bdirst"] = rel.S(be.st)
+		key[kBdirhit] = sym.hit
+		key[kBdirst] = sym.code(be.st)
 		if msg.Type == "idone" {
 			if be.pending <= 1 {
-				binding["bdirpv"] = rel.S(protocol.PVOne)
+				key[kBdirpv] = sym.pvOne
 			} else {
-				binding["bdirpv"] = rel.S(protocol.PVGone)
+				key[kBdirpv] = sym.pvGone
 			}
 		}
 	} else if !isReq {
-		return nil, nil, nil, fmt.Errorf("sim: response %s with no busy entry", msg)
+		return key, nil, nil, fmt.Errorf("sim: response %s with no busy entry", msg)
 	}
 	if isReq && be == nil && cacheableSet[msg.Type] {
 		st := protocol.DirI
@@ -199,14 +210,14 @@ func (d *dirCtl) bindingFor(msg Message) (map[string]rel.Value, *busyEntry, *dir
 			}
 		}
 		if st == protocol.DirI {
-			binding["dirhit"] = rel.S("miss")
+			key[kDirhit] = sym.miss
 		} else {
-			binding["dirhit"] = rel.S("hit")
+			key[kDirhit] = sym.hit
 		}
-		binding["dirst"] = rel.S(st)
-		binding["dirpv"] = rel.S(pvOf(st))
+		key[kDirst] = sym.code(st)
+		key[kDirpv] = d.pvOf(st)
 	}
-	return binding, be, de, nil
+	return key, be, de, nil
 }
 
 // requesterFor resolves the transaction's requester: the sender for
@@ -257,13 +268,13 @@ func (d *dirCtl) outputsFor(row rowGetter, msg Message, de *dirEntry, requester 
 // process consumes one message; it returns false (leaving the message at
 // the channel head) when the required output channel slots are unavailable.
 func (d *dirCtl) process(msg Message) (bool, error) {
-	binding, be, de, err := d.bindingFor(msg)
+	key, be, de, err := d.keyFor(msg)
 	if err != nil {
 		return false, err
 	}
-	row, ok := d.core.match(binding)
+	row, ok := d.sys.fire(d.match, key[:kQstatus])
 	if !ok {
-		return false, fmt.Errorf("%w: D input %v", ErrNoRow, describeBinding(binding))
+		return false, fmt.Errorf("%w: D input %v", ErrNoRow, d.sys.sym.describe(dirInputs, key[:kQstatus]))
 	}
 	requester := d.requesterFor(msg, be)
 	out, snoopTargets, loadWithNoTargets := d.outputsFor(row, msg, de, requester)
@@ -357,17 +368,4 @@ func (d *dirCtl) snoopTargets(msg Message, de *dirEntry, requester EntityID) []E
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-func describeBinding(b map[string]rel.Value) string {
-	keys := make([]string, 0, len(b))
-	for k := range b {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	s := ""
-	for _, k := range keys {
-		s += fmt.Sprintf("%s=%v ", k, b[k])
-	}
-	return s
 }

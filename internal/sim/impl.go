@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"coherdb/internal/hwmap"
 	"coherdb/internal/protocol"
@@ -29,6 +30,8 @@ type implDirCtl struct {
 	updqCap int
 	// The feedback path: deferred updates awaiting replay as Dfdback.
 	feedback []func()
+	// full and notFull code the queue statuses.
+	full, notFull uint32
 	// ImplStats counts implementation-path events.
 	ImplStats struct {
 		QFullRetries int
@@ -42,6 +45,9 @@ func newImplDirCtl(s *System, tab *rel.Table, m *hwmap.Mapping, outqCap, updqCap
 	if err != nil {
 		return nil, err
 	}
+	if !slices.Equal(implInputs, hwmap.InputColumns()) {
+		return nil, fmt.Errorf("%w: implementation inputs %v, want %v", ErrBadTable, hwmap.InputColumns(), implInputs)
+	}
 	ctrl, err := hwmap.NewController(m)
 	if err != nil {
 		return nil, err
@@ -52,24 +58,38 @@ func newImplDirCtl(s *System, tab *rel.Table, m *hwmap.Mapping, outqCap, updqCap
 	if updqCap <= 0 {
 		updqCap = 1
 	}
-	return &implDirCtl{dirCtl: base, ctrl: ctrl, outqCap: outqCap, updqCap: updqCap}, nil
+	return &implDirCtl{
+		dirCtl: base, ctrl: ctrl, outqCap: outqCap, updqCap: updqCap,
+		full: s.sym.code(hwmap.Full), notFull: s.sym.code(hwmap.NotFull),
+	}, nil
 }
 
-// qstatus computes the §5 Qstatus: Full if any of the locmsg, remmsg,
+// implInputs is the implementation's key order: D's inputs, then the
+// queue statuses (dirKey's layout, and hwmap.InputColumns).
+var implInputs = append(append([]string(nil), dirInputs...), hwmap.ColQstatus, hwmap.ColDqstatus)
+
+// implRow adapts the implementation controller's output tuple to rowGetter.
+type implRow struct {
+	ctrl *hwmap.Controller
+	out  []uint32
+}
+
+// Get implements rowGetter; columns no matched table produced read as NULL.
+func (r implRow) Get(col string) rel.Value { return r.ctrl.Output(r.out, col) }
+
+// qfull computes the §5 Qstatus: Full if any of the locmsg, remmsg,
 // memmsg or update queues is full.
-func (d *implDirCtl) qstatus() string {
-	if len(d.locq) >= d.outqCap || len(d.remq) >= d.outqCap ||
-		len(d.memq) >= d.outqCap || len(d.updq) >= d.updqCap {
-		return hwmap.Full
-	}
-	return hwmap.NotFull
+func (d *implDirCtl) qfull() bool {
+	return len(d.locq) >= d.outqCap || len(d.remq) >= d.outqCap ||
+		len(d.memq) >= d.outqCap || len(d.updq) >= d.updqCap
 }
 
-func (d *implDirCtl) dqstatus() string {
-	if len(d.updq) >= d.updqCap {
-		return hwmap.Full
+// status codes a queue status.
+func (d *implDirCtl) status(full bool) uint32 {
+	if full {
+		return d.full
 	}
-	return hwmap.NotFull
+	return d.notFull
 }
 
 // process consumes one message through the split request/response
@@ -77,29 +97,27 @@ func (d *implDirCtl) dqstatus() string {
 // even the row's queue demand cannot be met (e.g. a retry with a full
 // locmsg queue — exactly the blocking the Fig. 5 design minimizes).
 func (d *implDirCtl) process(msg Message) (bool, error) {
-	binding, be, de, err := d.bindingFor(msg)
+	key, be, de, err := d.keyFor(msg)
 	if err != nil {
 		return false, err
 	}
 	isReq := protocol.IsRequest(msg.Type)
 	if isReq {
-		binding[hwmap.ColQstatus] = rel.S(d.qstatus())
-		binding[hwmap.ColDqstatus] = rel.Null()
+		key[kQstatus] = d.status(d.qfull())
 	} else {
-		binding[hwmap.ColQstatus] = rel.Null()
-		binding[hwmap.ColDqstatus] = rel.S(d.dqstatus())
+		key[kDqstatus] = d.status(len(d.updq) >= d.updqCap)
 	}
-	outs, ok := d.ctrl.Lookup(binding)
+	outs, ok := d.ctrl.Lookup(key[:])
 	if !ok {
-		return false, fmt.Errorf("%w: implementation tables, input %v", ErrNoRow, describeBinding(binding))
+		return false, fmt.Errorf("%w: implementation tables, input %v", ErrNoRow, d.sys.sym.describe(implInputs, key[:]))
 	}
-	row := mapRow(outs)
+	row := implRow{d.ctrl, outs}
 	requester := d.requesterFor(msg, be)
 	batch, snoopTargets, loadWithNoTargets := d.outputsFor(row, msg, de, requester)
 	if !d.enqueueAll(batch) {
 		return false, nil
 	}
-	if isReq && binding[hwmap.ColQstatus].Equal(rel.S(hwmap.Full)) {
+	if isReq && key[kQstatus] == d.full {
 		d.ImplStats.QFullRetries++
 	}
 
@@ -112,16 +130,13 @@ func (d *implDirCtl) process(msg Message) (bool, error) {
 		// The deferred payload is what the un-deferred row would have
 		// written: look up the Dqstatus=NotFull variant.
 		d.ImplStats.Feedbacks++
-		free := make(map[string]rel.Value, len(binding))
-		for k, v := range binding {
-			free[k] = v
-		}
-		free[hwmap.ColDqstatus] = rel.S(hwmap.NotFull)
-		fullOuts, ok := d.ctrl.Lookup(free)
+		free := key
+		free[kDqstatus] = d.notFull
+		fullOuts, ok := d.ctrl.Lookup(free[:])
 		if !ok {
-			return false, fmt.Errorf("%w: no un-deferred variant for %v", ErrNoRow, describeBinding(binding))
+			return false, fmt.Errorf("%w: no un-deferred variant for %v", ErrNoRow, d.sys.sym.describe(implInputs, key[:]))
 		}
-		fullRow := mapRow(fullOuts)
+		fullRow := implRow{d.ctrl, fullOuts}
 		m, req := msg, requester
 		d.feedback = append(d.feedback, func() {
 			d.applyDirOnly(fullRow, m, req)
@@ -268,7 +283,7 @@ func (d *implDirCtl) tick() bool {
 		d.updq = d.updq[1:]
 		progressed = true
 	}
-	if len(d.feedback) > 0 && d.qstatus() == hwmap.NotFull {
+	if len(d.feedback) > 0 && !d.qfull() {
 		d.feedback[0]()
 		d.feedback = d.feedback[1:]
 		d.ImplStats.Replays++

@@ -13,8 +13,8 @@ import (
 // steer interleavings (the Fig. 4 deadlock needs a memory slower than the
 // snoop round trip).
 type memCtl struct {
-	sys  *System
-	core *tableCore
+	sys   *System
+	match *rel.Matcher
 	// firstSeen records when each pending message first reached a queue
 	// head, so latency is tracked per message even when several queues
 	// feed the controller.
@@ -30,12 +30,11 @@ func newMemCtl(s *System, tab *rel.Table) (*memCtl, error) {
 	if tab == nil {
 		return nil, fmt.Errorf("%w: M", ErrBadTable)
 	}
-	core, err := newTableCore(tab, memInputs)
+	m, err := rel.NewMatcher(tab, memInputs)
 	if err != nil {
 		return nil, err
 	}
-	core.hits = &s.stats.Transitions
-	return &memCtl{sys: s, core: core, firstSeen: make(map[Message]int)}, nil
+	return &memCtl{sys: s, match: m, firstSeen: make(map[Message]int)}, nil
 }
 
 func (m *memCtl) process(msg Message) (bool, error) {
@@ -51,16 +50,11 @@ func (m *memCtl) process(msg Message) (bool, error) {
 			return false, nil
 		}
 	}
-	binding := map[string]rel.Value{
-		"inmsg":     rel.S(msg.Type),
-		"inmsgsrc":  rel.S(protocol.RoleHome),
-		"inmsgdest": rel.S(protocol.RoleHome),
-		"inmsgrsrc": rel.S(protocol.QMem),
-		"bankst":    rel.S("ready"),
-	}
-	row, ok := m.core.match(binding)
+	sym := m.sys.sym
+	key := [...]uint32{sym.code(msg.Type), sym.home, sym.home, sym.memQ, sym.ready}
+	row, ok := m.sys.fire(m.match, key[:])
 	if !ok {
-		return false, fmt.Errorf("%w: M input %v", ErrNoRow, describeBinding(binding))
+		return false, fmt.Errorf("%w: M input %v", ErrNoRow, sym.describe(memInputs, key[:]))
 	}
 	var out []Message
 	for _, g := range []string{"dirmsg", "dirmsg2"} {

@@ -109,6 +109,7 @@ func (s *System) Clone() *System {
 		channels: make(map[string]*Channel, len(s.channels)),
 		stats:    s.stats,
 		step:     s.step,
+		sym:      s.sym,
 	}
 	c.stats.MaxOccupancy = map[string]int{}
 	if s.stats.DeliveredPerChannel != nil {
@@ -130,10 +131,10 @@ func (s *System) Clone() *System {
 	}
 	sd := s.dir.base()
 	cd := &dirCtl{
-		sys:  c,
-		core: sd.core,
-		dir:  make(map[Addr]*dirEntry, len(sd.dir)),
-		busy: make(map[Addr]*busyEntry, len(sd.busy)),
+		sys:   c,
+		match: sd.match,
+		dir:   make(map[Addr]*dirEntry, len(sd.dir)),
+		busy:  make(map[Addr]*busyEntry, len(sd.busy)),
 	}
 	for a, e := range sd.dir {
 		ne := &dirEntry{st: e.st, sharers: make(map[EntityID]bool, len(e.sharers))}
@@ -147,7 +148,7 @@ func (s *System) Clone() *System {
 		cd.busy[a] = &nb
 	}
 	c.dir = cd
-	c.mem = &memCtl{sys: c, core: s.mem.core, firstSeen: make(map[Message]int, len(s.mem.firstSeen))}
+	c.mem = &memCtl{sys: c, match: s.mem.match, firstSeen: make(map[Message]int, len(s.mem.firstSeen))}
 	for k, v := range s.mem.firstSeen {
 		c.mem.firstSeen[k] = v
 	}
@@ -156,8 +157,8 @@ func (s *System) Clone() *System {
 			sys:         c,
 			id:          n.id,
 			eid:         n.eid,
-			cacheCore:   n.cacheCore,
-			mshrCore:    n.mshrCore,
+			cacheMatch:  n.cacheMatch,
+			mshrMatch:   n.mshrMatch,
 			cache:       make(map[Addr]string, len(n.cache)),
 			mshr:        make(map[Addr]bool, len(n.mshr)),
 			pendingOp:   append([]Op(nil), n.pendingOp...),

@@ -1,31 +1,14 @@
 package sim
 
-// CloneDetached clones the system like Clone and additionally detaches
-// the shared table cores' transition counters (tableCore.hits points at
-// the ORIGINAL system's stats and is shared by every clone — a data
-// race under concurrent Apply). The detached cores are inherited by all
-// further Clones of the result, so a whole parallel exploration derived
-// from one CloneDetached root is race-free. The result does not trace
-// either: tracing never changes behaviour, and scratch systems reused
-// across many states would otherwise accumulate logs.
+// CloneDetached clones the system like Clone, except that the result does
+// not trace: tracing never changes behaviour, and scratch systems reused
+// across many states would otherwise accumulate logs. Clones share only
+// immutable state with their original (the configuration, the compiled
+// table matchers), and each counts its own table firings, so any number
+// of clones may Apply concurrently.
 func (s *System) CloneDetached() *System {
 	c := s.Clone()
 	c.cfg.Trace = false
-	detach := func(tc *tableCore) *tableCore {
-		if tc == nil || tc.hits == nil {
-			return tc
-		}
-		cp := *tc
-		cp.hits = nil
-		return &cp
-	}
-	cd := c.dir.base()
-	cd.core = detach(cd.core)
-	c.mem.core = detach(c.mem.core)
-	for _, n := range c.nodes {
-		n.cacheCore = detach(n.cacheCore)
-		n.mshrCore = detach(n.mshrCore)
-	}
 	return c
 }
 

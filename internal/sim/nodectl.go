@@ -11,15 +11,15 @@ import (
 // interface with its MSHRs (table N), and a scripted processor that issues
 // operations and re-executes them after aborts.
 type nodeCtl struct {
-	sys       *System
-	id        int
-	eid       EntityID
-	cacheCore *tableCore
-	mshrCore  *tableCore
-	cache     map[Addr]string
-	mshr      map[Addr]bool
-	pendingOp []Op
-	attempts  map[Addr]int
+	sys        *System
+	id         int
+	eid        EntityID
+	cacheMatch *rel.Matcher
+	mshrMatch  *rel.Matcher
+	cache      map[Addr]string
+	mshr       map[Addr]bool
+	pendingOp  []Op
+	attempts   map[Addr]int
 	// outstanding maps an address to the op whose transaction is in
 	// flight; issuedAt records when it started.
 	outstanding map[Addr]Op
@@ -30,32 +30,19 @@ type nodeCtl struct {
 var cacheInputs = []string{"inmsg", "inmsgsrc", "inmsgdest", "inmsgrsrc", "cachest"}
 var mshrInputs = []string{"inmsg", "inmsgsrc", "inmsgdest", "inmsgrsrc", "mshrst"}
 
-func newNodeCtl(s *System, id int, cacheTab, mshrTab *rel.Table) (*nodeCtl, error) {
-	if cacheTab == nil || mshrTab == nil {
-		return nil, fmt.Errorf("%w: C or N", ErrBadTable)
-	}
-	cc, err := newTableCore(cacheTab, cacheInputs)
-	if err != nil {
-		return nil, err
-	}
-	cc.hits = &s.stats.Transitions
-	mc, err := newTableCore(mshrTab, mshrInputs)
-	if err != nil {
-		return nil, err
-	}
-	mc.hits = &s.stats.Transitions
+func newNodeCtl(s *System, id int, cacheMatch, mshrMatch *rel.Matcher) *nodeCtl {
 	return &nodeCtl{
 		sys:         s,
 		id:          id,
 		eid:         NodeID(id),
-		cacheCore:   cc,
-		mshrCore:    mc,
+		cacheMatch:  cacheMatch,
+		mshrMatch:   mshrMatch,
 		cache:       make(map[Addr]string),
 		mshr:        make(map[Addr]bool),
 		attempts:    make(map[Addr]int),
 		outstanding: make(map[Addr]Op),
 		issuedAt:    make(map[Addr]int),
-	}, nil
+	}
 }
 
 // Script appends operations to the node's processor script.
@@ -87,12 +74,24 @@ func stable(st string) bool {
 	return false
 }
 
-// lookupCache runs table C for one input message.
-func (n *nodeCtl) lookupCache(inmsg, src, dest, rsrc string, addr Addr) (rel.Row, bool) {
-	return n.cacheCore.match(map[string]rel.Value{
-		"inmsg": rel.S(inmsg), "inmsgsrc": rel.S(src), "inmsgdest": rel.S(dest),
-		"inmsgrsrc": rel.S(rsrc), "cachest": rel.S(n.CacheState(addr)),
-	})
+// lookupCache runs table C for one input message; src, dest and rsrc
+// are symbol codes.
+func (n *nodeCtl) lookupCache(inmsg string, src, dest, rsrc uint32, addr Addr) (rel.Row, bool) {
+	sym := n.sys.sym
+	key := [...]uint32{sym.code(inmsg), src, dest, rsrc, sym.code(n.CacheState(addr))}
+	return n.sys.fire(n.cacheMatch, key[:])
+}
+
+// lookupMshr runs table N for one bus request or completion.
+func (n *nodeCtl) lookupMshr(inmsg string, src, rsrc uint32, addr Addr) (rel.Row, string, bool) {
+	sym := n.sys.sym
+	mshrst, st := "idle", sym.idle
+	if n.mshr[addr] {
+		mshrst, st = "pending", sym.pending
+	}
+	key := [...]uint32{sym.code(inmsg), src, sym.local, rsrc, st}
+	row, ok := n.sys.fire(n.mshrMatch, key[:])
+	return row, mshrst, ok
 }
 
 // directOps are operations injected at the node interface without cache
@@ -134,7 +133,7 @@ func (n *nodeCtl) issue() (bool, error) {
 			n.sys.tracef("%s issues %s(%d)", n.eid, op.Kind, op.Addr)
 			return true, nil
 		}
-		row, ok := n.lookupCache(op.Kind, protocol.RoleLocal, protocol.RoleLocal, protocol.QReq, op.Addr)
+		row, ok := n.lookupCache(op.Kind, n.sys.sym.local, n.sys.sym.local, n.sys.sym.reqQ, op.Addr)
 		if !ok {
 			return false, fmt.Errorf("%w: C op %s at %s", ErrNoRow, op.Kind, n.CacheState(op.Addr))
 		}
@@ -173,15 +172,7 @@ func (n *nodeCtl) maxRetries() int {
 // inject drives table N with a cache bus request and sends the resulting
 // network message; it reports false when the channel is full.
 func (n *nodeCtl) inject(busmsg string, addr Addr) (bool, error) {
-	mshrst := "idle"
-	if n.mshr[addr] {
-		mshrst = "pending"
-	}
-	row, ok := n.mshrCore.match(map[string]rel.Value{
-		"inmsg": rel.S(busmsg), "inmsgsrc": rel.S(protocol.RoleLocal),
-		"inmsgdest": rel.S(protocol.RoleLocal), "inmsgrsrc": rel.S(protocol.QReq),
-		"mshrst": rel.S(mshrst),
-	})
+	row, mshrst, ok := n.lookupMshr(busmsg, n.sys.sym.local, n.sys.sym.reqQ, addr)
 	if !ok {
 		return false, fmt.Errorf("%w: N request %s@%s", ErrNoRow, busmsg, mshrst)
 	}
@@ -231,7 +222,7 @@ var cacheRespSet = map[string]bool{
 func (n *nodeCtl) process(msg Message) (bool, error) {
 	switch msg.Type {
 	case "sinv", "sread", "sflush":
-		row, ok := n.lookupCache(msg.Type, protocol.RoleHome, protocol.RoleRemote, protocol.QReq, msg.Addr)
+		row, ok := n.lookupCache(msg.Type, n.sys.sym.home, n.sys.sym.remote, n.sys.sym.reqQ, msg.Addr)
 		if !ok {
 			return false, fmt.Errorf("%w: C snoop %s at %s", ErrNoRow, msg.Type, n.CacheState(msg.Addr))
 		}
@@ -262,15 +253,7 @@ func (n *nodeCtl) process(msg Message) (bool, error) {
 	}
 
 	// Completion path through the node interface.
-	mshrst := "idle"
-	if n.mshr[msg.Addr] {
-		mshrst = "pending"
-	}
-	row, ok := n.mshrCore.match(map[string]rel.Value{
-		"inmsg": rel.S(msg.Type), "inmsgsrc": rel.S(protocol.RoleHome),
-		"inmsgdest": rel.S(protocol.RoleLocal), "inmsgrsrc": rel.S(protocol.QResp),
-		"mshrst": rel.S(mshrst),
-	})
+	row, mshrst, ok := n.lookupMshr(msg.Type, n.sys.sym.home, n.sys.sym.respQ, msg.Addr)
 	if !ok {
 		return false, fmt.Errorf("%w: N response %s@%s", ErrNoRow, msg.Type, mshrst)
 	}
@@ -291,7 +274,7 @@ func (n *nodeCtl) process(msg Message) (bool, error) {
 	cresp := row.Get("cresp")
 	aborted := cresp.Equal(rel.S("retry"))
 	if !cresp.IsNull() && cacheRespSet[cresp.Str()] && !stable(n.CacheState(msg.Addr)) {
-		crow, ok := n.lookupCache(cresp.Str(), protocol.RoleLocal, protocol.RoleLocal, protocol.QResp, msg.Addr)
+		crow, ok := n.lookupCache(cresp.Str(), n.sys.sym.local, n.sys.sym.local, n.sys.sym.respQ, msg.Addr)
 		if !ok {
 			return false, fmt.Errorf("%w: C response %s at %s", ErrNoRow, cresp.Str(), n.CacheState(msg.Addr))
 		}

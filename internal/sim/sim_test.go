@@ -91,24 +91,92 @@ func TestChannelFIFO(t *testing.T) {
 	}
 }
 
-func TestTableCoreMostSpecificMatch(t *testing.T) {
-	tab := rel.MustNewTable("T", "inmsg", "st", "out")
-	tab.MustInsert(rel.S("req"), rel.Null(), rel.S("generic"))
-	tab.MustInsert(rel.S("req"), rel.S("busy"), rel.S("specific"))
-	core, err := newTableCore(tab, []string{"inmsg", "st"})
+// raceSystem is a 2-node system in which node 0 reads and node 1 writes
+// the same line.
+func raceSystem(t *testing.T) *System {
+	t.Helper()
+	sys, err := NewSystem(Config{
+		Nodes: 2, ChannelCap: 4, Tables: genTables(t).Map(),
+		Assignment: fixedAssignment(t), MaxSteps: 10000,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	row, ok := core.match(map[string]rel.Value{"inmsg": rel.S("req"), "st": rel.S("busy")})
-	if !ok || !row.Get("out").Equal(rel.S("specific")) {
-		t.Fatal("most specific row not preferred")
+	sys.Node(0).Script(Op{Kind: "prread", Addr: 1})
+	sys.Node(1).Script(Op{Kind: "prwrite", Addr: 1})
+	return sys
+}
+
+// TestCloneCountsOwnTransitions checks that a clone counts its table
+// firings into its own Stats, never into the original's.
+func TestCloneCountsOwnTransitions(t *testing.T) {
+	fresh, err := raceSystem(t).Run()
+	if err != nil {
+		t.Fatal(err)
 	}
-	row, ok = core.match(map[string]rel.Value{"inmsg": rel.S("req"), "st": rel.S("other")})
-	if !ok || !row.Get("out").Equal(rel.S("generic")) {
-		t.Fatal("dontcare row not used as fallback")
+	if fresh.Stats.Transitions == 0 {
+		t.Fatal("a fresh run counted no transitions")
 	}
-	if _, ok := core.match(map[string]rel.Value{"inmsg": rel.S("nosuch"), "st": rel.Null()}); ok {
-		t.Fatal("phantom match")
+	for name, clone := range map[string]func(*System) *System{
+		"Clone":         (*System).Clone,
+		"CloneDetached": (*System).CloneDetached,
+	} {
+		orig := raceSystem(t)
+		res, err := clone(orig).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Transitions != fresh.Stats.Transitions {
+			t.Errorf("%s: clone counted %d transitions, a fresh run %d", name, res.Stats.Transitions, fresh.Stats.Transitions)
+		}
+		if got := orig.stats.Transitions; got != 0 {
+			t.Errorf("%s: the original, which never ran, counted %d transitions", name, got)
+		}
+	}
+}
+
+// TestClonesApplyConcurrently runs clones that share their matchers on
+// four goroutines, as the model checker's workers do; run it under -race.
+func TestClonesApplyConcurrently(t *testing.T) {
+	drive := func(s *System) int {
+		for steps := 0; steps < 200; steps++ {
+			progressed := false
+			for _, a := range s.CandidateActions() {
+				ok, err := s.Apply(a)
+				if err != nil {
+					t.Error(err)
+					return -1
+				}
+				if ok {
+					progressed = true
+					break
+				}
+			}
+			if !progressed {
+				break
+			}
+		}
+		return s.stats.Transitions
+	}
+	root := raceSystem(t)
+	want := drive(root.Clone())
+	var wg sync.WaitGroup
+	got := make([]int, 4)
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g] = drive(root.Clone())
+		}(g)
+	}
+	wg.Wait()
+	for g, n := range got {
+		if n != want {
+			t.Errorf("goroutine %d counted %d transitions, want %d", g, n, want)
+		}
+	}
+	if root.stats.Transitions != 0 {
+		t.Errorf("root counted %d transitions", root.stats.Transitions)
 	}
 }
 

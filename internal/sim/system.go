@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"coherdb/internal/hwmap"
+	"coherdb/internal/protocol"
 	"coherdb/internal/rel"
 	"coherdb/internal/segment"
 )
@@ -164,10 +165,64 @@ type System struct {
 	tlog     *TraceLog
 	events   []Message
 	step     int
+	sym      *symbols
 }
 
 // VKey identifies a channel assignment (message, source role, dest role).
 type VKey struct{ M, S, D string }
+
+// symbols holds the dictionary codes of the constant symbols the
+// controllers bind, interned once when the System is built. Every table
+// encodes into the shared dictionary, so a code compares equal to a cell
+// exactly when the values are equal.
+type symbols struct {
+	dict                            *rel.Dict
+	home, local, remote             uint32
+	reqQ, respQ, memQ               uint32
+	hit, miss, ready, idle, pending uint32
+	dirI, pvOne, pvGone, pvZero     uint32
+}
+
+func newSymbols() *symbols {
+	d := rel.SharedDict()
+	c := func(v string) uint32 { return d.Code(rel.S(v)) }
+	return &symbols{
+		dict: d,
+		home: c(protocol.RoleHome), local: c(protocol.RoleLocal), remote: c(protocol.RoleRemote),
+		reqQ: c(protocol.QReq), respQ: c(protocol.QResp), memQ: c(protocol.QMem),
+		hit: c("hit"), miss: c("miss"), ready: c("ready"), idle: c("idle"), pending: c("pending"),
+		dirI: c(protocol.DirI), pvOne: c(protocol.PVOne), pvGone: c(protocol.PVGone), pvZero: c(protocol.PVZero),
+	}
+}
+
+// code interns a symbol computed at run time. A value no table holds gets
+// a fresh code that no cell equals, and still decodes for error texts.
+func (s *symbols) code(v string) uint32 { return s.dict.Code(rel.S(v)) }
+
+// describe renders a lookup key by input column name, in name order.
+func (s *symbols) describe(cols []string, key []uint32) string {
+	order := make([]int, len(cols))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return cols[order[a]] < cols[order[b]] })
+	var sb strings.Builder
+	for _, i := range order {
+		fmt.Fprintf(&sb, "%s=%v ", cols[i], s.dict.Value(key[i]))
+	}
+	return sb.String()
+}
+
+// fire matches key against a controller table and, on a hit, counts the
+// firing in this System's Stats.Transitions.
+func (s *System) fire(m *rel.Matcher, key []uint32) (rel.Row, bool) {
+	r := m.Match(key)
+	if r < 0 {
+		return rel.Row{}, false
+	}
+	s.stats.Transitions++
+	return m.Table().Row(r), true
+}
 
 // NewSystem builds a system from the config.
 func NewSystem(cfg Config) (*System, error) {
@@ -181,6 +236,7 @@ func NewSystem(cfg Config) (*System, error) {
 		cfg:      cfg,
 		vcs:      make(map[VKey]string),
 		channels: make(map[string]*Channel),
+		sym:      newSymbols(),
 	}
 	s.stats.MaxOccupancy = make(map[string]int)
 	if cfg.Assignment != nil {
@@ -222,12 +278,22 @@ func NewSystem(cfg Config) (*System, error) {
 	if s.mem, err = newMemCtl(s, cfg.Tables["M"]); err != nil {
 		return nil, err
 	}
+	cacheTab, mshrTab := cfg.Tables["C"], cfg.Tables["N"]
+	if cacheTab == nil || mshrTab == nil {
+		return nil, fmt.Errorf("%w: C or N", ErrBadTable)
+	}
+	// Every node runs the same C and N tables, so the nodes share one
+	// matcher for each.
+	cacheMatch, err := rel.NewMatcher(cacheTab, cacheInputs)
+	if err != nil {
+		return nil, err
+	}
+	mshrMatch, err := rel.NewMatcher(mshrTab, mshrInputs)
+	if err != nil {
+		return nil, err
+	}
 	for i := 0; i < cfg.Nodes; i++ {
-		n, err := newNodeCtl(s, i, cfg.Tables["C"], cfg.Tables["N"])
-		if err != nil {
-			return nil, err
-		}
-		s.nodes = append(s.nodes, n)
+		s.nodes = append(s.nodes, newNodeCtl(s, i, cacheMatch, mshrMatch))
 	}
 	return s, nil
 }

@@ -25,14 +25,18 @@
 # filter pair, the segment pack/unpack throughput, the out-of-core
 # state-exploration pair (budget-stopped vs spilled at a fixed memory
 # budget, with states and bytes/state as extra metrics; the spilled run
-# must reach ≥100x the states the retired in-memory engine held), and the
+# must reach ≥100x the states the retired in-memory engine held), the §5
+# map phase step by step (partition, verify, equivalence, implementation
+# suite, the whole phase) beside map + reconstruct, and the
 # multi-session server under reader/writer interference
 # (BenchmarkServerQPS: ns/op is per-statement latency across concurrent
 # line-protocol clients, p99-ns its tail). The race gates also cover
 # the lock-free metrics plane, the segment store and the model checker
 # (every engine variant against the in-memory BFS test oracle, plus the
 # frozen exploration golden, the state codec's decode round trip with
-# its shared decode memo, and the refusal of unencodable systems), the
+# its shared decode memo, the refusal of unencodable systems, clones
+# applying concurrently over shared table matchers, and the ternary
+# matcher against its full-scan oracle), the
 # vectorized-vs-scalar equivalence suites, the MVCC epoch/catalog layer
 # and the query server (concurrent sessions, admission, drain), the
 # deadlock analysis (pairwise composition fans out over shared interned
@@ -51,7 +55,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-PATTERN="${1:-BenchmarkGenerateDirectoryD$|BenchmarkGenerateAllControllers$|BenchmarkGenerateIncremental$|BenchmarkInvariantSuite$|BenchmarkInvariantSuiteSerial$|BenchmarkDeltaRecheck$|BenchmarkSQLSelectWhere$|BenchmarkSQLJoin$|BenchmarkSQLPreparedSelect$|BenchmarkExplainAnalyzeOverhead$|BenchmarkVectorizedFilter|BenchmarkStateExplore|BenchmarkSegmentPack}"
+PATTERN="${1:-BenchmarkGenerateDirectoryD$|BenchmarkGenerateAllControllers$|BenchmarkGenerateIncremental$|BenchmarkInvariantSuite$|BenchmarkInvariantSuiteSerial$|BenchmarkDeltaRecheck$|BenchmarkSQLSelectWhere$|BenchmarkSQLJoin$|BenchmarkSQLPreparedSelect$|BenchmarkExplainAnalyzeOverhead$|BenchmarkVectorizedFilter|BenchmarkStateExplore|BenchmarkSegmentPack|BenchmarkMapPhase$|BenchmarkMapAndReconstruct$}"
 SERVER_PATTERN="${BENCH_SERVER_PATTERN:-BenchmarkServerQPS$}"
 OUT="${BENCH_OUT:-BENCH_10.json}"
 BASELINE="${BENCH_BASELINE:-BENCH_9.json}"
@@ -89,8 +93,8 @@ echo "== race-detector segment-store tests =="
 go test -race ./internal/segment/
 
 echo "== race-detector model-checker equivalence (oracle + golden) =="
-go test -race -run 'TestSegmented|TestFrozenExploreGolden|TestOracle|TestExploreRefusesUnencodedState|TestStateCodecMatchesFingerprint|TestStateCodecDecode|TestTraceLogOutOfCore' \
-    ./internal/modelcheck/ ./internal/sim/
+go test -race -run 'TestSegmented|TestFrozenExploreGolden|TestOracle|TestExploreRefusesUnencodedState|TestStateCodecMatchesFingerprint|TestStateCodecDecode|TestTraceLogOutOfCore|TestCloneCountsOwnTransitions|TestClonesApplyConcurrently|TestMatcher' \
+    ./internal/modelcheck/ ./internal/sim/ ./internal/rel/
 
 echo "== race-detector MVCC catalog + session tests =="
 go test -race -run 'TestCatalog|TestConcurrentSnapshotReaders|TestCarryIndexes|TestConcurrentSessions|TestSessionOverlay' \
