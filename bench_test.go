@@ -755,23 +755,41 @@ func BenchmarkSimulatorScaling(b *testing.B) {
 // ErrBudget, and with one it holds its residency under the same budget
 // indefinitely. The spilled run must reach ≥100x the states that a
 // System clone plus fingerprint per state fits in the same budget.
+//
+// The unbudgeted case is one default exploration of coherbench's explore
+// workload: the Fig. 4 fixed system plus 3 prreads, no budget, all
+// 18,351 states and 51,541 edges.
 func BenchmarkStateExplore(b *testing.B) {
 	st := simTables(b)
 	fixedTable, err := protocol.BuildAssignment(protocol.AssignFixed)
 	if err != nil {
 		b.Fatal(err)
 	}
-	build := func() *sim.System {
+	build := func(prreads int) *sim.System {
 		sys, err := figure4ModelSystem(st, fixedTable)
 		if err != nil {
 			b.Fatal(err)
 		}
-		// Widen the state space past the spilled run's state cap.
-		for k := 0; k < 4; k++ {
+		for k := 0; k < prreads; k++ {
 			sys.Node(k % 2).Script(sim.Op{Kind: "prread", Addr: sim.Addr(0x100 + k)})
 		}
 		return sys
 	}
+
+	b.Run("unbudgeted", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			rep, err := modelcheck.Explore(build(3), modelcheck.Options{MaxStates: 2000000, CheckCoherence: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if rep.States != 18351 || rep.Edges != 51541 || rep.Violation != nil {
+				b.Fatalf("explored %d states, %d edges, violation %v; want 18351, 51541, none",
+					rep.States, rep.Edges, rep.Violation)
+			}
+		}
+	})
+
 	const budget = 1 << 20 // 1 MiB for every run
 	// inMemoryStatesAt1MiB is how many states the retired in-memory
 	// engine held in this budget on this system before ErrBudget
@@ -784,7 +802,9 @@ func BenchmarkStateExplore(b *testing.B) {
 	run := func(name string, opts modelcheck.Options, out *int) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rep, err := modelcheck.Explore(build(), opts)
+				// Four prreads widen the state space past the spilled
+				// run's state cap.
+				rep, err := modelcheck.Explore(build(4), opts)
 				if err != nil && !errors.Is(err, modelcheck.ErrBudget) && !errors.Is(err, modelcheck.ErrLimit) {
 					b.Fatal(err)
 				}

@@ -22,9 +22,9 @@ import (
 // 8B search-tree entry + 16B index slot) where a System clone plus
 // fingerprint string costs ~2–4 KiB, and sealed segments spill to disk
 // under budget pressure. The tuple is the only representation of a
-// state: expansion decodes it into scratch systems
-// (sim.StateCodec.DecodeInto), and the search-tree store of parents and
-// actions is read only to build counter-example traces.
+// state: expansion decodes it into a scratch system, and the search-tree
+// store of parents and actions is read only to build counter-example
+// traces.
 
 // rootParent marks state 0's parent slot in the search tree store.
 const rootParent = math.MaxUint32
@@ -246,9 +246,13 @@ func (e *segEngine) coherenceScan(lo, hi int64) int64 {
 // plus the lowest deadlocked state id (-1 if none).
 //
 // The round's tuples are read once, in order, with Stream, which reads
-// spilled segments without caching them. Each batch decodes its states
-// into two scratch systems: base once per state, for the candidate
-// actions and the idle check, and succ afresh before every action.
+// spilled segments without caching them. Each batch keeps one scratch
+// system and moves it from state to state, decoding the batch's first
+// tuple in full and only the columns that differ after that
+// (sim.StateCodec.DecodeDiff). A state's idle flag and candidate actions
+// are read before its first action; each action then costs what it
+// changed: Apply, EncodeTouched over the parent's tuple, and Restore
+// back to the parent.
 func (e *segEngine) expandRound(rlo, rhi int64) ([]cand, int64, error) {
 	n := int(rhi - rlo)
 	w := e.codec.Width()
@@ -266,25 +270,33 @@ func (e *segEngine) expandRound(rlo, rhi int64) ([]cand, int64, error) {
 	}
 
 	_, err := pool.Shared().Each(e.opts.Workers, n, morsel, func(batch, blo, bhi int) error {
-		base, succ := e.root.Clone(), e.root.Clone()
-		var scratch, probe []uint32
+		sys := e.root.Clone()
+		var prev, scratch, probe []uint32
 		var out []cand
 		for i := blo; i < bhi; i++ {
 			id := rlo + int64(i)
 			tuple := tuples[i*w : (i+1)*w]
-			e.codec.DecodeInto(tuple, base)
+			if prev == nil {
+				e.codec.DecodeInto(tuple, sys)
+			} else {
+				e.codec.DecodeDiff(prev, tuple, sys)
+			}
+			prev = tuple
+			idle := sys.Idle()
 			progressed := false
-			for _, a := range base.CandidateActions() {
-				e.codec.DecodeInto(tuple, succ)
-				changed, err := succ.Apply(a)
+			for _, a := range sys.CandidateActions() {
+				changed, err := sys.Apply(a)
 				if err != nil {
 					return err
 				}
+				if changed {
+					scratch = e.codec.EncodeTouched(sys, tuple, scratch)
+				}
+				e.codec.Restore(tuple, sys)
 				if !changed {
 					continue
 				}
 				progressed = true
-				scratch = e.codec.Encode(succ, scratch)
 				c := cand{
 					parent: id,
 					action: a,
@@ -302,7 +314,7 @@ func (e *segEngine) expandRound(rlo, rhi int64) ([]cand, int64, error) {
 				}
 				out = append(out, c)
 			}
-			if !progressed && !base.Idle() {
+			if !progressed && !idle {
 				if deadlocks[batch] < 0 || id < deadlocks[batch] {
 					deadlocks[batch] = id
 				}

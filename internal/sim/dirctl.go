@@ -30,6 +30,9 @@ type dirCtl struct {
 	match *rel.Matcher
 	dir   map[Addr]*dirEntry
 	busy  map[Addr]*busyEntry
+	// touched marks the addresses whose directory or busy entry
+	// applyState changed (see the StateCodec type comment).
+	touched addrMarks
 }
 
 var dirInputs = []string{
@@ -288,6 +291,7 @@ func (d *dirCtl) process(msg Message) (bool, error) {
 
 // applyState applies a matched row's busy-directory and directory updates.
 func (d *dirCtl) applyState(row rowGetter, msg Message, be *busyEntry, de *dirEntry, requester EntityID, snoopTargets []EntityID, loadWithNoTargets bool) {
+	d.touched.mark(msg.Addr)
 	// Apply busy-directory updates.
 	switch {
 	case row.Get("bdiralloc").Equal(rel.S("alloc")):

@@ -182,6 +182,7 @@ func TestRandomWithDirectOpsCoherent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		universe := NewStateCodec(sys).NumAddrs()
 		res, err := sys.Run()
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -191,6 +192,17 @@ func TestRandomWithDirectOpsCoherent(t *testing.T) {
 		}
 		if v := sys.CheckCoherence(); len(v) != 0 {
 			t.Fatalf("seed %d: %v", seed, v)
+		}
+		// Run never reads or clears the codec marks; they must stay
+		// bounded by the address universe however long it runs.
+		marks := [][]Addr{sys.dir.base().touched}
+		for _, n := range sys.nodes {
+			marks = append(marks, n.touched)
+		}
+		for _, m := range marks {
+			if len(m) > universe {
+				t.Fatalf("seed %d: %d address marks after %d steps, universe %d", seed, len(m), res.Stats.Steps, universe)
+			}
 		}
 	}
 }

@@ -16,6 +16,9 @@ import (
 // and Dqstatus are computed from actual queue occupancy, so the §5
 // implementation details — retry under full queues, deferred directory
 // updates — are exercised, not just statically checked.
+//
+// Its updates set no StateCodec marks: CheckEncodable refuses this engine
+// and Clone panics on it, so no codec ever expands a system that runs it.
 type implDirCtl struct {
 	*dirCtl
 	ctrl *hwmap.Controller

@@ -61,6 +61,9 @@ type Channel struct {
 	now    *int
 	q      []Message
 	stamps []int
+	// touched marks a queue Send or Pop changed since a StateCodec last
+	// decoded it (see the StateCodec type comment).
+	touched bool
 }
 
 // NewChannel creates a channel with the given capacity.
@@ -81,6 +84,7 @@ func (c *Channel) Send(m Message) bool {
 	}
 	c.q = append(c.q, m)
 	c.stamps = append(c.stamps, *c.now)
+	c.touched = true
 	return true
 }
 
@@ -98,13 +102,16 @@ func (c *Channel) Head() (Message, bool) {
 }
 
 // Pop consumes the head (regardless of latency; callers gate on Head).
+// It shifts the rest forward in place, so a queue keeps its capacity for
+// a later Send or decode.
 func (c *Channel) Pop() (Message, bool) {
 	if len(c.q) == 0 {
 		return Message{}, false
 	}
 	m := c.q[0]
-	c.q = c.q[1:]
-	c.stamps = c.stamps[1:]
+	c.q = c.q[:copy(c.q, c.q[1:])]
+	c.stamps = c.stamps[:copy(c.stamps, c.stamps[1:])]
+	c.touched = true
 	return m, true
 }
 

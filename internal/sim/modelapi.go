@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 )
@@ -43,15 +44,10 @@ func (s *System) CandidateActions() []Action {
 			out = append(out, Action{Kind: "issue", Node: i})
 		}
 	}
-	names := make([]string, 0, len(s.channels))
-	for name, ch := range s.channels {
+	for i, ch := range s.chanList {
 		if ch.Len() > 0 {
-			names = append(names, name)
+			out = append(out, Action{Kind: "deliver", Chan: s.chanNames[i]})
 		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		out = append(out, Action{Kind: "deliver", Chan: name})
 	}
 	return out
 }
@@ -104,30 +100,28 @@ func (s *System) Clone() *System {
 		panic("sim: Clone supports only the spec-level directory engine")
 	}
 	c := &System{
-		cfg:      s.cfg,
-		vcs:      s.vcs,
-		channels: make(map[string]*Channel, len(s.channels)),
-		stats:    s.stats,
-		step:     s.step,
-		sym:      s.sym,
+		cfg:       s.cfg,
+		vcs:       s.vcs,
+		channels:  make(map[string]*Channel, len(s.channels)),
+		chanNames: s.chanNames,
+		chanList:  make([]*Channel, len(s.chanList)),
+		stats:     s.stats,
+		step:      s.step,
+		sym:       s.sym,
 	}
-	c.stats.MaxOccupancy = map[string]int{}
-	if s.stats.DeliveredPerChannel != nil {
-		// Deep-copy: the struct assignment above aliased the map, so a
-		// delivery on the clone would otherwise mutate the original
-		// (and race with sibling clones under parallel exploration).
-		c.stats.DeliveredPerChannel = make(map[string]int, len(s.stats.DeliveredPerChannel))
-		for k, v := range s.stats.DeliveredPerChannel {
-			c.stats.DeliveredPerChannel[k] = v
-		}
-	}
-	for name, ch := range s.channels {
+	// Deep-copy the Stats maps: the struct assignment above aliased them,
+	// so a send or delivery on the clone would otherwise mutate the
+	// original (and race with sibling clones under parallel exploration).
+	c.stats.MaxOccupancy = maps.Clone(s.stats.MaxOccupancy)
+	c.stats.DeliveredPerChannel = maps.Clone(s.stats.DeliveredPerChannel)
+	for i, ch := range s.chanList {
 		nc := NewChannel(ch.Name, ch.Cap)
 		nc.Latency = ch.Latency
 		nc.now = &c.step
 		nc.q = append([]Message(nil), ch.q...)
 		nc.stamps = append([]int(nil), ch.stamps...)
-		c.channels[name] = nc
+		c.channels[s.chanNames[i]] = nc
+		c.chanList[i] = nc
 	}
 	sd := s.dir.base()
 	cd := &dirCtl{
@@ -192,15 +186,10 @@ func (s *System) Clone() *System {
 // remaining scripts. Two states with equal fingerprints behave identically.
 func (s *System) Fingerprint() string {
 	var sb strings.Builder
-	names := make([]string, 0, len(s.channels))
-	for name := range s.channels {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for i, ch := range s.chanList {
 		sb.WriteString("ch:")
-		sb.WriteString(name)
-		for _, m := range s.channels[name].q {
+		sb.WriteString(s.chanNames[i])
+		for _, m := range ch.q {
 			fmt.Fprintf(&sb, "|%s,%s,%s,%d", m.Type, m.From, m.To, m.Addr)
 		}
 		sb.WriteByte(';')

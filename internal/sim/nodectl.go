@@ -25,6 +25,11 @@ type nodeCtl struct {
 	outstanding map[Addr]Op
 	issuedAt    map[Addr]int
 	completed   int
+	// touched marks the addresses whose cache, MSHR or outstanding entry
+	// changed, and scriptTouched a changed pendingOp (see the StateCodec
+	// type comment).
+	touched       addrMarks
+	scriptTouched bool
 }
 
 var cacheInputs = []string{"inmsg", "inmsgsrc", "inmsgdest", "inmsgrsrc", "cachest"}
@@ -115,7 +120,7 @@ func (n *nodeCtl) issue() (bool, error) {
 		}
 		if max := n.maxRetries(); max > 0 && n.attempts[op.Addr] >= max {
 			// Retry budget exhausted: drop the op.
-			n.pendingOp = append(n.pendingOp[:i], n.pendingOp[i+1:]...)
+			n.takeOp(i)
 			return true, nil
 		}
 		if directOps[op.Kind] {
@@ -126,11 +131,7 @@ func (n *nodeCtl) issue() (bool, error) {
 			if !done {
 				continue
 			}
-			n.attempts[op.Addr]++
-			n.outstanding[op.Addr] = op
-			n.issuedAt[op.Addr] = n.sys.step
-			n.pendingOp = append(n.pendingOp[:i], n.pendingOp[i+1:]...)
-			n.sys.tracef("%s issues %s(%d)", n.eid, op.Kind, op.Addr)
+			n.start(i, op)
 			return true, nil
 		}
 		row, ok := n.lookupCache(op.Kind, n.sys.sym.local, n.sys.sym.local, n.sys.sym.reqQ, op.Addr)
@@ -145,23 +146,46 @@ func (n *nodeCtl) issue() (bool, error) {
 			if !done {
 				continue // channel full; retry next step
 			}
-			n.attempts[op.Addr]++
 			n.applyCacheRow(row, op.Addr)
-			n.outstanding[op.Addr] = op
-			n.issuedAt[op.Addr] = n.sys.step
-			n.pendingOp = append(n.pendingOp[:i], n.pendingOp[i+1:]...)
-			n.sys.tracef("%s issues %s(%d)", n.eid, op.Kind, op.Addr)
+			n.start(i, op)
 			return true, nil
 		}
 		// Cache hit or no-op: completes immediately.
 		n.applyCacheRow(row, op.Addr)
 		n.completed++
 		n.sys.stats.OpsCompleted++
-		n.pendingOp = append(n.pendingOp[:i], n.pendingOp[i+1:]...)
+		n.takeOp(i)
 		n.sys.tracef("%s completes %s(%d) locally", n.eid, op.Kind, op.Addr)
 		return true, nil
 	}
 	return false, nil
+}
+
+// start records the i-th scripted op, op, as an outstanding transaction.
+func (n *nodeCtl) start(i int, op Op) {
+	n.attempts[op.Addr]++
+	n.setOutstanding(op.Addr, op)
+	n.issuedAt[op.Addr] = n.sys.step
+	n.takeOp(i)
+	n.sys.tracef("%s issues %s(%d)", n.eid, op.Kind, op.Addr)
+}
+
+// takeOp removes the i-th scripted op.
+func (n *nodeCtl) takeOp(i int) {
+	n.pendingOp = append(n.pendingOp[:i], n.pendingOp[i+1:]...)
+	n.scriptTouched = true
+}
+
+// setOutstanding records op as addr's outstanding transaction.
+func (n *nodeCtl) setOutstanding(addr Addr, op Op) {
+	n.outstanding[addr] = op
+	n.touched.mark(addr)
+}
+
+// clearOutstanding ends addr's outstanding transaction.
+func (n *nodeCtl) clearOutstanding(addr Addr) {
+	delete(n.outstanding, addr)
+	n.touched.mark(addr)
 }
 
 func (n *nodeCtl) maxRetries() int {
@@ -198,6 +222,7 @@ func (n *nodeCtl) setMshr(addr Addr, st string) {
 	} else {
 		delete(n.mshr, addr)
 	}
+	n.touched.mark(addr)
 }
 
 // applyCacheRow applies a C row's state transition and accounts op
@@ -209,6 +234,7 @@ func (n *nodeCtl) applyCacheRow(row rel.Row, addr Addr) {
 		} else {
 			n.cache[addr] = v.Str()
 		}
+		n.touched.mark(addr)
 	}
 }
 
@@ -288,13 +314,15 @@ func (n *nodeCtl) process(msg Message) (bool, error) {
 	// directory has recorded this node as a sharer).
 	if cresp.Equal(rel.S("pfdata")) {
 		n.cache[msg.Addr] = protocol.CacheS
+		n.touched.mark(msg.Addr)
 	}
 	// Account the outstanding op.
 	if op, ok := n.outstanding[msg.Addr]; ok && !n.mshr[msg.Addr] {
-		delete(n.outstanding, msg.Addr)
+		n.clearOutstanding(msg.Addr)
 		if aborted {
 			n.sys.stats.Retries++
 			n.pendingOp = append(n.pendingOp, op)
+			n.scriptTouched = true
 			n.sys.tracef("%s re-queues %s(%d) after retry", n.eid, op.Kind, op.Addr)
 		} else {
 			n.attempts[msg.Addr] = 0

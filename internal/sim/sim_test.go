@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"maps"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -132,6 +134,44 @@ func TestCloneCountsOwnTransitions(t *testing.T) {
 		if got := orig.stats.Transitions; got != 0 {
 			t.Errorf("%s: the original, which never ran, counted %d transitions", name, got)
 		}
+	}
+}
+
+// TestCloneKeepsMaxOccupancy checks that a clone's Stats is a consistent
+// snapshot of the original's, maps included, and that the clone's sends
+// never reach the original's maps.
+func TestCloneKeepsMaxOccupancy(t *testing.T) {
+	sys := fig4CodecSystem(t, protocol.AssignFixed)
+	for applied := 0; applied < 4; {
+		progressed := false
+		for _, a := range sys.CandidateActions() {
+			ok, err := sys.Apply(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok {
+				applied++
+				progressed = true
+				break
+			}
+		}
+		if !progressed {
+			t.Fatalf("stuck after %d actions", applied)
+		}
+	}
+	if len(sys.stats.MaxOccupancy) == 0 {
+		t.Fatal("four actions recorded no channel occupancy")
+	}
+	clone := sys.Clone()
+	if !reflect.DeepEqual(clone.stats, sys.stats) {
+		t.Fatalf("clone Stats %+v, original %+v", clone.stats, sys.stats)
+	}
+	want := maps.Clone(sys.stats.MaxOccupancy)
+	for i := 0; i < 5; i++ { // the unbounded internal path
+		clone.send(Message{Type: "idone", From: Dir, To: Dir, Addr: 0xA})
+	}
+	if !maps.Equal(sys.stats.MaxOccupancy, want) {
+		t.Fatalf("the clone's sends moved the original's MaxOccupancy to %v, want %v", sys.stats.MaxOccupancy, want)
 	}
 }
 

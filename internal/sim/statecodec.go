@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -19,7 +20,8 @@ import (
 // directory, caches, MSHRs, scripts, outstanding transactions) maps to
 // a dedicated column, with variable-length components interned as
 // canonical strings in a codec-private dictionary and 0 reserved for
-// "absent".
+// "absent". Each column kind has one encoder (encodeCol) and one
+// decoder (decodeCol); Encode and DecodeInto run them over every column.
 //
 // The address and channel universes are fixed at codec construction
 // from the initial system; the protocol never invents addresses, so
@@ -30,10 +32,26 @@ import (
 // state. That holds only for systems whose behaviour depends on nothing
 // the tuple leaves out; see CheckEncodable.
 //
-// Concurrency: any number of goroutines may call Encode and DecodeInto
-// on one codec at once, provided each passes its own dst slice and its
-// own System. Dictionary interning and the decode memo are safe for
-// concurrent use, and neither call writes anything else in the codec.
+// Touched expansion makes an edge cost what its action changed. Apply
+// marks each component it changes on the system itself: Channel.Send
+// and Channel.Pop mark their channel; the directory marks an address
+// whose directory or busy entry it updates; a node marks an address
+// whose cache, MSHR or outstanding entry changes, and its script when an
+// op is issued or re-queued. An address mark covers all of that
+// component's columns for the address. EncodeTouched re-encodes only the
+// marked columns over the parent's tuple, Restore decodes only those
+// back from the parent, and DecodeDiff moves a system between two states
+// by decoding only the columns where their tuples differ. EncodeTouched
+// and Restore are valid only on a system this codec decoded (DecodeInto,
+// DecodeDiff and Restore clear the marks) and that only Apply has
+// changed since: setup calls such as SetCache or Script set no marks.
+// Marks are deduplicated, so on a system Run drives, which never reads
+// or clears them, they stay bounded by its channels and addresses.
+//
+// Concurrency: any number of goroutines may call the codec's methods on
+// one codec at once, provided each passes its own dst slice and its own
+// System. Dictionary interning and the decode memo are safe for
+// concurrent use, and no method writes anything else in the codec.
 type StateCodec struct {
 	dict    *rel.Dict
 	chans   []string
@@ -48,50 +66,32 @@ type StateCodec struct {
 
 	ownerM, ownerE, sharerS uint32
 
-	// memo maps a dictionary code to its parsed *part for DecodeInto.
+	// memo maps a dictionary code to its parsed *part for decodeCol.
 	// Each code is stored once and then read by every decode, the case
 	// sync.Map is built for; memoBytes approximates its size.
 	memo      sync.Map
 	memoBytes atomic.Int64
 }
 
+// addrMarks lists, once each, the addresses whose state of one
+// component Apply changed since a StateCodec last decoded it.
+type addrMarks []Addr
+
+func (m *addrMarks) mark(a Addr) {
+	for _, b := range *m {
+		if b == a {
+			return
+		}
+	}
+	*m = append(*m, a)
+}
+
 // NewStateCodec builds a codec for systems shaped like s (same config,
 // channels, nodes, and address universe).
 func NewStateCodec(s *System) *StateCodec {
-	c := &StateCodec{dict: rel.NewDict(), nodes: len(s.nodes), addrIdx: map[Addr]int{}}
-	for name := range s.channels {
-		c.chans = append(c.chans, name)
-	}
-	sort.Strings(c.chans)
-
+	c := &StateCodec{dict: rel.NewDict(), chans: s.chanNames, nodes: len(s.nodes), addrIdx: map[Addr]int{}}
 	seen := map[Addr]bool{}
-	add := func(a Addr) { seen[a] = true }
-	sd := s.dir.base()
-	for a := range sd.dir {
-		add(a)
-	}
-	for a := range sd.busy {
-		add(a)
-	}
-	for _, n := range s.nodes {
-		for a := range n.cache {
-			add(a)
-		}
-		for a := range n.mshr {
-			add(a)
-		}
-		for a := range n.outstanding {
-			add(a)
-		}
-		for _, op := range n.pendingOp {
-			add(op.Addr)
-		}
-	}
-	for _, ch := range s.channels {
-		for _, m := range ch.q {
-			add(m.Addr)
-		}
-	}
+	eachAddr(s, func(a Addr) { seen[a] = true })
 	for a := range seen {
 		c.addrs = append(c.addrs, a)
 	}
@@ -113,6 +113,37 @@ func NewStateCodec(s *System) *StateCodec {
 	c.ownerE = c.intern(cacheStateE)
 	c.sharerS = c.intern(cacheStateS)
 	return c
+}
+
+// eachAddr calls fn with every address s holds state for, repeats
+// included.
+func eachAddr(s *System, fn func(Addr)) {
+	sd := s.dir.base()
+	for a := range sd.dir {
+		fn(a)
+	}
+	for a := range sd.busy {
+		fn(a)
+	}
+	for _, n := range s.nodes {
+		for a := range n.cache {
+			fn(a)
+		}
+		for a := range n.mshr {
+			fn(a)
+		}
+		for a := range n.outstanding {
+			fn(a)
+		}
+		for _, op := range n.pendingOp {
+			fn(op.Addr)
+		}
+	}
+	for _, ch := range s.chanList {
+		for _, m := range ch.q {
+			fn(m.Addr)
+		}
+	}
 }
 
 // The protocol package's stable cache-state names, referenced here via
@@ -138,7 +169,7 @@ func (c *StateCodec) NumNodes() int { return c.nodes }
 func (c *StateCodec) AddrAt(i int) Addr { return c.addrs[i] }
 
 // Bytes approximates the codec's resident size: its dictionary plus
-// the parsed parts DecodeInto has memoized.
+// the parsed parts decodes have memoized.
 func (c *StateCodec) Bytes() int64 { return c.dict.Bytes() + c.memoBytes.Load() }
 
 // CacheCol returns the column index of node n's cache state for the
@@ -163,164 +194,305 @@ func (c *StateCodec) addrSlot(a Addr) int {
 	return i
 }
 
+// colKind names what a tuple column holds.
+type colKind uint8
+
+const (
+	colQueue       colKind = iota + 1 // a channel's queue
+	colDir                            // an address's directory entry
+	colBusy                           // an address's busy-directory entry
+	colCache                          // a node's cache state of an address
+	colMshr                           // a node's MSHR flag for an address, raw 0 or 1
+	colScript                         // a node's remaining script
+	colOutstanding                    // the kind of a node's outstanding op on an address
+)
+
+// col locates column j: its kind, its node for per-node kinds, and its
+// channel index for a queue or its address slot otherwise.
+func (c *StateCodec) col(j int) (kind colKind, node, i int) {
+	switch {
+	case j < c.dirOff:
+		return colQueue, 0, j
+	case j < c.busyOff:
+		return colDir, 0, j - c.dirOff
+	case j < c.nodeOff:
+		return colBusy, 0, j - c.busyOff
+	}
+	node, k := (j-c.nodeOff)/c.perNode, (j-c.nodeOff)%c.perNode
+	na := len(c.addrs)
+	switch {
+	case k < na:
+		return colCache, node, k
+	case k < 2*na:
+		return colMshr, node, k - na
+	case k == 2*na:
+		return colScript, node, 0
+	}
+	return colOutstanding, node, k - 2*na - 1
+}
+
+// encodeCol returns the code of column j of s, and b for reuse. It holds
+// the one encoder of each column kind and writes every string parsePart
+// reads. b is scratch.
+func (c *StateCodec) encodeCol(s *System, j int, b []byte) (uint32, []byte) {
+	kind, ni, i := c.col(j)
+	b = b[:0]
+	switch kind {
+	case colQueue:
+		q := s.chanList[i].q
+		if len(q) == 0 {
+			return 0, b
+		}
+		for _, m := range q {
+			b = append(b, m.Type...)
+			b = append(b, ',')
+			b = append(b, m.From...)
+			b = append(b, ',')
+			b = append(b, m.To...)
+			b = append(b, ',')
+			b = strconv.AppendInt(b, int64(m.Addr), 10)
+			b = append(b, '|')
+		}
+	case colDir:
+		e := s.dir.base().dir[c.addrs[i]]
+		if e == nil {
+			return 0, b
+		}
+		var ids [8]EntityID
+		sh := ids[:0]
+		for k := range e.sharers {
+			sh = append(sh, k)
+		}
+		slices.Sort(sh)
+		b = append(b, e.st...)
+		b = append(b, '|')
+		for k, id := range sh {
+			if k > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, id...)
+		}
+	case colBusy:
+		e := s.dir.base().busy[c.addrs[i]]
+		if e == nil {
+			return 0, b
+		}
+		b = append(b, e.st...)
+		b = append(b, '|')
+		b = strconv.AppendInt(b, int64(e.pending), 10)
+		b = append(b, '|')
+		b = append(b, e.requester...)
+	case colCache:
+		st, ok := s.nodes[ni].cache[c.addrs[i]]
+		if !ok {
+			return 0, b
+		}
+		return c.intern(st), b
+	case colMshr:
+		// MSHR entries are presence-only (only ever set true or
+		// deleted), and Fingerprint keys on presence — mirror that.
+		if _, ok := s.nodes[ni].mshr[c.addrs[i]]; ok {
+			return 1, b
+		}
+		return 0, b
+	case colScript:
+		ops := s.nodes[ni].pendingOp
+		if len(ops) == 0 {
+			return 0, b
+		}
+		for _, op := range ops {
+			// Kind/Addr only: Fingerprint ignores Delay, so the
+			// codec must too or equal states would encode apart.
+			b = append(b, op.Kind...)
+			b = append(b, '/')
+			b = strconv.AppendInt(b, int64(op.Addr), 10)
+			b = append(b, ';')
+		}
+	case colOutstanding:
+		op, ok := s.nodes[ni].outstanding[c.addrs[i]]
+		if !ok {
+			return 0, b
+		}
+		return c.intern(op.Kind), b
+	}
+	return c.intern(string(b)), b
+}
+
+// decodeCol overwrites column j of s with code. It holds the one decoder
+// of each column kind. Parsed parts are shared by every goroutine
+// decoding with the codec, so it copies them into s and never aliases
+// them.
+func (c *StateCodec) decodeCol(s *System, j int, code uint32) {
+	kind, ni, i := c.col(j)
+	switch kind {
+	case colQueue:
+		ch := s.chanList[i]
+		ch.q = ch.q[:0]
+		if code != 0 {
+			for _, m := range c.part(code, colQueue).msgs {
+				m.VC = c.chans[i] // send files every message under its VC
+				ch.q = append(ch.q, m)
+			}
+		}
+		ch.stamps = append(ch.stamps[:0], make([]int, len(ch.q))...)
+	case colDir:
+		sd, a := s.dir.base(), c.addrs[i]
+		if code == 0 {
+			delete(sd.dir, a)
+			return
+		}
+		p := c.part(code, colDir)
+		e := sd.dir[a]
+		if e == nil {
+			e = &dirEntry{sharers: make(map[EntityID]bool, len(p.sharers))}
+			sd.dir[a] = e
+		}
+		e.st = p.st
+		clear(e.sharers)
+		for _, k := range p.sharers {
+			e.sharers[k] = true
+		}
+	case colBusy:
+		sd, a := s.dir.base(), c.addrs[i]
+		if code == 0 {
+			delete(sd.busy, a)
+			return
+		}
+		b := sd.busy[a]
+		if b == nil {
+			b = new(busyEntry)
+			sd.busy[a] = b
+		}
+		*b = c.part(code, colBusy).busy
+	case colCache:
+		n, a := s.nodes[ni], c.addrs[i]
+		if code == 0 {
+			delete(n.cache, a)
+		} else {
+			n.cache[a] = c.dict.Value(code).Str()
+		}
+	case colMshr:
+		n, a := s.nodes[ni], c.addrs[i]
+		if code == 0 {
+			delete(n.mshr, a)
+		} else {
+			n.mshr[a] = true
+		}
+	case colScript:
+		n := s.nodes[ni]
+		n.pendingOp = n.pendingOp[:0]
+		if code != 0 {
+			n.pendingOp = append(n.pendingOp, c.part(code, colScript).ops...)
+		}
+	case colOutstanding:
+		n, a := s.nodes[ni], c.addrs[i]
+		if code == 0 {
+			delete(n.outstanding, a)
+		} else {
+			n.outstanding[a] = Op{Kind: c.dict.Value(code).Str(), Addr: a}
+		}
+	}
+}
+
+// eachTouched calls fn with every column of s that a mark covers.
+func (c *StateCodec) eachTouched(s *System, fn func(j int)) {
+	for i, ch := range s.chanList {
+		if ch.touched {
+			fn(i)
+		}
+	}
+	for _, a := range s.dir.base().touched {
+		i := c.addrSlot(a)
+		fn(c.dirOff + i)
+		fn(c.busyOff + i)
+	}
+	na := len(c.addrs)
+	for ni, n := range s.nodes {
+		base := c.nodeOff + ni*c.perNode
+		for _, a := range n.touched {
+			i := c.addrSlot(a)
+			fn(base + i)            // cache
+			fn(base + na + i)       // MSHR
+			fn(base + 2*na + 1 + i) // outstanding
+		}
+		if n.scriptTouched {
+			fn(base + 2*na)
+		}
+	}
+}
+
 // Encode writes s's state tuple into dst (grown if needed) and returns
-// it. The scratch builder sb is reused across components.
+// it.
 func (c *StateCodec) Encode(s *System, dst []uint32) []uint32 {
+	eachAddr(s, func(a Addr) { c.addrSlot(a) })
 	if cap(dst) < c.width {
 		dst = make([]uint32, c.width)
 	}
 	dst = dst[:c.width]
-	for i := range dst {
-		dst[i] = 0
+	var buf []byte
+	for j := range dst {
+		dst[j], buf = c.encodeCol(s, j, buf)
 	}
-	var sb strings.Builder
+	return dst
+}
 
-	for i, name := range c.chans {
-		ch := s.channels[name]
-		if ch == nil || len(ch.q) == 0 {
-			continue
-		}
-		sb.Reset()
-		for _, m := range ch.q {
-			sb.WriteString(m.Type)
-			sb.WriteByte(',')
-			sb.WriteString(string(m.From))
-			sb.WriteByte(',')
-			sb.WriteString(string(m.To))
-			sb.WriteByte(',')
-			sb.WriteString(strconv.Itoa(int(m.Addr)))
-			sb.WriteByte('|')
-		}
-		dst[i] = c.intern(sb.String())
-	}
-
-	sd := s.dir.base()
-	for a, e := range sd.dir {
-		sb.Reset()
-		sb.WriteString(e.st)
-		sb.WriteByte('|')
-		sh := make([]string, 0, len(e.sharers))
-		for k := range e.sharers {
-			sh = append(sh, string(k))
-		}
-		sort.Strings(sh)
-		sb.WriteString(strings.Join(sh, ","))
-		dst[c.dirOff+c.addrSlot(a)] = c.intern(sb.String())
-	}
-	for a, b := range sd.busy {
-		sb.Reset()
-		sb.WriteString(b.st)
-		sb.WriteByte('|')
-		sb.WriteString(strconv.Itoa(b.pending))
-		sb.WriteByte('|')
-		sb.WriteString(string(b.requester))
-		dst[c.busyOff+c.addrSlot(a)] = c.intern(sb.String())
-	}
-
-	na := len(c.addrs)
-	for ni, n := range s.nodes {
-		base := c.nodeOff + ni*c.perNode
-		for a, st := range n.cache {
-			dst[base+c.addrSlot(a)] = c.intern(st)
-		}
-		// MSHR entries are presence-only (only ever set true or
-		// deleted), and Fingerprint keys on presence — mirror that.
-		for a := range n.mshr {
-			dst[base+na+c.addrSlot(a)] = 1
-		}
-		if len(n.pendingOp) > 0 {
-			sb.Reset()
-			for _, op := range n.pendingOp {
-				// Kind/Addr only: Fingerprint ignores Delay, so the
-				// codec must too or equal states would encode apart.
-				sb.WriteString(op.Kind)
-				sb.WriteByte('/')
-				sb.WriteString(strconv.Itoa(int(op.Addr)))
-				sb.WriteByte(';')
-			}
-			dst[base+2*na] = c.intern(sb.String())
-		}
-		for a, op := range n.outstanding {
-			dst[base+2*na+1+c.addrSlot(a)] = c.intern(op.Kind)
-		}
-	}
+// EncodeTouched writes into dst (grown if needed) and returns the tuple
+// of s, which Apply has changed from the state parent: a copy of parent
+// with the marked columns re-encoded. It equals Encode(s, dst); see the
+// type comment for when it is valid.
+func (c *StateCodec) EncodeTouched(s *System, parent, dst []uint32) []uint32 {
+	dst = append(dst[:0], parent...)
+	var buf []byte
+	c.eachTouched(s, func(j int) { dst[j], buf = c.encodeCol(s, j, buf) })
 	return dst
 }
 
 // DecodeInto overwrites s with the state tuple holds; it is the inverse
 // of Encode. s must have the codec's shape: a Clone of the system the
-// codec was built from, or of one derived from it by Apply. Besides the
-// encoded components, DecodeInto resets what Apply writes that the
-// tuple does not hold: memory's first-seen steps and latency flag,
-// per-line attempt counts, issue steps, completion counts and channel
-// send stamps. None of these changes how a system behaves if
-// CheckEncodable accepts it. Stats are left as they are.
+// codec was built from, or of one derived from it by Apply. Like every
+// decode it also settles s (see settle). Stats are left as they are.
 func (c *StateCodec) DecodeInto(tuple []uint32, s *System) {
-	for i, name := range c.chans {
-		ch := s.channels[name]
-		ch.q = ch.q[:0]
-		if code := tuple[i]; code != 0 {
-			for _, m := range c.part(code, partQueue).msgs {
-				m.VC = name // send files every message under its VC
-				ch.q = append(ch.q, m)
-			}
-		}
-		ch.stamps = append(ch.stamps[:0], make([]int, len(ch.q))...)
+	for j, code := range tuple {
+		c.decodeCol(s, j, code)
 	}
+	c.settle(s)
+}
 
+// DecodeDiff moves s from the state prev to the state next, decoding
+// only the columns where the two tuples differ; the result equals
+// DecodeInto(next, s). s must hold prev exactly: this codec decoded prev
+// into it and nothing has changed it since.
+func (c *StateCodec) DecodeDiff(prev, next []uint32, s *System) {
+	for j, code := range next {
+		if code != prev[j] {
+			c.decodeCol(s, j, code)
+		}
+	}
+	c.settle(s)
+}
+
+// Restore returns s, which Apply has changed from the state parent, to
+// parent by decoding the marked columns back from it; the result equals
+// DecodeInto(parent, s). See the type comment for when it is valid.
+func (c *StateCodec) Restore(parent []uint32, s *System) {
+	c.eachTouched(s, func(j int) { c.decodeCol(s, j, parent[j]) })
+	c.settle(s)
+}
+
+// settle clears s's marks and resets what Apply writes that the tuple
+// does not hold: memory's first-seen steps and latency flag, per-line
+// attempt counts, issue steps and completion counts. (decodeCol resets a
+// queue's send stamps with the queue.) None of these changes how a
+// system behaves if CheckEncodable accepts it.
+func (c *StateCodec) settle(s *System) {
+	for _, ch := range s.chanList {
+		ch.touched = false
+	}
 	sd := s.dir.base()
-	for ai, a := range c.addrs {
-		if code := tuple[c.dirOff+ai]; code == 0 {
-			delete(sd.dir, a)
-		} else {
-			p := c.part(code, partDir)
-			e := sd.dir[a]
-			if e == nil {
-				e = &dirEntry{sharers: make(map[EntityID]bool, len(p.sharers))}
-				sd.dir[a] = e
-			}
-			e.st = p.st
-			clear(e.sharers)
-			for _, k := range p.sharers {
-				e.sharers[k] = true
-			}
-		}
-		if code := tuple[c.busyOff+ai]; code == 0 {
-			delete(sd.busy, a)
-		} else {
-			b := sd.busy[a]
-			if b == nil {
-				b = new(busyEntry)
-				sd.busy[a] = b
-			}
-			*b = c.part(code, partBusy).busy
-		}
-	}
-
-	na := len(c.addrs)
-	for ni, n := range s.nodes {
-		base := c.nodeOff + ni*c.perNode
-		for ai, a := range c.addrs {
-			if code := tuple[base+ai]; code == 0 {
-				delete(n.cache, a)
-			} else {
-				n.cache[a] = c.dict.Value(code).Str()
-			}
-			if tuple[base+na+ai] == 0 {
-				delete(n.mshr, a)
-			} else {
-				n.mshr[a] = true
-			}
-			if code := tuple[base+2*na+1+ai]; code == 0 {
-				delete(n.outstanding, a)
-			} else {
-				n.outstanding[a] = Op{Kind: c.dict.Value(code).Str(), Addr: a}
-			}
-		}
-		n.pendingOp = n.pendingOp[:0]
-		if code := tuple[base+2*na]; code != 0 {
-			n.pendingOp = append(n.pendingOp, c.part(code, partScript).ops...)
-		}
+	sd.touched = sd.touched[:0]
+	for _, n := range s.nodes {
+		n.touched = n.touched[:0]
+		n.scriptTouched = false
 		clear(n.attempts)
 		clear(n.issuedAt)
 		n.completed = 0
@@ -329,22 +501,12 @@ func (c *StateCodec) DecodeInto(tuple []uint32, s *System) {
 	s.mem.latencyWait = false
 }
 
-// partKind names the column kinds whose codes DecodeInto parses.
-type partKind uint8
-
-const (
-	partQueue partKind = iota + 1
-	partDir
-	partBusy
-	partScript
-)
-
 // part is a dictionary code parsed back into the component its column
 // kind encodes. Parts are shared by every goroutine decoding with the
-// codec, so DecodeInto copies them into the System and never aliases
+// codec, so decodeCol copies them into the System and never aliases
 // them.
 type part struct {
-	kind    partKind
+	kind    colKind
 	msgs    []Message  // queue; VC is left to the channel
 	st      string     // dir
 	sharers []EntityID // dir
@@ -369,7 +531,7 @@ func (p *part) bytes() int64 {
 // part returns code parsed as a component of the given kind. Parses are
 // memoized per code: the dictionary only grows, so a code's parse never
 // changes.
-func (c *StateCodec) part(code uint32, kind partKind) *part {
+func (c *StateCodec) part(code uint32, kind colKind) *part {
 	if v, ok := c.memo.Load(code); ok && v.(*part).kind == kind {
 		return v.(*part)
 	}
@@ -382,9 +544,9 @@ func (c *StateCodec) part(code uint32, kind partKind) *part {
 	return p
 }
 
-// parsePart inverts the strings Encode interns. Only Encode writes them,
-// so a malformed one is a bug.
-func parsePart(s string, kind partKind) *part {
+// parsePart inverts the strings encodeCol interns. Only encodeCol writes
+// them, so a malformed one is a bug.
+func parsePart(s string, kind colKind) *part {
 	bad := func() { panic(fmt.Sprintf("sim: bad state code %q", s)) }
 	addr := func(f string) Addr {
 		n, err := strconv.Atoi(f)
@@ -395,7 +557,7 @@ func parsePart(s string, kind partKind) *part {
 	}
 	p := &part{kind: kind}
 	switch kind {
-	case partQueue:
+	case colQueue:
 		for rest := s; rest != ""; {
 			var m string
 			m, rest, _ = strings.Cut(rest, "|")
@@ -405,7 +567,7 @@ func parsePart(s string, kind partKind) *part {
 			}
 			p.msgs = append(p.msgs, Message{Type: f[0], From: EntityID(f[1]), To: EntityID(f[2]), Addr: addr(f[3])})
 		}
-	case partDir:
+	case colDir:
 		st, sh, ok := strings.Cut(s, "|")
 		if !ok {
 			bad()
@@ -416,7 +578,7 @@ func parsePart(s string, kind partKind) *part {
 				p.sharers = append(p.sharers, EntityID(k))
 			}
 		}
-	case partBusy:
+	case colBusy:
 		st, rest, ok1 := strings.Cut(s, "|")
 		pending, req, ok2 := strings.Cut(rest, "|")
 		n, err := strconv.Atoi(pending)
@@ -424,7 +586,7 @@ func parsePart(s string, kind partKind) *part {
 			bad()
 		}
 		p.busy = busyEntry{st: st, pending: n, requester: EntityID(req)}
-	case partScript:
+	case colScript:
 		for rest := s; rest != ""; {
 			var op string
 			op, rest, _ = strings.Cut(rest, ";")
@@ -456,13 +618,8 @@ func (s *System) CheckEncodable() error {
 	if s.cfg.MemLatency > 0 {
 		return unencoded(fmt.Sprintf("MemLatency %d", s.cfg.MemLatency), "memory's first-seen steps")
 	}
-	names := make([]string, 0, len(s.channels))
-	for name := range s.channels {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if ch := s.channels[name]; ch.Latency > 0 {
+	for _, ch := range s.chanList {
+		if ch.Latency > 0 {
 			return unencoded(fmt.Sprintf("latency %d on channel %s", ch.Latency, ch.Name), "send stamps")
 		}
 	}
@@ -477,17 +634,6 @@ func (s *System) CheckEncodable() error {
 	return nil
 }
 
-// isRawCol reports whether column j holds a raw number (the MSHR
-// presence flags) rather than a dictionary code.
-func (c *StateCodec) isRawCol(j int) bool {
-	if j < c.nodeOff {
-		return false
-	}
-	k := (j - c.nodeOff) % c.perNode
-	na := len(c.addrs)
-	return k >= na && k < 2*na
-}
-
 // ValueHash hashes an encoded state by its decoded VALUES, not its
 // codes — two codecs (or two processes) that interned strings in
 // different orders still hash equal states equally. The model checker
@@ -500,8 +646,8 @@ func (c *StateCodec) ValueHash(tuple []uint32) uint64 {
 	h := uint64(offset)
 	mix := func(b byte) { h = (h ^ uint64(b)) * prime }
 	for j, code := range tuple {
-		switch {
-		case c.isRawCol(j):
+		switch kind, _, _ := c.col(j); {
+		case kind == colMshr:
 			mix(0x03)
 			mix(byte(code))
 			mix(byte(code >> 8))

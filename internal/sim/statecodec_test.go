@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -306,4 +308,210 @@ func TestTraceLogOutOfCore(t *testing.T) {
 	if strings.Join(got, "\n") != strings.Join(baseRes.Trace, "\n") {
 		t.Fatalf("streamed trace differs from materialized baseline:\nstreamed %d lines, baseline %d", len(got), len(baseRes.Trace))
 	}
+}
+
+// touchedChecker expands states the way the model checker does — one
+// scratch system moved between states with DecodeDiff, and every action
+// applied in place, encoded with EncodeTouched and undone with Restore —
+// and checks each step against the full Encode and DecodeInto.
+type touchedChecker struct {
+	codec *StateCodec
+	sys   *System // expanded in place
+	full  *System // decoded in full at every state: the reference
+	prev  []uint32
+	edges int // changed edges checked
+}
+
+func newTouchedChecker(codec *StateCodec, root *System) *touchedChecker {
+	return &touchedChecker{codec: codec, sys: root.Clone(), full: root.Clone()}
+}
+
+// sameState reports how s differs from the reference system decoded from
+// want, or "" if it does not: its tuple, its fingerprint, and its queued
+// messages with their VCs, which the fingerprint leaves out.
+func (c *touchedChecker) sameState(s *System, want []uint32, wantFP string) string {
+	if got := c.codec.Encode(s, nil); !equalU32(got, want) {
+		return fmt.Sprintf("encodes to %v, want %v", got, want)
+	}
+	if got := s.Fingerprint(); got != wantFP {
+		return fmt.Sprintf("fingerprint\n%s\nwant\n%s", got, wantFP)
+	}
+	for i, ch := range s.chanList {
+		if !slices.Equal(ch.q, c.full.chanList[i].q) {
+			return fmt.Sprintf("channel %q holds %v, want %v", s.chanNames[i], ch.q, c.full.chanList[i].q)
+		}
+	}
+	return ""
+}
+
+// visit moves the scratch system to tuple with DecodeDiff (DecodeInto
+// the first time), checks it against a full decode, then expands every
+// candidate action and checks each edge: EncodeTouched must equal
+// Encode, and Restore must return the parent. It returns the changed
+// successors' tuples in candidate order.
+func (c *touchedChecker) visit(tuple []uint32) ([][]uint32, error) {
+	if c.prev == nil {
+		c.codec.DecodeInto(tuple, c.sys)
+	} else {
+		c.codec.DecodeDiff(c.prev, tuple, c.sys)
+	}
+	c.prev = tuple
+	c.codec.DecodeInto(tuple, c.full)
+	fp := c.full.Fingerprint()
+	if d := c.sameState(c.sys, tuple, fp); d != "" {
+		return nil, fmt.Errorf("after DecodeDiff the system %s", d)
+	}
+	var succs [][]uint32
+	for _, a := range c.sys.CandidateActions() {
+		changed, err := c.sys.Apply(a)
+		if err != nil {
+			return nil, fmt.Errorf("%v: %w", a, err)
+		}
+		if changed {
+			touched := c.codec.EncodeTouched(c.sys, tuple, nil)
+			want := c.codec.Encode(c.sys, nil)
+			if !equalU32(touched, want) {
+				return nil, fmt.Errorf("%v from %v: EncodeTouched %v, Encode %v", a, tuple, touched, want)
+			}
+			succs = append(succs, want)
+			c.edges++
+		}
+		c.codec.Restore(tuple, c.sys)
+		if d := c.sameState(c.sys, tuple, fp); d != "" {
+			return nil, fmt.Errorf("%v from %v: after Restore the system %s", a, tuple, d)
+		}
+	}
+	return succs, nil
+}
+
+func tupleKey(tuple []uint32) string {
+	b := make([]byte, 0, 4*len(tuple))
+	for _, code := range tuple {
+		b = binary.LittleEndian.AppendUint32(b, code)
+	}
+	return string(b)
+}
+
+// TestStateCodecTouchedMatchesFull checks touched expansion against the
+// full codec at every edge of exhaustive searches of the Fig. 4 system
+// under both assignments, with three extra prreads (one under the race
+// detector), and along random walks over random workloads with direct
+// ops, whose three nodes run every op kind (20 seeds, 4 under the race
+// detector).
+func TestStateCodecTouchedMatchesFull(t *testing.T) {
+	type search struct {
+		assign                 string
+		prreads, states, edges int
+	}
+	searches := []search{{protocol.AssignFixed, 3, 18351, 51541}, {protocol.AssignVC4, 3, 3209, 6903}}
+	seeds := 20
+	if raceEnabled {
+		searches = []search{{protocol.AssignFixed, 1, 1126, 2597}, {protocol.AssignVC4, 1, 493, 951}}
+		seeds = 4
+	}
+	for _, tc := range searches {
+		t.Run(fmt.Sprintf("%s+%dprread", tc.assign, tc.prreads), func(t *testing.T) {
+			root := fig4CodecSystem(t, tc.assign)
+			for k := 0; k < tc.prreads; k++ {
+				root.Node(k % 2).Script(Op{Kind: "prread", Addr: Addr(0x100 + k)})
+			}
+			codec := NewStateCodec(root)
+			c := newTouchedChecker(codec, root)
+			rootTuple := codec.Encode(root, nil)
+			seen := map[string]bool{tupleKey(rootTuple): true}
+			for queue := [][]uint32{rootTuple}; len(queue) > 0; queue = queue[1:] {
+				succs, err := c.visit(queue[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, s := range succs {
+					if k := tupleKey(s); !seen[k] {
+						seen[k] = true
+						queue = append(queue, s)
+					}
+				}
+			}
+			if len(seen) != tc.states || c.edges != tc.edges {
+				t.Fatalf("searched %d states, %d edges; want %d, %d", len(seen), c.edges, tc.states, tc.edges)
+			}
+		})
+	}
+
+	t.Run("random-direct-ops", func(t *testing.T) {
+		kinds := map[string]bool{}
+		for seed := int64(1); seed <= int64(seeds); seed++ {
+			root, err := RandomSystem(genTables(t), fixedAssignment(t), RandomConfig{
+				Nodes: 3, Addrs: 2, OpsPerNode: 8, Seed: seed, DirectOps: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range root.nodes {
+				for _, op := range n.pendingOp {
+					kinds[op.Kind] = true
+				}
+			}
+			codec := NewStateCodec(root)
+			c := newTouchedChecker(codec, root)
+			rng := rand.New(rand.NewSource(seed))
+			tuple := codec.Encode(root, nil)
+			for step := 0; step < 5000; step++ {
+				succs, err := c.visit(tuple)
+				if err != nil {
+					t.Fatalf("seed %d, step %d: %v", seed, step, err)
+				}
+				if len(succs) == 0 {
+					break
+				}
+				tuple = succs[rng.Intn(len(succs))]
+			}
+			if !c.sys.Idle() {
+				t.Fatalf("seed %d: the walk stopped before its scripts drained", seed)
+			}
+		}
+		if !raceEnabled && len(kinds) != 4+len(directOps) {
+			t.Fatalf("the walks ran op kinds %v; want all %d", kinds, 4+len(directOps))
+		}
+	})
+}
+
+// TestStateCodecTouchedConcurrent runs touched expansion on four
+// goroutines over one fresh codec, each over the same states in its own
+// order, so interning and the decode memo fill under contention while
+// every scratch system keeps its own marks. Run it with -race.
+func TestStateCodecTouchedConcurrent(t *testing.T) {
+	root := fig4CodecSystem(t, protocol.AssignFixed).CloneDetached()
+	rng := rand.New(rand.NewSource(13))
+	var states []*System
+	for walk := 0; walk < 10; walk++ {
+		cur := root.Clone()
+		for step := 0; step < 30; step++ {
+			cands := cur.CandidateActions()
+			if len(cands) == 0 {
+				break
+			}
+			if _, err := cur.Apply(cands[rng.Intn(len(cands))]); err != nil {
+				t.Fatal(err)
+			}
+			states = append(states, cur.Clone())
+		}
+	}
+
+	codec := NewStateCodec(root)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		order := rng.Perm(len(states))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := newTouchedChecker(codec, root)
+			for _, i := range order {
+				if _, err := c.visit(codec.Encode(states[i], nil)); err != nil {
+					t.Errorf("state %d: %v", i, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

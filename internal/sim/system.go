@@ -158,14 +158,20 @@ type System struct {
 	cfg      Config
 	vcs      map[VKey]string
 	channels map[string]*Channel
-	dir      dirEngine
-	mem      *memCtl
-	nodes    []*nodeCtl
-	stats    Stats
-	tlog     *TraceLog
-	events   []Message
-	step     int
-	sym      *symbols
+	// chanNames holds the channel names in sorted order, the order every
+	// scan of the channels uses; channels never change after NewSystem,
+	// so clones share it. chanList holds this system's channels in the
+	// same order.
+	chanNames []string
+	chanList  []*Channel
+	dir       dirEngine
+	mem       *memCtl
+	nodes     []*nodeCtl
+	stats     Stats
+	tlog      *TraceLog
+	events    []Message
+	step      int
+	sym       *symbols
 }
 
 // VKey identifies a channel assignment (message, source role, dest role).
@@ -265,6 +271,13 @@ func NewSystem(cfg Config) (*System, error) {
 	// The dedicated/internal path is unbounded.
 	s.channels[""] = NewChannel("internal", 0)
 	s.channels[""].now = &s.step
+	for name := range s.channels {
+		s.chanNames = append(s.chanNames, name)
+	}
+	sort.Strings(s.chanNames)
+	for _, name := range s.chanNames {
+		s.chanList = append(s.chanList, s.channels[name])
+	}
 
 	var err error
 	if cfg.Mapping != nil {
@@ -431,9 +444,9 @@ func (s *System) entityFor(id EntityID) interface{ process(Message) (bool, error
 	case Mem:
 		return s.mem
 	default:
-		for i := range s.nodes {
-			if NodeID(i) == id {
-				return s.nodes[i]
+		for _, n := range s.nodes {
+			if n.eid == id {
+				return n
 			}
 		}
 	}
@@ -471,13 +484,8 @@ func (s *System) Run() (*Result, error) {
 			progress = progress || issued
 		}
 		// Drain channel heads in a fixed, fair order.
-		names := make([]string, 0, len(s.channels))
-		for name := range s.channels {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			ch := s.channels[name]
+		for i, ch := range s.chanList {
+			name := s.chanNames[i]
 			msg, ok := ch.Head()
 			if !ok {
 				continue
@@ -593,13 +601,7 @@ func (s *System) result(o Outcome) *Result {
 	}
 	if o == Deadlocked {
 		var sb strings.Builder
-		names := make([]string, 0, len(s.channels))
-		for name := range s.channels {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			ch := s.channels[name]
+		for _, ch := range s.chanList {
 			if ch.Len() == 0 {
 				continue
 			}

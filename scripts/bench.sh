@@ -34,9 +34,11 @@
 # the lock-free metrics plane, the segment store and the model checker
 # (every engine variant against the in-memory BFS test oracle, plus the
 # frozen exploration golden, the state codec's decode round trip with
-# its shared decode memo, the refusal of unencodable systems, clones
-# applying concurrently over shared table matchers, and the ternary
-# matcher against its full-scan oracle), the
+# its shared decode memo, touched expansion -- marks, touched encode,
+# restore and diff decode -- against the full codec, the refusal of
+# unencodable systems, clones applying concurrently over shared table
+# matchers and keeping consistent Stats, and the ternary matcher
+# against its full-scan oracle), the
 # vectorized-vs-scalar equivalence suites, the MVCC epoch/catalog layer
 # and the query server (concurrent sessions, admission, drain), the
 # deadlock analysis (pairwise composition fans out over shared interned
@@ -93,7 +95,7 @@ echo "== race-detector segment-store tests =="
 go test -race ./internal/segment/
 
 echo "== race-detector model-checker equivalence (oracle + golden) =="
-go test -race -run 'TestSegmented|TestFrozenExploreGolden|TestOracle|TestExploreRefusesUnencodedState|TestStateCodecMatchesFingerprint|TestStateCodecDecode|TestTraceLogOutOfCore|TestCloneCountsOwnTransitions|TestClonesApplyConcurrently|TestMatcher' \
+go test -race -run 'TestSegmented|TestFrozenExploreGolden|TestOracle|TestExploreRefusesUnencodedState|TestStateCodecMatchesFingerprint|TestStateCodecDecode|TestStateCodecTouched|TestTraceLogOutOfCore|TestCloneCountsOwnTransitions|TestCloneKeepsMaxOccupancy|TestClonesApplyConcurrently|TestMatcher' \
     ./internal/modelcheck/ ./internal/sim/ ./internal/rel/
 
 echo "== race-detector MVCC catalog + session tests =="
