@@ -21,8 +21,10 @@ package main
 import (
 	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -36,39 +38,58 @@ import (
 )
 
 func main() {
-	query := flag.String("q", "", "execute one statement and exit")
-	strict := flag.Bool("strict-nulls", true, "use ANSI NULL semantics (off = constraint dialect)")
-	workers := flag.Int("workers", 0, "bound within-query morsel parallelism (0 = shared pool size, 1 = serial)")
-	morsel := flag.Int("morsel", 0, "rows per parallel scan batch (0 = default 1024)")
-	traceFlag := flag.Bool("trace", false, "collect per-statement spans and dump them as JSON lines to stderr at exit")
-	metricsFlag := flag.Bool("metrics", false, "write Prometheus-style metrics and session query stats to stdout at exit")
-	listen := flag.String("listen", "", "serve live diagnostics (metrics, healthz, pprof, traces, queries) on this address, e.g. :8080")
-	traceOut := flag.String("trace-out", "", "write the span tree as Chrome trace_event JSON (Perfetto-loadable) to this file at exit")
-	serveAddr := flag.String("serve", "", "serve the multi-session line protocol on this address, e.g. :7433 (SIGINT/SIGTERM drains)")
-	serveHTTP := flag.String("serve-http", "", "serve the HTTP/JSON query API (/v1/query, /v1/session, /v1/recheck) on this address")
-	maxSessions := flag.Int("max-sessions", 0, "server mode: bound on concurrent sessions (0 = default 64)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
+
+// run is the whole command over explicit arguments and streams. It
+// returns the exit status: 2 for bad flags, 1 when setup or any statement
+// failed (the remaining statements still run), 0 otherwise. Diagnostics
+// output (-trace, -metrics, -trace-out) is flushed before it returns.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("cohersql", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	query := fs.String("q", "", "execute one statement and exit")
+	strict := fs.Bool("strict-nulls", true, "use ANSI NULL semantics (off = constraint dialect)")
+	workers := fs.Int("workers", 0, "bound within-query morsel parallelism (0 = shared pool size, 1 = serial)")
+	morsel := fs.Int("morsel", 0, "rows per parallel scan batch (0 = default 1024)")
+	traceFlag := fs.Bool("trace", false, "collect per-statement spans and dump them as JSON lines to stderr at exit")
+	metricsFlag := fs.Bool("metrics", false, "write Prometheus-style metrics and session query stats to stdout at exit")
+	listen := fs.String("listen", "", "serve live diagnostics (metrics, healthz, pprof, traces, queries) on this address, e.g. :8080")
+	traceOut := fs.String("trace-out", "", "write the span tree as Chrome trace_event JSON (Perfetto-loadable) to this file at exit")
+	serveAddr := fs.String("serve", "", "serve the multi-session line protocol on this address, e.g. :7433 (SIGINT/SIGTERM drains)")
+	serveHTTP := fs.String("serve-http", "", "serve the HTTP/JSON query API (/v1/query, /v1/session, /v1/recheck) on this address")
+	maxSessions := fs.Int("max-sessions", 0, "server mode: bound on concurrent sessions (0 = default 64)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "cohersql:", err)
+		return 1
+	}
 
 	diag, err := core.StartDiag(core.DiagConfig{
 		Trace: *traceFlag, Metrics: *metricsFlag,
 		Listen: *listen, TraceOut: *traceOut,
 	})
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 
 	p := core.New()
 	diag.Attach(p)
-	fmt.Fprintln(os.Stderr, "generating controller tables...")
+	fmt.Fprintln(stderr, "generating controller tables...")
 	if err := p.Generate(); err != nil {
-		fail(err)
+		return fail(err)
 	}
 	p.DB.SetStrictNulls(*strict)
 	p.DB.SetWorkers(*workers)
 	if *morsel > 0 {
 		p.DB.SetMorselSize(*morsel)
 	}
-	fmt.Fprintf(os.Stderr, "tables: %s\n", strings.Join(p.DB.Names(), ", "))
+	fmt.Fprintf(stderr, "tables: %s\n", strings.Join(p.DB.Names(), ", "))
 	defer func() {
 		if diag.Registry != nil {
 			publishDBStats(diag.Registry, p)
@@ -77,36 +98,40 @@ func main() {
 	}()
 
 	if *serveAddr != "" || *serveHTTP != "" {
-		serve(p, diag, *serveAddr, *serveHTTP, *maxSessions, *workers)
-		return
+		if err := serve(p, diag, *serveAddr, *serveHTTP, *maxSessions, *workers); err != nil {
+			return fail(err)
+		}
+		return 0
 	}
 
+	status := 0
 	exec := func(stmt string) {
 		res, err := p.DB.Exec(stmt)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
+			fmt.Fprintln(stderr, "error:", err)
+			status = 1
 			return
 		}
 		if res.Table != nil {
-			fmt.Print(res.Table.String())
+			fmt.Fprint(stdout, res.Table.String())
 		} else {
-			fmt.Printf("ok (%d rows affected)\n", res.Affected)
+			fmt.Fprintf(stdout, "ok (%d rows affected)\n", res.Affected)
 		}
 	}
 
 	if *query != "" {
 		exec(*query)
-		return
+		return status
 	}
 
-	scanner := bufio.NewScanner(os.Stdin)
+	scanner := bufio.NewScanner(stdin)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
 	var buf strings.Builder
 	prompt := func() {
 		if buf.Len() == 0 {
-			fmt.Fprint(os.Stderr, "coherdb> ")
+			fmt.Fprint(stderr, "coherdb> ")
 		} else {
-			fmt.Fprint(os.Stderr, "    ...> ")
+			fmt.Fprint(stderr, "    ...> ")
 		}
 	}
 	prompt()
@@ -114,10 +139,10 @@ func main() {
 		line := scanner.Text()
 		trimmed := strings.TrimSpace(line)
 		if buf.Len() == 0 && (trimmed == "quit" || trimmed == "exit" || trimmed == `\q`) {
-			return
+			return status
 		}
 		if buf.Len() == 0 && trimmed == "tables" {
-			fmt.Println(strings.Join(p.DB.Names(), "\n"))
+			fmt.Fprintln(stdout, strings.Join(p.DB.Names(), "\n"))
 			prompt()
 			continue
 		}
@@ -133,12 +158,14 @@ func main() {
 	if strings.TrimSpace(buf.String()) != "" {
 		exec(buf.String())
 	}
+	return status
 }
 
 // serve runs the multi-session query server until SIGINT/SIGTERM, then
 // drains: in-flight statements finish, clients hear a goodbye, and the
 // diagnostics server completes its last scrape before the process exits.
-func serve(p *core.Pipeline, diag *core.Diag, lineAddr, httpAddr string, maxSessions, workers int) {
+// It returns an error only when a listener cannot start.
+func serve(p *core.Pipeline, diag *core.Diag, lineAddr, httpAddr string, maxSessions, workers int) error {
 	srv := server.New(server.Config{
 		DB:          p.DB,
 		Suite:       check.ProtocolSuite(),
@@ -149,13 +176,13 @@ func serve(p *core.Pipeline, diag *core.Diag, lineAddr, httpAddr string, maxSess
 	})
 	if lineAddr != "" {
 		if err := srv.Serve(lineAddr); err != nil {
-			fail(err)
+			return err
 		}
 		fmt.Fprintf(os.Stderr, "line protocol on %s (one statement per line; \\begin \\recheck \\epoch \\quit)\n", srv.Addr())
 	}
 	if httpAddr != "" {
 		if err := srv.ServeHTTP(httpAddr); err != nil {
-			fail(err)
+			return err
 		}
 		fmt.Fprintf(os.Stderr, "http/json api on http://%s/v1/ (query, session, recheck)\n", srv.HTTPAddr())
 	}
@@ -170,6 +197,7 @@ func serve(p *core.Pipeline, diag *core.Diag, lineAddr, httpAddr string, maxSess
 		fmt.Fprintln(os.Stderr, "drain:", err)
 	}
 	_ = diag.Shutdown(ctx)
+	return nil
 }
 
 // publishDBStats turns the session's aggregate query statistics into
@@ -193,9 +221,4 @@ func publishDBStats(reg *obs.Registry, p *core.Pipeline) {
 	}
 	reg.Help("coherdb_sql_eval_seconds", "Total statement evaluation time.")
 	reg.Histogram("coherdb_sql_eval_seconds", nil).ObserveDuration(st.EvalTime)
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "cohersql:", err)
-	os.Exit(1)
 }

@@ -138,8 +138,8 @@ type groupSweep struct {
 	verdicts []bool
 }
 
-// sweepWorker is one goroutine's evaluation state: an instance per fire
-// program, the extended row, and the conjunction's lane vector.
+// sweepWorker is one goroutine's evaluation state: the lane buffers of
+// each fire program, the extended row, and the conjunction's lane vector.
 type sweepWorker struct {
 	insts   []*sqlmini.Instance
 	scratch []uint32
@@ -169,9 +169,6 @@ func (s *groupSweep) run(w sweepWorker, lo, hi int) error {
 	dlen := len(s.domain)
 	for g := lo; g < hi; g++ {
 		copy(w.scratch, s.cur[s.reps[g]])
-		for _, in := range w.insts {
-			in.NextRow()
-		}
 		for di := range w.keep {
 			w.keep[di] = true
 		}

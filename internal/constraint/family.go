@@ -139,7 +139,7 @@ func (w *chainScan) compile(col string, e sqlmini.Expr) (compiledConstraint, err
 	var err error
 	switch {
 	case k == 0:
-		cc.sweep, err = ev.CompileSweepVec(e, s.colIdx, fire)
+		cc.sweep, err = ev.CompileSweepBranches([]sqlmini.Expr{e}, s.colIdx, fire)
 	case cc.fam == nil:
 		cc.fam, err = w.newFamily(k, fire)
 		if err == nil {
@@ -149,19 +149,14 @@ func (w *chainScan) compile(col string, e sqlmini.Expr) (compiledConstraint, err
 		cc.sweep, cc.branch, err = w.branches(k, rest, fire)
 	}
 	if err != nil {
-		return cc, fmt.Errorf("constraint: compiling constraint for %s.%s: %w", s.Name, col, err)
+		return cc, compileError(s, col, err)
 	}
-	// Monolithic evaluates the whole constraint row at a time; that form is
-	// compiled only when first used. CompileSweep accepts exactly what the
-	// sweep compilers accept, so it fails only on the same class of error.
-	cc.scalar = &scalarProgram{compile: func() (*sqlmini.Program, error) {
-		prog, err := ev.CompileSweep(e, s.colIdx, fire)
-		if err != nil {
-			return nil, fmt.Errorf("constraint: compiling constraint for %s.%s: %w", s.Name, col, err)
-		}
-		return prog, nil
-	}}
 	return cc, nil
+}
+
+// compileError wraps a failure to compile the constraint on col.
+func compileError(s *Spec, col string, err error) error {
+	return fmt.Errorf("constraint: compiling constraint for %s.%s: %w", s.Name, col, err)
 }
 
 // unread marks a condition whose columns condAt has not walked yet.

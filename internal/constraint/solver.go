@@ -342,12 +342,7 @@ func MonolithicOpts(spec *Spec, opts Options) (_ *rel.Table, stats Stats, err er
 		domains[i] = encodeDomain(c.Domain())
 	}
 	t0 := time.Now()
-	cc, err := spec.compiledConstraints()
-	if err != nil {
-		stats.CompileTime = time.Since(t0)
-		return nil, stats, err
-	}
-	progs, err := scalarPrograms(cc)
+	preds, err := wholePreds(spec)
 	stats.CompileTime = time.Since(t0)
 	if err != nil {
 		return nil, stats, err
@@ -377,13 +372,6 @@ func MonolithicOpts(spec *Spec, opts Options) (_ *rel.Table, stats Stats, err er
 			defer wg.Done()
 			var arena codeArena
 			row := make([]uint32, len(names))
-			// Per-worker program instances. Monolithic enumeration changes
-			// many columns between candidates, so the sweep cache is
-			// invalidated before every evaluation.
-			insts := make([]*sqlmini.Instance, len(progs))
-			for i, p := range progs {
-				insts[i] = p.Instance()
-			}
 			for {
 				bi, lo, hi, ok := cursor.grab()
 				if !ok {
@@ -400,9 +388,8 @@ func MonolithicOpts(spec *Spec, opts Options) (_ *rel.Table, stats Stats, err er
 					}
 					tested[w]++
 					ok := true
-					for i, p := range progs {
-						insts[i].NextRow()
-						t, err := p.EvalCodes(insts[i], row)
+					for _, p := range preds {
+						t, err := p(row)
 						if err != nil {
 							errs[w] = err
 							return
@@ -443,18 +430,24 @@ func MonolithicOpts(spec *Spec, opts Options) (_ *rel.Table, stats Stats, err er
 	return out, stats, nil
 }
 
-// scalarPrograms returns the whole-constraint row-at-a-time programs of
-// cons, compiling any not yet used.
-func scalarPrograms(cons []compiledConstraint) ([]*sqlmini.Program, error) {
-	progs := make([]*sqlmini.Program, len(cons))
-	for i, c := range cons {
-		p, err := c.program()
-		if err != nil {
-			return nil, err
-		}
-		progs[i] = p
+// wholePreds compiles each of spec's constraints whole into one
+// stateless predicate, which every Monolithic worker shares. They are
+// compiled on every call and independent of the families and sweep
+// programs Solve runs; the solver's constraint order (by fire step) only
+// sets the order they are tested in, and its compile errors come first.
+func wholePreds(spec *Spec) ([]sqlmini.CodePred, error) {
+	cc, err := spec.compiledConstraints()
+	if err != nil {
+		return nil, err
 	}
-	return progs, nil
+	ev := spec.evaluator()
+	preds := make([]sqlmini.CodePred, len(cc))
+	for i, c := range cc {
+		if preds[i], err = ev.CompileCodes(spec.constraints[c.col], spec.colIdx); err != nil {
+			return nil, compileError(spec, c.col, err)
+		}
+	}
+	return preds, nil
 }
 
 // InputSpec projects the spec onto its input columns: the sub-spec whose

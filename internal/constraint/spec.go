@@ -308,30 +308,8 @@ type compiledConstraint struct {
 	sweep  *sqlmini.SweepProg
 	fam    *family
 	branch []int32
-	scalar *scalarProgram // whole constraint, row at a time, for Monolithic
-	refs   []int          // row positions the constraint reads, own column included
-	fire   int            // max referenced position: the step the constraint fires at
-}
-
-// scalarProgram is a whole constraint's row-at-a-time sweep program. Only
-// Monolithic runs it, so it is compiled on first use, once per compiled
-// constraint, and incremental solves never pay for it.
-type scalarProgram struct {
-	once    sync.Once
-	compile func() (*sqlmini.Program, error)
-	prog    *sqlmini.Program
-	err     error
-}
-
-// program returns the constraint's scalar program, compiling it on the
-// first call.
-func (c compiledConstraint) program() (*sqlmini.Program, error) {
-	p := c.scalar
-	p.once.Do(func() {
-		p.prog, p.err = p.compile()
-		p.compile = nil
-	})
-	return p.prog, p.err
+	refs   []int // row positions the constraint reads, own column included
+	fire   int   // max referenced position: the step the constraint fires at
 }
 
 // compiledConstraints lowers every column constraint for the solver,

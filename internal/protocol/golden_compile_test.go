@@ -26,16 +26,38 @@ func goldenSpecs(t *testing.T) map[string]*constraint.Spec {
 	return out
 }
 
+// splitStable reads a constraint as the solver reads a rule chain: the
+// conditions of its leading right-nested ternary arms that do not read
+// the fire column, those arms' then branches, and the rest of the chain
+// as the last branch.
+func splitStable(e sqlmini.Expr, fireCol string) (conds, branches []sqlmini.Expr) {
+	for {
+		t, ok := e.(sqlmini.Ternary)
+		if !ok {
+			break
+		}
+		if _, reads := sqlmini.Columns(t.Cond)[fireCol]; reads {
+			break
+		}
+		conds = append(conds, t.Cond)
+		branches = append(branches, t.Then)
+		e = t.Else
+	}
+	return conds, append(branches, e)
+}
+
 // TestCompiledConstraintsMatchInterpreter is the golden equivalence check
 // of the constraint-compilation layer: for every constraint of every
-// controller spec, the compiled predicate must agree with the tree-walking
-// Evaluator.True on randomly sampled environments drawn from the column
-// domains — including the sweep-compiled form driven the way the solver
-// drives it (one cache generation per base row, last referenced column
-// swept across its domain).
+// controller spec, on randomly sampled rows drawn from the column
+// domains, the tree-walking Evaluator.True must agree with the compiled
+// predicate Monolithic runs, and lane by lane with the sweep programs the
+// solver runs over the constraint's last referenced column: the whole
+// constraint as one branch, and its rule chain split into a Selector over
+// the stable leading conditions and the chosen arm's branch.
 func TestCompiledConstraintsMatchInterpreter(t *testing.T) {
 	const samples = 150
 	rng := rand.New(rand.NewSource(42))
+	dict := rel.SharedDict()
 	for name, spec := range goldenSpecs(t) {
 		cols := spec.Columns()
 		colIdx := spec.ColumnIndex()
@@ -49,48 +71,79 @@ func TestCompiledConstraintsMatchInterpreter(t *testing.T) {
 			if e == nil {
 				continue
 			}
-			pred, err := ev.Compile(e, colIdx)
+			pred, err := ev.CompileCodes(e, colIdx)
 			if err != nil {
 				t.Fatalf("%s.%s: compile: %v", name, col, err)
 			}
-			// Sweep compilation around the constraint's last referenced
-			// column, exactly as the solver schedules it.
+			// The solver sweeps a constraint over its last referenced
+			// column.
 			sweep := colIdx[col]
 			for ref := range sqlmini.Columns(e) {
 				if p, ok := colIdx[ref]; ok && p > sweep {
 					sweep = p
 				}
 			}
-			prog, err := ev.CompileSweep(e, colIdx, sweep)
+			whole, err := ev.CompileSweepBranches([]sqlmini.Expr{e}, colIdx, sweep)
 			if err != nil {
 				t.Fatalf("%s.%s: compile sweep: %v", name, col, err)
 			}
-			inst := prog.Instance()
+			conds, branches := splitStable(e, cols[sweep].Name)
+			sel, err := ev.CompileSelector(conds, colIdx)
+			if err != nil {
+				t.Fatalf("%s.%s: compile selector: %v", name, col, err)
+			}
+			arms, err := ev.CompileSweepBranches(branches, colIdx, sweep)
+			if err != nil {
+				t.Fatalf("%s.%s: compile branches: %v", name, col, err)
+			}
+			win, ain := whole.Instance(), arms.Instance()
+			domain := make([]uint32, len(domains[sweep]))
+			for i, v := range domains[sweep] {
+				domain[i] = dict.Code(v)
+			}
+			wkeep := make([]bool, len(domain))
+			akeep := make([]bool, len(domain))
 
 			row := make([]rel.Value, len(cols))
+			crow := make([]uint32, len(cols))
 			env := make(sqlmini.MapEnv, len(cols))
 			for s := 0; s < samples; s++ {
 				for i := range cols {
 					row[i] = domains[i][rng.Intn(len(domains[i]))]
 					env[cols[i].Name] = row[i]
+					crow[i] = dict.Code(row[i])
 				}
-				inst.NextRow()
-				for _, v := range domains[sweep] {
+				for i := range wkeep {
+					wkeep[i], akeep[i] = true, true
+				}
+				if _, err := whole.EvalSweepTrue(win, 0, crow, domain, wkeep); err != nil {
+					t.Fatalf("%s.%s on %v: sweep: %v", name, col, row, err)
+				}
+				arm, err := sel.Select(crow)
+				if err != nil {
+					t.Fatalf("%s.%s on %v: select: %v", name, col, row, err)
+				}
+				if _, err := arms.EvalSweepTrue(ain, arm, crow, domain, akeep); err != nil {
+					t.Fatalf("%s.%s on %v: arm %d sweep: %v", name, col, row, arm, err)
+				}
+				for i, v := range domains[sweep] {
 					row[sweep] = v
 					env[cols[sweep].Name] = v
+					crow[sweep] = domain[i]
 					want, werr := ev.True(e, env)
-					got, gerr := pred(row)
+					got, gerr := pred(crow)
 					if (werr == nil) != (gerr == nil) || got != want {
 						t.Fatalf("%s.%s on %v: interpreter (%v, %v), compiled (%v, %v)\nconstraint: %s",
 							name, col, row, want, werr, got, gerr, e)
 					}
-					sgot, serr := prog.Eval(inst, row)
-					if (werr == nil) != (serr == nil) || sgot != want {
-						t.Fatalf("%s.%s on %v: interpreter (%v, %v), sweep-compiled (%v, %v)\nconstraint: %s",
-							name, col, row, want, werr, sgot, serr, e)
+					if wkeep[i] != want || akeep[i] != want {
+						t.Fatalf("%s.%s on %v: interpreter %v, whole sweep lane %v, arm %d of %d lane %v\nconstraint: %s",
+							name, col, row, want, wkeep[i], arm, len(conds), akeep[i], e)
 					}
 				}
 			}
+			whole.Release(win)
+			arms.Release(ain)
 		}
 	}
 }

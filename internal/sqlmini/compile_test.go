@@ -60,6 +60,16 @@ var compileTestExprs = []string{
 // exhaustive sweeps: NULL plus three strings.
 var fixtureDomain = []rel.Value{rel.Null(), rel.S("p"), rel.S("q"), rel.S("r")}
 
+// codesOf encodes a value row into the dictionary-code row compiled
+// predicates evaluate.
+func codesOf(row []rel.Value) []uint32 {
+	crow := make([]uint32, len(row))
+	for i, v := range row {
+		crow[i] = dict.Code(v)
+	}
+	return crow
+}
+
 // forEachFixtureRow calls fn with every row in the 3-column cross product
 // of fixtureDomain.
 func forEachFixtureRow(fn func(row []rel.Value)) {
@@ -73,8 +83,8 @@ func forEachFixtureRow(fn func(row []rel.Value)) {
 }
 
 // TestCompileAgreesWithInterpreter is the golden equivalence property at
-// unit level: over every operator form, dialect and 3-column env, Compile
-// and Evaluator.True agree exactly.
+// unit level: over every operator form, dialect and 3-column env,
+// CompileCodes and Evaluator.True agree exactly.
 func TestCompileAgreesWithInterpreter(t *testing.T) {
 	for _, nullEq := range []bool{false, true} {
 		ev := fixtureEvaluator(nullEq)
@@ -83,13 +93,13 @@ func TestCompileAgreesWithInterpreter(t *testing.T) {
 			if err != nil {
 				t.Fatalf("parse %q: %v", src, err)
 			}
-			pred, err := ev.Compile(e, compileFixtureCols)
+			pred, err := ev.CompileCodes(e, compileFixtureCols)
 			if err != nil {
 				t.Fatalf("compile %q: %v", src, err)
 			}
 			forEachFixtureRow(func(row []rel.Value) {
 				want, werr := ev.True(e, compileFixtureEnv(row))
-				got, gerr := pred(row)
+				got, gerr := pred(codesOf(row))
 				if (werr == nil) != (gerr == nil) {
 					t.Fatalf("%q (nullEq=%v) on %v: interpreter err %v, compiled err %v",
 						src, nullEq, row, werr, gerr)
@@ -104,10 +114,11 @@ func TestCompileAgreesWithInterpreter(t *testing.T) {
 }
 
 // TestCompileSweepAgreesWithInterpreter drives the sweep-compiled form the
-// way the solver does — one NextRow per base row, then the last column
-// swept across the domain — and checks the cached evaluation still agrees
-// with the interpreter everywhere.
+// way the solver does — one base row at a time, the last column swept
+// across the domain in one call — and checks every lane against the
+// interpreter.
 func TestCompileSweepAgreesWithInterpreter(t *testing.T) {
+	domain := codesOf(fixtureDomain)
 	for _, nullEq := range []bool{false, true} {
 		ev := fixtureEvaluator(nullEq)
 		for _, src := range compileTestExprs {
@@ -115,25 +126,30 @@ func TestCompileSweepAgreesWithInterpreter(t *testing.T) {
 			if err != nil {
 				t.Fatalf("parse %q: %v", src, err)
 			}
-			prog, err := ev.CompileSweep(e, compileFixtureCols, 2)
+			prog, err := ev.CompileSweepBranches([]Expr{e}, compileFixtureCols, 2)
 			if err != nil {
 				t.Fatalf("compile %q: %v", src, err)
 			}
 			in := prog.Instance()
+			keep := make([]bool, len(domain))
 			for _, av := range fixtureDomain {
 				for _, bv := range fixtureDomain {
-					in.NextRow()
-					for _, cv := range fixtureDomain {
+					for i := range keep {
+						keep[i] = true
+					}
+					crow := codesOf([]rel.Value{av, bv, rel.Null()})
+					_, gerr := prog.EvalSweepTrue(in, 0, crow, domain, keep)
+					for i, cv := range fixtureDomain {
 						row := []rel.Value{av, bv, cv}
 						want, werr := ev.True(e, compileFixtureEnv(row))
-						got, gerr := prog.Eval(in, row)
-						if (werr == nil) != (gerr == nil) || got != want {
+						if (werr == nil) != (gerr == nil) || (gerr == nil && keep[i] != want) {
 							t.Fatalf("%q (nullEq=%v) on %v: interpreter (%v, %v), sweep-compiled (%v, %v)",
-								src, nullEq, row, want, werr, got, gerr)
+								src, nullEq, row, want, werr, keep[i], gerr)
 						}
 					}
 				}
 			}
+			prog.Release(in)
 		}
 	}
 }
@@ -144,7 +160,7 @@ func TestCompileUnknownColumnIsCompileTimeError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ev.Compile(e, compileFixtureCols); !errors.Is(err, ErrUnknownColumn) {
+	if _, err := ev.CompileCodes(e, compileFixtureCols); !errors.Is(err, ErrUnknownColumn) {
 		t.Fatalf("err = %v, want ErrUnknownColumn", err)
 	}
 }
@@ -155,7 +171,7 @@ func TestCompileUnknownFuncIsCompileTimeError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ev.Compile(e, compileFixtureCols); !errors.Is(err, ErrUnknownFunc) {
+	if _, err := ev.CompileCodes(e, compileFixtureCols); !errors.Is(err, ErrUnknownFunc) {
 		t.Fatalf("err = %v, want ErrUnknownFunc", err)
 	}
 }
@@ -166,25 +182,25 @@ func TestCompiledPredShortRowErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := ev.Compile(e, compileFixtureCols)
+	pred, err := ev.CompileCodes(e, compileFixtureCols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pred([]rel.Value{rel.S("p")}); !errors.Is(err, ErrUnknownColumn) {
+	if _, err := pred(codesOf([]rel.Value{rel.S("p")})); !errors.Is(err, ErrUnknownColumn) {
 		t.Fatalf("err = %v, want ErrUnknownColumn for out-of-range position", err)
 	}
 }
 
 // TestCompiledPredConcurrentUse runs one compiled predicate from many
-// goroutines; it must be safe because all mutable state lives in per-worker
-// Instances (and a plain Compile has none). Meant for -race runs.
+// goroutines; it must be safe because compiled closures hold no mutable
+// state. Meant for -race runs.
 func TestCompiledPredConcurrentUse(t *testing.T) {
 	ev := fixtureEvaluator(true)
 	e, err := ParseExpr(`a = "p" ? b = "q" : b in ("q", "r")`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := ev.Compile(e, compileFixtureCols)
+	pred, err := ev.CompileCodes(e, compileFixtureCols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +208,7 @@ func TestCompiledPredConcurrentUse(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		go func() {
 			for i := 0; i < 1000; i++ {
-				row := []rel.Value{rel.S("p"), rel.S("q"), fixtureDomain[i%len(fixtureDomain)]}
+				row := codesOf([]rel.Value{rel.S("p"), rel.S("q"), fixtureDomain[i%len(fixtureDomain)]})
 				if ok, err := pred(row); err != nil || !ok {
 					done <- err
 					return

@@ -66,8 +66,6 @@ type DB struct {
 	exec    *pool.Pool
 	workers int
 	morsel  int
-	// vectorized enables the column-at-a-time scan path (on by default).
-	vectorized bool
 
 	// statsMu guards the aggregate stats separately, so folding a
 	// read-only statement's stats does not serialize concurrent readers.
@@ -95,7 +93,6 @@ type execCfg struct {
 	exec     *pool.Pool
 	workers  int
 	morsel   int
-	vec      bool
 }
 
 func (db *DB) snapshotCfg() execCfg {
@@ -103,7 +100,7 @@ func (db *DB) snapshotCfg() execCfg {
 	defer db.cfgMu.RUnlock()
 	return execCfg{
 		ev: db.eval, tracer: db.tracer, metrics: db.metrics, queryLog: db.queryLog,
-		exec: db.exec, workers: db.workers, morsel: db.morsel, vec: db.vectorized,
+		exec: db.exec, workers: db.workers, morsel: db.morsel,
 	}
 }
 
@@ -134,7 +131,6 @@ type run struct {
 	pool    *pool.Pool
 	workers int
 	morsel  int
-	vec     bool
 }
 
 // table resolves a name as this statement sees it: the session overlay
@@ -316,11 +312,10 @@ func (w *catWrite) build(base *rel.Catalog) *rel.Catalog {
 // (typename, coalesce2) pre-installed.
 func NewDB() *DB {
 	db := &DB{
-		eval:       Evaluator{Funcs: make(map[string]Func), NullEq: true},
-		plans:      make(map[planKey]*planEntry),
-		exec:       pool.Shared(),
-		morsel:     DefaultMorselSize,
-		vectorized: true,
+		eval:   Evaluator{Funcs: make(map[string]Func), NullEq: true},
+		plans:  make(map[planKey]*planEntry),
+		exec:   pool.Shared(),
+		morsel: DefaultMorselSize,
 	}
 	db.eval.Funcs["typename"] = func(args []rel.Value) (rel.Value, error) {
 		if len(args) != 1 {
@@ -398,16 +393,6 @@ func (db *DB) SetMorselSize(n int) {
 		n = DefaultMorselSize
 	}
 	db.morsel = n
-}
-
-// SetVectorized enables or disables the column-at-a-time scan path
-// (enabled by default). Vectorized and scalar execution produce
-// byte-identical results; the knob exists for the golden equivalence
-// tests and the scalar-vs-vectorized benchmark pair.
-func (db *DB) SetVectorized(on bool) {
-	db.cfgMu.Lock()
-	defer db.cfgMu.Unlock()
-	db.vectorized = on
 }
 
 // SetTracer installs (or, with nil, removes) a tracer: every statement
@@ -679,7 +664,7 @@ func (db *DB) execute(stmt Stmt, o execOpts) (res *Result, err error) {
 	r := &run{
 		db: db, cat: cat, sess: o.sess, overlay: overlay, ev: ev, qs: qs,
 		entry: o.entry, fp: sessionFP(cat, o.sess),
-		pool: cfg.exec, workers: cfg.workers, morsel: cfg.morsel, vec: cfg.vec,
+		pool: cfg.exec, workers: cfg.workers, morsel: cfg.morsel,
 	}
 	if shared {
 		r.write = newCatWrite(cat)

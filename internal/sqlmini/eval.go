@@ -354,42 +354,60 @@ func Columns(e Expr) map[string]struct{} {
 // reference in e, in tree order, once per reference. The walk allocates
 // nothing.
 func VisitColumns(e Expr, fn func(name string)) {
+	walkCols(e, func(ref Expr) bool {
+		switch x := ref.(type) {
+		case Col:
+			fn(x.Name)
+		case boundCol:
+			fn(x.Name)
+		}
+		return true
+	})
+}
+
+// walkCols calls visit with every column reference in e — each Col and
+// boundCol, depth first and left to right — until visit returns false,
+// and reports whether the walk ran to the end. It is the one walker over
+// column references: VisitColumns, the sweep compiler's readsSweep and the
+// selection-vector fallback all go through it. It allocates nothing.
+func walkCols(e Expr, visit func(ref Expr) bool) bool {
 	switch x := e.(type) {
-	case Col:
-		fn(x.Name)
-	case boundCol:
-		fn(x.Name)
+	case Col, boundCol:
+		return visit(e)
 	case Unary:
-		VisitColumns(x.X, fn)
+		return walkCols(x.X, visit)
 	case Binary:
-		VisitColumns(x.L, fn)
-		VisitColumns(x.R, fn)
+		return walkCols(x.L, visit) && walkCols(x.R, visit)
 	case InList:
-		VisitColumns(x.X, fn)
+		if !walkCols(x.X, visit) {
+			return false
+		}
 		for _, s := range x.Set {
-			VisitColumns(s, fn)
+			if !walkCols(s, visit) {
+				return false
+			}
 		}
 	case IsNull:
-		VisitColumns(x.X, fn)
+		return walkCols(x.X, visit)
 	case Between:
-		VisitColumns(x.X, fn)
-		VisitColumns(x.Lo, fn)
-		VisitColumns(x.Hi, fn)
+		return walkCols(x.X, visit) && walkCols(x.Lo, visit) && walkCols(x.Hi, visit)
 	case Ternary:
-		VisitColumns(x.Cond, fn)
-		VisitColumns(x.Then, fn)
-		VisitColumns(x.Else, fn)
+		return walkCols(x.Cond, visit) && walkCols(x.Then, visit) && walkCols(x.Else, visit)
 	case Case:
 		for _, w := range x.Whens {
-			VisitColumns(w.Cond, fn)
-			VisitColumns(w.Val, fn)
+			if !walkCols(w.Cond, visit) || !walkCols(w.Val, visit) {
+				return false
+			}
 		}
 		if x.Else != nil {
-			VisitColumns(x.Else, fn)
+			return walkCols(x.Else, visit)
 		}
 	case Call:
 		for _, a := range x.Args {
-			VisitColumns(a, fn)
+			if !walkCols(a, visit) {
+				return false
+			}
 		}
 	}
+	return true
 }

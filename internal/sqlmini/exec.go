@@ -447,7 +447,8 @@ func refAlias(ref TableRef) string {
 
 // scanSource materializes one table source per its srcPlan: an index
 // lookup on the planned equality conjuncts when present, a whole-table
-// scan otherwise, followed by the remaining pushed filters.
+// scan otherwise, followed by the remaining pushed filters on the
+// selection-vector kernels.
 func (r *run) scanSource(ref TableRef, sp srcPlan) (*frame, error) {
 	t, ok := r.table(ref.Name)
 	if !ok {
@@ -461,7 +462,7 @@ func (r *run) scanSource(ref TableRef, sp srcPlan) (*frame, error) {
 			r.qs.addIndexScan()
 			r.qs.addScanned(len(matched))
 			r.qs.addPushdown(len(sp.eqCols) + len(sp.filters))
-			vec := len(sp.filters) > 0 && r.vecUsable(t, sp)
+			vec := len(sp.filters) > 0 && vecUsable(t, sp)
 			if r.azTracks() {
 				detail := indexScanDetail(sp)
 				if len(sp.filters) > 0 {
@@ -479,7 +480,7 @@ func (r *run) scanSource(ref TableRef, sp srcPlan) (*frame, error) {
 				f.rows[i] = crows[ri]
 			}
 			if len(sp.filters) > 0 {
-				return r.filterFrame(f, sp.filters, sp.progs)
+				return r.filterFrame(f, sp.filters, nil)
 			}
 			return f, nil
 		}
@@ -489,11 +490,10 @@ func (r *run) scanSource(ref TableRef, sp srcPlan) (*frame, error) {
 		// slots no longer line up with the extended conjunct list, so this
 		// fallback is interpreted.
 		sp.filters = append(eqExprs(sp), sp.filters...)
-		sp.progs = nil
 		sp.vecs = nil
 	}
 	r.qs.addScanned(t.NumRows())
-	vec := len(sp.filters) > 0 && r.vecUsable(t, sp)
+	vec := len(sp.filters) > 0 && vecUsable(t, sp)
 	if r.azTracks() {
 		detail := ""
 		if len(sp.filters) > 0 {
@@ -507,14 +507,17 @@ func (r *run) scanSource(ref TableRef, sp srcPlan) (*frame, error) {
 	}
 	f := frameOf(t, ref.Alias)
 	if len(sp.filters) > 0 {
+		// A conjunct failed to compile: interpret the filter, which
+		// reports the failure as the unplanned path would.
 		r.qs.addPushdown(len(sp.filters))
-		return r.filterFrame(f, sp.filters, sp.progs)
+		return r.filterFrame(f, sp.filters, nil)
 	}
 	return f, nil
 }
 
 // evalDetail renders the filter-evaluation mode annotation shared by
-// EXPLAIN and EXPLAIN ANALYZE scan steps.
+// EXPLAIN and EXPLAIN ANALYZE scan steps: vectorized, or scalar when a
+// conjunct did not compile and the filter is interpreted row at a time.
 func evalDetail(vec bool) string {
 	if vec {
 		return "; eval=vectorized"
@@ -989,9 +992,11 @@ func projection(items []SelectItem, f *frame) ([]string, []Expr, error) {
 	return cols, exprs, nil
 }
 
-// filterFrame keeps the rows satisfying every conjunct. progs carries the
-// compiled form of each conjunct (a nil slice or nil slot falls back to
-// the tree-walking interpreter, preserving its exact error reporting).
+// filterFrame keeps the rows satisfying every conjunct: a post-join
+// residue, or a scan filter with a conjunct that did not compile. progs
+// carries the compiled form of each conjunct (a nil slice or nil slot
+// falls back to the tree-walking interpreter, preserving its exact error
+// reporting).
 // When every conjunct compiled and the input spans at least two morsels,
 // the scan runs on the worker pool; kept rows merge in input order, so
 // the parallel result is byte-identical to the serial scan's.

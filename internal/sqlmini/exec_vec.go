@@ -8,8 +8,8 @@ import (
 	"coherdb/internal/rel"
 )
 
-// Column-at-a-time scan execution. When every pushed conjunct of a
-// source lowered to a VecPred (fullyVec), the scan skips row
+// Column-at-a-time scan execution. Every pushed conjunct of a source that
+// compiles lowers to a VecPred, and the scan then skips row
 // materialization entirely: a pooled selection vector starts as the scan
 // domain (all row numbers, or the index lookup's matches), each kernel
 // filters it in place over the table's zero-copy column vectors, and
@@ -17,7 +17,7 @@ import (
 // threshold the selection is dealt in morsel batches — each batch
 // compacts its own subrange in place, then the kept prefixes concatenate
 // in batch order, so the parallel selection is byte-identical to the
-// serial one (the same guarantee the row-at-a-time scan makes).
+// serial one.
 //
 // Selection vectors and the per-evaluation kernel scratch are pooled
 // (selPool here, VecPred.pool in vectorize.go), so the steady-state
@@ -43,12 +43,12 @@ type colsVec struct{ c [][]uint32 }
 var colsPool = sync.Pool{New: func() any { return new(colsVec) }}
 
 // vecUsable reports whether the source's pushed filter can run column-at-
-// a-time over t: vectorization is on, every conjunct lowered, and every
-// kernel's column positions exist in the table (always true for plans
-// built against the current epoch; checked so a stale plan degrades to
-// the scalar path instead of faulting).
-func (r *run) vecUsable(t *rel.Table, sp srcPlan) bool {
-	if !r.vec || !fullyVec(sp.vecs, len(sp.filters)) {
+// a-time over t: every conjunct lowered, and every kernel's column
+// positions exist in the table (always true for plans built against the
+// current epoch; checked so a stale plan degrades to the interpreter
+// instead of faulting).
+func vecUsable(t *rel.Table, sp srcPlan) bool {
+	if !fullyVec(sp.vecs, len(sp.filters)) {
 		return false
 	}
 	for _, p := range sp.vecs {

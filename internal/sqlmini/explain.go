@@ -30,9 +30,9 @@ func (r *run) parallelDetail(kind string, n int) string {
 	return fmt.Sprintf("parallel %s (workers=%d, morsel=%d)", kind, workers, morsel)
 }
 
-// fullyCompiled reports whether all n conjuncts lowered to compiled
-// predicates — the executor's other precondition for a parallel filter
-// (the tree-walking interpreter always runs serially).
+// fullyCompiled reports whether all n residue conjuncts lowered to
+// compiled predicates — the executor's other precondition for a parallel
+// filter (the tree-walking interpreter always runs serially).
 func fullyCompiled(progs []CodePred, n int) bool {
 	if n == 0 || len(progs) != n {
 		return false
@@ -216,12 +216,12 @@ func (r *run) explainBranch(out *rel.Table, s *SelectStmt, plan *branchPlan) (in
 			detail := indexScanDetail(sp)
 			if len(sp.filters) > 0 {
 				e = estFilter(e, len(sp.filters))
-				detail += "; filter: " + andString(sp.filters) + evalDetail(r.vecUsable(sc.t, sp))
+				detail += "; filter: " + andString(sp.filters) + evalDetail(vecUsable(sc.t, sp))
 			}
 			err = planRow(out, "indexscan", sc.alias, e, withStorage(detail))
 		case len(sp.filters) > 0:
-			detail := "pushdown: " + andString(sp.filters) + evalDetail(r.vecUsable(sc.t, sp))
-			if fullyCompiled(sp.progs, len(sp.filters)) {
+			detail := "pushdown: " + andString(sp.filters) + evalDetail(vecUsable(sc.t, sp))
+			if fullyVec(sp.vecs, len(sp.filters)) {
 				if pd := r.parallelDetail("scan", sc.rows); pd != "" {
 					detail += "; " + pd
 				}

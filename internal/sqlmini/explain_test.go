@@ -134,8 +134,8 @@ func TestExplainEvalAnnotation(t *testing.T) {
 	db := newTestDB(t)
 	// A non-equality conjunct stays as a pushdown filter; with every
 	// conjunct lowered to a selection-vector kernel the plan advertises the
-	// column-at-a-time path, and flipping the toggle reverts the same plan
-	// to row-at-a-time evaluation.
+	// column-at-a-time path, whether the conjunct reads one column or
+	// several.
 	checkPlan(t, db,
 		`EXPLAIN SELECT * FROM D WHERE inmsg <> 'readex'`,
 		[]string{
@@ -146,11 +146,16 @@ func TestExplainEvalAnnotation(t *testing.T) {
 		[]string{
 			`indexscan|D|1|index(dirst) = ('SI'); filter: (inmsg <> 'readex'); eval=vectorized; storage=columnar`,
 		})
-	db.SetVectorized(false)
 	checkPlan(t, db,
-		`EXPLAIN SELECT * FROM D WHERE inmsg <> 'readex'`,
+		`EXPLAIN SELECT * FROM D WHERE inmsg < dirst`,
 		[]string{
-			`scan|D|2|pushdown: (inmsg <> 'readex'); eval=scalar; storage=columnar`,
+			`scan|D|2|pushdown: (inmsg < dirst); eval=vectorized; storage=columnar`,
+		})
+	// Only a conjunct that does not compile is interpreted row at a time.
+	checkPlan(t, db,
+		`EXPLAIN SELECT * FROM D WHERE nosuch(inmsg)`,
+		[]string{
+			`scan|D|2|pushdown: nosuch(inmsg); eval=scalar; storage=columnar`,
 		})
 }
 

@@ -221,17 +221,17 @@ func TestPlanCacheDialectSlots(t *testing.T) {
 	}
 }
 
-// TestCompileBoundUnboundColumn: CompileBound only accepts plan-bound
-// expressions; a bare Col must refuse to compile (the caller falls back
-// to the interpreter) rather than resolve names per row.
+// TestCompileBoundUnboundColumn: CompileBoundCodes only accepts
+// plan-bound expressions; a bare Col must refuse to compile (the caller
+// falls back to the interpreter) rather than resolve names per row.
 func TestCompileBoundUnboundColumn(t *testing.T) {
 	ev := Evaluator{}
-	c := &compiler{ev: &ev, sweep: -1, bound: true}
-	if _, _, err := c.val(Col{Name: "x"}); !errors.Is(err, errUnboundCol) {
+	c := &compiler{ev: &ev, bound: true}
+	if _, err := c.val(Col{Name: "x"}); !errors.Is(err, errUnboundCol) {
 		t.Fatalf("compiling a bare Col: err = %v, want errUnboundCol", err)
 	}
-	if _, err := ev.CompileBound(Binary{Op: "=", L: Col{Name: "x"}, R: Lit{Val: rel.S("a")}}); !errors.Is(err, errUnboundCol) {
-		t.Fatalf("CompileBound with unbound column: err = %v, want errUnboundCol", err)
+	if _, err := ev.CompileBoundCodes(Binary{Op: "=", L: Col{Name: "x"}, R: Lit{Val: rel.S("a")}}); !errors.Is(err, errUnboundCol) {
+		t.Fatalf("CompileBoundCodes with unbound column: err = %v, want errUnboundCol", err)
 	}
 }
 
@@ -269,13 +269,13 @@ func TestCompileBoundValueConditionals(t *testing.T) {
 	}
 	ev := Evaluator{}
 	for name, e := range map[string]Expr{"case": caseExpr, "ternary": ternExpr} {
-		pred, err := ev.CompileBound(e)
+		pred, err := ev.CompileBoundCodes(e)
 		if err != nil {
-			t.Fatalf("%s: CompileBound: %v", name, err)
+			t.Fatalf("%s: CompileBoundCodes: %v", name, err)
 		}
 		ev := Evaluator{}
 		for i, row := range rows {
-			got, err := pred(row)
+			got, err := pred(codesOf(row))
 			if err != nil {
 				t.Fatalf("%s row %d: %v", name, i, err)
 			}

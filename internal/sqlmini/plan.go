@@ -34,16 +34,12 @@ type srcPlan struct {
 	// filters are the remaining pushed conjuncts, evaluated over the
 	// (index-reduced) scan of this source.
 	filters []Expr
-	// progs holds the compiled form of each filter conjunct (same index),
-	// evaluated directly over dictionary-code rows; a nil slot means the
-	// compiler declined that conjunct and it is interpreted per row.
-	progs []CodePred
 	// vecs holds the vectorized form of each filter conjunct (same index),
 	// evaluating a whole morsel's column vectors per call; a nil slot means
-	// the conjunct's shape forces row-at-a-time evaluation. The scan takes
-	// the column-at-a-time path only when every conjunct vectorized (see
-	// fullyVec), so a partially lowered filter never splits evaluation
-	// orders.
+	// the conjunct failed to compile. The scan takes the column-at-a-time
+	// path only when every conjunct vectorized (see fullyVec) and is
+	// interpreted otherwise, so a partially lowered filter never splits
+	// evaluation orders.
 	vecs []*VecPred
 }
 
@@ -243,14 +239,13 @@ func (r *run) planBranch(s *SelectStmt) (*branchPlan, error) {
 	}
 	// Bind column references to row positions: pushed filters against their
 	// source's schema, the residue against the joined layout. Fully bound
-	// conjuncts are additionally lowered to compiled predicates, the form
-	// the filter loop and the morsel-parallel scan evaluate.
+	// conjuncts are additionally lowered: pushed ones to selection-vector
+	// kernels, the residue's to compiled predicates.
 	for i := range plan.srcs {
 		sp := &plan.srcs[i]
 		for j, e := range sp.filters {
 			sp.filters[j] = bindExpr(e, sources[i])
 		}
-		sp.progs = compilePreds(&r.ev, sp.filters)
 		sp.vecs = compileVecs(&r.ev, sp.filters)
 	}
 	if plan.residue != nil {
@@ -261,9 +256,9 @@ func (r *run) planBranch(s *SelectStmt) (*branchPlan, error) {
 	return plan, nil
 }
 
-// compilePreds lowers each bound conjunct through CompileBoundCodes. A
-// conjunct the compiler declines — an unresolved column reference, or an
-// operator outside the compilable subset — keeps a nil slot and is
+// compilePreds lowers each bound residue conjunct through
+// CompileBoundCodes. A conjunct the compiler declines — an unresolved
+// column reference, or an unknown function — keeps a nil slot and is
 // interpreted per row, which preserves the unplanned path's error
 // reporting exactly.
 func compilePreds(ev *Evaluator, conjuncts []Expr) []CodePred {

@@ -6,31 +6,26 @@ import (
 	"coherdb/internal/rel"
 )
 
-// Column-at-a-time sweep evaluation: the vectorized counterpart of
-// CompileSweep. The constraint solver extends a candidate row by sweeping
-// one column across its domain; CompileSweep makes each sweep cheap by
-// caching sweep-stable subtrees per row, but the per-value cost is still a
-// full closure-tree walk — memo checks, ternary-chain dispatch, one
-// virtual call per node per domain value. CompileSweepVec inverts the
-// loop: each compiled node evaluates the WHOLE domain per call, so stable
+// Column-at-a-time sweep evaluation for the constraint solver, which
+// extends a candidate row by sweeping one column across its domain. Each
+// compiled node evaluates the WHOLE domain per call, so sweep-stable
 // subtrees are computed once per row and broadcast, a ternary with a
 // stable condition descends only the branch it takes, and the
 // sweep-reading leaves (=, <>, IN, IS NULL against the swept column)
 // become tight loops over the domain's code vector. Subtrees the
 // vectorizer cannot lower — ordered comparisons, function calls over the
-// swept column — fall back to the scalar closure looped per domain value,
-// with the scalar sweep cache still amortizing their stable inner
-// subtrees; compilation therefore never declines.
+// swept column — fall back to the compiled closure looped per domain
+// value; compilation therefore never declines.
 //
 // Equivalence: for every (row, domain value) pair, the lane written here
-// equals what the scalar CompileSweep program computes on the extended
-// row. AND/OR combine lanes with the same Kleene triMin/triMax the scalar
-// closures use (per-lane short-circuit values agree: triMin(false, x) is
-// false regardless of x), and a ternary's unknown-condition lanes take the
-// else branch exactly as Evaluator.Bool does. Only error ORDER can differ
-// — the scalar sweep stops at the first failing (value, node) in row-major
-// order, the vectorized sweep in node-major order — which is invisible for
-// the solver's pure, total constraint vocabulary.
+// equals Evaluator.Bool on the extended row. AND/OR combine lanes with the
+// same Kleene triMin/triMax the compiled closures use (per-lane
+// short-circuit values agree: triMin(false, x) is false regardless of x),
+// and a ternary's unknown-condition lanes take the else branch exactly as
+// Evaluator.Bool does. Only error ORDER can differ — row-at-a-time
+// evaluation stops at the first failing (value, node) in row-major order,
+// the vectorized sweep in node-major order — which is invisible for the
+// solver's pure, total constraint vocabulary.
 
 // svFn evaluates one compiled condition node for a whole domain sweep:
 // out[i] is the node's truth on crow with the sweep column set to
@@ -39,55 +34,44 @@ import (
 type svFn func(in *Instance, crow []uint32, domain []uint32, out []tri) error
 
 // SweepProg is a compiled column-at-a-time sweep program: one or more
-// branch expressions over the same sweep column, sharing one Instance.
-// Like Program it holds no mutable state; evaluation goes through a
-// per-worker Instance.
+// branch expressions over the same sweep column. It holds no mutable
+// state; evaluation goes through a per-worker Instance.
 type SweepProg struct {
 	branches []svFn
-	triSlots int
-	valSlots int
 	svSlots  int
-	sweep    int
 	insts    sync.Pool
 }
 
-// Instance returns evaluation state for p — the scalar sweep-cache slots
-// its stable and fallback subtrees use, plus the lane buffers of its
-// AND/OR/ternary combiners (one extra slot for the root's output) — reused
-// from the program's pool when possible so short solves don't pay the
-// allocation on every extension step. Return it with Release.
+// Instance is one worker's lane buffers for a SweepProg's AND/OR/ternary
+// combiners. Instances are not safe for concurrent use; each goroutine
+// evaluates through its own.
+type Instance struct {
+	bufs [][]tri
+}
+
+// Instance returns evaluation state for p — one lane buffer per combiner
+// slot plus one for the root's output — reused from the program's pool
+// when possible so short solves don't pay the allocation on every
+// extension step. Return it with Release.
 func (p *SweepProg) Instance() *Instance {
 	if in, _ := p.insts.Get().(*Instance); in != nil {
 		return in
 	}
-	return &Instance{
-		gen:     1,
-		triMemo: make([]uint64, p.triSlots),
-		tris:    make([]tri, p.triSlots),
-		valMemo: make([]uint64, p.valSlots),
-		vals:    make([]rel.Value, p.valSlots),
-		svBufs:  make([][]tri, p.svSlots+1),
-	}
+	return &Instance{bufs: make([][]tri, p.svSlots+1)}
 }
 
-// Release puts an instance back into p's pool. The generation stamp on the
-// cache slots keeps a later user from reading this user's memo entries —
-// NextRow already separates rows within one user the same way.
-func (p *SweepProg) Release(in *Instance) {
-	in.NextRow()
-	p.insts.Put(in)
-}
+// Release puts an instance back into p's pool.
+func (p *SweepProg) Release(in *Instance) { p.insts.Put(in) }
 
 // EvalSweepTrue evaluates the program's branch for every domain value and
 // clears keep[i] for the lanes that are not definitely true (WHERE
 // semantics), leaving already-false lanes false — the AND-combining shape
 // the solver's per-column constraint conjunction wants. It reports whether
 // any lane is still true, so callers can stop conjoining early. branch
-// indexes the expressions the program was compiled from (0 for
-// CompileSweepVec). len(keep) must equal len(domain); crow must cover the
-// sweep column.
+// indexes the expressions the program was compiled from. len(keep) must
+// equal len(domain); crow must cover the sweep column.
 func (p *SweepProg) EvalSweepTrue(in *Instance, branch int, crow []uint32, domain []uint32, keep []bool) (bool, error) {
-	out := in.svBuf(p.svSlots, len(domain))
+	out := in.buf(p.svSlots, len(domain))
 	if err := p.branches[branch](in, crow, domain, out); err != nil {
 		return false, err
 	}
@@ -102,32 +86,25 @@ func (p *SweepProg) EvalSweepTrue(in *Instance, branch int, crow []uint32, domai
 	return any, nil
 }
 
-// svBuf returns the instance's lane buffer for slot, grown to n lanes.
-func (in *Instance) svBuf(slot, n int) []tri {
-	b := in.svBufs[slot]
+// buf returns the instance's lane buffer for slot, grown to n lanes.
+func (in *Instance) buf(slot, n int) []tri {
+	b := in.bufs[slot]
 	if cap(b) < n {
 		b = make([]tri, n)
-		in.svBufs[slot] = b
+		in.bufs[slot] = b
 	}
 	return b[:n]
 }
 
-// CompileSweepVec lowers e into a column-at-a-time sweep program over the
-// column at position sweep. It accepts exactly the expressions CompileSweep
-// accepts (unknown columns and functions are the same compile-time errors)
-// and computes identical truth lanes; see the equivalence note above.
-func (ev *Evaluator) CompileSweepVec(e Expr, colIndex map[string]int, sweep int) (*SweepProg, error) {
-	return ev.CompileSweepBranches([]Expr{e}, colIndex, sweep)
-}
-
-// CompileSweepBranches is CompileSweepVec for several expressions over one
-// sweep column: branch i of the program is es[i], and every branch runs
-// through the same Instance. The constraint solver compiles the distinct
-// then and else branches of a rule chain this way and lets a Selector
-// pick the branch per row.
+// CompileSweepBranches lowers each of es into a column-at-a-time sweep
+// program over the column at position sweep: branch i of the program is
+// es[i], and every branch runs through the same Instance. The constraint
+// solver compiles a whole constraint as one branch, or the distinct then
+// and else branches of a rule chain and lets a Selector pick the branch
+// per row. Unknown columns and functions are the same compile-time errors
+// CompileCodes reports; see the equivalence note above.
 func (ev *Evaluator) CompileSweepBranches(es []Expr, colIndex map[string]int, sweep int) (*SweepProg, error) {
-	c := &compiler{ev: ev, ix: colIndex, sweep: sweep}
-	s := &sweepCompiler{c: c, stable: &compiler{ev: ev, ix: colIndex, sweep: -1}}
+	s := &sweepCompiler{c: &compiler{ev: ev, ix: colIndex}, sweep: sweep}
 	branches := make([]svFn, len(es))
 	for i, e := range es {
 		fn, err := s.comp(e)
@@ -136,13 +113,7 @@ func (ev *Evaluator) CompileSweepBranches(es []Expr, colIndex map[string]int, sw
 		}
 		branches[i] = fn
 	}
-	return &SweepProg{
-		branches: branches,
-		triSlots: c.triSlots,
-		valSlots: c.valSlots,
-		svSlots:  s.svSlots,
-		sweep:    sweep,
-	}, nil
+	return &SweepProg{branches: branches, svSlots: s.svSlots}, nil
 }
 
 // Selector decides which arm of a rule chain a row takes: the index of the
@@ -155,15 +126,13 @@ type Selector struct {
 }
 
 // CompileSelector compiles conds, in priority order, into a Selector over
-// code rows bound by colIndex. It accepts what CompileSweep accepts.
+// code rows bound by colIndex. It accepts what CompileCodes accepts, and
+// like a CodePred it is safe for concurrent use.
 func (ev *Evaluator) CompileSelector(conds []Expr, colIndex map[string]int) (*Selector, error) {
-	// Without a sweep column the compiler allots no cache slots, so the
-	// closures never touch an Instance and the Selector is safe for
-	// concurrent use.
-	c := &compiler{ev: ev, ix: colIndex, sweep: -1}
+	c := &compiler{ev: ev, ix: colIndex}
 	fns := make([]triFn, len(conds))
 	for i, e := range conds {
-		fn, _, err := c.bool(e)
+		fn, err := c.bool(e)
 		if err != nil {
 			return nil, err
 		}
@@ -177,7 +146,7 @@ func (ev *Evaluator) CompileSelector(conds []Expr, colIndex map[string]int) (*Se
 // condition ends the walk with its error, as it ends the chain's.
 func (s *Selector) Select(crow []uint32) (int, error) {
 	for i, fn := range s.conds {
-		t, err := fn(nil, crow)
+		t, err := fn(crow)
 		if err != nil {
 			return 0, err
 		}
@@ -188,15 +157,11 @@ func (s *Selector) Select(crow []uint32) (int, error) {
 	return len(s.conds), nil
 }
 
-// sweepCompiler drives sweep vectorization, delegating scalar subtree
-// compilation to two compilers: c gives the stable subtrees inside
-// fallback nodes cache slots (a fallback runs its closure once per lane),
-// while stable compiles broadcast subtrees without slots — the vectorized
-// sweep evaluates each of those once per row, so a slot would only add a
-// check and a store.
+// sweepCompiler drives sweep vectorization over the column at position
+// sweep, delegating row-at-a-time subtrees to c.
 type sweepCompiler struct {
 	c       *compiler
-	stable  *compiler
+	sweep   int
 	svSlots int
 }
 
@@ -249,15 +214,15 @@ func (s *sweepCompiler) comp(e Expr) (svFn, error) {
 	}
 }
 
-// broadcast compiles a sweep-stable subtree: one slot-free scalar
+// broadcast compiles a sweep-stable subtree: one row-at-a-time
 // evaluation per call, copied into every lane.
 func (s *sweepCompiler) broadcast(e Expr) (svFn, error) {
-	fn, _, err := s.stable.bool(e)
+	fn, err := s.c.bool(e)
 	if err != nil {
 		return nil, err
 	}
 	return func(in *Instance, crow []uint32, domain []uint32, out []tri) error {
-		t, err := fn(in, crow)
+		t, err := fn(crow)
 		if err != nil {
 			return err
 		}
@@ -268,20 +233,21 @@ func (s *sweepCompiler) broadcast(e Expr) (svFn, error) {
 	}, nil
 }
 
-// fallback compiles the subtree as a scalar closure looped per domain
-// value through the crow sweep position. The closure's inner sweep-stable
-// subtrees hold cache slots, so the loop pays only for what actually
-// depends on the swept value — the same cost the scalar sweep pays today.
+// fallback compiles the subtree as a compiled closure looped per domain
+// value through the crow sweep position, so its sweep-stable subtrees are
+// re-evaluated once per lane. No in-repo spec compiles such a node: the
+// eight generated controllers, the Fig. 3 fragment and specs/*.spec read
+// their swept columns only through =, <>, IN and IS NULL.
 func (s *sweepCompiler) fallback(e Expr) (svFn, error) {
-	fn, _, err := s.c.bool(e)
+	fn, err := s.c.bool(e)
 	if err != nil {
 		return nil, err
 	}
-	sweep := s.c.sweep
+	sweep := s.sweep
 	return func(in *Instance, crow []uint32, domain []uint32, out []tri) error {
 		for i, d := range domain {
 			crow[sweep] = d
-			t, err := fn(in, crow)
+			t, err := fn(crow)
 			if err != nil {
 				return err
 			}
@@ -330,7 +296,7 @@ func (s *sweepCompiler) andOr(x Binary) (svFn, error) {
 		if decided {
 			return nil
 		}
-		rb := in.svBuf(slot, len(out))
+		rb := in.buf(slot, len(out))
 		if err := r(in, crow, domain, rb); err != nil {
 			return err
 		}
@@ -352,21 +318,23 @@ func (s *sweepCompiler) andOr(x Binary) (svFn, error) {
 // is the domain vector itself. Operands outside code space (calls, cases)
 // fall back.
 func (s *sweepCompiler) compare(x Binary) (svFn, error) {
-	c := s.c
-	lc, lp, lok, err := c.code(x.L)
+	lc, lok, err := s.c.code(x.L)
 	if err != nil {
 		return nil, err
 	}
-	rc, rp, rok, err := c.code(x.R)
+	rc, rok, err := s.c.code(x.R)
 	if err != nil {
 		return nil, err
 	}
 	if !lok || !rok {
 		return s.fallback(x)
 	}
-	nullEq := c.ev.NullEq
+	nullEq := s.c.ev.NullEq
 	want := x.Op == "="
-	lSweep, rSweep := lp == c.sweep, rp == c.sweep
+	// Both operands are literals or resolved columns, so neither walk can
+	// fail.
+	lSweep, _ := s.readsSweep(x.L)
+	rSweep, _ := s.readsSweep(x.R)
 	if !lSweep && !rSweep {
 		// readsSweep said the node reads the sweep column, so one operand
 		// must be it once both lowered to code loads; defensive fallback.
@@ -387,9 +355,9 @@ func (s *sweepCompiler) compare(x Binary) (svFn, error) {
 			}
 			return nil
 		case lSweep:
-			other, err = rc(in, crow)
+			other, err = rc(crow)
 		default:
-			other, err = lc(in, crow)
+			other, err = lc(crow)
 		}
 		if err != nil {
 			return err
@@ -424,20 +392,19 @@ func (s *sweepCompiler) compare(x Binary) (svFn, error) {
 // form of the scalar compiler's IN specialization, with identical 3VL
 // casework.
 func (s *sweepCompiler) in(x InList) (svFn, error) {
-	c := s.c
 	for _, e := range x.Set {
 		if _, ok := e.(Lit); !ok {
 			return s.fallback(x)
 		}
 	}
-	idx, _, ok, err := c.colPos(x.X)
+	idx, _, ok, err := s.c.colPos(x.X)
 	if err != nil {
 		return nil, err
 	}
-	if !ok || idx != c.sweep {
+	if !ok || idx != s.sweep {
 		return s.fallback(x)
 	}
-	nullEq := c.ev.NullEq
+	nullEq := s.c.ev.NullEq
 	neg := x.Negate
 	codes := make(map[uint32]struct{}, len(x.Set))
 	hasNull := false
@@ -491,7 +458,7 @@ func (s *sweepCompiler) isNull(x IsNull) (svFn, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !ok || idx != s.c.sweep {
+	if !ok || idx != s.sweep {
 		return s.fallback(x)
 	}
 	neg := x.Negate
@@ -542,11 +509,11 @@ func (s *sweepCompiler) ternary(x Ternary) (svFn, error) {
 		if noneTrue {
 			return els(in, crow, domain, out)
 		}
-		tb := in.svBuf(slot, len(out))
+		tb := in.buf(slot, len(out))
 		if err := then(in, crow, domain, tb); err != nil {
 			return err
 		}
-		eb := in.svBuf(slot+1, len(out))
+		eb := in.buf(slot+1, len(out))
 		if err := els(in, crow, domain, eb); err != nil {
 			return err
 		}
@@ -562,56 +529,15 @@ func (s *sweepCompiler) ternary(x Ternary) (svFn, error) {
 }
 
 // readsSweep reports whether any column reference in e resolves to the
-// sweep position. Unknown columns error exactly as scalar compilation
-// would; unrecognized node shapes conservatively claim a sweep read so
-// comp routes them to the fallback, whose scalar compile diagnoses them.
-func (s *sweepCompiler) readsSweep(e Expr) (bool, error) {
-	switch x := e.(type) {
-	case Lit:
-		return false, nil
-	case Col, boundCol:
-		idx, _, ok, err := s.c.colPos(e)
-		if err != nil {
-			return false, err
-		}
-		return ok && idx == s.c.sweep, nil
-	case Unary:
-		return s.readsSweep(x.X)
-	case Binary:
-		return s.readsSweepAll(x.L, x.R)
-	case InList:
-		if r, err := s.readsSweep(x.X); r || err != nil {
-			return r, err
-		}
-		return s.readsSweepAll(x.Set...)
-	case IsNull:
-		return s.readsSweep(x.X)
-	case Between:
-		return s.readsSweepAll(x.X, x.Lo, x.Hi)
-	case Ternary:
-		return s.readsSweepAll(x.Cond, x.Then, x.Else)
-	case Case:
-		for _, w := range x.Whens {
-			if r, err := s.readsSweepAll(w.Cond, w.Val); r || err != nil {
-				return r, err
-			}
-		}
-		if x.Else != nil {
-			return s.readsSweep(x.Else)
-		}
-		return false, nil
-	case Call:
-		return s.readsSweepAll(x.Args...)
-	default:
-		return true, nil
-	}
-}
-
-func (s *sweepCompiler) readsSweepAll(es ...Expr) (bool, error) {
-	for _, e := range es {
-		if r, err := s.readsSweep(e); r || err != nil {
-			return r, err
-		}
-	}
-	return false, nil
+// sweep position. Unknown columns error exactly as compilation would; the
+// walk stops at the first sweep read or error.
+func (s *sweepCompiler) readsSweep(e Expr) (reads bool, err error) {
+	walkCols(e, func(ref Expr) bool {
+		var idx int
+		var ok bool
+		idx, _, ok, err = s.c.colPos(ref)
+		reads = err == nil && ok && idx == s.sweep
+		return err == nil && !reads
+	})
+	return reads, err
 }

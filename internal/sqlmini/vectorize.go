@@ -1,23 +1,17 @@
 package sqlmini
 
 import (
-	"errors"
+	"slices"
 	"sync"
 
 	"coherdb/internal/rel"
 )
 
-// errNotVectorizable marks an expression whose shape requires
-// row-at-a-time evaluation (it reads two or more columns outside the
-// kernel subset). The planner keeps a nil vectorized slot and EXPLAIN
-// reports eval=scalar.
-var errNotVectorizable = errors.New("sqlmini: expression not vectorizable")
-
-// Vectorized predicate execution: a compiled WHERE conjunct gains an
-// EvalVec form that evaluates a whole morsel's column vectors per call
-// instead of one code row at a time. The unit of work is a selection
-// vector — the strictly increasing row indices still alive — and every
-// kernel filters it in place:
+// Vectorized predicate execution: every pushed WHERE conjunct of a scan
+// compiles to an EvalVec form that evaluates a whole morsel's column
+// vectors per call instead of one code row at a time. The unit of work is
+// a selection vector — the strictly increasing row indices still alive —
+// and every kernel filters it in place:
 //
 //   - =, <>, IN and IS NULL over dictionary codes compile to tight
 //     compare loops over one column vector (codes are injective, so
@@ -30,25 +24,29 @@ var errNotVectorizable = errors.New("sqlmini: expression not vectorizable")
 //   - NOT rewrites through Kleene-valid identities (De Morgan, operator
 //     flips) so negation never needs a complement set;
 //   - any other shape that reads exactly one column — range compares,
-//     BETWEEN, CASE, registered calls — falls back to the scalar
-//     compiled closure behind a per-code verdict memo: each distinct
-//     dictionary code is evaluated once and the vector loop reuses the
-//     verdict, which on low-cardinality protocol columns is almost as
-//     tight as a native kernel;
-//   - expressions reading two or more columns decline (CompileBoundVec
-//     errors, the plan keeps a nil slot) and the scan stays scalar,
-//     reported by EXPLAIN as eval=scalar.
+//     BETWEEN, CASE, registered calls — falls back to the compiled
+//     closure behind a per-code verdict memo: each distinct dictionary
+//     code is evaluated once and the vector loop reuses the verdict,
+//     which on low-cardinality protocol columns is almost as tight as a
+//     native kernel;
+//   - any other shape that reads two or more columns runs the compiled
+//     closure once per selected row, over a scratch row gathered from
+//     the columns it reads.
+//
+// Only a conjunct that fails to compile (an unknown function, or a column
+// the planner could not bind) has no vectorized form; its scan is
+// interpreted row at a time, which EXPLAIN reports as eval=scalar.
 //
 // Selection semantics are WHERE semantics: a row survives iff the
 // conjunct is definitely true. Kernels therefore drop unknown outright,
 // which is what makes the NOT rewrites (rather than complements) exact.
 //
-// Evaluation order differs from the scalar path — conjunct-major over a
-// morsel instead of row-major — so when several rows would error, which
-// error surfaces first can differ. The compiled subset only errors on
-// registered Funcs, which this codebase's workloads keep pure and
-// total; the golden vectorized-vs-scalar tests pin byte-identical
-// results on every successful query.
+// Evaluation order differs from row-at-a-time evaluation — conjunct-major
+// over a morsel instead of row-major — so when several rows would error,
+// which error surfaces first can differ. The compiled subset only errors
+// on registered Funcs, which this codebase's workloads keep pure and
+// total; the frozen scan-filter digests and the kernel-versus-interpreter
+// tests pin the results.
 //
 // A VecPred is immutable after compilation and safe for concurrent use:
 // all mutable evaluation state (scratch selections, verdict memos) lives
@@ -58,7 +56,7 @@ var errNotVectorizable = errors.New("sqlmini: expression not vectorizable")
 
 // memoCap bounds the per-code verdict memo of fallback kernels. Codes
 // beyond it (a dictionary past 64k distinct values) evaluate through the
-// scalar closure each time instead of growing the memo without bound.
+// compiled closure each time instead of growing the memo without bound.
 const memoCap = 1 << 16
 
 // vecKernel filters sel in place against the column vectors, returning
@@ -68,7 +66,7 @@ type vecKernel func(st *vecState, cols [][]uint32, sel []uint32) ([]uint32, erro
 
 // vecState is one evaluation's mutable scratch: selection buffers for OR
 // nodes, verdict memos for fallback nodes, and a scratch row for their
-// scalar closures. States are pooled per VecPred; memos persist across
+// compiled closures. States are pooled per VecPred; memos persist across
 // calls, which is sound because dictionary codes are append-only and the
 // compiled closure's literals, dialect and functions are fixed at
 // compile time (function re-registration bumps the schema epoch and
@@ -138,13 +136,11 @@ func (p *VecPred) EvalVec(cols [][]uint32, sel []uint32) ([]uint32, error) {
 // the minimum length of the cols slice passed to EvalVec.
 func (p *VecPred) Width() int { return p.crowLen }
 
-// CompileBoundVec lowers a plan-bound conjunct into its vectorized form,
-// or errNotVectorizable when the expression's shape forces row-at-a-time
-// evaluation (it reads two or more columns outside the =/<>/IN/IS
-// NULL/AND/OR/NOT kernel subset). Callers keep a nil slot on error and
-// the scan falls back to the scalar compiled predicate.
+// CompileBoundVec lowers a plan-bound conjunct into its vectorized form.
+// It fails only where CompileBoundCodes fails: on an unknown function or
+// a column reference the planner left unbound.
 func (ev *Evaluator) CompileBoundVec(e Expr) (*VecPred, error) {
-	vc := &vecCompiler{c: &compiler{ev: ev, sweep: -1, bound: true}}
+	vc := &vecCompiler{c: &compiler{ev: ev, bound: true}}
 	k, err := vc.comp(e)
 	if err != nil {
 		return nil, err
@@ -153,8 +149,8 @@ func (ev *Evaluator) CompileBoundVec(e Expr) (*VecPred, error) {
 }
 
 // compileVecs lowers each bound conjunct through CompileBoundVec,
-// leaving nil slots where the compiler declined — the same convention
-// compilePreds uses for the scalar closures.
+// leaving nil slots where compilation failed — the same convention
+// compilePreds uses for residues.
 func compileVecs(ev *Evaluator, conjuncts []Expr) []*VecPred {
 	if len(conjuncts) == 0 {
 		return nil
@@ -169,7 +165,8 @@ func compileVecs(ev *Evaluator, conjuncts []Expr) []*VecPred {
 }
 
 // fullyVec reports whether all n conjuncts lowered to vectorized
-// kernels — the precondition for the column-at-a-time scan path.
+// kernels — the precondition for the column-at-a-time scan path and its
+// morsel parallelism.
 func fullyVec(vecs []*VecPred, n int) bool {
 	if n == 0 || len(vecs) != n {
 		return false
@@ -182,8 +179,8 @@ func fullyVec(vecs []*VecPred, n int) bool {
 	return true
 }
 
-// vecCompiler carries compile-time slot counters; the inner scalar
-// compiler lowers fallback subtrees (bound mode, no sweep).
+// vecCompiler carries compile-time slot counters; the inner compiler
+// lowers fallback subtrees (bound mode).
 type vecCompiler struct {
 	c         *compiler
 	bufSlots  int
@@ -571,34 +568,29 @@ func negateVec(e Expr) (Expr, bool) {
 	return nil, false
 }
 
-// fallback vectorizes an arbitrary conjunct that reads at most one
-// column: the scalar compiled closure runs behind a per-code verdict
-// memo, so each distinct dictionary code in the column is evaluated once
-// per state lifetime and the morsel loop is a table lookup. Conjuncts
-// reading two or more columns decline.
+// fallback vectorizes any other conjunct through its compiled closure.
+// Over one column the closure runs behind a per-code verdict memo, so each
+// distinct dictionary code in the column is evaluated once per state
+// lifetime and the morsel loop is a table lookup. Over two or more it
+// runs once per selected row on a scratch row gathered from the columns
+// it reads, with no memo.
 func (vc *vecCompiler) fallback(e Expr) (vecKernel, error) {
-	// Distinct bound positions; a bare Col means the planner could not
-	// bind it, which the scalar compiler rejects below anyway.
-	idx := -1
-	multi := false
-	walkBound(e, func(b boundCol) {
-		if idx < 0 {
-			idx = b.Idx
-		} else if b.Idx != idx {
-			multi = true
-		}
-	})
-	if multi {
-		return nil, errNotVectorizable
-	}
-	fn, _, err := vc.c.bool(e)
+	fn, err := vc.c.bool(e)
 	if err != nil {
 		return nil, err
 	}
-	if idx < 0 {
+	// Distinct bound positions; compilation rejected any bare Col.
+	var pos []int
+	walkCols(e, func(ref Expr) bool {
+		if b, ok := ref.(boundCol); ok && !slices.Contains(pos, b.Idx) {
+			pos = append(pos, b.Idx)
+		}
+		return true
+	})
+	if len(pos) == 0 {
 		// No column references: one evaluation decides the whole morsel.
 		return func(_ *vecState, _ [][]uint32, sel []uint32) ([]uint32, error) {
-			t, err := fn(nil, nil)
+			t, err := fn(nil)
 			if err != nil {
 				return nil, err
 			}
@@ -608,10 +600,31 @@ func (vc *vecCompiler) fallback(e Expr) (vecKernel, error) {
 			return sel[:0], nil
 		}, nil
 	}
+	width := slices.Max(pos) + 1
+	vc.needCrow(width)
+	if len(pos) > 1 {
+		return func(st *vecState, cols [][]uint32, sel []uint32) ([]uint32, error) {
+			crow := st.crow[:width]
+			k := 0
+			for _, ri := range sel {
+				for _, p := range pos {
+					crow[p] = cols[p][ri]
+				}
+				t, err := fn(crow)
+				if err != nil {
+					return nil, err
+				}
+				if t == triTrue {
+					sel[k] = ri
+					k++
+				}
+			}
+			return sel[:k], nil
+		}, nil
+	}
+	idx := pos[0]
 	slot := vc.memoSlots
 	vc.memoSlots++
-	vc.needCrow(idx + 1)
-	width := idx + 1
 	return func(st *vecState, cols [][]uint32, sel []uint32) ([]uint32, error) {
 		col := cols[idx]
 		m := st.memos[slot]
@@ -625,7 +638,7 @@ func (vc *vecCompiler) fallback(e Expr) (vecKernel, error) {
 			}
 			if v == 0 {
 				crow[idx] = c
-				t, err := fn(nil, crow)
+				t, err := fn(crow)
 				if err != nil {
 					return nil, err
 				}
@@ -647,44 +660,4 @@ func (vc *vecCompiler) fallback(e Expr) (vecKernel, error) {
 		}
 		return sel[:k], nil
 	}, nil
-}
-
-// walkBound visits every bound column reference in e.
-func walkBound(e Expr, visit func(boundCol)) {
-	switch x := e.(type) {
-	case boundCol:
-		visit(x)
-	case Unary:
-		walkBound(x.X, visit)
-	case Binary:
-		walkBound(x.L, visit)
-		walkBound(x.R, visit)
-	case InList:
-		walkBound(x.X, visit)
-		for _, s := range x.Set {
-			walkBound(s, visit)
-		}
-	case IsNull:
-		walkBound(x.X, visit)
-	case Between:
-		walkBound(x.X, visit)
-		walkBound(x.Lo, visit)
-		walkBound(x.Hi, visit)
-	case Ternary:
-		walkBound(x.Cond, visit)
-		walkBound(x.Then, visit)
-		walkBound(x.Else, visit)
-	case Case:
-		for _, w := range x.Whens {
-			walkBound(w.Cond, visit)
-			walkBound(w.Val, visit)
-		}
-		if x.Else != nil {
-			walkBound(x.Else, visit)
-		}
-	case Call:
-		for _, a := range x.Args {
-			walkBound(a, visit)
-		}
-	}
 }

@@ -10,8 +10,8 @@ import (
 )
 
 // Kernel-level audits of the vectorized execution layer: the selection-
-// vector kernels against the scalar compiled predicates they replace, the
-// sweep-vector programs against the scalar sweep programs, and the
+// vector kernels and the sweep-vector programs against the row-at-a-time
+// compiled predicates and the tree-walking Evaluator, and the
 // steady-state allocation contract of EvalVec.
 
 // vecTestValues is the value universe the random predicate generator draws
@@ -82,8 +82,9 @@ func randCodeCols(rng *rand.Rand, ncols, nrows int) [][]uint32 {
 
 // TestVecPredMatchesScalarKernel is the seeded randomized cross-check: for
 // hundreds of random predicates, in both NULL dialects, the selection
-// vector EvalVec keeps must be exactly the rows the scalar CodePred
-// accepts one at a time.
+// vector EvalVec keeps must be exactly the rows the row-at-a-time CodePred
+// and the tree-walking Evaluator accept one at a time. Every predicate
+// vectorizes, including those that read several columns.
 func TestVecPredMatchesScalarKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	const ncols, nrows = 3, 64
@@ -94,7 +95,7 @@ func TestVecPredMatchesScalarKernel(t *testing.T) {
 			ev := &Evaluator{NullEq: !strict}
 			vp, err := ev.CompileBoundVec(e)
 			if err != nil {
-				continue // not vectorizable (e.g. multi-column fallback): scalar path owns it
+				t.Fatalf("trial %d strict=%v: vectorized compile of %s: %v", trial, strict, e, err)
 			}
 			cp, err := ev.CompileBoundCodes(e)
 			if err != nil {
@@ -117,6 +118,10 @@ func TestVecPredMatchesScalarKernel(t *testing.T) {
 				ok, err := cp(crow)
 				if err != nil {
 					t.Fatalf("trial %d strict=%v: scalar eval of %s: %v", trial, strict, e, err)
+				}
+				interp, err := ev.True(e, frameEnv{f: &frame{}, row: crow})
+				if err != nil || interp != ok {
+					t.Fatalf("trial %d strict=%v row %d: %s: compiled %v, interpreter (%v, %v)", trial, strict, i, e, ok, interp, err)
 				}
 				if ok {
 					want = append(want, uint32(i))
@@ -173,13 +178,13 @@ func randSweepExpr(rng *rand.Rand, names []string, depth int) Expr {
 	}
 }
 
-// TestSweepVecMatchesScalarSweep cross-checks CompileSweepVec against
-// CompileSweep on random expressions: for random base rows and domains,
-// every lane EvalSweepTrue keeps must match EvalCodes on the row with the
-// sweep column substituted — in both NULL dialects, with the sweep cache
-// exercised across consecutive rows. The chains subtest does the same for
-// long rule chains against the tree-walking Evaluator too.
-func TestSweepVecMatchesScalarSweep(t *testing.T) {
+// TestSweepVecMatchesInterpreter cross-checks CompileSweepBranches against
+// the tree-walking Evaluator on random expressions: for random base rows
+// and domains, every lane EvalSweepTrue keeps must match Evaluator.True on
+// the row with the sweep column substituted — in both NULL dialects, with
+// one instance reused across consecutive rows. The chains subtest does
+// the same for long rule chains and their Selector split.
+func TestSweepVecMatchesInterpreter(t *testing.T) {
 	t.Run("chains", testSweepVecChains)
 	rng := rand.New(rand.NewSource(7))
 	names := []string{"a", "b", "c", "d"}
@@ -189,27 +194,23 @@ func TestSweepVecMatchesScalarSweep(t *testing.T) {
 		sweep := rng.Intn(len(names))
 		for _, strict := range []bool{false, true} {
 			ev := &Evaluator{NullEq: !strict}
-			sp, err := ev.CompileSweepVec(e, ix, sweep)
+			sp, err := ev.CompileSweepBranches([]Expr{e}, ix, sweep)
 			if err != nil {
 				t.Fatalf("trial %d strict=%v: sweep-vec compile of %s: %v", trial, strict, e, err)
 			}
-			prog, err := ev.CompileSweep(e, ix, sweep)
-			if err != nil {
-				t.Fatalf("trial %d strict=%v: sweep compile of %s: %v", trial, strict, e, err)
-			}
-			vin, sin := sp.Instance(), prog.Instance()
+			vin := sp.Instance()
 			domain := make([]uint32, 1+rng.Intn(6))
 			for i := range domain {
 				domain[i] = dict.Code(vecTestValues[rng.Intn(len(vecTestValues))])
 			}
 			keep := make([]bool, len(domain))
 			crow := make([]uint32, len(names))
+			env := make(MapEnv, len(names))
 			for row := 0; row < 4; row++ {
 				for j := range crow {
 					crow[j] = dict.Code(vecTestValues[rng.Intn(len(vecTestValues))])
+					env[names[j]] = dict.Value(crow[j])
 				}
-				vin.NextRow()
-				sin.NextRow()
 				for i := range keep {
 					keep[i] = true
 				}
@@ -217,17 +218,18 @@ func TestSweepVecMatchesScalarSweep(t *testing.T) {
 					t.Fatalf("trial %d strict=%v: EvalSweepTrue of %s: %v", trial, strict, e, err)
 				}
 				for di, d := range domain {
-					crow[sweep] = d
-					want, err := prog.EvalCodes(sin, crow)
+					env[names[sweep]] = dict.Value(d)
+					want, err := ev.True(e, env)
 					if err != nil {
-						t.Fatalf("trial %d strict=%v: scalar sweep of %s: %v", trial, strict, e, err)
+						t.Fatalf("trial %d strict=%v: interpreting %s: %v", trial, strict, e, err)
 					}
 					if keep[di] != want {
-						t.Fatalf("trial %d strict=%v row %d lane %d: %s\nvectorized=%v scalar=%v (sweep col %d = code %d)",
+						t.Fatalf("trial %d strict=%v row %d lane %d: %s\nvectorized=%v interpreter=%v (sweep col %d = code %d)",
 							trial, strict, row, di, e, keep[di], want, sweep, d)
 					}
 				}
 			}
+			sp.Release(vin)
 		}
 	}
 }
@@ -316,9 +318,9 @@ func splitChain(e Expr, sweepCol string) (conds, branches []Expr) {
 	return conds, append(branches, e)
 }
 
-// testSweepVecChains cross-checks three lowerings of rule chains: seeded
-// random chains of 1–600 arms, in both NULL dialects, must give the
-// vectorized sweep of the whole chain, the scalar sweep, the tree-walking
+// testSweepVecChains cross-checks two lowerings of rule chains against the
+// tree-walking Evaluator: seeded random chains of 1–600 arms, in both NULL
+// dialects, must give the vectorized sweep of the whole chain, the
 // Evaluator, and a Selector over the leading stable conditions followed by
 // the chosen branch of CompileSweepBranches the same verdict on every lane
 // — and the same error whenever a condition's function call fails.
@@ -333,13 +335,9 @@ func testSweepVecChains(t *testing.T) {
 		e := randChain(rng, names, sweep, 1+rng.Intn(600), 2)
 		for _, strict := range []bool{false, true} {
 			ev := &Evaluator{Funcs: funcs, NullEq: !strict}
-			sp, err := ev.CompileSweepVec(e, ix, sweep)
+			sp, err := ev.CompileSweepBranches([]Expr{e}, ix, sweep)
 			if err != nil {
 				t.Fatalf("trial %d strict=%v: sweep-vec compile: %v", trial, strict, err)
-			}
-			prog, err := ev.CompileSweep(e, ix, sweep)
-			if err != nil {
-				t.Fatalf("trial %d strict=%v: sweep compile: %v", trial, strict, err)
 			}
 			conds, branches := splitChain(e, names[sweep])
 			sel, err := ev.CompileSelector(conds, ix)
@@ -350,7 +348,7 @@ func testSweepVecChains(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d strict=%v: branches compile: %v", trial, strict, err)
 			}
-			vin, sin, bin := sp.Instance(), prog.Instance(), bp.Instance()
+			vin, bin := sp.Instance(), bp.Instance()
 			domain := make([]uint32, 1+rng.Intn(6))
 			for i := range domain {
 				domain[i] = dict.Code(vecTestValues[rng.Intn(len(vecTestValues))])
@@ -364,9 +362,6 @@ func testSweepVecChains(t *testing.T) {
 					crow[j] = dict.Code(vecTestValues[rng.Intn(len(vecTestValues))])
 					env[names[j]] = dict.Value(crow[j])
 				}
-				vin.NextRow()
-				sin.NextRow()
-				bin.NextRow()
 				for i := range keep {
 					keep[i] = true
 					bkeep[i] = true
@@ -378,14 +373,8 @@ func testSweepVecChains(t *testing.T) {
 				}
 				var laneErr error
 				for di, d := range domain {
-					crow[sweep] = d
 					env[names[sweep]] = dict.Value(d)
 					want, werr := ev.True(e, env)
-					got, gerr := prog.EvalCodes(sin, crow)
-					if fmt.Sprint(gerr) != fmt.Sprint(werr) || got != want {
-						t.Fatalf("trial %d strict=%v row %d lane %d: scalar sweep (%v, %v), evaluator (%v, %v)",
-							trial, strict, row, di, got, gerr, want, werr)
-					}
 					if werr != nil {
 						laneErr = werr
 						continue
@@ -418,8 +407,9 @@ func testSweepVecChains(t *testing.T) {
 
 // TestVectorizedFilterAllocs audits the steady-state allocation contract:
 // once a VecPred's pooled scratch state is warm, EvalVec must not allocate
-// — for the pure code-compare kernels and for the memoized single-column
-// fallback alike (the memo table is grown on first contact, then reused).
+// — for the pure code-compare kernels, the memoized single-column
+// fallback (the memo table is grown on first contact, then reused) and
+// the per-row multi-column fallback alike.
 func TestVectorizedFilterAllocs(t *testing.T) {
 	if raceEnabled {
 		// Under the race detector sync.Pool deliberately drops items to
@@ -439,6 +429,7 @@ func TestVectorizedFilterAllocs(t *testing.T) {
 			R: InList{X: boundCol{Col: Col{Name: "b"}, Idx: 1}, Set: []Expr{Lit{Val: rel.I(1)}, Lit{Val: rel.I(2)}}},
 		}},
 		{"memo-fallback", Binary{Op: ">", L: boundCol{Col: Col{Name: "b"}, Idx: 1}, R: Lit{Val: rel.I(1)}}},
+		{"multi-column", Binary{Op: "<", L: boundCol{Col: Col{Name: "a"}, Idx: 0}, R: boundCol{Col: Col{Name: "b"}, Idx: 1}}},
 	}
 	sel := make([]uint32, nrows)
 	for _, tc := range exprs {

@@ -21,8 +21,8 @@
 # plus the planner-sensitive ones: the invariant suite (the paper's
 # every-revision workload), the substrate SELECT/JOIN microbenchmarks,
 # the prepared-statement floor, the EXPLAIN ANALYZE pair (plain vs
-# instrumented execution of the same join), the scalar-vs-vectorized
-# filter pair, the segment pack/unpack throughput, the out-of-core
+# instrumented execution of the same join), the selection-vector filter
+# scan, the segment pack/unpack throughput, the out-of-core
 # state-exploration pair (budget-stopped vs spilled at a fixed memory
 # budget, with states and bytes/state as extra metrics; the spilled run
 # must reach ≥100x the states the retired in-memory engine held), the §5
@@ -39,7 +39,9 @@
 # unencodable systems, clones applying concurrently over shared table
 # matchers and keeping consistent Stats, and the ternary matcher
 # against its full-scan oracle), the
-# vectorized-vs-scalar equivalence suites, the MVCC epoch/catalog layer
+# scan-filter and sweep-vector equivalence suites (frozen result digests,
+# and every compiled form against the tree-walking interpreter, including
+# the differential fuzzer's seed corpus), the MVCC epoch/catalog layer
 # and the query server (concurrent sessions, admission, drain), the
 # deadlock analysis (pairwise composition fans out over shared interned
 # tables on the pool), protocol generation (eight specs solved at once
@@ -79,7 +81,7 @@ go test -race -run 'TestParallelMatchesSerial|TestParallelMatchesSerialControlle
     ./internal/pool/ ./internal/sqlmini/
 
 echo "== race-detector vectorized-equivalence tests =="
-go test -race -run 'TestVectorizedMatchesScalarControllers|TestVecPredMatchesScalarKernel|TestSweepVecMatchesScalarSweep' \
+go test -race -run 'TestScanFiltersMatchFrozenResults|TestVecPredMatchesScalarKernel|TestSweepVecMatchesInterpreter|FuzzCompiledMatchesInterpreter' \
     ./internal/sqlmini/
 
 echo "== race-detector observability tests =="
