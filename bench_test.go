@@ -8,6 +8,7 @@ package coherdb_test
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -1008,6 +1009,58 @@ func BenchmarkDeltaRecheck(b *testing.B) {
 		// Leave D as generated for any benchmark running after this one.
 		if err := tab.Set(0, col, v1); err != nil {
 			b.Fatal(err)
+		}
+	})
+
+	// The same flip as SQL, as the edit-recheck workload sends it: UPDATE
+	// the cell WHERE every column matches row 0, through DB.Exec, on a
+	// database of its own over the generated tables (DML publishes
+	// copy-on-write successors, so they stay as generated).
+	b.Run("sql-row-edit", func(b *testing.B) {
+		db := sqlmini.NewDB()
+		protocol.RegisterFuncs(db.Register)
+		for _, name := range p.DB.Names() {
+			db.PutTable(p.DB.MustTable(name))
+		}
+		tab := db.MustTable(protocol.DirectoryTable)
+		v1 := tab.At(0, 0)
+		v2 := v1
+		for i := 1; i < tab.NumRows() && v2.Equal(v1); i++ {
+			v2 = tab.At(i, 0)
+		}
+		if v2.Equal(v1) {
+			b.Fatal("column 0 of D is constant; pick another edit target")
+		}
+		// flip[k] sets column 0 of row 0 from vals[k] to vals[1-k].
+		vals := [2]rel.Value{v1, v2}
+		var flip [2]string
+		for k, v := range vals {
+			conds := make([]string, tab.NumCols())
+			for j, c := range tab.ColumnsRef() {
+				cell := tab.At(0, j)
+				if j == 0 {
+					cell = v
+				}
+				if cell.IsNull() {
+					conds[j] = c + " IS NULL"
+				} else {
+					conds[j] = c + " = " + cell.Quoted()
+				}
+			}
+			flip[k] = fmt.Sprintf("UPDATE %s SET %s = %s WHERE %s", protocol.DirectoryTable,
+				tab.ColumnsRef()[0], vals[1-k].Quoted(), strings.Join(conds, " AND "))
+		}
+		rev := db.BeginRevision()
+		prev := suite.Run(db, opts)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := db.Exec(flip[i%2])
+			if err != nil || res.Affected < 1 {
+				b.Fatalf("%s: affected %v, err %v", flip[i%2], res, err)
+			}
+			d := rev.Commit()
+			prev = suite.RunDelta(db, prev, d, opts)
 		}
 	})
 }

@@ -151,19 +151,26 @@ func (b *CatalogBuilder) Table(name string) (*Table, bool) {
 }
 
 // Build freezes the builder into the successor catalog: epoch base+1,
-// sorted names, and a fresh schema fingerprint.
+// sorted names, and the schema fingerprint. A builder whose schema
+// generation did not move — no new name, no new shape, no Drop, no
+// BumpSchema, which is every DML epoch — has the base's names and
+// fingerprint, so it reuses them instead of re-sorting and rehashing.
 func (b *CatalogBuilder) Build() *Catalog {
 	c := &Catalog{
 		epoch:     b.base.epoch + 1,
 		schemaGen: b.schemaGen,
 		tables:    b.tables,
-		names:     make([]string, 0, len(b.tables)),
 	}
-	for n := range b.tables {
-		c.names = append(c.names, n)
+	if b.schemaGen == b.base.schemaGen {
+		c.names, c.fp = b.base.names, b.base.fp
+	} else {
+		c.names = make([]string, 0, len(b.tables))
+		for n := range b.tables {
+			c.names = append(c.names, n)
+		}
+		sort.Strings(c.names)
+		c.fp = c.fingerprint()
 	}
-	sort.Strings(c.names)
-	c.fp = c.fingerprint()
 	b.tables = nil // the builder is spent; the catalog owns the map
 	return c
 }

@@ -1,6 +1,10 @@
 package rel
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -267,5 +271,113 @@ func TestCarryIndexesAppendOnly(t *testing.T) {
 	}
 	if got := len(ix2.Lookup(I(0))); got != 4 {
 		t.Fatalf("rebuilt index Lookup(0) = %d rows, want 4", got)
+	}
+}
+
+// TestCatalogFingerprintMatchesScratch drives a builder chain through a
+// random mix of DDL (new names, reshaped replacements, drops, schema
+// bumps) and DML-like epochs (identically-shaped replacements, which
+// reuse the base's names and fingerprint), and checks every epoch's
+// Names and Fingerprint against ones computed from scratch over its
+// tables.
+func TestCatalogFingerprintMatchesScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	shapes := [][]string{{"a"}, {"a", "b"}, {"b", "a"}, {"a", "b", "c"}}
+	names := []string{"D", "M", "C", "N", "t"}
+	c := NewCatalog()
+	for step := 0; step < 500; step++ {
+		b := c.Derive()
+		for k := 1 + rng.Intn(2); k > 0; k-- {
+			name := names[rng.Intn(len(names))]
+			switch op := rng.Intn(10); {
+			case op < 5: // DML: same name, same shape
+				if old, ok := b.Table(name); ok {
+					b.Put(old.Snapshot())
+				}
+			case op < 8:
+				b.Put(catTable(t, name, shapes[rng.Intn(len(shapes))]))
+			case op < 9:
+				b.Drop(name)
+			default:
+				b.BumpSchema()
+			}
+		}
+		c = b.Build()
+		var want []string
+		for n := range c.tables {
+			want = append(want, n)
+		}
+		sort.Strings(want)
+		if fmt.Sprint(c.Names()) != fmt.Sprint(want) {
+			t.Fatalf("epoch %d: Names %v, want %v", c.Epoch(), c.Names(), want)
+		}
+		scratch := &Catalog{schemaGen: c.schemaGen, tables: c.tables, names: want}
+		if got, w := c.Fingerprint(), scratch.fingerprint(); got != w {
+			t.Fatalf("epoch %d: Fingerprint %x, from scratch %x", c.Epoch(), got, w)
+		}
+	}
+}
+
+// TestCarryIndexesKeepsUnchanged: a rewrite that keeps the row count
+// carries every index whose columns it left alone, sharing its buckets,
+// and rebuilds the rest. An insert into either table then copies the
+// shared buckets before writing, so the other table's index stays as
+// it was.
+func TestCarryIndexesKeepsUnchanged(t *testing.T) {
+	src := catTable(t, "cache", []string{"addr", "state", "owner"})
+	for i := 0; i < 12; i++ {
+		src.MustInsert(S("a"), I(int64(i%3)), I(int64(i%4)))
+	}
+	for _, c := range []string{"state", "owner"} {
+		if _, err := src.IndexOn(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	work := src.Snapshot()
+	if err := work.Set(5, "owner", I(9)); err != nil {
+		t.Fatal(err)
+	}
+	work.CarryIndexes(src)
+
+	buckets := func(tb *Table, col string) map[string][]int {
+		ix, err := tb.IndexOn(col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ix.buckets
+	}
+	rebuilt := func(tb *Table, col string) map[string][]int {
+		ix, err := BuildIndex(tb, col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ix.buckets
+	}
+	same := func(a, b map[string][]int) bool { return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer() }
+	if !same(buckets(work, "state"), buckets(src, "state")) {
+		t.Fatal("the index over the unchanged column was not carried as it is")
+	}
+	if same(buckets(work, "owner"), buckets(src, "owner")) {
+		t.Fatal("the index over the changed column was carried")
+	}
+	for _, c := range []string{"state", "owner"} {
+		if !reflect.DeepEqual(buckets(work, c), rebuilt(work, c)) {
+			t.Fatalf("carried index on %s differs from BuildIndex", c)
+		}
+	}
+
+	// Both sides extend the bucket for state = 1, which has spare
+	// capacity in the shared storage, with different rows.
+	work.MustInsert(S("w"), I(1), I(0))
+	srcBefore := rebuilt(src, "state")
+	if !reflect.DeepEqual(buckets(src, "state"), srcBefore) {
+		t.Fatal("an insert into the new table changed the source's index")
+	}
+	src.MustInsert(S("s"), I(1), I(1))
+	src.MustInsert(S("s"), I(1), I(2))
+	for _, tb := range []*Table{src, work} {
+		if !reflect.DeepEqual(buckets(tb, "state"), rebuilt(tb, "state")) {
+			t.Fatalf("%p: index on state differs from BuildIndex after both sides inserted", tb)
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package rel
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Index is a hash index over one or more columns of a table, mapping each
 // distinct key to the row numbers holding it. An index obtained from
@@ -16,6 +19,10 @@ type Index struct {
 	cols    []string
 	colIdx  []int
 	buckets map[string][]int
+	// shared marks buckets aliased by another Index — one epoch's index
+	// carried forward to the next (see carry). The first add on either
+	// side copies the map first, so a published index never changes.
+	shared atomic.Bool
 }
 
 // BuildIndex constructs a hash index over the given columns. The column
@@ -102,25 +109,43 @@ func (ix *Index) Distinct() int { return len(ix.buckets) }
 // add appends row i (already present in the table) to the index, for
 // incremental maintenance of Table.IndexOn caches on insert.
 func (ix *Index) add(i int) {
+	if ix.shared.Load() {
+		ix.own()
+	}
 	k := ix.t.RowKey(i, ix.colIdx)
 	ix.buckets[k] = append(ix.buckets[k], i)
 }
 
-// extendTo clones the index for a derived table t whose first n rows are
-// identical to the source's, then appends rows n..t.NumRows — the
-// append-only fast path of Table.CarryIndexes. The column metadata is
-// shared (immutable); the buckets are deep-copied so the source epoch's
-// index stays frozen.
-func (ix *Index) extendTo(t *Table, n int) *Index {
-	nix := &Index{
-		t:       t,
-		cols:    ix.cols,
-		colIdx:  ix.colIdx,
-		buckets: make(map[string][]int, len(ix.buckets)),
-	}
+// own gives the index a private bucket map. The row lists stay aliased
+// but are capped at their length, so the next append to any of them
+// reallocates instead of writing into storage the other index reads.
+func (ix *Index) own() {
+	b := make(map[string][]int, len(ix.buckets))
 	for k, rows := range ix.buckets {
-		nix.buckets[k] = append([]int(nil), rows...)
+		b[k] = rows[:len(rows):len(rows)]
 	}
+	ix.buckets = b
+	ix.shared.Store(false)
+}
+
+// carry returns the index as it stands, re-pointed at a derived table t
+// whose indexed columns hold the same codes in the same rows — the
+// fast path of Table.CarryIndexes. Both indexes share the column
+// metadata and the buckets, and both are marked shared, so whichever is
+// extended first copies its buckets (see add) and the other stays
+// frozen.
+func (ix *Index) carry(t *Table) *Index {
+	nix := &Index{t: t, cols: ix.cols, colIdx: ix.colIdx, buckets: ix.buckets}
+	nix.shared.Store(true)
+	ix.shared.Store(true)
+	return nix
+}
+
+// extendTo carries the index to a derived table t whose first n rows are
+// identical to the source's, then appends rows n..t.NumRows — the
+// append-only path of Table.CarryIndexes.
+func (ix *Index) extendTo(t *Table, n int) *Index {
+	nix := ix.carry(t)
 	for i := n; i < t.nrows; i++ {
 		nix.add(i)
 	}

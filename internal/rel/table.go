@@ -3,6 +3,7 @@ package rel
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -466,26 +467,38 @@ func (t *Table) ReplaceInCol(name string, from, to Value) int {
 // DeleteWhere removes all rows for which pred returns true and returns the
 // number removed.
 func (t *Table) DeleteWhere(pred func(Row) bool) int {
-	kept := make([]int, 0, t.nrows)
+	var rows []uint32
 	for i := 0; i < t.nrows; i++ {
-		if !pred(Row{t: t, i: i}) {
-			kept = append(kept, i)
+		if pred(Row{t: t, i: i}) {
+			rows = append(rows, uint32(i))
 		}
 	}
-	removed := t.nrows - len(kept)
-	if removed == 0 {
+	return t.DeleteRows(rows)
+}
+
+// DeleteRows removes the rows whose numbers rows lists in strictly
+// increasing order — a selection vector — and returns the number removed.
+// Each column is compacted in one pass that moves the runs between the
+// removed rows.
+func (t *Table) DeleteRows(rows []uint32) int {
+	if len(rows) == 0 {
 		return 0
 	}
 	t.ensureOwned()
 	for j, col := range t.data {
-		for k, i := range kept {
-			col[k] = col[i]
+		w := int(rows[0])
+		for k, r := range rows {
+			next := t.nrows
+			if k+1 < len(rows) {
+				next = int(rows[k+1])
+			}
+			w += copy(col[w:], col[int(r)+1:next])
 		}
-		t.data[j] = col[:len(kept)]
+		t.data[j] = col[:w]
 	}
-	t.nrows = len(kept)
+	t.nrows -= len(rows)
 	t.rewritten()
-	return removed
+	return len(rows)
 }
 
 // Clone returns a deep copy of the table. Copying code vectors is cheap —
@@ -594,9 +607,10 @@ func (t *Table) sortByIdx(idx []int) {
 // IndexOn returns a persistent hash index over the given columns, building
 // it on first use and caching it on the table. Cached indexes are
 // maintained incrementally on Insert/InsertRow and dropped wholesale on
-// Set, DeleteWhere, SortBy and SortAll, so a lookup never serves stale
-// rows. Tables produced by Rename or Prefix share their source's column
-// storage but not its index cache; such views must not be mutated.
+// Set, DeleteWhere, DeleteRows, SortBy and SortAll, so a lookup never
+// serves stale rows. Tables produced by Rename or Prefix share their
+// source's column storage but not its index cache; such views must not
+// be mutated.
 // Concurrent IndexOn calls are safe; mutation requires the same external
 // exclusion the table already demands.
 func (t *Table) IndexOn(cols ...string) (*Index, error) {
@@ -617,6 +631,23 @@ func (t *Table) IndexOn(cols ...string) (*Index, error) {
 	return ix, nil
 }
 
+// IndexedColumns lists the column names of every cached persistent index
+// (see IndexOn), ordered by their joined names.
+func (t *Table) IndexedColumns() [][]string {
+	t.idxMu.Lock()
+	defer t.idxMu.Unlock()
+	keys := make([]string, 0, len(t.indexes))
+	for k := range t.indexes {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	out := make([][]string, len(keys))
+	for i, k := range keys {
+		out[i] = append([]string(nil), t.indexes[k].cols...)
+	}
+	return out
+}
+
 // invalidateIndexes drops the cached indexes after a mutation that moves
 // or rewrites rows; they rebuild lazily on the next IndexOn.
 func (t *Table) invalidateIndexes() {
@@ -627,12 +658,14 @@ func (t *Table) invalidateIndexes() {
 
 // CarryIndexes seeds t's persistent-index cache from old's at
 // epoch-publish time. t must be a copy-on-write derivation of old (the
-// writer's working copy about to replace old in the next catalog epoch);
-// append-only derivations extend each index incrementally over just the
-// new rows, anything else rebuilds over the same column sets. Either way
-// the published table starts its epoch with warm indexes, so readers of
-// the new epoch never pay a lazy rebuild and index maintenance lives at
-// the single writer's publish point rather than inside every mutation.
+// writer's working copy about to replace old in the next catalog epoch).
+// Append-only derivations extend each index over just the new rows; a
+// derivation with old's row count carries every index whose columns
+// hold the same codes in both tables as it is, sharing its buckets; any
+// other index is rebuilt over the same columns. Either way the published
+// table starts its epoch with warm indexes, so readers of the new epoch
+// never pay a lazy rebuild, and a one-cell UPDATE rebuilds only the
+// indexes over the column it changed.
 func (t *Table) CarryIndexes(old *Table) {
 	if old == nil || old == t || !SameSchema(old, t) {
 		return
@@ -657,14 +690,31 @@ func (t *Table) CarryIndexes(old *Table) {
 		if _, have := t.indexes[key]; have {
 			continue
 		}
-		if appendOnly {
+		switch {
+		case appendOnly:
 			t.indexes[key] = ix.extendTo(t, old.nrows)
-			continue
-		}
-		if nix, err := BuildIndex(t, ix.cols...); err == nil {
-			t.indexes[key] = nix
+		case t.sameCodes(old, ix.colIdx):
+			t.indexes[key] = ix.carry(t)
+		default:
+			if nix, err := BuildIndex(t, ix.cols...); err == nil {
+				t.indexes[key] = nix
+			}
 		}
 	}
+}
+
+// sameCodes reports whether t and old have the same row count and hold
+// identical codes in the given columns.
+func (t *Table) sameCodes(old *Table, cols []int) bool {
+	if t.nrows != old.nrows {
+		return false
+	}
+	for _, j := range cols {
+		if !slices.Equal(t.data[j][:t.nrows], old.data[j][:old.nrows]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Row is a lightweight accessor for one row of a table.

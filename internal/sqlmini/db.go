@@ -151,7 +151,9 @@ func (r *run) table(name string) (*rel.Table, bool) {
 // writeTable resolves the mutable target of a DML statement: the
 // session-local table when the name is shadowed (mutated in place — it is
 // private to the session), otherwise a copy-on-write working copy from
-// the writer working set.
+// the writer working set. The DML executors evaluate everything before
+// they write the first cell, so an errored statement leaves an overlay
+// table as untouched as a discarded working copy.
 func (r *run) writeTable(name string) (*rel.Table, bool) {
 	if r.overlay != nil {
 		if t, ok := r.overlay[name]; ok {
@@ -298,7 +300,8 @@ func (w *catWrite) build(base *rel.Catalog) *rel.Catalog {
 		if old := w.orig[name]; old != nil {
 			// Epoch-publish-time index maintenance: append-only working
 			// copies extend the base epoch's indexes incrementally,
-			// rewrites rebuild them, and either way the published table
+			// rewrites keep each index over columns they left unchanged
+			// and rebuild the rest, and either way the published table
 			// starts warm.
 			t.CarryIndexes(old)
 		}
@@ -851,6 +854,9 @@ func (r *run) execDrop(s *DropStmt) (*Result, error) {
 	return &Result{}, nil
 }
 
+// execInsert evaluates every VALUES row before it inserts the first, so
+// an error leaves the target untouched — on a session's overlay table,
+// which is written in place, as much as on a working copy.
 func (r *run) execInsert(s *InsertStmt) (*Result, error) {
 	t, ok := r.writeTable(s.Table)
 	if !ok {
@@ -869,7 +875,8 @@ func (r *run) execInsert(s *InsertStmt) (*Result, error) {
 		pos[i] = j
 	}
 	emptyEnv := MapEnv{}
-	for _, rexprs := range s.Rows {
+	rows := make([][]rel.Value, len(s.Rows))
+	for k, rexprs := range s.Rows {
 		if len(rexprs) != len(cols) {
 			return nil, fmt.Errorf("%w: INSERT row has %d values, want %d", rel.ErrArity, len(rexprs), len(cols))
 		}
@@ -881,6 +888,9 @@ func (r *run) execInsert(s *InsertStmt) (*Result, error) {
 			}
 			row[pos[i]] = v
 		}
+		rows[k] = row
+	}
+	for _, row := range rows {
 		if err := t.InsertRow(row); err != nil {
 			return nil, err
 		}
@@ -888,33 +898,24 @@ func (r *run) execInsert(s *InsertStmt) (*Result, error) {
 	return &Result{Affected: len(s.Rows)}, nil
 }
 
+// execDelete selects the WHERE's rows, then removes them in one pass.
 func (r *run) execDelete(s *DeleteStmt) (*Result, error) {
 	t, ok := r.writeTable(s.Table)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoTable, s.Table)
 	}
-	r.qs.addScanned(t.NumRows())
-	var evalErr error
-	n := t.DeleteWhere(func(row rel.Row) bool {
-		if evalErr != nil {
-			return false
-		}
-		if s.Where == nil {
-			return true
-		}
-		ok, err := r.ev.True(s.Where, rowEnv{row: row})
-		if err != nil {
-			evalErr = err
-			return false
-		}
-		return ok
-	})
-	if evalErr != nil {
-		return nil, evalErr
+	sv := getSel(t.NumRows())
+	defer selPool.Put(sv)
+	sel, err := r.selectRows(t, s.Where, sv.s)
+	if err != nil {
+		return nil, err
 	}
-	return &Result{Affected: n}, nil
+	return &Result{Affected: t.DeleteRows(sel)}, nil
 }
 
+// execUpdate selects the WHERE's rows, evaluates every SET expression on
+// every selected row, and only then writes the cells: SET a = b, b = a
+// swaps, and an error leaves the target untouched.
 func (r *run) execUpdate(s *UpdateStmt) (*Result, error) {
 	t, ok := r.writeTable(s.Table)
 	if !ok {
@@ -925,36 +926,105 @@ func (r *run) execUpdate(s *UpdateStmt) (*Result, error) {
 			return nil, fmt.Errorf("%w: %s in table %q", ErrUnknownColumn, c, s.Table)
 		}
 	}
-	r.qs.addScanned(t.NumRows())
-	n := 0
-	for i := 0; i < t.NumRows(); i++ {
-		env := rowEnv{row: t.Row(i)}
-		if s.Where != nil {
-			ok, err := r.ev.True(s.Where, env)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		// Evaluate all RHS before assigning, so SET a=b, b=a swaps.
-		vals := make([]rel.Value, len(s.Exprs))
-		for k, e := range s.Exprs {
+	sv := getSel(t.NumRows())
+	defer selPool.Put(sv)
+	sel, err := r.selectRows(t, s.Where, sv.s)
+	if err != nil {
+		return nil, err
+	}
+	vals := make([]rel.Value, 0, len(sel)*len(s.Exprs))
+	for _, ri := range sel {
+		env := rowEnv{row: t.Row(int(ri))}
+		for _, e := range s.Exprs {
 			v, err := r.ev.Eval(e, env)
 			if err != nil {
 				return nil, err
 			}
-			vals[k] = v
+			vals = append(vals, v)
 		}
-		for k, c := range s.Cols {
-			if err := t.Set(i, c, vals[k]); err != nil {
+	}
+	k := 0
+	for _, ri := range sel {
+		for _, c := range s.Cols {
+			if err := t.Set(int(ri), c, vals[k]); err != nil {
 				return nil, err
 			}
+			k++
 		}
-		n++
 	}
-	return &Result{Affected: n}, nil
+	return &Result{Affected: len(sel)}, nil
+}
+
+// selectRows returns, in increasing order and in buf's storage, the
+// numbers of t's rows that where selects: the rows SELECT * FROM t WHERE
+// where returns, found as that statement's scan finds them. The bound
+// conjuncts run in three groups, each on the selection-vector kernels
+// when all of its conjuncts compile and interpreted row at a time (as
+// filterFrame interprets) otherwise:
+//
+//   - column = literal conjuncts, which SELECT answers from an index.
+//     DML runs them as kernels and never builds an index: a full-row
+//     match would leave one many-column index per NULL pattern on the
+//     published table, carried forward forever;
+//   - the other conjuncts over t's columns, SELECT's pushed filter, even
+//     when nothing survived the first group;
+//   - the conjuncts that read no column of t, SELECT's residue, on the
+//     rows that survived.
+func (r *run) selectRows(t *rel.Table, where Expr, buf []uint32) ([]uint32, error) {
+	n := t.NumRows()
+	r.qs.addScanned(n)
+	sel := buf[:n]
+	for i := range sel {
+		sel[i] = uint32(i)
+	}
+	if where == nil {
+		return sel, nil
+	}
+	f := schemaFrame(t, t.Name())
+	src := []*frame{f}
+	var eq, pushed, residue []Expr
+	for _, c := range splitAnd(where) {
+		if pushTarget(c, src) < 0 {
+			residue = append(residue, bindExpr(c, f))
+		} else if _, _, ok := indexableEq(c, f); ok {
+			eq = append(eq, bindExpr(c, f))
+		} else {
+			pushed = append(pushed, bindExpr(c, f))
+		}
+	}
+	var err error
+	for g, conj := range [3][]Expr{eq, pushed, residue} {
+		if len(conj) == 0 || (g == 2 && len(sel) == 0) {
+			continue
+		}
+		if sel, err = r.keepRows(t, f, sel, conj); err != nil {
+			return nil, err
+		}
+	}
+	return sel, nil
+}
+
+// keepRows filters sel by the conjuncts, bound to t's frame f.
+func (r *run) keepRows(t *rel.Table, f *frame, sel []uint32, conjuncts []Expr) ([]uint32, error) {
+	if vecs := compileVecs(&r.ev, conjuncts); fullyVec(vecs, len(conjuncts)) {
+		return r.vecFilter(t, sel, vecs)
+	}
+	r.qs.phase(obs.PhaseFilter)
+	crows := t.CodeRows()
+	env := &frameEnv{f: f}
+	k := 0
+	for _, ri := range sel {
+		env.row = crows[ri]
+		ok, err := r.allTrue(env, conjuncts, nil)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			sel[k] = ri
+			k++
+		}
+	}
+	return sel[:k], nil
 }
 
 // rowEnv adapts a single-table row to Env; the qualifier, if present, must

@@ -471,6 +471,11 @@ func (r *run) scanSource(ref TableRef, sp srcPlan) (*frame, error) {
 				r.azSet("indexscan", withStorage(detail))
 			}
 			if vec {
+				if matched == nil {
+					// No row holds the key. A nil domain would tell
+					// vecScan to scan the whole table.
+					matched = []int{}
+				}
 				return r.vecScan(t, ref.Alias, matched, sp.vecs)
 			}
 			f := schemaFrame(t, ref.Alias)
@@ -1034,22 +1039,9 @@ func (r *run) filterFrame(f *frame, conjuncts []Expr, progs []CodePred) (*frame,
 	env := &frameEnv{f: f}
 	for _, row := range f.rows {
 		env.row = row
-		ok := true
-		for i, c := range conjuncts {
-			var t bool
-			var err error
-			if i < len(progs) && progs[i] != nil {
-				t, err = progs[i](row)
-			} else {
-				t, err = r.ev.True(c, env)
-			}
-			if err != nil {
-				return nil, err
-			}
-			if !t {
-				ok = false
-				break
-			}
+		ok, err := r.allTrue(env, conjuncts, progs)
+		if err != nil {
+			return nil, err
 		}
 		if ok {
 			kept = append(kept, row)
@@ -1057,6 +1049,25 @@ func (r *run) filterFrame(f *frame, conjuncts []Expr, progs []CodePred) (*frame,
 	}
 	// Same schema, so the resolution memo carries over.
 	return &frame{aliases: f.aliases, names: f.names, rows: kept, memo: f.memo}, nil
+}
+
+// allTrue reports whether env's row satisfies every conjunct, in order,
+// stopping at the first that does not hold. A conjunct with a compiled
+// slot in progs runs it; the others are interpreted.
+func (r *run) allTrue(env *frameEnv, conjuncts []Expr, progs []CodePred) (bool, error) {
+	for i, c := range conjuncts {
+		var t bool
+		var err error
+		if i < len(progs) && progs[i] != nil {
+			t, err = progs[i](env.row)
+		} else {
+			t, err = r.ev.True(c, env)
+		}
+		if err != nil || !t {
+			return false, err
+		}
+	}
+	return true, nil
 }
 
 // schemaFrame builds a rowless frame carrying only a table's column

@@ -417,3 +417,23 @@ func TestStrictNullsToggle(t *testing.T) {
 		t.Fatalf("dialect: rows = %d\n%s", res.NumRows(), res)
 	}
 }
+
+// TestIndexScanWithoutMatchKeepsNothing: an index scan whose key no row
+// holds returns no rows even when the rest of its filter runs on the
+// selection-vector kernels. It once handed the kernels the whole table,
+// so the rows the filter alone accepted came back.
+func TestIndexScanWithoutMatchKeepsNothing(t *testing.T) {
+	db := newTestDB(t)
+	for _, q := range []string{
+		`SELECT * FROM D WHERE dirst = 'absent' AND inmsg IS NOT NULL`,
+		`SELECT * FROM D WHERE dirst = 'absent' AND inmsg <> dirpv`,
+	} {
+		tab, err := db.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tab.NumRows() != 0 {
+			t.Errorf("%s: %d rows, want 0", q, tab.NumRows())
+		}
+	}
+}

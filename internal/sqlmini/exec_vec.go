@@ -17,7 +17,8 @@ import (
 // threshold the selection is dealt in morsel batches — each batch
 // compacts its own subrange in place, then the kept prefixes concatenate
 // in batch order, so the parallel selection is byte-identical to the
-// serial one.
+// serial one. UPDATE and DELETE select their rows through the same
+// vecFilter (see selectRows).
 //
 // Selection vectors and the per-evaluation kernel scratch are pooled
 // (selPool here, VecPred.pool in vectorize.go), so the steady-state

@@ -52,7 +52,10 @@ import (
 // all mutable evaluation state (scratch selections, verdict memos) lives
 // in pooled vecStates, one checked out per EvalVec call, so the
 // steady-state vectorized path allocates nothing (see
-// TestVectorizedFilterAllocs).
+// TestVectorizedFilterAllocs). A predicate whose kernels keep no scratch
+// — only =, <>, IN, IS NULL and column-free fallbacks under AND — is
+// stateless: it evaluates without a vecState and never touches its pool,
+// so a one-shot compile (a DML WHERE) costs no state or pool registration.
 
 // memoCap bounds the per-code verdict memo of fallback kernels. Codes
 // beyond it (a dictionary past 64k distinct values) evaluate through the
@@ -112,13 +115,18 @@ type VecPred struct {
 	bufSlots  int
 	memoSlots int
 	crowLen   int
+	width     int
 	pool      sync.Pool // *vecState
 }
 
 // EvalVec filters sel — strictly increasing row indices into the column
 // vectors — in place and returns the surviving prefix. It is safe for
-// concurrent use; each call checks a vecState out of the pool.
+// concurrent use; each call of a predicate that keeps scratch checks a
+// vecState out of the pool.
 func (p *VecPred) EvalVec(cols [][]uint32, sel []uint32) ([]uint32, error) {
+	if p.bufSlots == 0 && p.memoSlots == 0 && p.crowLen == 0 {
+		return p.kern(nil, cols, sel)
+	}
 	st, _ := p.pool.Get().(*vecState)
 	if st == nil {
 		st = &vecState{
@@ -134,7 +142,7 @@ func (p *VecPred) EvalVec(cols [][]uint32, sel []uint32) ([]uint32, error) {
 
 // Width returns the number of column positions the predicate may read —
 // the minimum length of the cols slice passed to EvalVec.
-func (p *VecPred) Width() int { return p.crowLen }
+func (p *VecPred) Width() int { return p.width }
 
 // CompileBoundVec lowers a plan-bound conjunct into its vectorized form.
 // It fails only where CompileBoundCodes fails: on an unknown function or
@@ -145,7 +153,7 @@ func (ev *Evaluator) CompileBoundVec(e Expr) (*VecPred, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &VecPred{kern: k, bufSlots: vc.bufSlots, memoSlots: vc.memoSlots, crowLen: vc.crowLen}, nil
+	return &VecPred{kern: k, bufSlots: vc.bufSlots, memoSlots: vc.memoSlots, crowLen: vc.crowLen, width: vc.width}, nil
 }
 
 // compileVecs lowers each bound conjunct through CompileBoundVec,
@@ -179,18 +187,21 @@ func fullyVec(vecs []*VecPred, n int) bool {
 	return true
 }
 
-// vecCompiler carries compile-time slot counters; the inner compiler
+// vecCompiler carries compile-time slot counters — OR buffers, fallback
+// memos, the scratch row's length (0 when no kernel gathers a row) — and
+// the number of column positions the kernels read. The inner compiler
 // lowers fallback subtrees (bound mode).
 type vecCompiler struct {
 	c         *compiler
 	bufSlots  int
 	memoSlots int
 	crowLen   int
+	width     int
 }
 
-func (vc *vecCompiler) needCrow(n int) {
-	if n > vc.crowLen {
-		vc.crowLen = n
+func (vc *vecCompiler) needWidth(n int) {
+	if n > vc.width {
+		vc.width = n
 	}
 }
 
@@ -318,7 +329,7 @@ func (vc *vecCompiler) comp(e Expr) (vecKernel, error) {
 				if rlit {
 					lit, idx = rc, li
 				}
-				vc.needCrow(idx + 1)
+				vc.needWidth(idx + 1)
 				if !nullEq && lit == rel.NullCode {
 					return constKernel(false), nil
 				}
@@ -367,7 +378,7 @@ func (vc *vecCompiler) comp(e Expr) (vecKernel, error) {
 				if ri > w {
 					w = ri
 				}
-				vc.needCrow(w + 1)
+				vc.needWidth(w + 1)
 				if nullEq {
 					return func(_ *vecState, cols [][]uint32, sel []uint32) ([]uint32, error) {
 						a, b := cols[li], cols[ri]
@@ -418,7 +429,7 @@ func (vc *vecCompiler) comp(e Expr) (vecKernel, error) {
 			return vc.fallback(e)
 		}
 		idx, neg := bc.Idx, x.Negate
-		vc.needCrow(idx + 1)
+		vc.needWidth(idx + 1)
 		// NULL is code 0 in both dialects; IS NULL never yields unknown.
 		return func(_ *vecState, cols [][]uint32, sel []uint32) ([]uint32, error) {
 			col := cols[idx]
@@ -452,7 +463,7 @@ func (vc *vecCompiler) inList(x InList) (vecKernel, error) {
 	nullEq := vc.c.ev.NullEq
 	neg := x.Negate
 	idx := bc.Idx
-	vc.needCrow(idx + 1)
+	vc.needWidth(idx + 1)
 
 	var codes []uint32
 	hasNull := false
@@ -601,7 +612,8 @@ func (vc *vecCompiler) fallback(e Expr) (vecKernel, error) {
 		}, nil
 	}
 	width := slices.Max(pos) + 1
-	vc.needCrow(width)
+	vc.needWidth(width)
+	vc.crowLen = max(vc.crowLen, width)
 	if len(pos) > 1 {
 		return func(st *vecState, cols [][]uint32, sel []uint32) ([]uint32, error) {
 			crow := st.crow[:width]

@@ -42,7 +42,10 @@
 # scan-filter and sweep-vector equivalence suites (frozen result digests,
 # and every compiled form against the tree-walking interpreter, including
 # the differential fuzzer's seed corpus), the MVCC epoch/catalog layer
-# and the query server (concurrent sessions, admission, drain), the
+# (with DML atomicity on shared and session tables, UPDATE/DELETE against
+# their row-at-a-time oracle, indexes carried across epochs against a
+# rebuild, and DML building no index) and the query server (concurrent
+# sessions, admission, drain), the
 # deadlock analysis (pairwise composition fans out over shared interned
 # tables on the pool), protocol generation (eight specs solved at once
 # over shared cached rule-condition trees), and TestNilTracerOverheadBound
@@ -100,9 +103,9 @@ echo "== race-detector model-checker equivalence (oracle + golden) =="
 go test -race -run 'TestSegmented|TestFrozenExploreGolden|TestOracle|TestExploreRefusesUnencodedState|TestStateCodecMatchesFingerprint|TestStateCodecDecode|TestStateCodecTouched|TestTraceLogOutOfCore|TestCloneCountsOwnTransitions|TestCloneKeepsMaxOccupancy|TestClonesApplyConcurrently|TestMatcher' \
     ./internal/modelcheck/ ./internal/sim/ ./internal/rel/
 
-echo "== race-detector MVCC catalog + session tests =="
-go test -race -run 'TestCatalog|TestConcurrentSnapshotReaders|TestCarryIndexes|TestConcurrentSessions|TestSessionOverlay' \
-    ./internal/rel/ ./internal/sqlmini/
+echo "== race-detector MVCC catalog + session + DML tests =="
+go test -race -run 'TestCatalog|TestConcurrentSnapshotReaders|TestCarryIndexes|TestConcurrentSessions|TestSessionOverlay|TestSessionDMLAtomic|TestDMLMatchesRowOracle|TestCarriedIndexesMatchRebuild|TestDMLBuildsNoIndex' \
+    ./internal/rel/ ./internal/sqlmini/ ./internal/check/
 
 echo "== race-detector query-server tests =="
 go test -race ./internal/server/...
