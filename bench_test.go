@@ -100,7 +100,7 @@ func BenchmarkGenerateMonolithic(b *testing.B) {
 // --- C2: generating the full directory table D (30 cols, ~500 rows) ------
 
 func BenchmarkGenerateDirectoryD(b *testing.B) {
-	spec, err := protocol.BuildDirectorySpec()
+	spec, err := protocol.SpecBuilders()[0].Build() // D
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func BenchmarkGenerateDirectoryD(b *testing.B) {
 // rule chain.
 
 func BenchmarkConstraintKernel(b *testing.B) {
-	spec, err := protocol.BuildDirectorySpec()
+	spec, err := protocol.SpecBuilders()[0].Build() // D
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -138,8 +138,14 @@ func BenchmarkConstraintKernel(b *testing.B) {
 	if e == nil {
 		b.Fatal("locmsg constraint missing")
 	}
-	ev := spec.Evaluator()
+	// The constraint dialect's evaluator: NULL is an ordinary domain value.
+	ev := &sqlmini.Evaluator{Funcs: map[string]sqlmini.Func{}, NullEq: true}
+	protocol.RegisterFuncs(func(name string, fn sqlmini.Func) { ev.Funcs[name] = fn })
 	cols := spec.Columns()
+	colIdx := make(map[string]int, len(cols))
+	for i, c := range cols {
+		colIdx[c.Name] = i
+	}
 	row := make([]rel.Value, len(cols))
 	env := make(sqlmini.MapEnv, len(cols))
 	for i, c := range cols {
@@ -155,7 +161,7 @@ func BenchmarkConstraintKernel(b *testing.B) {
 		}
 	})
 	b.Run("compiled", func(b *testing.B) {
-		pred, err := ev.CompileCodes(e, spec.ColumnIndex())
+		pred, err := ev.CompileCodes(e, colIdx)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -177,7 +183,7 @@ func BenchmarkConstraintKernel(b *testing.B) {
 func BenchmarkGenerateAllControllers(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		db := sqlmini.NewDB()
-		if _, err := protocol.GenerateAll(db); err != nil {
+		if _, err := protocol.GenerateAllOpts(db, constraint.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -494,7 +500,7 @@ func BenchmarkModelCheckVsSQL(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if !rep.Deadlocked() {
+			if rep.Violation == nil || rep.Violation.Kind != "deadlock" {
 				b.Fatal("deadlock missed")
 			}
 			b.ReportMetric(float64(rep.States), "states")
@@ -651,23 +657,6 @@ func BenchmarkFigure4Replay(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// --- A5: ablation — the dontcare (NULL) representation (§3) ---------------
-// "The NULL value allows a controller table entry to be specified only
-// using the relevant values and helps in optimal mapping."
-
-func BenchmarkExpandDontcares(b *testing.B) {
-	p := pipeline(b)
-	d := p.DB.MustTable(protocol.DirectoryTable)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		exp, err := hwmap.ExpandDontcares(d)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(exp.NumRows())/float64(d.NumRows()), "blowup")
 	}
 }
 
@@ -886,7 +875,7 @@ func BenchmarkSQLPreparedSelect(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := stmt.Query(); err != nil {
+		if _, _, err := stmt.ExecStatsDialect(false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -950,11 +939,10 @@ func BenchmarkDeltaRecheck(b *testing.B) {
 	opts := check.Options{}
 
 	b.Run("full-rebuild", func(b *testing.B) {
-		specs, err := protocol.BuildAllSpecs()
+		spec, err := protocol.SpecBuilders()[0].Build() // D
 		if err != nil {
 			b.Fatal(err)
 		}
-		spec := specs[protocol.DirectoryTable]
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			d, _, err := constraint.Solve(spec)

@@ -35,6 +35,7 @@ import (
 	"coherdb/internal/core"
 	"coherdb/internal/obs"
 	"coherdb/internal/server"
+	"coherdb/internal/sqlmini"
 )
 
 func main() {
@@ -48,7 +49,7 @@ func main() {
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("cohersql", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	query := fs.String("q", "", "execute one statement and exit")
+	query := fs.String("q", "", "execute the statements (separated by ';') and exit")
 	strict := fs.Bool("strict-nulls", true, "use ANSI NULL semantics (off = constraint dialect)")
 	workers := fs.Int("workers", 0, "bound within-query morsel parallelism (0 = shared pool size, 1 = serial)")
 	morsel := fs.Int("morsel", 0, "rows per parallel scan batch (0 = default 1024)")
@@ -105,22 +106,32 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 
 	status := 0
-	exec := func(stmt string) {
-		res, err := p.DB.Exec(stmt)
+	// execAll executes each statement in order, each under its own text
+	// (the plan-cache key and the query log's record), and prints its
+	// result.
+	execAll := func(stmts []sqlmini.ScriptStmt, err error) {
 		if err != nil {
 			fmt.Fprintln(stderr, "error:", err)
 			status = 1
 			return
 		}
-		if res.Table != nil {
-			fmt.Fprint(stdout, res.Table.String())
-		} else {
-			fmt.Fprintf(stdout, "ok (%d rows affected)\n", res.Affected)
+		for _, s := range stmts {
+			res, err := p.DB.Exec(s.Text)
+			if err != nil {
+				fmt.Fprintln(stderr, "error:", err)
+				status = 1
+				continue
+			}
+			if res.Table != nil {
+				fmt.Fprint(stdout, res.Table.String())
+			} else {
+				fmt.Fprintf(stdout, "ok (%d rows affected)\n", res.Affected)
+			}
 		}
 	}
 
 	if *query != "" {
-		exec(*query)
+		execAll(sqlmini.ParseScript(*query))
 		return status
 	}
 
@@ -148,17 +159,30 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		}
 		buf.WriteString(line)
 		buf.WriteByte('\n')
-		if strings.HasSuffix(trimmed, ";") {
-			exec(buf.String())
-			buf.Reset()
+		// Only a semicolon ends a statement, so only a line holding one
+		// can complete the buffer; the lexer decides whether it did.
+		if strings.Contains(line, ";") {
+			stmts, err := sqlmini.ParseScript(buf.String())
+			if !awaitsMore(stmts, err) {
+				execAll(stmts, err)
+				buf.Reset()
+			}
 		}
 		prompt()
 	}
 	// Execute a trailing statement without a semicolon.
-	if strings.TrimSpace(buf.String()) != "" {
-		exec(buf.String())
-	}
+	execAll(sqlmini.ParseScript(buf.String()))
 	return status
+}
+
+// awaitsMore reports whether a parsed buffer's last statement waits for
+// more input: no semicolon ends it yet, or a literal in it is still open.
+func awaitsMore(stmts []sqlmini.ScriptStmt, err error) bool {
+	var se *sqlmini.SyntaxError
+	if errors.As(err, &se) {
+		return se.Unterminated()
+	}
+	return err == nil && len(stmts) > 0 && stmts[len(stmts)-1].Open
 }
 
 // serve runs the multi-session query server until SIGINT/SIGTERM, then

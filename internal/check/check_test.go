@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"coherdb/internal/constraint"
 	"coherdb/internal/protocol"
 	"coherdb/internal/rel"
 	"coherdb/internal/sqlmini"
@@ -21,7 +22,7 @@ func protocolDB(t testing.TB) *sqlmini.DB {
 	t.Helper()
 	dbOnce.Do(func() {
 		dbVal = sqlmini.NewDB()
-		_, dbErr = protocol.GenerateAll(dbVal)
+		_, dbErr = protocol.GenerateAllOpts(dbVal, constraint.Options{})
 	})
 	if dbErr != nil {
 		t.Fatal(dbErr)

@@ -27,12 +27,6 @@ func (s *Suite) inputSets() [][]delta.Input {
 	return ins
 }
 
-// Inputs exposes the suite's dependency lists (one per invariant, suite
-// order) so callers can populate a delta.Graph.
-func (s *Suite) Inputs() [][]delta.Input {
-	return append([][]delta.Input(nil), s.inputSets()...)
-}
-
 // RunDelta is the incremental form of Run: given the previous run's
 // results and the delta a revision produced (sqlmini.Revision.Commit), it
 // re-checks only the invariants whose input columns the delta touches and

@@ -67,13 +67,7 @@ func applyEdit(rng *rand.Rand, tab *rel.Table) error {
 		row[rng.Intn(w)] = tab.CodeAt(rng.Intn(n), rng.Intn(w))
 		return tab.AppendCodeRow(row)
 	case op >= 85 && n > 2:
-		target := rng.Intn(n)
-		i := 0
-		tab.DeleteWhere(func(rel.Row) bool {
-			hit := i == target
-			i++
-			return hit
-		})
+		tab.DeleteRows([]uint32{uint32(rng.Intn(n))})
 		return nil
 	default:
 		i, j := rng.Intn(n), rng.Intn(w)

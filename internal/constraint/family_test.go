@@ -278,7 +278,7 @@ func forceUsed(sets []string) []string {
 // tree-walking evaluator, in the solvers' row order.
 func treeWalkSolve(t testing.TB, s *Spec) *rel.Table {
 	t.Helper()
-	ev := s.Evaluator()
+	ev := s.evaluator()
 	cols := s.Columns()
 	domains := make([][]rel.Value, len(cols))
 	for i, c := range cols {
@@ -338,7 +338,7 @@ func familyOfCol(t testing.TB, s *Spec, col string) *family {
 
 // TestQuickSharedChainsMatchOracles is the property test for rule-chain
 // families: on seeded random rule sets, solving with shared selections
-// (at one and at four workers) must give exactly Monolithic's rows, which
+// (at one and at four workers) must give exactly the rows of MonolithicOpts, which
 // evaluates every chain whole, and the rows a tree-walking filter keeps
 // from the cross product. Each spec also pins how chains group: members
 // sharing nodes and members parsed apart each form one family, a chain
@@ -368,7 +368,7 @@ func TestQuickSharedChainsMatchOracles(t *testing.T) {
 		}
 
 		want := tableBytes(t, treeWalkSolve(t, s))
-		mono, _, err := Monolithic(s)
+		mono, _, err := MonolithicOpts(s, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: monolithic: %v", trial, err)
 		}
@@ -479,12 +479,12 @@ func TestArmSelectionsOncePerRow(t *testing.T) {
 		if st.ArmSelections != uint64(n) {
 			t.Fatalf("workers=%d: ArmSelections = %d, want %d (not %d·%d)", workers, st.ArmSelections, n, k, n)
 		}
-		mono, _, err := Monolithic(s)
+		mono, _, err := MonolithicOpts(s, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if tableBytes(t, tab) != tableBytes(t, mono) {
-			t.Fatalf("workers=%d: solve differs from Monolithic", workers)
+			t.Fatalf("workers=%d: solve differs from MonolithicOpts", workers)
 		}
 	}
 }
@@ -556,7 +556,7 @@ func TestFamilySplit(t *testing.T) {
 			t.Fatalf("%s joined the family of a different run", col)
 		}
 	}
-	want2, _, err := Monolithic(s)
+	want2, _, err := MonolithicOpts(s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -565,7 +565,7 @@ func TestFamilySplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	if tableBytes(t, got) != tableBytes(t, want2) {
-		t.Fatal("solve differs from Monolithic")
+		t.Fatal("solve differs from MonolithicOpts")
 	}
 }
 
@@ -620,11 +620,11 @@ func TestFamilySelectionErrors(t *testing.T) {
 			}
 			return s
 		}
-		if _, _, err := Monolithic(build(false)); !errors.Is(err, errTagB) {
+		if _, _, err := MonolithicOpts(build(false), Options{}); !errors.Is(err, errTagB) {
 			t.Fatalf("%s: monolithic error %v, want %v", sh.name, err, errTagB)
 		}
 		s := build(true)
-		want, _, err := Monolithic(s)
+		want, _, err := MonolithicOpts(s, Options{})
 		if err != nil {
 			t.Fatalf("%s: guarded monolithic: %v", sh.name, err)
 		}

@@ -72,16 +72,8 @@ func NewIncrementalSolver(spec *Spec, opts Options) *IncrementalSolver {
 // same spec; Stats.ReusedSteps reports how many leading steps were served
 // from the memo, and Candidates/Pruned/MemoHits/StepStats cover only the
 // re-executed suffix.
-func (s *IncrementalSolver) Solve() (*rel.Table, Stats, error) {
-	return s.SolveSpec(s.spec)
-}
-
-// SolveSpec is Solve against a replacement spec — typically a rebuilt
-// projection of the original, such as InputSpec output, whose inherited
-// mutation stamps let the memo carry across the rebuild. The solver
-// adopts spec for subsequent calls.
-func (s *IncrementalSolver) SolveSpec(spec *Spec) (_ *rel.Table, stats Stats, err error) {
-	s.spec = spec
+func (s *IncrementalSolver) Solve() (_ *rel.Table, stats Stats, err error) {
+	spec := s.spec
 	span := obs.StartSpan(s.opts.Tracer, "constraint.solve_incremental", obs.String("controller", spec.Name))
 	defer func() { s.opts.observe(span, spec.Name, stats, err) }()
 
@@ -190,11 +182,6 @@ func (s *IncrementalSolver) emit(stats Stats) (*rel.Table, Stats, error) {
 	stats.Rows = out.NumRows()
 	s.out, s.outRev, s.valid = out, out.Revision(), true
 	return out, stats, nil
-}
-
-// Invalidate drops the memo; the next Solve re-executes every step.
-func (s *IncrementalSolver) Invalidate() {
-	s.memo, s.out, s.valid = nil, nil, false
 }
 
 func fireSigs(fire []compiledConstraint, spec *Spec) []fireSig {

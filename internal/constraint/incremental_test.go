@@ -150,59 +150,6 @@ func TestIncrementalSolverMutatedOutput(t *testing.T) {
 	}
 }
 
-func TestIncrementalInputSpec(t *testing.T) {
-	spec := figure3Spec(t)
-	inc := NewIncrementalSolver(nil, Options{})
-
-	sub1, err := InputSpec(spec)
-	mustDo(t, err)
-	t1, st1, err := inc.SolveSpec(sub1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st1.ReusedSteps != 0 {
-		t.Fatalf("first input solve reused %d steps", st1.ReusedSteps)
-	}
-	want, _, err := GenerateInputs(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g, w := tableBytes(t, t1), tableBytes(t, want); g != w {
-		t.Fatalf("incremental input solve diverged:\n%s\nvs\n%s", g, w)
-	}
-
-	// Rebuilding InputSpec from the unchanged parent keeps the memo: the
-	// inherited mutation stamps make the rebuilt sub-spec look identical.
-	sub2, err := InputSpec(spec)
-	mustDo(t, err)
-	t2, st2, err := inc.SolveSpec(sub2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if t2 != t1 {
-		t.Fatal("rebuilt InputSpec of unchanged parent: expected pointer reuse")
-	}
-	if st2.ReusedSteps != len(sub2.Columns()) {
-		t.Fatalf("ReusedSteps = %d, want %d", st2.ReusedSteps, len(sub2.Columns()))
-	}
-
-	// An edit to an input constraint flows through the rebuild.
-	mustDo(t, spec.Constrain("dirpv", `dirpv <> NULL`))
-	sub3, err := InputSpec(spec)
-	mustDo(t, err)
-	t3, _, err := inc.SolveSpec(sub3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want3, _, err := GenerateInputs(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g, w := tableBytes(t, t3), tableBytes(t, want3); g != w {
-		t.Fatalf("after input edit, incremental diverged:\n%s\nvs\n%s", g, w)
-	}
-}
-
 func TestIncrementalSolverInconsistentSpec(t *testing.T) {
 	spec := NewSpec("empty")
 	mustDo(t, spec.AddInput("a", "lo", "hi"))

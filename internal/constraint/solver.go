@@ -36,7 +36,7 @@ type Stats struct {
 	// members fire at several steps selects once per distinct projection
 	// of a row onto its condition columns, and later steps look the arm up
 	// in the solve's memo without counting. A family whose members all
-	// fire at one step selects once per group of that step. Monolithic
+	// fire at one step selects once per group of that step. MonolithicOpts
 	// evaluates whole chains and selects none.
 	ArmSelections uint64
 	// CompileTime is the one-off cost of lowering the column constraints
@@ -45,11 +45,11 @@ type Stats struct {
 	// each rule-chain family's Selector over its shared conditions, each
 	// member's distinct then and else branches, and every other
 	// constraint whole, all as column-at-a-time sweep programs.
-	// Monolithic also compiles, and counts, every constraint whole as a
-	// row-at-a-time program, on the first Monolithic solve of the spec.
+	// MonolithicOpts also compiles, and counts, every constraint whole as a
+	// row-at-a-time program, on the first MonolithicOpts solve of the spec.
 	CompileTime time.Duration
 	// StepStats holds one entry per column-extension step, in step order
-	// (incremental solves only; Monolithic tests complete assignments and
+	// (incremental solves only; MonolithicOpts tests complete assignments and
 	// has no steps).
 	StepStats []StepStat
 }
@@ -77,7 +77,7 @@ type StepStat struct {
 type Options struct {
 	// Workers bounds solve parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// MonolithicLimit caps the assignment-space size Monolithic will
+	// MonolithicLimit caps the assignment-space size MonolithicOpts will
 	// enumerate; 0 means the default of 2^28.
 	MonolithicLimit uint64
 	// Tracer, when set, receives one span per solve carrying the Stats.
@@ -319,16 +319,11 @@ func encodeDomain(vals []rel.Value) []uint32 {
 	return out
 }
 
-// Monolithic generates the controller table by enumerating the full cross
-// product of the column tables and testing the complete conjunction of
-// column constraints on each total assignment — no early pruning. This is
-// the paper's slow baseline; its cost is the product of all domain sizes.
-// It refuses to run when the space exceeds Options.MonolithicLimit.
-func Monolithic(spec *Spec) (*rel.Table, Stats, error) {
-	return MonolithicOpts(spec, Options{})
-}
-
-// MonolithicOpts is Monolithic with explicit options.
+// MonolithicOpts generates the controller table by enumerating the full
+// cross product of the column tables and testing the complete conjunction
+// of column constraints on each total assignment — no early pruning. This
+// is the paper's slow baseline; its cost is the product of all domain
+// sizes. It refuses to run when the space exceeds Options.MonolithicLimit.
 func MonolithicOpts(spec *Spec, opts Options) (_ *rel.Table, stats Stats, err error) {
 	span := obs.StartSpan(opts.Tracer, "constraint.monolithic", obs.String("controller", spec.Name))
 	defer func() { opts.observe(span, spec.Name, stats, err) }()
@@ -420,7 +415,7 @@ func MonolithicOpts(spec *Spec, opts Options) (_ *rel.Table, stats Stats, err er
 	if err != nil {
 		return nil, stats, err
 	}
-	// Batches flatten in index order, so Monolithic and Solve results
+	// Batches flatten in index order, so MonolithicOpts and Solve results
 	// compare equal row for row.
 	if err := out.AppendCodes(flattenBatches(perBatch)); err != nil {
 		return nil, stats, err
@@ -431,7 +426,7 @@ func MonolithicOpts(spec *Spec, opts Options) (_ *rel.Table, stats Stats, err er
 }
 
 // wholePreds compiles each of spec's constraints whole into one
-// stateless predicate, which every Monolithic worker shares. They are
+// stateless predicate, which every MonolithicOpts worker shares. They are
 // compiled on every call and independent of the families and sweep
 // programs Solve runs; the solver's constraint order (by fire step) only
 // sets the order they are tested in, and its compile errors come first.
@@ -448,56 +443,4 @@ func wholePreds(spec *Spec) ([]sqlmini.CodePred, error) {
 		}
 	}
 	return preds, nil
-}
-
-// InputSpec projects the spec onto its input columns: the sub-spec whose
-// solution is the table of all legal input combinations. Constraints that
-// mention any output column are dropped (they cannot fire over inputs
-// alone). The sub-spec shares the parent's function table and inherits its
-// mutation stamps, so rebuilding InputSpec from an unchanged parent yields
-// a sub-spec an IncrementalSolver recognizes as identical.
-func InputSpec(spec *Spec) (*Spec, error) {
-	sub := NewSpec(spec.Name + "_inputs")
-	sub.funcs = spec.funcs
-	sub.funcGen = spec.funcGen
-	sub.genCtr = spec.genCtr
-	inputs := make(map[string]struct{})
-	for _, c := range spec.cols {
-		if c.Kind != Input {
-			continue
-		}
-		if err := sub.AddColumn(c); err != nil {
-			return nil, err
-		}
-		inputs[c.Name] = struct{}{}
-	}
-	// Keep only constraints that mention input columns exclusively.
-	for col, e := range spec.constraints {
-		if _, ok := inputs[col]; !ok {
-			continue
-		}
-		onlyInputs := true
-		for ref := range sqlmini.Columns(e) {
-			if _, ok := inputs[ref]; !ok {
-				onlyInputs = false
-				break
-			}
-		}
-		if onlyInputs {
-			sub.constraints[col] = e
-			sub.conGen[col] = spec.conGen[col]
-		}
-	}
-	return sub, nil
-}
-
-// GenerateInputs solves only the input columns of the spec: the table of
-// all legal input combinations, which the paper generates first and then
-// extends with output columns one at a time.
-func GenerateInputs(spec *Spec) (*rel.Table, Stats, error) {
-	sub, err := InputSpec(spec)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return Solve(sub)
 }

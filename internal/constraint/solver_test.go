@@ -72,8 +72,8 @@ func TestSpecConstruction(t *testing.T) {
 	if got := s.InputNames(); len(got) != 1 || got[0] != "a" {
 		t.Fatalf("inputs = %v", got)
 	}
-	if got := s.OutputNames(); len(got) != 1 || got[0] != "b" {
-		t.Fatalf("outputs = %v", got)
+	if got := s.Columns(); len(got) != 2 || got[1].Name != "b" || got[1].Kind != Output {
+		t.Fatalf("columns = %v", got)
 	}
 	if !s.HasColumn("a") || s.HasColumn("zz") {
 		t.Fatal("HasColumn")
@@ -183,7 +183,7 @@ func TestSolveMatchesMonolithic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mono, _, err := Monolithic(spec)
+	mono, _, err := MonolithicOpts(spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestSolveCandidatesFarFewerThanMonolithic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, sm, err := Monolithic(spec)
+	_, sm, err := MonolithicOpts(spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestInconsistentConstraintsGiveEmptyTable(t *testing.T) {
 	if !tab.Empty() {
 		t.Fatalf("inconsistent spec produced %d rows", tab.NumRows())
 	}
-	mono, _, err := Monolithic(s)
+	mono, _, err := MonolithicOpts(s, Options{})
 	if err != nil || !mono.Empty() {
 		t.Fatalf("monolithic: %v, %d rows", err, mono.NumRows())
 	}
@@ -293,35 +293,6 @@ func TestSpaceSizeSaturates(t *testing.T) {
 	}
 }
 
-func TestGenerateInputs(t *testing.T) {
-	spec := figure3Spec(t)
-	in, _, err := GenerateInputs(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := in.Columns(); len(got) != 3 {
-		t.Fatalf("input columns = %v", got)
-	}
-	full, _, err := Solve(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every legal input combination of the full table appears in the
-	// inputs table (the converse need not hold: output constraints that
-	// also mention inputs can prune further).
-	proj, err := full.Project("inmsg", "dirst", "dirpv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ok, err := in.ContainsAll(proj.SetName(in.Name()).Distinct())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatal("inputs table misses combinations present in the full table")
-	}
-}
-
 func TestRegisteredFuncInConstraint(t *testing.T) {
 	s := NewSpec("fn")
 	mustDo(t, s.AddInput("m", "readex", "data"))
@@ -354,7 +325,7 @@ func TestSolveSingleWorkerMatchesParallel(t *testing.T) {
 	}
 }
 
-// Property: on random small specs, Solve and Monolithic agree exactly.
+// Property: on random small specs, Solve and MonolithicOpts agree exactly.
 func TestQuickSolveEqualsMonolithic(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 40; trial++ {
@@ -363,7 +334,7 @@ func TestQuickSolveEqualsMonolithic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		mono, _, err := Monolithic(s)
+		mono, _, err := MonolithicOpts(s, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

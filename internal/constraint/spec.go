@@ -8,7 +8,7 @@
 // Two solvers are provided. Solve is the incremental algorithm the paper
 // deploys: columns are added one at a time and every constraint is applied
 // as soon as the columns it mentions are all present, so pruning happens
-// early and intermediate relations stay small ("a few minutes"). Monolithic
+// early and intermediate relations stay small ("a few minutes"). MonolithicOpts
 // enumerates the full cross product and tests the whole conjunction only on
 // complete assignments — the paper's "around 6 hours" baseline — and is
 // exponential in the number of columns.
@@ -167,17 +167,6 @@ func (s *Spec) InputNames() []string {
 	return out
 }
 
-// OutputNames returns the output column names in declaration order.
-func (s *Spec) OutputNames() []string {
-	var out []string
-	for _, c := range s.cols {
-		if c.Kind == Output {
-			out = append(out, c.Name)
-		}
-	}
-	return out
-}
-
 // HasColumn reports whether name is declared.
 func (s *Spec) HasColumn(name string) bool {
 	_, ok := s.colIdx[name]
@@ -278,22 +267,6 @@ func (s *Spec) SpaceSize() uint64 {
 // dialect: NULL is an ordinary domain value).
 func (s *Spec) evaluator() *sqlmini.Evaluator {
 	return &sqlmini.Evaluator{Funcs: s.funcs, NullEq: true}
-}
-
-// Evaluator returns the spec's constraint-dialect evaluator (registered
-// functions, NULL as an ordinary domain value). Exposed so callers can
-// cross-check compiled constraint kernels against tree-walking evaluation.
-func (s *Spec) Evaluator() *sqlmini.Evaluator { return s.evaluator() }
-
-// ColumnIndex returns the position of every declared column in row order —
-// the binding the constraint compiler uses to lower column references to
-// positional loads.
-func (s *Spec) ColumnIndex() map[string]int {
-	out := make(map[string]int, len(s.colIdx))
-	for n, i := range s.colIdx {
-		out[n] = i
-	}
-	return out
 }
 
 // compiledConstraint is one column constraint lowered for the solver,

@@ -10,7 +10,7 @@ import (
 // specs must generate row-identical tables whether each constraint is
 // decided for whole domains through EvalSweepTrue (Solve, with rule chains
 // split into selector arms) or row at a time through the whole
-// constraint's scalar program (Monolithic).
+// constraint's scalar program (MonolithicOpts).
 func TestVectorizedSweepMatchesScalar(t *testing.T) {
 	specs := []*Spec{figure3Spec(t)}
 	rng := rand.New(rand.NewSource(31))
@@ -22,7 +22,7 @@ func TestVectorizedSweepMatchesScalar(t *testing.T) {
 		if err != nil {
 			t.Fatalf("spec %d vectorized: %v", i, err)
 		}
-		scal, _, err := Monolithic(s)
+		scal, _, err := MonolithicOpts(s, Options{})
 		if err != nil {
 			t.Fatalf("spec %d scalar: %v", i, err)
 		}

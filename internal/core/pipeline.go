@@ -12,10 +12,8 @@ package core
 import (
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"coherdb/internal/check"
@@ -33,27 +31,6 @@ var (
 	ErrInvariantsFailed = errors.New("core: protocol invariants violated")
 	ErrStillDeadlocked  = errors.New("core: final channel assignment still has cycles")
 )
-
-// Options configures a pipeline run.
-type Options struct {
-	// Assignments names the §4.2 channel-assignment sequence to analyze;
-	// nil means the full initial4 -> vc4 -> fixed story. The last entry
-	// is the assignment that must be deadlock free.
-	Assignments []string
-	// SkipDeadlock, SkipInvariants and SkipMapping trim phases.
-	SkipDeadlock   bool
-	SkipInvariants bool
-	SkipMapping    bool
-	// Workers bounds parallelism in the phases that support it.
-	Workers int
-	// Tracer, when set, receives pipeline phase spans plus the spans of
-	// every instrumented layer below (SQL statements, solver, checks,
-	// deadlock analyses).
-	Tracer obs.Tracer
-	// Metrics, when set, accumulates the coherdb_* instrument families of
-	// every phase, renderable with obs.Registry.WriteMetrics.
-	Metrics *obs.Registry
-}
 
 // Report aggregates the pipeline outcome.
 type Report struct {
@@ -138,34 +115,6 @@ func (p *Pipeline) phase(name string) (*obs.Span, func()) {
 			p.Metrics.Histogram("coherdb_phase_duration_seconds", nil, obs.L("phase", name)).ObserveDuration(d)
 		}
 	}
-}
-
-// Run executes the full methodology and returns the report. The pipeline
-// fails (with a partial report) if an invariant is violated, the final
-// assignment still has cycles, or the mapping cannot be verified.
-func Run(opts Options) (*Pipeline, error) {
-	p := New()
-	p.SetWorkers(opts.Workers)
-	p.Observe(opts.Tracer, opts.Metrics)
-	if err := p.Generate(); err != nil {
-		return p, err
-	}
-	if !opts.SkipInvariants {
-		if err := p.CheckInvariants(opts.Workers); err != nil {
-			return p, err
-		}
-	}
-	if !opts.SkipDeadlock {
-		if err := p.CheckDeadlocks(opts.Assignments, opts.Workers); err != nil {
-			return p, err
-		}
-	}
-	if !opts.SkipMapping {
-		if err := p.MapToHardware(); err != nil {
-			return p, err
-		}
-	}
-	return p, nil
 }
 
 // Generate builds all eight controller tables into the database.
@@ -322,90 +271,4 @@ func (p *Pipeline) WriteTables(dir string) error {
 		}
 	}
 	return nil
-}
-
-// Summarize writes a human-readable account of the report.
-func (p *Pipeline) Summarize(w io.Writer) {
-	r := p.Report
-	fmt.Fprintf(w, "== table generation ==\n")
-	names := make([]string, 0, len(r.GenStats))
-	for n := range r.GenStats {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		st := r.GenStats[n]
-		t, _ := p.DB.Table(n)
-		cols := 0
-		if t != nil {
-			cols = t.NumCols()
-		}
-		fmt.Fprintf(w, "  %-4s %4d rows x %2d cols (%d candidates tested, %d memo hits, compiled in %v)\n",
-			n, st.Rows, cols, st.Candidates, st.MemoHits, st.CompileTime.Round(time.Microsecond))
-	}
-	if len(r.Invariants) > 0 {
-		fmt.Fprintf(w, "== invariants ==\n  %s\n", r.InvariantSummary)
-		for _, res := range r.Invariants {
-			if !res.Passed() {
-				fmt.Fprintf(w, "  VIOLATED %s (%s)\n", res.Invariant.Name, res.Invariant.Ref)
-			}
-		}
-	}
-	for _, name := range r.AssignmentOrder {
-		rep := r.Deadlock[name]
-		if rep == nil {
-			continue
-		}
-		fmt.Fprintf(w, "== deadlock analysis: %s ==\n", name)
-		fmt.Fprintf(w, "  %d dependency rows, %d channels, %d edges, %d cycle(s)\n",
-			rep.Stats.ProtocolRows, len(rep.Graph.Nodes()), len(rep.Graph.Edges()), len(rep.Cycles))
-		for _, c := range rep.Cycles {
-			fmt.Fprintf(w, "  cycle: %s\n", c)
-		}
-	}
-	if r.Mapping != nil {
-		fmt.Fprintf(w, "== hardware mapping ==\n  ED: %d rows; %d implementation tables; reconstruction and equivalence verified\n",
-			r.Mapping.Extended.NumRows(), len(r.Mapping.Tables))
-		if len(r.ImplChecks) > 0 {
-			fmt.Fprintf(w, "  implementation checks: %s\n", check.Summarize(r.ImplChecks))
-		}
-	}
-	if len(r.Elapsed) > 0 {
-		fmt.Fprintf(w, "== phase costs ==\n")
-		var total time.Duration
-		for _, d := range r.Elapsed {
-			total += d
-		}
-		for _, name := range phaseOrder(r.Elapsed) {
-			d := r.Elapsed[name]
-			pct := 0.0
-			if total > 0 {
-				pct = 100 * float64(d) / float64(total)
-			}
-			fmt.Fprintf(w, "  %-12s %10.1fms %5.1f%%\n", name, float64(d.Microseconds())/1000, pct)
-		}
-		fmt.Fprintf(w, "  %-12s %10.1fms\n", "total", float64(total.Microseconds())/1000)
-	}
-}
-
-// phaseOrder lists the recorded phases in pipeline order, then any
-// unknown ones alphabetically.
-func phaseOrder(elapsed map[string]time.Duration) []string {
-	known := []string{"generate", "invariants", "deadlock", "mapping"}
-	var out []string
-	seen := map[string]bool{}
-	for _, n := range known {
-		if _, ok := elapsed[n]; ok {
-			out = append(out, n)
-			seen[n] = true
-		}
-	}
-	var rest []string
-	for n := range elapsed {
-		if !seen[n] {
-			rest = append(rest, n)
-		}
-	}
-	sort.Strings(rest)
-	return append(out, rest...)
 }

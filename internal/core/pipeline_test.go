@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"sync"
 	"testing"
 
@@ -14,7 +13,8 @@ import (
 	"coherdb/internal/rel"
 )
 
-// The full pipeline is expensive; run it once and share.
+// The full pipeline is expensive; run it once and share. fullRun makes the
+// calls every tool makes: the four phases in order.
 var (
 	runOnce sync.Once
 	runVal  *Pipeline
@@ -24,7 +24,17 @@ var (
 func fullRun(t testing.TB) *Pipeline {
 	t.Helper()
 	runOnce.Do(func() {
-		runVal, runErr = Run(Options{})
+		runVal = New()
+		for _, phase := range []func() error{
+			runVal.Generate,
+			func() error { return runVal.CheckInvariants(0) },
+			func() error { return runVal.CheckDeadlocks(nil, 0) },
+			runVal.MapToHardware,
+		} {
+			if runErr = phase(); runErr != nil {
+				return
+			}
+		}
 	})
 	if runErr != nil {
 		t.Fatal(runErr)
@@ -71,18 +81,6 @@ func TestControllerTablesOrder(t *testing.T) {
 	}
 	if len(tables) != 8 || tables[0].Name() != protocol.DirectoryTable {
 		t.Fatalf("tables = %d, first = %s", len(tables), tables[0].Name())
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	p := fullRun(t)
-	var sb strings.Builder
-	p.Summarize(&sb)
-	out := sb.String()
-	for _, want := range []string{"table generation", "invariants", "deadlock analysis", "hardware mapping", "cycle:"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("summary missing %q", want)
-		}
 	}
 }
 
@@ -149,13 +147,13 @@ func TestInvariantFailureSurfaces(t *testing.T) {
 }
 
 func TestRunStopsAtFailingPhase(t *testing.T) {
-	// A run restricted to the deadlocky assignment must fail with
-	// ErrStillDeadlocked.
-	_, err := Run(Options{
-		SkipInvariants: true,
-		SkipMapping:    true,
-		Assignments:    []string{protocol.AssignVC4},
-	})
+	// A deadlock phase whose last assignment is the deadlocky one must
+	// fail with ErrStillDeadlocked.
+	p := New()
+	if err := p.Generate(); err != nil {
+		t.Fatal(err)
+	}
+	err := p.CheckDeadlocks([]string{protocol.AssignVC4}, 0)
 	if !errors.Is(err, ErrStillDeadlocked) {
 		t.Fatalf("err = %v, want ErrStillDeadlocked", err)
 	}

@@ -70,11 +70,6 @@ type Report struct {
 // Deadlocked reports whether any cycle was found.
 func (r *Report) Deadlocked() bool { return len(r.Cycles) > 0 }
 
-// ProtocolTable materializes the protocol dependency table as a relation.
-func (r *Report) ProtocolTable() *rel.Table {
-	return DepTable("protocol_deps", r.Protocol)
-}
-
 // Analyze runs the §4.1 method over the given controller tables and channel
 // assignment.
 func Analyze(controllers []*rel.Table, v *rel.Table, opts Options) (_ *Report, err error) {

@@ -11,7 +11,6 @@ package deadlock
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"coherdb/internal/rel"
 )
@@ -33,7 +32,6 @@ type VKey struct {
 // d and is sent over virtual channel v". Messages without an assignment
 // travel over dedicated or node-internal paths and induce no dependencies.
 type Assignment struct {
-	tab *rel.Table
 	idx map[VKey]string
 }
 
@@ -44,7 +42,7 @@ func NewAssignment(v *rel.Table) (*Assignment, error) {
 			return nil, fmt.Errorf("%w: missing column %q", ErrBadAssignment, c)
 		}
 	}
-	a := &Assignment{tab: v, idx: make(map[VKey]string, v.NumRows())}
+	a := &Assignment{idx: make(map[VKey]string, v.NumRows())}
 	for i := 0; i < v.NumRows(); i++ {
 		k := VKey{M: v.Get(i, "m").Str(), S: v.Get(i, "s").Str(), D: v.Get(i, "d").Str()}
 		if k.M == "" || k.S == "" || k.D == "" || v.Get(i, "v").IsNull() {
@@ -63,23 +61,6 @@ func NewAssignment(v *rel.Table) (*Assignment, error) {
 func (a *Assignment) Channel(m, s, d string) string {
 	return a.idx[VKey{M: m, S: s, D: d}]
 }
-
-// Channels returns the distinct channel names, sorted.
-func (a *Assignment) Channels() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, v := range a.idx {
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Table returns the underlying V table.
-func (a *Assignment) Table() *rel.Table { return a.tab }
 
 // Placement is one of the five quad-placement relations of §4.1: a
 // substitution over the node roles induced by which of local (L), home (H)

@@ -24,13 +24,13 @@ var (
 func controllerTables(t testing.TB) []*rel.Table {
 	t.Helper()
 	genOnce.Do(func() {
-		specs, err := protocol.BuildAllSpecs()
-		if err != nil {
-			genErr = err
-			return
-		}
 		for _, sb := range protocol.SpecBuilders() {
-			tab, _, err := constraint.Solve(specs[sb.Name])
+			spec, err := sb.Build()
+			if err != nil {
+				genErr = err
+				return
+			}
+			tab, _, err := constraint.Solve(spec)
 			if err != nil {
 				genErr = err
 				return
@@ -67,13 +67,6 @@ func TestAssignmentWrapper(t *testing.T) {
 	}
 	if got := a.Channel("nosuch", "local", "home"); got != "" {
 		t.Fatalf("unassigned hop = %q", got)
-	}
-	chans := a.Channels()
-	if len(chans) != 5 { // VC0-VC4
-		t.Fatalf("channels = %v", chans)
-	}
-	if a.Table() != v {
-		t.Fatal("Table accessor broken")
 	}
 }
 
@@ -353,12 +346,13 @@ func TestProtocolTableShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt := rep.ProtocolTable()
-	if pt.NumCols() != 9 { // 8 assignment columns + origin
-		t.Fatalf("protocol dependency table has %d columns", pt.NumCols())
-	}
-	if pt.NumRows() != rep.Stats.ProtocolRows {
+	if len(rep.Protocol) != rep.Stats.ProtocolRows {
 		t.Fatal("stats/table row mismatch")
+	}
+	for _, r := range rep.Protocol {
+		if r.In.VC == "" || r.Out.VC == "" || r.Origin == "" {
+			t.Fatalf("dependency row %s lacks a channel or origin", r)
+		}
 	}
 	if rep.Stats.ControllerRows == 0 || rep.Stats.ComposedRows == 0 {
 		t.Fatalf("stats incomplete: %+v", rep.Stats)

@@ -31,25 +31,6 @@ func (d DepRow) String() string {
 	return fmt.Sprintf("%s -> %s [%s]", d.In, d.Out, d.Origin)
 }
 
-// depCols is the 8-column schema of dependency tables (§4.1: "This table
-// has 8 columns representing the input assignment followed by the output
-// assignment").
-var depCols = []string{"m1", "s1", "d1", "vc1", "m2", "s2", "d2", "vc2"}
-
-// DepTable materializes dependency rows as a relation (plus an origin
-// column for diagnostics).
-func DepTable(name string, rows []DepRow) *rel.Table {
-	t := rel.MustNewTable(name, append(append([]string{}, depCols...), "origin")...)
-	for _, r := range rows {
-		t.MustInsert(
-			rel.S(r.In.M), rel.S(r.In.S), rel.S(r.In.D), rel.S(r.In.VC),
-			rel.S(r.Out.M), rel.S(r.Out.S), rel.S(r.Out.D), rel.S(r.Out.VC),
-			rel.S(r.Origin),
-		)
-	}
-	return t
-}
-
 // msgGroups discovers the message column groups of a controller table by
 // the src/dest convention: a column g is a message group iff columns
 // g+"src" and g+"dest" exist. The input group is "inmsg"; all others are

@@ -1,7 +1,14 @@
 package deadlock
 
+import (
+	"fmt"
+	"strings"
+)
+
 // The string-keyed composer the analysis originally ran on, kept as the
-// oracle the interned composer (compose.go) is checked against.
+// oracle the interned composer (compose.go) is checked against, with
+// Acyclic, the Kahn's-algorithm cross-check of Cycles' verdict, and
+// Describe, the account of a graph the frozen golden digests.
 
 // composeKeyExact keys an assignment on (m, s, d, v) for the exact
 // composition requirement.
@@ -88,4 +95,60 @@ func dedupe(rows []DepRow) []DepRow {
 		out = append(out, r)
 	}
 	return out
+}
+
+// Acyclic reports whether the graph has no cycles — the §4.1 deadlock
+// freedom condition.
+func (g *VCG) Acyclic() bool {
+	// Kahn's algorithm; cheaper than enumerating cycles.
+	indeg := map[string]int{}
+	for _, n := range g.nodes {
+		indeg[n] = 0
+	}
+	for _, tos := range g.adj {
+		for _, to := range tos {
+			indeg[to]++
+		}
+	}
+	queue := make([]string, 0, len(g.nodes))
+	for _, n := range g.nodes {
+		if indeg[n] == 0 {
+			queue = append(queue, n)
+		}
+	}
+	removed := 0
+	for len(queue) > 0 {
+		n := queue[0]
+		queue = queue[1:]
+		removed++
+		for _, to := range g.adj[n] {
+			indeg[to]--
+			if indeg[to] == 0 {
+				queue = append(queue, to)
+			}
+		}
+	}
+	return removed == len(g.nodes)
+}
+
+// Describe renders a human-readable account of the graph and its cycles.
+func (g *VCG) Describe() string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "VCG: %d channels, %d edges\n", len(g.nodes), len(g.Edges()))
+	for _, e := range g.Edges() {
+		fmt.Fprintf(&sb, "  %s  (%d dependencies)\n", e, len(g.evidence[e]))
+	}
+	cycles := g.Cycles()
+	if len(cycles) == 0 {
+		sb.WriteString("no cycles: deadlock free\n")
+		return sb.String()
+	}
+	fmt.Fprintf(&sb, "%d cycle(s):\n", len(cycles))
+	for _, c := range cycles {
+		fmt.Fprintf(&sb, "  %s\n", c)
+		for _, ev := range g.CycleEvidence(c) {
+			fmt.Fprintf(&sb, "    via %s\n", ev)
+		}
+	}
+	return sb.String()
 }

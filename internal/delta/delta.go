@@ -25,7 +25,6 @@ package delta
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"coherdb/internal/rel"
@@ -45,7 +44,7 @@ func NewSet() *Set {
 }
 
 // Add records a table's delta. Empty deltas are dropped so that
-// TableTouched stays an exact "something changed" test.
+// Touches(table) stays an exact "something changed" test.
 func (s *Set) Add(d *rel.TableDelta) {
 	if d.Empty() {
 		return
@@ -54,29 +53,6 @@ func (s *Set) Add(d *rel.TableDelta) {
 		s.order = append(s.order, d.Table)
 	}
 	s.byTable[d.Table] = d
-}
-
-// Empty reports whether no table changed. A nil Set means "no delta
-// information" and reports non-empty, so consumers without history fall
-// back to a full re-check rather than wrongly skipping everything.
-func (s *Set) Empty() bool { return s != nil && len(s.byTable) == 0 }
-
-// Table returns the named table's delta, or nil if it is untouched.
-func (s *Set) Table(name string) *rel.TableDelta {
-	if s == nil {
-		return nil
-	}
-	return s.byTable[name]
-}
-
-// TableTouched reports whether the named table changed at all. A nil Set
-// conservatively reports true.
-func (s *Set) TableTouched(name string) bool {
-	if s == nil {
-		return true
-	}
-	_, ok := s.byTable[name]
-	return ok
 }
 
 // Touches reports whether any of the named columns of the table changed.
@@ -94,14 +70,6 @@ func (s *Set) Touches(table string, cols ...string) bool {
 		return true
 	}
 	return d.Touches(cols...)
-}
-
-// Tables returns the touched table names in first-touched order.
-func (s *Set) Tables() []string {
-	if s == nil {
-		return nil
-	}
-	return s.order
 }
 
 // Rows returns the total delta size across tables: Σ |Added| + |Removed|.
@@ -182,32 +150,6 @@ func (g *Graph) Add(node string, inputs ...Input) {
 // Inputs returns a node's registered inputs (nil for unknown nodes).
 func (g *Graph) Inputs(node string) []Input { return g.inputs[node] }
 
-// Nodes returns the node names in registration order.
-func (g *Graph) Nodes() []string { return g.order }
-
-// Dirty returns the set of nodes whose inputs intersect the delta. With a
-// nil Set every node is dirty (no history ⇒ full re-run).
-func (g *Graph) Dirty(s *Set) map[string]bool {
-	dirty := make(map[string]bool)
-	for node, ins := range g.inputs {
-		if DirtyInputs(s, ins) {
-			dirty[node] = true
-		}
-	}
-	return dirty
-}
-
-// DirtyList is Dirty in registration order.
-func (g *Graph) DirtyList(s *Set) []string {
-	var out []string
-	for _, node := range g.order {
-		if DirtyInputs(s, g.inputs[node]) {
-			out = append(out, node)
-		}
-	}
-	return out
-}
-
 // DirtyInputs reports whether any input intersects the delta — the shared
 // predicate for graph nodes and for consumers that keep their own input
 // lists (check.Suite, deadlock.Analyze).
@@ -221,12 +163,4 @@ func DirtyInputs(s *Set, inputs []Input) bool {
 		}
 	}
 	return false
-}
-
-// SortedTables returns the touched tables sorted by name (for stable
-// rendering in reports).
-func (s *Set) SortedTables() []string {
-	out := append([]string(nil), s.Tables()...)
-	sort.Strings(out)
-	return out
 }

@@ -34,7 +34,7 @@ func TestTrackerDiffFastPathAndEdit(t *testing.T) {
 	tr := NewTracker()
 	tr.Capture(cat)
 
-	if s := tr.Diff(cat); !s.Empty() {
+	if s := tr.Diff(cat); s.String() != "<empty>" {
 		t.Fatalf("no-edit diff not empty: %s", s)
 	}
 
@@ -42,7 +42,7 @@ func TestTrackerDiffFastPathAndEdit(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := tr.Diff(cat)
-	if s.Empty() || !s.TableTouched("D") || s.TableTouched("M") {
+	if !s.Touches("D") || s.Touches("M") {
 		t.Fatalf("edit diff wrong: %s", s)
 	}
 	if !s.Touches("D", "pv") || s.Touches("D", "st") {
@@ -53,11 +53,11 @@ func TestTrackerDiffFastPathAndEdit(t *testing.T) {
 	}
 
 	// Diff does not advance the baseline; DiffAndCapture does.
-	if s2 := tr.Diff(cat); s2.Empty() {
+	if s2 := tr.Diff(cat); s2.String() == "<empty>" {
 		t.Fatal("baseline moved without Capture")
 	}
 	tr.Capture(cat)
-	if s3 := tr.Diff(cat); !s3.Empty() {
+	if s3 := tr.Diff(cat); s3.String() != "<empty>" {
 		t.Fatalf("diff after recapture not empty: %s", s3)
 	}
 }
@@ -70,11 +70,11 @@ func TestTrackerCreateDropReplace(t *testing.T) {
 	cat["N"] = twoColTable("N")
 	delete(cat, "D")
 	s := tr.Diff(cat)
-	nd := s.Table("N")
+	nd := s.byTable["N"]
 	if nd == nil || len(nd.Added) != 2 || len(nd.Removed) != 0 {
 		t.Fatalf("created table delta wrong: %s", s)
 	}
-	dd := s.Table("D")
+	dd := s.byTable["D"]
 	if dd == nil || len(dd.Removed) != 2 || len(dd.Added) != 0 {
 		t.Fatalf("dropped table delta wrong: %s", s)
 	}
@@ -83,7 +83,7 @@ func TestTrackerCreateDropReplace(t *testing.T) {
 	// detected as untouched (real diff, empty result).
 	tr.Capture(cat)
 	cat["N"] = cat["N"].Clone()
-	if s := tr.Diff(cat); !s.Empty() {
+	if s := tr.Diff(cat); s.String() != "<empty>" {
 		t.Fatalf("identical replacement reported a delta: %s", s)
 	}
 }
@@ -103,18 +103,20 @@ func TestGraphDirty(t *testing.T) {
 	s := NewSet()
 	s.Add(rel.DiffCodes(snap, d))
 
-	dirty := g.Dirty(s)
-	if dirty["inv-a"] || !dirty["inv-b"] || dirty["inv-c"] || dirty["inv-d"] {
-		t.Fatalf("dirty set wrong: %v", dirty)
+	nodes := []string{"inv-a", "inv-b", "inv-c", "inv-d"}
+	var dirty []string
+	for _, n := range nodes {
+		if DirtyInputs(s, g.Inputs(n)) {
+			dirty = append(dirty, n)
+		}
 	}
-	if got := g.DirtyList(s); len(got) != 1 || got[0] != "inv-b" {
-		t.Fatalf("DirtyList = %v", got)
+	if len(dirty) != 1 || dirty[0] != "inv-b" {
+		t.Fatalf("dirty nodes = %v, want [inv-b]", dirty)
 	}
 
 	// nil Set ⇒ everything dirty (no history).
-	all := g.Dirty(nil)
-	for _, n := range g.Nodes() {
-		if !all[n] {
+	for _, n := range nodes {
+		if !DirtyInputs(nil, g.Inputs(n)) {
 			t.Fatalf("nil set did not dirty %s", n)
 		}
 	}
@@ -122,10 +124,10 @@ func TestGraphDirty(t *testing.T) {
 
 func TestSetConservativeNil(t *testing.T) {
 	var s *Set
-	if s.Empty() {
+	if s.String() == "<empty>" {
 		t.Fatal("nil set must not report empty")
 	}
-	if !s.TableTouched("anything") || !s.Touches("anything", "col") {
+	if !s.Touches("anything") || !s.Touches("anything", "col") {
 		t.Fatal("nil set must be conservative")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"coherdb/internal/constraint"
 	"coherdb/internal/protocol"
 	"coherdb/internal/rel"
 	"coherdb/internal/sqlmini"
@@ -88,11 +89,12 @@ func TestVerifyEquivalenceDetectsMissingRow(t *testing.T) {
 	tab := m.Tables[5] // Response_locmsg
 	clone := tab.Clone()
 	dropped := false
-	clone.DeleteWhere(func(r rel.Row) bool {
-		hit := !dropped && r.Get(ColDqstatus).Equal(rel.S(Full)) && !r.Get("locmsg").IsNull()
-		dropped = dropped || hit
-		return hit
-	})
+	for i := 0; i < clone.NumRows() && !dropped; i++ {
+		if clone.Get(i, ColDqstatus).Equal(rel.S(Full)) && !clone.Get(i, "locmsg").IsNull() {
+			clone.DeleteRows([]uint32{uint32(i)})
+			dropped = true
+		}
+	}
 	if !dropped {
 		t.Fatal("no Dqstatus=Full row with a locmsg")
 	}
@@ -133,7 +135,7 @@ func TestNewControllerRejectsNondeterminism(t *testing.T) {
 // first input cell.
 func TestGeneratedTablesBucketAlike(t *testing.T) {
 	db := sqlmini.NewDB()
-	if _, err := protocol.GenerateAll(db); err != nil {
+	if _, err := protocol.GenerateAllOpts(db, constraint.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	type table struct {

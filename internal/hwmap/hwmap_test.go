@@ -21,7 +21,7 @@ var (
 func directoryTable(t testing.TB) *rel.Table {
 	t.Helper()
 	dOnce.Do(func() {
-		spec, err := protocol.BuildDirectorySpec()
+		spec, err := protocol.SpecBuilders()[0].Build() // D
 		if err != nil {
 			dErr = err
 			return
@@ -187,9 +187,13 @@ func TestVerifyDetectsBrokenMapping(t *testing.T) {
 	// Corrupt one implementation table: drop a row.
 	tab := m.Tables[2]
 	clone := tab.Clone()
-	clone.DeleteWhere(func(r rel.Row) bool {
-		return r.Get("memmsg").Equal(rel.S("mread"))
-	})
+	var mread []uint32
+	for i := 0; i < clone.NumRows(); i++ {
+		if clone.Get(i, "memmsg").Equal(rel.S("mread")) {
+			mread = append(mread, uint32(i))
+		}
+	}
+	clone.DeleteRows(mread)
 	m.Tables[2] = clone
 	if _, err := m.Verify(); !errors.Is(err, ErrBroken) {
 		t.Fatalf("err = %v, want ErrBroken", err)

@@ -36,6 +36,3 @@ func (p *Partitioner) PartitionIncremental(db *sqlmini.DB, d *rel.Table) (*Mappi
 	p.db, p.d, p.rev, p.m = db, d, d.Revision(), m
 	return m, false, nil
 }
-
-// Invalidate drops the cached mapping; the next call partitions fresh.
-func (p *Partitioner) Invalidate() { p.m = nil }

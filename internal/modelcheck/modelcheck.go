@@ -111,8 +111,3 @@ type Report struct {
 	// Mem is the exploration's memory accounting.
 	Mem MemStats
 }
-
-// Deadlocked reports whether a deadlock counter-example was found.
-func (r *Report) Deadlocked() bool {
-	return r.Violation != nil && r.Violation.Kind == "deadlock"
-}

@@ -9,7 +9,6 @@ import (
 	"coherdb/internal/constraint"
 	"coherdb/internal/hwmap"
 	"coherdb/internal/protocol"
-	"coherdb/internal/rel"
 	"coherdb/internal/sim"
 	"coherdb/internal/sqlmini"
 )
@@ -23,26 +22,15 @@ var (
 func genTables(t testing.TB) sim.Tables {
 	t.Helper()
 	tabOnce.Do(func() {
-		specs, err := protocol.BuildAllSpecs()
-		if err != nil {
-			tabErr = err
+		db := sqlmini.NewDB()
+		if _, tabErr = protocol.GenerateAllOpts(db, constraint.Options{}); tabErr != nil {
 			return
 		}
-		solve := func(name string) *rel.Table {
-			if tabErr != nil {
-				return nil
-			}
-			tab, _, err := constraint.Solve(specs[name])
-			if err != nil {
-				tabErr = err
-			}
-			return tab
-		}
 		tabVal = sim.Tables{
-			D: solve(protocol.DirectoryTable),
-			M: solve(protocol.MemoryTable),
-			C: solve(protocol.CacheTable),
-			N: solve(protocol.NodeTable),
+			D: db.MustTable(protocol.DirectoryTable),
+			M: db.MustTable(protocol.MemoryTable),
+			C: db.MustTable(protocol.CacheTable),
+			N: db.MustTable(protocol.NodeTable),
 		}
 	})
 	if tabErr != nil {
@@ -123,7 +111,7 @@ func TestExploreFindsFigure4Deadlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Deadlocked() {
+	if rep.Violation == nil || rep.Violation.Kind != "deadlock" {
 		t.Fatalf("deadlock not found in %d states", rep.States)
 	}
 	if len(rep.Violation.Trace) == 0 {

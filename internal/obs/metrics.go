@@ -93,9 +93,6 @@ func (h *Histogram) Observe(v float64) {
 // ObserveDuration records a duration sample in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
-// Count returns the number of samples.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
 // Sum returns the sum of all samples.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
@@ -358,6 +355,3 @@ func formatFloat(f float64) string {
 	}
 	return strconv.FormatFloat(f, 'g', -1, 64)
 }
-
-// WriteMetrics renders the Default registry.
-func WriteMetrics(w io.Writer) error { return Default.WriteMetrics(w) }

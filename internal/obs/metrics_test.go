@@ -115,8 +115,8 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 	}
 	wg.Wait()
 
-	if hc.Count() != hs.Count() {
-		t.Fatalf("count = %d, want %d", hc.Count(), hs.Count())
+	if hc.count.Load() != hs.count.Load() {
+		t.Fatalf("count = %d, want %d", hc.count.Load(), hs.count.Load())
 	}
 	if math.Abs(hc.Sum()-hs.Sum()) > 1e-9*hs.Sum() {
 		t.Fatalf("sum = %v, want %v", hc.Sum(), hs.Sum())

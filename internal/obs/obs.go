@@ -32,9 +32,6 @@ func String(k, v string) Attr { return Attr{Key: k, Value: v} }
 // Int builds an integer attribute.
 func Int(k string, v int) Attr { return Attr{Key: k, Value: fmt.Sprintf("%d", v)} }
 
-// Int64 builds a 64-bit integer attribute.
-func Int64(k string, v int64) Attr { return Attr{Key: k, Value: fmt.Sprintf("%d", v)} }
-
 // Uint64 builds an unsigned integer attribute.
 func Uint64(k string, v uint64) Attr { return Attr{Key: k, Value: fmt.Sprintf("%d", v)} }
 
@@ -101,14 +98,6 @@ func (s *Span) Finish() {
 	}
 	s.End = time.Now()
 	s.sink.finish(s)
-}
-
-// Elapsed is the span duration (zero until finished, zero on nil).
-func (s *Span) Elapsed() time.Duration {
-	if s == nil || s.End.IsZero() {
-		return 0
-	}
-	return s.End.Sub(s.Start)
 }
 
 // spanJSON is the JSON-lines wire form of a finished span.

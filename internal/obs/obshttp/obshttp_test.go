@@ -25,10 +25,10 @@ func populatedOptions(t *testing.T) (Options, *bool) {
 	sp.Finish()
 
 	ql := obs.NewQueryLog(4, time.Nanosecond)
-	tok := ql.Start("SELECT", "SELECT * FROM D")
+	tok := ql.StartSession("SELECT", "SELECT * FROM D", 0)
 	time.Sleep(time.Microsecond)
 	tok.Finish(nil)
-	ql.Start("SELECT", "still running")
+	ql.StartSession("SELECT", "still running", 0)
 
 	scraped := false
 	return Options{

@@ -146,14 +146,9 @@ func NewQueryLog(capacity int, slowAfter time.Duration) *QueryLog {
 	}
 }
 
-// Start registers a statement as in flight and returns its token. A nil
-// log returns a nil token.
-func (q *QueryLog) Start(kind, statement string) *QueryToken {
-	return q.StartSession(kind, statement, 0)
-}
-
-// StartSession is Start with a session attribution for multi-session
-// servers; session 0 means unattributed.
+// StartSession registers a statement as in flight, attributed to a
+// server session (0 means unattributed), and returns its token. A nil log
+// returns a nil token.
 func (q *QueryLog) StartSession(kind, statement string, session uint64) *QueryToken {
 	if q == nil {
 		return nil

@@ -12,7 +12,7 @@ import (
 
 func TestNilQueryLogIsInert(t *testing.T) {
 	var q *QueryLog
-	tok := q.Start("SELECT", "SELECT 1")
+	tok := q.StartSession("SELECT", "SELECT 1", 0)
 	if tok != nil {
 		t.Fatal("nil log must hand out nil tokens")
 	}
@@ -31,7 +31,7 @@ func TestNilQueryLogIsInert(t *testing.T) {
 
 func TestQueryLogInFlightAndSlow(t *testing.T) {
 	q := NewQueryLog(4, time.Nanosecond) // everything is "slow"
-	tok := q.Start("SELECT", "SELECT * FROM D")
+	tok := q.StartSession("SELECT", "SELECT * FROM D", 0)
 	tok.SetPhase(PhaseJoin)
 	tok.AddRows(42)
 
@@ -57,12 +57,12 @@ func TestQueryLogInFlightAndSlow(t *testing.T) {
 
 func TestQueryLogFastQueriesNotRetained(t *testing.T) {
 	q := NewQueryLog(4, time.Hour)
-	q.Start("SELECT", "fast").Finish(nil)
+	q.StartSession("SELECT", "fast", 0).Finish(nil)
 	if _, slow := q.Snapshot(); len(slow) != 0 {
 		t.Fatalf("fast query retained: %+v", slow)
 	}
 	// Failed statements are retained regardless of speed.
-	q.Start("SELECT", "bad").Finish(errors.New("boom"))
+	q.StartSession("SELECT", "bad", 0).Finish(errors.New("boom"))
 	_, slow := q.Snapshot()
 	if len(slow) != 1 || slow[0].Err != "boom" {
 		t.Fatalf("failed query not retained: %+v", slow)
@@ -72,7 +72,7 @@ func TestQueryLogFastQueriesNotRetained(t *testing.T) {
 func TestQueryLogRingOverflow(t *testing.T) {
 	q := NewQueryLog(2, time.Nanosecond)
 	for _, stmt := range []string{"q1", "q2", "q3"} {
-		tok := q.Start("SELECT", stmt)
+		tok := q.StartSession("SELECT", stmt, 0)
 		time.Sleep(time.Microsecond)
 		tok.Finish(nil)
 	}
@@ -85,7 +85,7 @@ func TestQueryLogRingOverflow(t *testing.T) {
 func TestQueryLogTruncatesStatement(t *testing.T) {
 	q := NewQueryLog(4, time.Nanosecond)
 	long := strings.Repeat("x", 2*maxStatementLen)
-	tok := q.Start("SELECT", long)
+	tok := q.StartSession("SELECT", long, 0)
 	inflight, _ := q.Snapshot()
 	if n := len(inflight[0].Statement); n != maxStatementLen+3 {
 		t.Fatalf("statement length = %d, want %d", n, maxStatementLen+3)
@@ -95,8 +95,8 @@ func TestQueryLogTruncatesStatement(t *testing.T) {
 
 func TestQueryLogWriteJSON(t *testing.T) {
 	q := NewQueryLog(4, time.Nanosecond)
-	q.Start("SELECT", "live one")
-	tok := q.Start("INSERT", "done one")
+	q.StartSession("SELECT", "live one", 0)
+	tok := q.StartSession("INSERT", "done one", 0)
 	time.Sleep(time.Microsecond)
 	tok.Finish(nil)
 
@@ -127,7 +127,7 @@ func TestQueryLogConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				tok := q.Start("SELECT", "concurrent")
+				tok := q.StartSession("SELECT", "concurrent", 0)
 				tok.SetPhase(PhaseScan)
 				tok.AddRows(1)
 				tok.Finish(nil)

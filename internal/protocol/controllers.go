@@ -1,8 +1,6 @@
 package protocol
 
 import (
-	"fmt"
-
 	"coherdb/internal/constraint"
 )
 
@@ -81,12 +79,10 @@ func msgSet(prefix, msg, src, dest, rsrc string) map[string]string {
 	}
 }
 
-// BuildMemorySpec constructs the home memory controller table M. It
+// buildMemory constructs the home memory controller table M. It
 // services the directory's memory accesses and forwarded writebacks; the
 // §4.2 dependency row R1 — (wb, home, home) in, (compl, home, home) out —
 // comes from this table.
-func BuildMemorySpec() (*constraint.Spec, error) { return specOnly(buildMemory()) }
-
 func buildMemory() (*constraint.Spec, *RuleSet, error) {
 	b := newCtrl(MemoryTable)
 	b.input("inmsg", true, "mread", "mwrite", "mrmw", "mwrpart", "wb")
@@ -124,7 +120,7 @@ func buildMemory() (*constraint.Spec, *RuleSet, error) {
 	return b.finish("inmsg")
 }
 
-// BuildCacheSpec constructs the per-processor cache controller table C: the
+// buildCache constructs the per-processor cache controller table C: the
 // 4-state MESI protocol [7] with the transient states of a real pipeline.
 // In the deadlock analysis this controller acts in the remote role: its
 // snoop rows (sinv in -> idone out, etc.) induce the remote->home
@@ -132,8 +128,6 @@ func buildMemory() (*constraint.Spec, *RuleSet, error) {
 // by it are node-internal (local->local). A retried transaction aborts to
 // a stable state and the processor re-executes the operation, so retries
 // never induce a channel dependency.
-func BuildCacheSpec() (*constraint.Spec, error) { return specOnly(buildCache()) }
-
 func buildCache() (*constraint.Spec, *RuleSet, error) {
 	b := newCtrl(CacheTable)
 	states := append(CacheStates(), CacheTransients()...)
@@ -263,12 +257,10 @@ func buildCache() (*constraint.Spec, *RuleSet, error) {
 	return b.finish("cachest")
 }
 
-// BuildNodeSpec constructs the node interface controller table N: it owns
+// buildNode constructs the node interface controller table N: it owns
 // the MSHRs, injects node requests into the network (local role), delivers
 // completions node-internally, and closes each completed transaction with
 // the final compl toward home (§4.3).
-func BuildNodeSpec() (*constraint.Spec, error) { return specOnly(buildNode()) }
-
 func buildNode() (*constraint.Spec, *RuleSet, error) {
 	b := newCtrl(NodeTable)
 	requests := []string{"read", "readex", "upgrade", "readinv", "wb", "pwb",
@@ -326,11 +318,9 @@ func buildNode() (*constraint.Spec, *RuleSet, error) {
 	return b.finish("mshrst")
 }
 
-// BuildRACSpec constructs the remote access cache controller table R: the
+// buildRAC constructs the remote access cache controller table R: the
 // quad-level cache that satisfies local misses to remote lines and fields
 // incoming snoops for them.
-func BuildRACSpec() (*constraint.Spec, error) { return specOnly(buildRAC()) }
-
 func buildRAC() (*constraint.Spec, *RuleSet, error) {
 	b := newCtrl(RACTable)
 	states := []string{"I", "S", "M", "IS_p", "IM_p", "MI_p"}
@@ -406,9 +396,7 @@ func buildRAC() (*constraint.Spec, *RuleSet, error) {
 	return b.finish("racst")
 }
 
-// BuildIOBridgeSpec constructs the I/O bridge controller table IO.
-func BuildIOBridgeSpec() (*constraint.Spec, error) { return specOnly(buildIOBridge()) }
-
+// buildIOBridge constructs the I/O bridge controller table IO.
 func buildIOBridge() (*constraint.Spec, *RuleSet, error) {
 	b := newCtrl(IOBridgeTable)
 	b.input("inmsg", true, "ioread", "iowrite", "iodata", "iocompl", "intr")
@@ -453,9 +441,7 @@ func buildIOBridge() (*constraint.Spec, *RuleSet, error) {
 	return b.finish("iost")
 }
 
-// BuildInterruptSpec constructs the interrupt delivery controller table INT.
-func BuildInterruptSpec() (*constraint.Spec, error) { return specOnly(buildInterrupt()) }
-
+// buildInterrupt constructs the interrupt delivery controller table INT.
 func buildInterrupt() (*constraint.Spec, *RuleSet, error) {
 	b := newCtrl(InterruptTable)
 	b.input("inmsg", true, "intr", "intrack")
@@ -484,9 +470,7 @@ func buildInterrupt() (*constraint.Spec, *RuleSet, error) {
 	return b.finish("intst")
 }
 
-// BuildSyncSpec constructs the barrier/fence controller table SY.
-func BuildSyncSpec() (*constraint.Spec, error) { return specOnly(buildSync()) }
-
+// buildSync constructs the barrier/fence controller table SY.
 func buildSync() (*constraint.Spec, *RuleSet, error) {
 	b := newCtrl(SyncTable)
 	b.input("inmsg", true, "sync", "syncack")
@@ -554,17 +538,4 @@ func SpecBuilders() []struct {
 		out[i].Build = func() (*constraint.Spec, error) { return specOnly(c.build()) }
 	}
 	return out
-}
-
-// BuildAllSpecs builds all eight controller specifications.
-func BuildAllSpecs() (map[string]*constraint.Spec, error) {
-	out := make(map[string]*constraint.Spec, 8)
-	for _, sb := range SpecBuilders() {
-		s, err := sb.Build()
-		if err != nil {
-			return nil, fmt.Errorf("protocol: building %s: %w", sb.Name, err)
-		}
-		out[sb.Name] = s
-	}
-	return out, nil
 }

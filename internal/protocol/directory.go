@@ -83,11 +83,9 @@ func uncachedBusyStates() []string {
 	return out
 }
 
-// BuildDirectorySpec constructs the constraint specification for table D.
+// buildDirectory constructs the constraint specification for table D.
 // Solving it with constraint.Solve yields the full directory controller
 // table (~30 columns × ~450-500 rows, 40 busy states).
-func BuildDirectorySpec() (*constraint.Spec, error) { return specOnly(buildDirectory()) }
-
 func buildDirectory() (*constraint.Spec, *RuleSet, error) {
 	s := constraint.NewSpec(DirectoryTable)
 	RegisterFuncs(s.RegisterFunc)

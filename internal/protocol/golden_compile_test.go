@@ -14,16 +14,21 @@ import (
 // fragment the solver benchmarks sweep.
 func goldenSpecs(t *testing.T) map[string]*constraint.Spec {
 	t.Helper()
-	out, err := BuildAllSpecs()
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := controllerSpecs(t)
 	fig3, err := Figure3FragmentSpec(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out["figure3"] = fig3
 	return out
+}
+
+// specEvaluator is the constraint dialect's evaluator (NULL an ordinary
+// domain value) with the protocol predicates every spec here registers.
+func specEvaluator() *sqlmini.Evaluator {
+	ev := &sqlmini.Evaluator{Funcs: map[string]sqlmini.Func{}, NullEq: true}
+	RegisterFuncs(func(name string, fn sqlmini.Func) { ev.Funcs[name] = fn })
+	return ev
 }
 
 // splitStable reads a constraint as the solver reads a rule chain: the
@@ -36,7 +41,9 @@ func splitStable(e sqlmini.Expr, fireCol string) (conds, branches []sqlmini.Expr
 		if !ok {
 			break
 		}
-		if _, reads := sqlmini.Columns(t.Cond)[fireCol]; reads {
+		reads := false
+		sqlmini.VisitColumns(t.Cond, func(name string) { reads = reads || name == fireCol })
+		if reads {
 			break
 		}
 		conds = append(conds, t.Cond)
@@ -50,7 +57,7 @@ func splitStable(e sqlmini.Expr, fireCol string) (conds, branches []sqlmini.Expr
 // of the constraint-compilation layer: for every constraint of every
 // controller spec, on randomly sampled rows drawn from the column
 // domains, the tree-walking Evaluator.True must agree with the compiled
-// predicate Monolithic runs, and lane by lane with the sweep programs the
+// predicate MonolithicOpts runs, and lane by lane with the sweep programs the
 // solver runs over the constraint's last referenced column: the whole
 // constraint as one branch, and its rule chain split into a Selector over
 // the stable leading conditions and the chosen arm's branch.
@@ -60,12 +67,15 @@ func TestCompiledConstraintsMatchInterpreter(t *testing.T) {
 	dict := rel.SharedDict()
 	for name, spec := range goldenSpecs(t) {
 		cols := spec.Columns()
-		colIdx := spec.ColumnIndex()
+		colIdx := map[string]int{}
+		for i, n := range spec.ColumnNames() {
+			colIdx[n] = i
+		}
 		domains := make([][]rel.Value, len(cols))
 		for i, c := range cols {
 			domains[i] = c.Domain()
 		}
-		ev := spec.Evaluator()
+		ev := specEvaluator()
 		for _, col := range spec.ColumnNames() {
 			e := spec.Constraint(col)
 			if e == nil {
@@ -78,11 +88,11 @@ func TestCompiledConstraintsMatchInterpreter(t *testing.T) {
 			// The solver sweeps a constraint over its last referenced
 			// column.
 			sweep := colIdx[col]
-			for ref := range sqlmini.Columns(e) {
+			sqlmini.VisitColumns(e, func(ref string) {
 				if p, ok := colIdx[ref]; ok && p > sweep {
 					sweep = p
 				}
-			}
+			})
 			whole, err := ev.CompileSweepBranches([]sqlmini.Expr{e}, colIdx, sweep)
 			if err != nil {
 				t.Fatalf("%s.%s: compile sweep: %v", name, col, err)

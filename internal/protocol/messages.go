@@ -16,7 +16,6 @@ package protocol
 
 import (
 	"fmt"
-	"sort"
 
 	"coherdb/internal/rel"
 	"coherdb/internal/sqlmini"
@@ -131,22 +130,6 @@ var catalogByName = func() map[string]Message {
 // Messages returns the full catalog in declaration order.
 func Messages() []Message { return append([]Message(nil), catalog...) }
 
-// MessageNames returns all message names, sorted.
-func MessageNames() []string {
-	out := make([]string, 0, len(catalog))
-	for _, m := range catalog {
-		out = append(out, m.Name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// LookupMessage returns the catalog entry for name.
-func LookupMessage(name string) (Message, bool) {
-	m, ok := catalogByName[name]
-	return m, ok
-}
-
 // IsRequest reports whether name is a request message.
 func IsRequest(name string) bool {
 	m, ok := catalogByName[name]
@@ -163,28 +146,6 @@ func IsResponse(name string) bool {
 func CarriesData(name string) bool {
 	m, ok := catalogByName[name]
 	return ok && m.Data
-}
-
-// messagesOf returns the names in the catalog satisfying keep, in catalog
-// order.
-func messagesOf(keep func(Message) bool) []string {
-	var out []string
-	for _, m := range catalog {
-		if keep(m) {
-			out = append(out, m.Name)
-		}
-	}
-	return out
-}
-
-// RequestNames returns all request message names in catalog order.
-func RequestNames() []string {
-	return messagesOf(func(m Message) bool { return m.Class == Request })
-}
-
-// ResponseNames returns all response message names in catalog order.
-func ResponseNames() []string {
-	return messagesOf(func(m Message) bool { return m.Class == Response })
 }
 
 // RegisterFuncs installs the protocol predicates used by constraints and

@@ -10,16 +10,11 @@ import (
 	"coherdb/internal/sqlmini"
 )
 
-// GenerateAll builds all eight controller specifications, solves them in
-// parallel with the incremental solver, installs the resulting tables in
-// db, registers the protocol predicates, and returns per-table solve
-// statistics keyed by table name.
-func GenerateAll(db *sqlmini.DB) (map[string]constraint.Stats, error) {
-	return GenerateAllOpts(db, constraint.Options{})
-}
-
-// GenerateAllOpts is GenerateAll with explicit solver options (workers,
-// tracer, metrics), forwarded to every per-controller solve. With a tracer
+// GenerateAllOpts builds all eight controller specifications, solves them
+// in parallel with the incremental solver, installs the resulting tables
+// in db, registers the protocol predicates, and returns per-table solve
+// statistics keyed by table name. The solver options (workers, tracer,
+// metrics) are forwarded to every per-controller solve. With a tracer
 // set, each controller's spec construction is a protocol.build_spec span
 // carrying its rule and constraint counts, beside the solve's
 // constraint.solve span, so generation time splits into build, compile

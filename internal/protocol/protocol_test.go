@@ -21,7 +21,7 @@ func directoryTable(t testing.TB) (*rel.Table, constraint.Stats) {
 	t.Helper()
 	dOnce.Do(func() {
 		var spec *constraint.Spec
-		spec, dErr = BuildDirectorySpec()
+		spec, _, dErr = buildDirectory()
 		if dErr != nil {
 			return
 		}
@@ -31,6 +31,20 @@ func directoryTable(t testing.TB) (*rel.Table, constraint.Stats) {
 		t.Fatal(dErr)
 	}
 	return dTable, dStats
+}
+
+// controllerSpecs builds the eight controller specs, keyed by table name.
+func controllerSpecs(t testing.TB) map[string]*constraint.Spec {
+	t.Helper()
+	out := map[string]*constraint.Spec{}
+	for _, sb := range SpecBuilders() {
+		s, err := sb.Build()
+		if err != nil {
+			t.Fatalf("%s: %v", sb.Name, err)
+		}
+		out[sb.Name] = s
+	}
+	return out
 }
 
 func TestMessageCatalogScale(t *testing.T) {
@@ -55,17 +69,12 @@ func TestMessageClassesAndLookup(t *testing.T) {
 	if !CarriesData("data") || CarriesData("compl") {
 		t.Fatal("data classification broken")
 	}
-	m, ok := LookupMessage("wb")
-	if !ok || m.Class != Request || !m.Data {
-		t.Fatalf("LookupMessage(wb) = %+v, %v", m, ok)
+	if !IsRequest("wb") || !CarriesData("wb") {
+		t.Fatal("wb must be a data-carrying request")
 	}
-	if len(RequestNames())+len(ResponseNames()) != len(Messages()) {
-		t.Fatal("class partition broken")
-	}
-	names := MessageNames()
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatal("MessageNames not sorted or has duplicates")
+	for _, m := range Messages() {
+		if IsRequest(m.Name) == IsResponse(m.Name) {
+			t.Fatalf("%s is not exactly one of request and response", m.Name)
 		}
 	}
 }
@@ -112,7 +121,7 @@ func TestBusyStateCatalog(t *testing.T) {
 		if !IsBusyState(s) {
 			t.Fatalf("IsBusyState(%s) = false", s)
 		}
-		if BusyTxn(s) == "" || BusyPending(s) == "" {
+		if BusyTxn(s) == "" {
 			t.Fatalf("busy state %s does not parse", s)
 		}
 	}
@@ -122,14 +131,11 @@ func TestBusyStateCatalog(t *testing.T) {
 	if BusyState("rx", "sd") != "Busy-rx-sd" {
 		t.Fatal("BusyState naming broken")
 	}
-	if BusyTxn("Busy-rx-sd") != "rx" || BusyPending("Busy-rx-sd") != "sd" {
+	if BusyTxn("Busy-rx-sd") != "rx" {
 		t.Fatal("busy state parsing broken")
 	}
 	if TxnRequest("rx") != "readex" || TxnRequest("zz") != "" {
 		t.Fatal("TxnRequest broken")
-	}
-	if len(SortedBusyStates()) != 40 {
-		t.Fatal("SortedBusyStates lost states")
 	}
 }
 
@@ -207,7 +213,7 @@ func TestFigure2ReadExFlowRows(t *testing.T) {
 		return r.Get("inmsg").Equal(rel.S("readex")) && r.Get("dirst").Equal(rel.S(DirSI))
 	})
 	if !req.Get("remmsg").Equal(rel.S("sinv")) || !req.Get("memmsg").Equal(rel.S("mread")) {
-		t.Fatalf("readex@SI must send sinv and mread: %v", req.Values())
+		t.Fatalf("readex@SI must send sinv and mread: remmsg=%v memmsg=%v", req.Get("remmsg"), req.Get("memmsg"))
 	}
 	if !req.Get("nxtbdirst").Equal(rel.S("Busy-rx-sd")) {
 		t.Fatalf("readex@SI must enter Busy-sd: %v", req.Get("nxtbdirst"))
@@ -233,7 +239,7 @@ func TestFigure2ReadExFlowRows(t *testing.T) {
 		return r.Get("inmsg").Equal(rel.S("mdata")) && r.Get("bdirst").Equal(rel.S("Busy-rx-d"))
 	})
 	if !doneRow.Get("nxtdirst").Equal(rel.S(DirMESI)) || !doneRow.Get("nxtdirpv").Equal(rel.S(PVRepl)) {
-		t.Fatalf("readex completion must set MESI/repl: %v", doneRow.Values())
+		t.Fatalf("readex completion must set MESI/repl: nxtdirst=%v nxtdirpv=%v", doneRow.Get("nxtdirst"), doneRow.Get("nxtdirpv"))
 	}
 	if !doneRow.Get("locmsg").Equal(rel.S("datax")) {
 		t.Fatalf("readex completion must send exclusive data: %v", doneRow.Get("locmsg"))
@@ -290,10 +296,7 @@ func TestDeallocAlwaysOnCompl(t *testing.T) {
 func TestEightControllerTables(t *testing.T) {
 	// C6: "A total of 8 controller database tables were automatically
 	// generated."
-	specs, err := BuildAllSpecs()
-	if err != nil {
-		t.Fatal(err)
-	}
+	specs := controllerSpecs(t)
 	if len(specs) != 8 {
 		t.Fatalf("controllers = %d, want 8", len(specs))
 	}
@@ -310,8 +313,10 @@ func TestEightControllerTables(t *testing.T) {
 		}
 		// No dead rows in any controller: at least one output column set.
 		outs := map[string]bool{}
-		for _, c := range s.OutputNames() {
-			outs[c] = true
+		for _, c := range s.Columns() {
+			if c.Kind == constraint.Output {
+				outs[c.Name] = true
+			}
 		}
 		for i := 0; i < tab.NumRows(); i++ {
 			alive := false
@@ -330,7 +335,7 @@ func TestEightControllerTables(t *testing.T) {
 
 func TestMemoryControllerR1Row(t *testing.T) {
 	// §4.2 R1: (wb, home, home) in -> (compl, home, home) out at M.
-	spec, err := BuildMemorySpec()
+	spec, _, err := buildMemory()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +354,7 @@ func TestMemoryControllerR1Row(t *testing.T) {
 }
 
 func TestCacheControllerMESI(t *testing.T) {
-	spec, err := BuildCacheSpec()
+	spec, _, err := buildCache()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,8 +458,8 @@ func TestPVAndStateCatalogs(t *testing.T) {
 	if len(CacheStates()) != 4 || len(CacheTransients()) != 5 {
 		t.Fatal("cache state catalogs wrong")
 	}
-	if len(Roles()) != 3 || len(QueueNames()) != 6 {
-		t.Fatal("role/queue catalogs wrong")
+	if len(Roles()) != 3 {
+		t.Fatal("role catalog wrong")
 	}
 	if len(TxnTags()) != 15 {
 		t.Fatalf("txn tags = %d", len(TxnTags()))

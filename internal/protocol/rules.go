@@ -56,16 +56,8 @@ func (rs *RuleSet) Add(r Rule) {
 	rs.rules = append(rs.rules, r)
 }
 
-// Addf is Add with a formatted ID.
-func (rs *RuleSet) Addf(idFormat string, args []any, when string, set map[string]string) {
-	rs.Add(Rule{ID: fmt.Sprintf(idFormat, args...), When: when, Set: set})
-}
-
 // Len returns the number of rules.
 func (rs *RuleSet) Len() int { return len(rs.rules) }
-
-// Rules returns the rules in order.
-func (rs *RuleSet) Rules() []Rule { return append([]Rule(nil), rs.rules...) }
 
 // CompileInto attaches the compiled constraints to spec: one ternary chain
 // per output column (over every rule, in priority order), and a legality
@@ -163,9 +155,6 @@ func quoteVal(v string) string {
 // eq builds the atom `col = "value"` (or `col = NULL`).
 func eq(col, val string) string { return col + " = " + quoteVal(val) }
 
-// ne builds the atom `col <> "value"` (or `col <> NULL`).
-func ne(col, val string) string { return col + " <> " + quoteVal(val) }
-
 // in builds `col in ("a", "b", ...)`.
 func in(col string, vals ...string) string {
 	var sb strings.Builder
@@ -184,9 +173,4 @@ func in(col string, vals ...string) string {
 // all joins conditions with and.
 func all(conds ...string) string {
 	return "(" + strings.Join(conds, " and ") + ")"
-}
-
-// anyOf joins conditions with or.
-func anyOf(conds ...string) string {
-	return "(" + strings.Join(conds, " or ") + ")"
 }

@@ -1,7 +1,6 @@
 package protocol
 
 import (
-	"sort"
 	"strings"
 )
 
@@ -134,20 +133,6 @@ func BusyTxn(s string) string {
 	return rest[:i]
 }
 
-// BusyPending returns the pending tag of a busy state ("sd" for
-// "Busy-rx-sd"), or "" if s is not a busy state.
-func BusyPending(s string) string {
-	if !IsBusyState(s) {
-		return ""
-	}
-	rest := strings.TrimPrefix(s, "Busy-")
-	i := strings.IndexByte(rest, '-')
-	if i < 0 {
-		return ""
-	}
-	return rest[i+1:]
-}
-
 // TxnRequest returns the request message that opens the transaction with
 // the given busy tag ("rx" -> "readex").
 func TxnRequest(txn string) string {
@@ -188,16 +173,3 @@ const (
 	QMem  = "memq"
 	QUpd  = "updq"
 )
-
-// QueueNames returns the implementation queue resource names.
-func QueueNames() []string {
-	return []string{QReq, QResp, QLoc, QRem, QMem, QUpd}
-}
-
-// SortedBusyStates returns the busy states sorted lexicographically, for
-// stable display.
-func SortedBusyStates() []string {
-	out := BusyStates()
-	sort.Strings(out)
-	return out
-}

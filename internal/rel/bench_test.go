@@ -54,23 +54,6 @@ func BenchmarkEquiJoin(b *testing.B) {
 	}
 }
 
-func BenchmarkCrossFiltered(b *testing.B) {
-	left := benchTable(300)
-	right := benchTable(300)
-	r2, err := right.Rename(map[string]string{"a": "a2", "b": "b2", "c": "c2", "d": "d2"})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := left.CrossFiltered(r2, func(row []Value) bool {
-			return row[3].Equal(row[7])
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkIndexLookup(b *testing.B) {
 	t := benchTable(10000)
 	ix, err := BuildIndex(t, "d")

@@ -29,19 +29,9 @@ var emptyCatalog = func() *Catalog {
 	return c
 }()
 
-// NewCatalog returns the empty epoch-0 catalog.
-func NewCatalog() *Catalog { return emptyCatalog }
-
 // Epoch returns the catalog's version number: 0 for the empty root, and
 // one more than its base for every catalog built through Derive.
 func (c *Catalog) Epoch() uint64 { return c.epoch }
-
-// SchemaGen counts catalog shape changes along the epoch chain — a table
-// created or dropped, or replaced with a different column list. Data-only
-// epochs (DML, identically-shaped replacement) do not advance it; plan
-// validity depends only on schemas, so cached plans key on this, not on
-// the epoch.
-func (c *Catalog) SchemaGen() uint64 { return c.schemaGen }
 
 // Fingerprint identifies the catalog's schema shape for plan-cache
 // keying: it folds the schema generation with every table's name and
@@ -189,9 +179,6 @@ func (r *CatalogRef) Load() *Catalog {
 	}
 	return emptyCatalog
 }
-
-// Store publishes c unconditionally.
-func (r *CatalogRef) Store(c *Catalog) { r.p.Store(c) }
 
 // CompareAndSwap publishes next iff the current catalog is still old —
 // the writer's epoch handshake. Writers that lost the race re-derive

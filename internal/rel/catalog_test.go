@@ -56,12 +56,12 @@ func TestCatalogDeriveAndEpochs(t *testing.T) {
 }
 
 func TestCatalogSchemaGenAndFingerprint(t *testing.T) {
-	c0 := NewCatalog()
+	c0 := emptyCatalog
 
 	b := c0.Derive()
 	b.Put(catTable(t, "cache", []string{"addr", "state"}))
 	c1 := b.Build()
-	if c1.SchemaGen() == c0.SchemaGen() {
+	if c1.schemaGen == c0.schemaGen {
 		t.Fatal("creating a table did not advance SchemaGen")
 	}
 	if c1.Fingerprint() == c0.Fingerprint() {
@@ -75,7 +75,7 @@ func TestCatalogSchemaGenAndFingerprint(t *testing.T) {
 	b = c1.Derive()
 	b.Put(shaped)
 	c2 := b.Build()
-	if c2.SchemaGen() != c1.SchemaGen() {
+	if c2.schemaGen != c1.schemaGen {
 		t.Fatal("same-shape replacement advanced SchemaGen")
 	}
 	if c2.Fingerprint() != c1.Fingerprint() {
@@ -108,7 +108,7 @@ func TestCatalogSchemaGenAndFingerprint(t *testing.T) {
 }
 
 func TestCatalogNamesSortedAndImmutable(t *testing.T) {
-	b := NewCatalog().Derive()
+	b := emptyCatalog.Derive()
 	for _, n := range []string{"zeta", "alpha", "mid"} {
 		b.Put(catTable(t, n, []string{"x"}))
 	}
@@ -144,9 +144,9 @@ func TestConcurrentSnapshotReaders(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		seed.MustInsert(S("a"), I(int64(i)))
 	}
-	b := NewCatalog().Derive()
+	b := emptyCatalog.Derive()
 	b.Put(seed.Snapshot())
-	if !ref.CompareAndSwap(NewCatalog(), b.Build()) {
+	if !ref.CompareAndSwap(emptyCatalog, b.Build()) {
 		t.Fatal("seed publish failed")
 	}
 
@@ -169,7 +169,7 @@ func TestConcurrentSnapshotReaders(t *testing.T) {
 			base, _ := cur.Table("cache")
 			work := base.Snapshot()
 			if i%3 == 2 {
-				work.DeleteWhere(func(r Row) bool {
+				deleteWhere(work, func(r Row) bool {
 					v := r.Get("state").Int()
 					return v%2 == 1
 				})
@@ -257,7 +257,7 @@ func TestCarryIndexesAppendOnly(t *testing.T) {
 
 	// Rewriting derivation: CarryIndexes rebuilds over the same columns.
 	work2 := src.Snapshot()
-	work2.DeleteWhere(func(r Row) bool {
+	deleteWhere(work2, func(r Row) bool {
 		v := r.Get("state").Int()
 		return v == 1
 	})
@@ -284,7 +284,7 @@ func TestCatalogFingerprintMatchesScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	shapes := [][]string{{"a"}, {"a", "b"}, {"b", "a"}, {"a", "b", "c"}}
 	names := []string{"D", "M", "C", "N", "t"}
-	c := NewCatalog()
+	c := emptyCatalog
 	for step := 0; step < 500; step++ {
 		b := c.Derive()
 		for k := 1 + rng.Intn(2); k > 0; k-- {

@@ -77,9 +77,6 @@ func (d *TableDelta) Touches(cols ...string) bool {
 	return false
 }
 
-// TouchesAny reports whether the delta changes anything at all.
-func (d *TableDelta) TouchesAny() bool { return !d.Empty() }
-
 // fullDelta marks every column touched and both row sets as the delta —
 // the schema-change / unknown-history fallback.
 func fullDelta(old, new *Table) *TableDelta {

@@ -51,25 +51,19 @@ func TestRevisionBumpsOnEveryMutation(t *testing.T) {
 		t.Fatalf("ReplaceInCol rewrote %d cells, want 1", n)
 	}
 	step("ReplaceInCol")
-	if n := tab.DeleteWhere(func(r Row) bool { return r.Get("a").Equal(S("again")) }); n != 1 {
-		t.Fatalf("DeleteWhere removed %d, want 1", n)
+	if n := deleteWhere(tab, func(r Row) bool { return r.Get("a").Equal(S("again")) }); n != 1 {
+		t.Fatalf("DeleteRows removed %d, want 1", n)
 	}
-	step("DeleteWhere")
-	tab.SortAll()
-	step("SortAll")
-	if err := tab.SortBy("b"); err != nil {
-		t.Fatal(err)
-	}
-	step("SortBy")
+	step("DeleteRows")
 
 	// Reads and no-op mutations must not bump.
-	_ = tab.RawRows()
+	_ = tab.RawRow(0)
 	_ = tab.CodeRows()
 	if n := tab.ReplaceInCol("a", S("absent"), S("x")); n != 0 {
 		t.Fatalf("ReplaceInCol of absent value rewrote %d", n)
 	}
-	if n := tab.DeleteWhere(func(Row) bool { return false }); n != 0 {
-		t.Fatalf("no-op DeleteWhere removed %d", n)
+	if n := tab.DeleteRows(nil); n != 0 {
+		t.Fatalf("no-op DeleteRows removed %d", n)
 	}
 	if got := tab.Revision(); got != rev {
 		t.Fatalf("reads/no-ops bumped revision to %d, want %d", got, rev)
@@ -111,7 +105,7 @@ func TestDiffCodesIdentical(t *testing.T) {
 	tab := deltaTable(t, "same")
 	snap := tab.Snapshot()
 	d := DiffCodes(snap, tab)
-	if !d.Empty() || d.Rows() != 0 || d.TouchesAny() {
+	if !d.Empty() || d.Rows() != 0 {
 		t.Fatalf("diff of unchanged table not empty: %+v", d)
 	}
 	for j, hit := range d.ColTouched {
@@ -156,7 +150,7 @@ func TestDiffCodesInsertDelete(t *testing.T) {
 	}
 
 	snap2 := tab.Snapshot()
-	tab.DeleteWhere(func(r Row) bool { return r.Get("a").Equal(S("y")) })
+	deleteWhere(tab, func(r Row) bool { return r.Get("a").Equal(S("y")) })
 	d2 := DiffCodes(snap2, tab)
 	if len(d2.Added) != 0 || len(d2.Removed) != 1 {
 		t.Fatalf("delete: added=%d removed=%d", len(d2.Added), len(d2.Removed))
@@ -177,19 +171,6 @@ func TestDiffCodesSchemaChange(t *testing.T) {
 	}
 	if len(d.Added) != 1 || len(d.Removed) != 1 {
 		t.Fatalf("schema change rows: added=%d removed=%d", len(d.Added), len(d.Removed))
-	}
-}
-
-// The sort gather replaces every vector, so diffing across a no-op sort
-// (already-sorted input) still reports no added/removed rows.
-func TestDiffCodesAcrossSort(t *testing.T) {
-	tab := deltaTable(t, "sorted")
-	tab.SortAll()
-	snap := tab.Snapshot()
-	tab.SortAll()
-	d := DiffCodes(snap, tab)
-	if !d.Empty() {
-		t.Fatalf("no-op sort produced delta: %+v", d)
 	}
 }
 

@@ -57,9 +57,6 @@ func BuildIndex(t *Table, cols ...string) (*Index, error) {
 	return ix, nil
 }
 
-// Columns returns the indexed column names.
-func (ix *Index) Columns() []string { return append([]string(nil), ix.cols...) }
-
 // Lookup returns the row numbers whose indexed columns equal vals, in
 // insertion order. The number of values must match the indexed column count.
 // A probe value absent from the dictionary cannot occur in any cell, so it
@@ -90,16 +87,6 @@ func (ix *Index) LookupCodes(codes ...uint32) []int {
 		kb = appendCodeKey(kb, c)
 	}
 	return ix.buckets[string(kb)]
-}
-
-// LookupRows returns Row accessors rather than indexes.
-func (ix *Index) LookupRows(vals ...Value) []Row {
-	rows := ix.Lookup(vals...)
-	out := make([]Row, len(rows))
-	for i, r := range rows {
-		out[i] = ix.t.Row(r)
-	}
-	return out
 }
 
 // Distinct returns the number of distinct keys in the index — the

@@ -35,22 +35,22 @@ func TestIndexLookupRowsBoundsAndArity(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Wrong arity never panics and never matches.
-	if got := ix.LookupRows(S("readex")); len(got) != 0 {
-		t.Fatalf("under-arity LookupRows = %v, want empty", got)
+	if got := ix.Lookup(S("readex")); len(got) != 0 {
+		t.Fatalf("under-arity Lookup = %v, want empty", got)
 	}
-	if got := ix.LookupRows(S("readex"), S("I"), S("extra")); len(got) != 0 {
-		t.Fatalf("over-arity LookupRows = %v, want empty", got)
+	if got := ix.Lookup(S("readex"), S("I"), S("extra")); len(got) != 0 {
+		t.Fatalf("over-arity Lookup = %v, want empty", got)
 	}
-	if got := ix.LookupRows(); len(got) != 0 {
-		t.Fatalf("zero-arity LookupRows = %v, want empty", got)
+	if got := ix.Lookup(); len(got) != 0 {
+		t.Fatalf("zero-arity Lookup = %v, want empty", got)
 	}
-	// Exact arity resolves to live Row accessors over the right rows.
-	got := ix.LookupRows(S("readex"), S("SI"))
-	if len(got) != 1 || !got[0].Get("remmsg").Equal(S("sinv")) {
-		t.Fatalf("LookupRows(readex, SI) = %v", got)
+	// Exact arity resolves to the right rows.
+	got := ix.Lookup(S("readex"), S("SI"))
+	if len(got) != 1 || !d.Get(got[0], "remmsg").Equal(S("sinv")) {
+		t.Fatalf("Lookup(readex, SI) = %v", got)
 	}
-	if got := ix.LookupRows(S("readex"), S("nope")); len(got) != 0 {
-		t.Fatalf("missing key LookupRows = %v, want empty", got)
+	if got := ix.Lookup(S("readex"), S("nope")); len(got) != 0 {
+		t.Fatalf("missing key Lookup = %v, want empty", got)
 	}
 }
 
@@ -94,16 +94,10 @@ func TestIndexOnInvalidatedByMutation(t *testing.T) {
 			}
 		}},
 		{"DeleteWhere", func(t *testing.T, d *Table) {
-			if n := d.DeleteWhere(func(r Row) bool { return r.Get("inmsg").Equal(S("readex")) }); n != 2 {
+			if n := deleteWhere(d, func(r Row) bool { return r.Get("inmsg").Equal(S("readex")) }); n != 2 {
 				t.Fatalf("DeleteWhere removed %d rows, want 2", n)
 			}
 		}},
-		{"SortBy", func(t *testing.T, d *Table) {
-			if err := d.SortBy("dirst"); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"SortAll", func(t *testing.T, d *Table) { d.SortAll() }},
 	}
 	for _, m := range mutations {
 		t.Run(m.name, func(t *testing.T) {

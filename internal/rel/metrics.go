@@ -1,65 +1,26 @@
 package rel
 
-import (
-	"sort"
-	"sync"
+import "coherdb/internal/obs"
 
-	"coherdb/internal/obs"
-)
-
-// Dictionaries other than the process-wide shared one (e.g. the model
-// checker's state-codec dictionary) register here so /metrics can
-// attribute resident bytes per dictionary instead of one opaque
-// number. TrackDict with a nil dict removes the label.
-var (
-	dictTrackMu  sync.Mutex
-	trackedDicts = map[string]*Dict{}
-)
-
-// TrackDict registers d under label for metrics publication alongside
-// the shared dictionary. Passing nil removes the label.
-func TrackDict(label string, d *Dict) {
-	dictTrackMu.Lock()
-	if d == nil {
-		delete(trackedDicts, label)
-	} else {
-		trackedDicts[label] = d
-	}
-	dictTrackMu.Unlock()
-}
-
-// PublishDictMetrics registers the dictionary gauges on reg and
+// PublishDictMetrics registers the shared dictionary's gauges on reg and
 // returns a refresh function that re-samples them; call it from a
-// scrape hook so /metrics always reports current values. The gauges
-// are labeled by dictionary — the process-wide shared dictionary
-// reports as dict="shared", TrackDict'd dictionaries under their own
-// labels:
+// scrape hook so /metrics always reports current values:
 //
-//	coherdb_dict_size{dict=...}   — interned values (including NULL)
-//	coherdb_dict_bytes{dict=...}  — approximate resident bytes (see Dict.Bytes)
+//	coherdb_dict_size{dict="shared"}   — interned values (including NULL)
+//	coherdb_dict_bytes{dict="shared"}  — approximate resident bytes (see Dict.Bytes)
 func PublishDictMetrics(reg *obs.Registry) func() {
 	if reg == nil {
 		return func() {}
 	}
 	reg.Help("coherdb_dict_size", "Values interned per dictionary (including NULL).")
 	reg.Help("coherdb_dict_bytes", "Approximate resident bytes per dictionary.")
-	sample := func(label string, d *Dict) {
-		lb := obs.L("dict", label)
-		reg.Gauge("coherdb_dict_size", lb).Set(int64(d.Len()))
-		reg.Gauge("coherdb_dict_bytes", lb).Set(d.Bytes())
-	}
+	lb := obs.L("dict", "shared")
+	size := reg.Gauge("coherdb_dict_size", lb)
+	bytes := reg.Gauge("coherdb_dict_bytes", lb)
 	refresh := func() {
-		sample("shared", SharedDict())
-		dictTrackMu.Lock()
-		labels := make([]string, 0, len(trackedDicts))
-		for l := range trackedDicts {
-			labels = append(labels, l)
-		}
-		sort.Strings(labels)
-		for _, l := range labels {
-			sample(l, trackedDicts[l])
-		}
-		dictTrackMu.Unlock()
+		d := SharedDict()
+		size.Set(int64(d.Len()))
+		bytes.Set(d.Bytes())
 	}
 	refresh()
 	return refresh

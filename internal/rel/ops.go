@@ -105,23 +105,6 @@ func (t *Table) Difference(o *Table) (*Table, error) {
 	return out, nil
 }
 
-// Intersect returns the rows of t that also occur in o (set semantics).
-func (t *Table) Intersect(o *Table) (*Table, error) {
-	if err := sameSchema(t, o); err != nil {
-		return nil, err
-	}
-	keep := o.fullRowKeySet()
-	out := MustNewTable(t.name, t.cols...)
-	kept := make([]int, 0, t.nrows)
-	for i := 0; i < t.nrows; i++ {
-		if _, ok := keep[t.RowKey(i, nil)]; ok {
-			kept = append(kept, i)
-		}
-	}
-	out.gatherFrom(t, kept)
-	return out, nil
-}
-
 // fullRowKeySet returns the set of whole-row keys. Codes come from the
 // shared dictionary, so the keys are comparable across tables.
 func (t *Table) fullRowKeySet() map[string]struct{} {
@@ -181,40 +164,6 @@ func (t *Table) Cross(o *Table) (*Table, error) {
 		out.data[len(t.cols)+j] = g
 	}
 	out.nrows = n
-	return out, nil
-}
-
-// CrossFiltered computes the cross product of t and o, keeping only rows for
-// which keep returns true. keep receives the concatenated row. This fuses
-// product and selection so pruning happens before materialization — the core
-// of incremental table generation.
-func (t *Table) CrossFiltered(o *Table, keep func(row []Value) bool) (*Table, error) {
-	cols := make([]string, 0, len(t.cols)+len(o.cols))
-	cols = append(cols, t.cols...)
-	cols = append(cols, o.cols...)
-	out, err := NewTable(t.name+"_x_"+o.name, cols...)
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]Value, len(cols))
-	crow := make([]uint32, len(cols))
-	for a := 0; a < t.nrows; a++ {
-		for j, col := range t.data {
-			crow[j] = col[a]
-			buf[j] = t.dict.Value(col[a])
-		}
-		for b := 0; b < o.nrows; b++ {
-			for j, col := range o.data {
-				crow[len(t.cols)+j] = col[b]
-				buf[len(t.cols)+j] = o.dict.Value(col[b])
-			}
-			if keep(buf) {
-				if err := out.AppendCodeRow(crow); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
 	return out, nil
 }
 
@@ -326,20 +275,6 @@ func (t *Table) Rename(mapping map[string]string) (*Table, error) {
 	copy(out.data, t.data)
 	out.nrows = t.nrows
 	return out, nil
-}
-
-// Prefix returns a copy of t with every column name prefixed by p, a common
-// pre-step before Cross/EquiJoin to avoid collisions. The copy shares t's
-// column vectors; such views must not be mutated.
-func (t *Table) Prefix(p string) *Table {
-	cols := make([]string, len(t.cols))
-	for i, c := range t.cols {
-		cols[i] = p + c
-	}
-	out := MustNewTable(t.name, cols...)
-	copy(out.data, t.data)
-	out.nrows = t.nrows
-	return out
 }
 
 // ContainsAll reports whether every row of o occurs in t (set semantics over

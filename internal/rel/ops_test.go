@@ -83,12 +83,8 @@ func TestDifferenceAndIntersect(t *testing.T) {
 	if err != nil || d.NumRows() != 2 {
 		t.Fatalf("difference: %v rows=%d", err, d.NumRows())
 	}
-	i, err := a.Intersect(b)
-	if err != nil || i.NumRows() != 1 {
-		t.Fatalf("intersect: %v rows=%d", err, i.NumRows())
-	}
-	if !i.Get(0, "a").Equal(S("3")) {
-		t.Fatal("wrong intersection row")
+	if !d.Get(0, "a").Equal(S("1")) || !d.Get(1, "a").Equal(S("5")) {
+		t.Fatal("wrong difference rows")
 	}
 }
 
@@ -111,29 +107,6 @@ func TestCross(t *testing.T) {
 	b2 := MustNewTable("b2", "x")
 	if _, err := a.Cross(b2); !errors.Is(err, ErrDupColumn) {
 		t.Fatalf("collision err = %v", err)
-	}
-}
-
-func TestCrossFiltered(t *testing.T) {
-	a := MustNewTable("a", "x")
-	for _, s := range []string{"1", "2", "3"} {
-		a.MustInsert(S(s))
-	}
-	b := MustNewTable("b", "y")
-	for _, s := range []string{"1", "2", "3"} {
-		b.MustInsert(S(s))
-	}
-	diag, err := a.CrossFiltered(b, func(row []Value) bool { return row[0].Equal(row[1]) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diag.NumRows() != 3 {
-		t.Fatalf("rows = %d, want 3", diag.NumRows())
-	}
-	for i := 0; i < diag.NumRows(); i++ {
-		if !diag.Get(i, "x").Equal(diag.Get(i, "y")) {
-			t.Fatal("filter not applied")
-		}
 	}
 }
 
@@ -184,10 +157,6 @@ func TestRenameAndPrefix(t *testing.T) {
 	if !r.HasColumn("m") || r.HasColumn("inmsg") {
 		t.Fatal("Rename failed")
 	}
-	p := d.Prefix("in_")
-	if !p.HasColumn("in_dirst") {
-		t.Fatal("Prefix failed")
-	}
 	// Rename into collision must error.
 	if _, err := d.Rename(map[string]string{"inmsg": "dirst"}); !errors.Is(err, ErrDupColumn) {
 		t.Fatalf("err = %v", err)
@@ -227,8 +196,8 @@ func TestIndexLookup(t *testing.T) {
 	if got := ix.Lookup(S("readex")); len(got) != 2 {
 		t.Fatalf("Lookup rows = %v", got)
 	}
-	if got := ix.LookupRows(S("data")); len(got) != 1 || !got[0].Get("dirst").Equal(S("Busy-d")) {
-		t.Fatalf("LookupRows = %v", got)
+	if got := ix.Lookup(S("data")); len(got) != 1 || !d.Get(got[0], "dirst").Equal(S("Busy-d")) {
+		t.Fatalf("Lookup(data) = %v", got)
 	}
 	if got := ix.Lookup(S("ghostmsg")); got != nil {
 		t.Fatalf("missing key lookup = %v", got)
@@ -241,9 +210,6 @@ func TestIndexLookup(t *testing.T) {
 	}
 	if _, err := BuildIndex(d, "ghost"); !errors.Is(err, ErrUnknownColumn) {
 		t.Fatalf("err = %v", err)
-	}
-	if got := ix.Columns(); len(got) != 1 || got[0] != "inmsg" {
-		t.Fatalf("Columns = %v", got)
 	}
 }
 
@@ -292,23 +258,17 @@ func TestQuickDifferenceDisjointFromSubtrahend(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		i, err := d.Intersect(b.T)
-		return err == nil && i.Empty()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickIntersectSubsetOfBoth(t *testing.T) {
-	f := func(a, b tableGen) bool {
-		i, err := a.T.Intersect(b.T)
-		if err != nil {
-			return false
+		// Compare every pair of rows value by value, independently of
+		// Difference's own hashing.
+		for i := 0; i < d.NumRows(); i++ {
+			for j := 0; j < b.T.NumRows(); j++ {
+				x, y := d.RawRow(i), b.T.RawRow(j)
+				if x[0].Equal(y[0]) && x[1].Equal(y[1]) {
+					return false
+				}
+			}
 		}
-		inA, err1 := a.T.ContainsAll(i)
-		inB, err2 := b.T.ContainsAll(i)
-		return err1 == nil && err2 == nil && inA && inB
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -27,7 +27,7 @@ var (
 // []uint32 vector of codes into the shared dictionary (SharedDict), so a
 // cell costs 4 bytes instead of a 40-byte Value, a column scan is a
 // contiguous integer sweep, and equality is a single compare. The
-// historical row-oriented API (Row, RawRow, RawRows, Insert of Values)
+// historical row-oriented API (Row, RawRow, Insert of Values)
 // remains as a façade: Value rows are materialized on demand and cached
 // until the next mutation. Hot consumers use the code-level API instead:
 // ColCodes, CodeRows, AppendCodeRow/AppendCodes, CodeAt/At.
@@ -161,8 +161,8 @@ func (t *Table) CodeAt(i, j int) uint32 { return t.data[j][i] }
 func (t *Table) At(i, j int) Value { return t.dict.Value(t.data[j][i]) }
 
 // Revision returns the table's mutation counter. It starts at zero and is
-// bumped exactly once by every mutating operation (Insert, Set, DeleteWhere,
-// sorts, bulk appends), so "same *Table pointer, same revision" proves the
+// bumped exactly once by every mutating operation (Insert, Set, DeleteRows,
+// bulk appends), so "same *Table pointer, same revision" proves the
 // contents are unchanged — the O(1) fast path delta tracking relies on.
 func (t *Table) Revision() uint64 { return t.rev }
 
@@ -345,12 +345,6 @@ func (t *Table) Row(i int) Row {
 // modify it. The materialized rows are cached until the next mutation.
 func (t *Table) RawRow(i int) []Value { return t.materializeValues()[i] }
 
-// RawRows returns all rows materialized as value slices; callers must
-// treat the slice and every row in it as read-only, and must not retain
-// it across mutations. This is the compatibility façade over the columnar
-// storage — hot paths scan CodeRows or ColCodes instead.
-func (t *Table) RawRows() [][]Value { return t.materializeValues() }
-
 // CodeRows returns a row-major view of the code storage: one []uint32 per
 // row, cached until the next mutation. Callers must treat it as read-only.
 // It bridges row-at-a-time consumers (the SQL executor's frames) to the
@@ -464,18 +458,6 @@ func (t *Table) ReplaceInCol(name string, from, to Value) int {
 	return n
 }
 
-// DeleteWhere removes all rows for which pred returns true and returns the
-// number removed.
-func (t *Table) DeleteWhere(pred func(Row) bool) int {
-	var rows []uint32
-	for i := 0; i < t.nrows; i++ {
-		if pred(Row{t: t, i: i}) {
-			rows = append(rows, uint32(i))
-		}
-	}
-	return t.DeleteRows(rows)
-}
-
 // DeleteRows removes the rows whose numbers rows lists in strictly
 // increasing order — a selection vector — and returns the number removed.
 // Each column is compacted in one pass that moves the runs between the
@@ -531,86 +513,12 @@ func (t *Table) RowKey(i int, cols []int) string {
 	return string(b)
 }
 
-// appendRowCodes appends row i's codes over the given column positions
-// (all columns if cols is nil) to dst.
-func (t *Table) appendRowCodes(dst []uint32, i int, cols []int) []uint32 {
-	if cols == nil {
-		for _, col := range t.data {
-			dst = append(dst, col[i])
-		}
-		return dst
-	}
-	for _, j := range cols {
-		dst = append(dst, t.data[j][i])
-	}
-	return dst
-}
-
-// SortBy sorts rows in place by the given columns ascending. Unknown columns
-// are an error.
-func (t *Table) SortBy(cols ...string) error {
-	idx := make([]int, len(cols))
-	for k, c := range cols {
-		j := t.ColIndex(c)
-		if j < 0 {
-			return fmt.Errorf("%w: %q in table %q", ErrUnknownColumn, c, t.name)
-		}
-		idx[k] = j
-	}
-	t.sortByIdx(idx)
-	return nil
-}
-
-// SortAll sorts rows in place by every column left to right, giving a
-// canonical order used by EqualRows.
-func (t *Table) SortAll() {
-	idx := make([]int, len(t.cols))
-	for j := range idx {
-		idx[j] = j
-	}
-	t.sortByIdx(idx)
-}
-
-// sortByIdx stable-sorts the rows by the given column positions via a
-// permutation, then gathers each column vector once.
-func (t *Table) sortByIdx(idx []int) {
-	t.rewritten()
-	perm := make([]int, t.nrows)
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.SliceStable(perm, func(a, b int) bool {
-		ra, rb := perm[a], perm[b]
-		for _, j := range idx {
-			ca, cb := t.data[j][ra], t.data[j][rb]
-			if ca == cb {
-				continue
-			}
-			if c := t.dict.Value(ca).Compare(t.dict.Value(cb)); c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	})
-	for j, col := range t.data {
-		sorted := make([]uint32, t.nrows)
-		for k, i := range perm {
-			sorted[k] = col[i]
-		}
-		t.data[j] = sorted
-	}
-	// The gather above replaced every vector with a fresh allocation, so
-	// any snapshot aliasing is gone regardless of how we entered.
-	t.shared.Store(false)
-}
-
 // IndexOn returns a persistent hash index over the given columns, building
 // it on first use and caching it on the table. Cached indexes are
 // maintained incrementally on Insert/InsertRow and dropped wholesale on
-// Set, DeleteWhere, DeleteRows, SortBy and SortAll, so a lookup never
-// serves stale rows. Tables produced by Rename or Prefix share their
-// source's column storage but not its index cache; such views must not
-// be mutated.
+// Set and DeleteRows, so a lookup never serves stale rows. Tables
+// produced by Rename share their source's column storage but not its
+// index cache; such views must not be mutated.
 // Concurrent IndexOn calls are safe; mutation requires the same external
 // exclusion the table already demands.
 func (t *Table) IndexOn(cols ...string) (*Index, error) {
@@ -731,9 +639,6 @@ func (r Row) Get(name string) Value {
 	}
 	return r.t.dict.Value(r.t.data[j][r.i])
 }
-
-// Values returns the row's values; callers must not modify the slice.
-func (r Row) Values() []Value { return r.t.RawRow(r.i) }
 
 // Table returns the row's parent table.
 func (r Row) Table() *Table { return r.t }

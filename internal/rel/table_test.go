@@ -78,14 +78,23 @@ func TestRowAccessor(t *testing.T) {
 	if r.Table() != d {
 		t.Fatal("Row.Table wrong")
 	}
-	if len(r.Values()) != d.NumCols() {
-		t.Fatal("Row.Values wrong length")
+}
+
+// deleteWhere removes the rows pred selects through DeleteRows and
+// returns the number removed.
+func deleteWhere(t *Table, pred func(Row) bool) int {
+	var rows []uint32
+	for i := 0; i < t.NumRows(); i++ {
+		if pred(t.Row(i)) {
+			rows = append(rows, uint32(i))
+		}
 	}
+	return t.DeleteRows(rows)
 }
 
 func TestDeleteWhere(t *testing.T) {
 	d := mkD(t)
-	n := d.DeleteWhere(func(r Row) bool { return r.Get("inmsg").Equal(S("readex")) })
+	n := deleteWhere(d, func(r Row) bool { return r.Get("inmsg").Equal(S("readex")) })
 	if n != 2 || d.NumRows() != 1 {
 		t.Fatalf("removed %d, left %d", n, d.NumRows())
 	}
@@ -105,32 +114,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 	if eq, err := d.EqualRows(d.Clone()); err != nil || !eq {
 		t.Fatalf("clone not equal: %v %v", eq, err)
-	}
-}
-
-func TestSortByAndSortAll(t *testing.T) {
-	d := mkD(t)
-	if err := d.SortBy("inmsg", "dirst"); err != nil {
-		t.Fatal(err)
-	}
-	if !d.Get(0, "inmsg").Equal(S("data")) {
-		t.Fatal("SortBy order wrong")
-	}
-	if err := d.SortBy("ghost"); !errors.Is(err, ErrUnknownColumn) {
-		t.Fatalf("SortBy unknown err = %v", err)
-	}
-	d.SortAll()
-	for i := 1; i < d.NumRows(); i++ {
-		prev, cur := d.RawRow(i-1), d.RawRow(i)
-		cmp := 0
-		for j := range prev {
-			if cmp = prev[j].Compare(cur[j]); cmp != 0 {
-				break
-			}
-		}
-		if cmp > 0 {
-			t.Fatal("SortAll not sorted")
-		}
 	}
 }
 

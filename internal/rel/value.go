@@ -226,42 +226,6 @@ func (v Value) AppendKey(dst []byte) []byte {
 	return append(dst, '?')
 }
 
-// Hash returns the canonical 64-bit hash of v: FNV-1a over the same
-// injective encoding Key produces, without allocating. Every hash
-// structure keyed on single values (join builds, indexes, interners)
-// derives from this one definition so equality and hashing cannot drift.
-func (v Value) Hash() uint64 {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	step := func(c byte) {
-		h ^= uint64(c)
-		h *= prime64
-	}
-	switch v.kind {
-	case KindNull:
-		step('n')
-	case KindString:
-		step('s')
-		for i := 0; i < len(v.s); i++ {
-			step(v.s[i])
-		}
-	case KindInt:
-		step('i')
-		u := uint64(v.i)
-		for s := 0; s < 64; s += 8 {
-			step(byte(u >> s))
-		}
-	case KindBool:
-		step('b')
-		if v.b {
-			step('1')
-		} else {
-			step('0')
-		}
-	}
-	return h
-}
-
 // String renders the value for display: NULL prints as "NULL", strings print
 // bare, integers and booleans in their natural form.
 func (v Value) String() string {

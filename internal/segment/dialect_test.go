@@ -41,11 +41,12 @@ func TestRoundTripBothNullDialects(t *testing.T) {
 				t.Fatal("query returned no rows")
 			}
 			for _, src := range []*rel.Table{tab, res} {
-				cols, n := src.ExportCodeColumns()
-				seg := segment.Pack(cols, n)
-				if seg.Rows() != n || seg.Width() != len(cols) {
-					t.Fatalf("packed %dx%d, want %dx%d", seg.Rows(), seg.Width(), n, len(cols))
+				n := src.NumRows()
+				cols := make([][]uint32, src.NumCols())
+				for j := range cols {
+					cols[j] = src.ColCodes(j)
 				}
+				seg := segment.Pack(cols, n)
 				var b bytes.Buffer
 				if _, err := seg.WriteTo(&b); err != nil {
 					t.Fatal(err)
@@ -55,7 +56,10 @@ func TestRoundTripBothNullDialects(t *testing.T) {
 					t.Fatal(err)
 				}
 				seen := 0
-				back.Stream(0, back.Rows(), nil, func(i int, tuple []uint32) bool {
+				back.Stream(0, n, nil, func(i int, tuple []uint32) bool {
+					if len(tuple) != len(cols) {
+						t.Fatalf("%s row %d: width %d, want %d", src.Name(), i, len(tuple), len(cols))
+					}
 					for j := range tuple {
 						if want := src.CodeAt(i, j); tuple[j] != want {
 							t.Fatalf("%s row %d col %d: code %d, want %d", src.Name(), i, j, tuple[j], want)

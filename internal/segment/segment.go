@@ -45,12 +45,6 @@ type Segment struct {
 	cols  []col
 }
 
-// Rows reports the number of rows in the segment.
-func (s *Segment) Rows() int { return s.rows }
-
-// Width reports the number of uint32 codes per row.
-func (s *Segment) Width() int { return s.width }
-
 // Bytes reports the approximate resident payload size of the segment:
 // compressed column payloads plus fixed per-column overhead.
 func (s *Segment) Bytes() int64 {
@@ -150,9 +144,6 @@ func NewWriter(width int) *Writer {
 	return &Writer{width: width, cols: make([][]uint32, width)}
 }
 
-// Width reports the number of codes per row.
-func (w *Writer) Width() int { return w.width }
-
 // Rows reports the number of rows appended so far.
 func (w *Writer) Rows() int { return w.rows }
 
@@ -175,9 +166,6 @@ func (w *Writer) Append(tuple []uint32) {
 	}
 	w.rows++
 }
-
-// At returns the code at unsealed row i, column j.
-func (w *Writer) At(i, j int) uint32 { return w.cols[j][i] }
 
 // Tuple decodes unsealed row i into dst (grown if needed).
 func (w *Writer) Tuple(i int, dst []uint32) []uint32 {
@@ -392,20 +380,4 @@ func Read(r io.Reader) (*Segment, error) {
 		s.cols[j] = c
 	}
 	return s, nil
-}
-
-// DiskBytes reports the exact serialized size of the segment.
-func (s *Segment) DiskBytes() int64 {
-	n := int64(4 + 8)
-	for _, c := range s.cols {
-		n += 9
-		switch c.bits {
-		case 0:
-		case 32:
-			n += 4 * int64(len(c.raw))
-		default:
-			n += 8 * int64(len(c.words))
-		}
-	}
-	return n
 }

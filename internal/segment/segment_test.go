@@ -11,7 +11,7 @@ import (
 )
 
 // roundTrip packs rows through a Writer, seals, and checks every
-// access path (At, Tuple, Stream, serialize→Read) is byte-identical.
+// access path (Tuple, At, Stream, serialize→Read) is byte-identical.
 func roundTrip(t *testing.T, rows [][]uint32, width int) {
 	t.Helper()
 	w := NewWriter(width)
@@ -24,8 +24,8 @@ func roundTrip(t *testing.T, rows [][]uint32, width int) {
 	// Tail reads before sealing.
 	for i, r := range rows {
 		for j, want := range r {
-			if got := w.At(i, j); got != want {
-				t.Fatalf("writer At(%d,%d) = %d, want %d", i, j, got, want)
+			if got := w.Tuple(i, nil)[j]; got != want {
+				t.Fatalf("writer Tuple(%d)[%d] = %d, want %d", i, j, got, want)
 			}
 		}
 	}
@@ -36,8 +36,8 @@ func roundTrip(t *testing.T, rows [][]uint32, width int) {
 		}
 		return
 	}
-	if seg.Rows() != len(rows) || seg.Width() != width {
-		t.Fatalf("segment %dx%d, want %dx%d", seg.Rows(), seg.Width(), len(rows), width)
+	if seg.rows != len(rows) || seg.width != width {
+		t.Fatalf("segment %dx%d, want %dx%d", seg.rows, seg.width, len(rows), width)
 	}
 	check := func(name string, s *Segment) {
 		t.Helper()
@@ -50,7 +50,7 @@ func roundTrip(t *testing.T, rows [][]uint32, width int) {
 		}
 		var buf []uint32
 		n := 0
-		s.Stream(0, s.Rows(), buf, func(i int, tuple []uint32) bool {
+		s.Stream(0, s.rows, buf, func(i int, tuple []uint32) bool {
 			for j, want := range rows[i] {
 				if tuple[j] != want {
 					t.Fatalf("%s: stream row %d col %d = %d, want %d", name, i, j, tuple[j], want)
@@ -72,9 +72,6 @@ func roundTrip(t *testing.T, rows [][]uint32, width int) {
 	}
 	if n != int64(b.Len()) {
 		t.Fatalf("WriteTo reported %d bytes, wrote %d", n, b.Len())
-	}
-	if n != seg.DiskBytes() {
-		t.Fatalf("DiskBytes = %d, serialized %d", seg.DiskBytes(), n)
 	}
 	back, err := Read(&b)
 	if err != nil {
@@ -288,8 +285,8 @@ func TestVisitedExactness(t *testing.T) {
 	st := NewStore(StoreConfig{Width: 5, BlockRows: 64, Budget: 2048, SpillDir: t.TempDir()})
 	defer st.Close()
 	v := NewVisited(st, 8)
-	if v.Shards() != 8 {
-		t.Fatalf("shards = %d, want 8", v.Shards())
+	if len(v.shards) != 8 {
+		t.Fatalf("shards = %d, want 8", len(v.shards))
 	}
 
 	ref := map[string]int64{}

@@ -79,9 +79,6 @@ func NewStore(cfg StoreConfig) *Store {
 	return &Store{cfg: cfg, tail: NewWriter(cfg.Width)}
 }
 
-// Width reports the codes per row.
-func (st *Store) Width() int { return st.cfg.Width }
-
 // Rows reports the total rows appended (sealed + unsealed).
 func (st *Store) Rows() int64 { return st.rows }
 
@@ -95,15 +92,6 @@ func (st *Store) Append(tuple []uint32) int64 {
 		st.sealTail()
 	}
 	return id
-}
-
-// Seal compresses any unsealed tail rows so every row lives in an
-// immutable segment (e.g. before a streaming pass that must observe a
-// fixed snapshot cheaply).
-func (st *Store) Seal() {
-	if st.tail.Rows() > 0 {
-		st.sealTail()
-	}
 }
 
 func (st *Store) sealTail() {

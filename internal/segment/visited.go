@@ -65,9 +65,6 @@ func NewVisited(store *Store, nshards int) *Visited {
 	return v
 }
 
-// Shards reports the shard count (a power of two).
-func (v *Visited) Shards() int { return len(v.shards) }
-
 // ShardOf maps a tuple hash to its shard.
 func (v *Visited) ShardOf(h uint64) int {
 	if v.shardBits == 0 {

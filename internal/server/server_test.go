@@ -21,12 +21,14 @@ import (
 func newTestDB(t testing.TB, nshared int) *sqlmini.DB {
 	t.Helper()
 	db := sqlmini.NewDB()
-	script := `CREATE TABLE D (k, v); INSERT INTO D VALUES ('a', 'OK'), ('b', 'OK'), ('c', 'OK');`
+	stmts := []string{`CREATE TABLE D (k, v)`, `INSERT INTO D VALUES ('a', 'OK'), ('b', 'OK'), ('c', 'OK')`}
 	for i := 1; i <= nshared; i++ {
-		script += fmt.Sprintf("CREATE TABLE w%d (k, v); INSERT INTO w%d VALUES ('seed', '0');", i, i)
+		stmts = append(stmts, fmt.Sprintf("CREATE TABLE w%d (k, v)", i), fmt.Sprintf("INSERT INTO w%d VALUES ('seed', '0')", i))
 	}
-	if err := db.ExecScript(script); err != nil {
-		t.Fatalf("seed: %v", err)
+	for _, s := range stmts {
+		if _, err := db.Exec(s); err != nil {
+			t.Fatalf("seed: %v", err)
+		}
 	}
 	return db
 }

@@ -25,7 +25,7 @@ func runDirect(t *testing.T, sys *System, wantOps int) *Result {
 	t.Helper()
 	res, err := sys.Run()
 	if err != nil {
-		t.Fatalf("%v\n%s", err, strings.Join(sys.TraceLines(), "\n"))
+		t.Fatalf("%v\n%s", err, strings.Join(res2trace(sys), "\n"))
 	}
 	if res.Outcome != Completed {
 		t.Fatalf("outcome = %v\n%s", res.Outcome, res.Blockage)

@@ -60,7 +60,12 @@ func TestImplSimpleReadMiss(t *testing.T) {
 	}
 }
 
-func res2trace(s *System) []string { return s.TraceLines() }
+func res2trace(s *System) []string {
+	if s.tlog == nil {
+		return nil
+	}
+	return s.tlog.Lines()
+}
 
 func TestImplReadExFlow(t *testing.T) {
 	sys, err := NewSystem(Config{
@@ -148,7 +153,7 @@ func TestImplFeedbackPathExercised(t *testing.T) {
 	// queue: the second must defer its directory write over the feedback
 	// path (the §5 Dfdback mechanism), and the deferred write must land.
 	sys := implSystem(t, 1)
-	d := sys.ImplDir()
+	d, _ := sys.dir.(*implDirCtl)
 	if d == nil {
 		t.Fatal("no implementation engine")
 	}
@@ -188,7 +193,7 @@ func TestImplQstatusRetry(t *testing.T) {
 	// With the memmsg queue artificially full, a fresh request must be
 	// answered with a retry (the Qstatus=Full row).
 	sys := implSystem(t, 0)
-	d := sys.ImplDir()
+	d, _ := sys.dir.(*implDirCtl)
 	for i := 0; i < d.outqCap; i++ {
 		d.memq = append(d.memq, Message{Type: "mread", From: Dir, To: Mem, Addr: Addr(0x900 + i), VC: "zz"})
 	}

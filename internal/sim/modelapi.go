@@ -184,6 +184,8 @@ func (s *System) Clone() *System {
 // Fingerprint returns a canonical encoding of the protocol-relevant state:
 // channel contents, directory and busy directory, caches, MSHRs and
 // remaining scripts. Two states with equal fingerprints behave identically.
+// It is the string form StateCodec replaced, kept for the in-memory BFS
+// oracle in package modelcheck's tests.
 func (s *System) Fingerprint() string {
 	var sb strings.Builder
 	for i, ch := range s.chanList {

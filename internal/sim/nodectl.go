@@ -64,9 +64,6 @@ func (n *nodeCtl) CacheState(a Addr) string {
 	return protocol.CacheI
 }
 
-// Completed returns the number of operations this node has finished.
-func (n *nodeCtl) Completed() int { return n.completed }
-
 func (n *nodeCtl) idle() bool {
 	return len(n.pendingOp) == 0 && len(n.outstanding) == 0
 }

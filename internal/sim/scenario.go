@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"coherdb/internal/protocol"
 	"coherdb/internal/rel"
 )
@@ -109,27 +107,3 @@ func ReadExSystem(tables Tables, assignment *rel.Table, sharers int) (*System, e
 
 // ScenarioNames lists the built-in scenarios for cmd/cohersim.
 func ScenarioNames() []string { return []string{"readex", "fig4"} }
-
-// RunScenario runs a named scenario.
-func RunScenario(name string, tables Tables, assignmentName string) (*Result, error) {
-	v, err := protocol.BuildAssignment(assignmentName)
-	if err != nil {
-		return nil, err
-	}
-	switch name {
-	case "readex":
-		sys, err := ReadExSystem(tables, v, 3)
-		if err != nil {
-			return nil, err
-		}
-		return sys.Run()
-	case "fig4":
-		sys, err := Figure4System(tables, v)
-		if err != nil {
-			return nil, err
-		}
-		return sys.Run()
-	default:
-		return nil, fmt.Errorf("sim: unknown scenario %q", name)
-	}
-}

@@ -10,6 +10,7 @@ import (
 	"coherdb/internal/constraint"
 	"coherdb/internal/protocol"
 	"coherdb/internal/rel"
+	"coherdb/internal/sqlmini"
 )
 
 var (
@@ -21,27 +22,15 @@ var (
 func genTables(t testing.TB) Tables {
 	t.Helper()
 	tabOnce.Do(func() {
-		specs, err := protocol.BuildAllSpecs()
-		if err != nil {
-			tabErr = err
+		db := sqlmini.NewDB()
+		if _, tabErr = protocol.GenerateAllOpts(db, constraint.Options{}); tabErr != nil {
 			return
 		}
-		solve := func(name string) *rel.Table {
-			if tabErr != nil {
-				return nil
-			}
-			tab, _, err := constraint.Solve(specs[name])
-			if err != nil {
-				tabErr = err
-				return nil
-			}
-			return tab
-		}
 		tabVal = Tables{
-			D: solve(protocol.DirectoryTable),
-			M: solve(protocol.MemoryTable),
-			C: solve(protocol.CacheTable),
-			N: solve(protocol.NodeTable),
+			D: db.MustTable(protocol.DirectoryTable),
+			M: db.MustTable(protocol.MemoryTable),
+			C: db.MustTable(protocol.CacheTable),
+			N: db.MustTable(protocol.NodeTable),
 		}
 	})
 	if tabErr != nil {
@@ -398,10 +387,11 @@ func TestRunScenarioNames(t *testing.T) {
 	if len(ScenarioNames()) != 2 {
 		t.Fatal("scenario list wrong")
 	}
-	if _, err := RunScenario("nosuch", tables, protocol.AssignFixed); err == nil {
-		t.Fatal("unknown scenario must error")
+	sys, err := ReadExSystem(tables, fixedAssignment(t), 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	res, err := RunScenario("readex", tables, protocol.AssignFixed)
+	res, err := sys.Run()
 	if err != nil || res.Outcome != Completed {
 		t.Fatalf("readex scenario: %v %v", err, res)
 	}

@@ -165,9 +165,6 @@ func (c *StateCodec) NumAddrs() int { return len(c.addrs) }
 // NumNodes reports the node count.
 func (c *StateCodec) NumNodes() int { return c.nodes }
 
-// AddrAt returns the i-th address of the sorted universe.
-func (c *StateCodec) AddrAt(i int) Addr { return c.addrs[i] }
-
 // Bytes approximates the codec's resident size: its dictionary plus
 // the parsed parts decodes have memoized.
 func (c *StateCodec) Bytes() int64 { return c.dict.Bytes() + c.memoBytes.Load() }

@@ -61,7 +61,7 @@ func TestRandomSweepImplEngine(t *testing.T) {
 		CopyScripts(seedSys, sys)
 		res, err := sys.Run()
 		if err != nil {
-			t.Fatalf("seed %d: %v\n%s", seed, err, strings.Join(sys.TraceLines(), "\n"))
+			t.Fatalf("seed %d: %v\n%s", seed, err, strings.Join(res2trace(sys), "\n"))
 		}
 		if res.Outcome != Completed {
 			t.Fatalf("seed %d: %v\n%s", seed, res.Outcome, res.Blockage)

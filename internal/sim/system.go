@@ -317,13 +317,6 @@ func (s *System) Node(i int) *nodeCtl { return s.nodes[i] }
 // Dir returns the directory engine (for scenario setup).
 func (s *System) Dir() dirEngine { return s.dir }
 
-// ImplDir returns the Figure 5 implementation engine when the system was
-// built with a Mapping, for inspecting its queue/feedback statistics.
-func (s *System) ImplDir() *implDirCtl {
-	d, _ := s.dir.(*implDirCtl)
-	return d
-}
-
 // vcOf resolves the channel for a hop; "" means untracked (internal path).
 func (s *System) vcOf(m, src, dst string) string {
 	return s.vcs[VKey{M: m, S: src, D: dst}]
@@ -417,15 +410,6 @@ func (s *System) TraceStats() segment.Stats {
 		return segment.Stats{}
 	}
 	return s.tlog.Stats()
-}
-
-// TraceLines materializes the accumulated trace (empty when not
-// tracing); prefer StreamTrace for out-of-core corpora.
-func (s *System) TraceLines() []string {
-	if s.tlog == nil {
-		return nil
-	}
-	return s.tlog.Lines()
 }
 
 // Close releases trace spill files, if any. Safe on every system.
@@ -614,12 +598,4 @@ func (s *System) result(o Outcome) *Result {
 		res.Blockage = sb.String()
 	}
 	return res
-}
-
-// ChannelLen reports the current occupancy of a channel (tests, tooling).
-func (s *System) ChannelLen(vc string) int {
-	if ch := s.channels[vc]; ch != nil {
-		return ch.Len()
-	}
-	return 0
 }

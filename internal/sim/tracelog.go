@@ -42,9 +42,6 @@ func (t *TraceLog) Add(step int, body string) {
 	t.store.Append(t.buf)
 }
 
-// Len reports the number of lines.
-func (t *TraceLog) Len() int64 { return t.store.Rows() }
-
 // Each streams the formatted lines in order; returning false stops.
 func (t *TraceLog) Each(fn func(line string) bool) {
 	t.store.Stream(0, t.store.Rows(), func(id int64, tuple []uint32) bool {
@@ -66,11 +63,6 @@ func (t *TraceLog) Lines() []string {
 // Stats exposes the underlying store accounting (resident/spilled
 // bytes, spills, faults).
 func (t *TraceLog) Stats() segment.Stats { return t.store.Stats() }
-
-// Bytes reports resident bytes of the log (store + dictionary).
-func (t *TraceLog) Bytes() int64 {
-	return t.store.Stats().ResidentBytes + t.dict.Bytes()
-}
 
 // Close removes any spill files.
 func (t *TraceLog) Close() error { return t.store.Close() }

@@ -16,7 +16,7 @@ func TestShippedSpecsInSync(t *testing.T) {
 		t.Skip("full D generation is slow")
 	}
 	cases := map[string]func() (*constraint.Spec, error){
-		"../../specs/directory.spec": protocol.BuildDirectorySpec,
+		"../../specs/directory.spec": protocol.SpecBuilders()[0].Build, // D
 		"../../specs/readex.spec":    func() (*constraint.Spec, error) { return protocol.Figure3FragmentSpec(1) },
 	}
 	for path, build := range cases {

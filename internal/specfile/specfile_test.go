@@ -71,7 +71,7 @@ func TestParseReadexSpec(t *testing.T) {
 	if got := len(f.Spec.InputNames()); got != 3 {
 		t.Fatalf("inputs = %d", got)
 	}
-	if got := len(f.Spec.OutputNames()); got != 5 {
+	if got := len(f.Spec.Columns()) - len(f.Spec.InputNames()); got != 5 {
 		t.Fatalf("outputs = %d", got)
 	}
 	if f.Spec.ConstraintCount() != 7 {

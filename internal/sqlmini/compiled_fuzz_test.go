@@ -100,7 +100,7 @@ func (fc *fuzzCase) env(crow []uint32) MapEnv {
 //
 //   - the rows CompileBoundVec keeps from a random selection;
 //   - CompileBoundCodes on every row;
-//   - CompileCodes, the entry Monolithic runs;
+//   - CompileCodes, the entry MonolithicOpts runs;
 //   - every lane of a CompileSweepBranches program over a random sweep
 //     column, with each row as the base;
 //   - the arm a Selector picks.

@@ -372,19 +372,6 @@ func (db *DB) SetWorkers(n int) {
 	db.workers = n
 }
 
-// SetPool replaces the DB's worker pool (nil restores the shared pool).
-// The default shared pool is sized to GOMAXPROCS; an explicit pool lets
-// an embedder — or a test forcing the parallel path on a small machine —
-// run statement phases on more workers than there are CPUs.
-func (db *DB) SetPool(p *pool.Pool) {
-	db.cfgMu.Lock()
-	defer db.cfgMu.Unlock()
-	if p == nil {
-		p = pool.Shared()
-	}
-	db.exec = p
-}
-
 // SetMorselSize sets the rows-per-batch grain of parallel phases; 0
 // restores DefaultMorselSize. Smaller morsels parallelize smaller inputs
 // (a phase needs at least two morsels of rows) at more scheduling
@@ -544,21 +531,6 @@ func (db *DB) Exec(src string) (*Result, error) {
 	return db.execute(entry.stmt, execOpts{entry: entry, src: strings.TrimSpace(src), planCache: pc})
 }
 
-// ExecScript parses and executes a semicolon-separated script, stopping at
-// the first error.
-func (db *DB) ExecScript(src string) error {
-	stmts, err := ParseScript(src)
-	if err != nil {
-		return err
-	}
-	for _, s := range stmts {
-		if _, err := db.ExecStmt(s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Query executes a SELECT and returns the result table.
 func (db *DB) Query(src string) (*rel.Table, error) {
 	res, err := db.Exec(src)
@@ -583,12 +555,6 @@ func (db *DB) QueryEmpty(src string) (bool, error) {
 
 func errNotQuery(src string) error {
 	return fmt.Errorf("sqlmini: statement %q is not a query", src)
-}
-
-// ExecStmt executes an already-parsed statement. It bypasses the plan
-// cache (there is no text key); plans are built per execution.
-func (db *DB) ExecStmt(stmt Stmt) (*Result, error) {
-	return db.execute(stmt, execOpts{})
 }
 
 // execOpts carries the optional context of one execute call.
@@ -651,9 +617,6 @@ func (db *DB) execute(stmt Stmt, o execOpts) (res *Result, err error) {
 	cat := db.cat.Load()
 	cfg := db.snapshotCfg()
 	ev := cfg.ev
-	if o.sess != nil && o.sess.strict != nil {
-		ev.NullEq = !*o.sess.strict
-	}
 	if o.strict != nil {
 		ev.NullEq = !*o.strict
 	}
@@ -674,10 +637,7 @@ func (db *DB) execute(stmt Stmt, o execOpts) (res *Result, err error) {
 	}
 	span := obs.StartSpan(cfg.tracer, "sql.stmt", obs.String("kind", qs.Kind))
 	if span != nil {
-		if o.src != "" {
-			span.SetAttr(obs.String("statement", o.src))
-		}
-		span.SetAttr(obs.Int("epoch", int(cat.Epoch())))
+		span.SetAttr(obs.String("statement", o.src), obs.Int("epoch", int(cat.Epoch())))
 		if sid != 0 {
 			span.SetAttr(obs.Int("session", int(sid)))
 		}
@@ -709,10 +669,8 @@ func (db *DB) execute(stmt Stmt, o execOpts) (res *Result, err error) {
 				obs.Int("index_joins", qs.IndexJoins),
 				obs.Int("index_scans", qs.IndexScans),
 				obs.Int("pushdown_hits", qs.PushdownHits),
+				obs.String("plan_cache", qs.PlanCache),
 			)
-			if qs.PlanCache != "" {
-				span.SetAttr(obs.String("plan_cache", qs.PlanCache))
-			}
 			if qs.Morsels > 0 {
 				span.SetAttr(
 					obs.Int("parallel_morsels", qs.Morsels),

@@ -15,8 +15,11 @@ import (
 // name values injectively in the shared dictionary, so equal digests
 // mean equal tables, row order included.
 func tableDigest(t *rel.Table) string {
-	cols, n := t.ExportCodeColumns()
-	return fmt.Sprint(t.ColumnsRef(), n, cols)
+	cols := make([][]uint32, t.NumCols())
+	for j := range cols {
+		cols[j] = t.ColCodes(j)
+	}
+	return fmt.Sprint(t.ColumnsRef(), t.NumRows(), cols)
 }
 
 // boomOnB is a partial function: it errors on 'b' and maps anything
@@ -71,26 +74,23 @@ func rowOracleUpdate(ev *Evaluator, t *rel.Table, s *UpdateStmt) ([]int, error) 
 // the numbers the removed rows had.
 func rowOracleDelete(ev *Evaluator, t *rel.Table, s *DeleteStmt) ([]int, error) {
 	var sel []int
+	var rows []uint32
 	var evalErr error
-	i := -1
-	t.DeleteWhere(func(row rel.Row) bool {
-		i++
-		if evalErr != nil {
-			return false
-		}
+	for i := 0; i < t.NumRows(); i++ {
 		if s.Where != nil {
-			ok, err := ev.True(s.Where, rowEnv{row: row})
+			ok, err := ev.True(s.Where, rowEnv{row: t.Row(i)})
 			if err != nil {
 				evalErr = err
-				return false
+				break
 			}
 			if !ok {
-				return false
+				continue
 			}
 		}
 		sel = append(sel, i)
-		return true
-	})
+		rows = append(rows, uint32(i))
+	}
+	t.DeleteRows(rows)
 	return sel, evalErr
 }
 
@@ -401,13 +401,13 @@ func TestSessionDMLAtomic(t *testing.T) {
 	}
 }
 
-// indexDump renders every bucket of ix over t — each distinct key among
-// t's rows with the row numbers the index holds for it — and the index's
-// key count, so an index with a stale or extra bucket dumps differently
-// from BuildIndex over the same table.
-func indexDump(t *rel.Table, ix *rel.Index) string {
+// indexDump renders every bucket of ix, an index over cols of t — each
+// distinct key among t's rows with the row numbers the index holds for
+// it — and the index's key count, so an index with a stale or extra
+// bucket dumps differently from BuildIndex over the same table.
+func indexDump(t *rel.Table, ix *rel.Index, cols []string) string {
 	var pos []int
-	for _, c := range ix.Columns() {
+	for _, c := range cols {
 		pos = append(pos, t.ColIndex(c))
 	}
 	var b strings.Builder
@@ -436,7 +436,7 @@ func indexDumps(t *testing.T, tab *rel.Table) map[string]string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[strings.Join(cols, ",")] = indexDump(tab, ix)
+		out[strings.Join(cols, ",")] = indexDump(tab, ix, cols)
 	}
 	return out
 }
@@ -446,11 +446,12 @@ func indexDumps(t *testing.T, tab *rel.Table) map[string]string {
 func checkIndexesMatchRebuild(t *testing.T, what string, tab *rel.Table) {
 	t.Helper()
 	for key, got := range indexDumps(t, tab) {
-		fresh, err := rel.BuildIndex(tab, strings.Split(key, ",")...)
+		cols := strings.Split(key, ",")
+		fresh, err := rel.BuildIndex(tab, cols...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := indexDump(tab, fresh); got != want {
+		if want := indexDump(tab, fresh, cols); got != want {
 			t.Fatalf("%s: index (%s)\n%s\nBuildIndex\n%s", what, key, got, want)
 		}
 	}

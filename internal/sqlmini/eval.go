@@ -340,16 +340,6 @@ func (ev *Evaluator) evalBetween(x Between, env Env) (rel.Value, error) {
 	return triVal(res), nil
 }
 
-// Columns returns the set of column names referenced by e (unqualified
-// spelling). The constraint solver uses this to schedule incremental column
-// generation: a column's constraint can only be applied once every column it
-// mentions has been generated.
-func Columns(e Expr) map[string]struct{} {
-	out := make(map[string]struct{})
-	VisitColumns(e, func(name string) { out[name] = struct{}{} })
-	return out
-}
-
 // VisitColumns calls fn with the (unqualified) name of every column
 // reference in e, in tree order, once per reference. The walk allocates
 // nothing.

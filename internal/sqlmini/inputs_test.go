@@ -2,6 +2,7 @@ package sqlmini
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"coherdb/internal/delta"
@@ -80,7 +81,7 @@ func TestRevisionCommit(t *testing.T) {
 	db.PutTable(m)
 
 	rev := db.BeginRevision()
-	if s := rev.Peek(); !s.Empty() {
+	if s := rev.Commit(); s.String() != "<empty>" {
 		t.Fatalf("fresh revision not empty: %s", s)
 	}
 
@@ -88,7 +89,7 @@ func TestRevisionCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := rev.Commit()
-	if !s.Touches("D", "pv") || s.Touches("D", "st") || s.TableTouched("M") {
+	if !s.Touches("D", "pv") || s.Touches("D", "st") || s.Touches("M") {
 		t.Fatalf("UPDATE delta wrong: %s", s)
 	}
 
@@ -100,19 +101,15 @@ func TestRevisionCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2 := rev.Commit()
-	md := s2.Table("M")
-	if md == nil || len(md.Added) != 1 || len(md.Removed) != 0 {
-		t.Fatalf("INSERT delta wrong: %s", s2)
-	}
-	dd := s2.Table("D")
-	if dd == nil || len(dd.Removed) != 1 || len(dd.Added) != 0 {
-		t.Fatalf("DELETE delta wrong: %s", s2)
+	// M gained one row and D lost one: "M{k +1/-0} D{st,pv +0/-1}".
+	if got := s2.String(); !strings.Contains(got, "M{k +1/-0}") || !strings.Contains(got, " +0/-1}") || s2.Rows() != 2 {
+		t.Fatalf("INSERT/DELETE delta wrong: %s", got)
 	}
 	// Row-count changes must conservatively fire any column probe.
 	if !s2.Touches("M", "nonexistent") {
 		t.Fatal("cardinality change must touch every probe")
 	}
-	if s3 := rev.Commit(); !s3.Empty() {
+	if s3 := rev.Commit(); s3.String() != "<empty>" {
 		t.Fatalf("idle commit not empty: %s", s3)
 	}
 }

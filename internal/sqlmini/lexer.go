@@ -7,13 +7,18 @@ import (
 
 // SyntaxError reports a lexing or parsing failure with its byte offset.
 type SyntaxError struct {
-	Pos int
-	Msg string
+	Pos          int
+	Msg          string
+	unterminated bool
 }
 
 func (e *SyntaxError) Error() string {
 	return fmt.Sprintf("sqlmini: syntax error at offset %d: %s", e.Pos, e.Msg)
 }
+
+// Unterminated reports whether the error is a literal still open at the
+// end of the source, which more text could close.
+func (e *SyntaxError) Unterminated() bool { return e.unterminated }
 
 func errAt(pos int, format string, args ...any) error {
 	return &SyntaxError{Pos: pos, Msg: fmt.Sprintf(format, args...)}
@@ -57,7 +62,7 @@ func Lex(src string) ([]Token, error) {
 				i++
 			}
 			if !closed {
-				return nil, errAt(start, "unterminated string literal")
+				return nil, &SyntaxError{Pos: start, Msg: "unterminated string literal", unterminated: true}
 			}
 			toks = append(toks, Token{Kind: TokString, Text: sb.String(), Pos: start})
 		case c == '"':
@@ -67,7 +72,7 @@ func Lex(src string) ([]Token, error) {
 			i++
 			j := strings.IndexByte(src[i:], '"')
 			if j < 0 {
-				return nil, errAt(start, "unterminated quoted literal")
+				return nil, &SyntaxError{Pos: start, Msg: "unterminated quoted literal", unterminated: true}
 			}
 			toks = append(toks, Token{Kind: TokString, Text: src[i : i+j], Pos: start})
 			i += j + 1

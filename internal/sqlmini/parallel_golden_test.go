@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"coherdb/internal/check"
+	"coherdb/internal/constraint"
 	"coherdb/internal/pool"
 	"coherdb/internal/protocol"
 	"coherdb/internal/sqlmini"
@@ -21,7 +22,7 @@ func TestParallelMatchesSerialControllers(t *testing.T) {
 		t.Skip("generates all controller tables")
 	}
 	db := sqlmini.NewDB()
-	if _, err := protocol.GenerateAll(db); err != nil {
+	if _, err := protocol.GenerateAllOpts(db, constraint.Options{}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -2,6 +2,7 @@ package sqlmini
 
 import (
 	"strconv"
+	"strings"
 
 	"coherdb/internal/rel"
 )
@@ -50,22 +51,50 @@ func ParseStatement(src string) (Stmt, error) {
 	return s, nil
 }
 
-// ParseScript parses a semicolon-separated sequence of statements.
-func ParseScript(src string) ([]Stmt, error) {
-	p, err := NewParser(src)
+// ScriptStmt is one statement of a script.
+type ScriptStmt struct {
+	// Stmt is the parsed statement, nil when Err is set.
+	Stmt Stmt
+	// Text is the statement's source, trimmed, without its semicolon.
+	Text string
+	// Err is the statement's syntax error.
+	Err error
+	// Open marks a last statement that no semicolon ends.
+	Open bool
+}
+
+// ParseScript parses a sequence of statements, each ended by a semicolon
+// but the last, which may run to the end of src. The lexer decides where a
+// statement ends, so a semicolon in a string literal or a comment does not
+// end one. A statement that fails to parse runs to the next semicolon and
+// keeps its error, and the statements after it still parse. A lexical
+// error fails the whole script; it is Unterminated when a literal is still
+// open at the end of src.
+func ParseScript(src string) ([]ScriptStmt, error) {
+	toks, err := Lex(src)
 	if err != nil {
 		return nil, err
 	}
-	var out []Stmt
+	p := &Parser{toks: toks}
+	atSemi := func() bool { return p.cur().Kind == TokSymbol && p.cur().Text == ";" }
+	var out []ScriptStmt
 	for !p.atEOF() {
+		if p.accept(TokSymbol, ";") {
+			continue // an empty statement
+		}
+		start := p.cur().Pos
 		s, err := p.parseStmt()
+		if err == nil && !atSemi() && !p.atEOF() {
+			err = errAt(p.cur().Pos, "unexpected %s after statement", p.cur())
+		}
 		if err != nil {
-			return nil, err
+			s = nil
+			for !atSemi() && !p.atEOF() {
+				p.pos++
+			}
 		}
-		out = append(out, s)
-		if !p.accept(TokSymbol, ";") && !p.atEOF() {
-			return nil, errAt(p.cur().Pos, "expected ';' between statements, got %s", p.cur())
-		}
+		text := strings.TrimSpace(src[start:p.cur().Pos])
+		out = append(out, ScriptStmt{Stmt: s, Text: text, Err: err, Open: !p.accept(TokSymbol, ";")})
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package sqlmini
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -251,6 +252,48 @@ func TestParseScript(t *testing.T) {
 	}
 	if len(stmts) != 3 {
 		t.Fatalf("stmts = %d", len(stmts))
+	}
+	for _, s := range stmts {
+		if s.Stmt == nil || s.Err != nil || s.Open {
+			t.Fatalf("statement %+v", s)
+		}
+	}
+
+	// The lexer decides where a statement ends: a semicolon in a string
+	// or a comment does not end one, a failing statement runs to the next
+	// semicolon, and the last may be open.
+	stmts, err = ParseScript("SELECT ';' FROM t; -- a; note\nSELEC 1; ; SELECT a\n FROM t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []ScriptStmt{
+		{Text: "SELECT ';' FROM t"},
+		{Text: "SELEC 1"},
+		{Text: "SELECT a\n FROM t", Open: true},
+	}
+	if len(stmts) != len(want) {
+		t.Fatalf("stmts = %+v", stmts)
+	}
+	for i, w := range want {
+		s := stmts[i]
+		if s.Text != w.Text || s.Open != w.Open || (s.Err == nil) != (s.Stmt != nil) || (s.Err != nil) != (i == 1) {
+			t.Errorf("statement %d = %+v, want text %q open %v", i, s, w.Text, w.Open)
+		}
+	}
+
+	// A literal still open at the end fails the script with an error more
+	// text could mend; a bad character fails it with one that none can.
+	for _, src := range []string{"SELECT 1; SELECT 'a;\nb", "SELECT 1; 'a;", `SELECT "a;`} {
+		stmts, err := ParseScript(src)
+		var se *SyntaxError
+		if !errors.As(err, &se) || !se.Unterminated() || stmts != nil {
+			t.Errorf("%q: %+v, %v; want an unterminated literal", src, stmts, err)
+		}
+	}
+	_, err = ParseScript("SELECT @;")
+	var se *SyntaxError
+	if !errors.As(err, &se) || se.Unterminated() {
+		t.Errorf("a bad character: %v; want a syntax error more text cannot mend", err)
 	}
 }
 

@@ -183,14 +183,10 @@ func (db *DB) lookupPlan(src string, fp uint64) (*planEntry, bool, error) {
 	return e, false, nil
 }
 
-// plansFor returns the branch plans for s: from the statement's cache
-// entry when the statement came in as text, or built fresh for pre-parsed
-// statements.
+// plansFor returns the branch plans for s from the statement's cache
+// entry.
 func (r *run) plansFor(s *SelectStmt) ([]*branchPlan, error) {
-	if r.entry != nil {
-		return r.entry.branchPlans(r, s)
-	}
-	return r.buildBranchPlans(s)
+	return r.entry.branchPlans(r, s)
 }
 
 // buildBranchPlans plans every branch of a UNION chain in order.
@@ -441,53 +437,17 @@ func (db *DB) Prepare(src string) (*Prepared, error) {
 	return &Prepared{db: db, src: strings.TrimSpace(src), entry: entry}, nil
 }
 
-// Exec executes the prepared statement. Prepared executions count as
-// plan-cache hits: the whole point of the handle is never re-parsing.
-func (p *Prepared) Exec() (*Result, error) {
-	return p.db.execute(p.entry.stmt, execOpts{entry: p.entry, src: p.src, planCache: "hit", sess: p.sess})
-}
-
-// ExecStats executes the prepared statement and additionally returns the
-// execution's QueryStats — rows scanned/produced, join strategies, morsel
-// and steal counts — so callers like the invariant suite can attribute
-// runtime per query without scraping the DB-wide aggregates.
-func (p *Prepared) ExecStats() (*Result, QueryStats, error) {
-	var qs QueryStats
-	res, err := p.db.execute(p.entry.stmt, execOpts{entry: p.entry, src: p.src, planCache: "hit", into: &qs, sess: p.sess})
-	return res, qs, err
-}
-
-// ExecStatsDialect is ExecStats with the statement's NULL dialect pinned
-// (true = strict ANSI) for just this execution, regardless of the DB or
-// session default. The invariant suite runs its ~50 queries this way so
-// concurrent sessions never observe each other's dialect — the global
-// SetStrictNulls toggle it replaces would.
+// ExecStatsDialect executes the prepared statement with its NULL dialect
+// pinned (true = strict ANSI) for just this execution, regardless of the
+// DB default, and also returns the execution's QueryStats — rows
+// scanned/produced, join strategies, morsel and steal counts — so callers
+// like the invariant suite can attribute runtime per query. The suite runs
+// its ~50 queries this way so concurrent sessions never observe each
+// other's dialect, as they would through the DB-wide SetStrictNulls.
 func (p *Prepared) ExecStatsDialect(strict bool) (*Result, QueryStats, error) {
 	var qs QueryStats
 	res, err := p.db.execute(p.entry.stmt, execOpts{entry: p.entry, src: p.src, planCache: "hit", into: &qs, sess: p.sess, strict: &strict})
 	return res, qs, err
-}
-
-// Query executes the prepared statement and returns its result table.
-func (p *Prepared) Query() (*rel.Table, error) {
-	res, err := p.Exec()
-	if err != nil {
-		return nil, err
-	}
-	if res.Table == nil {
-		return nil, errNotQuery(p.src)
-	}
-	return res.Table, nil
-}
-
-// QueryEmpty reports whether the prepared query's result is empty — the
-// "[Select ...] = empty" invariant idiom.
-func (p *Prepared) QueryEmpty() (bool, error) {
-	t, err := p.Query()
-	if err != nil {
-		return false, err
-	}
-	return t.Empty(), nil
 }
 
 // exprCache backs ParseExprCached: constraint expressions — hand-written

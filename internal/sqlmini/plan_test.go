@@ -144,18 +144,14 @@ func TestPreparedStatement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		tab, err := p.Query()
+	for i := 0; i < 4; i++ {
+		res, _, err := p.ExecStatsDialect(false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tab.NumRows() != 2 {
-			t.Fatalf("run %d: rows = %d, want 2", i, tab.NumRows())
+		if res.Table.NumRows() != 2 {
+			t.Fatalf("run %d: rows = %d, want 2", i, res.Table.NumRows())
 		}
-	}
-	empty, err := p.QueryEmpty()
-	if err != nil || empty {
-		t.Fatalf("QueryEmpty = %v, %v", empty, err)
 	}
 	// All prepared executions are plan-cache hits; Prepare itself is not an
 	// execution.
@@ -174,10 +170,7 @@ func TestPreparedStatement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dml.Query(); err == nil {
-		t.Fatal("Query on a prepared non-SELECT must fail")
-	}
-	if res, err := dml.Exec(); err != nil || res.Affected != 1 {
+	if res, _, err := dml.ExecStatsDialect(false); err != nil || res.Affected != 1 {
 		t.Fatalf("prepared INSERT: %v, %v", res, err)
 	}
 }

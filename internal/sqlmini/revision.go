@@ -41,8 +41,3 @@ func (db *DB) BeginRevision() *Revision {
 func (r *Revision) Commit() *delta.Set {
 	return r.tr.DiffAndCapture(r.src)
 }
-
-// Peek returns the delta accumulated so far without re-baselining.
-func (r *Revision) Peek() *delta.Set {
-	return r.tr.Diff(r.src)
-}

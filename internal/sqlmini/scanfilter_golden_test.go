@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"coherdb/internal/check"
+	"coherdb/internal/constraint"
 	"coherdb/internal/pool"
 	"coherdb/internal/protocol"
 	"coherdb/internal/sqlmini"
@@ -182,7 +183,7 @@ func TestScanFiltersMatchFrozenResults(t *testing.T) {
 		t.Skip("generates all controller tables")
 	}
 	db := sqlmini.NewDB()
-	if _, err := protocol.GenerateAll(db); err != nil {
+	if _, err := protocol.GenerateAllOpts(db, constraint.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	queries := scanFilterQueries()

@@ -1,7 +1,6 @@
 package sqlmini
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
@@ -31,9 +30,6 @@ type Session struct {
 	// plan-cache keys from the shared ones whenever the overlay is
 	// non-empty (see sessionFP).
 	gen uint64
-	// strict, when non-nil, pins the session's NULL dialect independently
-	// of the DB default.
-	strict *bool
 }
 
 // NewSession opens a session over the DB's shared catalog.
@@ -48,13 +44,6 @@ func (db *DB) NewSession() *Session {
 // ID returns the session's number, used for obs attribution (QueryLog
 // records and sql.stmt spans carry it).
 func (s *Session) ID() uint64 { return s.id }
-
-// DB returns the underlying shared database.
-func (s *Session) DB() *DB { return s.db }
-
-// SetStrictNulls pins the session's NULL dialect (true = ANSI strict),
-// overriding the DB default for this session's statements only.
-func (s *Session) SetStrictNulls(strict bool) { s.strict = &strict }
 
 // Close drops the session's overlay tables. The session must not be used
 // afterwards.
@@ -88,18 +77,9 @@ func (s *Session) Query(src string) (*rel.Table, error) {
 	return res.Table, nil
 }
 
-// QueryEmpty executes a SELECT and reports whether its result is empty.
-func (s *Session) QueryEmpty(src string) (bool, error) {
-	t, err := s.Query(src)
-	if err != nil {
-		return false, err
-	}
-	return t.Empty(), nil
-}
-
 // Prepare parses src (through the shared plan cache) and returns a handle
 // bound to this session: executions resolve names through the overlay and
-// carry the session's dialect pin and obs attribution.
+// carry the session's obs attribution.
 func (s *Session) Prepare(src string) (*Prepared, error) {
 	entry, _, err := s.db.lookupPlan(src, s.db.planFP(s))
 	if err != nil {
@@ -121,15 +101,6 @@ func (s *Session) Table(name string) (*rel.Table, bool) {
 		return t, true
 	}
 	return s.db.Table(name)
-}
-
-// MustTable returns the named table or panics; for names known statically.
-func (s *Session) MustTable(name string) *rel.Table {
-	t, ok := s.Table(name)
-	if !ok {
-		panic(fmt.Sprintf("sqlmini: no such table %q", name))
-	}
-	return t
 }
 
 // Names returns the sorted table names of the session's view (overlay

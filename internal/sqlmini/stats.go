@@ -14,12 +14,10 @@ type QueryStats struct {
 	// Kind is the statement verb: SELECT, EXPLAIN, CREATE, INSERT,
 	// DELETE, UPDATE, DROP.
 	Kind string
-	// Statement is the source text, when the statement came in as text
-	// (empty for pre-parsed ExecStmt calls).
+	// Statement is the source text.
 	Statement string
 	// PlanCache is "hit" when the statement reused a cached parse+plan,
-	// "miss" when it was parsed and planned fresh, and "" for pre-parsed
-	// ExecStmt calls that bypass the cache.
+	// "miss" when it was parsed and planned fresh.
 	PlanCache string
 	// RowsScanned counts base-table rows read while building the working
 	// frames (and rows examined by DELETE/UPDATE). An index scan counts
