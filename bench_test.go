@@ -122,62 +122,6 @@ func BenchmarkGenerateDirectoryD(b *testing.B) {
 	}
 }
 
-// --- C2 kernel: compiled vs interpreted constraint evaluation -------------
-// The solver's hot loop evaluates one column constraint per candidate row.
-// This pins the per-evaluation gap between the tree-walking interpreter
-// (name resolution through a MapEnv, operator dispatch on strings) and the
-// compiled kernel (position-bound closures) on a real directory-table
-// rule chain.
-
-func BenchmarkConstraintKernel(b *testing.B) {
-	spec, err := protocol.SpecBuilders()[0].Build() // D
-	if err != nil {
-		b.Fatal(err)
-	}
-	e := spec.Constraint("locmsg")
-	if e == nil {
-		b.Fatal("locmsg constraint missing")
-	}
-	// The constraint dialect's evaluator: NULL is an ordinary domain value.
-	ev := &sqlmini.Evaluator{Funcs: map[string]sqlmini.Func{}, NullEq: true}
-	protocol.RegisterFuncs(func(name string, fn sqlmini.Func) { ev.Funcs[name] = fn })
-	cols := spec.Columns()
-	colIdx := make(map[string]int, len(cols))
-	for i, c := range cols {
-		colIdx[c.Name] = i
-	}
-	row := make([]rel.Value, len(cols))
-	env := make(sqlmini.MapEnv, len(cols))
-	for i, c := range cols {
-		d := c.Domain()
-		row[i] = d[len(d)-1]
-		env[c.Name] = row[i]
-	}
-	b.Run("interpreted", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := ev.True(e, env); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("compiled", func(b *testing.B) {
-		pred, err := ev.CompileCodes(e, colIdx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		crow := make([]uint32, len(row))
-		for i, v := range row {
-			crow[i] = rel.SharedDict().Code(v)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := pred(crow); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // --- C6: generating all eight controller tables --------------------------
 
 func BenchmarkGenerateAllControllers(b *testing.B) {

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -86,6 +87,29 @@ func TestProtocolSuitePassesOnGeneratedTables(t *testing.T) {
 	}
 	if !strings.Contains(sum.String(), "passed") {
 		t.Fatal("summary rendering broken")
+	}
+}
+
+// TestMisspelledInvariantsError: an invariant holds when its violation
+// query returns no rows, so a query the engine cannot evaluate must not
+// pass. A misspelled column or function fails when the query plans, even
+// where the rest of its WHERE selects no row.
+func TestMisspelledInvariantsError(t *testing.T) {
+	db := protocolDB(t)
+	s := NewSuite().
+		Add(Invariant{Name: "misspelled-column", SQL: `SELECT inmsg, locmsgg FROM D WHERE inmsg = 'readex' AND dirst = 'nosuchstate'`}).
+		Add(Invariant{Name: "misspelled-function", SQL: `SELECT inmsg FROM D WHERE inmsg = 'nosuchmsg' AND isrequestt(inmsg)`})
+	want := []struct {
+		err  error
+		text string
+	}{
+		{sqlmini.ErrUnknownColumn, "sqlmini: unknown column: locmsgg"},
+		{sqlmini.ErrUnknownFunc, "sqlmini: unknown function: isrequestt"},
+	}
+	for i, r := range s.Run(db, Options{}) {
+		if r.Passed() || !errors.Is(r.Err, want[i].err) || r.Err.Error() != want[i].text {
+			t.Errorf("%s: passed=%v err=%v, want %q", r.Invariant.Name, r.Passed(), r.Err, want[i].text)
+		}
 	}
 }
 

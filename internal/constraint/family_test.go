@@ -274,31 +274,45 @@ func forceUsed(sets []string) []string {
 	return sets
 }
 
-// treeWalkSolve filters the spec's full cross product through the
-// tree-walking evaluator, in the solvers' row order.
-func treeWalkSolve(t testing.TB, s *Spec) *rel.Table {
+// crossProductSolve filters the spec's full cross product, in the
+// solvers' row order, through every constraint compiled whole by
+// CompileCodes — the compiled form sqlmini's differential tests check
+// against its tree-walking interpreter.
+func crossProductSolve(t testing.TB, s *Spec) *rel.Table {
 	t.Helper()
 	ev := s.evaluator()
 	cols := s.Columns()
+	names := s.ColumnNames()
+	colIdx := make(map[string]int, len(names))
+	for i, n := range names {
+		colIdx[n] = i
+	}
+	var preds []sqlmini.CodePred
+	for _, col := range names {
+		if e := s.Constraint(col); e != nil {
+			p, err := ev.CompileCodes(e, colIdx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			preds = append(preds, p)
+		}
+	}
 	domains := make([][]rel.Value, len(cols))
 	for i, c := range cols {
 		domains[i] = c.Domain()
 	}
-	out, err := rel.NewTable(s.Name, s.ColumnNames()...)
+	out, err := rel.NewTable(s.Name, names...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := make(sqlmini.MapEnv, len(cols))
+	dict := rel.SharedDict()
 	row := make([]rel.Value, len(cols))
+	crow := make([]uint32, len(cols))
 	var walk func(i int)
 	walk = func(i int) {
 		if i == len(cols) {
-			for _, col := range s.ColumnNames() {
-				e := s.Constraint(col)
-				if e == nil {
-					continue
-				}
-				ok, err := ev.True(e, env)
+			for _, p := range preds {
+				ok, err := p(crow)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -312,7 +326,7 @@ func treeWalkSolve(t testing.TB, s *Spec) *rel.Table {
 			return
 		}
 		for _, v := range domains[i] {
-			row[i], env[cols[i].Name] = v, v
+			row[i], crow[i] = v, dict.Code(v)
 			walk(i + 1)
 		}
 	}
@@ -339,8 +353,8 @@ func familyOfCol(t testing.TB, s *Spec, col string) *family {
 // TestQuickSharedChainsMatchOracles is the property test for rule-chain
 // families: on seeded random rule sets, solving with shared selections
 // (at one and at four workers) must give exactly the rows of MonolithicOpts, which
-// evaluates every chain whole, and the rows a tree-walking filter keeps
-// from the cross product. Each spec also pins how chains group: members
+// evaluates every chain whole, and the rows a compiled filter keeps from
+// the cross product. Each spec also pins how chains group: members
 // sharing nodes and members parsed apart each form one family, a chain
 // one literal away forms its own, and a non-chain constraint joins none.
 func TestQuickSharedChainsMatchOracles(t *testing.T) {
@@ -367,13 +381,13 @@ func TestQuickSharedChainsMatchOracles(t *testing.T) {
 			t.Fatalf("trial %d: the single-member chain shares a family or a memo", trial)
 		}
 
-		want := tableBytes(t, treeWalkSolve(t, s))
+		want := tableBytes(t, crossProductSolve(t, s))
 		mono, _, err := MonolithicOpts(s, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: monolithic: %v", trial, err)
 		}
 		if got := tableBytes(t, mono); got != want {
-			t.Fatalf("trial %d: monolithic disagrees with the tree-walking filter:\n%s\nwant:\n%s", trial, got, want)
+			t.Fatalf("trial %d: monolithic disagrees with the cross-product filter:\n%s\nwant:\n%s", trial, got, want)
 		}
 		for _, workers := range []int{1, 4} {
 			tab, st, err := SolveOpts(s, Options{Workers: workers})

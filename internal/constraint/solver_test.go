@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"coherdb/internal/rel"
-	"coherdb/internal/sqlmini"
 )
 
 // figure3Spec builds the readex fragment of the paper's directory table
@@ -416,5 +415,3 @@ func TestQuickConstraintsMonotone(t *testing.T) {
 		}
 	}
 }
-
-var _ = sqlmini.MapEnv{} // keep the import for doc reference

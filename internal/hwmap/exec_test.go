@@ -111,9 +111,9 @@ func TestNewControllerRejectsNondeterminism(t *testing.T) {
 	clone := tab.Clone()
 	// Duplicate the first row with a different output: same inputs, two
 	// behaviours.
-	row := append([]rel.Value(nil), clone.RawRow(0)...)
+	row := rowOf(clone, 0)
 	j := clone.ColIndex("locmsg")
-	if clone.RawRow(0)[j].Equal(rel.S("retry")) {
+	if row[j].Equal(rel.S("retry")) {
 		row[j] = rel.S("nack")
 	} else {
 		row[j] = rel.S("retry")

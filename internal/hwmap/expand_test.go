@@ -50,7 +50,7 @@ func ExpandDontcares(d *rel.Table) (*rel.Table, error) {
 		return out.InsertRow(append([]rel.Value(nil), row...))
 	}
 	for i := 0; i < d.NumRows(); i++ {
-		if err := expand(d.RawRow(i), 0); err != nil {
+		if err := expand(rowOf(d, i), 0); err != nil {
 			return nil, err
 		}
 	}
@@ -124,7 +124,7 @@ func TestExpandDontcaresPreservesSemantics(t *testing.T) {
 			found = same
 		}
 		if !found {
-			t.Fatalf("row %d of D has no faithful expansion: %v", i, d.RawRow(i))
+			t.Fatalf("row %d of D has no faithful expansion: %v", i, rowOf(d, i))
 		}
 	}
 }

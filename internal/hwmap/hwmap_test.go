@@ -74,7 +74,7 @@ func TestExtendedRetryOnFullQueues(t *testing.T) {
 	}
 	for i := 0; i < full.NumRows(); i++ {
 		if !full.Get(i, "locmsg").Equal(rel.S("retry")) {
-			t.Fatalf("Qstatus=Full row %d does not retry: %v", i, full.RawRow(i))
+			t.Fatalf("Qstatus=Full row %d does not retry: %v", i, rowOf(full, i))
 		}
 		if !full.Get(i, "remmsg").IsNull() || !full.Get(i, "memmsg").IsNull() ||
 			!full.Get(i, "nxtbdirst").IsNull() {
@@ -104,7 +104,7 @@ func TestExtendedFeedbackOnFullUpdateQueue(t *testing.T) {
 		// Busy bookkeeping and messages still proceed.
 		if deferred.Get(i, "bdirupd").IsNull() && deferred.Get(i, "locmsg").IsNull() &&
 			deferred.Get(i, "memmsg").IsNull() {
-			t.Fatalf("deferred row %d does nothing else: %v", i, deferred.RawRow(i))
+			t.Fatalf("deferred row %d does nothing else: %v", i, rowOf(deferred, i))
 		}
 	}
 	// The Dfdback replay row exists and performs an update.
@@ -271,4 +271,13 @@ func TestGenerateVerilog(t *testing.T) {
 			t.Errorf("generated Verilog missing %q", want)
 		}
 	}
+}
+
+// rowOf decodes row i of t, for failure messages and row-level fixtures.
+func rowOf(t *rel.Table, i int) []rel.Value {
+	out := make([]rel.Value, t.NumCols())
+	for j := range out {
+		out[j] = t.At(i, j)
+	}
+	return out
 }

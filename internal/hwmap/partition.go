@@ -173,7 +173,7 @@ func alignTo(t *rel.Table, target []string) (*rel.Table, error) {
 		row := make([]rel.Value, len(target))
 		for k, j := range idx {
 			if j >= 0 {
-				row[k] = t.RawRow(i)[j]
+				row[k] = t.At(i, j)
 			}
 		}
 		if err := out.InsertRow(row); err != nil {

@@ -16,7 +16,6 @@ type QueryPhase int32
 
 const (
 	PhaseQueued QueryPhase = iota
-	PhaseParse
 	PhasePlan
 	PhaseScan
 	PhaseJoin
@@ -27,7 +26,7 @@ const (
 )
 
 var phaseNames = [...]string{
-	"queued", "parse", "plan", "scan", "join", "filter", "aggregate", "project", "done",
+	"queued", "plan", "scan", "join", "filter", "aggregate", "project", "done",
 }
 
 // String returns the phase name used in /queries JSON.

@@ -174,7 +174,7 @@ func TestTableDNoDeadRows(t *testing.T) {
 		if d.Get(i, "locmsg").IsNull() && d.Get(i, "remmsg").IsNull() &&
 			d.Get(i, "memmsg").IsNull() && d.Get(i, "dirupd").IsNull() &&
 			d.Get(i, "bdirupd").IsNull() {
-			t.Fatalf("dead row %d: %v", i, d.RawRow(i))
+			t.Fatalf("dead row %d: %v", i, rowOf(d, i))
 		}
 	}
 }
@@ -327,7 +327,7 @@ func TestEightControllerTables(t *testing.T) {
 				}
 			}
 			if !alive {
-				t.Fatalf("%s row %d is dead: %v", name, i, tab.RawRow(i))
+				t.Fatalf("%s row %d is dead: %v", name, i, rowOf(tab, i))
 			}
 		}
 	}
@@ -464,4 +464,13 @@ func TestPVAndStateCatalogs(t *testing.T) {
 	if len(TxnTags()) != 15 {
 		t.Fatalf("txn tags = %d", len(TxnTags()))
 	}
+}
+
+// rowOf decodes row i of t, for failure messages and row-level fixtures.
+func rowOf(t *rel.Table, i int) []rel.Value {
+	out := make([]rel.Value, t.NumCols())
+	for j := range out {
+		out[j] = t.At(i, j)
+	}
+	return out
 }

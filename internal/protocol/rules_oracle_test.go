@@ -182,3 +182,16 @@ func TestGenerateSpanAttribution(t *testing.T) {
 		t.Errorf("D rules = %s, want 483", got)
 	}
 }
+
+// goldenSpecs gathers every controller spec plus the Fig. 3 fragment the
+// solver benchmarks sweep.
+func goldenSpecs(t *testing.T) map[string]*constraint.Spec {
+	t.Helper()
+	out := controllerSpecs(t)
+	fig3, err := Figure3FragmentSpec(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["figure3"] = fig3
+	return out
+}

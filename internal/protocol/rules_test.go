@@ -6,7 +6,6 @@ import (
 
 	"coherdb/internal/constraint"
 	"coherdb/internal/rel"
-	"coherdb/internal/sqlmini"
 )
 
 func TestRuleSetBasics(t *testing.T) {
@@ -184,5 +183,3 @@ func mustDo(t testing.TB, err error) {
 		t.Fatal(err)
 	}
 }
-
-var _ = sqlmini.MapEnv{}

@@ -57,7 +57,7 @@ func TestRevisionBumpsOnEveryMutation(t *testing.T) {
 	step("DeleteRows")
 
 	// Reads and no-op mutations must not bump.
-	_ = tab.RawRow(0)
+	_ = tab.At(0, 0)
 	_ = tab.CodeRows()
 	if n := tab.ReplaceInCol("a", S("absent"), S("x")); n != 0 {
 		t.Fatalf("ReplaceInCol of absent value rewrote %d", n)

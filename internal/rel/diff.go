@@ -115,8 +115,8 @@ func DiffByKey(old, new *Table, key []string) (*Diff, error) {
 			}
 			d.Changed = append(d.Changed, ChangedRow{
 				Key: keyVals,
-				Old: append([]Value(nil), old.RawRow(j)...),
-				New: append([]Value(nil), new.RawRow(i)...),
+				Old: old.rowValues(j),
+				New: new.rowValues(i),
 			})
 		}
 	}
@@ -159,4 +159,13 @@ func (d *Diff) Write(w io.Writer) error {
 		fmt.Fprintf(w, "changed key %v:\n  old: %v\n  new: %v\n", c.Key, c.Old, c.New)
 	}
 	return nil
+}
+
+// rowValues decodes row i into a fresh value slice.
+func (t *Table) rowValues(i int) []Value {
+	out := make([]Value, len(t.data))
+	for j := range out {
+		out[j] = t.At(i, j)
+	}
+	return out
 }

@@ -148,7 +148,10 @@ func randMatchTable(rng *rand.Rand, name string) (*Table, []string) {
 	for r, n := 0, rng.Intn(40); r < n; r++ {
 		row := make([]Value, len(cols))
 		if r > 0 && rng.Intn(6) == 0 {
-			copy(row, tab.RawRow(rng.Intn(r)))
+			src := rng.Intn(r)
+			for j := range row {
+				row[j] = tab.At(src, j)
+			}
 		} else {
 			for k := range in {
 				// Bias toward dontcares so rows overlap.
@@ -202,7 +205,10 @@ func TestMatcherMatchesFullScanOracle(t *testing.T) {
 			var b []Value
 			if tab.NumRows() > 0 && probe%3 == 0 {
 				// Bind some row's own inputs, dontcares included.
-				b = append(b, tab.RawRow(rng.Intn(tab.NumRows()))[:len(in)]...)
+				src := rng.Intn(tab.NumRows())
+				for j := range in {
+					b = append(b, tab.At(src, j))
+				}
 			} else {
 				b = randBinding(rng, len(in))
 			}

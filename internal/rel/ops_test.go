@@ -262,8 +262,7 @@ func TestQuickDifferenceDisjointFromSubtrahend(t *testing.T) {
 		// Difference's own hashing.
 		for i := 0; i < d.NumRows(); i++ {
 			for j := 0; j < b.T.NumRows(); j++ {
-				x, y := d.RawRow(i), b.T.RawRow(j)
-				if x[0].Equal(y[0]) && x[1].Equal(y[1]) {
+				if d.At(i, 0).Equal(b.T.At(j, 0)) && d.At(i, 1).Equal(b.T.At(j, 1)) {
 					return false
 				}
 			}

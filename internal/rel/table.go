@@ -27,10 +27,10 @@ var (
 // []uint32 vector of codes into the shared dictionary (SharedDict), so a
 // cell costs 4 bytes instead of a 40-byte Value, a column scan is a
 // contiguous integer sweep, and equality is a single compare. The
-// historical row-oriented API (Row, RawRow, Insert of Values)
-// remains as a façade: Value rows are materialized on demand and cached
-// until the next mutation. Hot consumers use the code-level API instead:
-// ColCodes, CodeRows, AppendCodeRow/AppendCodes, CodeAt/At.
+// historical row-oriented API (Row, Get, InsertRow of Values) remains as a
+// façade that decodes and interns one cell at a time. Hot consumers use
+// the code-level API instead: ColCodes, CodeRows (a row-major code view
+// cached until the next mutation), AppendCodeRow/AppendCodes, CodeAt/At.
 type Table struct {
 	name string
 	cols []string
@@ -73,10 +73,9 @@ type Table struct {
 	idxMu   sync.Mutex
 	indexes map[string]*Index
 
-	// rowMu guards the lazily materialized row-major views (concurrent
-	// readers may both trigger materialization). Mutators drop them.
+	// rowMu guards the lazily materialized row-major code view (concurrent
+	// readers may both trigger materialization). Mutators drop it.
 	rowMu    sync.Mutex
-	valRows  [][]Value
 	codeRows [][]uint32
 }
 
@@ -341,36 +340,11 @@ func (t *Table) Row(i int) Row {
 	return Row{t: t, i: i}
 }
 
-// RawRow returns row i materialized as a value slice; callers must not
-// modify it. The materialized rows are cached until the next mutation.
-func (t *Table) RawRow(i int) []Value { return t.materializeValues()[i] }
-
 // CodeRows returns a row-major view of the code storage: one []uint32 per
 // row, cached until the next mutation. Callers must treat it as read-only.
 // It bridges row-at-a-time consumers (the SQL executor's frames) to the
 // columnar layout at 4 bytes per cell.
 func (t *Table) CodeRows() [][]uint32 { return t.materializeCodes() }
-
-func (t *Table) materializeValues() [][]Value {
-	t.rowMu.Lock()
-	defer t.rowMu.Unlock()
-	if t.valRows != nil {
-		return t.valRows
-	}
-	w := len(t.cols)
-	rows := make([][]Value, t.nrows)
-	arena := make([]Value, t.nrows*w)
-	for i := range rows {
-		rows[i] = arena[i*w : (i+1)*w : (i+1)*w]
-	}
-	for j, col := range t.data {
-		for i := 0; i < t.nrows; i++ {
-			arena[i*w+j] = t.dict.Value(col[i])
-		}
-	}
-	t.valRows = rows
-	return rows
-}
 
 func (t *Table) materializeCodes() [][]uint32 {
 	t.rowMu.Lock()
@@ -393,11 +367,11 @@ func (t *Table) materializeCodes() [][]uint32 {
 	return rows
 }
 
-// dropRowCaches discards the materialized row-major views after a mutation.
+// dropRowCaches discards the materialized row-major view after a mutation.
 func (t *Table) dropRowCaches() {
-	if t.valRows != nil || t.codeRows != nil {
+	if t.codeRows != nil {
 		t.rowMu.Lock()
-		t.valRows, t.codeRows = nil, nil
+		t.codeRows = nil
 		t.rowMu.Unlock()
 	}
 }
@@ -639,6 +613,3 @@ func (r Row) Get(name string) Value {
 	}
 	return r.t.dict.Value(r.t.data[j][r.i])
 }
-
-// Table returns the row's parent table.
-func (r Row) Table() *Table { return r.t }

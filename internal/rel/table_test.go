@@ -75,9 +75,6 @@ func TestRowAccessor(t *testing.T) {
 	if !r.Get("inmsg").Equal(S("readex")) || !r.Get("missing").IsNull() {
 		t.Fatal("Row.Get wrong")
 	}
-	if r.Table() != d {
-		t.Fatal("Row.Table wrong")
-	}
 }
 
 // deleteWhere removes the rows pred selects through DeleteRows and

@@ -1,7 +1,6 @@
 package sqlmini
 
 import (
-	"errors"
 	"fmt"
 
 	"coherdb/internal/rel"
@@ -28,8 +27,8 @@ import (
 // state only, so one compiled predicate may be evaluated concurrently from
 // many goroutines. They are also the building blocks of the selection-
 // vector kernels (vectorize.go) and of the solver's sweep programs and
-// Selectors (sweepvec.go). The tree-walking Evaluator is the reference all
-// of these forms are tested against.
+// Selectors (sweepvec.go). The reference all of these forms are tested
+// against is the tree-walking interpreter, which lives in test code.
 
 // dict is the shared dictionary every rel.Table encodes into; compiled
 // kernels intern their literals through it at compile time and compare
@@ -37,8 +36,8 @@ import (
 var dict = rel.SharedDict()
 
 // CodePred is a compiled boolean expression over a dictionary-code row: it
-// reports whether the expression is definitely true (WHERE semantics),
-// exactly as Evaluator.True would on the decoded row. The row must cover
+// reports whether the expression is definitely true (WHERE semantics) on
+// the decoded row. The row must cover
 // every column position the expression references; a referenced position
 // beyond len(crow) returns ErrUnknownColumn. A CodePred is safe for
 // concurrent use.
@@ -58,33 +57,32 @@ type triFn func(crow []uint32) (tri, error)
 // CompileCodes lowers e into a CodePred over code rows laid out by
 // colIndex, which maps each referenced column name to its row position;
 // the evaluator's Funcs and NullEq dialect are captured at compile time.
-// Unknown columns and functions are compile-time errors (Evaluator
-// reports them at evaluation time; the constraint solver validates
-// constraints at spec-construction time, so the shift is invisible there).
-//
-// CompileCodes(e, ix) agrees with Evaluator.True(e, env) on every row/env
-// pair that binds the same values.
+// Unknown columns and functions are compile-time errors.
 func (ev *Evaluator) CompileCodes(e Expr, colIndex map[string]int) (CodePred, error) {
 	return (&compiler{ev: ev, ix: colIndex}).pred(e)
 }
 
-// errUnboundCol marks an expression the query planner could not fully
-// bind to row positions; CompileBoundCodes callers fall back to
-// interpreted evaluation, whose name resolution reports the identical
-// unknown-column or ambiguity errors the unplanned path always produced.
-var errUnboundCol = errors.New("sqlmini: expression not fully plan-bound")
-
 // CompileBoundCodes lowers a plan-bound expression — one whose column
 // references bindExpr already replaced with boundCol positions — into a
-// CodePred over the frame's code rows, the form post-join residues
-// evaluate. Any remaining bare Col (unknown or ambiguous at plan time)
-// aborts compilation with errUnboundCol.
+// CodePred over the frame's code rows, the form post-join residues and
+// nested-loop joins evaluate. A bare Col left in the tree is one the
+// planner could not resolve (unknown, or ambiguous across sources) and
+// fails compilation with ErrUnknownColumn; an unknown function fails with
+// ErrUnknownFunc.
 //
 // The NULL dialect and function registry are captured at compile time, so
 // compiled plans are cached per dialect (see planEntry) and invalidated
 // when a function is registered.
 func (ev *Evaluator) CompileBoundCodes(e Expr) (CodePred, error) {
 	return (&compiler{ev: ev, bound: true}).pred(e)
+}
+
+// compileBoundVal lowers a plan-bound expression into a value producer
+// over the frame's code rows: the form select lists, GROUP BY keys,
+// aggregate arguments, ORDER BY keys, INSERT VALUES and UPDATE SET
+// evaluate. It fails exactly where CompileBoundCodes does.
+func (ev *Evaluator) compileBoundVal(e Expr) (valFn, error) {
+	return (&compiler{ev: ev, bound: true}).val(e)
 }
 
 // compiler carries compile-time state: the column binding, and whether
@@ -108,9 +106,9 @@ func (c *compiler) pred(e Expr) (CodePred, error) {
 	}, nil
 }
 
-// bool compiles e as a condition. It mirrors Evaluator.Bool: Bool(e) ==
-// triOf(Eval(e)) for every node, so recursing structurally through
-// ternaries and cases preserves the interpreted semantics.
+// bool compiles e as a condition. bool(e) is triOf(val(e)) for every
+// node, so recursing structurally through ternaries and cases preserves
+// the value semantics.
 func (c *compiler) bool(e Expr) (triFn, error) {
 	switch x := e.(type) {
 	case Lit:
@@ -277,14 +275,10 @@ func (c *compiler) bool(e Expr) (triFn, error) {
 func (c *compiler) colPos(e Expr) (idx int, rendered string, ok bool, err error) {
 	switch x := e.(type) {
 	case Col:
-		if c.bound {
-			// A bare Col surviving plan-time binding means the planner could
-			// not resolve it (unknown or ambiguous); the interpreted path
-			// owns that diagnosis.
-			return 0, "", false, errUnboundCol
-		}
 		idx, found := c.ix[x.Name]
-		if !found {
+		if c.bound || !found {
+			// In bound mode a bare Col surviving plan-time binding is one
+			// the planner could not resolve (unknown or ambiguous).
 			return 0, "", false, fmt.Errorf("%w: %s", ErrUnknownColumn, x.String())
 		}
 		return idx, x.String(), true, nil
@@ -323,8 +317,8 @@ func (c *compiler) code(e Expr) (codeFn, bool, error) {
 	}, true, nil
 }
 
-// val compiles e as a value producer, mirroring Evaluator.Eval. Column
-// loads decode their code through the shared dictionary.
+// val compiles e as a value producer. Column loads decode their code
+// through the shared dictionary.
 func (c *compiler) val(e Expr) (valFn, error) {
 	switch x := e.(type) {
 	case Lit:
@@ -395,7 +389,7 @@ func (c *compiler) val(e Expr) (valFn, error) {
 		}, nil
 	case Case:
 		// As a value, CASE yields the first matching WHEN's value; no
-		// match and no ELSE yields NULL, exactly as Evaluator.Eval.
+		// match and no ELSE yields NULL.
 		conds := make([]triFn, len(x.Whens))
 		vals := make([]valFn, len(x.Whens))
 		for i, w := range x.Whens {

@@ -610,23 +610,28 @@ func (db *DB) execute(stmt Stmt, o execOpts) (res *Result, err error) {
 		}
 	}
 	shared := isWrite && !local
-	if shared {
-		db.writeMu.Lock()
-		defer db.writeMu.Unlock()
-	}
-	cat := db.cat.Load()
-	cfg := db.snapshotCfg()
-	ev := cfg.ev
-	if o.strict != nil {
-		ev.NullEq = !*o.strict
-	}
 	var sid uint64
 	var overlay map[string]*rel.Table
 	if o.sess != nil {
 		sid = o.sess.id
 		overlay = o.sess.overlay
 	}
-	qs.tok = cfg.queryLog.StartSession(qs.Kind, o.src, sid)
+	// The statement shows as queued while it waits for the writer lock,
+	// and as planning once it may run: binding and compiling happen first.
+	db.cfgMu.RLock()
+	qs.tok = db.queryLog.StartSession(qs.Kind, o.src, sid)
+	db.cfgMu.RUnlock()
+	if shared {
+		db.writeMu.Lock()
+		defer db.writeMu.Unlock()
+	}
+	qs.tok.SetPhase(obs.PhasePlan)
+	cat := db.cat.Load()
+	cfg := db.snapshotCfg()
+	ev := cfg.ev
+	if o.strict != nil {
+		ev.NullEq = !*o.strict
+	}
 	r := &run{
 		db: db, cat: cat, sess: o.sess, overlay: overlay, ev: ev, qs: qs,
 		entry: o.entry, fp: sessionFP(cat, o.sess),
@@ -832,7 +837,7 @@ func (r *run) execInsert(s *InsertStmt) (*Result, error) {
 		}
 		pos[i] = j
 	}
-	emptyEnv := MapEnv{}
+	// VALUES have no row to read: any column reference fails to compile.
 	rows := make([][]rel.Value, len(s.Rows))
 	for k, rexprs := range s.Rows {
 		if len(rexprs) != len(cols) {
@@ -840,11 +845,13 @@ func (r *run) execInsert(s *InsertStmt) (*Result, error) {
 		}
 		row := make([]rel.Value, t.NumCols())
 		for i, e := range rexprs {
-			v, err := r.ev.Eval(e, emptyEnv)
+			fn, err := r.ev.compileBoundVal(e)
 			if err != nil {
 				return nil, err
 			}
-			row[pos[i]] = v
+			if row[pos[i]], err = fn(nil); err != nil {
+				return nil, err
+			}
 		}
 		rows[k] = row
 	}
@@ -871,9 +878,10 @@ func (r *run) execDelete(s *DeleteStmt) (*Result, error) {
 	return &Result{Affected: t.DeleteRows(sel)}, nil
 }
 
-// execUpdate selects the WHERE's rows, evaluates every SET expression on
-// every selected row, and only then writes the cells: SET a = b, b = a
-// swaps, and an error leaves the target untouched.
+// execUpdate selects the WHERE's rows, compiles every SET expression
+// against the target table, evaluates them on every selected row, and
+// only then writes the cells: SET a = b, b = a swaps, and an error leaves
+// the target untouched.
 func (r *run) execUpdate(s *UpdateStmt) (*Result, error) {
 	t, ok := r.writeTable(s.Table)
 	if !ok {
@@ -890,11 +898,21 @@ func (r *run) execUpdate(s *UpdateStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	f := schemaFrame(t, t.Name())
+	sets := make([]valFn, len(s.Exprs))
+	for i, e := range s.Exprs {
+		if sets[i], err = r.ev.compileBoundVal(bindExpr(e, f)); err != nil {
+			return nil, err
+		}
+	}
+	crow := make([]uint32, t.NumCols())
 	vals := make([]rel.Value, 0, len(sel)*len(s.Exprs))
 	for _, ri := range sel {
-		env := rowEnv{row: t.Row(int(ri))}
-		for _, e := range s.Exprs {
-			v, err := r.ev.Eval(e, env)
+		for j := range crow {
+			crow[j] = t.CodeAt(int(ri), j)
+		}
+		for _, fn := range sets {
+			v, err := fn(crow)
 			if err != nil {
 				return nil, err
 			}
@@ -916,9 +934,9 @@ func (r *run) execUpdate(s *UpdateStmt) (*Result, error) {
 // selectRows returns, in increasing order and in buf's storage, the
 // numbers of t's rows that where selects: the rows SELECT * FROM t WHERE
 // where returns, found as that statement's scan finds them. The bound
-// conjuncts run in three groups, each on the selection-vector kernels
-// when all of its conjuncts compile and interpreted row at a time (as
-// filterFrame interprets) otherwise:
+// conjuncts are compiled first — one that does not resolve fails the
+// statement, whatever rows t holds — and then run on the selection-vector
+// kernels in three groups:
 //
 //   - column = literal conjuncts, which SELECT answers from an index.
 //     DML runs them as kernels and never builds an index: a full-row
@@ -940,64 +958,31 @@ func (r *run) selectRows(t *rel.Table, where Expr, buf []uint32) ([]uint32, erro
 	}
 	f := schemaFrame(t, t.Name())
 	src := []*frame{f}
-	var eq, pushed, residue []Expr
+	var groups [3][]Expr // equalities, pushed, residue
 	for _, c := range splitAnd(where) {
+		g := 1
 		if pushTarget(c, src) < 0 {
-			residue = append(residue, bindExpr(c, f))
+			g = 2
 		} else if _, _, ok := indexableEq(c, f); ok {
-			eq = append(eq, bindExpr(c, f))
-		} else {
-			pushed = append(pushed, bindExpr(c, f))
+			g = 0
+		}
+		groups[g] = append(groups[g], bindExpr(c, f))
+	}
+	var vecs [3][]*VecPred
+	for g, conj := range groups {
+		var err error
+		if vecs[g], err = compileVecs(&r.ev, conj); err != nil {
+			return nil, err
 		}
 	}
-	var err error
-	for g, conj := range [3][]Expr{eq, pushed, residue} {
-		if len(conj) == 0 || (g == 2 && len(sel) == 0) {
+	for g, vp := range vecs {
+		if len(vp) == 0 || (g == 2 && len(sel) == 0) {
 			continue
 		}
-		if sel, err = r.keepRows(t, f, sel, conj); err != nil {
+		var err error
+		if sel, err = r.vecFilter(t, sel, vp); err != nil {
 			return nil, err
 		}
 	}
 	return sel, nil
-}
-
-// keepRows filters sel by the conjuncts, bound to t's frame f.
-func (r *run) keepRows(t *rel.Table, f *frame, sel []uint32, conjuncts []Expr) ([]uint32, error) {
-	if vecs := compileVecs(&r.ev, conjuncts); fullyVec(vecs, len(conjuncts)) {
-		return r.vecFilter(t, sel, vecs)
-	}
-	r.qs.phase(obs.PhaseFilter)
-	crows := t.CodeRows()
-	env := &frameEnv{f: f}
-	k := 0
-	for _, ri := range sel {
-		env.row = crows[ri]
-		ok, err := r.allTrue(env, conjuncts, nil)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			sel[k] = ri
-			k++
-		}
-	}
-	return sel[:k], nil
-}
-
-// rowEnv adapts a single-table row to Env; the qualifier, if present, must
-// match the table name.
-type rowEnv struct {
-	row rel.Row
-}
-
-func (e rowEnv) Lookup(q, name string) (rel.Value, bool) {
-	t := e.row.Table()
-	if q != "" && q != t.Name() {
-		return rel.Null(), false
-	}
-	if !t.HasColumn(name) {
-		return rel.Null(), false
-	}
-	return e.row.Get(name), true
 }

@@ -40,7 +40,7 @@ func boomOnB(args []rel.Value) (rel.Value, error) {
 func rowOracleUpdate(ev *Evaluator, t *rel.Table, s *UpdateStmt) ([]int, error) {
 	var sel []int
 	for i := 0; i < t.NumRows(); i++ {
-		env := rowEnv{row: t.Row(i)}
+		env := rowEnv{t: t, i: i}
 		if s.Where != nil {
 			ok, err := ev.True(s.Where, env)
 			if err != nil {
@@ -78,7 +78,7 @@ func rowOracleDelete(ev *Evaluator, t *rel.Table, s *DeleteStmt) ([]int, error) 
 	var evalErr error
 	for i := 0; i < t.NumRows(); i++ {
 		if s.Where != nil {
-			ok, err := ev.True(s.Where, rowEnv{row: t.Row(i)})
+			ok, err := ev.True(s.Where, rowEnv{t: t, i: i})
 			if err != nil {
 				evalErr = err
 				break

@@ -22,11 +22,6 @@ type frame struct {
 	// indexes with frame row positions. Any filter, join or index-reduced
 	// scan clears it.
 	base *rel.Table
-	// memo caches column resolution (including misses and ambiguities):
-	// per-row expression evaluation resolves the same handful of names
-	// over and over, and the linear scan over wide controller tables
-	// dominates filter cost without it. Frames are single-goroutine.
-	memo map[[2]string]int
 }
 
 func frameOf(t *rel.Table, alias string) *frame {
@@ -46,21 +41,9 @@ func (f *frame) pristine() bool {
 }
 
 // resolve finds the column position for a (possibly qualified) name.
-// It returns -1 when absent or ambiguous.
+// It returns -1 when absent or ambiguous. Only the planner resolves
+// names; execution reads bound positions.
 func (f *frame) resolve(q, name string) int {
-	key := [2]string{q, name}
-	if i, ok := f.memo[key]; ok {
-		return i
-	}
-	i := f.resolveScan(q, name)
-	if f.memo == nil {
-		f.memo = make(map[[2]string]int, 8)
-	}
-	f.memo[key] = i
-	return i
-}
-
-func (f *frame) resolveScan(q, name string) int {
 	found := -1
 	for i := range f.names {
 		if f.names[i] != name {
@@ -97,38 +80,12 @@ func (f *frame) cross(g *frame) *frame {
 	return out
 }
 
-// frameEnv evaluates expressions against one code row of a frame, decoding
-// through the shared dictionary on lookup — only the interpreted fallback
-// paths pay this; compiled predicates read the codes directly.
-type frameEnv struct {
-	f   *frame
-	row []uint32
-}
-
-func (e frameEnv) Lookup(q, name string) (rel.Value, bool) {
-	i := e.f.resolve(q, name)
-	if i < 0 {
-		return rel.Null(), false
-	}
-	return dict.Value(e.row[i]), true
-}
-
-// At implements posEnv for plan-bound column references. An out-of-range
-// position (a plan from another schema epoch, which branchPlans prevents)
-// reports absence so evaluation falls back to name resolution.
-func (e frameEnv) At(i int) (rel.Value, bool) {
-	if i < 0 || i >= len(e.row) {
-		return rel.Null(), false
-	}
-	return dict.Value(e.row[i]), true
-}
-
 func (r *run) execSelect(s *SelectStmt) (*rel.Table, error) {
 	plans, err := r.plansFor(s)
 	if err != nil {
 		return nil, err
 	}
-	out, err := r.execSelectOne(s, r.planAt(plans, 0, s))
+	out, err := r.execSelectOne(s, plans[0])
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +95,7 @@ func (r *run) execSelect(s *SelectStmt) (*rel.Table, error) {
 		// avoid double-processing; we walk the chain here instead.
 		branch := *u
 		branch.Union = nil
-		bt, err := r.execSelectOne(&branch, r.planAt(plans, bi, &branch))
+		bt, err := r.execSelectOne(&branch, plans[bi])
 		if err != nil {
 			return nil, err
 		}
@@ -169,20 +126,6 @@ func (r *run) execSelect(s *SelectStmt) (*rel.Table, error) {
 	return out, nil
 }
 
-// planAt returns the i-th cached branch plan; a length mismatch (which
-// cannot happen for plans built from the same UNION chain) falls back to
-// planning the branch fresh so the WHERE clause is never lost.
-func (r *run) planAt(plans []*branchPlan, i int, branch *SelectStmt) *branchPlan {
-	if i < len(plans) && plans[i] != nil {
-		return plans[i]
-	}
-	bp, err := r.planBranch(branch)
-	if err != nil {
-		return &branchPlan{residue: branch.Where}
-	}
-	return bp
-}
-
 func renameTo(from, to []string) map[string]string {
 	m := make(map[string]string, len(from))
 	for i := range from {
@@ -202,7 +145,7 @@ func (r *run) execSelectOne(s *SelectStmt, plan *branchPlan) (*rel.Table, error)
 	si := 0
 	for _, ref := range s.From {
 		r.azBegin("scan", refAlias(ref))
-		g, err := r.scanSource(ref, plan.src(si))
+		g, err := r.scanSource(ref, plan.srcs[si])
 		if err != nil {
 			return nil, err
 		}
@@ -217,16 +160,16 @@ func (r *run) execSelectOne(s *SelectStmt, plan *branchPlan) (*rel.Table, error)
 			r.azEnd(len(f.rows))
 		}
 	}
-	for _, j := range s.Joins {
-		r.azBegin("scan", refAlias(j.Ref))
-		g, err := r.scanSource(j.Ref, plan.src(si))
+	for j, jc := range s.Joins {
+		r.azBegin("scan", refAlias(jc.Ref))
+		g, err := r.scanSource(jc.Ref, plan.srcs[si])
 		if err != nil {
 			return nil, err
 		}
 		r.azEnd(len(g.rows))
 		si++
-		r.azBegin("join", refAlias(j.Ref))
-		joined, err := r.join(f, g, j.On)
+		r.azBegin("join", refAlias(jc.Ref))
+		joined, err := r.join(f, g, plan.joins[j], jc.On)
 		if err != nil {
 			return nil, err
 		}
@@ -234,22 +177,21 @@ func (r *run) execSelectOne(s *SelectStmt, plan *branchPlan) (*rel.Table, error)
 		f = joined
 	}
 	// WHERE (residue after pushdown).
-	if plan != nil && plan.residue != nil {
-		conj, progs := plan.residueConjuncts()
+	if len(plan.residue) > 0 {
 		r.azBegin("filter", "")
 		if r.azTracks() {
-			r.azSet("", andString(conj))
+			r.azSet("", andString(plan.residue))
 		}
-		filtered, err := r.filterFrame(f, conj, progs)
+		filtered, err := r.filterFrame(f, plan.resProgs)
 		if err != nil {
 			return nil, err
 		}
 		r.azEnd(len(filtered.rows))
 		f = filtered
 	}
-	// GROUP BY aggregation; aggregates without GROUP BY treat the whole
-	// input as one group.
-	if len(s.GroupBy) > 0 || (hasAggregates(s.Items) && !isCountStar(s.Items)) {
+	op := &plan.out
+	var rows []outRow
+	if op.grouped {
 		if len(s.GroupBy) > 0 {
 			r.azBegin("group", "")
 			if r.azTracks() {
@@ -258,128 +200,207 @@ func (r *run) execSelectOne(s *SelectStmt, plan *branchPlan) (*rel.Table, error)
 		} else {
 			r.azBegin("aggregate", "")
 		}
-		t, err := r.execGrouped(s, f)
-		if err != nil {
+		var err error
+		if rows, err = r.group(f, op); err != nil {
 			return nil, err
 		}
-		r.azEnd(t.NumRows())
-		return t, nil
-	}
-	// COUNT(*) aggregate.
-	if isCountStar(s.Items) {
-		r.azBegin("aggregate", "")
-		name := "count"
-		if s.Items[0].Alias != "" {
-			name = s.Items[0].Alias
-		}
-		t := rel.MustNewTable("result", name)
-		t.MustInsert(rel.I(int64(len(f.rows))))
-		r.azEnd(1)
-		return t, nil
-	}
-	// Projection list. Direct column references copy their code straight
-	// off the row; anything else evaluates through one reused Env and the
-	// result is interned. Output codes are carved from a single arena
-	// allocation covering every row.
-	r.qs.phase(obs.PhaseProject)
-	r.azBegin("project", "")
-	cols, exprs, err := projection(s.Items, f)
-	if err != nil {
-		return nil, err
-	}
-	width := len(exprs)
-	colAt := make([]int, width)
-	direct := true
-	for i, e := range exprs {
-		colAt[i] = -1
-		if c, ok := e.(Col); ok {
-			colAt[i] = f.resolve(c.Qualifier, c.Name)
-		}
-		if colAt[i] < 0 {
-			direct = false
-		}
-	}
-	// Fused projection: when every output is a direct column reference and
-	// no reordering or dedup follows, skip the per-row staging entirely —
-	// gather each output column from the frame rows in one pass and bulk-
-	// append the column vectors to the result. Same codes in the same
-	// order as the staged path, so vectorized, scalar, parallel and serial
-	// executions all stay byte-identical.
-	if direct && !s.Distinct && len(s.OrderBy) == 0 {
-		rows := f.rows
 		r.azEnd(len(rows))
-		if s.Limit >= 0 {
-			r.azBegin("limit", "")
-			if r.azTracks() {
-				r.azSet("", fmt.Sprintf("LIMIT %d", s.Limit))
-			}
-			if len(rows) > s.Limit {
-				rows = rows[:s.Limit]
-			}
-			r.azEnd(len(rows))
+	} else {
+		r.qs.phase(obs.PhaseProject)
+		r.azBegin("project", "")
+		if t, ok, err := r.fusedProject(s, f, op); ok || err != nil {
+			return t, err
 		}
-		out, err := rel.NewTable("result", cols...)
-		if err != nil {
+		var err error
+		if rows, err = r.project(f, op); err != nil {
 			return nil, err
 		}
-		if len(rows) == 0 {
-			return out, nil
-		}
-		n := len(rows)
-		flat := make([]uint32, n*width)
-		gathered := make([][]uint32, width)
-		for k, src := range colAt {
-			col := flat[k*n : (k+1)*n]
-			for i, row := range rows {
-				col[i] = row[src]
-			}
-			gathered[k] = col
-		}
-		if err := out.AppendColumns(gathered, n); err != nil {
-			return nil, err
-		}
-		return out, nil
+		r.azEnd(len(rows))
 	}
-	type outRow struct {
-		vals []uint32
-		keys []rel.Value
+	return r.finish(s, op.cols, rows)
+}
+
+// outRow is one output row: its codes, and its ORDER BY keys decoded for
+// sorting.
+type outRow struct {
+	vals []uint32
+	keys []rel.Value
+}
+
+// fusedProject is the projection of a branch whose every output is a
+// direct column reference and which neither deduplicates nor sorts: it
+// skips the per-row staging, gathers each output column from the frame
+// rows in one pass and bulk-appends the column vectors to the result —
+// the same codes in the same order as the staged path. ok is false when
+// the branch does not qualify; otherwise it closes the open project op.
+func (r *run) fusedProject(s *SelectStmt, f *frame, op *outPlan) (t *rel.Table, ok bool, err error) {
+	if s.Distinct || len(s.OrderBy) > 0 {
+		return nil, false, nil
 	}
-	rows := make([]outRow, 0, len(f.rows))
+	for _, it := range op.items {
+		if it.at < 0 {
+			return nil, false, nil
+		}
+	}
+	rows := f.rows
+	r.azEnd(len(rows))
+	if s.Limit >= 0 {
+		r.azBegin("limit", "")
+		if r.azTracks() {
+			r.azSet("", fmt.Sprintf("LIMIT %d", s.Limit))
+		}
+		if len(rows) > s.Limit {
+			rows = rows[:s.Limit]
+		}
+		r.azEnd(len(rows))
+	}
+	out, err := rel.NewTable("result", op.cols...)
+	if err != nil || len(rows) == 0 {
+		return out, true, err
+	}
+	n, width := len(rows), len(op.items)
+	flat := make([]uint32, n*width)
+	gathered := make([][]uint32, width)
+	for k, it := range op.items {
+		col := flat[k*n : (k+1)*n]
+		for i, row := range rows {
+			col[i] = row[it.at]
+		}
+		gathered[k] = col
+	}
+	return out, true, out.AppendColumns(gathered, n)
+}
+
+// project evaluates the select list, and the ORDER BY keys, on every frame
+// row. Output codes are carved from a single arena allocation covering
+// every row.
+func (r *run) project(f *frame, op *outPlan) ([]outRow, error) {
+	width := len(op.items)
+	rows := make([]outRow, len(f.rows))
 	arena := make([]uint32, len(f.rows)*width)
-	var keyArena []rel.Value
-	if len(s.OrderBy) > 0 {
-		keyArena = make([]rel.Value, len(f.rows)*len(s.OrderBy))
+	var krow []uint32 // the frame row extended by the output row
+	if len(op.order) > 0 {
+		krow = make([]uint32, len(f.names)+width)
 	}
-	env := &frameEnv{f: f}
 	for ri, row := range f.rows {
-		env.row = row
 		vals := arena[ri*width : (ri+1)*width : (ri+1)*width]
-		for i, e := range exprs {
-			if j := colAt[i]; j >= 0 {
-				vals[i] = row[j]
-				continue
-			}
-			v, err := r.ev.Eval(e, env)
+		for i, it := range op.items {
+			c, err := it.code(row)
 			if err != nil {
 				return nil, err
 			}
-			vals[i] = dict.Code(v)
+			vals[i] = c
 		}
-		var keys []rel.Value
-		if nk := len(s.OrderBy); nk > 0 {
-			keys = keyArena[ri*nk : (ri+1)*nk : (ri+1)*nk]
-			oenv := orderEnv{frame: frameEnv{f: f, row: row}, cols: cols, vals: vals}
-			for i, k := range s.OrderBy {
-				v, err := r.ev.Eval(k.Expr, oenv)
-				if err != nil {
-					return nil, err
-				}
-				keys[i] = v
+		rows[ri].vals = vals
+		if krow != nil {
+			copy(krow, row)
+			copy(krow[len(row):], vals)
+			keys, err := orderKeys(op.order, krow)
+			if err != nil {
+				return nil, err
 			}
+			rows[ri].keys = keys
+		}
+	}
+	return rows, nil
+}
+
+// group evaluates a grouped branch: rows are bucketed by the GROUP BY
+// keys, in order of first appearance — without keys the whole input is
+// one group, even when it is empty — and each group yields one output
+// row unless HAVING rejects it. Every aggregate is computed once per
+// group into its slot after the frame's columns, and HAVING and the
+// select list read that row, whose frame columns hold the group's first
+// row (NULLs for an empty group).
+func (r *run) group(f *frame, op *outPlan) ([]outRow, error) {
+	r.qs.phase(obs.PhaseAggregate)
+	// Group keys are 4 bytes per key code; codes are injective over
+	// values, so code-byte keys bucket exactly as value keys would, and
+	// the key string is allocated only the first time a group is seen (the
+	// map probe with string(buf) does not allocate).
+	index := map[string]int{}
+	var groups [][][]uint32
+	var buf []byte
+	for _, row := range f.rows {
+		buf = buf[:0]
+		for _, k := range op.keys {
+			c, err := k.code(row)
+			if err != nil {
+				return nil, err
+			}
+			buf = rel.AppendCodeKey(buf, c)
+		}
+		gi, ok := index[string(buf)]
+		if !ok {
+			gi = len(groups)
+			index[string(buf)] = gi
+			groups = append(groups, nil)
+		}
+		groups[gi] = append(groups[gi], row)
+	}
+	if len(op.keys) == 0 && len(groups) == 0 {
+		groups = append(groups, nil)
+	}
+	width := len(f.names)
+	grow := make([]uint32, width+len(op.aggs))
+	rows := make([]outRow, 0, len(groups))
+	for _, g := range groups {
+		clear(grow[:width])
+		if len(g) > 0 {
+			copy(grow, g[0])
+		}
+		for i, a := range op.aggs {
+			v, err := a.eval(g)
+			if err != nil {
+				return nil, err
+			}
+			grow[width+i] = dict.Code(v)
+		}
+		if op.having != nil {
+			keep, err := op.having(grow)
+			if err != nil {
+				return nil, err
+			}
+			if !keep {
+				continue
+			}
+		}
+		vals := make([]uint32, len(op.items))
+		for i, it := range op.items {
+			c, err := it.code(grow)
+			if err != nil {
+				return nil, err
+			}
+			vals[i] = c
+		}
+		keys, err := orderKeys(op.order, vals)
+		if err != nil {
+			return nil, err
 		}
 		rows = append(rows, outRow{vals: vals, keys: keys})
 	}
-	r.azEnd(len(rows))
+	return rows, nil
+}
+
+// orderKeys evaluates the ORDER BY keys over one row.
+func orderKeys(order []valFn, row []uint32) ([]rel.Value, error) {
+	if len(order) == 0 {
+		return nil, nil
+	}
+	keys := make([]rel.Value, len(order))
+	for i, k := range order {
+		v, err := k(row)
+		if err != nil {
+			return nil, err
+		}
+		keys[i] = v
+	}
+	return keys, nil
+}
+
+// finish applies DISTINCT, ORDER BY and LIMIT to a branch's output rows
+// and builds its result table.
+func (r *run) finish(s *SelectStmt, cols []string, rows []outRow) (*rel.Table, error) {
 	if s.Distinct {
 		r.azBegin("distinct", "")
 		seen := make(map[string]struct{}, len(rows))
@@ -445,6 +466,11 @@ func refAlias(ref TableRef) string {
 	return ref.Name
 }
 
+// evalVectorized is the filter-evaluation annotation of EXPLAIN and
+// EXPLAIN ANALYZE scan steps: every pushed filter runs on the
+// selection-vector kernels.
+const evalVectorized = "; eval=vectorized"
+
 // scanSource materializes one table source per its srcPlan: an index
 // lookup on the planned equality conjuncts when present, a whole-table
 // scan otherwise, followed by the remaining pushed filters on the
@@ -456,618 +482,76 @@ func (r *run) scanSource(ref TableRef, sp srcPlan) (*frame, error) {
 	}
 	r.qs.phase(obs.PhaseScan)
 	if len(sp.eqCols) > 0 {
+		// The planner resolved and deduplicated the columns against this
+		// schema epoch, so the index always builds.
 		ix, err := t.IndexOn(sp.eqCols...)
-		if err == nil {
-			matched := ix.Lookup(sp.eqVals...)
-			r.qs.addIndexScan()
-			r.qs.addScanned(len(matched))
-			r.qs.addPushdown(len(sp.eqCols) + len(sp.filters))
-			vec := len(sp.filters) > 0 && vecUsable(t, sp)
-			if r.azTracks() {
-				detail := indexScanDetail(sp)
-				if len(sp.filters) > 0 {
-					detail += "; filter: " + andString(sp.filters) + evalDetail(vec)
-				}
-				r.azSet("indexscan", withStorage(detail))
-			}
-			if vec {
-				if matched == nil {
-					// No row holds the key. A nil domain would tell
-					// vecScan to scan the whole table.
-					matched = []int{}
-				}
-				return r.vecScan(t, ref.Alias, matched, sp.vecs)
-			}
-			f := schemaFrame(t, ref.Alias)
-			crows := t.CodeRows()
-			f.rows = make([][]uint32, len(matched))
-			for i, ri := range matched {
-				f.rows[i] = crows[ri]
-			}
-			if len(sp.filters) > 0 {
-				return r.filterFrame(f, sp.filters, nil)
-			}
-			return f, nil
+		if err != nil {
+			return nil, err
 		}
-		// The index could not be built (it cannot for planner-produced
-		// column lists, which are resolved and deduplicated): apply the
-		// equality conjuncts as ordinary filters instead. The compiled
-		// slots no longer line up with the extended conjunct list, so this
-		// fallback is interpreted.
-		sp.filters = append(eqExprs(sp), sp.filters...)
-		sp.vecs = nil
+		matched := ix.Lookup(sp.eqVals...)
+		r.qs.addIndexScan()
+		r.qs.addScanned(len(matched))
+		r.qs.addPushdown(len(sp.eqCols) + len(sp.filters))
+		if r.azTracks() {
+			detail := indexScanDetail(sp)
+			if len(sp.filters) > 0 {
+				detail += "; filter: " + andString(sp.filters) + evalVectorized
+			}
+			r.azSet("indexscan", withStorage(detail))
+		}
+		if len(sp.filters) > 0 {
+			if matched == nil {
+				// No row holds the key. A nil domain would tell vecScan
+				// to scan the whole table.
+				matched = []int{}
+			}
+			return r.vecScan(t, ref.Alias, matched, sp.vecs)
+		}
+		f := schemaFrame(t, ref.Alias)
+		crows := t.CodeRows()
+		f.rows = make([][]uint32, len(matched))
+		for i, ri := range matched {
+			f.rows[i] = crows[ri]
+		}
+		return f, nil
 	}
 	r.qs.addScanned(t.NumRows())
-	vec := len(sp.filters) > 0 && vecUsable(t, sp)
 	if r.azTracks() {
 		detail := ""
 		if len(sp.filters) > 0 {
-			detail = "pushdown: " + andString(sp.filters) + evalDetail(vec)
+			detail = "pushdown: " + andString(sp.filters) + evalVectorized
 		}
 		r.azSet("scan", withStorage(detail))
 	}
-	if vec {
+	if len(sp.filters) > 0 {
 		r.qs.addPushdown(len(sp.filters))
 		return r.vecScan(t, ref.Alias, nil, sp.vecs)
 	}
-	f := frameOf(t, ref.Alias)
-	if len(sp.filters) > 0 {
-		// A conjunct failed to compile: interpret the filter, which
-		// reports the failure as the unplanned path would.
-		r.qs.addPushdown(len(sp.filters))
-		return r.filterFrame(f, sp.filters, nil)
-	}
-	return f, nil
+	return frameOf(t, ref.Alias), nil
 }
 
-// evalDetail renders the filter-evaluation mode annotation shared by
-// EXPLAIN and EXPLAIN ANALYZE scan steps: vectorized, or scalar when a
-// conjunct did not compile and the filter is interpreted row at a time.
-func evalDetail(vec bool) string {
-	if vec {
-		return "; eval=vectorized"
+// filterFrame keeps the rows satisfying every compiled conjunct of a
+// post-join residue. When the input spans at least two morsels the scan
+// runs on the worker pool; kept rows merge in input order, so the
+// parallel result is byte-identical to the serial scan's.
+func (r *run) filterFrame(f *frame, progs []CodePred) (*frame, error) {
+	r.qs.phase(obs.PhaseFilter)
+	out := &frame{aliases: f.aliases, names: f.names}
+	if kept, ran, err := r.parallelFilter(f.rows, progs); ran {
+		out.rows = kept
+		return out, err
 	}
-	return "; eval=scalar"
-}
-
-// execGrouped evaluates a GROUP BY query: rows are bucketed by the group
-// expressions; each bucket yields one output row, with COUNT(*) bound to
-// the bucket size for the select list and the HAVING filter.
-func (r *run) execGrouped(s *SelectStmt, f *frame) (*rel.Table, error) {
-	r.qs.phase(obs.PhaseAggregate)
-	type group struct {
-		rows [][]uint32
-	}
-	var order []string
-	groups := map[string]*group{}
-	// Group keys: 4 bytes per grouping expression — direct column
-	// references append their code straight off the row, everything else
-	// evaluates through one reused Env and interns its result. Codes are
-	// injective over values, so code-byte keys bucket exactly as value
-	// keys did; the string allocation happens only the first time a group
-	// is seen (the map probe with string(buf) does not allocate).
-	gidx := make([]int, len(s.GroupBy))
-	for i, ge := range s.GroupBy {
-		gidx[i] = -1
-		if c, ok := ge.(Col); ok {
-			gidx[i] = f.resolve(c.Qualifier, c.Name)
-		}
-	}
-	env := &frameEnv{f: f}
-	var buf []byte
+	out.rows = f.rows[:0:0]
 	for _, row := range f.rows {
-		env.row = row
-		buf = buf[:0]
-		for i, ge := range s.GroupBy {
-			var c uint32
-			if j := gidx[i]; j >= 0 {
-				c = row[j]
-			} else {
-				v, err := r.ev.Eval(ge, env)
-				if err != nil {
-					return nil, err
-				}
-				c = dict.Code(v)
-			}
-			buf = rel.AppendCodeKey(buf, c)
-		}
-		g, ok := groups[string(buf)]
-		if !ok {
-			key := string(buf)
-			g = &group{}
-			groups[key] = g
-			order = append(order, key)
-		}
-		g.rows = append(g.rows, row)
-	}
-	cols, exprs, err := projection(s.Items, f)
-	if err != nil {
-		return nil, err
-	}
-	out, err := rel.NewTable("result", cols...)
-	if err != nil {
-		return nil, err
-	}
-	for _, key := range order {
-		g := groups[key]
-		genv := frameEnv{f: f, row: g.rows[0]}
-		if s.Having != nil {
-			h, err := r.rewriteAggs(s.Having, f, g.rows)
-			if err != nil {
-				return nil, err
-			}
-			keep, err := r.ev.True(h, &genv)
-			if err != nil {
-				return nil, err
-			}
-			if !keep {
-				continue
-			}
-		}
-		vals := make([]rel.Value, len(exprs))
-		for i, e := range exprs {
-			re, err := r.rewriteAggs(e, f, g.rows)
-			if err != nil {
-				return nil, err
-			}
-			v, err := r.ev.Eval(re, &genv)
-			if err != nil {
-				return nil, err
-			}
-			vals[i] = v
-		}
-		if err := out.InsertRow(vals); err != nil {
-			return nil, err
-		}
-	}
-	// Close the caller's group/aggregate op at the grouped row count, so
-	// the ORDER BY and LIMIT below report as their own plan steps (the
-	// caller's azEnd is a no-op once the op is closed here).
-	r.azEnd(out.NumRows())
-	// ORDER BY over the output columns (aggregates are already
-	// materialized per row).
-	if len(s.OrderBy) > 0 {
-		r.azBegin("sort", "")
-		if r.azTracks() {
-			r.azSet("", fmt.Sprintf("%d key(s)", len(s.OrderBy)))
-		}
-		type keyed struct {
-			row  []rel.Value
-			keys []rel.Value
-		}
-		rows := make([]keyed, out.NumRows())
-		for i := 0; i < out.NumRows(); i++ {
-			k := keyed{row: out.RawRow(i), keys: make([]rel.Value, len(s.OrderBy))}
-			env := groupOutEnv{cols: cols, vals: out.RawRow(i)}
-			for j, key := range s.OrderBy {
-				v, err := r.ev.Eval(key.Expr, env)
-				if err != nil {
-					return nil, err
-				}
-				k.keys[j] = v
-			}
-			rows[i] = k
-		}
-		sort.SliceStable(rows, func(a, b int) bool {
-			for j, key := range s.OrderBy {
-				c := rows[a].keys[j].Compare(rows[b].keys[j])
-				if key.Desc {
-					c = -c
-				}
-				if c != 0 {
-					return c < 0
-				}
-			}
-			return false
-		})
-		sorted, err := rel.NewTable("result", cols...)
+		keep, err := evalPreds(progs, row)
 		if err != nil {
 			return nil, err
 		}
-		for _, k := range rows {
-			if err := sorted.InsertRow(k.row); err != nil {
-				return nil, err
-			}
+		if keep {
+			out.rows = append(out.rows, row)
 		}
-		out = sorted
-		r.azEnd(out.NumRows())
-	}
-	if s.Limit >= 0 {
-		r.azBegin("limit", "")
-		if r.azTracks() {
-			r.azSet("", fmt.Sprintf("LIMIT %d", s.Limit))
-		}
-		if out.NumRows() > s.Limit {
-			limited, err := rel.NewTable("result", cols...)
-			if err != nil {
-				return nil, err
-			}
-			for i := 0; i < s.Limit; i++ {
-				if err := limited.InsertRow(out.RawRow(i)); err != nil {
-					return nil, err
-				}
-			}
-			out = limited
-		}
-		r.azEnd(out.NumRows())
 	}
 	return out, nil
-}
-
-// containsAgg reports whether e contains an aggregate call, so rewriteAggs
-// can return aggregate-free subtrees unchanged instead of copying them for
-// every group.
-func containsAgg(e Expr) bool {
-	switch x := e.(type) {
-	case Call:
-		if x.Name == "count_star" || x.Name == "agg_min" || x.Name == "agg_max" {
-			return true
-		}
-		for _, a := range x.Args {
-			if containsAgg(a) {
-				return true
-			}
-		}
-	case Unary:
-		return containsAgg(x.X)
-	case Binary:
-		return containsAgg(x.L) || containsAgg(x.R)
-	case InList:
-		if containsAgg(x.X) {
-			return true
-		}
-		for _, s := range x.Set {
-			if containsAgg(s) {
-				return true
-			}
-		}
-	case IsNull:
-		return containsAgg(x.X)
-	case Between:
-		return containsAgg(x.X) || containsAgg(x.Lo) || containsAgg(x.Hi)
-	case Ternary:
-		return containsAgg(x.Cond) || containsAgg(x.Then) || containsAgg(x.Else)
-	case Case:
-		for _, w := range x.Whens {
-			if containsAgg(w.Cond) || containsAgg(w.Val) {
-				return true
-			}
-		}
-		if x.Else != nil {
-			return containsAgg(x.Else)
-		}
-	}
-	return false
-}
-
-// rewriteAggs replaces aggregate calls (count_star, agg_min, agg_max) in
-// an expression with literals computed over the group's rows, so the
-// remaining expression evaluates against the group's representative row.
-// Aggregate-free expressions are returned as-is: rewriting them would
-// produce an identical copy per group.
-func (r *run) rewriteAggs(e Expr, f *frame, rows [][]uint32) (Expr, error) {
-	if !containsAgg(e) {
-		return e, nil
-	}
-	switch x := e.(type) {
-	case Call:
-		switch x.Name {
-		case "count_star":
-			return Lit{Val: rel.I(int64(len(rows)))}, nil
-		case "agg_min", "agg_max":
-			if len(x.Args) != 1 {
-				return nil, fmt.Errorf("%w: %s wants 1 argument", ErrType, x.Name)
-			}
-			best := rel.Null()
-			for _, row := range rows {
-				v, err := r.ev.Eval(x.Args[0], frameEnv{f: f, row: row})
-				if err != nil {
-					return nil, err
-				}
-				if v.IsNull() {
-					continue // aggregates skip NULLs
-				}
-				if best.IsNull() ||
-					(x.Name == "agg_min" && v.Compare(best) < 0) ||
-					(x.Name == "agg_max" && v.Compare(best) > 0) {
-					best = v
-				}
-			}
-			return Lit{Val: best}, nil
-		}
-		args := make([]Expr, len(x.Args))
-		for i, a := range x.Args {
-			ra, err := r.rewriteAggs(a, f, rows)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = ra
-		}
-		return Call{Name: x.Name, Args: args}, nil
-	case Unary:
-		rx, err := r.rewriteAggs(x.X, f, rows)
-		if err != nil {
-			return nil, err
-		}
-		return Unary{Op: x.Op, X: rx}, nil
-	case Binary:
-		l, err := r.rewriteAggs(x.L, f, rows)
-		if err != nil {
-			return nil, err
-		}
-		rr, err := r.rewriteAggs(x.R, f, rows)
-		if err != nil {
-			return nil, err
-		}
-		return Binary{Op: x.Op, L: l, R: rr}, nil
-	case InList:
-		rx, err := r.rewriteAggs(x.X, f, rows)
-		if err != nil {
-			return nil, err
-		}
-		set := make([]Expr, len(x.Set))
-		for i, sx := range x.Set {
-			rs, err := r.rewriteAggs(sx, f, rows)
-			if err != nil {
-				return nil, err
-			}
-			set[i] = rs
-		}
-		return InList{X: rx, Set: set, Negate: x.Negate}, nil
-	case IsNull:
-		rx, err := r.rewriteAggs(x.X, f, rows)
-		if err != nil {
-			return nil, err
-		}
-		return IsNull{X: rx, Negate: x.Negate}, nil
-	case Between:
-		rx, err := r.rewriteAggs(x.X, f, rows)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := r.rewriteAggs(x.Lo, f, rows)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := r.rewriteAggs(x.Hi, f, rows)
-		if err != nil {
-			return nil, err
-		}
-		return Between{X: rx, Lo: lo, Hi: hi, Negate: x.Negate}, nil
-	case Ternary:
-		c, err := r.rewriteAggs(x.Cond, f, rows)
-		if err != nil {
-			return nil, err
-		}
-		tn, err := r.rewriteAggs(x.Then, f, rows)
-		if err != nil {
-			return nil, err
-		}
-		el, err := r.rewriteAggs(x.Else, f, rows)
-		if err != nil {
-			return nil, err
-		}
-		return Ternary{Cond: c, Then: tn, Else: el}, nil
-	case Case:
-		whens := make([]When, len(x.Whens))
-		for i, w := range x.Whens {
-			c, err := r.rewriteAggs(w.Cond, f, rows)
-			if err != nil {
-				return nil, err
-			}
-			v, err := r.rewriteAggs(w.Val, f, rows)
-			if err != nil {
-				return nil, err
-			}
-			whens[i] = When{Cond: c, Val: v}
-		}
-		var els Expr
-		if x.Else != nil {
-			var err error
-			els, err = r.rewriteAggs(x.Else, f, rows)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return Case{Whens: whens, Else: els}, nil
-	default:
-		return e, nil
-	}
-}
-
-// groupOutEnv resolves ORDER BY keys of a grouped query against the output
-// columns.
-type groupOutEnv struct {
-	cols []string
-	vals []rel.Value
-}
-
-// Lookup implements Env over the grouped output row.
-func (e groupOutEnv) Lookup(q, name string) (rel.Value, bool) {
-	if q != "" {
-		return rel.Null(), false
-	}
-	for i, c := range e.cols {
-		if c == name {
-			return e.vals[i], true
-		}
-	}
-	return rel.Null(), false
-}
-
-// orderEnv lets ORDER BY reference both source columns and output aliases
-// (the latter held as projected codes, decoded on lookup).
-type orderEnv struct {
-	frame frameEnv
-	cols  []string
-	vals  []uint32
-}
-
-func (e orderEnv) Lookup(q, name string) (rel.Value, bool) {
-	if v, ok := e.frame.Lookup(q, name); ok {
-		return v, true
-	}
-	if q == "" {
-		for i, c := range e.cols {
-			if c == name {
-				return dict.Value(e.vals[i]), true
-			}
-		}
-	}
-	return rel.Null(), false
-}
-
-// hasAggregates reports whether any select item contains an aggregate call.
-func hasAggregates(items []SelectItem) bool {
-	var walk func(e Expr) bool
-	walk = func(e Expr) bool {
-		switch x := e.(type) {
-		case Call:
-			if x.Name == "count_star" || x.Name == "agg_min" || x.Name == "agg_max" {
-				return true
-			}
-			for _, a := range x.Args {
-				if walk(a) {
-					return true
-				}
-			}
-		case Unary:
-			return walk(x.X)
-		case Binary:
-			return walk(x.L) || walk(x.R)
-		case Ternary:
-			return walk(x.Cond) || walk(x.Then) || walk(x.Else)
-		}
-		return false
-	}
-	for _, it := range items {
-		if it.Expr != nil && walk(it.Expr) {
-			return true
-		}
-	}
-	return false
-}
-
-func isCountStar(items []SelectItem) bool {
-	if len(items) != 1 || items[0].Star || items[0].Expr == nil {
-		return false
-	}
-	c, ok := items[0].Expr.(Call)
-	return ok && c.Name == "count_star"
-}
-
-// projection expands the select list into output column names and the
-// expressions producing them.
-func projection(items []SelectItem, f *frame) ([]string, []Expr, error) {
-	var cols []string
-	var exprs []Expr
-	for _, it := range items {
-		if it.Star {
-			for i := range f.names {
-				name := f.names[i]
-				if f.resolve("", name) < 0 {
-					// Ambiguous across tables; qualify.
-					name = f.aliases[i] + "." + f.names[i]
-				}
-				cols = append(cols, name)
-				exprs = append(exprs, Col{Qualifier: f.aliases[i], Name: f.names[i]})
-			}
-			continue
-		}
-		name := it.Alias
-		if name == "" {
-			if c, ok := it.Expr.(Col); ok {
-				name = c.Name
-			} else {
-				name = it.Expr.String()
-			}
-		}
-		cols = append(cols, name)
-		exprs = append(exprs, it.Expr)
-	}
-	// Disambiguate duplicate output names (SELECT a.m, b.m ...).
-	seen := make(map[string]int, len(cols))
-	for i, c := range cols {
-		n := seen[c]
-		seen[c] = n + 1
-		if n > 0 {
-			cols[i] = fmt.Sprintf("%s_%d", c, n)
-		}
-	}
-	return cols, exprs, nil
-}
-
-// filterFrame keeps the rows satisfying every conjunct: a post-join
-// residue, or a scan filter with a conjunct that did not compile. progs
-// carries the compiled form of each conjunct (a nil slice or nil slot
-// falls back to the tree-walking interpreter, preserving its exact error
-// reporting).
-// When every conjunct compiled and the input spans at least two morsels,
-// the scan runs on the worker pool; kept rows merge in input order, so
-// the parallel result is byte-identical to the serial scan's.
-func (r *run) filterFrame(f *frame, conjuncts []Expr, progs []CodePred) (*frame, error) {
-	r.qs.phase(obs.PhaseFilter)
-	compiled := len(progs) == len(conjuncts)
-	if compiled {
-		for _, p := range progs {
-			if p == nil {
-				compiled = false
-				break
-			}
-		}
-	}
-	if compiled {
-		if kept, ran, err := r.parallelFilter(f.rows, progs); ran {
-			if err != nil {
-				return nil, err
-			}
-			return &frame{aliases: f.aliases, names: f.names, rows: kept, memo: f.memo}, nil
-		}
-		kept := f.rows[:0:0]
-		for _, row := range f.rows {
-			keep, err := evalPreds(progs, row)
-			if err != nil {
-				return nil, err
-			}
-			if keep {
-				kept = append(kept, row)
-			}
-		}
-		return &frame{aliases: f.aliases, names: f.names, rows: kept, memo: f.memo}, nil
-	}
-	kept := f.rows[:0:0]
-	env := &frameEnv{f: f}
-	for _, row := range f.rows {
-		env.row = row
-		ok, err := r.allTrue(env, conjuncts, progs)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			kept = append(kept, row)
-		}
-	}
-	// Same schema, so the resolution memo carries over.
-	return &frame{aliases: f.aliases, names: f.names, rows: kept, memo: f.memo}, nil
-}
-
-// allTrue reports whether env's row satisfies every conjunct, in order,
-// stopping at the first that does not hold. A conjunct with a compiled
-// slot in progs runs it; the others are interpreted.
-func (r *run) allTrue(env *frameEnv, conjuncts []Expr, progs []CodePred) (bool, error) {
-	for i, c := range conjuncts {
-		var t bool
-		var err error
-		if i < len(progs) && progs[i] != nil {
-			t, err = progs[i](env.row)
-		} else {
-			t, err = r.ev.True(c, env)
-		}
-		if err != nil || !t {
-			return false, err
-		}
-	}
-	return true, nil
 }
 
 // schemaFrame builds a rowless frame carrying only a table's column
@@ -1082,48 +566,6 @@ func schemaFrame(t *rel.Table, alias string) *frame {
 		f.names = append(f.names, c)
 	}
 	return f
-}
-
-// colRefs collects every column reference in an expression.
-func colRefs(e Expr, out *[]Col) {
-	switch x := e.(type) {
-	case Col:
-		*out = append(*out, x)
-	case boundCol:
-		*out = append(*out, x.Col)
-	case Unary:
-		colRefs(x.X, out)
-	case Binary:
-		colRefs(x.L, out)
-		colRefs(x.R, out)
-	case InList:
-		colRefs(x.X, out)
-		for _, s := range x.Set {
-			colRefs(s, out)
-		}
-	case IsNull:
-		colRefs(x.X, out)
-	case Between:
-		colRefs(x.X, out)
-		colRefs(x.Lo, out)
-		colRefs(x.Hi, out)
-	case Ternary:
-		colRefs(x.Cond, out)
-		colRefs(x.Then, out)
-		colRefs(x.Else, out)
-	case Case:
-		for _, w := range x.Whens {
-			colRefs(w.Cond, out)
-			colRefs(w.Val, out)
-		}
-		if x.Else != nil {
-			colRefs(x.Else, out)
-		}
-	case Call:
-		for _, a := range x.Args {
-			colRefs(a, out)
-		}
-	}
 }
 
 // selectSources lists the schema frames of a SELECT's table sources in
@@ -1147,14 +589,13 @@ func (r *run) selectSources(s *SelectStmt) ([]*frame, error) {
 	return out, nil
 }
 
-// join combines f with g under the ON condition. When the condition is a
-// conjunction of cross-side column equalities a hash join is used; otherwise
-// a filtered nested-loop cross product.
+// joinPair is one cross-side column equality of a hash or index join:
+// the column's position in the left and in the right frame.
 type joinPair struct{ li, ri int }
 
 // hashJoinPairs reports whether the ON condition is a conjunction of
 // cross-side column equalities, and if so returns the column index pairs —
-// the hash-join eligibility test, shared with EXPLAIN.
+// the hash-join eligibility test the planner runs.
 func hashJoinPairs(f, g *frame, on Expr) ([]joinPair, bool) {
 	var pairs []joinPair
 	for _, c := range splitAnd(on) {
@@ -1180,17 +621,20 @@ func hashJoinPairs(f, g *frame, on Expr) ([]joinPair, bool) {
 	return pairs, len(pairs) > 0
 }
 
-// join output is always f-major: left rows in scan order, each followed by
-// its matches. Every strategy below — serial or parallel — preserves that
-// order, so results are deterministic regardless of worker count.
-func (r *run) join(f, g *frame, on Expr) (*frame, error) {
+// join combines f with g as jp plans: a hash or index join on its column
+// pairs, or a nested loop filtered by its compiled ON (on is the clause as
+// written, for EXPLAIN ANALYZE). Join output is always f-major: left rows
+// in scan order, each followed by its matches. Every strategy below —
+// serial or parallel — preserves that order, so results are deterministic
+// regardless of worker count.
+func (r *run) join(f, g *frame, jp joinPlan, on Expr) (*frame, error) {
 	r.qs.phase(obs.PhaseJoin)
-	pairs, hashable := hashJoinPairs(f, g, on)
+	pairs := jp.pairs
 	out := &frame{
 		aliases: append(append([]string(nil), f.aliases...), g.aliases...),
 		names:   append(append([]string(nil), f.names...), g.names...),
 	}
-	if !hashable {
+	if pairs == nil {
 		// Nested loop with ON filter; candidate rows carve from an arena
 		// and rejected candidates return their space.
 		r.qs.addLoopJoin()
@@ -1198,12 +642,10 @@ func (r *run) join(f, g *frame, on Expr) (*frame, error) {
 			r.azSet("", "nested-loop: "+on.String())
 		}
 		var ar codeArena
-		env := &frameEnv{f: out}
 		for _, a := range f.rows {
 			for _, b := range g.rows {
 				row := ar.joinRow(a, b)
-				env.row = row
-				ok, err := r.ev.True(on, env)
+				ok, err := jp.on(row)
 				if err != nil {
 					return nil, err
 				}
@@ -1238,8 +680,8 @@ func (r *run) join(f, g *frame, on Expr) (*frame, error) {
 			for _, a := range f.rows {
 				ok := true
 				for k, p := range pairs {
-					if a[p.li] == rel.NullCode {
-						ok = false // NULL keys never match
+					if a[p.li] == rel.NullCode && !r.ev.NullEq {
+						ok = false // ANSI NULL keys never match
 						break
 					}
 					codes[k] = a[p.li]
@@ -1273,7 +715,7 @@ func (r *run) join(f, g *frame, on Expr) (*frame, error) {
 			for j, b := range g.rows {
 				ok := true
 				for k, p := range pairs {
-					if b[p.ri] == rel.NullCode {
+					if b[p.ri] == rel.NullCode && !r.ev.NullEq {
 						ok = false
 						break
 					}

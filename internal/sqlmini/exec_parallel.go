@@ -12,9 +12,8 @@ import (
 // Because batch k always covers rows [k*morsel, (k+1)*morsel), the merged
 // output is byte-identical to the serial scan regardless of worker count
 // or scheduling — the determinism guarantee the golden equivalence tests
-// pin down. Parallel phases evaluate only compiled predicates (CodePred),
-// which are safe for concurrent use; the tree-walking interpreter touches
-// the frame's resolution memo and therefore always runs serially.
+// pin down. Parallel phases evaluate compiled predicates (CodePred),
+// which are safe for concurrent use.
 //
 // All row traffic here is dictionary codes: join keys are 4 bytes per
 // column, partition selection hashes those bytes, and no rel.Value is
@@ -151,15 +150,17 @@ func (h *hashTable) lookup(key []byte) *bucket {
 // appendRowKey appends the injective join-key encoding of the row's key
 // columns (the left or right half of each pair): 4 bytes per code, no
 // separators needed because codes are fixed width. ok is false when any
-// key column is NULL, which never matches.
-func appendRowKey(buf []byte, crow []uint32, pairs []joinPair, left bool) ([]byte, bool) {
+// key column is NULL and nullEq is off: under ANSI NULLs a NULL key never
+// matches, while the constraint dialect's NULL is an ordinary value that
+// matches NULL.
+func appendRowKey(buf []byte, crow []uint32, pairs []joinPair, left, nullEq bool) ([]byte, bool) {
 	for _, p := range pairs {
 		i := p.ri
 		if left {
 			i = p.li
 		}
 		c := crow[i]
-		if c == rel.NullCode {
+		if c == rel.NullCode && !nullEq {
 			return buf, false
 		}
 		buf = rel.AppendCodeKey(buf, c)
@@ -178,7 +179,7 @@ func (r *run) buildHashTable(rows [][]uint32, pairs []joinPair, left bool) *hash
 		m := make(map[string]*bucket, len(rows))
 		var buf []byte
 		for i, row := range rows {
-			b, ok := appendRowKey(buf[:0], row, pairs, left)
+			b, ok := appendRowKey(buf[:0], row, pairs, left, r.ev.NullEq)
 			buf = b
 			if !ok {
 				continue
@@ -201,7 +202,7 @@ func (r *run) buildHashTable(rows [][]uint32, pairs []joinPair, left bool) *hash
 		parts := make([][]keyed, nparts)
 		var buf []byte
 		for i := lo; i < hi; i++ {
-			b, ok := appendRowKey(buf[:0], rows[i], pairs, left)
+			b, ok := appendRowKey(buf[:0], rows[i], pairs, left, r.ev.NullEq)
 			buf = b
 			if !ok {
 				continue
@@ -242,7 +243,7 @@ func (r *run) probeEmit(out *frame, f, g *frame, pairs []joinPair, ht *hashTable
 		var ar codeArena
 		var buf []byte
 		for _, a := range rows {
-			b, ok := appendRowKey(buf[:0], a, pairs, true)
+			b, ok := appendRowKey(buf[:0], a, pairs, true, r.ev.NullEq)
 			buf = b
 			if !ok {
 				continue
@@ -263,7 +264,7 @@ func (r *run) probeEmit(out *frame, f, g *frame, pairs []joinPair, ht *hashTable
 		var buf []byte
 		var part [][]uint32
 		for _, a := range rows[lo:hi] {
-			b, ok := appendRowKey(buf[:0], a, pairs, true)
+			b, ok := appendRowKey(buf[:0], a, pairs, true, r.ev.NullEq)
 			buf = b
 			if !ok {
 				continue
@@ -295,7 +296,7 @@ func (r *run) probeHits(rows [][]uint32, pairs []joinPair, ht *hashTable) []matc
 		var hits []matchHit
 		var buf []byte
 		for j, row := range rows {
-			b, ok := appendRowKey(buf[:0], row, pairs, false)
+			b, ok := appendRowKey(buf[:0], row, pairs, false, r.ev.NullEq)
 			buf = b
 			if !ok {
 				continue
@@ -315,7 +316,7 @@ func (r *run) probeHits(rows [][]uint32, pairs []joinPair, ht *hashTable) []matc
 		var buf []byte
 		var hits []matchHit
 		for j := lo; j < hi; j++ {
-			b, ok := appendRowKey(buf[:0], rows[j], pairs, false)
+			b, ok := appendRowKey(buf[:0], rows[j], pairs, false, r.ev.NullEq)
 			buf = b
 			if !ok {
 				continue

@@ -43,24 +43,7 @@ type colsVec struct{ c [][]uint32 }
 
 var colsPool = sync.Pool{New: func() any { return new(colsVec) }}
 
-// vecUsable reports whether the source's pushed filter can run column-at-
-// a-time over t: every conjunct lowered, and every kernel's column
-// positions exist in the table (always true for plans built against the
-// current epoch; checked so a stale plan degrades to the interpreter
-// instead of faulting).
-func vecUsable(t *rel.Table, sp srcPlan) bool {
-	if !fullyVec(sp.vecs, len(sp.filters)) {
-		return false
-	}
-	for _, p := range sp.vecs {
-		if p.Width() > t.NumCols() {
-			return false
-		}
-	}
-	return true
-}
-
-// vecScan runs the fully vectorized pushed filter over t's column
+// vecScan runs the vectorized pushed filter over t's column
 // vectors and returns the frame of surviving rows. matched narrows the
 // scan domain to the index lookup's row numbers; nil means the whole
 // table.

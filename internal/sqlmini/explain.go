@@ -30,21 +30,6 @@ func (r *run) parallelDetail(kind string, n int) string {
 	return fmt.Sprintf("parallel %s (workers=%d, morsel=%d)", kind, workers, morsel)
 }
 
-// fullyCompiled reports whether all n residue conjuncts lowered to
-// compiled predicates — the executor's other precondition for a parallel
-// filter (the tree-walking interpreter always runs serially).
-func fullyCompiled(progs []CodePred, n int) bool {
-	if n == 0 || len(progs) != n {
-		return false
-	}
-	for _, p := range progs {
-		if p == nil {
-			return false
-		}
-	}
-	return true
-}
-
 // estFilter shrinks an estimate by one third per conjunct, never
 // estimating below one row for a non-empty input.
 func estFilter(est, conjuncts int) int {
@@ -76,16 +61,6 @@ func andString(cs []Expr) string {
 		parts[i] = c.String()
 	}
 	return strings.Join(parts, " AND ")
-}
-
-// eqExprs reconstructs a srcPlan's index-equality conjuncts as
-// expressions, for rendering (and for the executor's no-index fallback).
-func eqExprs(sp srcPlan) []Expr {
-	out := make([]Expr, len(sp.eqCols))
-	for i, c := range sp.eqCols {
-		out[i] = Binary{Op: "=", L: Col{Name: c}, R: Lit{Val: sp.eqVals[i]}}
-	}
-	return out
 }
 
 // withStorage appends the storage-engine annotation to a leaf scan step's
@@ -131,7 +106,7 @@ func (r *run) explainSelect(s *SelectStmt) (*rel.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	est, err := r.explainBranch(out, s, r.planAt(plans, 0, s))
+	est, err := r.explainBranch(out, s, plans[0])
 	if err != nil {
 		return nil, err
 	}
@@ -139,7 +114,7 @@ func (r *run) explainSelect(s *SelectStmt) (*rel.Table, error) {
 	for u, all := s.Union, s.UnionAll; u != nil; u, all = u.Union, u.UnionAll {
 		branch := *u
 		branch.Union = nil
-		be, err := r.explainBranch(out, &branch, r.planAt(plans, bi, &branch))
+		be, err := r.explainBranch(out, &branch, plans[bi])
 		if err != nil {
 			return nil, err
 		}
@@ -197,18 +172,14 @@ func (r *run) explainBranch(out *rel.Table, s *SelectStmt, plan *branchPlan) (in
 	var cumBase *rel.Table
 	var cumAlias string
 	for i, sc := range srcs {
-		sp := plan.src(i)
+		sp := plan.srcs[i]
 		e := sc.rows
 		var err error
 		switch {
 		case len(sp.eqCols) > 0:
 			ix, ixErr := sc.t.IndexOn(sp.eqCols...)
 			if ixErr != nil {
-				// Mirrors the executor's fallback: the equalities run as
-				// ordinary pushed filters, interpreted (hence scalar).
-				e = estFilter(e, len(sp.eqCols)+len(sp.filters))
-				err = planRow(out, "scan", sc.alias, e, withStorage("pushdown: "+andString(append(eqExprs(sp), sp.filters...))+evalDetail(false)))
-				break
+				return 0, ixErr
 			}
 			if e > 0 {
 				e = max(1, e/max(1, ix.Distinct()))
@@ -216,15 +187,13 @@ func (r *run) explainBranch(out *rel.Table, s *SelectStmt, plan *branchPlan) (in
 			detail := indexScanDetail(sp)
 			if len(sp.filters) > 0 {
 				e = estFilter(e, len(sp.filters))
-				detail += "; filter: " + andString(sp.filters) + evalDetail(vecUsable(sc.t, sp))
+				detail += "; filter: " + andString(sp.filters) + evalVectorized
 			}
 			err = planRow(out, "indexscan", sc.alias, e, withStorage(detail))
 		case len(sp.filters) > 0:
-			detail := "pushdown: " + andString(sp.filters) + evalDetail(vecUsable(sc.t, sp))
-			if fullyVec(sp.vecs, len(sp.filters)) {
-				if pd := r.parallelDetail("scan", sc.rows); pd != "" {
-					detail += "; " + pd
-				}
+			detail := "pushdown: " + andString(sp.filters) + evalVectorized
+			if pd := r.parallelDetail("scan", sc.rows); pd != "" {
+				detail += "; " + pd
 			}
 			e = estFilter(e, len(sp.filters))
 			err = planRow(out, "scan", sc.alias, e, withStorage(detail))
@@ -241,12 +210,15 @@ func (r *run) explainBranch(out *rel.Table, s *SelectStmt, plan *branchPlan) (in
 			}
 			continue
 		}
-		pairs, hashable := hashJoinPairs(cum, sc.fr, sc.on)
+		var pairs []joinPair
+		if sc.on != nil {
+			pairs = plan.joins[i-len(s.From)].pairs
+		}
 		switch {
 		case sc.on == nil:
 			est *= e
 			err = planRow(out, "cross", sc.alias, est, "cross product")
-		case hashable:
+		case pairs != nil:
 			done := false
 			// Same strategy order as run.join, with estimates standing in
 			// for actual row counts.
@@ -300,15 +272,12 @@ func (r *run) explainBranch(out *rel.Table, s *SelectStmt, plan *branchPlan) (in
 			names:   append(append([]string(nil), cum.names...), sc.fr.names...),
 		}
 	}
-	if plan != nil && plan.residue != nil {
-		cs, progs := plan.residueConjuncts()
-		detail := andString(cs)
-		if fullyCompiled(progs, len(cs)) {
-			if pd := r.parallelDetail("filter", est); pd != "" {
-				detail += "; " + pd
-			}
+	if len(plan.residue) > 0 {
+		detail := andString(plan.residue)
+		if pd := r.parallelDetail("filter", est); pd != "" {
+			detail += "; " + pd
 		}
-		est = estFilter(est, len(cs))
+		est = estFilter(est, len(plan.residue))
 		if err := planRow(out, "filter", "", est, detail); err != nil {
 			return 0, err
 		}
@@ -319,7 +288,7 @@ func (r *run) explainBranch(out *rel.Table, s *SelectStmt, plan *branchPlan) (in
 		if err := planRow(out, "group", "", est, fmt.Sprintf("%d key(s)", len(s.GroupBy))); err != nil {
 			return 0, err
 		}
-	case hasAggregates(s.Items):
+	case plan.out.grouped:
 		est = 1
 		if err := planRow(out, "aggregate", "", est, ""); err != nil {
 			return 0, err

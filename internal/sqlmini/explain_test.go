@@ -1,6 +1,7 @@
 package sqlmini
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -151,12 +152,12 @@ func TestExplainEvalAnnotation(t *testing.T) {
 		[]string{
 			`scan|D|2|pushdown: (inmsg < dirst); eval=vectorized; storage=columnar`,
 		})
-	// Only a conjunct that does not compile is interpreted row at a time.
-	checkPlan(t, db,
-		`EXPLAIN SELECT * FROM D WHERE nosuch(inmsg)`,
-		[]string{
-			`scan|D|2|pushdown: nosuch(inmsg); eval=scalar; storage=columnar`,
-		})
+	// A conjunct that does not compile has no plan: EXPLAIN fails as the
+	// statement would, with the same error.
+	_, err := db.Exec(`EXPLAIN SELECT * FROM D WHERE nosuch(inmsg)`)
+	if !errors.Is(err, ErrUnknownFunc) || err.Error() != "sqlmini: unknown function: nosuch" {
+		t.Fatalf("EXPLAIN of an unknown function: err = %v, want sqlmini: unknown function: nosuch", err)
+	}
 }
 
 func TestExplainDoesNotExecute(t *testing.T) {

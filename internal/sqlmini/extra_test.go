@@ -1,6 +1,7 @@
 package sqlmini
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -222,6 +223,53 @@ func TestEvalErrorsPropagate(t *testing.T) {
 		if _, err := db.Exec(q); err == nil {
 			t.Errorf("%q must fail", q)
 		}
+	}
+}
+
+// TestUnknownNamesFailAtPlan: a column or function that does not resolve
+// fails its statement when it plans, with the error text a row reaching
+// it would give, whatever rows the tables hold. Every statement here
+// selects, joins or updates no row.
+func TestUnknownNamesFailAtPlan(t *testing.T) {
+	db := NewDB()
+	if err := db.ExecScript(`CREATE TABLE t (a, b); INSERT INTO t VALUES (1, 'x'), (2, 'y'); CREATE TABLE e (a, c)`); err != nil {
+		t.Fatal(err)
+	}
+	col := func(c string) string { return "sqlmini: unknown column: " + c }
+	fn := func(f string) string { return "sqlmini: unknown function: " + f }
+	for _, tc := range []struct{ q, want string }{
+		{`SELECT ghost FROM t WHERE a = 99`, col("ghost")},
+		{`SELECT a FROM t WHERE a = 99 AND nosuch(b)`, fn("nosuch")},
+		{`SELECT * FROM e WHERE nosuch(a)`, fn("nosuch")},
+		{`EXPLAIN SELECT * FROM e WHERE nosuch(a)`, fn("nosuch")},
+		{`EXPLAIN ANALYZE SELECT ghost FROM e`, col("ghost")},
+		{`SELECT a FROM t, e`, col("a")}, // ambiguous across sources
+		{`SELECT t.a FROM t JOIN e ON t.a < e.ghost`, col("e.ghost")},
+		{`SELECT t.a FROM t JOIN e ON t.a = e.a WHERE e.c = 1 AND nosuch(t.b)`, fn("nosuch")},
+		{`SELECT a FROM t WHERE a = 99 ORDER BY nosuch(b)`, fn("nosuch")},
+		{`SELECT a FROM t WHERE a = 99 GROUP BY ghost`, col("ghost")},
+		{`SELECT a, COUNT(*) FROM t WHERE a = 99 GROUP BY a HAVING ghost > 1`, col("ghost")},
+		{`SELECT MIN(ghost) FROM e`, col("ghost")},
+		{`SELECT a FROM e UNION SELECT ghost FROM e`, col("ghost")},
+		{`CREATE TABLE x AS SELECT ghost FROM e`, col("ghost")},
+		{`UPDATE t SET b = ghost WHERE a = 99`, col("ghost")},
+		{`UPDATE e SET c = nosuch(a)`, fn("nosuch")},
+		{`DELETE FROM t WHERE a = 99 AND nosuch(b)`, fn("nosuch")},
+		{`DELETE FROM e WHERE ghost = 1`, col("ghost")},
+		{`INSERT INTO e VALUES (1, ghost)`, col("ghost")},
+	} {
+		_, err := db.Exec(tc.q)
+		if !errors.Is(err, ErrUnknownColumn) && !errors.Is(err, ErrUnknownFunc) || err.Error() != tc.want {
+			t.Errorf("%s: err %v, want %s", tc.q, err, tc.want)
+		}
+		if p, perr := db.Prepare(tc.q); perr != nil {
+			t.Errorf("%s: Prepare: %v", tc.q, perr)
+		} else if _, _, err := p.ExecStatsDialect(true); err == nil || err.Error() != tc.want {
+			t.Errorf("%s prepared: err %v, want %s", tc.q, err, tc.want)
+		}
+	}
+	if res, err := db.Query(`SELECT COUNT(*) FROM t`); err != nil || res.At(0, 0).Int() != 2 {
+		t.Fatalf("a failed statement changed t: %v, %v", res, err)
 	}
 }
 

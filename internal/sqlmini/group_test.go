@@ -1,6 +1,7 @@
 package sqlmini
 
 import (
+	"strings"
 	"testing"
 
 	"coherdb/internal/rel"
@@ -95,14 +96,44 @@ func TestGroupByDuplicateDetectionIdiom(t *testing.T) {
 	}
 }
 
+// TestGroupByEmptyInput: a query aggregates when it has GROUP BY, HAVING
+// or an aggregate anywhere in its select list. Without GROUP BY its whole
+// input is one group, even when the input is empty; with GROUP BY an
+// empty input has no groups.
 func TestGroupByEmptyInput(t *testing.T) {
 	db := groupDB(t)
-	res, err := db.Query(`SELECT m, COUNT(*) FROM msgs WHERE m = 'ghost' GROUP BY m`)
-	if err != nil {
+	if err := db.ExecScript(`CREATE TABLE t (a, b); INSERT INTO t VALUES (1, 'x'), (2, 'y'), (2, 'z')`); err != nil {
 		t.Fatal(err)
 	}
-	if !res.Empty() {
-		t.Fatalf("rows = %d", res.NumRows())
+	for _, tc := range []struct{ q, want string }{
+		{`SELECT m, COUNT(*) FROM msgs WHERE m = 'ghost' GROUP BY m`, ``},
+		// An aggregate under CASE (or IN, BETWEEN, IS NULL) aggregates.
+		{`SELECT CASE WHEN COUNT(*) > 1 THEN 'many' ELSE 'one' END FROM t`, `'many'`},
+		{`SELECT a FROM t WHERE a = 2 AND COUNT(*) IS NULL`, `error`},
+		// HAVING without GROUP BY filters the one group.
+		{`SELECT COUNT(*) FROM t HAVING COUNT(*) > 5`, ``},
+		{`SELECT COUNT(*) FROM t HAVING COUNT(*) > 2`, `3`},
+		// An empty input is still one group.
+		{`SELECT MIN(a), COUNT(*) FROM t WHERE a = 99`, `NULL, 0`},
+		{`SELECT COUNT(*) FROM t WHERE a = 99`, `0`},
+		{`SELECT MAX(b), COUNT(*) AS n FROM t WHERE a = 2`, `'z', 2`},
+	} {
+		res, err := db.Query(tc.q)
+		got := "error"
+		if err == nil {
+			var rows []string
+			for i := 0; i < res.NumRows(); i++ {
+				var vals []string
+				for j := 0; j < res.NumCols(); j++ {
+					vals = append(vals, res.At(i, j).Quoted())
+				}
+				rows = append(rows, strings.Join(vals, ", "))
+			}
+			got = strings.Join(rows, "; ")
+		}
+		if got != tc.want {
+			t.Errorf("%s = %q (err %v), want %q", tc.q, got, err, tc.want)
+		}
 	}
 }
 

@@ -134,74 +134,26 @@ func (a *inputAcc) selectStmt(s *SelectStmt) {
 // columns via the alias scope, unqualified ones to the single table in
 // scope or — conservatively — to all of them.
 func (a *inputAcc) exprCols(e Expr, aliases map[string]string, scope []string) {
-	if e == nil {
-		return
-	}
-	for q := range collectQualified(e, nil) {
+	walk(e, func(n Expr) bool {
+		c, ok := colOf(n)
 		switch {
-		case q.qual != "":
-			if t, ok := aliases[q.qual]; ok {
-				a.addCol(t, q.name)
+		case !ok:
+		case c.Qualifier != "":
+			if t, ok := aliases[c.Qualifier]; ok {
+				a.addCol(t, c.Name)
 			} else {
 				// Unknown qualifier: treat it as a table name outright.
-				a.addCol(q.qual, q.name)
+				a.addCol(c.Qualifier, c.Name)
 			}
 		case len(scope) == 1:
-			a.addCol(scope[0], q.name)
+			a.addCol(scope[0], c.Name)
 		default:
 			for _, t := range scope {
-				a.addCol(t, q.name)
+				a.addCol(t, c.Name)
 			}
 		}
-	}
-}
-
-type qualCol struct{ qual, name string }
-
-func collectQualified(e Expr, out map[qualCol]struct{}) map[qualCol]struct{} {
-	if out == nil {
-		out = make(map[qualCol]struct{})
-	}
-	switch x := e.(type) {
-	case Lit:
-	case Col:
-		out[qualCol{x.Qualifier, x.Name}] = struct{}{}
-	case boundCol:
-		out[qualCol{"", x.Name}] = struct{}{}
-	case Unary:
-		collectQualified(x.X, out)
-	case Binary:
-		collectQualified(x.L, out)
-		collectQualified(x.R, out)
-	case InList:
-		collectQualified(x.X, out)
-		for _, s := range x.Set {
-			collectQualified(s, out)
-		}
-	case IsNull:
-		collectQualified(x.X, out)
-	case Between:
-		collectQualified(x.X, out)
-		collectQualified(x.Lo, out)
-		collectQualified(x.Hi, out)
-	case Ternary:
-		collectQualified(x.Cond, out)
-		collectQualified(x.Then, out)
-		collectQualified(x.Else, out)
-	case Case:
-		for _, w := range x.Whens {
-			collectQualified(w.Cond, out)
-			collectQualified(w.Val, out)
-		}
-		if x.Else != nil {
-			collectQualified(x.Else, out)
-		}
-	case Call:
-		for _, a := range x.Args {
-			collectQualified(a, out)
-		}
-	}
-	return out
+		return true
+	})
 }
 
 // inputs renders the accumulator as a sorted delta.Input list.

@@ -222,16 +222,17 @@ func TestPlanCacheDialectSlots(t *testing.T) {
 }
 
 // TestCompileBoundUnboundColumn: CompileBoundCodes only accepts
-// plan-bound expressions; a bare Col must refuse to compile (the caller
-// falls back to the interpreter) rather than resolve names per row.
+// plan-bound expressions; a bare Col is one the planner could not resolve
+// and must fail to compile with the unknown-column error a statement
+// reports, rather than resolve names per row.
 func TestCompileBoundUnboundColumn(t *testing.T) {
 	ev := Evaluator{}
 	c := &compiler{ev: &ev, bound: true}
-	if _, err := c.val(Col{Name: "x"}); !errors.Is(err, errUnboundCol) {
-		t.Fatalf("compiling a bare Col: err = %v, want errUnboundCol", err)
+	if _, err := c.val(Col{Name: "x"}); !errors.Is(err, ErrUnknownColumn) || err.Error() != "sqlmini: unknown column: x" {
+		t.Fatalf("compiling a bare Col: err = %v, want ErrUnknownColumn", err)
 	}
-	if _, err := ev.CompileBoundCodes(Binary{Op: "=", L: Col{Name: "x"}, R: Lit{Val: rel.S("a")}}); !errors.Is(err, errUnboundCol) {
-		t.Fatalf("CompileBoundCodes with unbound column: err = %v, want errUnboundCol", err)
+	if _, err := ev.CompileBoundCodes(Binary{Op: "=", L: Col{Qualifier: "t", Name: "x"}, R: Lit{Val: rel.S("a")}}); !errors.Is(err, ErrUnknownColumn) || err.Error() != "sqlmini: unknown column: t.x" {
+		t.Fatalf("CompileBoundCodes with unbound column: err = %v, want ErrUnknownColumn", err)
 	}
 }
 

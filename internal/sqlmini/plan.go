@@ -1,6 +1,7 @@
 package sqlmini
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 
@@ -31,16 +32,12 @@ type srcPlan struct {
 	// so the plan is valid under both NULL dialects.
 	eqCols []string
 	eqVals []rel.Value
-	// filters are the remaining pushed conjuncts, evaluated over the
+	// filters are the remaining pushed conjuncts, bound to this source's
+	// columns, and vecs their selection-vector kernels (same index), which
+	// evaluate a whole morsel's column vectors per call over the
 	// (index-reduced) scan of this source.
 	filters []Expr
-	// vecs holds the vectorized form of each filter conjunct (same index),
-	// evaluating a whole morsel's column vectors per call; a nil slot means
-	// the conjunct failed to compile. The scan takes the column-at-a-time
-	// path only when every conjunct vectorized (see fullyVec) and is
-	// interpreted otherwise, so a partially lowered filter never splits
-	// evaluation orders.
-	vecs []*VecPred
+	vecs    []*VecPred
 }
 
 // pristine reports whether the source is scanned whole, with no pushed
@@ -48,37 +45,92 @@ type srcPlan struct {
 // join.
 func (sp srcPlan) pristine() bool { return len(sp.eqCols) == 0 && len(sp.filters) == 0 }
 
-// branchPlan is the cached physical plan of one SELECT branch.
+// branchPlan is the cached physical plan of one SELECT branch: how each
+// source is scanned, how each JOIN matches, the post-join filter and the
+// output, with every expression bound to row positions and compiled.
 type branchPlan struct {
-	srcs    []srcPlan
-	residue Expr // post-join filter; nil when fully pushed
-	// resConj/resProgs are the residue's conjuncts split once at plan time
-	// and their compiled forms (nil slots interpreted), so execution never
-	// re-splits or re-lowers the post-join filter.
-	resConj  []Expr
+	srcs  []srcPlan
+	joins []joinPlan // one per JOIN clause, in order
+	// residue is the post-join filter's conjuncts, bound to the joined
+	// row layout, and resProgs their compiled forms; both empty when the
+	// whole WHERE was pushed.
+	residue  []Expr
 	resProgs []CodePred
+	out      outPlan
 }
 
-// residueConjuncts returns the post-join filter as conjuncts plus their
-// compiled forms; plans built through planBranch carry both precomputed,
-// while the defensive fallback plan (planAt) splits on demand.
-func (p *branchPlan) residueConjuncts() ([]Expr, []CodePred) {
-	if p.resConj != nil {
-		return p.resConj, p.resProgs
-	}
-	if p.residue == nil {
-		return nil, nil
-	}
-	return splitAnd(p.residue), nil
+// joinPlan is how one JOIN clause matches: on the column pairs of a
+// conjunction of cross-side equalities (a hash or index join), or else
+// by ON compiled over the joined row (a nested loop).
+type joinPlan struct {
+	pairs []joinPair
+	on    CodePred
 }
 
-// src returns the i-th source plan, or a zero plan when out of range
-// (defensive: plans are built from the same statement they execute).
-func (p *branchPlan) src(i int) srcPlan {
-	if p == nil || i < 0 || i >= len(p.srcs) {
-		return srcPlan{}
+// outPlan is a branch's compiled output: its column names and, per output
+// row, the expressions producing it.
+type outPlan struct {
+	cols  []string
+	items []outExpr
+	// grouped is set when the branch aggregates: it has GROUP BY or
+	// HAVING, or an aggregate anywhere in its select list. keys then
+	// bucket the frame's rows, aggs are computed once per group, and
+	// items and having read the group's first row extended by one slot
+	// per aggregate (a group without rows reads NULLs).
+	grouped bool
+	keys    []outExpr
+	aggs    []aggSlot
+	having  CodePred
+	// order computes the ORDER BY keys: over the output row of a grouped
+	// branch, otherwise over the frame row extended by the output row, so
+	// a key may name a source column or an output alias.
+	order []valFn
+}
+
+// outExpr produces one code per row: a direct copy of column at, or,
+// when at is negative, fn's value interned.
+type outExpr struct {
+	at int
+	fn valFn
+}
+
+func (o outExpr) code(row []uint32) (uint32, error) {
+	if o.at >= 0 {
+		return row[o.at], nil
 	}
-	return p.srcs[i]
+	v, err := o.fn(row)
+	if err != nil {
+		return rel.NullCode, err
+	}
+	return dict.Code(v), nil
+}
+
+// aggSlot is one aggregate of a grouped branch: COUNT(*) when arg is nil,
+// otherwise MIN (or MAX) of arg over the group's rows, skipping NULLs.
+type aggSlot struct {
+	arg valFn
+	max bool
+}
+
+// eval computes the aggregate over one group's rows.
+func (a aggSlot) eval(rows [][]uint32) (rel.Value, error) {
+	if a.arg == nil {
+		return rel.I(int64(len(rows))), nil
+	}
+	best := rel.Null()
+	for _, row := range rows {
+		v, err := a.arg(row)
+		if err != nil {
+			return rel.Null(), err
+		}
+		if v.IsNull() {
+			continue
+		}
+		if best.IsNull() || (a.max && v.Compare(best) > 0) || (!a.max && v.Compare(best) < 0) {
+			best = v
+		}
+	}
+	return best, nil
 }
 
 // planEntry is one plan-cache slot: the parsed statement plus the lazily
@@ -202,79 +254,242 @@ func (r *run) buildBranchPlans(s *SelectStmt) ([]*branchPlan, error) {
 	return out, nil
 }
 
-// planBranch compiles one SELECT branch: WHERE conjuncts that reference a
+// planBranch plans one SELECT branch. WHERE conjuncts that reference a
 // single source are pushed to that source's scan, and among those the
 // column-equals-literal conjuncts become index keys; everything else is
-// the post-join residue.
+// the post-join residue. Every expression is then bound to row positions
+// and compiled: pushed filters to selection-vector kernels over their
+// source, the residue and each nested-loop ON to compiled predicates over
+// the joined row, and the select list, grouping and ORDER BY to the
+// output plan. A column or function that does not resolve fails the
+// plan, whatever rows the tables hold.
 func (r *run) planBranch(s *SelectStmt) (*branchPlan, error) {
 	sources, err := r.selectSources(s)
 	if err != nil {
 		return nil, err
 	}
-	plan := &branchPlan{srcs: make([]srcPlan, len(sources))}
-	if s.Where == nil {
-		return plan, nil
-	}
-	for _, c := range splitAnd(s.Where) {
-		target := pushTarget(c, sources)
-		if target < 0 {
-			if plan.residue == nil {
-				plan.residue = c
-			} else {
-				plan.residue = Binary{Op: "AND", L: plan.residue, R: c}
+	plan := &branchPlan{srcs: make([]srcPlan, len(sources)), joins: make([]joinPlan, len(s.Joins))}
+	var residue []Expr
+	if s.Where != nil {
+		for _, c := range splitAnd(s.Where) {
+			target := pushTarget(c, sources)
+			if target < 0 {
+				residue = append(residue, c)
+				continue
 			}
-			continue
+			sp := &plan.srcs[target]
+			if col, val, ok := indexableEq(c, sources[target]); ok && !hasCol(sp.eqCols, col) {
+				sp.eqCols = append(sp.eqCols, col)
+				sp.eqVals = append(sp.eqVals, val)
+				continue
+			}
+			sp.filters = append(sp.filters, c)
 		}
-		sp := &plan.srcs[target]
-		if col, val, ok := indexableEq(c, sources[target]); ok && !hasCol(sp.eqCols, col) {
-			sp.eqCols = append(sp.eqCols, col)
-			sp.eqVals = append(sp.eqVals, val)
-			continue
-		}
-		sp.filters = append(sp.filters, c)
 	}
-	// Bind column references to row positions: pushed filters against their
-	// source's schema, the residue against the joined layout. Fully bound
-	// conjuncts are additionally lowered: pushed ones to selection-vector
-	// kernels, the residue's to compiled predicates.
 	for i := range plan.srcs {
 		sp := &plan.srcs[i]
 		for j, e := range sp.filters {
 			sp.filters[j] = bindExpr(e, sources[i])
 		}
-		sp.vecs = compileVecs(&r.ev, sp.filters)
+		if sp.vecs, err = compileVecs(&r.ev, sp.filters); err != nil {
+			return nil, err
+		}
 	}
-	if plan.residue != nil {
-		plan.residue = bindExpr(plan.residue, joinedSchema(sources))
-		plan.resConj = splitAnd(plan.residue)
-		plan.resProgs = compilePreds(&r.ev, plan.resConj)
+	for j, jc := range s.Joins {
+		k := len(s.From) + j
+		jp := &plan.joins[j]
+		var hashable bool
+		if jp.pairs, hashable = hashJoinPairs(joinedSchema(sources[:k]), sources[k], jc.On); hashable {
+			continue
+		}
+		if jp.on, err = r.ev.CompileBoundCodes(bindExpr(jc.On, joinedSchema(sources[:k+1]))); err != nil {
+			return nil, err
+		}
+	}
+	joined := joinedSchema(sources)
+	for _, c := range residue {
+		c = bindExpr(c, joined)
+		p, err := r.ev.CompileBoundCodes(c)
+		if err != nil {
+			return nil, err
+		}
+		plan.residue = append(plan.residue, c)
+		plan.resProgs = append(plan.resProgs, p)
+	}
+	if plan.out, err = planOutput(&r.ev, s, joined); err != nil {
+		return nil, err
 	}
 	return plan, nil
 }
 
-// compilePreds lowers each bound residue conjunct through
-// CompileBoundCodes. A conjunct the compiler declines — an unresolved
-// column reference, or an unknown function — keeps a nil slot and is
-// interpreted per row, which preserves the unplanned path's error
-// reporting exactly.
-func compilePreds(ev *Evaluator, conjuncts []Expr) []CodePred {
-	if len(conjuncts) == 0 {
-		return nil
-	}
-	out := make([]CodePred, len(conjuncts))
-	for i, c := range conjuncts {
-		if p, err := ev.CompileBoundCodes(c); err == nil {
-			out[i] = p
+// planOutput binds and compiles a branch's output over the frame f: the
+// select list, and for a grouped branch its keys, aggregates and HAVING,
+// then the ORDER BY keys.
+func planOutput(ev *Evaluator, s *SelectStmt, f *frame) (outPlan, error) {
+	cols, exprs := projection(s.Items, f)
+	if len(s.GroupBy) == 0 && len(s.Items) == 1 && s.Items[0].Alias == "" {
+		if c, ok := s.Items[0].Expr.(Call); ok && c.Name == "count_star" {
+			cols[0] = "count" // a lone COUNT(*) over the whole input
 		}
 	}
-	return out
+	op := outPlan{cols: cols, grouped: len(s.GroupBy) > 0 || s.Having != nil}
+	for _, e := range exprs {
+		op.grouped = op.grouped || hasAgg(e)
+	}
+	bind := func(e Expr) (Expr, error) { return bindExpr(e, f), nil }
+	if op.grouped {
+		for _, g := range s.GroupBy {
+			k, err := compileOut(ev, bindExpr(g, f))
+			if err != nil {
+				return outPlan{}, err
+			}
+			op.keys = append(op.keys, k)
+		}
+		// Each distinct aggregate binds to a slot after the frame's
+		// columns; its argument reads the frame.
+		slots := map[string]int{}
+		width := len(f.names)
+		bind = func(e Expr) (Expr, error) {
+			var err error
+			b, _ := rewrite(e, func(n Expr) (Expr, bool) {
+				if !isAgg(n) || err != nil {
+					return bindCol(n, f)
+				}
+				key := n.String()
+				i, ok := slots[key]
+				if !ok {
+					var a aggSlot
+					if a, err = planAgg(ev, n.(Call), f); err != nil {
+						return nil, false
+					}
+					i = len(op.aggs)
+					slots[key] = i
+					op.aggs = append(op.aggs, a)
+				}
+				return boundCol{Col: Col{Name: key}, Idx: width + i}, true
+			})
+			return b, err
+		}
+		if s.Having != nil {
+			h, err := bind(s.Having)
+			if err != nil {
+				return outPlan{}, err
+			}
+			if op.having, err = ev.CompileBoundCodes(h); err != nil {
+				return outPlan{}, err
+			}
+		}
+	}
+	for _, e := range exprs {
+		b, err := bind(e)
+		if err != nil {
+			return outPlan{}, err
+		}
+		it, err := compileOut(ev, b)
+		if err != nil {
+			return outPlan{}, err
+		}
+		op.items = append(op.items, it)
+	}
+	// ORDER BY resolves a name among the source columns first (never in a
+	// grouped branch), then among the output columns.
+	base := len(f.names)
+	if op.grouped {
+		base = 0
+	}
+	for _, k := range s.OrderBy {
+		b, _ := rewrite(k.Expr, func(n Expr) (Expr, bool) {
+			if !op.grouped {
+				if b, ok := bindCol(n, f); ok {
+					return b, true
+				}
+			}
+			if c, ok := n.(Col); ok && c.Qualifier == "" {
+				for i, name := range cols {
+					if name == c.Name {
+						return boundCol{Col: c, Idx: base + i}, true
+					}
+				}
+			}
+			return nil, false
+		})
+		fn, err := ev.compileBoundVal(b)
+		if err != nil {
+			return outPlan{}, err
+		}
+		op.order = append(op.order, fn)
+	}
+	return op, nil
+}
+
+// planAgg compiles one aggregate call's argument over the frame.
+func planAgg(ev *Evaluator, call Call, f *frame) (aggSlot, error) {
+	if call.Name == "count_star" {
+		return aggSlot{}, nil
+	}
+	if len(call.Args) != 1 {
+		return aggSlot{}, fmt.Errorf("%w: %s wants 1 argument", ErrType, call.Name)
+	}
+	arg, err := ev.compileBoundVal(bindExpr(call.Args[0], f))
+	return aggSlot{arg: arg, max: call.Name == "agg_max"}, err
+}
+
+// compileOut compiles a bound output expression, copying a bare column
+// reference straight off the row.
+func compileOut(ev *Evaluator, e Expr) (outExpr, error) {
+	if b, ok := e.(boundCol); ok {
+		return outExpr{at: b.Idx}, nil
+	}
+	fn, err := ev.compileBoundVal(e)
+	return outExpr{at: -1, fn: fn}, err
+}
+
+// projection expands the select list into output column names and the
+// expressions producing them.
+func projection(items []SelectItem, f *frame) ([]string, []Expr) {
+	var cols []string
+	var exprs []Expr
+	for _, it := range items {
+		if it.Star {
+			for i := range f.names {
+				name := f.names[i]
+				if f.resolve("", name) < 0 {
+					// Ambiguous across tables; qualify.
+					name = f.aliases[i] + "." + f.names[i]
+				}
+				cols = append(cols, name)
+				exprs = append(exprs, Col{Qualifier: f.aliases[i], Name: f.names[i]})
+			}
+			continue
+		}
+		name := it.Alias
+		if name == "" {
+			if c, ok := it.Expr.(Col); ok {
+				name = c.Name
+			} else {
+				name = it.Expr.String()
+			}
+		}
+		cols = append(cols, name)
+		exprs = append(exprs, it.Expr)
+	}
+	// Disambiguate duplicate output names (SELECT a.m, b.m ...).
+	seen := make(map[string]int, len(cols))
+	for i, c := range cols {
+		n := seen[c]
+		seen[c] = n + 1
+		if n > 0 {
+			cols[i] = fmt.Sprintf("%s_%d", c, n)
+		}
+	}
+	return cols, exprs
 }
 
 // boundCol is a column reference resolved to a row position at plan time.
-// Only bindExpr produces it — never the parser — so it appears only inside
-// cached plans, whose frame layout is pinned by the schema epoch. The
-// embedded Col keeps the original spelling for rendering (EXPLAIN output is
-// unchanged) and for the name-resolution fallback under non-frame Envs.
+// Only the planner produces it — never the parser — so it appears only
+// inside cached plans, whose frame layout is pinned by the schema epoch.
+// The embedded Col keeps the original spelling for rendering (EXPLAIN
+// output is unchanged).
 type boundCol struct {
 	Col
 	Idx int
@@ -292,93 +507,54 @@ func joinedSchema(sources []*frame) *frame {
 	return out
 }
 
-// bindExpr rewrites e with every resolvable column reference replaced by
-// its position in f's row layout, so per-row evaluation indexes the row
-// directly instead of resolving names. The tree is copied, never mutated:
-// parsed statements are shared across executions and epochs. References
-// that do not resolve (unknown or ambiguous) keep their Col node, so
-// runtime errors are identical to the unplanned path.
-func bindExpr(e Expr, f *frame) Expr {
-	switch x := e.(type) {
-	case Col:
-		if i := f.resolve(x.Qualifier, x.Name); i >= 0 {
-			return boundCol{Col: x, Idx: i}
+// bindCol binds n to its position in f's row layout when n is a column
+// reference that resolves there.
+func bindCol(n Expr, f *frame) (Expr, bool) {
+	if c, ok := n.(Col); ok {
+		if i := f.resolve(c.Qualifier, c.Name); i >= 0 {
+			return boundCol{Col: c, Idx: i}, true
 		}
-		return x
-	case Unary:
-		x.X = bindExpr(x.X, f)
-		return x
-	case Binary:
-		x.L = bindExpr(x.L, f)
-		x.R = bindExpr(x.R, f)
-		return x
-	case InList:
-		x.X = bindExpr(x.X, f)
-		set := make([]Expr, len(x.Set))
-		for i, s := range x.Set {
-			set[i] = bindExpr(s, f)
-		}
-		x.Set = set
-		return x
-	case IsNull:
-		x.X = bindExpr(x.X, f)
-		return x
-	case Between:
-		x.X = bindExpr(x.X, f)
-		x.Lo = bindExpr(x.Lo, f)
-		x.Hi = bindExpr(x.Hi, f)
-		return x
-	case Ternary:
-		x.Cond = bindExpr(x.Cond, f)
-		x.Then = bindExpr(x.Then, f)
-		x.Else = bindExpr(x.Else, f)
-		return x
-	case Case:
-		whens := make([]When, len(x.Whens))
-		for i, w := range x.Whens {
-			whens[i] = When{Cond: bindExpr(w.Cond, f), Val: bindExpr(w.Val, f)}
-		}
-		x.Whens = whens
-		if x.Else != nil {
-			x.Else = bindExpr(x.Else, f)
-		}
-		return x
-	case Call:
-		args := make([]Expr, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = bindExpr(a, f)
-		}
-		x.Args = args
-		return x
-	default:
-		return e
 	}
+	return nil, false
+}
+
+// bindExpr rewrites e with every resolvable column reference replaced by
+// its position in f's row layout. References that do not resolve (unknown
+// or ambiguous) keep their Col node, which then fails compilation with
+// ErrUnknownColumn. The tree is never mutated: parsed statements are
+// shared across executions and epochs.
+func bindExpr(e Expr, f *frame) Expr {
+	b, _ := rewrite(e, func(n Expr) (Expr, bool) { return bindCol(n, f) })
+	return b
 }
 
 // pushTarget finds the single source a conjunct's column references all
 // resolve in, or -1 when the conjunct has no column references, spans
 // sources, or references something ambiguous/unresolvable.
 func pushTarget(c Expr, sources []*frame) int {
-	var cols []Col
-	colRefs(c, &cols)
-	if len(cols) == 0 {
-		return -1
-	}
 	target := -1
-	for _, col := range cols {
+	pushable := walk(c, func(n Expr) bool {
+		col, ok := colOf(n)
+		if !ok {
+			return true
+		}
 		si := -1
 		for i, src := range sources {
 			if src.resolve(col.Qualifier, col.Name) >= 0 {
 				if si >= 0 {
-					return -1 // resolvable in two sources: not pushable
+					return false // resolvable in two sources: not pushable
 				}
 				si = i
 			}
 		}
 		if si < 0 || (target >= 0 && si != target) {
-			return -1
+			return false
 		}
 		target = si
+		return true
+	})
+	if !pushable {
+		return -1
 	}
 	return target
 }

@@ -1,9 +1,12 @@
 package sqlmini
 
 import (
+	"sync"
 	"testing"
+	"time"
 
 	"coherdb/internal/obs"
+	"coherdb/internal/rel"
 )
 
 func TestQueryStatsJoinAndPushdown(t *testing.T) {
@@ -130,5 +133,62 @@ func TestTracerEmitsStatementSpans(t *testing.T) {
 	}
 	if sp.End.Before(sp.Start) {
 		t.Error("span never finished")
+	}
+}
+
+// TestQueryLogShowsQueuedWriter: a writer waiting for the writer lock is
+// in flight in phase queued while the writer holding the lock, parked in
+// a registered function, has moved on; then both finish.
+func TestQueryLogShowsQueuedWriter(t *testing.T) {
+	db := NewDB()
+	parked, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	db.Register("park", func(args []rel.Value) (rel.Value, error) {
+		once.Do(func() {
+			close(parked)
+			<-release
+		})
+		return args[0], nil
+	})
+	if err := db.ExecScript(`CREATE TABLE t (k, v); INSERT INTO t VALUES ('a', '1')`); err != nil {
+		t.Fatal(err)
+	}
+	ql := obs.NewQueryLog(8, time.Hour)
+	db.SetQueryLog(ql)
+	errs := make(chan error, 2)
+	go func() {
+		_, err := db.Exec(`UPDATE t SET v = park(v)`)
+		errs <- err
+	}()
+	<-parked
+	go func() {
+		_, err := db.Exec(`INSERT INTO t VALUES ('b', '2')`)
+		errs <- err
+	}()
+	phases := map[string]string{}
+	for deadline := time.Now().Add(10 * time.Second); len(phases) < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("in-flight statements never reached 2: %v", phases)
+		}
+		inflight, _ := ql.Snapshot()
+		clear(phases)
+		for _, q := range inflight {
+			phases[q.Kind] = q.Phase
+		}
+	}
+	if phases["INSERT"] != "queued" || phases["UPDATE"] == "queued" {
+		t.Errorf("in-flight phases %v: want the waiting INSERT queued and the UPDATE past it", phases)
+	}
+	close(release)
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if inflight, _ := ql.Snapshot(); len(inflight) != 0 {
+		t.Fatalf("finished statements still in flight: %v", inflight)
+	}
+	if res, err := db.Query(`SELECT COUNT(*) FROM t`); err != nil || res.At(0, 0).Int() != 2 {
+		t.Fatalf("t after both writers: %v, %v", res, err)
 	}
 }

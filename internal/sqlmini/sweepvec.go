@@ -532,7 +532,7 @@ func (s *sweepCompiler) ternary(x Ternary) (svFn, error) {
 // sweep position. Unknown columns error exactly as compilation would; the
 // walk stops at the first sweep read or error.
 func (s *sweepCompiler) readsSweep(e Expr) (reads bool, err error) {
-	walkCols(e, func(ref Expr) bool {
+	walk(e, func(ref Expr) bool {
 		var idx int
 		var ok bool
 		idx, _, ok, err = s.c.colPos(ref)

@@ -33,9 +33,9 @@ import (
 //     closure once per selected row, over a scratch row gathered from
 //     the columns it reads.
 //
-// Only a conjunct that fails to compile (an unknown function, or a column
-// the planner could not bind) has no vectorized form; its scan is
-// interpreted row at a time, which EXPLAIN reports as eval=scalar.
+// A conjunct that does not compile (an unknown function, or a column the
+// planner could not bind) fails its statement when it plans, so every
+// pushed filter runs on these kernels.
 //
 // Selection semantics are WHERE semantics: a row survives iff the
 // conjunct is definitely true. Kernels therefore drop unknown outright,
@@ -115,7 +115,6 @@ type VecPred struct {
 	bufSlots  int
 	memoSlots int
 	crowLen   int
-	width     int
 	pool      sync.Pool // *vecState
 }
 
@@ -140,10 +139,6 @@ func (p *VecPred) EvalVec(cols [][]uint32, sel []uint32) ([]uint32, error) {
 	return out, err
 }
 
-// Width returns the number of column positions the predicate may read —
-// the minimum length of the cols slice passed to EvalVec.
-func (p *VecPred) Width() int { return p.width }
-
 // CompileBoundVec lowers a plan-bound conjunct into its vectorized form.
 // It fails only where CompileBoundCodes fails: on an unknown function or
 // a column reference the planner left unbound.
@@ -153,56 +148,34 @@ func (ev *Evaluator) CompileBoundVec(e Expr) (*VecPred, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &VecPred{kern: k, bufSlots: vc.bufSlots, memoSlots: vc.memoSlots, crowLen: vc.crowLen, width: vc.width}, nil
+	return &VecPred{kern: k, bufSlots: vc.bufSlots, memoSlots: vc.memoSlots, crowLen: vc.crowLen}, nil
 }
 
-// compileVecs lowers each bound conjunct through CompileBoundVec,
-// leaving nil slots where compilation failed — the same convention
-// compilePreds uses for residues.
-func compileVecs(ev *Evaluator, conjuncts []Expr) []*VecPred {
+// compileVecs lowers each bound conjunct through CompileBoundVec; the
+// first conjunct that does not compile fails them all.
+func compileVecs(ev *Evaluator, conjuncts []Expr) ([]*VecPred, error) {
 	if len(conjuncts) == 0 {
-		return nil
+		return nil, nil
 	}
 	out := make([]*VecPred, len(conjuncts))
 	for i, c := range conjuncts {
-		if p, err := ev.CompileBoundVec(c); err == nil {
-			out[i] = p
+		p, err := ev.CompileBoundVec(c)
+		if err != nil {
+			return nil, err
 		}
+		out[i] = p
 	}
-	return out
-}
-
-// fullyVec reports whether all n conjuncts lowered to vectorized
-// kernels — the precondition for the column-at-a-time scan path and its
-// morsel parallelism.
-func fullyVec(vecs []*VecPred, n int) bool {
-	if n == 0 || len(vecs) != n {
-		return false
-	}
-	for _, p := range vecs {
-		if p == nil {
-			return false
-		}
-	}
-	return true
+	return out, nil
 }
 
 // vecCompiler carries compile-time slot counters — OR buffers, fallback
-// memos, the scratch row's length (0 when no kernel gathers a row) — and
-// the number of column positions the kernels read. The inner compiler
-// lowers fallback subtrees (bound mode).
+// memos, the scratch row's length (0 when no kernel gathers a row). The
+// inner compiler lowers fallback subtrees (bound mode).
 type vecCompiler struct {
 	c         *compiler
 	bufSlots  int
 	memoSlots int
 	crowLen   int
-	width     int
-}
-
-func (vc *vecCompiler) needWidth(n int) {
-	if n > vc.width {
-		vc.width = n
-	}
 }
 
 // vecOperand classifies a code-loadable operand: an interned literal or
@@ -329,7 +302,6 @@ func (vc *vecCompiler) comp(e Expr) (vecKernel, error) {
 				if rlit {
 					lit, idx = rc, li
 				}
-				vc.needWidth(idx + 1)
 				if !nullEq && lit == rel.NullCode {
 					return constKernel(false), nil
 				}
@@ -374,11 +346,6 @@ func (vc *vecCompiler) comp(e Expr) (vecKernel, error) {
 					return sel[:k], nil
 				}, nil
 			default: // column vs column
-				w := li
-				if ri > w {
-					w = ri
-				}
-				vc.needWidth(w + 1)
 				if nullEq {
 					return func(_ *vecState, cols [][]uint32, sel []uint32) ([]uint32, error) {
 						a, b := cols[li], cols[ri]
@@ -429,7 +396,6 @@ func (vc *vecCompiler) comp(e Expr) (vecKernel, error) {
 			return vc.fallback(e)
 		}
 		idx, neg := bc.Idx, x.Negate
-		vc.needWidth(idx + 1)
 		// NULL is code 0 in both dialects; IS NULL never yields unknown.
 		return func(_ *vecState, cols [][]uint32, sel []uint32) ([]uint32, error) {
 			col := cols[idx]
@@ -463,7 +429,6 @@ func (vc *vecCompiler) inList(x InList) (vecKernel, error) {
 	nullEq := vc.c.ev.NullEq
 	neg := x.Negate
 	idx := bc.Idx
-	vc.needWidth(idx + 1)
 
 	var codes []uint32
 	hasNull := false
@@ -592,7 +557,7 @@ func (vc *vecCompiler) fallback(e Expr) (vecKernel, error) {
 	}
 	// Distinct bound positions; compilation rejected any bare Col.
 	var pos []int
-	walkCols(e, func(ref Expr) bool {
+	walk(e, func(ref Expr) bool {
 		if b, ok := ref.(boundCol); ok && !slices.Contains(pos, b.Idx) {
 			pos = append(pos, b.Idx)
 		}
@@ -612,7 +577,6 @@ func (vc *vecCompiler) fallback(e Expr) (vecKernel, error) {
 		}, nil
 	}
 	width := slices.Max(pos) + 1
-	vc.needWidth(width)
 	vc.crowLen = max(vc.crowLen, width)
 	if len(pos) > 1 {
 		return func(st *vecState, cols [][]uint32, sel []uint32) ([]uint32, error) {

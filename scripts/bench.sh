@@ -41,7 +41,8 @@
 # against its full-scan oracle), the
 # scan-filter and sweep-vector equivalence suites (frozen result digests,
 # and every compiled form against the tree-walking interpreter, including
-# the differential fuzzer's seed corpus), the MVCC epoch/catalog layer
+# the differential fuzzer's seed corpus, and whole SELECTs against the
+# naive nested-loop oracle), the MVCC epoch/catalog layer
 # (with DML atomicity on shared and session tables, UPDATE/DELETE against
 # their row-at-a-time oracle, indexes carried across epochs against a
 # rebuild, and DML building no index) and the query server (concurrent
@@ -84,7 +85,7 @@ go test -race -run 'TestParallelMatchesSerial|TestParallelMatchesSerialControlle
     ./internal/pool/ ./internal/sqlmini/
 
 echo "== race-detector vectorized-equivalence tests =="
-go test -race -run 'TestScanFiltersMatchFrozenResults|TestVecPredMatchesScalarKernel|TestSweepVecMatchesInterpreter|FuzzCompiledMatchesInterpreter' \
+go test -race -run 'TestScanFiltersMatchFrozenResults|TestVecPredMatchesScalarKernel|TestSweepVecMatchesInterpreter|FuzzCompiledMatchesInterpreter|TestStatementsMatchOracle|TestCompiledConstraintsMatchInterpreter' \
     ./internal/sqlmini/
 
 echo "== race-detector observability tests =="
