@@ -284,6 +284,19 @@ func BenchmarkVCGConstruction(b *testing.B) {
 	}
 }
 
+// BenchmarkDeadlockStory is the §4.2 story as core.Pipeline.CheckDeadlocks
+// runs it: initial4, vc4 and fixed, each analysed in the paper's final
+// configuration.
+func BenchmarkDeadlockStory(b *testing.B) {
+	p := pipeline(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := p.CheckDeadlocks(nil, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- A1: pairwise composition vs the abandoned transitive closure --------
 
 func BenchmarkPairwiseVsClosure(b *testing.B) {

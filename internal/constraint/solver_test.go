@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"coherdb/internal/rel"
+	"coherdb/internal/sqlmini"
 )
 
 // figure3Spec builds the readex fragment of the paper's directory table
@@ -212,6 +213,40 @@ func TestSolveCandidatesFarFewerThanMonolithic(t *testing.T) {
 	if si.Candidates*10 > sm.Candidates {
 		t.Fatalf("incremental tested %d candidates, monolithic %d; expected >10x gap",
 			si.Candidates, sm.Candidates)
+	}
+}
+
+// TestConstrainExprResolution pins ConstrainExpr's three cases: a tree
+// whose every name is a column (a protocol builder's resolved rule chain)
+// is stored as given; bare symbols still resolve to values; and a
+// qualified reference to an undeclared column still fails with
+// ErrNoColumn and the same text.
+func TestConstrainExprResolution(t *testing.T) {
+	s := NewSpec("t")
+	mustDo(t, s.AddInput("a", "x", "y"))
+	mustDo(t, s.AddOutput("b", "p", "q"))
+	eq := func(l, r sqlmini.Expr) sqlmini.Expr { return sqlmini.Binary{Op: "=", L: l, R: r} }
+	col := func(name string) sqlmini.Expr { return sqlmini.Col{Name: name} }
+	lit := func(v string) sqlmini.Expr { return sqlmini.Lit{Val: rel.S(v)} }
+
+	chain := sqlmini.Ternary{Cond: eq(col("a"), lit("x")), Then: eq(col("b"), lit("p")), Else: eq(col("b"), lit("q"))}
+	mustDo(t, s.ConstrainExpr("b", chain))
+	if got := s.Constraint("b"); !sqlmini.EqualExpr(got, chain) {
+		t.Fatalf("resolved chain stored as %s, want %s", got, chain)
+	}
+
+	mustDo(t, s.ConstrainExpr("b", sqlmini.Binary{Op: "AND", L: eq(col("a"), col("x")), R: eq(col("b"), col("p"))}))
+	want := sqlmini.Binary{Op: "AND", L: eq(col("a"), lit("x")), R: eq(col("b"), lit("p"))}
+	if got := s.Constraint("b"); !sqlmini.EqualExpr(got, want) {
+		t.Fatalf("bare symbols resolved to %s, want %s", got, want)
+	}
+
+	err := s.ConstrainExpr("b", eq(sqlmini.Col{Qualifier: "T", Name: "c"}, col("p")))
+	if !errors.Is(err, ErrNoColumn) || err.Error() != `constraint: no such column: constraint for t.b references "c"` {
+		t.Fatalf("qualified undeclared column: err = %v", err)
+	}
+	if got := s.Constraint("b"); !sqlmini.EqualExpr(got, want) {
+		t.Fatalf("failed ConstrainExpr replaced the constraint with %s", got)
 	}
 }
 

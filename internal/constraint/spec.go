@@ -211,19 +211,25 @@ func (s *Spec) ConstrainExpr(col string, e sqlmini.Expr) error {
 	if !s.HasColumn(col) {
 		return fmt.Errorf("%w: %q in spec %q", ErrNoColumn, col, s.Name)
 	}
-	resolved := sqlmini.ResolveSymbols(e, s.HasColumn)
-	// Validate that every referenced column exists after resolution
-	// (qualified references are not part of the constraint dialect).
+	// Every name must be a column once bare symbols are resolved to
+	// values (qualified references are not part of the constraint
+	// dialect). A tree whose every name is already a column, such as a
+	// protocol builder's rule chain, is stored as it is after one walk.
 	missing := ""
-	sqlmini.VisitColumns(resolved, func(ref string) {
+	check := func(ref string) {
 		if missing == "" && !s.HasColumn(ref) {
 			missing = ref
 		}
-	})
+	}
+	if sqlmini.VisitColumns(e, check); missing != "" {
+		missing = ""
+		e = sqlmini.ResolveSymbols(e, s.HasColumn)
+		sqlmini.VisitColumns(e, check)
+	}
 	if missing != "" {
 		return fmt.Errorf("%w: constraint for %s.%s references %q", ErrNoColumn, s.Name, col, missing)
 	}
-	s.constraints[col] = resolved
+	s.constraints[col] = e
 	s.genCtr++
 	s.conGen[col] = s.genCtr
 	s.invalidate()

@@ -147,8 +147,8 @@ func (p *Pipeline) CheckInvariants(workers int) error {
 }
 
 // CheckDeadlocks analyzes the channel-assignment sequence; the last
-// assignment must be cycle free. workers bounds composition parallelism
-// (0 means the analyzer's default).
+// assignment must be cycle free. workers bounds the analyzer's
+// per-controller derivation parallelism (0 means its default).
 func (p *Pipeline) CheckDeadlocks(order []string, workers int) error {
 	_, done := p.phase("deadlock")
 	defer done()

@@ -24,8 +24,8 @@ type Options struct {
 	// closure and "abandoned [it] due to the excessive number of spurious
 	// cycles"; it is kept as an ablation.
 	Closure bool
-	// Workers bounds edge-derivation and composition parallelism on the
-	// shared worker pool; 0 means the pool's full size.
+	// Workers bounds per-controller derivation parallelism on the shared
+	// worker pool; 0 means the pool's full size.
 	Workers int
 	// Label names the channel assignment in spans and metrics; empty
 	// means the V table's own name. AnalyzeStory sets it per assignment.
@@ -99,53 +99,62 @@ func Analyze(controllers []*rel.Table, v *rel.Table, opts Options) (_ *Report, e
 	// correspond to the placement L≠H≠R (§4.1). Each controller's edges
 	// derive independently, so the tables are dealt to the shared pool;
 	// results land at their table's index, keeping output order serial.
-	individual := make([][]DepRow, len(controllers))
+	individual := make([][][2]quad, len(controllers))
 	if _, err := exec.Each(workers, len(controllers), 1, func(ti, _, _ int) error {
-		rows, err := ControllerDeps(controllers[ti], assign)
-		if err != nil {
-			return err
-		}
+		rows, err := controllerDeps(controllers[ti], assign)
 		individual[ti] = rows
-		return nil
+		return err
 	}); err != nil {
 		return nil, err
 	}
-	total := 0
-	for _, rows := range individual {
-		total += len(rows)
+	var stats Stats
+	composeStart := time.Now()
+	a := &atoms{ids: map[quad]int32{}}
+	base := make([]*itable, len(controllers))
+	for ti, rows := range individual {
+		t := &itable{in: make([]int32, len(rows)), out: make([]int32, len(rows)), origin: controllers[ti].Name()}
+		for r, d := range rows {
+			t.in[r], t.out[r] = a.intern(d[0]), a.intern(d[1])
+		}
+		base[ti] = t
+		stats.ControllerRows += len(rows)
 	}
-	stats := Stats{ControllerRows: total}
 
 	// Every placement set holds every individual table with the
-	// placement's role identifications applied.
-	composeStart := time.Now()
+	// placement's role identifications applied: a placement maps each
+	// individual atom to its placed atom once, and each table through
+	// that map.
 	placements := Placements()
 	if opts.NoPlacements {
 		placements = placements[:1]
 	}
-	sets := make([][][]DepRow, len(placements))
+	nbase := len(a.quads)
+	sets := make([][]*itable, len(placements))
 	for pi, p := range placements {
-		tables := make([][]DepRow, len(individual))
-		for ti, rows := range individual {
-			mod := make([]DepRow, len(rows))
-			for i, r := range rows {
-				mod[i] = applyPlacement(r, p)
-			}
-			tables[ti] = mod
-			stats.PlacementRows += len(mod)
+		placed := a.placed(p, nbase)
+		suffix := ""
+		if p.Name != "L!=H!=R" {
+			suffix = "@" + p.Name
 		}
-		sets[pi] = tables
+		for _, t := range base {
+			pt := &itable{in: make([]int32, len(t.in)), out: make([]int32, len(t.out)), origin: t.origin + suffix}
+			for r := range t.in {
+				pt.in[r], pt.out[r] = placed[t.in[r]], placed[t.out[r]]
+			}
+			sets[pi] = append(sets[pi], pt)
+			stats.PlacementRows += len(pt.in)
+		}
 	}
 
 	// The protocol dependency table: union of all individual tables (all
 	// placements) and all pairwise tables, plus the optional closure (the
 	// paper's abandoned first attempt).
-	comp := composeProtocol(sets, opts.Relaxed, opts.Closure, exec, workers)
-	protocol := comp.rows
+	comp := composeProtocol(sets, a, opts.Relaxed, opts.Closure)
+	protocol, ends, channels := a.depRows(comp)
 	stats.ComposedRows, stats.Rounds, stats.ProtocolRows = comp.composed, comp.rounds, len(protocol)
 	stats.ComposeElapsed = time.Since(composeStart)
 
-	g := NewVCG(protocol)
+	g := newVCG(protocol, ends, channels)
 	cycleStart := time.Now()
 	cycles := g.Cycles()
 	stats.CycleElapsed = time.Since(cycleStart)
@@ -155,7 +164,7 @@ func Analyze(controllers []*rel.Table, v *rel.Table, opts Options) (_ *Report, e
 	stats.Elapsed = time.Since(start)
 	span.SetAttr(
 		obs.Int("composed_rows", stats.ComposedRows),
-		obs.Int("atoms", comp.atoms),
+		obs.Int("atoms", len(a.quads)),
 		obs.Duration("compose_elapsed", stats.ComposeElapsed),
 		obs.Int("protocol_rows", stats.ProtocolRows),
 		obs.Int("nodes", stats.Nodes),

@@ -32,34 +32,41 @@ type VKey struct {
 // d and is sent over virtual channel v". Messages without an assignment
 // travel over dedicated or node-internal paths and induce no dependencies.
 type Assignment struct {
-	idx map[VKey]string
+	// vc maps a (message, source, destination) code triple to its
+	// channel's code; rel.NullCode marks a hop that is not a tracked
+	// channel resource.
+	vc map[[3]uint32]uint32
 }
 
-// NewAssignment wraps a V table (columns m, s, d, v).
+// NewAssignment wraps a V table (columns m, s, d, v). A v cell that is not
+// a non-empty string leaves its hop untracked.
 func NewAssignment(v *rel.Table) (*Assignment, error) {
-	for _, c := range []string{"m", "s", "d", "v"} {
-		if !v.HasColumn(c) {
+	var cols [4][]uint32
+	for j, c := range []string{"m", "s", "d", "v"} {
+		k := v.ColIndex(c)
+		if k < 0 {
 			return nil, fmt.Errorf("%w: missing column %q", ErrBadAssignment, c)
 		}
+		cols[j] = v.ColCodes(k)
 	}
-	a := &Assignment{idx: make(map[VKey]string, v.NumRows())}
+	str := func(c uint32) string { return v.Dict().Value(c).Str() }
+	a := &Assignment{vc: make(map[[3]uint32]uint32, v.NumRows())}
 	for i := 0; i < v.NumRows(); i++ {
-		k := VKey{M: v.Get(i, "m").Str(), S: v.Get(i, "s").Str(), D: v.Get(i, "d").Str()}
-		if k.M == "" || k.S == "" || k.D == "" || v.Get(i, "v").IsNull() {
+		k := [3]uint32{cols[0][i], cols[1][i], cols[2][i]}
+		vc := cols[3][i]
+		if str(k[0]) == "" || str(k[1]) == "" || str(k[2]) == "" || vc == rel.NullCode {
 			return nil, fmt.Errorf("%w: row %d has empty fields", ErrBadAssignment, i)
 		}
-		if prev, dup := a.idx[k]; dup && prev != v.Get(i, "v").Str() {
-			return nil, fmt.Errorf("%w: %v assigned to both %s and %s", ErrBadAssignment, k, prev, v.Get(i, "v").Str())
+		if str(vc) == "" {
+			vc = rel.NullCode
 		}
-		a.idx[k] = v.Get(i, "v").Str()
+		if prev, dup := a.vc[k]; dup && prev != vc {
+			return nil, fmt.Errorf("%w: %v assigned to both %s and %s", ErrBadAssignment,
+				VKey{M: str(k[0]), S: str(k[1]), D: str(k[2])}, str(prev), str(vc))
+		}
+		a.vc[k] = vc
 	}
 	return a, nil
-}
-
-// Channel returns the channel assigned to (m, s, d), or "" if the hop is
-// not a tracked channel resource.
-func (a *Assignment) Channel(m, s, d string) string {
-	return a.idx[VKey{M: m, S: s, D: d}]
 }
 
 // Placement is one of the five quad-placement relations of §4.1: a
@@ -70,14 +77,6 @@ func (a *Assignment) Channel(m, s, d string) string {
 type Placement struct {
 	Name  string
 	Subst map[string]string
-}
-
-// Apply substitutes a role.
-func (p Placement) Apply(role string) string {
-	if r, ok := p.Subst[role]; ok {
-		return r
-	}
-	return role
 }
 
 // Placements returns the five quad-placement relations: L≠H≠R (identity),

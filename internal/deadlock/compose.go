@@ -1,207 +1,206 @@
 package deadlock
 
-import "coherdb/internal/pool"
+import (
+	"slices"
 
-// Composition (§4.1) runs over integers: every distinct VAssign of one
-// analysis is interned to a dense atom id, every atom carries a dense
-// composition-key id, each dependency table becomes atom arrays with an
-// index of its rows by input key, the pairwise joins emit row-index pairs,
-// and a serial pass keeps each (input, output) atom pair's first occurrence
-// in a bitset. A DepRow, and its Origin string, is built only for a row
-// that survives.
+	"coherdb/internal/rel"
+)
 
-// interner maps the assignments of one analysis to dense atom ids and each
-// atom to a dense composition-key id: (s, d, v) when relaxed — the
-// message-agnostic match that captures transaction interleavings — and all
-// of (m, s, d, v) when exact.
-type interner struct {
-	relaxed bool
-	ids     map[VAssign]int32
-	atoms   []VAssign
-	keyIDs  map[VAssign]int32
-	key     []int32 // atom id -> composition-key id
+// The analysis runs on dictionary codes. Every table encodes into
+// rel.SharedDict(), so a code names the same value in the controller tables
+// and in V. Every distinct assignment of one analysis is interned, on its
+// packed codes, to a dense atom id; each dependency table becomes atom
+// arrays indexed by input composition key; and the pairwise joins feed a
+// first-occurrence table over (input, output) atom pairs directly. Strings
+// are decoded once per atom, to build the DepRows of the rows that survive.
+
+// atoms interns the assignments of one analysis to dense atom ids.
+type atoms struct {
+	ids   map[quad]int32
+	quads []quad
 }
 
-func (n *interner) intern(a VAssign) int32 {
-	if id, ok := n.ids[a]; ok {
+func (a *atoms) intern(q quad) int32 {
+	if id, ok := a.ids[q]; ok {
 		return id
 	}
-	id := int32(len(n.atoms))
-	n.ids[a] = id
-	n.atoms = append(n.atoms, a)
-	k := a
-	if n.relaxed {
-		k.M = ""
-	}
-	kid, ok := n.keyIDs[k]
-	if !ok {
-		kid = int32(len(n.keyIDs))
-		n.keyIDs[k] = kid
-	}
-	n.key = append(n.key, kid)
+	id := int32(len(a.quads))
+	a.ids[q] = id
+	a.quads = append(a.quads, q)
 	return id
 }
 
-// itable is a dependency table over atom ids. After index, the rows whose
-// input has composition key k are byIn[start[k]:start[k+1]], in table order.
-type itable struct {
-	in, out     []int32
-	origin      []string
-	start, byIn []int32
+// placed maps each of the first n atoms to its atom under placement p,
+// which substitutes role codes in the source and destination. Channels are
+// kept: co-located roles share the physical link, which is exactly what
+// makes the dependency arise (§4.1).
+func (a *atoms) placed(p Placement, n int) []int32 {
+	var subst [][2]uint32
+	for from, to := range p.Subst {
+		subst = append(subst, [2]uint32{rel.SharedDict().Code(rel.S(from)), rel.SharedDict().Code(rel.S(to))})
+	}
+	role := func(c uint32) uint32 {
+		for _, s := range subst {
+			if c == s[0] {
+				return s[1]
+			}
+		}
+		return c
+	}
+	out := make([]int32, n)
+	for i := range out {
+		q := a.quads[i]
+		q[1], q[2] = role(q[1]), role(q[2])
+		out[i] = a.intern(q)
+	}
+	return out
 }
 
-func (n *interner) table(rows []DepRow) *itable {
-	t := &itable{in: make([]int32, len(rows)), out: make([]int32, len(rows)), origin: make([]string, len(rows))}
-	for i, r := range rows {
-		t.in[i], t.out[i], t.origin[i] = n.intern(r.In), n.intern(r.Out), r.Origin
-	}
-	return t
-}
-
-// index builds the by-input-key index over the table's current rows. It
-// must run after every atom of the analysis is interned.
-func (t *itable) index(key []int32, nkeys int) {
-	t.start = make([]int32, nkeys+1)
-	for _, a := range t.in {
-		t.start[key[a]+1]++
-	}
-	for k := 1; k <= nkeys; k++ {
-		t.start[k] += t.start[k-1]
-	}
-	next := append([]int32(nil), t.start[:nkeys]...)
-	t.byIn = make([]int32, len(t.in))
-	for r, a := range t.in {
-		t.byIn[next[key[a]]] = int32(r)
-		next[key[a]]++
-	}
-}
-
-// join calls fn(r, s) for every row r of t1 and row s of t2 where r's output
-// key equals s's input key, in t1 order then t2 order: for R=(R1,R2) and
-// S=(S3,S4) with R2 matching S3 the composed row is (R1,S4). Only the rows
-// t2 was indexed over are matched.
-func join(t1, t2 *itable, key []int32, fn func(r, s int32)) {
-	for r, a := range t1.out {
-		k := key[a]
-		for _, s := range t2.byIn[t2.start[k]:t2.start[k+1]] {
-			fn(int32(r), s)
+// depRows builds the DepRows of a composed table, decoding each atom once,
+// and numbers their channels: row i makes channel ends[2i] depend on
+// channel ends[2i+1], and names[id] names channel id.
+func (a *atoms) depRows(d *dedupTable) (rows []DepRow, ends []int32, names []string) {
+	str := func(x uint32) string { return rel.SharedDict().Value(x).Str() }
+	vs := make([]VAssign, len(a.quads))
+	var codes []uint32 // channel id -> code
+	chans := make([]int32, len(a.quads))
+	for i, q := range a.quads {
+		vs[i] = VAssign{M: str(q[0]), S: str(q[1]), D: str(q[2]), VC: str(q[3])}
+		if chans[i] = int32(slices.Index(codes, q[3])); chans[i] < 0 {
+			chans[i] = int32(len(codes))
+			codes, names = append(codes, q[3]), append(names, vs[i].VC)
 		}
 	}
+	rows, ends = make([]DepRow, len(d.in)), make([]int32, 2*len(d.in))
+	for i := range rows {
+		rows[i] = DepRow{In: vs[d.in[i]], Out: vs[d.out[i]], Origin: d.origins[d.origin[i]]}
+		ends[2*i], ends[2*i+1] = chans[d.in[i]], chans[d.out[i]]
+	}
+	return rows, ends, names
 }
 
-// joinSize counts the pairs join(t1, t2, key, ...) visits.
-func joinSize(t1, t2 *itable, key []int32) int {
-	n := 0
-	for _, a := range t1.out {
-		n += int(t2.start[key[a]+1] - t2.start[key[a]])
+// itable is a dependency table over atom ids whose rows share one origin.
+// After index, count[k] rows have an input of composition key k, and
+// first[k] lists, in table order, the first of those rows for each
+// distinct output atom.
+type itable struct {
+	in, out []int32
+	origin  string
+	count   []int32
+	first   [][]int32
+}
+
+// index builds the by-input-key index over the table's rows. It must run
+// after every atom of the analysis is interned.
+func (t *itable) index(key []int32, nkeys int) {
+	t.count, t.first = make([]int32, nkeys), make([][]int32, nkeys)
+	for r, a := range t.in {
+		k := key[a]
+		t.count[k]++
+		if !slices.ContainsFunc(t.first[k], func(f int32) bool { return t.out[f] == t.out[r] }) {
+			t.first[k] = append(t.first[k], int32(r))
+		}
 	}
-	return n
 }
 
 // dedupTable accumulates the protocol dependency table over atom ids,
-// keeping the first occurrence of each (input, output) pair.
+// keeping the first occurrence of each (input, output) pair, and counts
+// the pairwise rows offered before deduplication (first round only under
+// closure) and the composition rounds.
 type dedupTable struct {
-	itable
-	natoms int
-	seen   []uint64 // natoms×natoms bitset over (input, output)
+	in, out, origin  []int32 // origin indexes origins
+	origins          []string
+	key              []int32 // atom id -> composition-key id
+	natoms, nkeys    int
+	seen             []bool  // natoms×natoms, over (input, output)
+	joined           []int32 // natoms×nkeys, over (input, output key): the last join to see it
+	joins            int32
+	composed, rounds int
 }
 
-func newDedupTable(natoms int) *dedupTable {
-	return &dedupTable{natoms: natoms, seen: make([]uint64, (natoms*natoms+63)/64)}
-}
-
-// fresh marks (in, out) seen and reports whether it was new.
-func (d *dedupTable) fresh(in, out int32) bool {
-	bit := int(in)*d.natoms + int(out)
-	w, m := bit/64, uint64(1)<<(bit%64)
-	if d.seen[w]&m != 0 {
-		return false
+// fresh adds the row (in, out), with the origin origin() returns, unless
+// that pair is already in the table.
+func (d *dedupTable) fresh(in, out int32, origin func() int32) {
+	if i := int(in)*d.natoms + int(out); !d.seen[i] {
+		d.seen[i] = true
+		d.in = append(d.in, in)
+		d.out = append(d.out, out)
+		d.origin = append(d.origin, origin())
 	}
-	d.seen[w] |= m
-	return true
 }
 
-func (d *dedupTable) add(in, out int32, origin string) {
-	d.in = append(d.in, in)
-	d.out = append(d.out, out)
-	d.origin = append(d.origin, origin)
+// name adds an origin and returns its index.
+func (d *dedupTable) name(origin string) int32 {
+	d.origins = append(d.origins, origin)
+	return int32(len(d.origins) - 1)
 }
 
-// composition is the outcome of composeProtocol.
-type composition struct {
-	rows []DepRow
-	// composed counts the pairwise rows before deduplication (first round
-	// only under closure); rounds the composition rounds; atoms the
-	// distinct assignments interned.
-	composed, rounds, atoms int
+// join offers the table every pair (t1.in[r], t2.out[s]) where r's output
+// key equals s's input key, in t1 order then t2 order — for R=(R1,R2) and
+// S=(S3,S4) with R2 matching S3 the composed row is (R1,S4) — naming a
+// fresh row by origin(r, s). It returns the number of pairs, repeats
+// included. A t1 row whose (input atom, output key) already joined, and a
+// t2 row repeating an output atom of its bucket, could only offer pairs
+// already offered, so neither is visited.
+func (d *dedupTable) join(t1, t2 *itable, origin func(r, s int32) int32) int {
+	d.joins++
+	pairs := 0
+	for r, a := range t1.out {
+		k, in := d.key[a], t1.in[r]
+		pairs += int(t2.count[k])
+		if i := int(in)*d.nkeys + int(k); d.joined[i] != d.joins {
+			d.joined[i] = d.joins
+			for _, s := range t2.first[k] {
+				d.fresh(in, t2.out[s], func() int32 { return origin(int32(r), s) })
+			}
+		}
+	}
+	return pairs
 }
 
 // composeProtocol forms the protocol dependency table from per-placement
-// sets of individual tables: every individual row (set by set, table by
-// table), then for every set and ordered pair (i, j) of its tables the
-// pairwise composition of table i with table j, deduplicated on (input,
-// output) keeping first occurrences. With closure it then composes the
-// protocol table with itself until no row is added — the paper's abandoned
-// first attempt. Pairwise joins run on exec with up to workers
-// participants; deduplication is serial, so the output order is fixed.
-func composeProtocol(sets [][][]DepRow, relaxed, closure bool, exec *pool.Pool, workers int) composition {
-	n := &interner{relaxed: relaxed, ids: map[VAssign]int32{}, keyIDs: map[VAssign]int32{}}
-	tabs := make([][]*itable, len(sets))
-	for si, set := range sets {
-		tabs[si] = make([]*itable, len(set))
-		for ti, rows := range set {
-			tabs[si][ti] = n.table(rows)
+// sets of individual tables over the atoms of a: every individual row (set
+// by set, table by table), then for every set and ordered pair (i, j) of
+// its tables the pairwise composition of table i with table j,
+// deduplicated on (input, output) keeping first occurrences. With closure
+// it then composes the protocol table with itself until no row is added —
+// the paper's abandoned first attempt.
+func composeProtocol(sets [][]*itable, a *atoms, relaxed, closure bool) *dedupTable {
+	// Composition keys: (s, d, v) when relaxed — the message-agnostic match
+	// that captures transaction interleavings — and all of (m, s, d, v) when
+	// exact.
+	d := &dedupTable{natoms: len(a.quads), key: make([]int32, len(a.quads)), rounds: 1}
+	keys := make(map[quad]int32, len(a.quads))
+	for i, q := range a.quads {
+		if relaxed {
+			q[0] = rel.NullCode
 		}
+		if _, ok := keys[q]; !ok {
+			keys[q] = int32(len(keys))
+		}
+		d.key[i] = keys[q]
 	}
-	nkeys := len(n.keyIDs)
-	for _, set := range tabs {
+	d.nkeys = len(keys)
+	d.seen, d.joined = make([]bool, d.natoms*d.natoms), make([]int32, d.natoms*d.nkeys)
+	for _, set := range sets {
 		for _, t := range set {
-			t.index(n.key, nkeys)
-		}
-	}
-
-	type job struct{ si, i, j int }
-	var jobs []job
-	for si, set := range tabs {
-		for i := range set {
-			for j := range set {
-				jobs = append(jobs, job{si: si, i: i, j: j})
-			}
-		}
-	}
-	// Each job fills its own exactly-sized stretch of one pair buffer with
-	// (t1 row, t2 row) index pairs packed hi/lo.
-	offs := make([]int, len(jobs)+1)
-	for k, jb := range jobs {
-		offs[k+1] = offs[k] + joinSize(tabs[jb.si][jb.i], tabs[jb.si][jb.j], n.key)
-	}
-	buf := make([]uint64, offs[len(jobs)])
-	exec.Each(workers, len(jobs), 1, func(k, _, _ int) error {
-		jb := jobs[k]
-		out := buf[offs[k]:offs[k]:offs[k+1]]
-		join(tabs[jb.si][jb.i], tabs[jb.si][jb.j], n.key, func(r, s int32) {
-			out = append(out, uint64(r)<<32|uint64(s))
-		})
-		return nil
-	})
-
-	proto := newDedupTable(len(n.atoms))
-	for _, set := range tabs {
-		for _, t := range set {
+			t.index(d.key, d.nkeys)
+			id := d.name(t.origin)
 			for r := range t.in {
-				if proto.fresh(t.in[r], t.out[r]) {
-					proto.add(t.in[r], t.out[r], t.origin[r])
-				}
+				d.fresh(t.in[r], t.out[r], func() int32 { return id })
 			}
 		}
 	}
-	c := composition{composed: len(buf), rounds: 1, atoms: len(n.atoms)}
-	for k, jb := range jobs {
-		t1, t2 := tabs[jb.si][jb.i], tabs[jb.si][jb.j]
-		for _, p := range buf[offs[k]:offs[k+1]] {
-			r, s := int32(p>>32), int32(uint32(p))
-			if proto.fresh(t1.in[r], t2.out[s]) {
-				proto.add(t1.in[r], t2.out[s], t1.origin[r]+"*"+t2.origin[s])
+	for _, set := range sets {
+		for _, t1 := range set {
+			for _, t2 := range set {
+				pair := int32(-1)
+				d.composed += d.join(t1, t2, func(int32, int32) int32 {
+					if pair < 0 {
+						pair = d.name(t1.origin + "*" + t2.origin)
+					}
+					return pair
+				})
 			}
 		}
 	}
@@ -209,21 +208,14 @@ func composeProtocol(sets [][][]DepRow, relaxed, closure bool, exec *pool.Pool, 
 	// Closure rounds compose the table as it stood at the round's start;
 	// rows appended during the round join only from the next round on.
 	for closure {
-		c.rounds++
-		before := len(proto.in)
-		proto.index(n.key, nkeys)
-		snap := proto.itable
-		join(&snap, &snap, n.key, func(r, s int32) {
-			if proto.fresh(snap.in[r], snap.out[s]) {
-				proto.add(snap.in[r], snap.out[s], snap.origin[r]+"*"+snap.origin[s])
-			}
+		d.rounds++
+		n := len(d.in)
+		snap := &itable{in: d.in[:n:n], out: d.out[:n:n]}
+		snap.index(d.key, d.nkeys)
+		d.join(snap, snap, func(r, s int32) int32 {
+			return d.name(d.origins[d.origin[r]] + "*" + d.origins[d.origin[s]])
 		})
-		closure = len(proto.in) > before
+		closure = len(d.in) > n
 	}
-
-	c.rows = make([]DepRow, len(proto.in))
-	for i := range c.rows {
-		c.rows[i] = DepRow{In: n.atoms[proto.in[i]], Out: n.atoms[proto.out[i]], Origin: proto.origin[i]}
-	}
-	return c
+	return d
 }

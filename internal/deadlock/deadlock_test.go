@@ -104,22 +104,57 @@ func TestPlacements(t *testing.T) {
 	}
 }
 
-func TestControllerDepsOnDirectory(t *testing.T) {
-	tables := controllerTables(t)
-	v, err := NewAssignment(assignment(t, protocol.AssignVC4))
+// codeDeps derives a controller's dependency rows on the code path and
+// checks them, row for row, against the string path over V keyed by
+// strings.
+func codeDeps(t *testing.T, tab *rel.Table, v *rel.Table) []DepRow {
+	t.Helper()
+	a, err := NewAssignment(v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var d *rel.Table
-	for _, tab := range tables {
-		if tab.Name() == protocol.DirectoryTable {
-			d = tab
+	deps, err := controllerDeps(tab, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	str := func(c uint32) string { return rel.SharedDict().Value(c).Str() }
+	atom := func(q quad) VAssign { return VAssign{M: str(q[0]), S: str(q[1]), D: str(q[2]), VC: str(q[3])} }
+	rows := make([]DepRow, len(deps))
+	for i, d := range deps {
+		rows[i] = DepRow{In: atom(d[0]), Out: atom(d[1]), Origin: tab.Name()}
+	}
+	sv, err := oracleAssignment(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ControllerDeps(tab, sv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(want) {
+		t.Fatalf("%s: %d dependency rows, oracle %d", tab.Name(), len(rows), len(want))
+	}
+	for i := range want {
+		if rows[i] != want[i] {
+			t.Fatalf("%s: row %d = %s, oracle %s", tab.Name(), i, rows[i], want[i])
 		}
 	}
-	rows, err := ControllerDeps(d, v)
-	if err != nil {
-		t.Fatal(err)
+	return rows
+}
+
+func controllerTable(t *testing.T, name string) *rel.Table {
+	t.Helper()
+	for _, tab := range controllerTables(t) {
+		if tab.Name() == name {
+			return tab
+		}
 	}
+	t.Fatalf("no controller table %s", name)
+	return nil
+}
+
+func TestControllerDepsOnDirectory(t *testing.T) {
+	rows := codeDeps(t, controllerTable(t, protocol.DirectoryTable), assignment(t, protocol.AssignVC4))
 	if len(rows) == 0 {
 		t.Fatal("no dependencies from D")
 	}
@@ -138,21 +173,7 @@ func TestControllerDepsOnDirectory(t *testing.T) {
 }
 
 func TestControllerDepsOnMemory(t *testing.T) {
-	tables := controllerTables(t)
-	v, err := NewAssignment(assignment(t, protocol.AssignVC4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m *rel.Table
-	for _, tab := range tables {
-		if tab.Name() == protocol.MemoryTable {
-			m = tab
-		}
-	}
-	rows, err := ControllerDeps(m, v)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := codeDeps(t, controllerTable(t, protocol.MemoryTable), assignment(t, protocol.AssignVC4))
 	// §4.2 R1: (wb, home, home, VC4) -> (compl, home, home, VC2).
 	found := false
 	for _, r := range rows {
@@ -163,6 +184,16 @@ func TestControllerDepsOnMemory(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("R1 dependency row missing from M's dependency table")
+	}
+}
+
+// TestControllerDepsOnEveryTable checks the code path against the string
+// path on every controller table under every assignment.
+func TestControllerDepsOnEveryTable(t *testing.T) {
+	for _, name := range protocol.AssignmentNames() {
+		for _, tab := range controllerTables(t) {
+			codeDeps(t, tab, assignment(t, name))
+		}
 	}
 }
 

@@ -31,77 +31,83 @@ func (d DepRow) String() string {
 	return fmt.Sprintf("%s -> %s [%s]", d.In, d.Out, d.Origin)
 }
 
+// quad is one channel assignment occurrence in dictionary codes: message,
+// source, destination and channel.
+type quad [4]uint32
+
+// group is one message column group of a controller table: the column
+// indexes of its message, source and destination.
+type group struct{ m, s, d int }
+
 // msgGroups discovers the message column groups of a controller table by
 // the src/dest convention: a column g is a message group iff columns
 // g+"src" and g+"dest" exist. The input group is "inmsg"; all others are
 // output groups.
-func msgGroups(t *rel.Table) (in string, outs []string, err error) {
-	for _, c := range t.Columns() {
+func msgGroups(t *rel.Table) (in group, outs []group, err error) {
+	in.m = -1
+	for j, c := range t.ColumnsRef() {
 		if strings.HasSuffix(c, "src") || strings.HasSuffix(c, "dest") || strings.HasSuffix(c, "rsrc") {
 			continue
 		}
-		if t.HasColumn(c+"src") && t.HasColumn(c+"dest") {
-			if c == "inmsg" {
-				in = c
-			} else {
-				outs = append(outs, c)
-			}
+		g := group{m: j, s: t.ColIndex(c + "src"), d: t.ColIndex(c + "dest")}
+		if g.s < 0 || g.d < 0 {
+			continue
+		}
+		if c == "inmsg" {
+			in = g
+		} else {
+			outs = append(outs, g)
 		}
 	}
-	if in == "" {
-		return "", nil, fmt.Errorf("%w: table %q has no inmsg group", ErrBadController, t.Name())
+	if in.m < 0 {
+		return in, nil, fmt.Errorf("%w: table %q has no inmsg group", ErrBadController, t.Name())
 	}
 	if len(outs) == 0 {
-		return "", nil, fmt.Errorf("%w: table %q has no output message groups", ErrBadController, t.Name())
+		return in, nil, fmt.Errorf("%w: table %q has no output message groups", ErrBadController, t.Name())
 	}
 	return in, outs, nil
 }
 
-// ControllerDeps builds the individual controller dependency table of one
-// controller (§4.1): for every row and every non-NULL outgoing message, if
-// both the incoming and outgoing (message, source, destination) triples are
-// assigned channels in V, a dependency row is produced. One entry is added
-// per outgoing message.
-func ControllerDeps(t *rel.Table, v *Assignment) ([]DepRow, error) {
+// controllerDeps builds the individual controller dependency table of one
+// controller (§4.1) in dictionary codes: for every row and every non-NULL
+// outgoing message, if both the incoming and outgoing (message, source,
+// destination) hops are assigned channels in V, a dependency row is
+// produced. One entry is added per outgoing message.
+func controllerDeps(t *rel.Table, v *Assignment) ([][2]quad, error) {
 	in, outs, err := msgGroups(t)
 	if err != nil {
 		return nil, err
 	}
-	var rows []DepRow
+	cols := func(g group) [3][]uint32 { return [3][]uint32{t.ColCodes(g.m), t.ColCodes(g.s), t.ColCodes(g.d)} }
+	inCols := cols(in)
+	outCols := make([][3][]uint32, len(outs))
+	for k, g := range outs {
+		outCols[k] = cols(g)
+	}
+	var rows [][2]quad
 	for i := 0; i < t.NumRows(); i++ {
-		im := t.Get(i, in)
-		if im.IsNull() {
-			continue
-		}
-		inA := VAssign{M: im.Str(), S: t.Get(i, in+"src").Str(), D: t.Get(i, in+"dest").Str()}
-		inA.VC = v.Channel(inA.M, inA.S, inA.D)
-		if inA.VC == "" {
+		inA, ok := v.at(inCols, i)
+		if !ok {
 			continue // input not on a tracked channel
 		}
-		for _, g := range outs {
-			om := t.Get(i, g)
-			if om.IsNull() {
-				continue
+		for _, c := range outCols {
+			if outA, ok := v.at(c, i); ok {
+				rows = append(rows, [2]quad{inA, outA})
 			}
-			outA := VAssign{M: om.Str(), S: t.Get(i, g+"src").Str(), D: t.Get(i, g+"dest").Str()}
-			outA.VC = v.Channel(outA.M, outA.S, outA.D)
-			if outA.VC == "" {
-				continue // output over a dedicated/internal path
-			}
-			rows = append(rows, DepRow{In: inA, Out: outA, Origin: t.Name()})
 		}
 	}
 	return rows, nil
 }
 
-// applyPlacement substitutes quad-placement role identifications in a
-// dependency row. Channels are kept: co-located roles share the physical
-// link, which is exactly what makes the dependency arise (§4.1).
-func applyPlacement(r DepRow, p Placement) DepRow {
-	r.In.S, r.In.D = p.Apply(r.In.S), p.Apply(r.In.D)
-	r.Out.S, r.Out.D = p.Apply(r.Out.S), p.Apply(r.Out.D)
-	if p.Name != "L!=H!=R" {
-		r.Origin = r.Origin + "@" + p.Name
+// at returns the assignment of the hop in row i of a group's columns, and
+// whether the hop rides a tracked channel: a NULL message sends nothing,
+// and a hop V does not assign travels over a dedicated or internal path.
+func (a *Assignment) at(cols [3][]uint32, i int) (quad, bool) {
+	m := cols[0][i]
+	if m == rel.NullCode {
+		return quad{}, false
 	}
-	return r
+	q := quad{m, cols[1][i], cols[2][i]}
+	q[3] = a.vc[[3]uint32(q[:3])]
+	return q, q[3] != rel.NullCode
 }

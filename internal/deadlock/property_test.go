@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-
-	"coherdb/internal/pool"
 )
 
 // randDepRows generates a small random dependency table over a handful of
@@ -26,13 +24,12 @@ func randDepRows(rng *rand.Rand, n int) []DepRow {
 	return out
 }
 
-// Property: the interned composer produces exactly the string-keyed
-// oracle's protocol table — the same rows in the same first-occurrence
-// order with the same origins, and the same counts — relaxed and exact,
-// with and without closure, serial and parallel.
+// Property: the production composer, fed string tables through the VAssign
+// interner, produces exactly the string-keyed oracle's protocol table — the
+// same rows in the same first-occurrence order with the same origins, and
+// the same counts — relaxed and exact, with and without closure.
 func TestQuickInternedComposeMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
-	exec := pool.Shared()
 	for trial := 0; trial < 200; trial++ {
 		sets := make([][][]DepRow, 1+rng.Intn(3))
 		for si := range sets {
@@ -47,21 +44,28 @@ func TestQuickInternedComposeMatchesOracle(t *testing.T) {
 			}
 		}
 		relaxed, closure := rng.Intn(2) == 0, rng.Intn(4) == 0
-		workers := 1 + rng.Intn(exec.Size())
 		want, composed, rounds := oracleProtocol(sets, relaxed, closure)
-		got := composeProtocol(sets, relaxed, closure, exec, workers)
-		if got.composed != composed || got.rounds != rounds {
-			t.Fatalf("trial %d (relaxed=%v closure=%v): composed/rounds = %d/%d, oracle %d/%d",
-				trial, relaxed, closure, got.composed, got.rounds, composed, rounds)
+		a := &atoms{ids: map[quad]int32{}}
+		tabs := make([][]*itable, len(sets))
+		for si, set := range sets {
+			for _, rows := range set {
+				tabs[si] = append(tabs[si], a.table(rows))
+			}
 		}
-		if len(got.rows) != len(want) {
+		comp := composeProtocol(tabs, a, relaxed, closure)
+		if comp.composed != composed || comp.rounds != rounds {
+			t.Fatalf("trial %d (relaxed=%v closure=%v): composed/rounds = %d/%d, oracle %d/%d",
+				trial, relaxed, closure, comp.composed, comp.rounds, composed, rounds)
+		}
+		got, _, _ := a.depRows(comp)
+		if len(got) != len(want) {
 			t.Fatalf("trial %d (relaxed=%v closure=%v): %d rows, oracle %d",
-				trial, relaxed, closure, len(got.rows), len(want))
+				trial, relaxed, closure, len(got), len(want))
 		}
 		for i := range want {
-			if got.rows[i] != want[i] {
+			if got[i] != want[i] {
 				t.Fatalf("trial %d (relaxed=%v closure=%v): row %d = %s, oracle %s",
-					trial, relaxed, closure, i, got.rows[i], want[i])
+					trial, relaxed, closure, i, got[i], want[i])
 			}
 		}
 	}

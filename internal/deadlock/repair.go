@@ -1,8 +1,10 @@
 package deadlock
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"coherdb/internal/rel"
 )
@@ -124,8 +126,9 @@ func worstHop(rep *Report, moved map[VKey]bool) (VKey, bool) {
 	for _, c := range rep.Cycles {
 		for i := range c {
 			e := Edge{From: c[i], To: c[(i+1)%len(c)]}
-			for _, row := range rep.Graph.Evidence(e) {
-				counts[VKey{M: row.Out.M, S: row.Out.S, D: row.Out.D}]++
+			for _, r := range rep.Graph.evidenceOf(e) {
+				out := rep.Graph.rows[r].Out
+				counts[VKey{M: out.M, S: out.S, D: out.D}]++
 			}
 		}
 	}
@@ -137,18 +140,8 @@ func worstHop(rep *Report, moved map[VKey]bool) (VKey, bool) {
 	for k, n := range counts {
 		cands = append(cands, cand{k, n})
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].n != cands[j].n {
-			return cands[i].n > cands[j].n
-		}
-		a, b := cands[i].k, cands[j].k
-		if a.M != b.M {
-			return a.M < b.M
-		}
-		if a.S != b.S {
-			return a.S < b.S
-		}
-		return a.D < b.D
+	slices.SortFunc(cands, func(a, b cand) int {
+		return cmp.Or(cmp.Compare(b.n, a.n), strings.Compare(a.k.M, b.k.M), strings.Compare(a.k.S, b.k.S), strings.Compare(a.k.D, b.k.D))
 	})
 	// Prefer an unmoved hop; otherwise the most-counted moved one
 	// (which will be dedicated).

@@ -43,6 +43,7 @@ func AnalyzeSQL(controllers []*rel.Table, v *rel.Table, db *sqlmini.DB) (*Report
 		if err != nil {
 			return nil, err
 		}
+		cols := t.ColumnsRef()
 		db.PutTable(t)
 		name := t.Name() + "_deps"
 		var branches []string
@@ -53,7 +54,7 @@ func AnalyzeSQL(controllers []*rel.Table, v *rel.Table, db *sqlmini.DB) (*Report
 				 FROM %[1]s t
 				 JOIN V vin  ON t.%[2]s = vin.m  AND t.%[2]ssrc = vin.s  AND t.%[2]sdest = vin.d
 				 JOIN V vout ON t.%[3]s = vout.m AND t.%[3]ssrc = vout.s AND t.%[3]sdest = vout.d`,
-				t.Name(), in, g))
+				t.Name(), cols[in.m], cols[g.m]))
 		}
 		stmt := "CREATE TABLE " + name + " AS " + strings.Join(branches, " UNION ")
 		db.DropTable(name)

@@ -1,7 +1,8 @@
 package deadlock
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strings"
 )
 
@@ -14,33 +15,41 @@ type Edge struct {
 
 func (e Edge) String() string { return e.From + " -> " + e.To }
 
-// VCG is the virtual channel dependency graph, with the dependency rows
-// supporting each edge retained as evidence.
+// VCG is the virtual channel dependency graph over dense channel ids, with
+// the dependency rows supporting each edge retained as evidence: indexes
+// into the rows it was built from.
 type VCG struct {
-	nodes    []string
-	adj      map[string][]string
-	evidence map[Edge][]DepRow
+	rows  []DepRow
+	nodes []string  // channels, sorted; a channel's id is its position
+	adj   [][]int32 // per channel, its successors' ids ascending
+	// evidence[i*len(nodes)+j] lists the rows supporting the edge from
+	// channel i to channel j, in row order.
+	evidence [][]int32
 }
 
-// NewVCG builds the graph from protocol dependency rows.
-func NewVCG(rows []DepRow) *VCG {
-	g := &VCG{adj: make(map[string][]string), evidence: make(map[Edge][]DepRow)}
-	nodeSet := map[string]bool{}
-	for _, r := range rows {
-		e := Edge{From: r.In.VC, To: r.Out.VC}
-		if _, have := g.evidence[e]; !have {
-			g.adj[e.From] = append(g.adj[e.From], e.To)
+// newVCG builds the graph from protocol dependency rows whose channels are
+// numbered: row i makes channel ends[2i] depend on channel ends[2i+1], and
+// names[id] names channel id, which some row uses. It keeps rows, which
+// the caller must not modify.
+func newVCG(rows []DepRow, ends []int32, names []string) *VCG {
+	// Renumber the channels in name order, so ids compare as names do.
+	g := &VCG{rows: rows, nodes: slices.Clone(names)}
+	slices.Sort(g.nodes)
+	n := int32(len(names))
+	rank := make([]int32, n)
+	for i, vc := range names {
+		rank[i] = int32(slices.Index(g.nodes, vc))
+	}
+	g.evidence = make([][]int32, n*n)
+	for i := range rows {
+		k := rank[ends[2*i]]*n + rank[ends[2*i+1]]
+		g.evidence[k] = append(g.evidence[k], int32(i))
+	}
+	g.adj = make([][]int32, n)
+	for k, ev := range g.evidence {
+		if len(ev) > 0 {
+			g.adj[int32(k)/n] = append(g.adj[int32(k)/n], int32(k)%n)
 		}
-		g.evidence[e] = append(g.evidence[e], r)
-		nodeSet[e.From] = true
-		nodeSet[e.To] = true
-	}
-	for n := range nodeSet {
-		g.nodes = append(g.nodes, n)
-	}
-	sort.Strings(g.nodes)
-	for n := range g.adj {
-		sort.Strings(g.adj[n])
 	}
 	return g
 }
@@ -53,20 +62,30 @@ func (g *VCG) Edges() []Edge {
 	var out []Edge
 	for from, tos := range g.adj {
 		for _, to := range tos {
-			out = append(out, Edge{From: from, To: to})
+			out = append(out, Edge{From: g.nodes[from], To: g.nodes[to]})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
-		}
-		return out[i].To < out[j].To
-	})
 	return out
 }
 
+// evidenceOf returns the indexes of the rows supporting an edge.
+func (g *VCG) evidenceOf(e Edge) []int32 {
+	from, fok := slices.BinarySearch(g.nodes, e.From)
+	to, tok := slices.BinarySearch(g.nodes, e.To)
+	if !fok || !tok {
+		return nil
+	}
+	return g.evidence[from*len(g.nodes)+to]
+}
+
 // Evidence returns the dependency rows supporting an edge.
-func (g *VCG) Evidence(e Edge) []DepRow { return g.evidence[e] }
+func (g *VCG) Evidence(e Edge) []DepRow {
+	var out []DepRow
+	for _, r := range g.evidenceOf(e) {
+		out = append(out, g.rows[r])
+	}
+	return out
+}
 
 // Cycle is one elementary cycle, as the sequence of channels visited (the
 // first channel is repeated implicitly).
@@ -77,31 +96,28 @@ func (c Cycle) String() string {
 }
 
 // Cycles enumerates the elementary cycles of the graph (Johnson-style DFS;
-// the graph has at most a handful of channels, so simplicity wins). Cycles
-// are canonicalized to start at their smallest channel and deduplicated.
+// the graph has at most a handful of channels, so simplicity wins). Each
+// cycle is found once, from its smallest channel, which it starts at.
 func (g *VCG) Cycles() []Cycle {
 	var cycles []Cycle
-	seen := map[string]bool{}
-	var stack []string
-	onStack := map[string]bool{}
+	var stack []int32
+	onStack := make([]bool, len(g.nodes))
 
-	var dfs func(start, u string)
-	dfs = func(start, u string) {
+	var dfs func(start, u int32)
+	dfs = func(start, u int32) {
 		stack = append(stack, u)
 		onStack[u] = true
 		for _, w := range g.adj[u] {
 			if w == start {
-				// Found a cycle back to the start.
-				c := canonical(append([]string(nil), stack...))
-				k := strings.Join(c, "\x1f")
-				if !seen[k] {
-					seen[k] = true
-					cycles = append(cycles, c)
+				c := make(Cycle, len(stack))
+				for i, id := range stack {
+					c[i] = g.nodes[id]
 				}
+				cycles = append(cycles, c)
 				continue
 			}
-			// Only explore nodes >= start to avoid re-finding cycles
-			// rooted at smaller nodes.
+			// Only explore channels after start, so a cycle is rooted
+			// at its smallest channel only.
 			if w < start || onStack[w] {
 				continue
 			}
@@ -110,27 +126,13 @@ func (g *VCG) Cycles() []Cycle {
 		stack = stack[:len(stack)-1]
 		onStack[u] = false
 	}
-	for _, n := range g.nodes {
-		dfs(n, n)
+	for n := range g.nodes {
+		dfs(int32(n), int32(n))
 	}
-	sort.Slice(cycles, func(i, j int) bool {
-		if len(cycles[i]) != len(cycles[j]) {
-			return len(cycles[i]) < len(cycles[j])
-		}
-		return strings.Join(cycles[i], ",") < strings.Join(cycles[j], ",")
+	slices.SortFunc(cycles, func(a, b Cycle) int {
+		return cmp.Or(cmp.Compare(len(a), len(b)), strings.Compare(strings.Join(a, ","), strings.Join(b, ",")))
 	})
 	return cycles
-}
-
-// canonical rotates a cycle so it starts at its smallest element.
-func canonical(c []string) Cycle {
-	min := 0
-	for i := range c {
-		if c[i] < c[min] {
-			min = i
-		}
-	}
-	return append(append(Cycle{}, c[min:]...), c[:min]...)
 }
 
 // CycleEvidence returns, for each consecutive edge of the cycle, one
@@ -138,10 +140,8 @@ func canonical(c []string) Cycle {
 func (g *VCG) CycleEvidence(c Cycle) []DepRow {
 	out := make([]DepRow, 0, len(c))
 	for i := range c {
-		e := Edge{From: c[i], To: c[(i+1)%len(c)]}
-		rows := g.evidence[e]
-		if len(rows) > 0 {
-			out = append(out, rows[0])
+		if rows := g.evidenceOf(Edge{From: c[i], To: c[(i+1)%len(c)]}); len(rows) > 0 {
+			out = append(out, g.rows[rows[0]])
 		}
 	}
 	return out

@@ -246,7 +246,8 @@ type OrderKey struct {
 }
 
 // SelectStmt is a SELECT query, possibly with UNION branches chained via
-// Union/UnionAll.
+// Union/UnionAll. The OrderBy and Limit of a statement with a Union apply
+// to the whole chain; its later branches have none.
 type SelectStmt struct {
 	Distinct bool
 	Items    []SelectItem

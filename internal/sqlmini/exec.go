@@ -85,7 +85,7 @@ func (r *run) execSelect(s *SelectStmt) (*rel.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	out, err := r.execSelectOne(s, plans[0])
+	out, err := r.execSelectOne(firstBranch(s), plans[0])
 	if err != nil {
 		return nil, err
 	}
@@ -123,7 +123,18 @@ func (r *run) execSelect(s *SelectStmt) (*rel.Table, error) {
 		}
 		r.azEnd(out.NumRows())
 	}
-	return out, nil
+	if s.Union == nil || (len(s.OrderBy) == 0 && s.Limit < 0) {
+		return out, nil
+	}
+	rows := make([]outRow, out.NumRows())
+	for i, row := range out.CodeRows() {
+		keys, err := orderKeys(plans[0].order, row)
+		if err != nil {
+			return nil, err
+		}
+		rows[i] = outRow{vals: row, keys: keys}
+	}
+	return r.finish(&SelectStmt{OrderBy: s.OrderBy, Limit: s.Limit}, out.Columns(), rows)
 }
 
 func renameTo(from, to []string) map[string]string {

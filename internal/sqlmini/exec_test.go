@@ -173,6 +173,59 @@ func TestExecUnion(t *testing.T) {
 	}
 }
 
+// TestUnionOrderByLimitApplyToWholeChain checks that a trailing ORDER BY
+// and LIMIT sort and cut the whole UNION, not its last branch, and that a
+// branch before the last cannot carry them.
+func TestUnionOrderByLimitApplyToWholeChain(t *testing.T) {
+	db := NewDB()
+	if _, err := db.Exec(`CREATE TABLE u (v)`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Exec(`INSERT INTO u VALUES ('b'), ('a')`); err != nil {
+		t.Fatal(err)
+	}
+	for q, want := range map[string]string{
+		`SELECT v FROM u WHERE v = 'b' UNION ALL SELECT v FROM u ORDER BY v LIMIT 1`:    "a",
+		`SELECT v FROM u WHERE v = 'b' UNION ALL SELECT v FROM u ORDER BY v DESC`:       "b b a",
+		`SELECT v AS w FROM u UNION SELECT v FROM u WHERE v = 'a' ORDER BY w LIMIT 5`:   "a b",
+		`SELECT v FROM u WHERE v = 'a' UNION ALL SELECT v FROM u WHERE v = 'b' LIMIT 1`: "a",
+	} {
+		res, err := db.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		var got []string
+		for i := 0; i < res.NumRows(); i++ {
+			got = append(got, res.At(i, 0).Str())
+		}
+		if strings.Join(got, " ") != want {
+			t.Errorf("%s = %v, want %s", q, got, want)
+		}
+	}
+	for _, q := range []string{
+		`SELECT v FROM u ORDER BY v UNION SELECT v FROM u`,
+		`SELECT v FROM u LIMIT 1 UNION ALL SELECT v FROM u`,
+	} {
+		var syn *SyntaxError
+		if _, err := db.Query(q); !errors.As(err, &syn) {
+			t.Errorf("%s: err = %v, want a syntax error", q, err)
+		}
+	}
+	// The chain sorts by its output names only.
+	if _, err := db.Query(`SELECT v AS w FROM u UNION SELECT v FROM u ORDER BY v`); !errors.Is(err, ErrUnknownColumn) {
+		t.Errorf("ORDER BY a source column of a UNION: err = %v", err)
+	}
+	checkPlan(t, db,
+		`EXPLAIN SELECT v FROM u WHERE v = 'b' UNION ALL SELECT v FROM u ORDER BY v LIMIT 1`,
+		[]string{
+			`indexscan|u|1|index(v) = ('b'); storage=columnar`,
+			`scan|u|2|storage=columnar`,
+			`union||3|ALL`,
+			`sort||3|1 key(s)`,
+			`limit||1|LIMIT 1`,
+		})
+}
+
 func TestExecCreateTableAsSelect(t *testing.T) {
 	db := newTestDB(t)
 	if _, err := db.Exec(`CREATE TABLE busyrows AS SELECT inmsg, dirst FROM D WHERE dirst IN ('Busy-d', 'Busy-sd')`); err != nil {

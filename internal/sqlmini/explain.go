@@ -106,7 +106,7 @@ func (r *run) explainSelect(s *SelectStmt) (*rel.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	est, err := r.explainBranch(out, s, plans[0])
+	est, err := r.explainBranch(out, firstBranch(s), plans[0])
 	if err != nil {
 		return nil, err
 	}
@@ -125,6 +125,11 @@ func (r *run) explainSelect(s *SelectStmt) (*rel.Table, error) {
 			detail = "ALL"
 		}
 		if err := planRow(out, "union", "", est, detail); err != nil {
+			return nil, err
+		}
+	}
+	if s.Union != nil {
+		if _, err := explainOrder(out, s, est); err != nil {
 			return nil, err
 		}
 	}
@@ -299,6 +304,12 @@ func (r *run) explainBranch(out *rel.Table, s *SelectStmt, plan *branchPlan) (in
 			return 0, err
 		}
 	}
+	return explainOrder(out, s, est)
+}
+
+// explainOrder appends the sort and limit steps of s's ORDER BY and LIMIT
+// over est rows and returns the estimated output cardinality.
+func explainOrder(out *rel.Table, s *SelectStmt, est int) (int, error) {
 	if len(s.OrderBy) > 0 {
 		if err := planRow(out, "sort", "", est, fmt.Sprintf("%d key(s)", len(s.OrderBy))); err != nil {
 			return 0, err

@@ -171,7 +171,60 @@ func (p *Parser) parseStmt() (Stmt, error) {
 	}
 }
 
+// parseSelect parses a SELECT and its UNION chain. A trailing ORDER BY and
+// LIMIT apply to the whole chain and are kept on its first branch; a
+// branch before the last cannot carry them.
 func (p *Parser) parseSelect() (*SelectStmt, error) {
+	s, err := p.parseSelectCore()
+	if err != nil {
+		return nil, err
+	}
+	for b := s; p.acceptKeyword("UNION"); b = b.Union {
+		b.UnionAll = p.acceptKeyword("ALL")
+		if b.Union, err = p.parseSelectCore(); err != nil {
+			return nil, err
+		}
+	}
+	if p.acceptKeyword("ORDER") {
+		if err := p.expect(TokKeyword, "BY"); err != nil {
+			return nil, err
+		}
+		for {
+			e, err := p.parseExpr()
+			if err != nil {
+				return nil, err
+			}
+			key := OrderKey{Expr: e}
+			if p.acceptKeyword("DESC") {
+				key.Desc = true
+			} else {
+				p.acceptKeyword("ASC")
+			}
+			s.OrderBy = append(s.OrderBy, key)
+			if !p.accept(TokSymbol, ",") {
+				break
+			}
+		}
+	}
+	if p.acceptKeyword("LIMIT") {
+		if p.cur().Kind != TokNumber {
+			return nil, errAt(p.cur().Pos, "expected number after LIMIT, got %s", p.cur())
+		}
+		n, err := strconv.Atoi(p.cur().Text)
+		if err != nil || n < 0 {
+			return nil, errAt(p.cur().Pos, "bad LIMIT %q", p.cur().Text)
+		}
+		p.pos++
+		s.Limit = n
+	}
+	if p.cur().Kind == TokKeyword && p.cur().Text == "UNION" {
+		return nil, errAt(p.cur().Pos, "ORDER BY and LIMIT must follow the last UNION branch")
+	}
+	return s, nil
+}
+
+// parseSelectCore parses one SELECT branch, through HAVING.
+func (p *Parser) parseSelectCore() (*SelectStmt, error) {
 	if err := p.expect(TokKeyword, "SELECT"); err != nil {
 		return nil, err
 	}
@@ -241,46 +294,6 @@ func (p *Parser) parseSelect() (*SelectStmt, error) {
 			return nil, err
 		}
 		s.Having = h
-	}
-	if p.acceptKeyword("ORDER") {
-		if err := p.expect(TokKeyword, "BY"); err != nil {
-			return nil, err
-		}
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			key := OrderKey{Expr: e}
-			if p.acceptKeyword("DESC") {
-				key.Desc = true
-			} else {
-				p.acceptKeyword("ASC")
-			}
-			s.OrderBy = append(s.OrderBy, key)
-			if !p.accept(TokSymbol, ",") {
-				break
-			}
-		}
-	}
-	if p.acceptKeyword("LIMIT") {
-		if p.cur().Kind != TokNumber {
-			return nil, errAt(p.cur().Pos, "expected number after LIMIT, got %s", p.cur())
-		}
-		n, err := strconv.Atoi(p.cur().Text)
-		if err != nil || n < 0 {
-			return nil, errAt(p.cur().Pos, "bad LIMIT %q", p.cur().Text)
-		}
-		p.pos++
-		s.Limit = n
-	}
-	if p.acceptKeyword("UNION") {
-		s.UnionAll = p.acceptKeyword("ALL")
-		u, err := p.parseSelect()
-		if err != nil {
-			return nil, err
-		}
-		s.Union = u
 	}
 	return s, nil
 }

@@ -57,6 +57,9 @@ type branchPlan struct {
 	residue  []Expr
 	resProgs []CodePred
 	out      outPlan
+	// order, on the first branch of a UNION chain, computes the chain's
+	// ORDER BY keys over its output row.
+	order []valFn
 }
 
 // joinPlan is how one JOIN clause matches: on the column pairs of a
@@ -241,17 +244,35 @@ func (r *run) plansFor(s *SelectStmt) ([]*branchPlan, error) {
 	return r.entry.branchPlans(r, s)
 }
 
-// buildBranchPlans plans every branch of a UNION chain in order.
+// buildBranchPlans plans every branch of a UNION chain in order, and the
+// chain's ORDER BY over its output columns into the first plan's order.
 func (r *run) buildBranchPlans(s *SelectStmt) ([]*branchPlan, error) {
 	var out []*branchPlan
-	for b := s; b != nil; b = b.Union {
+	for b := firstBranch(s); b != nil; b = b.Union {
 		bp, err := r.planBranch(b)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, bp)
 	}
+	if s.Union != nil {
+		var err error
+		if out[0].order, err = planOrder(&r.ev, s.OrderBy, nil, out[0].out.cols); err != nil {
+			return nil, err
+		}
+	}
 	return out, nil
+}
+
+// firstBranch is the first branch of s's UNION chain as a branch: without
+// the chain's ORDER BY and LIMIT.
+func firstBranch(s *SelectStmt) *SelectStmt {
+	if s.Union == nil {
+		return s
+	}
+	b := *s
+	b.OrderBy, b.Limit = nil, -1
+	return &b
 }
 
 // planBranch plans one SELECT branch. WHERE conjuncts that reference a
@@ -393,13 +414,26 @@ func planOutput(ev *Evaluator, s *SelectStmt, f *frame) (outPlan, error) {
 	}
 	// ORDER BY resolves a name among the source columns first (never in a
 	// grouped branch), then among the output columns.
-	base := len(f.names)
 	if op.grouped {
-		base = 0
+		f = nil
 	}
-	for _, k := range s.OrderBy {
+	var err error
+	op.order, err = planOrder(ev, s.OrderBy, f, cols)
+	return op, err
+}
+
+// planOrder compiles ORDER BY keys over a row holding the columns of frame
+// f, when it is set, followed by the output columns cols. A name resolves
+// among f's columns first.
+func planOrder(ev *Evaluator, keys []OrderKey, f *frame, cols []string) ([]valFn, error) {
+	base := 0
+	if f != nil {
+		base = len(f.names)
+	}
+	var order []valFn
+	for _, k := range keys {
 		b, _ := rewrite(k.Expr, func(n Expr) (Expr, bool) {
-			if !op.grouped {
+			if f != nil {
 				if b, ok := bindCol(n, f); ok {
 					return b, true
 				}
@@ -415,11 +449,11 @@ func planOutput(ev *Evaluator, s *SelectStmt, f *frame) (outPlan, error) {
 		})
 		fn, err := ev.compileBoundVal(b)
 		if err != nil {
-			return outPlan{}, err
+			return nil, err
 		}
-		op.order = append(op.order, fn)
+		order = append(order, fn)
 	}
-	return op, nil
+	return order, nil
 }
 
 // planAgg compiles one aggregate call's argument over the frame.

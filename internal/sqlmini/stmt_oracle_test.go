@@ -256,8 +256,12 @@ func (g *stmtGen) where(scope []genSource) string {
 }
 
 // branch renders one SELECT with width output columns (any width when
-// width is 0) and reports the width it drew.
-func (g *stmtGen) branch(width int) (string, int) {
+// width is 0), without ORDER BY and LIMIT, and reports the width it drew
+// and the branch's ORDER BY renderer: order(false) sorts the branch alone,
+// keyed by its source columns or output names; order(true) sorts a UNION
+// chain it heads, keyed by its output names (a source column there is an
+// error unless an output shares its name).
+func (g *stmtGen) branch(width int) (string, int, func(compound bool) string) {
 	from, scope := g.sources()
 	var items, group []string
 	var having string
@@ -312,35 +316,42 @@ func (g *stmtGen) branch(width int) (string, int) {
 		b.WriteString(" GROUP BY " + strings.Join(group, ", "))
 	}
 	b.WriteString(having)
-	if g.rng.Intn(3) == 0 {
+	order := func(compound bool) string {
 		var keys []string
 		for k := 1 + g.rng.Intn(2); k > 0; k-- {
-			// A grouped branch sorts by its output columns only; a source
-			// column there is an error.
+			// A grouped branch and a UNION chain sort by output columns
+			// only; a source column there is an error.
 			key := g.col(scope)
-			if len(names) > 0 && (g.rng.Intn(2) == 0 || (grouped && g.rng.Intn(8) != 0)) {
+			if len(names) > 0 && (g.rng.Intn(2) == 0 || ((grouped || compound) && g.rng.Intn(8) != 0)) {
 				key = names[g.rng.Intn(len(names))]
 			}
 			keys = append(keys, key+g.one("", " DESC", " ASC"))
 		}
-		b.WriteString(" ORDER BY " + strings.Join(keys, ", "))
+		clause := " ORDER BY " + strings.Join(keys, ", ")
 		if g.rng.Intn(3) == 0 {
-			fmt.Fprintf(&b, " LIMIT %d", g.rng.Intn(5))
+			clause += fmt.Sprintf(" LIMIT %d", g.rng.Intn(5))
 		}
+		return clause
 	}
-	return b.String(), width
+	return b.String(), width, order
 }
 
 // statement renders a SELECT, now and then a UNION [ALL] chain of
-// branches of equal width.
+// branches of equal width; either may end in ORDER BY and LIMIT.
 func (g *stmtGen) statement() string {
-	sql, width := g.branch(0)
+	sql, width, order := g.branch(0)
 	if width == 0 || g.rng.Intn(5) != 0 {
+		if g.rng.Intn(3) == 0 {
+			sql += order(false)
+		}
 		return sql
 	}
 	for k := 1 + g.rng.Intn(2); k > 0; k-- {
-		next, _ := g.branch(width)
+		next, _, _ := g.branch(width)
 		sql += g.one(" UNION ", " UNION ALL ") + next
+	}
+	if g.rng.Intn(2) == 0 {
+		sql += order(true)
 	}
 	return sql
 }
@@ -623,15 +634,32 @@ func codeKey(row []rel.Value) string {
 	return string(buf)
 }
 
-// run executes a SELECT and its UNION chain.
+// run executes a SELECT and its UNION chain, whose ORDER BY and LIMIT
+// apply to the chain's output.
 func (o *naiveSelect) run(s *SelectStmt) oracleResult {
-	// Every branch's names resolve before any branch runs.
-	for b := s; b != nil; b = b.Union {
+	if s.Union == nil {
+		if err := o.checkBranch(s); err != nil {
+			return oracleResult{err: err}
+		}
+		return o.branch(s)
+	}
+	head := *s
+	head.OrderBy, head.Limit = nil, -1
+	// Every branch's names resolve, and then the chain's ORDER BY among
+	// the first branch's output names, before any branch runs.
+	for b := &head; b != nil; b = b.Union {
 		if err := o.checkBranch(b); err != nil {
 			return oracleResult{err: err}
 		}
 	}
-	res := o.branch(s)
+	sc, _, _ := o.layout(&head)
+	cols, _, _ := o.output(&head, sc)
+	for _, k := range s.OrderBy {
+		if err := o.checkNames(k.Expr, oscope{}, cols, false); err != nil {
+			return oracleResult{err: err}
+		}
+	}
+	res := o.branch(&head)
 	for u, all := s.Union, s.UnionAll; u != nil && res.err == nil; u, all = u.Union, u.UnionAll {
 		br := *u
 		br.Union = nil
@@ -647,6 +675,43 @@ func (o *naiveSelect) run(s *SelectStmt) oracleResult {
 			res.rows = distinctRows(res.rows)
 		}
 	}
+	if res.err != nil {
+		return res
+	}
+	keys := make([][]rel.Value, len(res.rows))
+	for i, row := range res.rows {
+		for _, k := range s.OrderBy {
+			v, err := o.ev.Eval(k.Expr, oenv{outNames: res.cols, outVals: row})
+			if err != nil {
+				return oracleResult{err: err}
+			}
+			keys[i] = append(keys[i], v)
+		}
+	}
+	order := make([]int, len(res.rows))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		for i, k := range s.OrderBy {
+			c := keys[order[a]][i].Compare(keys[order[b]][i])
+			if k.Desc {
+				c = -c
+			}
+			if c != 0 {
+				return c < 0
+			}
+		}
+		return false
+	})
+	if s.Limit >= 0 && len(order) > s.Limit {
+		order = order[:s.Limit]
+	}
+	sorted := make([][]rel.Value, len(order))
+	for i, j := range order {
+		sorted[i] = res.rows[j]
+	}
+	res.rows = sorted
 	return res
 }
 
@@ -958,10 +1023,11 @@ var (
 // DB four ways in both NULL dialects — serially, on a forced 4-worker
 // pool with 4-row morsels, through Prepare, and in a Session whose
 // overlay shadows t1 with an identical copy — and compares each result,
-// success or failure, with the oracle's: as multisets, or in order when a
-// single branch's ORDER BY fixes it.
-// It returns the morsels the parallel runs dealt.
-func checkStatementsMatchOracle(t *testing.T, seed int64, n int) int64 {
+// success or failure, with the oracle's: as multisets, or in order when
+// the statement's ORDER BY fixes it.
+// It returns the morsels the parallel runs dealt and the statements that
+// sorted or limited a UNION chain without error.
+func checkStatementsMatchOracle(t *testing.T, seed int64, n int) (morsels, sortedUnions int64) {
 	oraclePoolOnce.Do(func() { oraclePool = pool.New(4) })
 	rng := rand.New(rand.NewSource(seed))
 	db := oracleDB(t, rng)
@@ -982,10 +1048,14 @@ func checkStatementsMatchOracle(t *testing.T, seed int64, n int) int64 {
 			t.Fatalf("seed %d: generated %q does not parse: %v", seed, sql, err)
 		}
 		sel := st.(*SelectStmt)
-		ordered := len(sel.OrderBy) > 0 && sel.Union == nil
+		ordered := len(sel.OrderBy) > 0
 		for _, strict := range []bool{false, true} {
 			oracle := &naiveSelect{ev: &Evaluator{Funcs: db.eval.Funcs, NullEq: !strict}, tables: tables}
-			want := oracle.run(sel).render(ordered)
+			res := oracle.run(sel)
+			if !strict && res.err == nil && sel.Union != nil && (ordered || sel.Limit >= 0) {
+				sortedUnions++
+			}
+			want := res.render(ordered)
 			db.SetStrictNulls(strict)
 			db.SetPool(nil)
 			db.SetWorkers(1)
@@ -1018,7 +1088,7 @@ func checkStatementsMatchOracle(t *testing.T, seed int64, n int) int64 {
 			}
 		}
 	}
-	return db.Stats().Morsels
+	return db.Stats().Morsels, sortedUnions
 }
 
 // TestStatementsMatchOracle is the seeded tier-1 run of the statement-level
@@ -1028,13 +1098,18 @@ func TestStatementsMatchOracle(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		seeds = 6
 	}
-	var morsels int64
+	var morsels, sortedUnions int64
 	for seed := int64(0); seed < seeds; seed++ {
-		morsels += checkStatementsMatchOracle(t, seed, n)
+		m, u := checkStatementsMatchOracle(t, seed, n)
+		morsels, sortedUnions = morsels+m, sortedUnions+u
 	}
 	if morsels == 0 {
 		t.Fatal("no statement took the parallel path: the parallel runs were vacuous")
 	}
+	if sortedUnions == 0 {
+		t.Fatal("no statement sorted or limited a UNION chain without error")
+	}
+	t.Logf("%d statements sorted or limited a UNION chain", sortedUnions)
 }
 
 // FuzzStatementsMatchOracle runs the statement-level differential check

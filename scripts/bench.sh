@@ -22,7 +22,8 @@
 # every-revision workload), the substrate SELECT/JOIN microbenchmarks,
 # the prepared-statement floor, the EXPLAIN ANALYZE pair (plain vs
 # instrumented execution of the same join), the selection-vector filter
-# scan, the segment pack/unpack throughput, the out-of-core
+# scan, the §4.2 deadlock story and its per-assignment VCG analyses, the
+# segment pack/unpack throughput, the out-of-core
 # state-exploration pair (budget-stopped vs spilled at a fixed memory
 # budget, with states and bytes/state as extra metrics; the spilled run
 # must reach ≥100x the states the retired in-memory engine held), the §5
@@ -47,8 +48,8 @@
 # their row-at-a-time oracle, indexes carried across epochs against a
 # rebuild, and DML building no index) and the query server (concurrent
 # sessions, admission, drain), the
-# deadlock analysis (pairwise composition fans out over shared interned
-# tables on the pool), protocol generation (eight specs solved at once
+# deadlock analysis (per-controller dependency derivation fans out on
+# the pool), protocol generation (eight specs solved at once
 # over shared cached rule-condition trees), and TestNilTracerOverheadBound
 # enforces the <5% off-path instrumentation budget before any number is
 # recorded.
@@ -63,7 +64,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-PATTERN="${1:-BenchmarkGenerateDirectoryD$|BenchmarkGenerateAllControllers$|BenchmarkGenerateIncremental$|BenchmarkInvariantSuite$|BenchmarkInvariantSuiteSerial$|BenchmarkDeltaRecheck$|BenchmarkSQLSelectWhere$|BenchmarkSQLJoin$|BenchmarkSQLPreparedSelect$|BenchmarkExplainAnalyzeOverhead$|BenchmarkVectorizedFilter|BenchmarkStateExplore|BenchmarkSegmentPack|BenchmarkMapPhase$|BenchmarkMapAndReconstruct$}"
+PATTERN="${1:-BenchmarkGenerateDirectoryD$|BenchmarkGenerateAllControllers$|BenchmarkGenerateIncremental$|BenchmarkInvariantSuite$|BenchmarkInvariantSuiteSerial$|BenchmarkDeltaRecheck$|BenchmarkSQLSelectWhere$|BenchmarkSQLJoin$|BenchmarkSQLPreparedSelect$|BenchmarkExplainAnalyzeOverhead$|BenchmarkVectorizedFilter|BenchmarkStateExplore|BenchmarkSegmentPack|BenchmarkMapPhase$|BenchmarkMapAndReconstruct$|BenchmarkDeadlockStory$|BenchmarkVCGConstruction}"
 SERVER_PATTERN="${BENCH_SERVER_PATTERN:-BenchmarkServerQPS$}"
 OUT="${BENCH_OUT:-BENCH_10.json}"
 BASELINE="${BENCH_BASELINE:-BENCH_9.json}"
@@ -111,7 +112,7 @@ go test -race -run 'TestCatalog|TestConcurrentSnapshotReaders|TestCarryIndexes|T
 echo "== race-detector query-server tests =="
 go test -race ./internal/server/...
 
-echo "== race-detector deadlock-composition tests =="
+echo "== race-detector deadlock-analysis tests =="
 go test -race ./internal/deadlock/...
 
 echo "== race-detector protocol-generation tests =="
