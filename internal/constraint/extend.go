@@ -1,10 +1,10 @@
 package constraint
 
 import (
+	"slices"
 	"sync"
 
 	"coherdb/internal/rel"
-	"coherdb/internal/sqlmini"
 )
 
 // extendStats reports one extension step's work.
@@ -28,7 +28,9 @@ type extendStats struct {
 // by that projection and each distinct (projection, value) pair is
 // evaluated once. The readex fragment has thousands of intermediate rows
 // but only dozens of distinct projections; work drops from
-// O(rows x domain) evaluations to O(groups x domain).
+// O(rows x domain) evaluations to O(groups x domain). A group's pairs are
+// one batch for the same selection-vector kernels that filter SQL scans
+// (see evalGroups).
 //
 // A firing family member evaluates only the branch of its group's arm,
 // which the family's selector picks before the sweep, once per solve for
@@ -107,70 +109,77 @@ func (r *solveRun) extend(cur [][]uint32, width int, domain []uint32, fire []com
 const sweepSmallJob = 4096
 
 // evalGroups fills verdicts[g*len(domain)+di] for every group g and domain
-// index di by running the fire programs on the group's representative row
-// extended with domain[di]. Every firing program carries a column-at-a-
-// time sweep form (see sqlmini.CompileSweepBranches): one EvalSweepTrue
-// call decides the whole domain for one (group, constraint) pair,
-// evaluating sweep-stable subtrees once per group and the sweep-reading
-// leaves as tight loops over the domain's code vector. A family member
-// runs only the branch its group's arm (arms[i]) names. Constraints
-// conjoin by AND-ing into a shared keep vector, stopping early when no
-// lane survives.
+// index di by running the fire predicates on the group's representative
+// row extended with domain[di]. A group's lanes are one batch for the
+// selection-vector kernels (sqlmini.VecPred): the new column's vector is
+// the domain, every old column the fire predicates read holds the
+// representative's code in every lane, and the selection starts as every
+// lane. Each firing constraint narrows it, stopping when it is empty, and
+// the survivors are the group's verdicts. A family member runs only the
+// branch its group's arm (arms[i]) names.
 func evalGroups(cur [][]uint32, width int, domain []uint32, fire []compiledConstraint, reps []int32, arms []groupArms, verdicts []bool, workers int) error {
-	s := groupSweep{cur: cur, domain: domain, fire: fire, reps: reps, arms: arms, verdicts: verdicts}
+	s := groupSweep{cur: cur, width: width, domain: domain, fire: fire, reps: reps, arms: arms, verdicts: verdicts}
+	for _, c := range fire {
+		for _, vp := range c.sweep {
+			for _, p := range vp.Columns() {
+				if p < width-1 && !slices.Contains(s.bcast, p) {
+					s.bcast = append(s.bcast, p)
+				}
+			}
+		}
+	}
 	if workers <= 1 || len(reps)*len(domain) < sweepSmallJob {
 		// Small-step fast path: sweep inline on the calling goroutine.
-		w := s.worker(width)
-		err := s.run(w, 0, len(reps))
-		s.release(w)
-		return err
+		return s.run(s.worker(), 0, len(reps))
 	}
-	return s.parallel(width, workers)
+	return s.parallel(workers)
 }
 
 // groupSweep is one step's verdict computation for evalGroups.
 type groupSweep struct {
 	cur      [][]uint32
+	width    int
 	domain   []uint32
 	fire     []compiledConstraint
+	bcast    []int // the old columns the fire predicates read
 	reps     []int32
 	arms     []groupArms
 	verdicts []bool
 }
 
-// sweepWorker is one goroutine's evaluation state: the lane buffers of
-// each fire program, the extended row, and the conjunction's lane vector.
+// sweepWorker is one goroutine's batch: the column vectors by row
+// position (the broadcast ones are its own, refilled per group) and the
+// selection vector.
 type sweepWorker struct {
-	insts   []*sqlmini.Instance
-	scratch []uint32
-	keep    []bool
+	cols [][]uint32
+	sel  []uint32
 }
 
-func (s *groupSweep) worker(width int) sweepWorker {
-	w := sweepWorker{
-		insts:   make([]*sqlmini.Instance, len(s.fire)),
-		scratch: make([]uint32, width),
-		keep:    make([]bool, len(s.domain)),
+func (s *groupSweep) worker() sweepWorker {
+	dlen := len(s.domain)
+	w := sweepWorker{cols: make([][]uint32, s.width), sel: make([]uint32, dlen)}
+	buf := make([]uint32, len(s.bcast)*dlen)
+	for i, p := range s.bcast {
+		w.cols[p] = buf[i*dlen : (i+1)*dlen]
 	}
-	for i, c := range s.fire {
-		w.insts[i] = c.sweep.Instance()
-	}
+	w.cols[s.width-1] = s.domain
 	return w
-}
-
-func (s *groupSweep) release(w sweepWorker) {
-	for i, c := range s.fire {
-		c.sweep.Release(w.insts[i])
-	}
 }
 
 // run decides groups [lo, hi).
 func (s *groupSweep) run(w sweepWorker, lo, hi int) error {
 	dlen := len(s.domain)
 	for g := lo; g < hi; g++ {
-		copy(w.scratch, s.cur[s.reps[g]])
-		for di := range w.keep {
-			w.keep[di] = true
+		rep := s.cur[s.reps[g]]
+		for _, p := range s.bcast {
+			col, c := w.cols[p], rep[p]
+			for i := range col {
+				col[i] = c
+			}
+		}
+		sel := w.sel
+		for i := range sel {
+			sel[i] = uint32(i)
 		}
 		for i, cc := range s.fire {
 			branch := 0
@@ -181,22 +190,25 @@ func (s *groupSweep) run(w sweepWorker, lo, hi int) error {
 				}
 				branch = int(cc.branch[arm])
 			}
-			any, err := cc.sweep.EvalSweepTrue(w.insts[i], branch, w.scratch, s.domain, w.keep)
-			if err != nil {
+			var err error
+			if sel, err = cc.sweep[branch].EvalVec(w.cols, sel); err != nil {
 				return err
 			}
-			if !any {
+			if len(sel) == 0 {
 				break
 			}
 		}
-		copy(s.verdicts[g*dlen:(g+1)*dlen], w.keep)
+		v := s.verdicts[g*dlen : (g+1)*dlen]
+		for _, di := range sel {
+			v[di] = true
+		}
 	}
 	return nil
 }
 
 // parallel runs the sweep on up to workers goroutines, dealing groups in
 // batches. It takes s by value so the inline path keeps s on its stack.
-func (s groupSweep) parallel(width, workers int) error {
+func (s groupSweep) parallel(workers int) error {
 	cursor := newBatchCursor(uint64(len(s.reps)), workers)
 	nw := min(workers, cursor.numBatches())
 	errs := make([]error, nw)
@@ -205,8 +217,7 @@ func (s groupSweep) parallel(width, workers int) error {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			w := s.worker(width)
-			defer s.release(w)
+			w := s.worker()
 			for {
 				_, lo, hi, ok := cursor.grab()
 				if !ok {

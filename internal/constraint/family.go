@@ -19,7 +19,7 @@ import (
 // leading condition sequences are structurally equal form a family. The
 // family compiles its conditions once into a Selector; a solve picks each
 // row's arm once per family and every member then evaluates only that
-// arm's branch over the swept domain.
+// arm's branch, as a selection-vector predicate, over the swept domain.
 
 // family is a set of constraints sharing one leading condition sequence.
 type family struct {
@@ -135,18 +135,19 @@ func (w *chainScan) compile(col string, e sqlmini.Expr) (compiledConstraint, err
 		}
 	}
 
-	ev := w.ev
 	var err error
 	switch {
 	case k == 0:
-		cc.sweep, err = ev.CompileSweepBranches([]sqlmini.Expr{e}, s.colIdx, fire)
+		var vp *sqlmini.VecPred
+		vp, err = w.ev.CompileVec(e, s.colIdx)
+		cc.sweep = []*sqlmini.VecPred{vp}
 	case cc.fam == nil:
 		cc.fam, err = w.newFamily(k, fire)
 		if err == nil {
-			cc.sweep, cc.branch, err = w.branches(k, rest, fire)
+			cc.sweep, cc.branch, err = w.branches(k, rest)
 		}
 	default:
-		cc.sweep, cc.branch, err = w.branches(k, rest, fire)
+		cc.sweep, cc.branch, err = w.branches(k, rest)
 	}
 	if err != nil {
 		return cc, compileError(s, col, err)
@@ -207,10 +208,11 @@ func (w *chainScan) newFamily(k, fire int) (*family, error) {
 }
 
 // branches compiles the scanned chain's distinct then branches of its
-// first k arms and its else into one sweep program over fire, and maps
-// each arm (k for the else) to its branch. The else is the final one,
-// rest, when every arm is stable, and otherwise the chain from arm k on.
-func (w *chainScan) branches(k int, rest sqlmini.Expr, fire int) (*sqlmini.SweepProg, []int32, error) {
+// first k arms and its else into selection-vector predicates, one per
+// distinct branch, and maps each arm (k for the else) to its branch. The
+// else is the final one, rest, when every arm is stable, and otherwise the
+// chain from arm k on.
+func (w *chainScan) branches(k int, rest sqlmini.Expr) ([]*sqlmini.VecPred, []int32, error) {
 	var es []sqlmini.Expr
 	branch := make([]int32, k+1)
 	add := func(e sqlmini.Expr) int32 {
@@ -229,15 +231,21 @@ func (w *chainScan) branches(k int, rest sqlmini.Expr, fire int) (*sqlmini.Sweep
 		rest = w.tails[k]
 	}
 	branch[k] = add(rest)
-	prog, err := w.ev.CompileSweepBranches(es, w.spec.colIdx, fire)
-	return prog, branch, err
+	preds := make([]*sqlmini.VecPred, len(es))
+	for i, e := range es {
+		var err error
+		if preds[i], err = w.ev.CompileVec(e, w.spec.colIdx); err != nil {
+			return nil, nil, err
+		}
+	}
+	return preds, branch, nil
 }
 
 // armMemo is one solve's record of a family's selections: the distinct
 // projections of rows onto the family's condition columns seen so far,
-// and the arm the selector chose for each. Conditions are pure (the sweep
-// cache and IncrementalSolver assume the same), so a projection's arm
-// never changes within a solve and every later step looks it up.
+// and the arm the selector chose for each. Conditions are pure (as
+// IncrementalSolver assumes too), so a projection's arm never changes
+// within a solve and every later step looks it up.
 type armMemo struct {
 	keys *groupTable
 	arms []int32 // per key: the arm, or -1-i for errs[i]

@@ -42,9 +42,10 @@ type Stats struct {
 	// CompileTime is the one-off cost of lowering the column constraints
 	// before the solve loop, paid on a spec's first solve and near zero
 	// once its compilation is cached. For incremental solves it covers
-	// each rule-chain family's Selector over its shared conditions, each
-	// member's distinct then and else branches, and every other
-	// constraint whole, all as column-at-a-time sweep programs.
+	// each rule-chain family's Selector over its shared conditions (row-
+	// at-a-time closures), and each member's distinct then and else
+	// branches and every other constraint whole as selection-vector
+	// predicates.
 	// MonolithicOpts also compiles, and counts, every constraint whole as a
 	// row-at-a-time program, on the first MonolithicOpts solve of the spec.
 	CompileTime time.Duration

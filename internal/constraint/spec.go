@@ -280,11 +280,12 @@ func (s *Spec) evaluator() *sqlmini.Evaluator {
 // which it becomes checkable.
 type compiledConstraint struct {
 	col string
-	// sweep is the column-at-a-time program over the fire column. For a
-	// family member (fam set) its branches are the member's distinct then
-	// and else branches and branch[arm] is the one the family's selector
-	// arm takes; any other constraint compiles whole into branch 0.
-	sweep  *sqlmini.SweepProg
+	// sweep holds the selection-vector predicates that decide a group's
+	// whole domain of the fire column per call. For a family member (fam
+	// set) they are the member's distinct then and else branches and
+	// branch[arm] indexes the one the family's selector arm takes; any
+	// other constraint compiles whole into sweep[0].
+	sweep  []*sqlmini.VecPred
 	fam    *family
 	branch []int32
 	refs   []int // row positions the constraint reads, own column included
@@ -292,12 +293,12 @@ type compiledConstraint struct {
 }
 
 // compiledConstraints lowers every column constraint for the solver,
-// cached on the spec until the next mutation. Each program is compiled
-// around the column added at its firing step, so the incremental solver's
-// domain sweep evaluates subtrees over earlier columns once per candidate
-// row instead of once per (row, value) pair; rule chains that share their
-// leading conditions form families (see family.go) that compile those
-// conditions once. The returned slice, ordered by fire step and then
+// cached on the spec until the next mutation. Each constraint fires at the
+// step that adds the last column it reads, where the incremental solver
+// decides each group's whole domain in one batch of selection-vector
+// kernels (see evalGroups); rule chains that share their leading
+// conditions form families (see family.go) that compile those conditions
+// once. The returned slice, ordered by fire step and then
 // column, is shared and must not be mutated.
 func (s *Spec) compiledConstraints() ([]compiledConstraint, error) {
 	s.mu.Lock()

@@ -122,14 +122,29 @@ func Repair(controllers []*rel.Table, v *rel.Table, opts Options, maxIter int) (
 // evidence rows, preferring hops not yet moved. Output hops are counted:
 // moving the *awaited* channel is what breaks a wait.
 func worstHop(rep *Report, moved map[VKey]bool) (VKey, bool) {
-	counts := map[VKey]int{}
+	// Count the cycles through each edge first, then add that count to
+	// each of the edge's evidence rows once: an edge shared by many
+	// cycles is read once, not once per cycle.
+	g := rep.Graph
+	n := len(g.nodes)
+	perEdge := make([]int, n*n)
 	for _, c := range rep.Cycles {
 		for i := range c {
-			e := Edge{From: c[i], To: c[(i+1)%len(c)]}
-			for _, r := range rep.Graph.evidenceOf(e) {
-				out := rep.Graph.rows[r].Out
-				counts[VKey{M: out.M, S: out.S, D: out.D}]++
+			from, fok := slices.BinarySearch(g.nodes, c[i])
+			to, tok := slices.BinarySearch(g.nodes, c[(i+1)%len(c)])
+			if fok && tok {
+				perEdge[from*n+to]++
 			}
+		}
+	}
+	counts := map[VKey]int{}
+	for k, cycles := range perEdge {
+		if cycles == 0 {
+			continue
+		}
+		for _, r := range g.evidence[k] {
+			out := g.rows[r].Out
+			counts[VKey{M: out.M, S: out.S, D: out.D}] += cycles
 		}
 	}
 	type cand struct {

@@ -6,10 +6,10 @@ import (
 	"coherdb/internal/rel"
 )
 
-// This file is the expression-compilation layer: it lowers an expression
-// tree once into a tree of position-bound closures over dictionary-code
-// rows, so hot loops evaluate many rows without per-row name resolution,
-// AST walks or operator-string dispatch:
+// This file is the row-at-a-time half of the expression-compilation layer:
+// it lowers an expression tree once into a tree of position-bound closures
+// over dictionary-code rows, so hot loops evaluate many rows without
+// per-row name resolution, AST walks or operator-string dispatch:
 //
 //   - column references resolve to row positions at compile time, through
 //     a name index (CompileCodes) or the positions the query planner bound
@@ -25,10 +25,12 @@ import (
 //
 // Compiled closures are stateless: they close over immutable compile-time
 // state only, so one compiled predicate may be evaluated concurrently from
-// many goroutines. They are also the building blocks of the selection-
-// vector kernels (vectorize.go) and of the solver's sweep programs and
-// Selectors (sweepvec.go). The reference all of these forms are tested
-// against is the tree-walking interpreter, which lives in test code.
+// many goroutines. The other half is the selection-vector kernels
+// (vectorize.go), which evaluate a batch of rows per call and fall back to
+// these closures for the shapes they do not lower; the constraint solver
+// runs both, a Selector per rule-chain family and kernels over each
+// group's domain. The reference both forms are tested against is the
+// tree-walking interpreter, which lives in test code.
 
 // dict is the shared dictionary every rel.Table encodes into; compiled
 // kernels intern their literals through it at compile time and compare
@@ -85,9 +87,50 @@ func (ev *Evaluator) compileBoundVal(e Expr) (valFn, error) {
 	return (&compiler{ev: ev, bound: true}).val(e)
 }
 
+// Selector decides which arm of a rule chain a row takes: the index of the
+// first of the chain's conditions that is definitely true, Unknown counting
+// as false exactly as for a ternary's condition. When the conditions do
+// not read a swept column, one selection serves a row's whole domain sweep
+// and every chain that tests the same conditions in the same order.
+type Selector struct {
+	conds []triFn
+}
+
+// CompileSelector compiles conds, in priority order, into a Selector over
+// code rows bound by colIndex. It accepts what CompileCodes accepts, and
+// like a CodePred it is safe for concurrent use.
+func (ev *Evaluator) CompileSelector(conds []Expr, colIndex map[string]int) (*Selector, error) {
+	c := &compiler{ev: ev, ix: colIndex}
+	fns := make([]triFn, len(conds))
+	for i, e := range conds {
+		fn, err := c.bool(e)
+		if err != nil {
+			return nil, err
+		}
+		fns[i] = fn
+	}
+	return &Selector{conds: fns}, nil
+}
+
+// Select returns the index of the first condition definitely true on crow,
+// or the number of conditions (the else arm) when none is. A failing
+// condition ends the walk with its error, as it ends the chain's.
+func (s *Selector) Select(crow []uint32) (int, error) {
+	for i, fn := range s.conds {
+		t, err := fn(crow)
+		if err != nil {
+			return 0, err
+		}
+		if t == triTrue {
+			return i, nil
+		}
+	}
+	return len(s.conds), nil
+}
+
 // compiler carries compile-time state: the column binding, and whether
 // column references resolve through pre-bound positions
-// (CompileBoundCodes) or the name index.
+// (CompileBoundCodes, CompileBoundVec) or the name index.
 type compiler struct {
 	ev    *Evaluator
 	ix    map[string]int
@@ -272,29 +315,29 @@ func (c *compiler) bool(e Expr) (triFn, error) {
 // colPos resolves a column reference to its row position, honoring the
 // bound/unbound compilation mode. ok=false with a nil error means the
 // node is not a column reference at all.
-func (c *compiler) colPos(e Expr) (idx int, rendered string, ok bool, err error) {
+func (c *compiler) colPos(e Expr) (idx int, ok bool, err error) {
 	switch x := e.(type) {
 	case Col:
 		idx, found := c.ix[x.Name]
 		if c.bound || !found {
 			// In bound mode a bare Col surviving plan-time binding is one
 			// the planner could not resolve (unknown or ambiguous).
-			return 0, "", false, fmt.Errorf("%w: %s", ErrUnknownColumn, x.String())
+			return 0, false, fmt.Errorf("%w: %s", ErrUnknownColumn, x.String())
 		}
-		return idx, x.String(), true, nil
+		return idx, true, nil
 	case boundCol:
 		if c.bound {
-			return x.Idx, x.Col.String(), true, nil
+			return x.Idx, true, nil
 		}
 		// Positions bound against a table during query planning are stale
 		// here; rebind by name against the compile-time index.
 		idx, found := c.ix[x.Name]
 		if !found {
-			return 0, "", false, fmt.Errorf("%w: %s", ErrUnknownColumn, x.Col.String())
+			return 0, false, fmt.Errorf("%w: %s", ErrUnknownColumn, x.Col.String())
 		}
-		return idx, x.Col.String(), true, nil
+		return idx, true, nil
 	}
-	return 0, "", false, nil
+	return 0, false, nil
 }
 
 // code compiles e as a dictionary-code producer when possible: literals
@@ -305,13 +348,14 @@ func (c *compiler) code(e Expr) (codeFn, bool, error) {
 		cc := dict.Code(x.Val)
 		return func([]uint32) (uint32, error) { return cc, nil }, true, nil
 	}
-	idx, rendered, ok, err := c.colPos(e)
+	idx, ok, err := c.colPos(e)
 	if err != nil || !ok {
 		return nil, false, err
 	}
+	ref, _ := colOf(e)
 	return func(crow []uint32) (uint32, error) {
 		if idx >= len(crow) {
-			return rel.NullCode, fmt.Errorf("%w: %s (position %d beyond row of %d)", ErrUnknownColumn, rendered, idx, len(crow))
+			return rel.NullCode, fmt.Errorf("%w: %s (position %d beyond row of %d)", ErrUnknownColumn, ref, idx, len(crow))
 		}
 		return crow[idx], nil
 	}, true, nil
@@ -325,16 +369,17 @@ func (c *compiler) val(e Expr) (valFn, error) {
 		v := x.Val
 		return func([]uint32) (rel.Value, error) { return v, nil }, nil
 	case Col, boundCol:
-		idx, rendered, ok, err := c.colPos(e)
+		idx, ok, err := c.colPos(e)
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
 			return nil, fmt.Errorf("%w: %v", ErrUnknownColumn, e)
 		}
+		ref, _ := colOf(e)
 		return func(crow []uint32) (rel.Value, error) {
 			if idx >= len(crow) {
-				return rel.Null(), fmt.Errorf("%w: %s (position %d beyond row of %d)", ErrUnknownColumn, rendered, idx, len(crow))
+				return rel.Null(), fmt.Errorf("%w: %s (position %d beyond row of %d)", ErrUnknownColumn, ref, idx, len(crow))
 			}
 			return dict.Value(crow[idx]), nil
 		}, nil

@@ -113,9 +113,9 @@ func TestCompileAgreesWithInterpreter(t *testing.T) {
 	}
 }
 
-// TestCompileSweepAgreesWithInterpreter drives the sweep-compiled form the
-// way the solver does — one base row at a time, the last column swept
-// across the domain in one call — and checks every lane against the
+// TestCompileSweepAgreesWithInterpreter drives CompileVec the way the
+// solver does — one base row at a time, the last column swept across the
+// domain in one batch (SweepLanes) — and checks every lane against the
 // interpreter.
 func TestCompileSweepAgreesWithInterpreter(t *testing.T) {
 	domain := codesOf(fixtureDomain)
@@ -126,30 +126,24 @@ func TestCompileSweepAgreesWithInterpreter(t *testing.T) {
 			if err != nil {
 				t.Fatalf("parse %q: %v", src, err)
 			}
-			prog, err := ev.CompileSweepBranches([]Expr{e}, compileFixtureCols, 2)
+			vp, err := ev.CompileVec(e, compileFixtureCols)
 			if err != nil {
 				t.Fatalf("compile %q: %v", src, err)
 			}
-			in := prog.Instance()
-			keep := make([]bool, len(domain))
 			for _, av := range fixtureDomain {
 				for _, bv := range fixtureDomain {
-					for i := range keep {
-						keep[i] = true
-					}
 					crow := codesOf([]rel.Value{av, bv, rel.Null()})
-					_, gerr := prog.EvalSweepTrue(in, 0, crow, domain, keep)
+					keep, gerr := SweepLanes(vp, crow, 2, domain)
 					for i, cv := range fixtureDomain {
 						row := []rel.Value{av, bv, cv}
 						want, werr := ev.True(e, compileFixtureEnv(row))
 						if (werr == nil) != (gerr == nil) || (gerr == nil && keep[i] != want) {
-							t.Fatalf("%q (nullEq=%v) on %v: interpreter (%v, %v), sweep-compiled (%v, %v)",
-								src, nullEq, row, want, werr, keep[i], gerr)
+							t.Fatalf("%q (nullEq=%v) on %v: interpreter (%v, %v), swept batch (%v, %v)",
+								src, nullEq, row, want, werr, keep, gerr)
 						}
 					}
 				}
 			}
-			prog.Release(in)
 		}
 	}
 }

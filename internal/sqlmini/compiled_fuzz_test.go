@@ -101,8 +101,8 @@ func (fc *fuzzCase) env(crow []uint32) MapEnv {
 //   - the rows CompileBoundVec keeps from a random selection;
 //   - CompileBoundCodes on every row;
 //   - CompileCodes, the entry MonolithicOpts runs;
-//   - every lane of a CompileSweepBranches program over a random sweep
-//     column, with each row as the base;
+//   - every lane of CompileVec's predicate over the solver's batch
+//     (SweepLanes) for a random swept column, with each row as the base;
 //   - the arm a Selector picks.
 //
 // The seed corpus covers both dialects; run longer with
@@ -176,23 +176,18 @@ func checkCompiledForms(t *testing.T, ev *Evaluator, fc fuzzCase, rng *rand.Rand
 	}
 
 	sweep := rng.Intn(len(fc.names))
-	sp, err := ev.CompileSweepBranches([]Expr{fc.e}, fc.ix, sweep)
+	swept, err := ev.CompileVec(fc.e, fc.ix)
 	if err != nil {
-		t.Fatalf("CompileSweepBranches(%s): %v", fc.e, err)
+		t.Fatalf("CompileVec(%s): %v", fc.e, err)
 	}
-	in := sp.Instance()
-	defer sp.Release(in)
 	domain := make([]uint32, 1+rng.Intn(len(fuzzValues)))
 	for i := range domain {
 		domain[i] = dict.Code(fuzzValues[rng.Intn(len(fuzzValues))])
 	}
-	keep := make([]bool, len(domain))
 	for i := 0; i < nrows; i++ {
-		for d := range keep {
-			keep[d] = true
-		}
-		if _, err := sp.EvalSweepTrue(in, 0, fc.row(i), domain, keep); err != nil {
-			t.Fatalf("row %d: EvalSweepTrue(%s) over column %d: %v", i, fc.e, sweep, err)
+		keep, err := SweepLanes(swept, fc.row(i), sweep, domain)
+		if err != nil {
+			t.Fatalf("row %d: sweep of %s over column %d: %v", i, fc.e, sweep, err)
 		}
 		crow := fc.row(i)
 		for d, code := range domain {

@@ -65,10 +65,11 @@ func splitStable(e sqlmini.Expr, fireCol string) (conds, branches []sqlmini.Expr
 // of the constraint-compilation layer: for every constraint of every
 // controller spec, on randomly sampled rows drawn from the column
 // domains, the tree-walking Evaluator.True must agree with the compiled
-// predicate MonolithicOpts runs, and lane by lane with the sweep programs the
-// solver runs over the constraint's last referenced column: the whole
-// constraint as one branch, and its rule chain split into a Selector over
-// the stable leading conditions and the chosen arm's branch.
+// predicate MonolithicOpts runs, and lane by lane with the selection-vector
+// predicates the solver sweeps over the constraint's last referenced
+// column (SweepLanes): the whole constraint, and its rule chain split into
+// a Selector over the stable leading conditions and the chosen arm's
+// branch.
 func TestCompiledConstraintsMatchInterpreter(t *testing.T) {
 	const samples = 150
 	rng := rand.New(rand.NewSource(42))
@@ -101,7 +102,7 @@ func TestCompiledConstraintsMatchInterpreter(t *testing.T) {
 					sweep = p
 				}
 			})
-			whole, err := ev.CompileSweepBranches([]sqlmini.Expr{e}, colIdx, sweep)
+			whole, err := ev.CompileVec(e, colIdx)
 			if err != nil {
 				t.Fatalf("%s.%s: compile sweep: %v", name, col, err)
 			}
@@ -110,17 +111,16 @@ func TestCompiledConstraintsMatchInterpreter(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s.%s: compile selector: %v", name, col, err)
 			}
-			arms, err := ev.CompileSweepBranches(branches, colIdx, sweep)
-			if err != nil {
-				t.Fatalf("%s.%s: compile branches: %v", name, col, err)
+			arms := make([]*sqlmini.VecPred, len(branches))
+			for i, b := range branches {
+				if arms[i], err = ev.CompileVec(b, colIdx); err != nil {
+					t.Fatalf("%s.%s: compile branch %d: %v", name, col, i, err)
+				}
 			}
-			win, ain := whole.Instance(), arms.Instance()
 			domain := make([]uint32, len(domains[sweep]))
 			for i, v := range domains[sweep] {
 				domain[i] = dict.Code(v)
 			}
-			wkeep := make([]bool, len(domain))
-			akeep := make([]bool, len(domain))
 
 			row := make([]rel.Value, len(cols))
 			crow := make([]uint32, len(cols))
@@ -131,17 +131,16 @@ func TestCompiledConstraintsMatchInterpreter(t *testing.T) {
 					env[cols[i].Name] = row[i]
 					crow[i] = dict.Code(row[i])
 				}
-				for i := range wkeep {
-					wkeep[i], akeep[i] = true, true
-				}
-				if _, err := whole.EvalSweepTrue(win, 0, crow, domain, wkeep); err != nil {
+				wkeep, err := sqlmini.SweepLanes(whole, crow, sweep, domain)
+				if err != nil {
 					t.Fatalf("%s.%s on %v: sweep: %v", name, col, row, err)
 				}
 				arm, err := sel.Select(crow)
 				if err != nil {
 					t.Fatalf("%s.%s on %v: select: %v", name, col, row, err)
 				}
-				if _, err := arms.EvalSweepTrue(ain, arm, crow, domain, akeep); err != nil {
+				akeep, err := sqlmini.SweepLanes(arms[arm], crow, sweep, domain)
+				if err != nil {
 					t.Fatalf("%s.%s on %v: arm %d sweep: %v", name, col, row, arm, err)
 				}
 				for i, v := range domains[sweep] {
@@ -160,8 +159,6 @@ func TestCompiledConstraintsMatchInterpreter(t *testing.T) {
 					}
 				}
 			}
-			whole.Release(win)
-			arms.Release(ain)
 		}
 	}
 }

@@ -203,18 +203,11 @@ func TestColumnsCollection(t *testing.T) {
 	if len(got) != 4 {
 		t.Errorf("Columns = %v", got)
 	}
-	// The column walker behind Columns, the sweep compiler and the vector
-	// fallback allocates nothing, and stops where its visitor says.
+	// The column walker behind Columns and the vector fallback allocates
+	// nothing.
 	refs := 0
 	if n := testing.AllocsPerRun(100, func() { VisitColumns(e, func(string) { refs++ }) }); n != 0 {
 		t.Errorf("VisitColumns allocates %.1f per walk, want 0", n)
-	}
-	s := &sweepCompiler{c: &compiler{ix: map[string]int{"inmsg": 0, "dirst": 1, "dirpv": 2, "locmsg": 3}}, sweep: 1}
-	if n := testing.AllocsPerRun(100, func() { _, _ = s.readsSweep(e) }); n != 0 {
-		t.Errorf("readsSweep allocates %.1f per walk, want 0", n)
-	}
-	if reads, err := s.readsSweep(e); err != nil || !reads {
-		t.Errorf("readsSweep(dirst) = (%v, %v), want (true, nil)", reads, err)
 	}
 }
 

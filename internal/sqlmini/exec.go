@@ -2,6 +2,7 @@ package sqlmini
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -519,11 +520,7 @@ func (r *run) scanSource(ref TableRef, sp srcPlan) (*frame, error) {
 			return r.vecScan(t, ref.Alias, matched, sp.vecs)
 		}
 		f := schemaFrame(t, ref.Alias)
-		crows := t.CodeRows()
-		f.rows = make([][]uint32, len(matched))
-		for i, ri := range matched {
-			f.rows[i] = crows[ri]
-		}
+		f.rows = gatherRows(t, matched)
 		return f, nil
 	}
 	r.qs.addScanned(t.NumRows())
@@ -563,6 +560,21 @@ func (r *run) filterFrame(f *frame, progs []CodePred) (*frame, error) {
 		}
 	}
 	return out, nil
+}
+
+// gatherRows returns t's code rows at idx, in order. It reads the table's
+// row-major cache only when there are rows to gather: building that cache
+// for a fresh epoch is a pass over the whole table.
+func gatherRows[T int | uint32](t *rel.Table, idx []T) [][]uint32 {
+	rows := make([][]uint32, len(idx))
+	if len(idx) == 0 {
+		return rows
+	}
+	crows := t.CodeRows()
+	for i, ri := range idx {
+		rows[i] = crows[ri]
+	}
+	return rows
 }
 
 // schemaFrame builds a rowless frame carrying only a table's column
@@ -624,12 +636,19 @@ func hashJoinPairs(f, g *frame, on Expr) ([]joinPair, bool) {
 			// Maybe written right-to-left.
 			li, ri = f.resolve(rc.Qualifier, rc.Name), g.resolve(lc.Qualifier, lc.Name)
 		}
-		if li < 0 || ri < 0 {
+		if li < 0 || ri < 0 || inBoth(f, g, lc) || inBoth(f, g, rc) {
+			// An ambiguous name fails when the nested-loop ON binds.
 			return nil, false
 		}
 		pairs = append(pairs, joinPair{li: li, ri: ri})
 	}
 	return pairs, len(pairs) > 0
+}
+
+// inBoth reports whether c is an unqualified name that both f and g hold,
+// which makes it ambiguous over their join.
+func inBoth(f, g *frame, c Col) bool {
+	return c.Qualifier == "" && slices.Contains(f.names, c.Name) && slices.Contains(g.names, c.Name)
 }
 
 // join combines f with g as jp plans: a hash or index join on its column

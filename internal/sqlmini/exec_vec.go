@@ -69,11 +69,7 @@ func (r *run) vecScan(t *rel.Table, alias string, matched []int, vecs []*VecPred
 		selPool.Put(sv)
 		return nil, err
 	}
-	crows := t.CodeRows()
-	f.rows = make([][]uint32, len(sel))
-	for i, ri := range sel {
-		f.rows[i] = crows[ri]
-	}
+	f.rows = gatherRows(t, sel)
 	selPool.Put(sv)
 	return f, nil
 }

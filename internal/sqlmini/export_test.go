@@ -41,3 +41,34 @@ func Columns(e Expr) map[string]struct{} {
 	VisitColumns(e, func(name string) { out[name] = struct{}{} })
 	return out
 }
+
+// SweepLanes runs vp as the constraint solver decides one group's domain:
+// the batch has one lane per domain value, column sweep's vector is the
+// domain, every other column repeats crow's code across the lanes, and
+// the selection starts as every lane. keep[i] reports whether lane i
+// survived.
+func SweepLanes(vp *VecPred, crow []uint32, sweep int, domain []uint32) (keep []bool, err error) {
+	cols := make([][]uint32, len(crow))
+	for j, c := range crow {
+		cols[j] = domain
+		if j != sweep {
+			cols[j] = make([]uint32, len(domain))
+			for i := range cols[j] {
+				cols[j][i] = c
+			}
+		}
+	}
+	sel := make([]uint32, len(domain))
+	for i := range sel {
+		sel[i] = uint32(i)
+	}
+	kept, err := vp.EvalVec(cols, sel)
+	if err != nil {
+		return nil, err
+	}
+	keep = make([]bool, len(domain))
+	for _, i := range kept {
+		keep[i] = true
+	}
+	return keep, nil
+}

@@ -108,7 +108,7 @@ func (g *stmtGen) col(scope []genSource) string {
 func (g *stmtGen) pred(scope []genSource, depth int) string {
 	n := 8
 	if depth > 0 {
-		n = 14
+		n = 16
 	}
 	switch g.rng.Intn(n) {
 	case 0:
@@ -141,6 +141,17 @@ func (g *stmtGen) pred(scope []genSource, depth int) string {
 		return "CASE WHEN " + g.pred(scope, depth-1) + " THEN " + g.col(scope) + " ELSE " + g.lit() + " END = " + g.lit()
 	case 12:
 		return "(" + g.pred(scope, depth-1) + " ? " + g.col(scope) + " : " + g.lit() + ") = " + g.lit()
+	case 13:
+		return "(" + g.pred(scope, depth-1) + " ? " + g.pred(scope, depth-1) + " : " + g.pred(scope, depth-1) + ")"
+	case 14:
+		s := "CASE"
+		for k := 1 + g.rng.Intn(2); k > 0; k-- {
+			s += " WHEN " + g.pred(scope, depth-1) + " THEN " + g.pred(scope, depth-1)
+		}
+		if g.rng.Intn(2) == 0 {
+			s += " ELSE " + g.pred(scope, depth-1)
+		}
+		return s + " END"
 	default:
 		if g.rng.Intn(20) == 0 {
 			return "nosuch(" + g.col(scope) + ")"

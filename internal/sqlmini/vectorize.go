@@ -7,11 +7,12 @@ import (
 	"coherdb/internal/rel"
 )
 
-// Vectorized predicate execution: every pushed WHERE conjunct of a scan
-// compiles to an EvalVec form that evaluates a whole morsel's column
-// vectors per call instead of one code row at a time. The unit of work is
-// a selection vector — the strictly increasing row indices still alive —
-// and every kernel filters it in place:
+// Vectorized predicate execution: every pushed WHERE conjunct of a scan,
+// every UPDATE/DELETE WHERE conjunct and every constraint the solver
+// sweeps compiles to an EvalVec form that evaluates a whole batch of
+// column vectors per call instead of one code row at a time. The unit of
+// work is a selection vector — the strictly increasing row indices still
+// alive — and every kernel filters it in place:
 //
 //   - =, <>, IN and IS NULL over dictionary codes compile to tight
 //     compare loops over one column vector (codes are injective, so
@@ -19,34 +20,46 @@ import (
 //   - AND is a kernel cascade over the shrinking selection (the second
 //     conjunct only sees survivors, which is also the short-circuit:
 //     an empty selection skips the rest of the chain);
-//   - OR runs the left kernel on a copy, the right kernel on the
-//     remainder (set-minus), and merges the two sorted survivor lists;
+//   - the ternary c ? a : b runs c on a copy, sends the rows it keeps to
+//     a and the rest (unknown included) to b, and merges the two sorted
+//     survivor lists; when c keeps every row or none, the whole
+//     selection goes down one branch. OR is the ternary whose then
+//     branch keeps every row, and CASE lowers to a ternary chain (with
+//     no ELSE the result is NULL, which is never kept);
 //   - NOT rewrites through Kleene-valid identities (De Morgan, operator
-//     flips) so negation never needs a complement set;
+//     flips, NOT (c ? a : b) as c ? NOT a : NOT b) so negation never
+//     needs a complement set;
 //   - any other shape that reads exactly one column — range compares,
-//     BETWEEN, CASE, registered calls — falls back to the compiled
-//     closure behind a per-code verdict memo: each distinct dictionary
-//     code is evaluated once and the vector loop reuses the verdict,
-//     which on low-cardinality protocol columns is almost as tight as a
-//     native kernel;
+//     BETWEEN, registered calls — falls back to the compiled closure
+//     behind a per-code verdict memo: each distinct dictionary code is
+//     evaluated once and the vector loop reuses the verdict, which on
+//     low-cardinality protocol columns is almost as tight as a native
+//     kernel;
 //   - any other shape that reads two or more columns runs the compiled
 //     closure once per selected row, over a scratch row gathered from
 //     the columns it reads.
 //
-// A conjunct that does not compile (an unknown function, or a column the
-// planner could not bind) fails its statement when it plans, so every
-// pushed filter runs on these kernels.
+// Column references resolve to vector positions when the predicate
+// compiles: the positions the query planner bound (CompileBoundVec), or
+// a name index (CompileVec). The constraint solver uses the latter: its
+// batch is one group of candidate rows, the swept column's domain beside
+// the group's other codes repeated across the lanes, so a condition that
+// reads only the repeated columns keeps every lane or none and its
+// ternary descends one branch. A conjunct that does not compile (an
+// unknown function, or a column the planner could not bind) fails its
+// statement when it plans, so every pushed filter runs on these kernels.
 //
 // Selection semantics are WHERE semantics: a row survives iff the
 // conjunct is definitely true. Kernels therefore drop unknown outright,
 // which is what makes the NOT rewrites (rather than complements) exact.
 //
 // Evaluation order differs from row-at-a-time evaluation — conjunct-major
-// over a morsel instead of row-major — so when several rows would error,
-// which error surfaces first can differ. The compiled subset only errors
-// on registered Funcs, which this codebase's workloads keep pure and
-// total; the frozen scan-filter digests and the kernel-versus-interpreter
-// tests pin the results.
+// over a batch instead of row-major, and AND's right side never sees a
+// row its left side left unknown — so when rows would error, which error
+// surfaces (if any) can differ. The compiled subset only errors on
+// registered Funcs, which this codebase's workloads keep pure and total;
+// the frozen scan-filter digests and the kernel-versus-interpreter tests
+// pin the results.
 //
 // A VecPred is immutable after compilation and safe for concurrent use:
 // all mutable evaluation state (scratch selections, verdict memos) lives
@@ -67,13 +80,13 @@ const memoCap = 1 << 16
 // that (they only compact forward).
 type vecKernel func(st *vecState, cols [][]uint32, sel []uint32) ([]uint32, error)
 
-// vecState is one evaluation's mutable scratch: selection buffers for OR
-// nodes, verdict memos for fallback nodes, and a scratch row for their
-// compiled closures. States are pooled per VecPred; memos persist across
-// calls, which is sound because dictionary codes are append-only and the
-// compiled closure's literals, dialect and functions are fixed at
-// compile time (function re-registration bumps the schema epoch and
-// rebuilds the plan, VecPred included).
+// vecState is one evaluation's mutable scratch: selection buffers for
+// ternary nodes, verdict memos for fallback nodes, and a scratch row for
+// their compiled closures. States are pooled per VecPred; memos persist
+// across calls, which is sound because dictionary codes are append-only
+// and the compiled closure's literals, dialect and functions are fixed at
+// compile time (re-registering a function rebuilds the plan, or the
+// spec's compiled constraints, VecPred included).
 type vecState struct {
 	bufs  [][]uint32
 	memos [][]uint8
@@ -112,11 +125,18 @@ func (st *vecState) growMemo(slot int, code uint32) []uint8 {
 // VecPred is the vectorized form of a compiled WHERE conjunct.
 type VecPred struct {
 	kern      vecKernel
+	cols      []int // positions of the column vectors the kernels read
 	bufSlots  int
 	memoSlots int
 	crowLen   int
 	pool      sync.Pool // *vecState
 }
+
+// Columns returns the positions of the column vectors a predicate
+// CompileVec compiled reads, in the order compilation first resolved
+// them; it is nil for CompileBoundVec's, whose planner placed the columns.
+// The slice is shared and must not be modified.
+func (p *VecPred) Columns() []int { return p.cols }
 
 // EvalVec filters sel — strictly increasing row indices into the column
 // vectors — in place and returns the surviving prefix. It is safe for
@@ -143,12 +163,27 @@ func (p *VecPred) EvalVec(cols [][]uint32, sel []uint32) ([]uint32, error) {
 // It fails only where CompileBoundCodes fails: on an unknown function or
 // a column reference the planner left unbound.
 func (ev *Evaluator) CompileBoundVec(e Expr) (*VecPred, error) {
-	vc := &vecCompiler{c: &compiler{ev: ev, bound: true}}
+	return compileVec(compiler{ev: ev, bound: true}, e)
+}
+
+// CompileVec lowers e into its vectorized form over column vectors laid
+// out by colIndex, which maps each referenced column name to its vector's
+// position; the constraint solver decides a column's whole domain per
+// call this way. It fails only where CompileCodes fails.
+func (ev *Evaluator) CompileVec(e Expr, colIndex map[string]int) (*VecPred, error) {
+	return compileVec(compiler{ev: ev, ix: colIndex}, e)
+}
+
+// compileVec is CompileBoundVec and CompileVec; c decides how column
+// references resolve. It takes c by value: behind a pointer, escape
+// analysis moved every plan-bound compile's compiler to the heap.
+func compileVec(c compiler, e Expr) (*VecPred, error) {
+	vc := &vecCompiler{c: c}
 	k, err := vc.comp(e)
 	if err != nil {
 		return nil, err
 	}
-	return &VecPred{kern: k, bufSlots: vc.bufSlots, memoSlots: vc.memoSlots, crowLen: vc.crowLen}, nil
+	return &VecPred{kern: k, cols: vc.cols, bufSlots: vc.bufSlots, memoSlots: vc.memoSlots, crowLen: vc.crowLen}, nil
 }
 
 // compileVecs lowers each bound conjunct through CompileBoundVec; the
@@ -168,38 +203,54 @@ func compileVecs(ev *Evaluator, conjuncts []Expr) ([]*VecPred, error) {
 	return out, nil
 }
 
-// vecCompiler carries compile-time slot counters — OR buffers, fallback
-// memos, the scratch row's length (0 when no kernel gathers a row). The
-// inner compiler lowers fallback subtrees (bound mode).
+// vecCompiler carries compile-time slot counters — ternary buffers,
+// fallback memos, the scratch row's length (0 when no kernel gathers a
+// row) — and, when names resolve through an index, the positions
+// resolved so far. The inner compiler resolves column references,
+// plan-bound or by name, and lowers fallback subtrees.
 type vecCompiler struct {
-	c         *compiler
+	c         compiler
+	cols      []int
 	bufSlots  int
 	memoSlots int
 	crowLen   int
 }
 
-// vecOperand classifies a code-loadable operand: an interned literal or
-// a plan-bound column position.
-func vecOperand(e Expr) (code uint32, idx int, isLit, ok bool) {
-	switch x := e.(type) {
-	case Lit:
-		return dict.Code(x.Val), 0, true, true
-	case boundCol:
-		return 0, x.Idx, false, true
+// col returns the vector position of a column reference, recording it
+// when names resolve through an index. A reference that does not resolve
+// is left to the fallback, whose compilation reports it.
+func (vc *vecCompiler) col(e Expr) (int, bool) {
+	idx, ok, err := vc.c.colPos(e)
+	if !ok || err != nil {
+		return 0, false
 	}
-	return 0, 0, false, false
+	if !vc.c.bound && !slices.Contains(vc.cols, idx) {
+		vc.cols = append(vc.cols, idx)
+	}
+	return idx, true
 }
 
-// constKernel keeps everything or nothing, for conjuncts decided at
-// compile time.
-func constKernel(keep bool) vecKernel {
-	return func(_ *vecState, _ [][]uint32, sel []uint32) ([]uint32, error) {
-		if keep {
-			return sel, nil
-		}
-		return sel[:0], nil
+// operand classifies a code-loadable operand: an interned literal or a
+// column's vector position.
+func (vc *vecCompiler) operand(e Expr) (code uint32, idx int, isLit, ok bool) {
+	if x, lit := e.(Lit); lit {
+		return dict.Code(x.Val), 0, true, true
 	}
+	idx, ok = vc.col(e)
+	return 0, idx, false, ok
 }
+
+// constKernel keeps everything or nothing: the kernel of a conjunct
+// decided at compile time, and of OR's then branch.
+func constKernel(keep bool) vecKernel {
+	if keep {
+		return keepAll
+	}
+	return keepNone
+}
+
+func keepAll(_ *vecState, _ [][]uint32, sel []uint32) ([]uint32, error)  { return sel, nil }
+func keepNone(_ *vecState, _ [][]uint32, sel []uint32) ([]uint32, error) { return sel[:0], nil }
 
 func (vc *vecCompiler) comp(e Expr) (vecKernel, error) {
 	nullEq := vc.c.ev.NullEq
@@ -211,6 +262,22 @@ func (vc *vecCompiler) comp(e Expr) (vecKernel, error) {
 			return vc.comp(r)
 		}
 		return vc.fallback(e)
+	case Ternary:
+		cond, err := vc.comp(x.Cond)
+		if err != nil {
+			return nil, err
+		}
+		then, err := vc.comp(x.Then)
+		if err != nil {
+			return nil, err
+		}
+		els, err := vc.comp(x.Else)
+		if err != nil {
+			return nil, err
+		}
+		return vc.branch(cond, then, els), nil
+	case Case:
+		return vc.comp(caseChain(x))
 	case Binary:
 		switch x.Op {
 		case "AND":
@@ -238,55 +305,10 @@ func (vc *vecCompiler) comp(e Expr) (vecKernel, error) {
 			if err != nil {
 				return nil, err
 			}
-			slotL, slotR := vc.bufSlots, vc.bufSlots+1
-			vc.bufSlots += 2
-			return func(st *vecState, cols [][]uint32, sel []uint32) ([]uint32, error) {
-				if len(sel) == 0 {
-					return sel, nil
-				}
-				b := st.buf(slotL, len(sel))
-				copy(b, sel)
-				selL, err := l(st, cols, b)
-				if err != nil {
-					return nil, err
-				}
-				if len(selL) == len(sel) {
-					return sel, nil // left kept everything; sel is unchanged
-				}
-				// Remainder = sel minus selL: both sorted, selL ⊆ sel.
-				rem := st.buf(slotR, len(sel)-len(selL))
-				k, li := 0, 0
-				for _, ri := range sel {
-					if li < len(selL) && selL[li] == ri {
-						li++
-						continue
-					}
-					rem[k] = ri
-					k++
-				}
-				selR, err := r(st, cols, rem[:k])
-				if err != nil {
-					return nil, err
-				}
-				// Merge the two sorted, disjoint survivor lists into sel.
-				i, j, w := 0, 0, 0
-				for i < len(selL) && j < len(selR) {
-					if selL[i] < selR[j] {
-						sel[w] = selL[i]
-						i++
-					} else {
-						sel[w] = selR[j]
-						j++
-					}
-					w++
-				}
-				w += copy(sel[w:], selL[i:])
-				w += copy(sel[w:], selR[j:])
-				return sel[:w], nil
-			}, nil
+			return vc.branch(l, constKernel(true), r), nil
 		case "=", "<>":
-			lc, li, llit, lok := vecOperand(x.L)
-			rc, ri, rlit, rok := vecOperand(x.R)
+			lc, li, llit, lok := vc.operand(x.L)
+			rc, ri, rlit, rok := vc.operand(x.R)
 			if !lok || !rok {
 				return vc.fallback(e)
 			}
@@ -391,11 +413,11 @@ func (vc *vecCompiler) comp(e Expr) (vecKernel, error) {
 	case InList:
 		return vc.inList(x)
 	case IsNull:
-		bc, ok := x.X.(boundCol)
+		idx, ok := vc.col(x.X)
 		if !ok {
 			return vc.fallback(e)
 		}
-		idx, neg := bc.Idx, x.Negate
+		neg := x.Negate
 		// NULL is code 0 in both dialects; IS NULL never yields unknown.
 		return func(_ *vecState, cols [][]uint32, sel []uint32) ([]uint32, error) {
 			col := cols[idx]
@@ -413,11 +435,86 @@ func (vc *vecCompiler) comp(e Expr) (vecKernel, error) {
 	}
 }
 
+// branch compiles the ternary cond ? then : els over kernels: the rows
+// cond keeps go to then, the rest (unknown included) to els, and the two
+// sorted, disjoint survivor lists merge back into sel. When cond keeps
+// every row or none, the whole selection goes down one branch unsplit,
+// so a condition that is constant over the batch descends only the
+// branch it takes.
+func (vc *vecCompiler) branch(cond, then, els vecKernel) vecKernel {
+	slotC, slotR := vc.bufSlots, vc.bufSlots+1
+	vc.bufSlots += 2
+	return func(st *vecState, cols [][]uint32, sel []uint32) ([]uint32, error) {
+		if len(sel) == 0 {
+			return sel, nil
+		}
+		b := st.buf(slotC, len(sel))
+		copy(b, sel)
+		kept, err := cond(st, cols, b)
+		if err != nil {
+			return nil, err
+		}
+		switch len(kept) {
+		case len(sel):
+			return then(st, cols, sel)
+		case 0:
+			return els(st, cols, sel)
+		}
+		// Rest = sel minus kept: both sorted, kept ⊆ sel.
+		rest := st.buf(slotR, len(sel)-len(kept))
+		k, ki := 0, 0
+		for _, ri := range sel {
+			if ki < len(kept) && kept[ki] == ri {
+				ki++
+				continue
+			}
+			rest[k] = ri
+			k++
+		}
+		selT, err := then(st, cols, kept)
+		if err != nil {
+			return nil, err
+		}
+		selE, err := els(st, cols, rest[:k])
+		if err != nil {
+			return nil, err
+		}
+		i, j, w := 0, 0, 0
+		for i < len(selT) && j < len(selE) {
+			if selT[i] < selE[j] {
+				sel[w] = selT[i]
+				i++
+			} else {
+				sel[w] = selE[j]
+				j++
+			}
+			w++
+		}
+		w += copy(sel[w:], selT[i:])
+		w += copy(sel[w:], selE[j:])
+		return sel[:w], nil
+	}
+}
+
+// caseChain lowers a searched CASE to the ternary chain with the same
+// truth: WHEN c THEN v becomes c ? v : (the arms after it), ending in the
+// ELSE, or NULL when there is none.
+func caseChain(x Case) Expr {
+	var e Expr = Lit{Val: rel.Null()}
+	if x.Else != nil {
+		e = x.Else
+	}
+	for i := len(x.Whens) - 1; i >= 0; i-- {
+		e = Ternary{Cond: x.Whens[i].Cond, Then: x.Whens[i].Val, Else: e}
+	}
+	return e
+}
+
 // inList compiles IN over an all-literal set and a column operand to a
 // membership loop: small sets scan a dedup'd code array, larger ones
 // probe a hash set — both per morsel element, no Value boxing.
 func (vc *vecCompiler) inList(x InList) (vecKernel, error) {
-	bc, ok := x.X.(boundCol)
+	idx, ok := vc.col(x.X)
 	if !ok {
 		return vc.fallback(x)
 	}
@@ -428,7 +525,6 @@ func (vc *vecCompiler) inList(x InList) (vecKernel, error) {
 	}
 	nullEq := vc.c.ev.NullEq
 	neg := x.Negate
-	idx := bc.Idx
 
 	var codes []uint32
 	hasNull := false
@@ -516,9 +612,10 @@ func (vc *vecCompiler) inList(x InList) (vecKernel, error) {
 // negateVec rewrites NOT e through identities exact in Kleene 3VL, so
 // negation reuses the positive kernels instead of needing complement
 // sets: NOT flips true/false and keeps unknown, which is precisely what
-// operator flips and De Morgan do. Ordered comparisons are NOT safe to
-// flip (NOT (a < b) and a >= b disagree on NULL under the constraint
-// dialect) and are left to the fallback.
+// operator flips, De Morgan and pushing NOT into a ternary's branches do
+// (the condition still picks the branch). Ordered comparisons are NOT
+// safe to flip (NOT (a < b) and a >= b disagree on NULL under the
+// constraint dialect) and are left to the fallback.
 func negateVec(e Expr) (Expr, bool) {
 	switch x := e.(type) {
 	case Unary: // NOT NOT e
@@ -540,6 +637,10 @@ func negateVec(e Expr) (Expr, bool) {
 	case IsNull:
 		x.Negate = !x.Negate
 		return x, true
+	case Ternary:
+		return Ternary{Cond: x.Cond, Then: Unary{Op: "NOT", X: x.Then}, Else: Unary{Op: "NOT", X: x.Else}}, true
+	case Case:
+		return negateVec(caseChain(x))
 	}
 	return nil, false
 }
@@ -555,11 +656,11 @@ func (vc *vecCompiler) fallback(e Expr) (vecKernel, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Distinct bound positions; compilation rejected any bare Col.
+	// Distinct positions; compilation resolved every reference.
 	var pos []int
 	walk(e, func(ref Expr) bool {
-		if b, ok := ref.(boundCol); ok && !slices.Contains(pos, b.Idx) {
-			pos = append(pos, b.Idx)
+		if p, ok := vc.col(ref); ok && !slices.Contains(pos, p) {
+			pos = append(pos, p)
 		}
 		return true
 	})

@@ -10,9 +10,10 @@ import (
 )
 
 // Kernel-level audits of the vectorized execution layer: the selection-
-// vector kernels and the sweep-vector programs against the row-at-a-time
-// compiled predicates and the tree-walking Evaluator, and the
-// steady-state allocation contract of EvalVec.
+// vector kernels, over scan morsels and over the constraint solver's
+// domain batches (SweepLanes), against the row-at-a-time compiled
+// predicates and the tree-walking Evaluator, and the steady-state
+// allocation contract of EvalVec.
 
 // vecTestValues is the value universe the random predicate generator draws
 // from: a NULL, a few strings, a few ints — enough to exercise both NULL
@@ -23,8 +24,8 @@ var vecTestValues = []rel.Value{
 
 // randBoundExpr builds a random plan-bound predicate over ncols columns
 // from the grammar's comparable subset: =, <>, IN, IS NULL, ordered
-// compares (which exercise the memoized fallback kernel), NOT, AND, OR and
-// the ternary.
+// compares (which exercise the memoized fallback kernel), NOT, AND, OR,
+// the ternary and CASE, with and without ELSE.
 func randBoundExpr(rng *rand.Rand, ncols, depth int) Expr {
 	col := func() Expr {
 		return boundCol{Col: Col{Name: fmt.Sprintf("c%d", rng.Intn(ncols))}, Idx: rng.Intn(ncols)}
@@ -51,13 +52,22 @@ func randBoundExpr(rng *rand.Rand, ncols, depth int) Expr {
 			return Binary{Op: ops[rng.Intn(len(ops))], L: col(), R: lit()}
 		}
 	}
-	switch rng.Intn(4) {
+	switch rng.Intn(5) {
 	case 0:
 		return Binary{Op: "AND", L: randBoundExpr(rng, ncols, depth-1), R: randBoundExpr(rng, ncols, depth-1)}
 	case 1:
 		return Binary{Op: "OR", L: randBoundExpr(rng, ncols, depth-1), R: randBoundExpr(rng, ncols, depth-1)}
 	case 2:
 		return Unary{Op: "NOT", X: randBoundExpr(rng, ncols, depth-1)}
+	case 3:
+		c := Case{Whens: make([]When, 1+rng.Intn(2))}
+		for i := range c.Whens {
+			c.Whens[i] = When{Cond: randBoundExpr(rng, ncols, depth-1), Val: randBoundExpr(rng, ncols, depth-1)}
+		}
+		if rng.Intn(2) == 0 {
+			c.Else = randBoundExpr(rng, ncols, depth-1)
+		}
+		return c
 	default:
 		return Ternary{
 			Cond: randBoundExpr(rng, ncols, depth-1),
@@ -136,9 +146,9 @@ func TestVecPredMatchesScalarKernel(t *testing.T) {
 }
 
 // randSweepExpr builds a random unbound condition over named columns,
-// including the shapes the sweep vectorizer lowers structurally (=, <>,
-// IN, IS NULL, AND/OR, ternary) and the ones it must route through the
-// scalar fallback (ordered compares, BETWEEN).
+// including the shapes the kernels lower structurally (=, <>, IN, IS NULL,
+// AND/OR, ternary) and the ones they route through the compiled-closure
+// fallback (ordered compares, BETWEEN).
 func randSweepExpr(rng *rand.Rand, names []string, depth int) Expr {
 	col := func() Expr { return Col{Name: names[rng.Intn(len(names))]} }
 	lit := func() Expr { return Lit{Val: vecTestValues[rng.Intn(len(vecTestValues))]} }
@@ -178,12 +188,13 @@ func randSweepExpr(rng *rand.Rand, names []string, depth int) Expr {
 	}
 }
 
-// TestSweepVecMatchesInterpreter cross-checks CompileSweepBranches against
-// the tree-walking Evaluator on random expressions: for random base rows
-// and domains, every lane EvalSweepTrue keeps must match Evaluator.True on
-// the row with the sweep column substituted — in both NULL dialects, with
-// one instance reused across consecutive rows. The chains subtest does
-// the same for long rule chains and their Selector split.
+// TestSweepVecMatchesInterpreter cross-checks CompileVec over the solver's
+// batch (SweepLanes) against the tree-walking Evaluator on random
+// expressions: for random base rows and domains, every lane kept must
+// match Evaluator.True on the row with the sweep column substituted — in
+// both NULL dialects, with one predicate, and its pooled scratch, reused
+// across consecutive rows. The chains subtest does the same for long rule
+// chains and their Selector split.
 func TestSweepVecMatchesInterpreter(t *testing.T) {
 	t.Run("chains", testSweepVecChains)
 	rng := rand.New(rand.NewSource(7))
@@ -194,16 +205,14 @@ func TestSweepVecMatchesInterpreter(t *testing.T) {
 		sweep := rng.Intn(len(names))
 		for _, strict := range []bool{false, true} {
 			ev := &Evaluator{NullEq: !strict}
-			sp, err := ev.CompileSweepBranches([]Expr{e}, ix, sweep)
+			vp, err := ev.CompileVec(e, ix)
 			if err != nil {
-				t.Fatalf("trial %d strict=%v: sweep-vec compile of %s: %v", trial, strict, e, err)
+				t.Fatalf("trial %d strict=%v: vectorized compile of %s: %v", trial, strict, e, err)
 			}
-			vin := sp.Instance()
 			domain := make([]uint32, 1+rng.Intn(6))
 			for i := range domain {
 				domain[i] = dict.Code(vecTestValues[rng.Intn(len(vecTestValues))])
 			}
-			keep := make([]bool, len(domain))
 			crow := make([]uint32, len(names))
 			env := make(MapEnv, len(names))
 			for row := 0; row < 4; row++ {
@@ -211,11 +220,9 @@ func TestSweepVecMatchesInterpreter(t *testing.T) {
 					crow[j] = dict.Code(vecTestValues[rng.Intn(len(vecTestValues))])
 					env[names[j]] = dict.Value(crow[j])
 				}
-				for i := range keep {
-					keep[i] = true
-				}
-				if _, err := sp.EvalSweepTrue(vin, 0, crow, domain, keep); err != nil {
-					t.Fatalf("trial %d strict=%v: EvalSweepTrue of %s: %v", trial, strict, e, err)
+				keep, err := SweepLanes(vp, crow, sweep, domain)
+				if err != nil {
+					t.Fatalf("trial %d strict=%v: sweep of %s: %v", trial, strict, e, err)
 				}
 				for di, d := range domain {
 					env[names[sweep]] = dict.Value(d)
@@ -229,7 +236,6 @@ func TestSweepVecMatchesInterpreter(t *testing.T) {
 					}
 				}
 			}
-			sp.Release(vin)
 		}
 	}
 }
@@ -320,10 +326,11 @@ func splitChain(e Expr, sweepCol string) (conds, branches []Expr) {
 
 // testSweepVecChains cross-checks two lowerings of rule chains against the
 // tree-walking Evaluator: seeded random chains of 1–600 arms, in both NULL
-// dialects, must give the vectorized sweep of the whole chain, the
-// Evaluator, and a Selector over the leading stable conditions followed by
-// the chosen branch of CompileSweepBranches the same verdict on every lane
-// — and the same error whenever a condition's function call fails.
+// dialects, must give the swept batch of the whole chain's CompileVec
+// predicate, the Evaluator, and a Selector over the leading stable
+// conditions followed by the chosen branch's CompileVec predicate the same
+// verdict on every lane — and the same error whenever a condition's
+// function call fails.
 func testSweepVecChains(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	names := []string{"a", "b", "c", "d"}
@@ -335,26 +342,25 @@ func testSweepVecChains(t *testing.T) {
 		e := randChain(rng, names, sweep, 1+rng.Intn(600), 2)
 		for _, strict := range []bool{false, true} {
 			ev := &Evaluator{Funcs: funcs, NullEq: !strict}
-			sp, err := ev.CompileSweepBranches([]Expr{e}, ix, sweep)
+			vp, err := ev.CompileVec(e, ix)
 			if err != nil {
-				t.Fatalf("trial %d strict=%v: sweep-vec compile: %v", trial, strict, err)
+				t.Fatalf("trial %d strict=%v: vectorized compile: %v", trial, strict, err)
 			}
 			conds, branches := splitChain(e, names[sweep])
 			sel, err := ev.CompileSelector(conds, ix)
 			if err != nil {
 				t.Fatalf("trial %d strict=%v: selector compile: %v", trial, strict, err)
 			}
-			bp, err := ev.CompileSweepBranches(branches, ix, sweep)
-			if err != nil {
-				t.Fatalf("trial %d strict=%v: branches compile: %v", trial, strict, err)
+			bps := make([]*VecPred, len(branches))
+			for i, b := range branches {
+				if bps[i], err = ev.CompileVec(b, ix); err != nil {
+					t.Fatalf("trial %d strict=%v: branch %d compile: %v", trial, strict, i, err)
+				}
 			}
-			vin, bin := sp.Instance(), bp.Instance()
 			domain := make([]uint32, 1+rng.Intn(6))
 			for i := range domain {
 				domain[i] = dict.Code(vecTestValues[rng.Intn(len(vecTestValues))])
 			}
-			keep := make([]bool, len(domain))
-			bkeep := make([]bool, len(domain))
 			crow := make([]uint32, len(names))
 			env := make(MapEnv, len(names))
 			for row := 0; row < 6; row++ {
@@ -362,14 +368,11 @@ func testSweepVecChains(t *testing.T) {
 					crow[j] = dict.Code(vecTestValues[rng.Intn(len(vecTestValues))])
 					env[names[j]] = dict.Value(crow[j])
 				}
-				for i := range keep {
-					keep[i] = true
-					bkeep[i] = true
-				}
-				_, verr := sp.EvalSweepTrue(vin, 0, crow, domain, keep)
+				keep, verr := SweepLanes(vp, crow, sweep, domain)
+				var bkeep []bool
 				arm, berr := sel.Select(crow)
 				if berr == nil {
-					_, berr = bp.EvalSweepTrue(bin, arm, crow, domain, bkeep)
+					bkeep, berr = SweepLanes(bps[arm], crow, sweep, domain)
 				}
 				var laneErr error
 				for di, d := range domain {
@@ -407,9 +410,10 @@ func testSweepVecChains(t *testing.T) {
 
 // TestVectorizedFilterAllocs audits the steady-state allocation contract:
 // once a VecPred's pooled scratch state is warm, EvalVec must not allocate
-// — for the pure code-compare kernels, the memoized single-column
-// fallback (the memo table is grown on first contact, then reused) and
-// the per-row multi-column fallback alike.
+// — for the pure code-compare kernels, the ternary's partition and merge
+// (OR and CASE included), the memoized single-column fallback (the memo
+// table is grown on first contact, then reused) and the per-row
+// multi-column fallback alike.
 func TestVectorizedFilterAllocs(t *testing.T) {
 	if raceEnabled {
 		// Under the race detector sync.Pool deliberately drops items to
@@ -428,6 +432,18 @@ func TestVectorizedFilterAllocs(t *testing.T) {
 			L: Binary{Op: "=", L: boundCol{Col: Col{Name: "a"}, Idx: 0}, R: Lit{Val: rel.S("p")}},
 			R: InList{X: boundCol{Col: Col{Name: "b"}, Idx: 1}, Set: []Expr{Lit{Val: rel.I(1)}, Lit{Val: rel.I(2)}}},
 		}},
+		{"ternary", Ternary{
+			Cond: Binary{Op: "=", L: boundCol{Col: Col{Name: "a"}, Idx: 0}, R: Lit{Val: rel.S("p")}},
+			Then: IsNull{X: boundCol{Col: Col{Name: "b"}, Idx: 1}, Negate: true},
+			Else: Binary{Op: "=", L: boundCol{Col: Col{Name: "b"}, Idx: 1}, R: Lit{Val: rel.I(2)}},
+		}},
+		{"case-else", Case{Whens: []When{
+			{Cond: Binary{Op: "=", L: boundCol{Col: Col{Name: "a"}, Idx: 0}, R: Lit{Val: rel.S("p")}}, Val: IsNull{X: boundCol{Col: Col{Name: "b"}, Idx: 1}}},
+			{Cond: Binary{Op: "=", L: boundCol{Col: Col{Name: "a"}, Idx: 0}, R: Lit{Val: rel.S("q")}}, Val: Lit{Val: rel.B(true)}},
+		}, Else: Binary{Op: "<>", L: boundCol{Col: Col{Name: "a"}, Idx: 0}, R: boundCol{Col: Col{Name: "b"}, Idx: 1}}}},
+		{"case-no-else", Unary{Op: "NOT", X: Case{Whens: []When{
+			{Cond: IsNull{X: boundCol{Col: Col{Name: "a"}, Idx: 0}}, Val: Binary{Op: "=", L: boundCol{Col: Col{Name: "b"}, Idx: 1}, R: Lit{Val: rel.I(1)}}},
+		}}}},
 		{"memo-fallback", Binary{Op: ">", L: boundCol{Col: Col{Name: "b"}, Idx: 1}, R: Lit{Val: rel.I(1)}}},
 		{"multi-column", Binary{Op: "<", L: boundCol{Col: Col{Name: "a"}, Idx: 0}, R: boundCol{Col: Col{Name: "b"}, Idx: 1}}},
 	}

@@ -40,10 +40,11 @@
 # unencodable systems, clones applying concurrently over shared table
 # matchers and keeping consistent Stats, and the ternary matcher
 # against its full-scan oracle), the
-# scan-filter and sweep-vector equivalence suites (frozen result digests,
-# and every compiled form against the tree-walking interpreter, including
-# the differential fuzzer's seed corpus, and whole SELECTs against the
-# naive nested-loop oracle), the MVCC epoch/catalog layer
+# scan-filter and solver-batch equivalence suites (frozen result digests,
+# and every compiled form against the tree-walking interpreter, over scan
+# morsels and over the solver's domain batches, including the
+# differential fuzzer's seed corpus, and whole SELECTs against the naive
+# nested-loop oracle), the MVCC epoch/catalog layer
 # (with DML atomicity on shared and session tables, UPDATE/DELETE against
 # their row-at-a-time oracle, indexes carried across epochs against a
 # rebuild, and DML building no index) and the query server (concurrent
@@ -78,7 +79,7 @@ echo "== race-detector storage-engine tests =="
 go test -race ./internal/rel/...
 
 echo "== race-detector solver tests =="
-go test -race -run 'TestSolve|TestMonolithic|TestConcurrentSolves|TestQuickSolveEqualsMonolithic|TestBatchCursor|TestCompiledPredConcurrentUse|TestVectorizedSweepMatchesScalar|TestQuickSharedChainsMatchOracles|TestIncrementalMemberLeavesFamily|TestArmSelectionsOncePerRow|TestFamilySplit|TestFamilySelectionErrors' \
+go test -race -run 'TestSolve|TestMonolithic|TestConcurrentSolves|TestQuickSolveEqualsMonolithic|TestBatchCursor|TestCompiledPredConcurrentUse|TestVectorizedSweepMatchesScalar|TestQuickSharedChainsMatchOracles|TestIncrementalMemberLeavesFamily|TestArmSelectionsOncePerRow|TestFamilySplit|TestFamilySelectionErrors|TestCompileSweepAgreesWithInterpreter' \
     ./internal/constraint/ ./internal/sqlmini/
 
 echo "== race-detector parallel-executor tests =="
