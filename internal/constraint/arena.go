@@ -1,20 +1,16 @@
 package constraint
 
 import (
+	"slices"
 	"sync/atomic"
-
-	"coherdb/internal/rel"
 )
 
-// codeArena hands out dictionary-code row slices carved from chunks,
-// replacing the per-candidate make+copy that dominated the solver's
-// allocation profile. Rows stay valid forever (chunks are never reused),
-// so accepted rows can be stored directly in the result table. Chunks
-// grow geometrically from arenaChunkMin to arenaChunkMax, so the many
-// short-lived per-worker arenas (one per worker per extension step) waste
-// at most about as much as they use. A code is 4 bytes where a rel.Value
-// is 40, so a chunk now covers 10x the rows it used to. Not safe for
-// concurrent use: each solver worker owns its own arena.
+// codeArena hands out dictionary-code row slices carved from chunks, so
+// MonolithicOpts keeps an accepted assignment without one allocation per
+// row. Rows stay valid forever (chunks are never reused). Chunks grow
+// geometrically from arenaChunkMin to arenaChunkMax, so a worker that
+// accepts few rows wastes at most about as much as it uses. Not safe for
+// concurrent use: each MonolithicOpts worker owns its own arena.
 type codeArena struct {
 	buf  []uint32
 	next int // next chunk size in codes
@@ -47,75 +43,86 @@ func (a *codeArena) row(n int) []uint32 {
 	return r
 }
 
-// reserve makes the next n codes carve from a single exactly-sized chunk
-// when the current one is too small — for callers that know a batch's
-// total demand up front.
-func (a *codeArena) reserve(n int) {
-	if len(a.buf) < n {
-		a.buf = make([]uint32, n)
-	}
+// codeKeys maps the projections of a partial table's rows onto the
+// positions ps to dense ids, in first-seen order. Keys are read from the
+// column vectors as codes, hashed a word at a time and stored flat,
+// len(ps) codes per id, so interning allocates nothing per key. The table
+// is open-addressed at a load of at most 3/4; one sized for its final key
+// count never grows. A step's grouping and a family's arm memo both key
+// on it.
+type codeKeys struct {
+	ps    []int
+	keys  []uint32 // id i's key is keys[i*len(ps) : (i+1)*len(ps)]
+	key   []uint32 // scratch: the row being interned
+	slots []int32  // open-addressed: id + 1, 0 = empty
+	mask  uint64   // len(slots) - 1
+	n     int      // ids handed out
 }
 
-// groupTable maps projection keys to dense group ids without allocating
-// per key: key bytes live in one shared growing arena and the table is
-// open-addressed, so a solve's grouping cost is a handful of amortized
-// slice growths instead of one string allocation per distinct projection.
-type groupTable struct {
-	arena   []byte  // all key bytes, concatenated
-	offs    []int32 // per group: start of its key in arena
-	ends    []int32 // per group: end of its key in arena
-	slots   []int32 // open-addressed: group id + 1, 0 = empty
-	mask    uint64  // len(slots) - 1
-	entries int
-}
-
-func newGroupTable(hint int) *groupTable {
+// newCodeKeys returns an empty table over positions ps with room for hint
+// keys before it grows.
+func newCodeKeys(ps []int, hint int) *codeKeys {
 	size := 16
-	for size < hint*2 {
+	for size*3 < hint*4 {
 		size *= 2
 	}
-	return &groupTable{slots: make([]int32, size), mask: uint64(size - 1)}
+	return &codeKeys{
+		ps:    ps,
+		keys:  make([]uint32, 0, hint*len(ps)),
+		key:   make([]uint32, len(ps)),
+		slots: make([]int32, size),
+		mask:  uint64(size - 1),
+	}
 }
 
-// intern returns the dense group id for key, adding it if new. Keys hash
-// with rel.HashBytes — the one canonical FNV-1a shared with the join
-// hash table, replacing the private copy that used to live here.
-func (t *groupTable) intern(key []byte) int32 {
-	h := rel.HashBytes(key)
-	for i := h & t.mask; ; i = (i + 1) & t.mask {
+// intern returns the id of row r's projection onto the table's positions
+// in the column vectors cols, adding it if new.
+func (t *codeKeys) intern(cols [][]uint32, r int) int32 {
+	for j, p := range t.ps {
+		t.key[j] = cols[p][r]
+	}
+	k := len(t.ps)
+	for i := hashCodes(t.key) & t.mask; ; i = (i + 1) & t.mask {
 		s := t.slots[i]
 		if s == 0 {
-			g := int32(len(t.offs))
-			t.arena = append(t.arena, key...)
-			end := int32(len(t.arena))
-			t.offs = append(t.offs, end-int32(len(key)))
-			t.ends = append(t.ends, end)
-			t.slots[i] = g + 1
-			t.entries++
-			if uint64(t.entries)*4 > uint64(len(t.slots))*3 {
+			id := int32(t.n)
+			t.keys = append(t.keys, t.key...)
+			t.slots[i] = id + 1
+			t.n++
+			if uint64(t.n)*4 > uint64(len(t.slots))*3 {
 				t.grow()
 			}
-			return g
+			return id
 		}
-		g := s - 1
-		if k := t.arena[t.offs[g]:t.ends[g]]; string(k) == string(key) {
-			return g
+		if slices.Equal(t.keys[int(s-1)*k:int(s)*k], t.key) {
+			return s - 1
 		}
 	}
 }
 
-func (t *groupTable) grow() {
+func (t *codeKeys) grow() {
 	slots := make([]int32, len(t.slots)*2)
 	mask := uint64(len(slots) - 1)
-	for g := range t.offs {
-		h := rel.HashBytes(t.arena[t.offs[g]:t.ends[g]])
-		i := h & mask
+	k := len(t.ps)
+	for id := 0; id < t.n; id++ {
+		i := hashCodes(t.keys[id*k:(id+1)*k]) & mask
 		for slots[i] != 0 {
 			i = (i + 1) & mask
 		}
-		slots[i] = int32(g) + 1
+		slots[i] = int32(id) + 1
 	}
 	t.slots, t.mask = slots, mask
+}
+
+// hashCodes hashes a key a code at a time, FNV-1a style with 32-bit words
+// in place of bytes, folding the high half into the low bits the slots
+// index by.
+func hashCodes(key []uint32) uint64 {
+	h := uint64(14695981039346656037)
+	for _, c := range key {
+		h = (h ^ uint64(c)) * 1099511628211
+	}
+	return h ^ h>>32
 }
 
 // batchCursor deals contiguous [lo, hi) batches of the index space [0, n)

@@ -107,28 +107,41 @@ func TestMonolithicTinySpaceManyWorkers(t *testing.T) {
 	}
 }
 
-// TestGroupTableIntern checks dense ids, duplicate detection and growth
-// past the initial slot count.
+// TestGroupTableIntern checks the code-keyed group table: dense ids in
+// first-seen order, a duplicate projection read from a different row, and
+// growth past the initial slot count.
 func TestGroupTableIntern(t *testing.T) {
-	gt := newGroupTable(0)
-	keys := make([][]byte, 300)
-	for i := range keys {
-		keys[i] = []byte(fmt.Sprintf("key-%d", i))
+	const n = 300
+	// Rows i and i+n project equally onto positions 0 and 2; column 1,
+	// outside the projection, differs on every row. Position 2's codes
+	// differ only above bit 20, which the slot index must still see.
+	cols := make([][]uint32, 3)
+	for j := range cols {
+		cols[j] = make([]uint32, 2*n)
 	}
-	for i, k := range keys {
-		if g := gt.intern(k); g != int32(i) {
-			t.Fatalf("intern(%q) = %d, want %d", k, g, i)
+	for i := range cols[0] {
+		k := uint32(i % n)
+		cols[0][i] = k / 16
+		cols[1][i] = uint32(i)
+		cols[2][i] = k % 16 << 20
+	}
+	keys := newCodeKeys([]int{0, 2}, 0)
+	slots := len(keys.slots)
+	for i := 0; i < n; i++ {
+		if id := keys.intern(cols, i); id != int32(i) {
+			t.Fatalf("row %d interns as %d, want %d", i, id, i)
 		}
 	}
-	// Re-interning (even via a different backing array) hits the same ids.
-	for i := range keys {
-		k := []byte(fmt.Sprintf("key-%d", i))
-		if g := gt.intern(k); g != int32(i) {
-			t.Fatalf("re-intern(%q) = %d, want %d", k, g, i)
+	for i := n; i < 2*n; i++ {
+		if id := keys.intern(cols, i); id != int32(i-n) {
+			t.Fatalf("row %d interns as %d, want row %d's id %d", i, id, i-n, i-n)
 		}
 	}
-	if gt.entries != len(keys) {
-		t.Fatalf("entries = %d, want %d", gt.entries, len(keys))
+	if keys.n != n {
+		t.Fatalf("%d ids, want %d", keys.n, n)
+	}
+	if len(keys.slots) <= slots {
+		t.Fatalf("%d slots after %d keys: the table never grew past its initial %d", len(keys.slots), n, slots)
 	}
 }
 

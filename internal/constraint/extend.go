@@ -3,9 +3,17 @@ package constraint
 import (
 	"slices"
 	"sync"
-
-	"coherdb/internal/rel"
 )
+
+// part is the partial table of a column-at-a-time solve, column-major: one
+// dictionary-code vector per generated column, in spec order, each n long.
+// The solver never boxes a rel.Value between the domain encoding and the
+// final table. A step appends one vector, and a vector is never written
+// after its step, so a later step and IncrementalSolver's memo share it.
+type part struct {
+	cols [][]uint32
+	n    int
+}
 
 // extendStats reports one extension step's work.
 type extendStats struct {
@@ -14,91 +22,145 @@ type extendStats struct {
 	selections uint64 // first-match selections evaluated
 }
 
-// extend extends every row in cur (width-1 codes each) with every
-// code in domain, keeping extensions on which all fire predicates hold.
-// Rows are dictionary-code rows throughout — the solver never boxes a
-// rel.Value between the domain encoding and the final table. Output rows
-// preserve input order: row i's surviving extensions precede row i+1's,
-// in domain order — the same order the sequential loop would produce.
+// extend extends every row of cur with every code in domain, keeping the
+// extensions on which all fire predicates hold. Output rows preserve input
+// order: row i's surviving extensions precede row i+1's, in domain order.
 //
 // The firing constraints only read the columns in refs (positions into the
-// extended row; the new column is position width-1). Their verdict for a
-// candidate therefore depends only on the row's projection onto the old
-// referenced columns plus the appended domain value — so rows are grouped
-// by that projection and each distinct (projection, value) pair is
-// evaluated once. The readex fragment has thousands of intermediate rows
-// but only dozens of distinct projections; work drops from
-// O(rows x domain) evaluations to O(groups x domain). A group's pairs are
-// one batch for the same selection-vector kernels that filter SQL scans
-// (see evalGroups).
+// extended row; the new column is position len(cur.cols)). Their verdict
+// for a candidate therefore depends only on the row's projection onto the
+// old referenced columns plus the appended domain value, so rows are
+// grouped by that projection, read from the column vectors as codes, and
+// each distinct (projection, value) pair is evaluated once. The readex
+// fragment has thousands of intermediate rows but only dozens of distinct
+// projections; work drops from O(rows x domain) evaluations to
+// O(groups x domain). A group's pairs are one batch for the same
+// selection-vector kernels that filter SQL scans (see evalGroups).
 //
 // A firing family member evaluates only the branch of its group's arm,
-// which the family's selector picks before the sweep, once per solve for
-// each row (see solveRun.arms).
-func (r *solveRun) extend(cur [][]uint32, width int, domain []uint32, fire []compiledConstraint, refs []int) ([][]uint32, extendStats, error) {
+// which the family's selector picks before the sweep, in one kernel batch
+// over the groups whose arm the solve has not yet selected (see
+// solveRun.arms).
+func (r *solveRun) extend(cur part, domain []uint32, fire []compiledConstraint, refs []int) (part, extendStats, error) {
 	var st extendStats
-	workers := r.workers
-	if len(cur) == 0 || len(domain) == 0 {
-		return nil, st, nil
+	if cur.n == 0 || len(domain) == 0 {
+		return part{}, st, nil
 	}
 	dlen := len(domain)
-	st.tested = uint64(len(cur)) * uint64(dlen)
+	st.tested = uint64(cur.n) * uint64(dlen)
+	groupOf := make([]int32, cur.n)
 
 	if len(fire) == 0 {
-		// Nothing to check: pure cross product.
-		next := crossExtend(cur, width, domain, workers)
-		return next, st, nil
+		// Nothing to check: all rows form one group that keeps the whole
+		// domain, a pure cross product.
+		verdicts := make([]bool, dlen)
+		for i := range verdicts {
+			verdicts[i] = true
+		}
+		return emit(cur, domain, groupOf, verdicts), st, nil
 	}
 
 	// Group rows by their projection onto the referenced old columns. The
-	// new column (position width-1) contributes the domain sweep instead.
+	// new column contributes the domain sweep instead.
+	old := len(cur.cols)
 	oldRefs := refs[:0:0]
 	for _, p := range refs {
-		if p < width-1 {
+		if p < old {
 			oldRefs = append(oldRefs, p)
 		}
 	}
-	groupOf := make([]int32, len(cur))
-	var reps []int32 // representative row per group
-	if len(oldRefs) == width-1 {
-		// The projection keeps every old column, and cur rows are distinct
-		// by construction (distinct extensions of distinct rows), so every
-		// row is its own group: skip the key table.
-		reps = make([]int32, len(cur))
-		for i := range cur {
+	var reps []uint32 // representative row per group, ascending
+	if len(oldRefs) == old {
+		// The projection keeps every old column, and cur's rows are
+		// distinct by construction (distinct extensions of distinct rows),
+		// so every row is its own group: skip the key table.
+		reps = make([]uint32, cur.n)
+		for i := range reps {
 			groupOf[i] = int32(i)
-			reps[i] = int32(i)
+			reps[i] = uint32(i)
 		}
 	} else {
-		keys := newGroupTable(len(cur) / 4)
-		var kb []byte
-		for i, row := range cur {
-			kb = kb[:0]
-			for _, p := range oldRefs {
-				// 4 bytes per code, no separators: fixed-width and injective.
-				kb = rel.AppendCodeKey(kb, row[p])
-			}
-			g := keys.intern(kb)
+		keys := newCodeKeys(oldRefs, cur.n)
+		reps = make([]uint32, 0, cur.n)
+		for i := range groupOf {
+			g := keys.intern(cur.cols, i)
 			if int(g) == len(reps) {
-				reps = append(reps, int32(i))
+				reps = append(reps, uint32(i))
 			}
 			groupOf[i] = g
 		}
 	}
-	st.memoHits = uint64(len(cur)-len(reps)) * uint64(dlen)
+	st.memoHits = uint64(cur.n-len(reps)) * uint64(dlen)
 
 	// Evaluate each distinct (projection, value) pair once, in parallel.
-	arms, selections := r.arms(cur, reps, fire)
+	arms, selections := r.arms(cur.cols, reps, fire)
 	st.selections = selections
 	verdicts := make([]bool, len(reps)*dlen)
-	if err := evalGroups(cur, width, domain, fire, reps, arms, verdicts, workers); err != nil {
-		return nil, st, err
+	if err := evalGroups(cur, domain, fire, reps, arms, verdicts, r.workers); err != nil {
+		return part{}, st, err
 	}
+	return emit(cur, domain, groupOf, verdicts), st, nil
+}
 
-	// Emit surviving extensions, work-stealing over row batches and
-	// reassembling in batch order for determinism.
-	next := emitExtensions(cur, width, domain, groupOf, verdicts, workers)
-	return next, st, nil
+// emit builds the step's output part from the verdict table, in one pass
+// over the rows: verdicts[g*len(domain)+di] says whether group g keeps
+// domain[di], and row i is in group groupOf[i]. When every row keeps
+// exactly one value the output shares cur's vectors as they are and adds
+// the new one; otherwise each old vector is gathered once through the
+// output rows' parent rows.
+func emit(cur part, domain []uint32, groupOf []int32, verdicts []bool) part {
+	dlen := len(domain)
+	ng := len(verdicts) / dlen
+	keeps := make([]int32, ng) // survivors per group
+	only := make([]uint32, ng) // a group's last survivor
+	one := true
+	for g := range keeps {
+		for di, pass := range verdicts[g*dlen : (g+1)*dlen] {
+			if pass {
+				keeps[g]++
+				only[g] = domain[di]
+			}
+		}
+		one = one && keeps[g] == 1
+	}
+	if one {
+		col := make([]uint32, cur.n)
+		for i, g := range groupOf {
+			col[i] = only[g]
+		}
+		return part{cols: append(slices.Clip(cur.cols), col), n: cur.n}
+	}
+	total := 0
+	for _, g := range groupOf {
+		total += int(keeps[g])
+	}
+	if total == 0 {
+		return part{}
+	}
+	parent := make([]int32, 0, total)
+	col := make([]uint32, 0, total)
+	for i, g := range groupOf {
+		if keeps[g] == 0 {
+			continue
+		}
+		for di, pass := range verdicts[int(g)*dlen : (int(g)+1)*dlen] {
+			if pass {
+				parent = append(parent, int32(i))
+				col = append(col, domain[di])
+			}
+		}
+	}
+	cols := make([][]uint32, len(cur.cols)+1)
+	buf := make([]uint32, len(cur.cols)*total)
+	for j, v := range cur.cols {
+		out := buf[j*total : (j+1)*total : (j+1)*total]
+		for k, p := range parent {
+			out[k] = v[p]
+		}
+		cols[j] = out
+	}
+	cols[len(cur.cols)] = col
+	return part{cols: cols, n: total}
 }
 
 // sweepSmallJob is the work volume below which a step runs inline on the
@@ -117,12 +179,12 @@ const sweepSmallJob = 4096
 // lane. Each firing constraint narrows it, stopping when it is empty, and
 // the survivors are the group's verdicts. A family member runs only the
 // branch its group's arm (arms[i]) names.
-func evalGroups(cur [][]uint32, width int, domain []uint32, fire []compiledConstraint, reps []int32, arms []groupArms, verdicts []bool, workers int) error {
-	s := groupSweep{cur: cur, width: width, domain: domain, fire: fire, reps: reps, arms: arms, verdicts: verdicts}
+func evalGroups(cur part, domain []uint32, fire []compiledConstraint, reps []uint32, arms []groupArms, verdicts []bool, workers int) error {
+	s := groupSweep{cur: cur.cols, domain: domain, fire: fire, reps: reps, arms: arms, verdicts: verdicts}
 	for _, c := range fire {
 		for _, vp := range c.sweep {
 			for _, p := range vp.Columns() {
-				if p < width-1 && !slices.Contains(s.bcast, p) {
+				if p < len(cur.cols) && !slices.Contains(s.bcast, p) {
 					s.bcast = append(s.bcast, p)
 				}
 			}
@@ -137,12 +199,11 @@ func evalGroups(cur [][]uint32, width int, domain []uint32, fire []compiledConst
 
 // groupSweep is one step's verdict computation for evalGroups.
 type groupSweep struct {
-	cur      [][]uint32
-	width    int
+	cur      [][]uint32 // the old column vectors
 	domain   []uint32
 	fire     []compiledConstraint
 	bcast    []int // the old columns the fire predicates read
-	reps     []int32
+	reps     []uint32
 	arms     []groupArms
 	verdicts []bool
 }
@@ -157,12 +218,12 @@ type sweepWorker struct {
 
 func (s *groupSweep) worker() sweepWorker {
 	dlen := len(s.domain)
-	w := sweepWorker{cols: make([][]uint32, s.width), sel: make([]uint32, dlen)}
+	w := sweepWorker{cols: make([][]uint32, len(s.cur)+1), sel: make([]uint32, dlen)}
 	buf := make([]uint32, len(s.bcast)*dlen)
 	for i, p := range s.bcast {
 		w.cols[p] = buf[i*dlen : (i+1)*dlen]
 	}
-	w.cols[s.width-1] = s.domain
+	w.cols[len(s.cur)] = s.domain
 	return w
 }
 
@@ -170,9 +231,9 @@ func (s *groupSweep) worker() sweepWorker {
 func (s *groupSweep) run(w sweepWorker, lo, hi int) error {
 	dlen := len(s.domain)
 	for g := lo; g < hi; g++ {
-		rep := s.cur[s.reps[g]]
+		rep := s.reps[g]
 		for _, p := range s.bcast {
-			col, c := w.cols[p], rep[p]
+			col, c := w.cols[p], s.cur[p][rep]
 			for i := range col {
 				col[i] = c
 			}
@@ -237,166 +298,4 @@ func (s groupSweep) parallel(workers int) error {
 		}
 	}
 	return nil
-}
-
-// emitExtensions materializes the surviving extensions from the verdict
-// table. Rows come from per-worker arenas (one chunk allocation per ~2000
-// code rows instead of one per row); batches reassemble in index order.
-func emitExtensions(cur [][]uint32, width int, domain []uint32, groupOf []int32, verdicts []bool, workers int) [][]uint32 {
-	dlen := len(domain)
-	if workers <= 1 || len(cur)*dlen < sweepSmallJob {
-		// Micro-step fast path: emit inline, same index order as the
-		// batched reassembly below.
-		cnt := 0
-		for i := range cur {
-			base := int(groupOf[i]) * dlen
-			for _, pass := range verdicts[base : base+dlen] {
-				if pass {
-					cnt++
-				}
-			}
-		}
-		if cnt == 0 {
-			return nil
-		}
-		var arena codeArena
-		arena.reserve(cnt * width)
-		out := make([][]uint32, 0, cnt)
-		for i, row := range cur {
-			base := int(groupOf[i]) * dlen
-			for di, pass := range verdicts[base : base+dlen] {
-				if !pass {
-					continue
-				}
-				nr := arena.row(width)
-				copy(nr, row)
-				nr[width-1] = domain[di]
-				out = append(out, nr)
-			}
-		}
-		return out
-	}
-	cursor := newBatchCursor(uint64(len(cur)), workers)
-	nb := cursor.numBatches()
-	nw := workers
-	if nw > nb {
-		nw = nb
-	}
-	perBatch := make([][][]uint32, nb)
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var arena codeArena
-			for {
-				idx, lo, hi, ok := cursor.grab()
-				if !ok {
-					return
-				}
-				// Count survivors first so the batch's rows come from one
-				// exactly-sized chunk and one output slice.
-				cnt := 0
-				for i := lo; i < hi; i++ {
-					base := int(groupOf[i]) * dlen
-					for _, pass := range verdicts[base : base+dlen] {
-						if pass {
-							cnt++
-						}
-					}
-				}
-				if cnt == 0 {
-					continue
-				}
-				arena.reserve(cnt * width)
-				out := make([][]uint32, 0, cnt)
-				for i := lo; i < hi; i++ {
-					row := cur[i]
-					base := int(groupOf[i]) * dlen
-					for di, pass := range verdicts[base : base+dlen] {
-						if !pass {
-							continue
-						}
-						nr := arena.row(width)
-						copy(nr, row)
-						nr[width-1] = domain[di]
-						out = append(out, nr)
-					}
-				}
-				perBatch[idx] = out
-			}
-		}()
-	}
-	wg.Wait()
-	return flattenBatches(perBatch)
-}
-
-// crossExtend is the unconstrained fast path: every extension survives.
-func crossExtend(cur [][]uint32, width int, domain []uint32, workers int) [][]uint32 {
-	dlen := len(domain)
-	if workers <= 1 || len(cur)*dlen < sweepSmallJob {
-		var arena codeArena
-		arena.reserve(len(cur) * dlen * width)
-		out := make([][]uint32, 0, len(cur)*dlen)
-		for _, row := range cur {
-			for _, c := range domain {
-				nr := arena.row(width)
-				copy(nr, row)
-				nr[width-1] = c
-				out = append(out, nr)
-			}
-		}
-		return out
-	}
-	cursor := newBatchCursor(uint64(len(cur)), workers)
-	nb := cursor.numBatches()
-	nw := workers
-	if nw > nb {
-		nw = nb
-	}
-	perBatch := make([][][]uint32, nb)
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var arena codeArena
-			for {
-				idx, lo, hi, ok := cursor.grab()
-				if !ok {
-					return
-				}
-				arena.reserve(int(hi-lo) * dlen * width)
-				out := make([][]uint32, 0, (hi-lo)*uint64(dlen))
-				for i := lo; i < hi; i++ {
-					row := cur[i]
-					for _, c := range domain {
-						nr := arena.row(width)
-						copy(nr, row)
-						nr[width-1] = c
-						out = append(out, nr)
-					}
-				}
-				perBatch[idx] = out
-			}
-		}()
-	}
-	wg.Wait()
-	return flattenBatches(perBatch)
-}
-
-// flattenBatches concatenates per-batch row slices in batch order.
-func flattenBatches(perBatch [][][]uint32) [][]uint32 {
-	total := 0
-	for _, b := range perBatch {
-		total += len(b)
-	}
-	if total == 0 {
-		return nil
-	}
-	out := make([][]uint32, 0, total)
-	for _, b := range perBatch {
-		out = append(out, b...)
-	}
-	return out
 }

@@ -3,7 +3,6 @@ package constraint
 import (
 	"fmt"
 
-	"coherdb/internal/rel"
 	"coherdb/internal/sqlmini"
 )
 
@@ -17,9 +16,11 @@ import (
 // whose conditions do not read the constraint's fire column, those arms'
 // then branches, and the else (the rest of the chain). Constraints whose
 // leading condition sequences are structurally equal form a family. The
-// family compiles its conditions once into a Selector; a solve picks each
-// row's arm once per family and every member then evaluates only that
-// arm's branch, as a selection-vector predicate, over the swept domain.
+// family compiles its conditions once into a Selector, a selection-vector
+// predicate per condition; a solve picks each row's arm once per family,
+// the rows of a step in one kernel pass per condition, and every member
+// then evaluates only that arm's branch, as a selection-vector predicate,
+// over the swept domain.
 
 // family is a set of constraints sharing one leading condition sequence.
 type family struct {
@@ -247,8 +248,8 @@ func (w *chainScan) branches(k int, rest sqlmini.Expr) ([]*sqlmini.VecPred, []in
 // IncrementalSolver assumes too), so a projection's arm never changes
 // within a solve and every later step looks it up.
 type armMemo struct {
-	keys *groupTable
-	arms []int32 // per key: the arm, or -1-i for errs[i]
+	keys *codeKeys // over the family's cols
+	arms []int32   // per key: the arm, or -1-i for errs[i]
 	errs []error
 }
 
@@ -260,51 +261,49 @@ type groupArms struct {
 }
 
 // selectArms returns the arm of each group's representative row for
-// family f, selecting the projections the memo has not seen. It runs
-// before the step's parallel sweep, which only reads the result. It
-// reports the number of selections evaluated.
-func (m *armMemo) selectArms(f *family, cur [][]uint32, reps []int32) (groupArms, uint64) {
-	out := make([]int32, len(reps))
-	var kb []byte
-	var selections uint64
+// family f, selecting the projections the memo has not seen in one batch.
+// It runs before the step's parallel sweep, which only reads the result.
+// It reports the number of selections evaluated.
+func (m *armMemo) selectArms(f *family, cols [][]uint32, reps []uint32) (groupArms, uint64) {
+	out := make([]int32, len(reps)) // key ids, then arms
+	seen := len(m.arms)
+	var batch []uint32 // the rows of keys new at this step, ascending
 	for g, rep := range reps {
-		row := cur[rep]
-		kb = kb[:0]
-		for _, p := range f.cols {
-			kb = rel.AppendCodeKey(kb, row[p])
+		id := m.keys.intern(cols, int(rep))
+		if int(id) == seen+len(batch) {
+			batch = append(batch, rep)
 		}
-		id := m.keys.intern(kb)
-		if int(id) == len(m.arms) {
-			m.arms = append(m.arms, f.selectRow(row, &m.errs))
-			selections++
-		}
+		out[g] = id
+	}
+	if len(batch) > 0 {
+		m.arms = append(m.arms, f.selectRows(cols, batch, &m.errs)...)
+	}
+	for g, id := range out {
 		out[g] = m.arms[id]
 	}
-	return groupArms{arm: out, errs: m.errs}, selections
+	return groupArms{arm: out, errs: m.errs}, uint64(len(batch))
 }
 
 // selectGroups is selectArms without a memo, for a family whose members
 // all fire at one step: it selects every group once. That is once per
 // distinct projection onto the family's columns unless the step's groups
 // also split on columns the family does not read.
-func (f *family) selectGroups(cur [][]uint32, reps []int32) (groupArms, uint64) {
-	out := make([]int32, len(reps))
+func (f *family) selectGroups(cols [][]uint32, reps []uint32) (groupArms, uint64) {
 	var errs []error
-	for g, rep := range reps {
-		out[g] = f.selectRow(cur[rep], &errs)
-	}
-	return groupArms{arm: out, errs: errs}, uint64(len(reps))
+	return groupArms{arm: f.selectRows(cols, reps, &errs), errs: errs}, uint64(len(reps))
 }
 
-// selectRow returns the arm of row, or -1-i after appending the
-// selection's error to errs as (*errs)[i]. The error is kept, not
-// returned: a member raises it only if it is evaluated on that group, as
-// the whole chain would.
-func (f *family) selectRow(row []uint32, errs *[]error) int32 {
-	arm, err := f.sel.Select(row)
-	if err != nil {
-		arm = -1 - len(*errs)
-		*errs = append(*errs, err)
+// selectRows returns the arm of each row of sel, or -1-i after appending
+// the error that ended the row's selection to errs as (*errs)[i]. The
+// error is kept, not returned: a member raises it only if it is evaluated
+// on that group, as the whole chain would.
+func (f *family) selectRows(cols [][]uint32, sel []uint32, errs *[]error) []int32 {
+	arms, rowErrs := f.sel.Select(cols, sel)
+	for k, err := range rowErrs {
+		if err != nil {
+			arms[k] = int32(-1 - len(*errs))
+			*errs = append(*errs, err)
+		}
 	}
-	return int32(arm)
+	return arms
 }

@@ -28,10 +28,12 @@ type fireSig struct {
 }
 
 // stepMemo is one completed step of the previous solve: its signature,
-// the partial table after the step, and the step's recorded stats.
+// the partial table after the step, and the step's recorded stats. The
+// part's vectors are shared with the steps after it, which never write
+// them.
 type stepMemo struct {
 	sig  stepSig
-	rows [][]uint32
+	part part
 	stat StepStat
 }
 
@@ -133,9 +135,9 @@ func (s *IncrementalSolver) Solve() (_ *rel.Table, stats Stats, err error) {
 		return s.emit(stats)
 	}
 
-	cur := [][]uint32{{}}
+	cur := part{n: 1}
 	if reuse > 0 {
-		cur = s.memo[reuse-1].rows
+		cur = s.memo[reuse-1].part
 	}
 	s.memo = s.memo[:reuse]
 	for i := reuse; i < len(spec.cols); i++ {
@@ -149,35 +151,27 @@ func (s *IncrementalSolver) Solve() (_ *rel.Table, stats Stats, err error) {
 		}
 		s.memo = append(s.memo, stepMemo{
 			sig:  stepSig{column: col.Name, domain: domains[i], fire: fireSigs(fireAt[i], spec)},
-			rows: cur,
+			part: cur,
 			stat: stats.StepStats[len(stats.StepStats)-1],
 		})
-		if len(cur) == 0 {
+		if cur.n == 0 {
 			break // inconsistent constraints: empty table (paper §3)
 		}
 	}
 	return s.emit(stats)
 }
 
-// emit materializes the final memoized rows into a fresh result table and
+// emit materializes the final memoized part into a fresh result table and
 // records it (with its revision) for pointer reuse on the next solve.
 func (s *IncrementalSolver) emit(stats Stats) (*rel.Table, Stats, error) {
-	spec := s.spec
-	out, err := rel.NewTable(spec.Name, spec.ColumnNames()...)
+	var last part
+	if n := len(s.memo); n > 0 {
+		last = s.memo[n-1].part
+	}
+	out, err := newResult(s.spec, last)
 	if err != nil {
 		s.valid = false
 		return nil, stats, err
-	}
-	if n := len(s.memo); n > 0 {
-		for _, row := range s.memo[n-1].rows {
-			if len(row) != len(spec.cols) {
-				break // solve aborted early on inconsistency
-			}
-			if err := out.AppendCodeRow(row); err != nil {
-				s.valid = false
-				return nil, stats, err
-			}
-		}
 	}
 	stats.Rows = out.NumRows()
 	s.out, s.outRev, s.valid = out, out.Revision(), true

@@ -29,23 +29,26 @@ type Stats struct {
 	// MemoHits is the number of candidates whose constraint verdict was
 	// served by the projection memo instead of being evaluated: candidates
 	// sharing a referenced-column projection with an earlier candidate at
-	// the same step.
+	// the same step. A step reads the projections from the partial table's
+	// code vectors and groups its rows by them, so each group's verdicts
+	// are evaluated once for all of its rows.
 	MemoHits uint64
 	// ArmSelections is the number of first-match selections evaluated,
 	// however many of a rule-chain family's members fire. A family whose
 	// members fire at several steps selects once per distinct projection
 	// of a row onto its condition columns, and later steps look the arm up
 	// in the solve's memo without counting. A family whose members all
-	// fire at one step selects once per group of that step. MonolithicOpts
-	// evaluates whole chains and selects none.
+	// fire at one step selects once per group of that step. A step's
+	// selections run as one batch, a kernel pass per condition over the
+	// rows no earlier condition took; the count is of rows selected, not
+	// of passes. MonolithicOpts evaluates whole chains and selects none.
 	ArmSelections uint64
 	// CompileTime is the one-off cost of lowering the column constraints
 	// before the solve loop, paid on a spec's first solve and near zero
-	// once its compilation is cached. For incremental solves it covers
-	// each rule-chain family's Selector over its shared conditions (row-
-	// at-a-time closures), and each member's distinct then and else
-	// branches and every other constraint whole as selection-vector
-	// predicates.
+	// once its compilation is cached. For incremental solves everything
+	// compiles to selection-vector predicates: each rule-chain family's
+	// Selector, one predicate per shared condition, each member's
+	// distinct then and else branches, and every other constraint whole.
 	// MonolithicOpts also compiles, and counts, every constraint whole as a
 	// row-at-a-time program, on the first MonolithicOpts solve of the spec.
 	CompileTime time.Duration
@@ -148,12 +151,12 @@ func SolveOpts(spec *Spec, opts Options) (_ *rel.Table, stats Stats, err error) 
 	span := obs.StartSpan(opts.Tracer, "constraint.solve", obs.String("controller", spec.Name))
 	defer func() { opts.observe(span, spec.Name, stats, err) }()
 
-	// Lower every column constraint once into a position-bound closure
-	// tree (cached on the spec across solves). Rows during the solve are
-	// prefixes of the full column order, so positions bound against the
-	// full spec stay valid at every step: a constraint only fires once all
-	// its referenced positions exist — exactly at the step its highest
-	// referenced column is added.
+	// Lower every column constraint once into position-bound
+	// selection-vector predicates (cached on the spec across solves). The
+	// partial table's vectors are a prefix of the full column order, so
+	// positions bound against the full spec stay valid at every step: a
+	// constraint only fires once all its referenced positions exist —
+	// exactly at the step its highest referenced column is added.
 	t0 := time.Now()
 	cc, err := spec.compiledConstraints()
 	stats.CompileTime = time.Since(t0)
@@ -162,34 +165,41 @@ func SolveOpts(spec *Spec, opts Options) (_ *rel.Table, stats Stats, err error) 
 	}
 	run := newSolveRun(spec, cc, opts.workers(), span, &stats)
 
-	// cur holds the partial table's rows as dictionary-code rows; domains
-	// are interned once per step and the whole solve runs on uint32
-	// compares, emitting codes straight into the columnar result table.
-	cur := [][]uint32{{}}
+	// cur is the partial table, column-major, starting from the empty
+	// relation's one zero-column row; domains are interned once per step
+	// and the whole solve runs on uint32 compares, its vectors landing
+	// in the columnar result table as they are.
+	cur := part{n: 1}
 	for i, col := range spec.cols {
 		if cur, err = run.step(cur, i, encodeDomain(col.Domain())); err != nil {
 			return nil, stats, err
 		}
-		if len(cur) == 0 {
+		if cur.n == 0 {
 			break // inconsistent constraints: empty table (paper §3)
 		}
 	}
-
-	out, err := rel.NewTable(spec.Name, spec.ColumnNames()...)
+	out, err := newResult(spec, cur)
 	if err != nil {
 		return nil, stats, err
 	}
-	for _, row := range cur {
-		if len(row) != len(spec.cols) {
-			// Solve aborted early on inconsistency; no rows to emit.
-			break
-		}
-		if err := out.AppendCodeRow(row); err != nil {
-			return nil, stats, err
-		}
-	}
 	stats.Rows = out.NumRows()
 	return out, stats, nil
+}
+
+// newResult builds the result table of a solve whose last step left p:
+// its rows when p covers every column, and no rows when the solve stopped
+// early on an empty step.
+func newResult(spec *Spec, p part) (*rel.Table, error) {
+	out, err := rel.NewTable(spec.Name, spec.ColumnNames()...)
+	if err != nil {
+		return nil, err
+	}
+	if len(p.cols) == len(spec.cols) {
+		if err := out.AppendColumns(p.cols, p.n); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // solveRun is the state of one column-at-a-time solve (SolveOpts or
@@ -216,8 +226,8 @@ func newSolveRun(spec *Spec, cc []compiledConstraint, workers int, span *obs.Spa
 // step appends column i to the partial table cur, sweeping domain (the
 // column's interned domain, see encodeDomain), and records the step in
 // the run's Stats and a constraint.step span. It is the loop body of both
-// SolveOpts and IncrementalSolver.SolveSpec.
-func (r *solveRun) step(cur [][]uint32, i int, domain []uint32) ([][]uint32, error) {
+// SolveOpts and IncrementalSolver.Solve.
+func (r *solveRun) step(cur part, i int, domain []uint32) (part, error) {
 	col := r.spec.cols[i]
 	r.stats.Steps++
 	t0 := time.Now()
@@ -238,25 +248,25 @@ func (r *solveRun) step(cur [][]uint32, i int, domain []uint32) ([][]uint32, err
 		}
 	}
 
-	next, est, err := r.extend(cur, i+1, domain, fire, fireRefs)
+	next, est, err := r.extend(cur, domain, fire, fireRefs)
 	if err != nil {
-		return nil, err
+		return part{}, err
 	}
 	r.stats.Candidates += est.tested
 	r.stats.MemoHits += est.memoHits
-	r.stats.Pruned += est.tested - uint64(len(next))
+	r.stats.Pruned += est.tested - uint64(next.n)
 	r.stats.ArmSelections += est.selections
 	r.stats.StepStats = append(r.stats.StepStats, StepStat{
 		Column:     col.Name,
 		Domain:     len(domain),
-		Rows:       len(next),
+		Rows:       next.n,
 		Candidates: est.tested,
 		MemoHits:   est.memoHits,
 		Elapsed:    time.Since(t0),
 	})
 	stepSpan.SetAttr(
 		obs.Int("domain", len(domain)),
-		obs.Int("rows", len(next)),
+		obs.Int("rows", next.n),
 		obs.Uint64("candidates", est.tested),
 		obs.Uint64("memo_hits", est.memoHits),
 	)
@@ -265,8 +275,9 @@ func (r *solveRun) step(cur [][]uint32, i int, domain []uint32) ([][]uint32, err
 
 // arms returns the arm of every group at this step for each firing family
 // member (zero for the other constraints), selecting through the family's
-// memo; members of one family share one selection.
-func (r *solveRun) arms(cur [][]uint32, reps []int32, fire []compiledConstraint) ([]groupArms, uint64) {
+// memo; members of one family share one selection. cols are the partial
+// table's vectors and reps the groups' representative rows.
+func (r *solveRun) arms(cols [][]uint32, reps []uint32, fire []compiledConstraint) ([]groupArms, uint64) {
 	var out []groupArms
 	var selections uint64
 	for i, c := range fire {
@@ -287,12 +298,12 @@ func (r *solveRun) arms(cur [][]uint32, reps []int32, fire []compiledConstraint)
 				if r.memos == nil {
 					r.memos = make(map[*family]*armMemo)
 				}
-				m = &armMemo{keys: newGroupTable(len(reps))}
+				m = &armMemo{keys: newCodeKeys(c.fam.cols, len(reps))}
 				r.memos[c.fam] = m
 			}
-			out[i], n = m.selectArms(c.fam, cur, reps)
+			out[i], n = m.selectArms(c.fam, cols, reps)
 		} else {
-			out[i], n = c.fam.selectGroups(cur, reps)
+			out[i], n = c.fam.selectGroups(cols, reps)
 		}
 		selections += n
 	}
@@ -416,10 +427,12 @@ func MonolithicOpts(spec *Spec, opts Options) (_ *rel.Table, stats Stats, err er
 	if err != nil {
 		return nil, stats, err
 	}
-	// Batches flatten in index order, so MonolithicOpts and Solve results
+	// Batches append in index order, so MonolithicOpts and Solve results
 	// compare equal row for row.
-	if err := out.AppendCodes(flattenBatches(perBatch)); err != nil {
-		return nil, stats, err
+	for _, rows := range perBatch {
+		if err := out.AppendCodes(rows); err != nil {
+			return nil, stats, err
+		}
 	}
 	stats.Rows = out.NumRows()
 	stats.Pruned = stats.Candidates - uint64(stats.Rows)

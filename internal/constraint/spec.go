@@ -276,19 +276,20 @@ func (s *Spec) evaluator() *sqlmini.Evaluator {
 }
 
 // compiledConstraint is one column constraint lowered for the solver,
-// plus its scheduling metadata: the row positions it reads and the step at
-// which it becomes checkable.
+// plus its scheduling metadata: the column positions it reads and the
+// step at which it becomes checkable.
 type compiledConstraint struct {
 	col string
 	// sweep holds the selection-vector predicates that decide a group's
 	// whole domain of the fire column per call. For a family member (fam
 	// set) they are the member's distinct then and else branches and
-	// branch[arm] indexes the one the family's selector arm takes; any
-	// other constraint compiles whole into sweep[0].
+	// branch[arm] indexes the one taken by the arm the family's Selector
+	// picked for the group (in one batch, before the sweep); any other
+	// constraint compiles whole into sweep[0].
 	sweep  []*sqlmini.VecPred
 	fam    *family
 	branch []int32
-	refs   []int // row positions the constraint reads, own column included
+	refs   []int // column positions the constraint reads, own column included
 	fire   int   // max referenced position: the step the constraint fires at
 }
 

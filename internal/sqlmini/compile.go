@@ -27,9 +27,10 @@ import (
 // state only, so one compiled predicate may be evaluated concurrently from
 // many goroutines. The other half is the selection-vector kernels
 // (vectorize.go), which evaluate a batch of rows per call and fall back to
-// these closures for the shapes they do not lower; the constraint solver
-// runs both, a Selector per rule-chain family and kernels over each
-// group's domain. The reference both forms are tested against is the
+// these closures for the shapes they do not lower. The constraint solver's
+// incremental steps run only the kernels (a rule-chain family's Selector
+// and each group's domain sweep); its MonolithicOpts baseline runs these
+// closures. The reference both forms are tested against is the
 // tree-walking interpreter, which lives in test code.
 
 // dict is the shared dictionary every rel.Table encodes into; compiled
@@ -85,47 +86,6 @@ func (ev *Evaluator) CompileBoundCodes(e Expr) (CodePred, error) {
 // evaluate. It fails exactly where CompileBoundCodes does.
 func (ev *Evaluator) compileBoundVal(e Expr) (valFn, error) {
 	return (&compiler{ev: ev, bound: true}).val(e)
-}
-
-// Selector decides which arm of a rule chain a row takes: the index of the
-// first of the chain's conditions that is definitely true, Unknown counting
-// as false exactly as for a ternary's condition. When the conditions do
-// not read a swept column, one selection serves a row's whole domain sweep
-// and every chain that tests the same conditions in the same order.
-type Selector struct {
-	conds []triFn
-}
-
-// CompileSelector compiles conds, in priority order, into a Selector over
-// code rows bound by colIndex. It accepts what CompileCodes accepts, and
-// like a CodePred it is safe for concurrent use.
-func (ev *Evaluator) CompileSelector(conds []Expr, colIndex map[string]int) (*Selector, error) {
-	c := &compiler{ev: ev, ix: colIndex}
-	fns := make([]triFn, len(conds))
-	for i, e := range conds {
-		fn, err := c.bool(e)
-		if err != nil {
-			return nil, err
-		}
-		fns[i] = fn
-	}
-	return &Selector{conds: fns}, nil
-}
-
-// Select returns the index of the first condition definitely true on crow,
-// or the number of conditions (the else arm) when none is. A failing
-// condition ends the walk with its error, as it ends the chain's.
-func (s *Selector) Select(crow []uint32) (int, error) {
-	for i, fn := range s.conds {
-		t, err := fn(crow)
-		if err != nil {
-			return 0, err
-		}
-		if t == triTrue {
-			return i, nil
-		}
-	}
-	return len(s.conds), nil
 }
 
 // compiler carries compile-time state: the column binding, and whether

@@ -69,7 +69,8 @@ func splitStable(e sqlmini.Expr, fireCol string) (conds, branches []sqlmini.Expr
 // predicates the solver sweeps over the constraint's last referenced
 // column (SweepLanes): the whole constraint, and its rule chain split into
 // a Selector over the stable leading conditions and the chosen arm's
-// branch.
+// branch. The Selector picks the arms of a random selection of the samples
+// in one batch, each compared with the interpreter's first match.
 func TestCompiledConstraintsMatchInterpreter(t *testing.T) {
 	const samples = 150
 	rng := rand.New(rand.NewSource(42))
@@ -122,26 +123,60 @@ func TestCompiledConstraintsMatchInterpreter(t *testing.T) {
 				domain[i] = dict.Code(v)
 			}
 
+			// The samples as column vectors; the Selector picks the arms of
+			// a random selection of them in one batch.
+			sampled := make([][]uint32, len(cols))
+			for i := range cols {
+				sampled[i] = make([]uint32, samples)
+				for s := range sampled[i] {
+					sampled[i][s] = dict.Code(domains[i][rng.Intn(len(domains[i]))])
+				}
+			}
+			var picked []uint32
+			for s := 0; s < samples; s++ {
+				if rng.Intn(4) != 0 {
+					picked = append(picked, uint32(s))
+				}
+			}
+			picks, pickErrs := sel.Select(sampled, picked)
+			if pickErrs != nil {
+				t.Fatalf("%s.%s: select: %v", name, col, pickErrs)
+			}
+
 			row := make([]rel.Value, len(cols))
 			crow := make([]uint32, len(cols))
 			env := make(sqlmini.MapEnv, len(cols))
+			k := 0
 			for s := 0; s < samples; s++ {
 				for i := range cols {
-					row[i] = domains[i][rng.Intn(len(domains[i]))]
+					crow[i] = sampled[i][s]
+					row[i] = dict.Value(crow[i])
 					env[cols[i].Name] = row[i]
-					crow[i] = dict.Code(row[i])
 				}
 				wkeep, err := sqlmini.SweepLanes(whole, crow, sweep, domain)
 				if err != nil {
 					t.Fatalf("%s.%s on %v: sweep: %v", name, col, row, err)
 				}
-				arm, err := sel.Select(crow)
-				if err != nil {
-					t.Fatalf("%s.%s on %v: select: %v", name, col, row, err)
-				}
-				akeep, err := sqlmini.SweepLanes(arms[arm], crow, sweep, domain)
-				if err != nil {
-					t.Fatalf("%s.%s on %v: arm %d sweep: %v", name, col, row, arm, err)
+				arm := -1
+				var akeep []bool
+				if k < len(picked) && picked[k] == uint32(s) {
+					arm = int(picks[k])
+					k++
+					first := len(conds)
+					for j, c := range conds {
+						if ok, err := ev.True(c, env); err != nil {
+							t.Fatalf("%s.%s on %v: interpreting condition %d: %v", name, col, row, j, err)
+						} else if ok {
+							first = j
+							break
+						}
+					}
+					if arm != first {
+						t.Fatalf("%s.%s on %v: Selector picks arm %d, interpreter %d", name, col, row, arm, first)
+					}
+					if akeep, err = sqlmini.SweepLanes(arms[arm], crow, sweep, domain); err != nil {
+						t.Fatalf("%s.%s on %v: arm %d sweep: %v", name, col, row, arm, err)
+					}
 				}
 				for i, v := range domains[sweep] {
 					row[sweep] = v
@@ -153,7 +188,7 @@ func TestCompiledConstraintsMatchInterpreter(t *testing.T) {
 						t.Fatalf("%s.%s on %v: interpreter (%v, %v), compiled (%v, %v)\nconstraint: %s",
 							name, col, row, want, werr, got, gerr, e)
 					}
-					if wkeep[i] != want || akeep[i] != want {
+					if wkeep[i] != want || (akeep != nil && akeep[i] != want) {
 						t.Fatalf("%s.%s on %v: interpreter %v, whole sweep lane %v, arm %d of %d lane %v\nconstraint: %s",
 							name, col, row, want, wkeep[i], arm, len(conds), akeep[i], e)
 					}

@@ -8,11 +8,12 @@ import (
 )
 
 // Vectorized predicate execution: every pushed WHERE conjunct of a scan,
-// every UPDATE/DELETE WHERE conjunct and every constraint the solver
-// sweeps compiles to an EvalVec form that evaluates a whole batch of
-// column vectors per call instead of one code row at a time. The unit of
-// work is a selection vector — the strictly increasing row indices still
-// alive — and every kernel filters it in place:
+// every UPDATE/DELETE WHERE conjunct, every constraint the solver sweeps
+// and every condition of a rule-chain family's Selector compiles to an
+// EvalVec form that evaluates a whole batch of column vectors per call
+// instead of one code row at a time. The unit of work is a selection
+// vector — the strictly increasing row indices still alive — and every
+// kernel filters it in place:
 //
 //   - =, <>, IN and IS NULL over dictionary codes compile to tight
 //     compare loops over one column vector (codes are injective, so
@@ -45,9 +46,11 @@ import (
 // batch is one group of candidate rows, the swept column's domain beside
 // the group's other codes repeated across the lanes, so a condition that
 // reads only the repeated columns keeps every lane or none and its
-// ternary descends one branch. A conjunct that does not compile (an
-// unknown function, or a column the planner could not bind) fails its
-// statement when it plans, so every pushed filter runs on these kernels.
+// ternary descends one branch. A family's Selector runs over the partial
+// table's own column vectors, one lane per row whose arm is wanted. A
+// conjunct that does not compile (an unknown function, or a column the
+// planner could not bind) fails its statement when it plans, so every
+// pushed filter runs on these kernels.
 //
 // Selection semantics are WHERE semantics: a row survives iff the
 // conjunct is definitely true. Kernels therefore drop unknown outright,
@@ -56,10 +59,13 @@ import (
 // Evaluation order differs from row-at-a-time evaluation — conjunct-major
 // over a batch instead of row-major, and AND's right side never sees a
 // row its left side left unknown — so when rows would error, which error
-// surfaces (if any) can differ. The compiled subset only errors on
-// registered Funcs, which this codebase's workloads keep pure and total;
-// the frozen scan-filter digests and the kernel-versus-interpreter tests
-// pin the results.
+// surfaces (if any) can differ. That covers selection too: a Selector runs
+// its conditions condition-major over the batch, and although it retries
+// a failing condition row by row so each row keeps only its own error,
+// whether a row's condition errors at all follows the kernels' order. The
+// compiled subset only errors on registered Funcs, which this codebase's
+// workloads keep pure and total; the frozen scan-filter digests and the
+// kernel-versus-interpreter tests pin the results.
 //
 // A VecPred is immutable after compilation and safe for concurrent use:
 // all mutable evaluation state (scratch selections, verdict memos) lives
@@ -172,6 +178,87 @@ func (ev *Evaluator) CompileBoundVec(e Expr) (*VecPred, error) {
 // call this way. It fails only where CompileCodes fails.
 func (ev *Evaluator) CompileVec(e Expr, colIndex map[string]int) (*VecPred, error) {
 	return compileVec(compiler{ev: ev, ix: colIndex}, e)
+}
+
+// Selector decides which arm of a rule chain each row of a batch takes:
+// the index of the first of the chain's conditions that is definitely
+// true, Unknown counting as false exactly as for a ternary's condition.
+// When the conditions do not read a swept column, one selection serves a
+// row's whole domain sweep and every chain that tests the same conditions
+// in the same order.
+type Selector struct {
+	conds []*VecPred
+}
+
+// CompileSelector compiles conds, in priority order, into a Selector over
+// column vectors laid out by colIndex, one CompileVec predicate per
+// condition. It fails where CompileVec fails, and like a VecPred it is
+// safe for concurrent use.
+func (ev *Evaluator) CompileSelector(conds []Expr, colIndex map[string]int) (*Selector, error) {
+	ps := make([]*VecPred, len(conds))
+	for i, e := range conds {
+		p, err := ev.CompileVec(e, colIndex)
+		if err != nil {
+			return nil, err
+		}
+		ps[i] = p
+	}
+	return &Selector{conds: ps}, nil
+}
+
+// Select returns the arm of every row of sel, strictly increasing row
+// indices into the column vectors, in sel's order: arms[k] is the index of
+// the first condition definitely true on row sel[k], or the number of
+// conditions (the else arm) when none is. Each condition runs once, as one
+// kernel batch over the rows no earlier condition took. A condition that
+// fails on its batch runs again on each of those rows alone: a row it
+// fails on ends its walk there, as its chain would, with arms[k] = -1 and
+// the error in errs[k], and the other rows go on. errs is nil when no row
+// failed. sel is not modified.
+func (s *Selector) Select(cols [][]uint32, sel []uint32) (arms []int32, errs []error) {
+	arms = make([]int32, len(sel))
+	rest := make([]int32, len(sel)) // indexes into sel of the rows still walking
+	for k := range rest {
+		arms[k], rest[k] = int32(len(s.conds)), int32(k)
+	}
+	batch := make([]uint32, len(sel))
+	for i, c := range s.conds {
+		if len(rest) == 0 {
+			break
+		}
+		b := batch[:len(rest)]
+		for j, k := range rest {
+			b[j] = sel[k]
+		}
+		kept, err := c.EvalVec(cols, b)
+		if err != nil {
+			kept = b[:0]
+			for _, k := range rest {
+				one, err := c.EvalVec(cols, []uint32{sel[k]})
+				if err != nil {
+					if errs == nil {
+						errs = make([]error, len(sel))
+					}
+					arms[k], errs[k] = -1, err
+				}
+				kept = append(kept, one...)
+			}
+		} else if len(kept) == 0 {
+			continue
+		}
+		m, ki := 0, 0
+		for _, k := range rest {
+			if ki < len(kept) && kept[ki] == sel[k] {
+				arms[k] = int32(i)
+				ki++
+			} else if arms[k] >= 0 {
+				rest[m] = k
+				m++
+			}
+		}
+		rest = rest[:m]
+	}
+	return arms, errs
 }
 
 // compileVec is CompileBoundVec and CompileVec; c decides how column

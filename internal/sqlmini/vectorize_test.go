@@ -330,7 +330,8 @@ func splitChain(e Expr, sweepCol string) (conds, branches []Expr) {
 // predicate, the Evaluator, and a Selector over the leading stable
 // conditions followed by the chosen branch's CompileVec predicate the same
 // verdict on every lane — and the same error whenever a condition's
-// function call fails.
+// function call fails. The Selector picks the arms of a random selection
+// of each trial's base rows in one batch.
 func testSweepVecChains(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	names := []string{"a", "b", "c", "d"}
@@ -361,18 +362,45 @@ func testSweepVecChains(t *testing.T) {
 			for i := range domain {
 				domain[i] = dict.Code(vecTestValues[rng.Intn(len(vecTestValues))])
 			}
+			// Six base rows as column vectors; the Selector picks the arms
+			// of a random selection of them in one batch.
+			const nrows = 6
+			cols := make([][]uint32, len(names))
+			for j := range cols {
+				cols[j] = make([]uint32, nrows)
+				for i := range cols[j] {
+					cols[j][i] = dict.Code(vecTestValues[rng.Intn(len(vecTestValues))])
+				}
+			}
+			var rows []uint32
+			for i := 0; i < nrows; i++ {
+				if rng.Intn(3) != 0 {
+					rows = append(rows, uint32(i))
+				}
+			}
+			arms, armErrs := sel.Select(cols, rows)
+			k := 0
 			crow := make([]uint32, len(names))
 			env := make(MapEnv, len(names))
-			for row := 0; row < 6; row++ {
+			for row := 0; row < nrows; row++ {
 				for j := range crow {
-					crow[j] = dict.Code(vecTestValues[rng.Intn(len(vecTestValues))])
+					crow[j] = cols[j][row]
 					env[names[j]] = dict.Value(crow[j])
 				}
 				keep, verr := SweepLanes(vp, crow, sweep, domain)
+				selected := k < len(rows) && rows[k] == uint32(row)
+				var arm int32
 				var bkeep []bool
-				arm, berr := sel.Select(crow)
-				if berr == nil {
-					bkeep, berr = SweepLanes(bps[arm], crow, sweep, domain)
+				var berr error
+				if selected {
+					arm = arms[k]
+					if armErrs != nil {
+						berr = armErrs[k]
+					}
+					k++
+					if berr == nil {
+						bkeep, berr = SweepLanes(bps[arm], crow, sweep, domain)
+					}
 				}
 				var laneErr error
 				for di, d := range domain {
@@ -386,7 +414,7 @@ func testSweepVecChains(t *testing.T) {
 						t.Fatalf("trial %d strict=%v row %d lane %d: vectorized=%v evaluator=%v",
 							trial, strict, row, di, keep[di], want)
 					}
-					if berr == nil && bkeep[di] != want {
+					if selected && berr == nil && bkeep[di] != want {
 						t.Fatalf("trial %d strict=%v row %d lane %d: selector arm %d of %d gives %v, evaluator %v",
 							trial, strict, row, di, arm, len(conds), bkeep[di], want)
 					}
@@ -394,7 +422,7 @@ func testSweepVecChains(t *testing.T) {
 				if fmt.Sprint(verr) != fmt.Sprint(laneErr) {
 					t.Fatalf("trial %d strict=%v row %d: vectorized error %v, lane error %v", trial, strict, row, verr, laneErr)
 				}
-				if fmt.Sprint(berr) != fmt.Sprint(laneErr) {
+				if selected && fmt.Sprint(berr) != fmt.Sprint(laneErr) {
 					t.Fatalf("trial %d strict=%v row %d: selector path error %v, lane error %v", trial, strict, row, berr, laneErr)
 				}
 				if verr != nil {
@@ -405,6 +433,142 @@ func testSweepVecChains(t *testing.T) {
 	}
 	if errRows == 0 {
 		t.Fatal("no row reached a failing boom call; the error path went untested")
+	}
+}
+
+// randSelectCond builds a random rule condition over names for the
+// Selector test; with boom set it may call boom, which fails on "r". The
+// calls sit only where the kernels and the interpreter evaluate the same
+// rows: at the top, on either side of OR, on the left of AND, and in a
+// leaf under NOT. AND's right side, and OR's under NOT, run in the
+// interpreter on rows the left side left unknown as well (the caveat in
+// vectorize.go's header).
+func randSelectCond(rng *rand.Rand, names []string, depth int, boom bool) Expr {
+	col := func() Expr { return Col{Name: names[rng.Intn(len(names))]} }
+	lit := func() Expr { return Lit{Val: vecTestValues[rng.Intn(len(vecTestValues))]} }
+	if depth > 0 {
+		switch rng.Intn(6) {
+		case 0:
+			return Binary{Op: "AND", L: randSelectCond(rng, names, depth-1, boom), R: randSelectCond(rng, names, depth-1, false)}
+		case 1:
+			return Binary{Op: "OR", L: randSelectCond(rng, names, depth-1, boom), R: randSelectCond(rng, names, depth-1, boom)}
+		case 2:
+			return Unary{Op: "NOT", X: randSelectCond(rng, names, 0, boom)}
+		}
+	}
+	switch r := rng.Intn(10); {
+	case boom && r < 2:
+		return Binary{Op: "=", L: Call{Name: "boom", Args: []Expr{col()}}, R: lit()}
+	case r < 4:
+		return IsNull{X: col(), Negate: rng.Intn(2) == 0}
+	case r < 6:
+		return InList{X: col(), Set: []Expr{lit(), lit()}}
+	case r < 7:
+		return Binary{Op: "=", L: col(), R: col()}
+	default:
+		return Binary{Op: "=", L: col(), R: lit()}
+	}
+}
+
+// TestSelectorBatchMatchesRows checks the batch Selector against the
+// interpreter's first-match walk of each row: random condition chains,
+// some calling boom (which fails on "r"), over NULL-heavy column vectors
+// and random selections, in both NULL dialects. Each selected row's arm,
+// or the error that ends its walk, must be the walk's; a row that fails
+// keeps its error while the other rows of its batch get their arms, and
+// the selection is left as it was.
+func TestSelectorBatchMatchesRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	names := []string{"a", "b", "c", "d"}
+	ix := map[string]int{"a": 0, "b": 1, "c": 2, "d": 3}
+	funcs := map[string]Func{"boom": boomFunc}
+	failed, mixed := 0, 0 // failing rows; batches with failing and picked rows
+	for trial := 0; trial < 300; trial++ {
+		conds := make([]Expr, 1+rng.Intn(12))
+		for i := range conds {
+			conds[i] = randSelectCond(rng, names, 2, rng.Intn(3) == 0)
+		}
+		nrows := 1 + rng.Intn(64)
+		cols := make([][]uint32, len(names))
+		for j := range cols {
+			cols[j] = make([]uint32, nrows)
+			for i := range cols[j] {
+				v := rel.Null()
+				if rng.Intn(3) != 0 {
+					v = vecTestValues[rng.Intn(len(vecTestValues))]
+				}
+				cols[j][i] = dict.Code(v)
+			}
+		}
+		var sel []uint32
+		for i := 0; i < nrows; i++ {
+			if rng.Intn(3) != 0 {
+				sel = append(sel, uint32(i))
+			}
+		}
+		for _, strict := range []bool{false, true} {
+			ev := &Evaluator{Funcs: funcs, NullEq: !strict}
+			s, err := ev.CompileSelector(conds, ix)
+			if err != nil {
+				t.Fatalf("trial %d strict=%v: CompileSelector(%v): %v", trial, strict, conds, err)
+			}
+			orig := fmt.Sprint(sel)
+			arms, errs := s.Select(cols, sel)
+			if fmt.Sprint(sel) != orig {
+				t.Fatalf("trial %d strict=%v: Select changed its selection %s to %v", trial, strict, orig, sel)
+			}
+			if len(arms) != len(sel) || (errs != nil && len(errs) != len(sel)) {
+				t.Fatalf("trial %d strict=%v: %d arms and %d errors for %d rows", trial, strict, len(arms), len(errs), len(sel))
+			}
+			rowsFailed, rowsPicked := 0, 0
+			for k, r := range sel {
+				env := make(MapEnv, len(names))
+				for j, n := range names {
+					env[n] = dict.Value(cols[j][r])
+				}
+				want := len(conds)
+				var werr error
+				for j, c := range conds {
+					ok, err := ev.True(c, env)
+					if err != nil {
+						werr = err
+						break
+					}
+					if ok {
+						want = j
+						break
+					}
+				}
+				var gerr error
+				if errs != nil {
+					gerr = errs[k]
+				}
+				if fmt.Sprint(gerr) != fmt.Sprint(werr) {
+					t.Fatalf("trial %d strict=%v row %d: Selector error %v, interpreter %v\nconditions: %v", trial, strict, r, gerr, werr, conds)
+				}
+				if werr != nil {
+					if arms[k] != -1 {
+						t.Fatalf("trial %d strict=%v row %d: failed row has arm %d, want -1", trial, strict, r, arms[k])
+					}
+					rowsFailed++
+					continue
+				}
+				if arms[k] != int32(want) {
+					t.Fatalf("trial %d strict=%v row %d: Selector picks %d, interpreter %d\nconditions: %v", trial, strict, r, arms[k], want, conds)
+				}
+				rowsPicked++
+			}
+			if errs != nil && rowsFailed == 0 {
+				t.Fatalf("trial %d strict=%v: errors %v reported, but no row fails", trial, strict, errs)
+			}
+			failed += rowsFailed
+			if rowsFailed > 0 && rowsPicked > 0 {
+				mixed++
+			}
+		}
+	}
+	if failed == 0 || mixed == 0 {
+		t.Fatalf("%d failing rows, %d batches mixing failing and picked rows: the error path went untested", failed, mixed)
 	}
 }
 

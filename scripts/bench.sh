@@ -10,7 +10,9 @@
 #
 # Before benchmarking, the script fails loudly (non-zero exit) if `go vet`
 # or the race-detector runs fail: compiled constraint kernels are shared
-# across solver workers, the morsel-parallel executor shares one pool and
+# across solver workers, a solve step's column vectors are shared with the
+# steps after it and an incremental solver's memo (TestStepSharesColumns),
+# the morsel-parallel executor shares one pool and
 # plan cache across concurrent statements, and every table now encodes
 # into one process-wide dictionary whose decode side is lock-free — a racy
 # hot path must never produce a green benchmark report.
@@ -42,7 +44,8 @@
 # against its full-scan oracle), the
 # scan-filter and solver-batch equivalence suites (frozen result digests,
 # and every compiled form against the tree-walking interpreter, over scan
-# morsels and over the solver's domain batches, including the
+# morsels, over the solver's domain batches and over a rule-chain
+# family's selection batches (TestSelectorBatchMatchesRows), including the
 # differential fuzzer's seed corpus, and whole SELECTs against the naive
 # nested-loop oracle), the MVCC epoch/catalog layer
 # (with DML atomicity on shared and session tables, UPDATE/DELETE against
@@ -79,7 +82,7 @@ echo "== race-detector storage-engine tests =="
 go test -race ./internal/rel/...
 
 echo "== race-detector solver tests =="
-go test -race -run 'TestSolve|TestMonolithic|TestConcurrentSolves|TestQuickSolveEqualsMonolithic|TestBatchCursor|TestCompiledPredConcurrentUse|TestVectorizedSweepMatchesScalar|TestQuickSharedChainsMatchOracles|TestIncrementalMemberLeavesFamily|TestArmSelectionsOncePerRow|TestFamilySplit|TestFamilySelectionErrors|TestCompileSweepAgreesWithInterpreter' \
+go test -race -run 'TestSolve|TestMonolithic|TestConcurrentSolves|TestQuickSolveEqualsMonolithic|TestBatchCursor|TestCompiledPredConcurrentUse|TestVectorizedSweepMatchesScalar|TestQuickSharedChainsMatchOracles|TestIncrementalMemberLeavesFamily|TestArmSelectionsOncePerRow|TestFamilySplit|TestFamilySelectionErrors|TestCompileSweepAgreesWithInterpreter|TestStepSharesColumns|TestSelectorBatchMatchesRows' \
     ./internal/constraint/ ./internal/sqlmini/
 
 echo "== race-detector parallel-executor tests =="
