@@ -20,8 +20,9 @@ type scanFilterQuery struct {
 
 // scanFilterQueries is the query set the frozen digests cover: four
 // queries on each of the eight controller tables, the Fig. 3 fragment,
-// every ProtocolSuite invariant, and pushed conjuncts over two or more of
-// D's columns.
+// every ProtocolSuite invariant, pushed conjuncts over two or more of D's
+// columns, and queries whose row order joins, residues, grouping,
+// DISTINCT, ORDER BY and UNION decide.
 func scanFilterQueries() []scanFilterQuery {
 	var qs []scanFilterQuery
 	for _, tab := range []string{"D", "M", "C", "N", "R", "IO", "INT", "SY"} {
@@ -52,6 +53,34 @@ func scanFilterQueries() []scanFilterQuery {
 		scanFilterQuery{"multi/case", `SELECT * FROM D WHERE CASE WHEN dirst = bdirst THEN locmsg ELSE remmsg END IS NOT NULL`},
 		scanFilterQuery{"multi/group", `SELECT inmsg, COUNT(*) AS n FROM D WHERE inmsg > locmsg GROUP BY inmsg`},
 	)
+	// Row order beyond a single scan. The joins cover each strategy the
+	// executor has had: a persistent index on the right (R JOIN N) or on
+	// the left (N JOIN R) source, an ad-hoc hash over the smaller (R's
+	// filtered rows) or the larger input, and nested loops; NULL join keys
+	// match only in the constraint dialect. Then a FROM list with residues
+	// that read several sources, grouping with HAVING and MIN/MAX,
+	// DISTINCT, computed select items and ORDER BY keys, UNION chains
+	// sorted and limited as a whole, and a SELECT without FROM.
+	qs = append(qs,
+		scanFilterQuery{"join/index-right", `SELECT r.inmsg, r.racst, n.mshrst, n.netmsg, n.nxtmshrst FROM R r JOIN N n ON r.inmsg = n.inmsg`},
+		scanFilterQuery{"join/index-left", `SELECT n.inmsg, n.mshrst, r.racst, r.nxtracst FROM N n JOIN R r ON n.inmsg = r.inmsg`},
+		scanFilterQuery{"join/hash-small-left", `SELECT r.inmsg, r.racst, n.mshrst, n.cresp FROM R r JOIN N n ON r.inmsg = n.inmsg AND r.netmsg = n.netmsg WHERE r.racst IS NOT NULL AND n.mshrst IS NOT NULL`},
+		scanFilterQuery{"join/hash-small-right", `SELECT n.inmsg, n.mshrst, r.racst, r.locresp FROM N n JOIN R r ON n.netmsg = r.netmsg WHERE n.inmsg IS NOT NULL AND r.inmsg IS NOT NULL`},
+		scanFilterQuery{"join/loop-call", `SELECT m.inmsg, m.bankst, s.inmsg, s.syncst FROM M m JOIN SY s ON coalesce2(m.dirmsg, m.inmsg) <> s.cpuresp OR s.cpuresp IS NULL`},
+		scanFilterQuery{"join/loop-range", `SELECT c.inmsg, c.cachest, i.inmsg, i.nxtiost FROM C c JOIN IO i ON c.busmsg = i.netmsg OR c.prresp < i.devresp`},
+		scanFilterQuery{"join/chain", `SELECT r.inmsg, n.mshrst, i.iost FROM R r JOIN N n ON r.inmsg = n.inmsg JOIN IO i ON n.netmsg = i.netmsg`},
+		scanFilterQuery{"cross/residue", `SELECT m.inmsg, m.bankst, i.inmsg, i.iost FROM M m, IO i WHERE m.dirmsg = i.devresp OR m.inmsg < i.inmsg`},
+		scanFilterQuery{"cross/pushed-residue", `SELECT m.inmsg, i.iost, s.syncst FROM M m, IO i, SY s WHERE m.bankst = 'ready' AND m.dirmsg <> i.devresp AND s.cpuresp IS NULL`},
+		scanFilterQuery{"group/having-minmax", `SELECT inmsg, MIN(dirst) AS lo, MAX(remmsg) AS hi, COUNT(*) AS n FROM D GROUP BY inmsg HAVING MAX(remmsg) IS NOT NULL AND COUNT(*) > 5`},
+		scanFilterQuery{"group/having-or", `SELECT dirst, bdirst, MIN(locmsg), MAX(memmsg) FROM D WHERE inmsg <> 'read' GROUP BY dirst, bdirst HAVING MIN(locmsg) < 'm' OR MAX(memmsg) IS NULL`},
+		scanFilterQuery{"group/computed-key", `SELECT coalesce2(locmsg, remmsg) AS k, COUNT(*) AS n, MAX(typename(dirpv)) AS t FROM D GROUP BY coalesce2(locmsg, remmsg) ORDER BY n DESC, k`},
+		scanFilterQuery{"group/empty", `SELECT COUNT(*), MIN(inmsg), MAX(inmsg) FROM D WHERE dirst = 'nosuch'`},
+		scanFilterQuery{"distinct", `SELECT DISTINCT dirst, bdirst, locmsg FROM D`},
+		scanFilterQuery{"computed/order", `SELECT inmsg, coalesce2(remmsg, memmsg) AS out, typename(dirpv) AS t FROM D WHERE bdirhit = 'miss' ORDER BY out DESC, dirst, coalesce2(locmsg, 'zz'), inmsg`},
+		scanFilterQuery{"union/order-limit", `SELECT inmsg, cachest AS st FROM C UNION SELECT inmsg, mshrst FROM N ORDER BY st DESC, inmsg LIMIT 20`},
+		scanFilterQuery{"union/all-limit", `SELECT inmsg FROM M UNION ALL SELECT inmsg FROM IO UNION SELECT inmsg FROM SY ORDER BY inmsg LIMIT 7`},
+		scanFilterQuery{"fromless", `SELECT 1 AS one, 'x' AS ex`},
+	)
 	return qs
 }
 
@@ -64,10 +93,13 @@ func resultDigest(s string) string {
 
 // frozenScanFilters holds each query's result digest per dialect:
 // [0] under the constraint dialect (NULL = NULL is true), [1] under
-// strict ANSI NULLs; the comments give the row counts. They were recorded
-// while the executor still had a row-at-a-time scan filter beside the
-// selection-vector one, after checking that the two agreed on every query,
-// serially and in parallel.
+// strict ANSI NULLs; the comments give the row counts. The scan, invariant
+// and multi-column digests were recorded while the executor still had a
+// row-at-a-time scan filter beside the selection-vector one, after
+// checking that the two agreed on every query, serially and in parallel.
+// The digests from join/index-right on were recorded, serially and in
+// parallel, while SELECT still ran over row-major frames, with five join
+// strategies and row-at-a-time residues, ON and HAVING.
 var frozenScanFilters = map[string][2]string{
 	"D/all":                           {"cea6cacd4e43f8d0", "cea6cacd4e43f8d0"}, // rows 483 / 483
 	"D/notnull":                       {"cea6cacd4e43f8d0", "cea6cacd4e43f8d0"}, // rows 483 / 483
@@ -171,6 +203,24 @@ var frozenScanFilters = map[string][2]string{
 	"multi/not":                       {"c9e3cbe6e453a2e3", "0243a78e6381dbd0"}, // rows 356 / 302
 	"multi/case":                      {"0c2eec644a40ff04", "40a162952e4db123"}, // rows 16 / 14
 	"multi/group":                     {"adb34a07887cefab", "adb34a07887cefab"}, // rows 14 / 14
+	"join/index-right":                {"d75f255021b40e1b", "d75f255021b40e1b"}, // rows 38 / 38
+	"join/index-left":                 {"6ee80ac09a9b4f54", "6ee80ac09a9b4f54"}, // rows 38 / 38
+	"join/hash-small-left":            {"c0f35124890e86d5", "2e7b77153df22e20"}, // rows 19 / 4
+	"join/hash-small-right":           {"2745babb17837c82", "681998620baae5a5"}, // rows 479 / 4
+	"join/loop-call":                  {"57c447ac58297d8c", "57c447ac58297d8c"}, // rows 25 / 25
+	"join/loop-range":                 {"a0195b6eb956a17c", "1e25845ce59a1812"}, // rows 348 / 124
+	"join/chain":                      {"6b5e179a67babdb1", "5ca1544e869e4b78"}, // rows 114 / 0
+	"cross/residue":                   {"c0d01fcd4ab28b0d", "c0d01fcd4ab28b0d"}, // rows 20 / 20
+	"cross/pushed-residue":            {"23df5beed3ad6836", "356bd6555d72e57a"}, // rows 55 / 30
+	"group/having-minmax":             {"f18ac3c74f9918fa", "f18ac3c74f9918fa"}, // rows 5 / 5
+	"group/having-or":                 {"c7a3dedeca5258fd", "c7a3dedeca5258fd"}, // rows 41 / 41
+	"group/computed-key":              {"85956ea1481c27d0", "85956ea1481c27d0"}, // rows 21 / 21
+	"group/empty":                     {"4b09312f9127158a", "4b09312f9127158a"}, // rows 1 / 1
+	"distinct":                        {"1b52743f15a6ee5f", "1b52743f15a6ee5f"}, // rows 95 / 95
+	"computed/order":                  {"cd84817947b7fef9", "cd84817947b7fef9"}, // rows 34 / 34
+	"union/order-limit":               {"880467fca873b123", "880467fca873b123"}, // rows 20 / 20
+	"union/all-limit":                 {"138c2e360b57adbf", "138c2e360b57adbf"}, // rows 7 / 7
+	"fromless":                        {"f31a8f9079d92664", "f31a8f9079d92664"}, // rows 1 / 1
 }
 
 // TestScanFiltersMatchFrozenResults is the scan filters' golden gate on
