@@ -202,3 +202,23 @@ func TestRunSingleWorkerMatches(t *testing.T) {
 		}
 	}
 }
+
+// TestNilTracerRunDeltaAllocs bounds what re-checking an untouched delta
+// allocates without a tracer: every invariant is carried over, and the
+// attributes the check.suite span would carry are never formatted.
+func TestNilTracerRunDeltaAllocs(t *testing.T) {
+	db := protocolDB(t)
+	suite := ProtocolSuite()
+	prev := suite.Run(db, Options{})
+	d := db.BeginRevision().Commit()
+	for _, r := range suite.RunDelta(db, prev, d, Options{}) {
+		if !r.Skipped {
+			t.Fatalf("invariant %s re-checked on an empty delta", r.Invariant.Name)
+		}
+	}
+	allocs := testing.AllocsPerRun(50, func() { suite.RunDelta(db, prev, d, Options{}) })
+	t.Logf("%.0f allocations per untouched re-check", allocs)
+	if allocs > 1 {
+		t.Fatalf("an untouched re-check allocated %.0f times, want at most 1", allocs)
+	}
+}

@@ -86,10 +86,12 @@ func (s *Suite) RunDelta(db DBLike, prev []Result, d *delta.Set, opts Options) [
 		rowsReused.Add(reused)
 	}
 
-	s.runSubset(db, idx, results, opts, []obs.Attr{
-		obs.Int("delta_rows", d.Rows()),
-		obs.Int("skipped", len(s.invs)-len(idx)),
-		obs.Int("rechecked", len(idx)),
+	s.runSubset(db, idx, results, opts, func() []obs.Attr {
+		return []obs.Attr{
+			obs.Int("delta_rows", d.Rows()),
+			obs.Int("skipped", len(s.invs)-len(idx)),
+			obs.Int("rechecked", len(idx)),
+		}
 	})
 	return results
 }

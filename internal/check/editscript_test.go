@@ -65,7 +65,7 @@ func applyEdit(rng *rand.Rand, tab *rel.Table) error {
 			row[j] = tab.CodeAt(src, j)
 		}
 		row[rng.Intn(w)] = tab.CodeAt(rng.Intn(n), rng.Intn(w))
-		return tab.AppendCodeRow(row)
+		return tab.AppendCodes([][]uint32{row})
 	case op >= 85 && n > 2:
 		tab.DeleteRows([]uint32{uint32(rng.Intn(n))})
 		return nil

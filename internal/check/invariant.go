@@ -157,8 +157,9 @@ func (s *Suite) Run(db DBLike, opts Options) []Result {
 
 // runSubset checks the invariants named by idx, writing their results into
 // the matching slots of results; other slots are left as the caller set
-// them. extra attributes land on the "check.suite" span.
-func (s *Suite) runSubset(db DBLike, idx []int, results []Result, opts Options, extra []obs.Attr) {
+// them. extra builds attributes for the "check.suite" span; it runs, and
+// the span's attributes are formatted, only when opts has a tracer.
+func (s *Suite) runSubset(db DBLike, idx []int, results []Result, opts Options, extra func() []obs.Attr) {
 	exec := pool.Shared()
 	workers := opts.Workers
 	if workers <= 0 || workers > exec.Size() {
@@ -175,8 +176,14 @@ func (s *Suite) runSubset(db DBLike, idx []int, results []Result, opts Options, 
 		prepared[k], _ = db.Prepare(s.invs[i].SQL) // a nil entry falls back to Query
 	}
 
-	attrs := append([]obs.Attr{obs.Int("invariants", len(idx)), obs.Int("workers", workers)}, extra...)
-	suite := obs.StartSpan(opts.Tracer, "check.suite", attrs...)
+	var suite *obs.Span
+	if opts.Tracer != nil {
+		attrs := []obs.Attr{obs.Int("invariants", len(idx)), obs.Int("workers", workers)}
+		if extra != nil {
+			attrs = append(attrs, extra()...)
+		}
+		suite = obs.StartSpan(opts.Tracer, "check.suite", attrs...)
+	}
 	if len(idx) == 0 {
 		suite.Finish()
 		return
@@ -184,7 +191,10 @@ func (s *Suite) runSubset(db DBLike, idx []int, results []Result, opts Options, 
 	st, _ := exec.Each(workers, len(idx), 1, func(k, _, _ int) error {
 		i := k
 		inv := s.invs[idx[i]]
-		sp := suite.Child("check.invariant", obs.String("invariant", inv.Name))
+		var sp *obs.Span
+		if suite != nil {
+			sp = suite.Child("check.invariant", obs.String("invariant", inv.Name))
+		}
 		start := time.Now()
 		var tab *rel.Table
 		var qs sqlmini.QueryStats
@@ -223,8 +233,10 @@ func (s *Suite) runSubset(db DBLike, idx []int, results []Result, opts Options, 
 		results[idx[i]] = r
 		return nil
 	})
-	suite.SetAttr(obs.Int("steals", st.Steals))
-	suite.Finish()
+	if suite != nil {
+		suite.SetAttr(obs.Int("steals", st.Steals))
+		suite.Finish()
+	}
 }
 
 // Summary aggregates a run.

@@ -121,7 +121,9 @@ func (s *IncrementalSolver) Solve() (_ *rel.Table, stats Stats, err error) {
 	}
 	stats.ReusedSteps = reuse
 	stats.Steps = reuse
-	span.SetAttr(obs.Int("total_steps", len(spec.cols)))
+	if span != nil {
+		span.SetAttr(obs.Int("total_steps", len(spec.cols)))
+	}
 
 	if reuse == len(spec.cols) && reuse == len(s.memo) && s.out != nil {
 		// Nothing changed. Hand back the previous table by pointer so a

@@ -93,20 +93,23 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
-// observe reports a finished solve to the tracer span and metrics.
+// observe reports a finished solve to the tracer span and metrics. The
+// span's attributes are formatted only when the span is live.
 func (o Options) observe(span *obs.Span, controller string, stats Stats, err error) {
-	span.SetAttr(
-		obs.Int("steps", stats.Steps),
-		obs.Int("reused_steps", stats.ReusedSteps),
-		obs.Uint64("candidates", stats.Candidates),
-		obs.Uint64("pruned", stats.Pruned),
-		obs.Uint64("memo_hits", stats.MemoHits),
-		obs.Uint64("arm_selections", stats.ArmSelections),
-		obs.Duration("compile_time", stats.CompileTime),
-		obs.Int("rows", stats.Rows),
-	)
-	if err != nil {
-		span.SetAttr(obs.String("error", err.Error()))
+	if span != nil {
+		span.SetAttr(
+			obs.Int("steps", stats.Steps),
+			obs.Int("reused_steps", stats.ReusedSteps),
+			obs.Uint64("candidates", stats.Candidates),
+			obs.Uint64("pruned", stats.Pruned),
+			obs.Uint64("memo_hits", stats.MemoHits),
+			obs.Uint64("arm_selections", stats.ArmSelections),
+			obs.Duration("compile_time", stats.CompileTime),
+			obs.Int("rows", stats.Rows),
+		)
+		if err != nil {
+			span.SetAttr(obs.String("error", err.Error()))
+		}
 	}
 	span.Finish()
 	if o.Metrics == nil {
@@ -264,12 +267,14 @@ func (r *solveRun) step(cur part, i int, domain []uint32) (part, error) {
 		MemoHits:   est.memoHits,
 		Elapsed:    time.Since(t0),
 	})
-	stepSpan.SetAttr(
-		obs.Int("domain", len(domain)),
-		obs.Int("rows", next.n),
-		obs.Uint64("candidates", est.tested),
-		obs.Uint64("memo_hits", est.memoHits),
-	)
+	if stepSpan != nil {
+		stepSpan.SetAttr(
+			obs.Int("domain", len(domain)),
+			obs.Int("rows", next.n),
+			obs.Uint64("candidates", est.tested),
+			obs.Uint64("memo_hits", est.memoHits),
+		)
+	}
 	return next, nil
 }
 

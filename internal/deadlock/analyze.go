@@ -162,16 +162,18 @@ func Analyze(controllers []*rel.Table, v *rel.Table, opts Options) (_ *Report, e
 	stats.Edges = len(g.Edges())
 	stats.Cycles = len(cycles)
 	stats.Elapsed = time.Since(start)
-	span.SetAttr(
-		obs.Int("composed_rows", stats.ComposedRows),
-		obs.Int("atoms", len(a.quads)),
-		obs.Duration("compose_elapsed", stats.ComposeElapsed),
-		obs.Int("protocol_rows", stats.ProtocolRows),
-		obs.Int("nodes", stats.Nodes),
-		obs.Int("edges", stats.Edges),
-		obs.Int("cycles", stats.Cycles),
-		obs.Duration("cycle_elapsed", stats.CycleElapsed),
-	)
+	if span != nil {
+		span.SetAttr(
+			obs.Int("composed_rows", stats.ComposedRows),
+			obs.Int("atoms", len(a.quads)),
+			obs.Duration("compose_elapsed", stats.ComposeElapsed),
+			obs.Int("protocol_rows", stats.ProtocolRows),
+			obs.Int("nodes", stats.Nodes),
+			obs.Int("edges", stats.Edges),
+			obs.Int("cycles", stats.Cycles),
+			obs.Duration("cycle_elapsed", stats.CycleElapsed),
+		)
+	}
 	opts.observe(label, stats)
 	return &Report{
 		Graph:    g,

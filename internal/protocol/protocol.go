@@ -42,8 +42,10 @@ func GenerateAllOpts(db *sqlmini.DB, opts constraint.Options) (map[string]constr
 				results[i] = result{name: c.name, err: err}
 				return
 			}
-			span.SetAttr(obs.Int("rules", rs.Len()), obs.Int("constraints", spec.ConstraintCount()))
-			span.Finish()
+			if span != nil {
+				span.SetAttr(obs.Int("rules", rs.Len()), obs.Int("constraints", spec.ConstraintCount()))
+				span.Finish()
+			}
 			tab, stats, err := constraint.SolveOpts(spec, opts)
 			results[i] = result{name: c.name, tab: tab, stats: stats, err: err}
 		}()

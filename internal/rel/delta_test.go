@@ -31,10 +31,6 @@ func TestRevisionBumpsOnEveryMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	step("InsertRow")
-	if err := tab.AppendCodeRow([]uint32{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	step("AppendCodeRow")
 	if err := tab.AppendCodes([][]uint32{{1, 2, 3}, {4, 5, 6}}); err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +54,7 @@ func TestRevisionBumpsOnEveryMutation(t *testing.T) {
 
 	// Reads and no-op mutations must not bump.
 	_ = tab.At(0, 0)
-	_ = tab.CodeRows()
+	_ = tab.ColCodes(0)
 	if n := tab.ReplaceInCol("a", S("absent"), S("x")); n != 0 {
 		t.Fatalf("ReplaceInCol of absent value rewrote %d", n)
 	}
@@ -186,11 +182,11 @@ func TestIndexMaintenanceThroughFunnel(t *testing.T) {
 	if rows := ix.Lookup(S("w")); len(rows) != 1 || rows[0] != 3 {
 		t.Fatalf("index not maintained across Insert: %v", rows)
 	}
-	if err := tab.AppendCodeRow([]uint32{tab.Dict().Code(S("w")), 0, 0}); err != nil {
+	if err := tab.AppendCodes([][]uint32{{tab.Dict().Code(S("w")), 0, 0}}); err != nil {
 		t.Fatal(err)
 	}
 	if rows := ix.Lookup(S("w")); len(rows) != 2 {
-		t.Fatalf("index not maintained across AppendCodeRow: %v", rows)
+		t.Fatalf("index not maintained across AppendCodes: %v", rows)
 	}
 	if err := tab.Set(0, "a", S("q")); err != nil {
 		t.Fatal(err)

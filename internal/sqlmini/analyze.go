@@ -11,10 +11,10 @@ import (
 // EXPLAIN ANALYZE support. The executor's operators report into an azRun
 // hung off the statement's run context: one azOp per plan step, holding
 // measured rows out, wall time, the morsel/steal deltas of the step's
-// parallel phases, hash-join build vs probe split and arena growth. The
-// off path stays allocation-free: every hook below starts with a single
-// r.az nil check and no time.Now call, so plain SELECTs (and therefore
-// the <5% nil-tracer overhead bound) are untouched.
+// parallel phases, hash-join build vs probe split and the bytes a join
+// gathered. The off path stays allocation-free: every hook below starts
+// with a single r.az nil check and no time.Now call, so plain SELECTs (and
+// therefore the <5% nil-tracer overhead bound) are untouched.
 
 // azOp is one executed operator's measurements.
 type azOp struct {
@@ -76,8 +76,8 @@ func (r *run) azEnd(rows int) {
 }
 
 // azSet renames the open op and sets its detail; scanSource uses it to
-// flip a planned scan to an indexscan, r.join to record the join strategy
-// it actually chose.
+// flip a planned scan to an indexscan, r.join to record the strategy its
+// joinPlan fixed.
 func (r *run) azSet(op, detail string) {
 	if r.az == nil || r.az.cur < 0 {
 		return
@@ -114,7 +114,8 @@ func (r *run) azVec(batches, in, out int) {
 	o.selOut += out
 }
 
-// azArena adds arena block growth (bytes) to the open op.
+// azArena adds the bytes of a join's gathered output columns to the open
+// op, rendered as arena_bytes.
 func (r *run) azArena(n int64) {
 	if r.az == nil || r.az.cur < 0 || n <= 0 {
 		return
@@ -125,7 +126,7 @@ func (r *run) azArena(n int64) {
 // execAnalyze runs the query with operator measurement enabled and
 // renders the annotated plan: one row per executed operator with measured
 // rows, wall time in microseconds and a detail column carrying the
-// operator's strategy plus its parallel/arena numbers.
+// operator's strategy plus its parallel and join-output numbers.
 func (r *run) execAnalyze(s *SelectStmt) (*rel.Table, error) {
 	r.az = &azRun{cur: -1}
 	defer func() { r.az = nil }()
@@ -153,7 +154,7 @@ func (r *run) execAnalyze(s *SelectStmt) (*rel.Table, error) {
 
 // analyzeDetail renders the measured annotations after the op's strategy
 // text: morsels/steals when the op had a parallel phase, build/probe when
-// it was a hash join, arena growth when joined rows were carved.
+// it was a hash join, the output bytes when a join gathered rows.
 func (o *azOp) analyzeDetail() string {
 	parts := make([]string, 0, 4)
 	if o.detail != "" {

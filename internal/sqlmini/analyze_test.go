@@ -63,27 +63,28 @@ func TestExplainAnalyzeIndexJoin(t *testing.T) {
 	db := newTestDB(t)
 	// Measured counterpart of TestExplainIndexJoin: the rows column holds
 	// rows each operator actually produced, not estimates, and the join's
-	// detail carries the arena growth of the emitted rows.
+	// detail carries the bytes of the gathered output columns.
 	checkAnalyze(t, db,
 		`EXPLAIN ANALYZE SELECT * FROM D JOIN V ON D.inmsg = V.m`,
 		[]string{
 			`scan|D|6|storage=columnar`,
 			`scan|V|5|storage=columnar`,
-			`join|V|6|index nested-loop via D(inmsg); arena_bytes=B`,
+			`join|V|6|index nested-loop via V(m); arena_bytes=B`,
 			`project||6|`,
 		})
 }
 
 func TestExplainAnalyzeHashJoin(t *testing.T) {
 	db := newTestDB(t)
-	// Both inputs are index-reduced, so the join falls back to an ad-hoc
-	// hash table; the detail records the build side and the phase split.
+	// Both inputs are index-reduced, so the join builds an ad-hoc hash
+	// table over the right input, the same strategy EXPLAIN plans; the
+	// detail records the build side and the phase split.
 	checkAnalyze(t, db,
 		`EXPLAIN ANALYZE SELECT D.inmsg FROM D JOIN V ON D.inmsg = V.m WHERE D.dirst = 'SI' AND V.d = 'home'`,
 		[]string{
 			`indexscan|D|2|index(dirst) = ('SI'); storage=columnar`,
 			`indexscan|V|3|index(d) = ('home'); storage=columnar`,
-			`join|V|2|hash, 1 key(s), build=left; build_us=T probe_us=T; arena_bytes=B`,
+			`join|V|2|hash, 1 key(s), build=right; build_us=T probe_us=T; arena_bytes=B`,
 			`project||2|`,
 		})
 }

@@ -13,7 +13,7 @@ import (
 //
 //   - column references resolve to row positions at compile time, through
 //     a name index (CompileCodes) or the positions the query planner bound
-//     (CompileBoundCodes);
+//     (compileBoundVal);
 //   - registered functions resolve to their Func at compile time;
 //   - AND/OR compile to short-circuit Kleene closures;
 //   - IN over literal sets compiles to a hash-set membership test;
@@ -26,12 +26,16 @@ import (
 // Compiled closures are stateless: they close over immutable compile-time
 // state only, so one compiled predicate may be evaluated concurrently from
 // many goroutines. The other half is the selection-vector kernels
-// (vectorize.go), which evaluate a batch of rows per call and fall back to
-// these closures for the shapes they do not lower. The constraint solver's
-// incremental steps run only the kernels (a rule-chain family's Selector
-// and each group's domain sweep); its MonolithicOpts baseline runs these
-// closures. The reference both forms are tested against is the
-// tree-walking interpreter, which lives in test code.
+// (vectorize.go), which run every predicate a statement or the solver's
+// incremental steps evaluate — scan and DML filters, post-join residues,
+// nested-loop ON, HAVING, domain sweeps and rule-chain selection — and
+// fall back to these closures for the shapes they do not lower. Beyond
+// that fallback, production runs closures only as value producers (a
+// computed select item, GROUP BY key, MIN/MAX argument or ORDER BY key,
+// INSERT VALUES and UPDATE SET) and as the predicates of the solver's
+// MonolithicOpts baseline (CompileCodes). The reference both forms are
+// tested against is the tree-walking interpreter, which lives in test
+// code.
 
 // dict is the shared dictionary every rel.Table encodes into; compiled
 // kernels intern their literals through it at compile time and compare
@@ -65,32 +69,24 @@ func (ev *Evaluator) CompileCodes(e Expr, colIndex map[string]int) (CodePred, er
 	return (&compiler{ev: ev, ix: colIndex}).pred(e)
 }
 
-// CompileBoundCodes lowers a plan-bound expression — one whose column
+// compileBoundVal lowers a plan-bound expression — one whose column
 // references bindExpr already replaced with boundCol positions — into a
-// CodePred over the frame's code rows, the form post-join residues and
-// nested-loop joins evaluate. A bare Col left in the tree is one the
-// planner could not resolve (unknown, or ambiguous across sources) and
-// fails compilation with ErrUnknownColumn; an unknown function fails with
-// ErrUnknownFunc.
+// value producer over a code row: the form computed select items, GROUP
+// BY keys, aggregate arguments, ORDER BY keys, INSERT VALUES and UPDATE
+// SET evaluate. A bare Col left in the tree is one the planner could not
+// resolve (unknown, or ambiguous across sources) and fails compilation
+// with ErrUnknownColumn; an unknown function fails with ErrUnknownFunc.
 //
 // The NULL dialect and function registry are captured at compile time, so
 // compiled plans are cached per dialect (see planEntry) and invalidated
 // when a function is registered.
-func (ev *Evaluator) CompileBoundCodes(e Expr) (CodePred, error) {
-	return (&compiler{ev: ev, bound: true}).pred(e)
-}
-
-// compileBoundVal lowers a plan-bound expression into a value producer
-// over the frame's code rows: the form select lists, GROUP BY keys,
-// aggregate arguments, ORDER BY keys, INSERT VALUES and UPDATE SET
-// evaluate. It fails exactly where CompileBoundCodes does.
 func (ev *Evaluator) compileBoundVal(e Expr) (valFn, error) {
 	return (&compiler{ev: ev, bound: true}).val(e)
 }
 
 // compiler carries compile-time state: the column binding, and whether
 // column references resolve through pre-bound positions
-// (CompileBoundCodes, CompileBoundVec) or the name index.
+// (compileBoundVal, CompileBoundVec) or the name index.
 type compiler struct {
 	ev    *Evaluator
 	ix    map[string]int

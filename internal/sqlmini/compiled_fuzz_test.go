@@ -55,7 +55,7 @@ func newFuzzCase(rng *rand.Rand, depth int) fuzzCase {
 		fc.ix[n] = i
 	}
 	fc.e = gen()
-	fc.bound = bindExpr(fc.e, &frame{aliases: make([]string, len(fc.names)), names: fc.names})
+	fc.bound = bindExpr(fc.e, &scope{aliases: make([]string, len(fc.names)), names: fc.names})
 	for n := 1 + rng.Intn(4); n > 0; n-- {
 		fc.conds = append(fc.conds, gen())
 	}
@@ -133,7 +133,7 @@ func checkCompiledForms(t *testing.T, ev *Evaluator, fc fuzzCase, rng *rand.Rand
 		if want[i], err = ev.True(fc.e, fc.env(fc.row(i))); err != nil {
 			t.Fatalf("interpreting %s: %v", fc.e, err)
 		}
-		if wantBound[i], err = ev.True(fc.bound, frameEnv{f: &frame{}, row: fc.row(i)}); err != nil {
+		if wantBound[i], err = ev.True(fc.bound, frameEnv{f: &scope{}, row: fc.row(i)}); err != nil {
 			t.Fatalf("interpreting bound %s: %v", fc.bound, err)
 		}
 	}

@@ -1,345 +1,234 @@
 package sqlmini
 
 import (
+	"time"
+
 	"coherdb/internal/pool"
 	"coherdb/internal/rel"
 )
 
-// Morsel-driven parallel execution. Filter scans and hash-join phases that
-// have at least two morsels of input run on the DB's worker pool: rows are
-// dealt in contiguous batches from one atomic cursor (work stealing), each
-// batch produces into its own buffer, and buffers merge in batch order.
-// Because batch k always covers rows [k*morsel, (k+1)*morsel), the merged
-// output is byte-identical to the serial scan regardless of worker count
-// or scheduling — the determinism guarantee the golden equivalence tests
-// pin down. Parallel phases evaluate compiled predicates (CodePred),
-// which are safe for concurrent use.
+// Morsel-driven parallel execution. Each phase that walks a frame's rows —
+// the scan and residue filter, an equi-join's probe, a nested loop's
+// batches — has one body over a row range [lo, hi). A phase with fewer
+// than two morsels of input calls it once over the whole range; a larger
+// one deals contiguous batches from one atomic cursor on the DB's worker
+// pool (work stealing), each batch producing into its own output, and the
+// outputs concatenate in batch order. Because batch k always covers rows
+// [k*morsel, (k+1)*morsel), the result is byte-identical to the serial
+// one regardless of worker count or scheduling — the determinism
+// guarantee the golden equivalence tests pin down. The bodies evaluate
+// VecPreds and read column vectors, which are safe for concurrent use.
 //
-// All row traffic here is dictionary codes: join keys are 4 bytes per
-// column, partition selection hashes those bytes, and no rel.Value is
-// boxed anywhere on the parallel path.
+// A join's output is left-major: the left rows in order, each followed by
+// its matching right rows in the right frame's order. Its batches collect
+// the matched vector positions, and one gather builds the output frame's
+// columns. All traffic is dictionary codes: join keys are 4 bytes per
+// column, and no rel.Value is boxed.
 
-// codeArena carves code rows out of geometrically grown blocks, so
-// emitting joined rows costs one allocation per block rather than one per
-// row. The zero value is ready to use; arenas are not safe for concurrent
-// use (parallel batches each carve from their own).
-type codeArena struct {
-	block []uint32
-	off   int
-	// grown counts the bytes of fresh blocks allocated, for EXPLAIN
-	// ANALYZE's arena_bytes annotation.
-	grown int64
-}
-
-const arenaMinBlock = 2048
-
-// next carves an n-code row with capacity clamped to n, so appending to
-// the returned slice can never bleed into the next row.
-func (a *codeArena) next(n int) []uint32 {
-	if n == 0 {
-		return nil
+// morsels runs one phase's body over the rows [0, n): in a single call
+// when the phase stays serial (see run.parallel), otherwise once per
+// morsel batch on the pool. It returns the outputs in batch order.
+func morsels[T any](r *run, n int, body func(lo, hi int) (T, error)) ([]T, error) {
+	p, workers, morsel := r.parallel(n)
+	if p == nil {
+		out, err := body(0, n)
+		return []T{out}, err
 	}
-	if a.off+n > len(a.block) {
-		size := 2 * len(a.block)
-		if size < arenaMinBlock {
-			size = arenaMinBlock
-		}
-		if size < n {
-			size = n
-		}
-		a.block = make([]uint32, size)
-		a.off = 0
-		a.grown += int64(size) * 4
-	}
-	out := a.block[a.off : a.off+n : a.off+n]
-	a.off += n
-	return out
+	outs := make([]T, pool.Batches(n, morsel))
+	st, err := p.Each(workers, n, morsel, func(batch, lo, hi int) error {
+		var err error
+		outs[batch], err = body(lo, hi)
+		return err
+	})
+	r.qs.addParallel(st)
+	return outs, err
 }
 
-// undo returns the most recent next(n) carve to the arena, for callers
-// that build a candidate row and then discard it.
-func (a *codeArena) undo(n int) { a.off -= n }
+// matches is one batch of a join's output: the vector positions of each
+// matched pair's left and right rows, left-major.
+type matches struct{ l, r []uint32 }
 
-// joinRow carves one row holding l followed by r.
-func (a *codeArena) joinRow(l, r []uint32) []uint32 {
-	row := a.next(len(l) + len(r))
-	copy(row, l)
-	copy(row[len(l):], r)
-	return row
-}
-
-// evalPreds evaluates compiled conjuncts over one code row with WHERE
-// short-circuiting: the first false or erroring conjunct decides.
-func evalPreds(progs []CodePred, crow []uint32) (bool, error) {
-	for _, p := range progs {
-		ok, err := p(crow)
-		if err != nil || !ok {
-			return false, err
-		}
-	}
-	return true, nil
-}
-
-// mergeParts concatenates per-morsel row buffers in batch order — the
-// stable merge that keeps parallel output identical to the serial scan.
-func mergeParts(parts [][][]uint32) [][]uint32 {
+// joined gathers a join's output frame: f's columns at the matched left
+// positions, then g's at the right ones, over the batches in order.
+func (r *run) joined(f, g *frame, parts []matches) *frame {
 	n := 0
-	for _, p := range parts {
-		n += len(p)
+	for _, m := range parts {
+		n += len(m.l)
 	}
-	out := make([][]uint32, 0, n)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
-}
-
-// parallelFilter runs the compiled filter over morsels of rows on the
-// pool. ran reports whether the parallel path was taken; when it is false
-// the caller falls back to the serial scan.
-func (r *run) parallelFilter(rows [][]uint32, progs []CodePred) (kept [][]uint32, ran bool, err error) {
-	p, workers, morsel := r.parallel(len(rows))
-	if p == nil {
-		return nil, false, nil
-	}
-	parts := make([][][]uint32, pool.Batches(len(rows), morsel))
-	st, err := p.Each(workers, len(rows), morsel, func(batch, lo, hi int) error {
-		part := make([][]uint32, 0, hi-lo)
-		for _, row := range rows[lo:hi] {
-			keep, err := evalPreds(progs, row)
-			if err != nil {
-				return err
-			}
-			if keep {
-				part = append(part, row)
-			}
-		}
-		parts[batch] = part
-		return nil
-	})
-	r.qs.addParallel(st)
-	if err != nil {
-		return nil, true, err
-	}
-	return mergeParts(parts), true, nil
-}
-
-// bucket is one hash-table entry: the build-side row numbers sharing a
-// join key, in input order. Buckets are pointers so probing and appending
-// never re-hash the key string.
-type bucket struct {
-	rows []int
-}
-
-// hashTable is a (possibly partitioned) join hash table: a key's bucket
-// lives in the partition selected by the key's hash, so partitions can be
-// assembled by independent workers and probed without coordination.
-type hashTable struct {
-	parts []map[string]*bucket
-}
-
-// lookup returns the bucket for the encoded key, or nil. The
-// string(key) conversions compile to allocation-free map probes.
-func (h *hashTable) lookup(key []byte) *bucket {
-	if len(h.parts) == 1 {
-		return h.parts[0][string(key)]
-	}
-	return h.parts[rel.HashBytes(key)%uint64(len(h.parts))][string(key)]
-}
-
-// appendRowKey appends the injective join-key encoding of the row's key
-// columns (the left or right half of each pair): 4 bytes per code, no
-// separators needed because codes are fixed width. ok is false when any
-// key column is NULL and nullEq is off: under ANSI NULLs a NULL key never
-// matches, while the constraint dialect's NULL is an ordinary value that
-// matches NULL.
-func appendRowKey(buf []byte, crow []uint32, pairs []joinPair, left, nullEq bool) ([]byte, bool) {
-	for _, p := range pairs {
-		i := p.ri
-		if left {
-			i = p.li
-		}
-		c := crow[i]
-		if c == rel.NullCode && !nullEq {
-			return buf, false
-		}
-		buf = rel.AppendCodeKey(buf, c)
-	}
-	return buf, true
-}
-
-// buildHashTable builds the join hash table over the build-side rows.
-// Large builds run partitioned on the pool: morsels of rows are keyed and
-// staged into per-batch partition lists, then one worker per partition
-// assembles its map, walking the batches in order so every bucket's row
-// list matches a serial build's exactly.
-func (r *run) buildHashTable(rows [][]uint32, pairs []joinPair, left bool) *hashTable {
-	p, workers, morsel := r.parallel(len(rows))
-	if p == nil {
-		m := make(map[string]*bucket, len(rows))
-		var buf []byte
-		for i, row := range rows {
-			b, ok := appendRowKey(buf[:0], row, pairs, left, r.ev.NullEq)
-			buf = b
-			if !ok {
-				continue
-			}
-			if bk, have := m[string(buf)]; have {
-				bk.rows = append(bk.rows, i)
-			} else {
-				m[string(buf)] = &bucket{rows: []int{i}}
-			}
-		}
-		return &hashTable{parts: []map[string]*bucket{m}}
-	}
-	type keyed struct {
-		idx int
-		key string
-	}
-	nparts := workers
-	staged := make([][][]keyed, pool.Batches(len(rows), morsel))
-	st, _ := p.Each(workers, len(rows), morsel, func(batch, lo, hi int) error {
-		parts := make([][]keyed, nparts)
-		var buf []byte
-		for i := lo; i < hi; i++ {
-			b, ok := appendRowKey(buf[:0], rows[i], pairs, left, r.ev.NullEq)
-			buf = b
-			if !ok {
-				continue
-			}
-			pi := int(rel.HashBytes(buf) % uint64(nparts))
-			parts[pi] = append(parts[pi], keyed{idx: i, key: string(buf)})
-		}
-		staged[batch] = parts
-		return nil
-	})
-	r.qs.addParallel(st)
-	tables := make([]map[string]*bucket, nparts)
-	st, _ = p.Each(workers, nparts, 1, func(pi, _, _ int) error {
-		m := make(map[string]*bucket)
-		for _, parts := range staged {
-			for _, kv := range parts[pi] {
-				if bk, ok := m[kv.key]; ok {
-					bk.rows = append(bk.rows, kv.idx)
-				} else {
-					m[kv.key] = &bucket{rows: []int{kv.idx}}
+	width := len(f.cols) + len(g.cols)
+	out := &frame{cols: make([][]uint32, 0, width), n: n}
+	flat := make([]uint32, n*width)
+	for side, cols := range [2][][]uint32{f.cols, g.cols} {
+		for _, src := range cols {
+			c := len(out.cols)
+			col, k := flat[c*n:(c+1)*n:(c+1)*n], 0
+			for _, m := range parts {
+				idx := m.l
+				if side == 1 {
+					idx = m.r
+				}
+				for _, i := range idx {
+					col[k] = src[i]
+					k++
 				}
 			}
+			out.cols = append(out.cols, col)
 		}
-		tables[pi] = m
-		return nil
-	})
-	r.qs.addParallel(st)
-	return &hashTable{parts: tables}
+	}
+	r.azArena(int64(len(flat)) * 4)
+	return out
 }
 
-// probeEmit probes the hash table (built over g) with f's rows and emits
-// joined rows f-major into out. Large probes run in morsels, each batch
-// emitting into its own buffer and arena, merged in batch order.
-func (r *run) probeEmit(out *frame, f, g *frame, pairs []joinPair, ht *hashTable) {
-	rows := f.rows
-	p, workers, morsel := r.parallel(len(rows))
-	if p == nil {
-		var ar codeArena
-		var buf []byte
-		for _, a := range rows {
-			b, ok := appendRowKey(buf[:0], a, pairs, true, r.ev.NullEq)
-			buf = b
-			if !ok {
-				continue
+// loopJoin pairs each row of f, in order, with the rows of g that on
+// keeps, in g's order — every row of g when on is nil: the cross product.
+// Each left row is one kernel batch whose lanes are g's rows: g's vectors
+// serve as they are, and each left column on reads (left) repeats the
+// row's code across the lanes, as the constraint solver repeats a group's
+// codes across its domain sweep. Like a row loop, it evaluates nothing
+// when g has no rows.
+func (r *run) loopJoin(f, g *frame, on *VecPred, left []int) (*frame, error) {
+	lanes := g.rows()
+	parts, err := morsels(r, f.len(), func(lo, hi int) (matches, error) {
+		var m matches
+		if len(lanes) == 0 {
+			return m, nil
+		}
+		cols := make([][]uint32, len(f.cols)+len(g.cols))
+		copy(cols[len(f.cols):], g.cols)
+		for _, p := range left {
+			cols[p] = make([]uint32, g.n)
+		}
+		sel := make([]uint32, len(lanes))
+		for k := lo; k < hi; k++ {
+			i := f.row(k)
+			kept := lanes
+			if on != nil {
+				for _, p := range left {
+					col, c := cols[p], f.cols[p][i]
+					for _, j := range lanes {
+						col[j] = c
+					}
+				}
+				var err error
+				if kept, err = on.EvalVec(cols, append(sel[:0], lanes...)); err != nil {
+					return m, err
+				}
 			}
-			bk := ht.lookup(buf)
-			if bk == nil {
-				continue
-			}
-			for _, j := range bk.rows {
-				out.rows = append(out.rows, ar.joinRow(a, g.rows[j]))
+			for _, j := range kept {
+				m.l = append(m.l, i)
+				m.r = append(m.r, j)
 			}
 		}
-		return
-	}
-	parts := make([][][]uint32, pool.Batches(len(rows), morsel))
-	st, _ := p.Each(workers, len(rows), morsel, func(batch, lo, hi int) error {
-		var ar codeArena
-		var buf []byte
-		var part [][]uint32
-		for _, a := range rows[lo:hi] {
-			b, ok := appendRowKey(buf[:0], a, pairs, true, r.ev.NullEq)
-			buf = b
-			if !ok {
-				continue
-			}
-			bk := ht.lookup(buf)
-			if bk == nil {
-				continue
-			}
-			for _, j := range bk.rows {
-				part = append(part, ar.joinRow(a, g.rows[j]))
-			}
-		}
-		parts[batch] = part
-		return nil
+		return m, nil
 	})
-	r.qs.addParallel(st)
-	out.rows = mergeParts(parts)
+	if err != nil {
+		return nil, err
+	}
+	return r.joined(f, g, parts), nil
 }
 
-// probeHits probes the hash table (built over the f side) with the probe
-// rows, returning the flat (build, probe) hit pairs in probe order —
-// groupHits then buckets them per build row and emitMatchSet emits them
-// f-major. Parallel batches stage their own hit lists and concatenate in
-// batch order, which is exactly probe order, so the serial and parallel
-// hit sequences are identical.
-func (r *run) probeHits(rows [][]uint32, pairs []joinPair, ht *hashTable) []matchHit {
-	p, workers, morsel := r.parallel(len(rows))
-	if p == nil {
-		var hits []matchHit
-		var buf []byte
-		for j, row := range rows {
-			b, ok := appendRowKey(buf[:0], row, pairs, false, r.ev.NullEq)
-			buf = b
-			if !ok {
-				continue
-			}
-			bk := ht.lookup(buf)
-			if bk == nil {
-				continue
-			}
-			for _, i := range bk.rows {
-				hits = append(hits, matchHit{i: int32(i), j: int32(j)})
-			}
+// keyCodes loads the join key of the row at vector position i — the left
+// or right column of each pair — into codes. It reports false when a key
+// code is NULL under ANSI NULLs, where a NULL key never matches; in the
+// constraint dialect NULL is an ordinary value that matches NULL.
+func keyCodes(codes []uint32, cols [][]uint32, i uint32, pairs []joinPair, left, nullEq bool) bool {
+	for k, p := range pairs {
+		j := p.ri
+		if left {
+			j = p.li
 		}
-		return hits
+		c := cols[j][i]
+		if c == rel.NullCode && !nullEq {
+			return false
+		}
+		codes[k] = c
 	}
-	staged := make([][]matchHit, pool.Batches(len(rows), morsel))
-	st, _ := p.Each(workers, len(rows), morsel, func(batch, lo, hi int) error {
-		var buf []byte
-		var hits []matchHit
-		for j := lo; j < hi; j++ {
-			b, ok := appendRowKey(buf[:0], rows[j], pairs, false, r.ev.NullEq)
-			buf = b
-			if !ok {
+	return true
+}
+
+// probe pairs each row of f, in order, with the rows lookup returns for its
+// join key: vector positions of g, ascending.
+func (r *run) probe(f, g *frame, pairs []joinPair, lookup func(codes []uint32) []int) (*frame, error) {
+	nullEq := r.ev.NullEq
+	parts, err := morsels(r, f.len(), func(lo, hi int) (matches, error) {
+		var m matches
+		codes := make([]uint32, len(pairs))
+		for k := lo; k < hi; k++ {
+			i := f.row(k)
+			if !keyCodes(codes, f.cols, i, pairs, true, nullEq) {
 				continue
 			}
-			bk := ht.lookup(buf)
-			if bk == nil {
-				continue
-			}
-			for _, i := range bk.rows {
-				hits = append(hits, matchHit{i: int32(i), j: int32(j)})
+			for _, j := range lookup(codes) {
+				m.l = append(m.l, i)
+				m.r = append(m.r, uint32(j))
 			}
 		}
-		staged[batch] = hits
-		return nil
+		return m, nil
 	})
-	r.qs.addParallel(st)
-	total := 0
-	for _, h := range staged {
-		total += len(h)
+	if err != nil {
+		return nil, err
 	}
-	hits := make([]matchHit, 0, total)
-	for _, h := range staged {
-		hits = append(hits, h...)
+	return r.joined(f, g, parts), nil
+}
+
+// hashTable is the build side of an equi-join without a persistent
+// index: each key of the right frame's rows, as 4-byte code words like
+// rel.Index's, names a bucket of the right vector positions holding it,
+// ascending.
+type hashTable struct {
+	keys    map[string]int
+	buckets [][]int
+}
+
+// hashJoin builds a hash table over g's keys in one serial pass, in g's
+// row order, and probes it with f's rows.
+func (r *run) hashJoin(f, g *frame, pairs []joinPair) (*frame, error) {
+	var t0 time.Time
+	if r.azTracks() {
+		t0 = time.Now()
 	}
-	return hits
+	ht := &hashTable{keys: make(map[string]int)}
+	codes := make([]uint32, len(pairs))
+	var kb []byte
+	for k := 0; k < g.len(); k++ {
+		j := g.row(k)
+		if !keyCodes(codes, g.cols, j, pairs, false, r.ev.NullEq) {
+			continue
+		}
+		kb = appendKey(kb[:0], codes)
+		b, ok := ht.keys[string(kb)]
+		if !ok {
+			b = len(ht.buckets)
+			ht.keys[string(kb)] = b
+			ht.buckets = append(ht.buckets, nil)
+		}
+		ht.buckets[b] = append(ht.buckets[b], int(j))
+	}
+	var t1 time.Time
+	if r.azTracks() {
+		t1 = time.Now()
+	}
+	out, err := r.probe(f, g, pairs, ht.lookup)
+	if r.azTracks() {
+		r.azBuildProbe(t1.Sub(t0), time.Since(t1))
+	}
+	return out, err
+}
+
+// lookup returns the bucket of a join key, or nil.
+func (h *hashTable) lookup(codes []uint32) []int {
+	var a [16]byte
+	if b, ok := h.keys[string(appendKey(a[:0], codes))]; ok {
+		return h.buckets[b]
+	}
+	return nil
+}
+
+// appendKey appends the injective key of a code sequence: 4 bytes per
+// code, no separators needed because codes are fixed width.
+func appendKey(buf []byte, codes []uint32) []byte {
+	for _, c := range codes {
+		buf = rel.AppendCodeKey(buf, c)
+	}
+	return buf
 }

@@ -4,25 +4,22 @@ import (
 	"sync"
 
 	"coherdb/internal/obs"
-	"coherdb/internal/pool"
-	"coherdb/internal/rel"
 )
 
-// Column-at-a-time scan execution. Every pushed conjunct of a source that
-// compiles lowers to a VecPred, and the scan then skips row
-// materialization entirely: a pooled selection vector starts as the scan
-// domain (all row numbers, or the index lookup's matches), each kernel
-// filters it in place over the table's zero-copy column vectors, and
-// only the survivors are gathered into frame rows. Above the parallel
-// threshold the selection is dealt in morsel batches — each batch
-// compacts its own subrange in place, then the kept prefixes concatenate
-// in batch order, so the parallel selection is byte-identical to the
-// serial one. UPDATE and DELETE select their rows through the same
-// vecFilter (see selectRows).
+// Column-at-a-time filtering. Every predicate a statement evaluates over
+// its rows — a scan's pushed conjuncts, a post-join residue, HAVING over
+// the group frame, and UPDATE/DELETE's WHERE (see selectRows) — lowers to
+// VecPreds, and narrow runs them over a frame's column vectors: the
+// selection vector starts as the frame's rows (every row, or the index
+// lookup's matches), and each kernel filters it in place. No row is
+// materialized. Above the parallel threshold the selection is dealt in
+// morsel batches — each batch compacts its own subrange in place, then the
+// kept prefixes concatenate in batch order, so the parallel selection is
+// byte-identical to the serial one.
 //
-// Selection vectors and the per-evaluation kernel scratch are pooled
-// (selPool here, VecPred.pool in vectorize.go), so the steady-state
-// vectorized filter allocates nothing — see TestVectorizedFilterAllocs.
+// A whole-table frame's identity selection is pooled (selPool), and so is
+// the per-evaluation kernel scratch (VecPred.pool in vectorize.go): the
+// frame keeps only an exactly sized copy of the survivors.
 
 // selVec is a pooled selection-vector buffer.
 type selVec struct{ s []uint32 }
@@ -38,108 +35,61 @@ func getSel(n int) *selVec {
 	return sv
 }
 
-// colsVec is a pooled column-vector directory.
-type colsVec struct{ c [][]uint32 }
-
-var colsPool = sync.Pool{New: func() any { return new(colsVec) }}
-
-// vecScan runs the vectorized pushed filter over t's column
-// vectors and returns the frame of surviving rows. matched narrows the
-// scan domain to the index lookup's row numbers; nil means the whole
-// table.
-func (r *run) vecScan(t *rel.Table, alias string, matched []int, vecs []*VecPred) (*frame, error) {
-	f := schemaFrame(t, alias)
-	n := t.NumRows()
-	if matched != nil {
-		n = len(matched)
-	}
-	sv := getSel(n)
-	sel := sv.s[:n]
-	if matched != nil {
-		for i, ri := range matched {
-			sel[i] = uint32(ri)
+// narrow keeps the rows of f that every conjunct keeps. A frame with a
+// selection narrows it in place. One without runs the cascade on a pooled
+// identity selection and keeps an exactly sized copy of the survivors, or
+// no selection when every row survives.
+func (r *run) narrow(f *frame, vecs []*VecPred) error {
+	if f.sel != nil {
+		sel, err := r.vecFilter(f.cols, f.sel, vecs)
+		if err != nil {
+			return err
 		}
-	} else {
-		for i := range sel {
-			sel[i] = uint32(i)
-		}
+		f.sel = sel
+		return nil
 	}
-	sel, err := r.vecFilter(t, sel, vecs)
+	sv := getSel(f.n)
+	defer selPool.Put(sv)
+	kept, err := r.vecFilter(f.cols, identity(sv.s[:f.n]), vecs)
 	if err != nil {
-		selPool.Put(sv)
-		return nil, err
+		return err
 	}
-	f.rows = gatherRows(t, sel)
-	selPool.Put(sv)
-	return f, nil
+	if len(kept) < f.n {
+		f.sel = append(make([]uint32, 0, len(kept)), kept...)
+	}
+	return nil
 }
 
-// vecFilter cascades the vectorized conjuncts over the selection,
-// serially or in morsel batches, returning the surviving prefix of sel.
-func (r *run) vecFilter(t *rel.Table, sel []uint32, vecs []*VecPred) ([]uint32, error) {
+// vecFilter cascades the vectorized conjuncts over sel, strictly
+// increasing positions into the column vectors cols, serially or in
+// morsel batches, and returns the surviving prefix of sel.
+func (r *run) vecFilter(cols [][]uint32, sel []uint32, vecs []*VecPred) ([]uint32, error) {
 	r.qs.phase(obs.PhaseFilter)
 	n := len(sel)
-	ncols := t.NumCols()
-	cv := colsPool.Get().(*colsVec)
-	if cap(cv.c) < ncols {
-		cv.c = make([][]uint32, ncols)
-	}
-	cols := cv.c[:ncols]
-	for j := 0; j < ncols; j++ {
-		cols[j] = t.ColCodes(j)
-	}
-	defer func() {
-		for j := range cols {
-			cols[j] = nil // do not pin table storage from the pool
-		}
-		colsPool.Put(cv)
-	}()
-	p, workers, morsel := r.parallel(n)
-	if p == nil {
-		var err error
-		for _, vp := range vecs {
-			sel, err = vp.EvalVec(cols, sel)
-			if err != nil {
-				return nil, err
-			}
-			if len(sel) == 0 {
-				break
-			}
-		}
-		r.qs.addVec(1, n, len(sel))
-		r.azVec(1, n, len(sel))
-		return sel, nil
-	}
-	nb := pool.Batches(n, morsel)
-	lens := make([]int, nb)
-	st, err := p.Each(workers, n, morsel, func(batch, lo, hi int) error {
+	parts, err := morsels(r, n, func(lo, hi int) ([]uint32, error) {
 		part := sel[lo:hi]
-		var err error
 		for _, vp := range vecs {
-			part, err = vp.EvalVec(cols, part)
-			if err != nil {
-				return err
+			var err error
+			if part, err = vp.EvalVec(cols, part); err != nil {
+				return nil, err
 			}
 			if len(part) == 0 {
 				break
 			}
 		}
-		lens[batch] = len(part)
-		return nil
+		return part, nil
 	})
-	r.qs.addParallel(st)
 	if err != nil {
 		return nil, err
 	}
-	// Concatenate the kept prefixes in batch order: batch b's survivors
-	// start at b*morsel, and the write cursor can never pass that point,
-	// so the in-place compaction is safe.
+	// Concatenate the kept prefixes in batch order: a batch's survivors
+	// start at its own lo, which the write cursor never passes, so the
+	// in-place compaction is safe.
 	w := 0
-	for b := 0; b < nb; b++ {
-		lo := b * morsel
-		w += copy(sel[w:], sel[lo:lo+lens[b]])
+	for _, part := range parts {
+		w += copy(sel[w:], part)
 	}
-	r.qs.addVec(nb, n, w)
-	r.azVec(nb, n, w)
+	r.qs.addVec(len(parts), n, w)
+	r.azVec(len(parts), n, w)
 	return sel[:w], nil
 }

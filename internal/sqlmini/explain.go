@@ -8,16 +8,19 @@ import (
 )
 
 // EXPLAIN SELECT support: explainSelect renders the plan the executor
-// would follow — index scans and scans with pushed-down predicates, join
-// strategy (index nested-loop vs hash vs nested-loop) with the hash build
-// side, residual filters, grouping, sorting and UNION combination — as a
-// relation, without executing the query. Estimated cardinalities use
+// would follow — index scans and scans with pushed-down predicates, each
+// join's strategy as its joinPlan records it (index nested-loop on the
+// right source's persistent index, hash built over the right input, or
+// nested loop), residual filters, grouping, sorting and UNION combination
+// — as a relation, without executing the query. The strategy is the one
+// the executor runs: the planner fixes it, and no row count changes it.
+// Every filter, residue, ON and HAVING runs on the selection-vector
+// kernels, and a select item, grouping key or ORDER BY key that is not a
+// bare column runs its compiled row closure. Estimated cardinalities use
 // coarse textbook rules: an index scan keeps rows/distinct-keys, a filter
 // keeps a third of its input per conjunct, a hash join produces
 // max(left, right) rows, a nested-loop join a third of the cross product,
-// grouping a quarter of its input. The hash build side shown here is the
-// estimate-based choice; the executor decides from actual row counts and
-// can differ when the estimates are off.
+// grouping a quarter of its input.
 
 // parallelDetail renders the parallel-phase annotation for a plan step
 // fed n rows, or "" when the executor's gate (pool present, enough rows
@@ -141,9 +144,7 @@ func (r *run) explainSelect(s *SelectStmt) (*rel.Table, error) {
 func (r *run) explainBranch(out *rel.Table, s *SelectStmt, plan *branchPlan) (int, error) {
 	type source struct {
 		alias string
-		fr    *frame
 		t     *rel.Table
-		rows  int
 		on    Expr // nil for FROM refs (cross product)
 	}
 	var srcs []source
@@ -152,33 +153,20 @@ func (r *run) explainBranch(out *rel.Table, s *SelectStmt, plan *branchPlan) (in
 		if !ok {
 			return 0, fmt.Errorf("%w: %q", ErrNoTable, ref.Name)
 		}
-		alias := ref.Alias
-		if alias == "" {
-			alias = ref.Name
-		}
-		srcs = append(srcs, source{alias: alias, fr: schemaFrame(t, ref.Alias), t: t, rows: t.NumRows()})
+		srcs = append(srcs, source{alias: refAlias(ref), t: t})
 	}
 	for _, j := range s.Joins {
 		t, ok := r.table(j.Ref.Name)
 		if !ok {
 			return 0, fmt.Errorf("%w: %q", ErrNoTable, j.Ref.Name)
 		}
-		alias := j.Ref.Alias
-		if alias == "" {
-			alias = j.Ref.Name
-		}
-		srcs = append(srcs, source{alias: alias, fr: schemaFrame(t, j.Ref.Alias), t: t, rows: t.NumRows(), on: j.On})
+		srcs = append(srcs, source{alias: refAlias(j.Ref), t: t, on: j.On})
 	}
 	est := 1 // FROM-less SELECT produces one row
-	var cum *frame
-	// cumBase/cumAlias track the left side while it is still one pristine
-	// whole-table scan — the executor's precondition for probing the left
-	// table's persistent index.
-	var cumBase *rel.Table
-	var cumAlias string
 	for i, sc := range srcs {
 		sp := plan.srcs[i]
-		e := sc.rows
+		rows := sc.t.NumRows()
+		e := rows
 		var err error
 		switch {
 		case len(sp.eqCols) > 0:
@@ -197,84 +185,47 @@ func (r *run) explainBranch(out *rel.Table, s *SelectStmt, plan *branchPlan) (in
 			err = planRow(out, "indexscan", sc.alias, e, withStorage(detail))
 		case len(sp.filters) > 0:
 			detail := "pushdown: " + andString(sp.filters) + evalVectorized
-			if pd := r.parallelDetail("scan", sc.rows); pd != "" {
+			if pd := r.parallelDetail("scan", rows); pd != "" {
 				detail += "; " + pd
 			}
 			e = estFilter(e, len(sp.filters))
 			err = planRow(out, "scan", sc.alias, e, withStorage(detail))
 		default:
-			err = planRow(out, "scan", sc.alias, e, withStorage(r.parallelDetail("scan", sc.rows)))
+			err = planRow(out, "scan", sc.alias, e, withStorage(r.parallelDetail("scan", rows)))
 		}
 		if err != nil {
 			return 0, err
 		}
-		if cum == nil {
-			cum, est = sc.fr, e
-			if sp.pristine() {
-				cumBase, cumAlias = sc.t, sc.alias
-			}
+		if i == 0 {
+			est = e
 			continue
 		}
-		var pairs []joinPair
-		if sc.on != nil {
-			pairs = plan.joins[i-len(s.From)].pairs
-		}
-		switch {
-		case sc.on == nil:
+		// A join's parallel phase, its probe or its nested-loop batches,
+		// runs over the left rows.
+		op, detail, phase, left := "cross", "cross product", "loop", est
+		if sc.on == nil {
 			est *= e
-			err = planRow(out, "cross", sc.alias, est, "cross product")
-		case pairs != nil:
-			done := false
-			// Same strategy order as run.join, with estimates standing in
-			// for actual row counts.
-			if sp.pristine() && (cumBase == nil || est <= e) {
-				cols := make([]string, len(pairs))
-				for k, p := range pairs {
-					cols[k] = sc.fr.names[p.ri]
+		} else {
+			jp := &plan.joins[i-len(s.From)]
+			op, detail = "join", jp.strategy(sc.alias, sc.on)
+			switch {
+			case jp.index:
+				ix, ixErr := sc.t.IndexOn(jp.cols...)
+				if ixErr != nil {
+					return 0, ixErr
 				}
-				if ix, ixErr := sc.t.IndexOn(cols...); ixErr == nil {
-					est = estIndexJoin(est, e, ix.Distinct())
-					err = planRow(out, "join", sc.alias, est,
-						fmt.Sprintf("index nested-loop via %s(%s)", sc.alias, strings.Join(cols, ",")))
-					done = true
-				}
+				est, phase = estIndexJoin(est, e, ix.Distinct()), "probe"
+			case jp.pairs != nil:
+				est, phase = max(est, e), "probe"
+			default:
+				est = estFilter(est*e, 1)
 			}
-			if !done && cumBase != nil {
-				cols := make([]string, len(pairs))
-				for k, p := range pairs {
-					cols[k] = cum.names[p.li]
-				}
-				if ix, ixErr := cumBase.IndexOn(cols...); ixErr == nil {
-					est = estIndexJoin(est, e, ix.Distinct())
-					err = planRow(out, "join", sc.alias, est,
-						fmt.Sprintf("index nested-loop via %s(%s)", cumAlias, strings.Join(cols, ",")))
-					done = true
-				}
-			}
-			if !done {
-				build := "right"
-				if est < e {
-					build = "left"
-				}
-				// The executor probes with the larger side's rows.
-				detail := fmt.Sprintf("hash, %d key(s), build=%s", len(pairs), build)
-				if pd := r.parallelDetail("probe", max(est, e)); pd != "" {
-					detail += ", " + pd
-				}
-				est = max(est, e)
-				err = planRow(out, "join", sc.alias, est, detail)
-			}
-		default:
-			est = estFilter(est*e, 1)
-			err = planRow(out, "join", sc.alias, est, "nested-loop: "+sc.on.String())
 		}
-		if err != nil {
+		if pd := r.parallelDetail(phase, left); pd != "" {
+			detail += ", " + pd
+		}
+		if err := planRow(out, op, sc.alias, est, detail); err != nil {
 			return 0, err
-		}
-		cumBase = nil
-		cum = &frame{
-			aliases: append(append([]string(nil), cum.aliases...), sc.fr.aliases...),
-			names:   append(append([]string(nil), cum.names...), sc.fr.names...),
 		}
 	}
 	if len(plan.residue) > 0 {

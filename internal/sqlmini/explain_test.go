@@ -45,8 +45,9 @@ func checkPlan(t *testing.T, db *DB, query string, want []string) {
 func TestExplainHashJoinWithPushdown(t *testing.T) {
 	db := newTestDB(t)
 	// Both WHERE conjuncts are column-equals-literal, so both become index
-	// scans; the join then hashes the two reduced inputs (neither side is
-	// a whole-table scan, so no persistent index applies).
+	// scans; the join then hashes the reduced right input (it is not a
+	// whole-table scan, so no persistent index applies) and probes it with
+	// the left rows.
 	checkPlan(t, db,
 		`EXPLAIN SELECT D.inmsg FROM D JOIN V ON D.inmsg = V.m WHERE D.dirst = 'SI' AND V.d = 'home'`,
 		[]string{
@@ -58,14 +59,14 @@ func TestExplainHashJoinWithPushdown(t *testing.T) {
 
 func TestExplainIndexJoin(t *testing.T) {
 	db := newTestDB(t)
-	// Both sides are pristine whole-table scans; the left is larger, so
-	// the executor indexes the left table and probes it with right rows.
+	// The right side is a pristine whole-table scan, so the left rows
+	// probe its persistent index, whatever the two sides' sizes.
 	checkPlan(t, db,
 		`EXPLAIN SELECT * FROM D JOIN V ON D.inmsg = V.m`,
 		[]string{
 			`scan|D|6|storage=columnar`,
 			`scan|V|5|storage=columnar`,
-			`join|V|7|index nested-loop via D(inmsg)`,
+			`join|V|6|index nested-loop via V(m)`,
 		})
 }
 

@@ -35,6 +35,14 @@ func (db *DB) ExecScript(src string) error {
 	return nil
 }
 
+// CompileBoundCodes lowers a plan-bound expression into a CodePred over
+// code rows: the row-at-a-time form of what CompileBoundVec compiles,
+// which the compiled-versus-interpreter fuzzer checks lane by lane. It
+// fails where CompileBoundVec fails.
+func (ev *Evaluator) CompileBoundCodes(e Expr) (CodePred, error) {
+	return (&compiler{ev: ev, bound: true}).pred(e)
+}
+
 // Columns returns the set of column names e references.
 func Columns(e Expr) map[string]struct{} {
 	out := make(map[string]struct{})

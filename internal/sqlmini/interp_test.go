@@ -229,10 +229,10 @@ func (ev *Evaluator) evalBetween(x Between, env Env) (rel.Value, error) {
 	return triVal(res), nil
 }
 
-// frameEnv evaluates expressions against one code row of a frame,
-// decoding through the shared dictionary on lookup.
+// frameEnv evaluates expressions against one code row laid out by a
+// planner scope, decoding through the shared dictionary on lookup.
 type frameEnv struct {
-	f   *frame
+	f   *scope
 	row []uint32
 }
 

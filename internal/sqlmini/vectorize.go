@@ -7,7 +7,8 @@ import (
 	"coherdb/internal/rel"
 )
 
-// Vectorized predicate execution: every pushed WHERE conjunct of a scan,
+// Vectorized predicate execution: every predicate a SELECT evaluates —
+// pushed scan conjuncts, post-join residues, nested-loop ON and HAVING —
 // every UPDATE/DELETE WHERE conjunct, every constraint the solver sweeps
 // and every condition of a rule-chain family's Selector compiles to an
 // EvalVec form that evaluates a whole batch of column vectors per call
@@ -50,7 +51,7 @@ import (
 // table's own column vectors, one lane per row whose arm is wanted. A
 // conjunct that does not compile (an unknown function, or a column the
 // planner could not bind) fails its statement when it plans, so every
-// pushed filter runs on these kernels.
+// statement predicate runs on these kernels.
 //
 // Selection semantics are WHERE semantics: a row survives iff the
 // conjunct is definitely true. Kernels therefore drop unknown outright,
@@ -59,10 +60,13 @@ import (
 // Evaluation order differs from row-at-a-time evaluation — conjunct-major
 // over a batch instead of row-major, and AND's right side never sees a
 // row its left side left unknown — so when rows would error, which error
-// surfaces (if any) can differ. That covers selection too: a Selector runs
-// its conditions condition-major over the batch, and although it retries
-// a failing condition row by row so each row keeps only its own error,
-// whether a row's condition errors at all follows the kernels' order. The
+// surfaces (if any) can differ. That covers every SELECT predicate: a
+// residue runs conjunct by conjunct over the joined frame, an ON over one
+// left row's batch of right rows, and HAVING over the group frame. It
+// covers selection too: a Selector runs its conditions condition-major
+// over the batch, and although it retries a failing condition row by row
+// so each row keeps only its own error, whether a row's condition errors
+// at all follows the kernels' order. The
 // compiled subset only errors on registered Funcs, which this codebase's
 // workloads keep pure and total; the frozen scan-filter digests and the
 // kernel-versus-interpreter tests pin the results.
@@ -166,7 +170,7 @@ func (p *VecPred) EvalVec(cols [][]uint32, sel []uint32) ([]uint32, error) {
 }
 
 // CompileBoundVec lowers a plan-bound conjunct into its vectorized form.
-// It fails only where CompileBoundCodes fails: on an unknown function or
+// It fails only where compileBoundVal fails: on an unknown function or
 // a column reference the planner left unbound.
 func (ev *Evaluator) CompileBoundVec(e Expr) (*VecPred, error) {
 	return compileVec(compiler{ev: ev, bound: true}, e)

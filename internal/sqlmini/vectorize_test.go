@@ -129,7 +129,7 @@ func TestVecPredMatchesScalarKernel(t *testing.T) {
 				if err != nil {
 					t.Fatalf("trial %d strict=%v: scalar eval of %s: %v", trial, strict, e, err)
 				}
-				interp, err := ev.True(e, frameEnv{f: &frame{}, row: crow})
+				interp, err := ev.True(e, frameEnv{f: &scope{}, row: crow})
 				if err != nil || interp != ok {
 					t.Fatalf("trial %d strict=%v row %d: %s: compiled %v, interpreter (%v, %v)", trial, strict, i, e, ok, interp, err)
 				}

@@ -90,7 +90,7 @@ go test -race -run 'TestParallelMatchesSerial|TestParallelMatchesSerialControlle
     ./internal/pool/ ./internal/sqlmini/
 
 echo "== race-detector vectorized-equivalence tests =="
-go test -race -run 'TestScanFiltersMatchFrozenResults|TestVecPredMatchesScalarKernel|TestSweepVecMatchesInterpreter|FuzzCompiledMatchesInterpreter|TestStatementsMatchOracle|TestCompiledConstraintsMatchInterpreter' \
+go test -race -run 'TestScanFiltersMatchFrozenResults|TestVecPredMatchesScalarKernel|TestSweepVecMatchesInterpreter|FuzzCompiledMatchesInterpreter|TestStatementsMatchOracle|FuzzStatementsMatchOracle|TestCompiledConstraintsMatchInterpreter' \
     ./internal/sqlmini/
 
 echo "== race-detector observability tests =="
