@@ -59,13 +59,13 @@ func applyEdit(rng *rand.Rand, tab *rel.Table) error {
 		if n == 0 {
 			return nil
 		}
-		row := make([]uint32, w)
+		row := make([][]uint32, w) // one row, column-major
 		src := rng.Intn(n)
 		for j := 0; j < w; j++ {
-			row[j] = tab.CodeAt(src, j)
+			row[j] = []uint32{tab.CodeAt(src, j)}
 		}
-		row[rng.Intn(w)] = tab.CodeAt(rng.Intn(n), rng.Intn(w))
-		return tab.AppendCodes([][]uint32{row})
+		row[rng.Intn(w)][0] = tab.CodeAt(rng.Intn(n), rng.Intn(w))
+		return tab.AppendColumns(row, 1)
 	case op >= 85 && n > 2:
 		tab.DeleteRows([]uint32{uint32(rng.Intn(n))})
 		return nil

@@ -5,44 +5,6 @@ import (
 	"sync/atomic"
 )
 
-// codeArena hands out dictionary-code row slices carved from chunks, so
-// MonolithicOpts keeps an accepted assignment without one allocation per
-// row. Rows stay valid forever (chunks are never reused). Chunks grow
-// geometrically from arenaChunkMin to arenaChunkMax, so a worker that
-// accepts few rows wastes at most about as much as it uses. Not safe for
-// concurrent use: each MonolithicOpts worker owns its own arena.
-type codeArena struct {
-	buf  []uint32
-	next int // next chunk size in codes
-}
-
-// Arena chunk sizing in codes.
-const (
-	arenaChunkMin = 256
-	arenaChunkMax = 8192
-)
-
-// row returns a zeroed slice of n codes with capacity exactly n, so an
-// accidental append can never clobber a neighbouring row.
-func (a *codeArena) row(n int) []uint32 {
-	if len(a.buf) < n {
-		if a.next < arenaChunkMin {
-			a.next = arenaChunkMin
-		}
-		size := a.next
-		if size < n {
-			size = n
-		}
-		if a.next < arenaChunkMax {
-			a.next *= 2
-		}
-		a.buf = make([]uint32, size)
-	}
-	r := a.buf[:n:n]
-	a.buf = a.buf[n:]
-	return r
-}
-
 // codeKeys maps the projections of a partial table's rows onto the
 // positions ps to dense ids, in first-seen order. Keys are read from the
 // column vectors as codes, hashed a word at a time and stored flat,

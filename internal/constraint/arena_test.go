@@ -1,6 +1,7 @@
 package constraint
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -190,5 +191,66 @@ func TestSolveStatsMemoAndCompile(t *testing.T) {
 	}
 	if stats.MemoHits > stats.Candidates {
 		t.Fatalf("memo hits %d exceed %d candidates", stats.MemoHits, stats.Candidates)
+	}
+}
+
+// TestMonolithicAcrossLaneBatches pins MonolithicOpts where its cursor
+// batches span several lane batches plus a partial one, whatever the
+// host's CPU count: at one worker a batch is SpaceSize/8 assignments, at
+// four SpaceSize/32, against lane batches of monoLanes. The rows must be
+// Solve's, row for row, every assignment must be tested once, and a
+// constraint whose function fails must fail the solve with its error.
+func TestMonolithicAcrossLaneBatches(t *testing.T) {
+	errBoom := errors.New("boom")
+	build := func(boom bool) *Spec {
+		s := NewSpec("lanes")
+		vals := []string{"v0", "v1", "v2", "v3", "v4", "v5", "v6", "v7", "v8", "v9"}
+		for i := 0; i < 5; i++ {
+			mustDo(t, s.AddColumn(Column{Name: fmt.Sprintf("c%d", i), Values: vals, NoNull: true}))
+		}
+		// odd(x, y) reports whether x's digit is odd; with boom it fails
+		// on (v8, v9), which only the last tenth of the space holds.
+		s.RegisterFunc("odd", func(args []rel.Value) (rel.Value, error) {
+			if boom && args[0].Str() == "v8" && args[1].Str() == "v9" {
+				return rel.Null(), errBoom
+			}
+			return rel.B((args[0].Str()[1]-'0')%2 == 1), nil
+		})
+		mustDo(t, s.Constrain("c1", `c0 <= c1`))
+		mustDo(t, s.Constrain("c2", `odd(c2, c0) ? c2 <> c1 : c2 in (v0, v4, v8)`))
+		mustDo(t, s.Constrain("c3", `c3 between c1 and c2 or c3 = v9`))
+		mustDo(t, s.Constrain("c4", `odd(c0, c4) or c4 >= c3`))
+		return s
+	}
+	s := build(false)
+	space := s.SpaceSize()
+	for _, workers := range []int{1, 4} {
+		if batch := space / uint64(8*workers); batch <= 2*monoLanes || batch%monoLanes == 0 {
+			t.Fatalf("workers=%d: a cursor batch of %d assignments does not span several lane batches plus a partial one", workers, batch)
+		}
+		inc, _, err := SolveOpts(s, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mono, stats, err := MonolithicOpts(s, Options{Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if stats.Candidates != space {
+			t.Fatalf("workers=%d: %d candidates, want the space's %d", workers, stats.Candidates, space)
+		}
+		if inc.NumRows() == 0 || mono.NumRows() != inc.NumRows() {
+			t.Fatalf("workers=%d: monolithic %d rows, incremental %d", workers, mono.NumRows(), inc.NumRows())
+		}
+		for i := 0; i < inc.NumRows(); i++ {
+			for j := 0; j < inc.NumCols(); j++ {
+				if mono.CodeAt(i, j) != inc.CodeAt(i, j) {
+					t.Fatalf("workers=%d row %d: monolithic %v, incremental %v", workers, i, mono.Row(i), inc.Row(i))
+				}
+			}
+		}
+		if _, _, err := MonolithicOpts(build(true), Options{Workers: workers}); !errors.Is(err, errBoom) {
+			t.Fatalf("workers=%d: a failing constraint function gives err = %v, want %v", workers, err, errBoom)
+		}
 	}
 }

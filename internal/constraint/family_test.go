@@ -276,8 +276,9 @@ func forceUsed(sets []string) []string {
 
 // crossProductSolve filters the spec's full cross product, in the
 // solvers' row order, through every constraint compiled whole by
-// CompileCodes — the compiled form sqlmini's differential tests check
-// against its tree-walking interpreter.
+// CompileVec — the compiled form sqlmini's differential tests check
+// against its tree-walking interpreter — one row at a time, each row a
+// batch of one lane.
 func crossProductSolve(t testing.TB, s *Spec) *rel.Table {
 	t.Helper()
 	ev := s.evaluator()
@@ -287,10 +288,10 @@ func crossProductSolve(t testing.TB, s *Spec) *rel.Table {
 	for i, n := range names {
 		colIdx[n] = i
 	}
-	var preds []sqlmini.CodePred
+	var preds []*sqlmini.VecPred
 	for _, col := range names {
 		if e := s.Constraint(col); e != nil {
-			p, err := ev.CompileCodes(e, colIdx)
+			p, err := ev.CompileVec(e, colIdx)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -308,15 +309,19 @@ func crossProductSolve(t testing.TB, s *Spec) *rel.Table {
 	dict := rel.SharedDict()
 	row := make([]rel.Value, len(cols))
 	crow := make([]uint32, len(cols))
+	lanes := make([][]uint32, len(cols)) // crow as a batch of one lane
+	for i := range lanes {
+		lanes[i] = crow[i : i+1]
+	}
 	var walk func(i int)
 	walk = func(i int) {
 		if i == len(cols) {
 			for _, p := range preds {
-				ok, err := p(crow)
+				kept, err := p.EvalVec(lanes, []uint32{0})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !ok {
+				if len(kept) == 0 {
 					return
 				}
 			}

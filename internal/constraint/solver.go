@@ -50,7 +50,7 @@ type Stats struct {
 	// Selector, one predicate per shared condition, each member's
 	// distinct then and else branches, and every other constraint whole.
 	// MonolithicOpts also compiles, and counts, every constraint whole as a
-	// row-at-a-time program, on the first MonolithicOpts solve of the spec.
+	// selection-vector predicate, on every MonolithicOpts solve.
 	CompileTime time.Duration
 	// StepStats holds one entry per column-extension step, in step order
 	// (incremental solves only; MonolithicOpts tests complete assignments and
@@ -364,7 +364,10 @@ func MonolithicOpts(spec *Spec, opts Options) (_ *rel.Table, stats Stats, err er
 	// deals index batches, so workers that land on quickly rejected
 	// regions steal more instead of idling, and the split cannot drop
 	// indexes however small the space is (the old static per-worker
-	// division collapsed to empty ranges when space < workers).
+	// division collapsed to empty ranges when space < workers). A worker
+	// decodes its batch into column vectors monoLanes assignments at a
+	// time, narrows the selection through each constraint's kernels, and
+	// keeps the survivors column-major.
 	workers := opts.workers()
 	cursor := newBatchCursor(space, workers)
 	nb := cursor.numBatches()
@@ -374,7 +377,7 @@ func MonolithicOpts(spec *Spec, opts Options) (_ *rel.Table, stats Stats, err er
 	if workers < 1 {
 		workers = 1
 	}
-	perBatch := make([][][]uint32, nb)
+	perBatch := make([]part, nb)
 	tested := make([]uint64, workers)
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
@@ -382,40 +385,47 @@ func MonolithicOpts(spec *Spec, opts Options) (_ *rel.Table, stats Stats, err er
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var arena codeArena
-			row := make([]uint32, len(names))
+			lanes := make([][]uint32, len(names))
+			for i := range lanes {
+				lanes[i] = make([]uint32, monoLanes)
+			}
+			buf := make([]uint32, monoLanes)
 			for {
 				bi, lo, hi, ok := cursor.grab()
 				if !ok {
 					return
 				}
-				var out [][]uint32
-				for idx := lo; idx < hi; idx++ {
-					// Decode idx as a mixed-radix number over domains.
-					rem := idx
-					for i := len(domains) - 1; i >= 0; i-- {
-						d := domains[i]
-						row[i] = d[rem%uint64(len(d))]
-						rem /= uint64(len(d))
+				out := part{cols: make([][]uint32, len(names))}
+				for base := lo; base < hi; base += monoLanes {
+					n := int(min(hi-base, monoLanes))
+					for k := 0; k < n; k++ {
+						// Decode the index as a mixed-radix number over domains.
+						rem := base + uint64(k)
+						for i := len(domains) - 1; i >= 0; i-- {
+							d := domains[i]
+							lanes[i][k] = d[rem%uint64(len(d))]
+							rem /= uint64(len(d))
+						}
+						buf[k] = uint32(k)
 					}
-					tested[w]++
-					ok := true
+					tested[w] += uint64(n)
+					sel := buf[:n]
 					for _, p := range preds {
-						t, err := p(row)
-						if err != nil {
+						var err error
+						if sel, err = p.EvalVec(lanes, sel); err != nil {
 							errs[w] = err
 							return
 						}
-						if !t {
-							ok = false
+						if len(sel) == 0 {
 							break
 						}
 					}
-					if ok {
-						nr := arena.row(len(names))
-						copy(nr, row)
-						out = append(out, nr)
+					for i, col := range lanes {
+						for _, k := range sel {
+							out.cols[i] = append(out.cols[i], col[k])
+						}
 					}
+					out.n += len(sel)
 				}
 				perBatch[bi] = out
 			}
@@ -434,8 +444,8 @@ func MonolithicOpts(spec *Spec, opts Options) (_ *rel.Table, stats Stats, err er
 	}
 	// Batches append in index order, so MonolithicOpts and Solve results
 	// compare equal row for row.
-	for _, rows := range perBatch {
-		if err := out.AppendCodes(rows); err != nil {
+	for _, b := range perBatch {
+		if err := out.AppendColumns(b.cols, b.n); err != nil {
 			return nil, stats, err
 		}
 	}
@@ -444,20 +454,25 @@ func MonolithicOpts(spec *Spec, opts Options) (_ *rel.Table, stats Stats, err er
 	return out, stats, nil
 }
 
+// monoLanes is how many assignments MonolithicOpts decodes into column
+// vectors for one kernel batch.
+const monoLanes = 1024
+
 // wholePreds compiles each of spec's constraints whole into one
-// stateless predicate, which every MonolithicOpts worker shares. They are
-// compiled on every call and independent of the families and sweep
-// programs Solve runs; the solver's constraint order (by fire step) only
-// sets the order they are tested in, and its compile errors come first.
-func wholePreds(spec *Spec) ([]sqlmini.CodePred, error) {
+// predicate over the spec's columns, which every MonolithicOpts worker
+// shares. They are compiled on every call and independent of the families
+// and sweep predicates Solve runs; the solver's constraint order (by fire
+// step) only sets the order they are tested in, and its compile errors
+// come first.
+func wholePreds(spec *Spec) ([]*sqlmini.VecPred, error) {
 	cc, err := spec.compiledConstraints()
 	if err != nil {
 		return nil, err
 	}
 	ev := spec.evaluator()
-	preds := make([]sqlmini.CodePred, len(cc))
+	preds := make([]*sqlmini.VecPred, len(cc))
 	for i, c := range cc {
-		if preds[i], err = ev.CompileCodes(spec.constraints[c.col], spec.colIdx); err != nil {
+		if preds[i], err = ev.CompileVec(spec.constraints[c.col], spec.colIdx); err != nil {
 			return nil, compileError(spec, c.col, err)
 		}
 	}

@@ -31,10 +31,10 @@ func TestRevisionBumpsOnEveryMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	step("InsertRow")
-	if err := tab.AppendCodes([][]uint32{{1, 2, 3}, {4, 5, 6}}); err != nil {
+	if err := tab.AppendColumns([][]uint32{{1, 4}, {2, 5}, {3, 6}}, 2); err != nil {
 		t.Fatal(err)
 	}
-	step("AppendCodes")
+	step("AppendColumns, two rows")
 	if err := tab.AppendColumns([][]uint32{{7}, {8}, {9}}, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -182,11 +182,11 @@ func TestIndexMaintenanceThroughFunnel(t *testing.T) {
 	if rows := ix.Lookup(S("w")); len(rows) != 1 || rows[0] != 3 {
 		t.Fatalf("index not maintained across Insert: %v", rows)
 	}
-	if err := tab.AppendCodes([][]uint32{{tab.Dict().Code(S("w")), 0, 0}}); err != nil {
+	if err := tab.AppendColumns([][]uint32{{tab.Dict().Code(S("w"))}, {0}, {0}}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if rows := ix.Lookup(S("w")); len(rows) != 2 {
-		t.Fatalf("index not maintained across AppendCodes: %v", rows)
+		t.Fatalf("index not maintained across AppendColumns: %v", rows)
 	}
 	if err := tab.Set(0, "a", S("q")); err != nil {
 		t.Fatal(err)

@@ -77,12 +77,15 @@ func (ix *Index) Lookup(vals ...Value) []int {
 }
 
 // LookupCodes is Lookup with the probe already dictionary-encoded; the
-// executor's index nested-loop join probes with frame codes directly.
+// executor's index nested-loop join probes with frame codes directly. A
+// key of up to 16 columns is built on the stack, so a probe allocates
+// nothing.
 func (ix *Index) LookupCodes(codes ...uint32) []int {
 	if len(codes) != len(ix.colIdx) {
 		return nil
 	}
-	kb := make([]byte, 0, 4*len(codes))
+	var a [64]byte
+	kb := a[:0]
 	for _, c := range codes {
 		kb = appendCodeKey(kb, c)
 	}

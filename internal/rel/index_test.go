@@ -143,3 +143,24 @@ func TestIndexOnErrorNotCached(t *testing.T) {
 		t.Fatalf("valid IndexOn after failures: %v", err)
 	}
 }
+
+// TestIndexLookupCodesAllocatesNothing pins the index nested-loop join's
+// probe: the key is built on the stack, so a probe, hit or miss, makes
+// no allocation.
+func TestIndexLookupCodesAllocatesNothing(t *testing.T) {
+	d := mkD(t)
+	ix, err := BuildIndex(d, "inmsg", "dirst")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit := []uint32{d.CodeAt(0, d.ColIndex("inmsg")), d.CodeAt(0, d.ColIndex("dirst"))}
+	miss := []uint32{hit[0], NullCode}
+	if len(ix.LookupCodes(hit...)) == 0 {
+		t.Fatal("probe with row 0's key matches nothing")
+	}
+	for _, probe := range [][]uint32{hit, miss} {
+		if got := testing.AllocsPerRun(100, func() { ix.LookupCodes(probe...) }); got != 0 {
+			t.Errorf("LookupCodes(%v) allocates %.1f per probe, want 0", probe, got)
+		}
+	}
+}

@@ -30,7 +30,7 @@ var (
 // historical row-oriented API (Row, Get, InsertRow of Values) remains as a
 // façade that decodes and interns one cell at a time. Hot consumers use
 // the code-level API instead: ColCodes (a column's vector, zero copy),
-// AppendCodes/AppendColumns, CodeAt/At. The table keeps no row-major copy
+// AppendColumns, CodeAt/At. The table keeps no row-major copy
 // of its codes.
 type Table struct {
 	name string
@@ -252,36 +252,6 @@ func (t *Table) InsertRow(row []Value) error {
 	}
 	t.nrows++
 	t.appended(t.nrows - 1)
-	return nil
-}
-
-// AppendCodes bulk-appends row-major code rows, scattering them into the
-// column vectors in one pass per column.
-func (t *Table) AppendCodes(rows [][]uint32) error {
-	for _, r := range rows {
-		if len(r) != len(t.cols) {
-			return fmt.Errorf("%w: got %d, want %d in table %q", ErrArity, len(r), len(t.cols), t.name)
-		}
-	}
-	if len(rows) == 0 {
-		return nil
-	}
-	t.ensureOwned()
-	for j := range t.data {
-		col := t.data[j]
-		if n := len(col) + len(rows); cap(col) < n {
-			grown := make([]uint32, len(col), n)
-			copy(grown, col)
-			col = grown
-		}
-		for _, r := range rows {
-			col = append(col, r[j])
-		}
-		t.data[j] = col
-	}
-	base := t.nrows
-	t.nrows += len(rows)
-	t.appended(base)
 	return nil
 }
 

@@ -84,7 +84,8 @@ func forEachFixtureRow(fn func(row []rel.Value)) {
 
 // TestCompileAgreesWithInterpreter is the golden equivalence property at
 // unit level: over every operator form, dialect and 3-column env,
-// CompileCodes and Evaluator.True agree exactly.
+// CompileVec's predicate on the env as a one-row batch and Evaluator.True
+// agree exactly.
 func TestCompileAgreesWithInterpreter(t *testing.T) {
 	for _, nullEq := range []bool{false, true} {
 		ev := fixtureEvaluator(nullEq)
@@ -93,13 +94,13 @@ func TestCompileAgreesWithInterpreter(t *testing.T) {
 			if err != nil {
 				t.Fatalf("parse %q: %v", src, err)
 			}
-			pred, err := ev.CompileCodes(e, compileFixtureCols)
+			vp, err := ev.CompileVec(e, compileFixtureCols)
 			if err != nil {
 				t.Fatalf("compile %q: %v", src, err)
 			}
 			forEachFixtureRow(func(row []rel.Value) {
 				want, werr := ev.True(e, compileFixtureEnv(row))
-				got, gerr := pred(codesOf(row))
+				got, gerr := RowTrue(vp, codesOf(row))
 				if (werr == nil) != (gerr == nil) {
 					t.Fatalf("%q (nullEq=%v) on %v: interpreter err %v, compiled err %v",
 						src, nullEq, row, werr, gerr)
@@ -154,7 +155,7 @@ func TestCompileUnknownColumnIsCompileTimeError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ev.CompileCodes(e, compileFixtureCols); !errors.Is(err, ErrUnknownColumn) {
+	if _, err := ev.CompileVec(e, compileFixtureCols); !errors.Is(err, ErrUnknownColumn) {
 		t.Fatalf("err = %v, want ErrUnknownColumn", err)
 	}
 }
@@ -165,36 +166,22 @@ func TestCompileUnknownFuncIsCompileTimeError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ev.CompileCodes(e, compileFixtureCols); !errors.Is(err, ErrUnknownFunc) {
+	if _, err := ev.CompileVec(e, compileFixtureCols); !errors.Is(err, ErrUnknownFunc) {
 		t.Fatalf("err = %v, want ErrUnknownFunc", err)
 	}
 }
 
-func TestCompiledPredShortRowErrors(t *testing.T) {
-	ev := fixtureEvaluator(true)
-	e, err := ParseExpr(`c = "p"`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pred, err := ev.CompileCodes(e, compileFixtureCols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pred(codesOf([]rel.Value{rel.S("p")})); !errors.Is(err, ErrUnknownColumn) {
-		t.Fatalf("err = %v, want ErrUnknownColumn for out-of-range position", err)
-	}
-}
-
 // TestCompiledPredConcurrentUse runs one compiled predicate from many
-// goroutines; it must be safe because compiled closures hold no mutable
-// state. Meant for -race runs.
+// goroutines, each on one-row batches; it must be safe because the
+// predicate's mutable scratch lives in pooled states, one per evaluation.
+// Meant for -race runs.
 func TestCompiledPredConcurrentUse(t *testing.T) {
 	ev := fixtureEvaluator(true)
 	e, err := ParseExpr(`a = "p" ? b = "q" : b in ("q", "r")`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := ev.CompileCodes(e, compileFixtureCols)
+	vp, err := ev.CompileVec(e, compileFixtureCols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +190,7 @@ func TestCompiledPredConcurrentUse(t *testing.T) {
 		go func() {
 			for i := 0; i < 1000; i++ {
 				row := codesOf([]rel.Value{rel.S("p"), rel.S("q"), fixtureDomain[i%len(fixtureDomain)]})
-				if ok, err := pred(row); err != nil || !ok {
+				if ok, err := RowTrue(vp, row); err != nil || !ok {
 					done <- err
 					return
 				}

@@ -99,8 +99,11 @@ func (fc *fuzzCase) env(crow []uint32) MapEnv {
 // dialect, row by row:
 //
 //   - the rows CompileBoundVec keeps from a random selection;
-//   - CompileBoundCodes on every row;
-//   - CompileCodes, the entry MonolithicOpts runs;
+//   - the expression compiled as a value over a random selection: each
+//     selected row's code is the interpreter's value, interned;
+//   - each row alone as a batch of one lane, the shape INSERT VALUES and
+//     memo misses take: the value, and the predicate both plan-bound and
+//     compiled by name (CompileVec, the entry MonolithicOpts runs);
 //   - every lane of CompileVec's predicate over the solver's batch
 //     (SweepLanes) for a random swept column, with each row as the base;
 //   - the arm a Selector picks for each row of a random selection, in one
@@ -124,41 +127,78 @@ func checkCompiledForms(t *testing.T, ev *Evaluator, fc fuzzCase, rng *rand.Rand
 	t.Helper()
 	nrows := len(fc.cols[0])
 	// The oracles: which rows the expression is definitely true on, with
-	// columns resolved by name and by bound position. They differ only for
-	// randBoundExpr's trees, whose names and positions are drawn apart.
+	// columns resolved by name and by bound position, and the bound
+	// expression's value on each row. They differ only for randBoundExpr's
+	// trees, whose names and positions are drawn apart.
 	want := make([]bool, nrows)
 	wantBound := make([]bool, nrows)
+	wantCode := make([]uint32, nrows)
 	for i := range want {
 		var err error
 		if want[i], err = ev.True(fc.e, fc.env(fc.row(i))); err != nil {
 			t.Fatalf("interpreting %s: %v", fc.e, err)
 		}
-		if wantBound[i], err = ev.True(fc.bound, frameEnv{f: &scope{}, row: fc.row(i)}); err != nil {
+		env := frameEnv{f: &scope{}, row: fc.row(i)}
+		if wantBound[i], err = ev.True(fc.bound, env); err != nil {
 			t.Fatalf("interpreting bound %s: %v", fc.bound, err)
 		}
+		v, err := ev.Eval(fc.bound, env)
+		if err != nil {
+			t.Fatalf("interpreting bound %s as a value: %v", fc.bound, err)
+		}
+		wantCode[i] = dict.Code(v)
 	}
 
-	named, err := ev.CompileCodes(fc.e, fc.ix)
+	val, err := ev.compileValue(fc.bound)
 	if err != nil {
-		t.Fatalf("CompileCodes(%s): %v", fc.e, err)
+		t.Fatalf("compileValue(%s): %v", fc.bound, err)
 	}
-	bound, err := ev.CompileBoundCodes(fc.bound)
-	if err != nil {
-		t.Fatalf("CompileBoundCodes(%s): %v", fc.bound, err)
-	}
-	for i := range want {
-		if got, err := named(fc.row(i)); err != nil || got != want[i] {
-			t.Fatalf("row %d: CompileCodes(%s) = (%v, %v), interpreter %v", i, fc.e, got, err, want[i])
+	var vsel []uint32
+	for i := 0; i < nrows; i++ {
+		if rng.Intn(4) != 0 {
+			vsel = append(vsel, uint32(i))
 		}
-		if got, err := bound(fc.row(i)); err != nil || got != wantBound[i] {
-			t.Fatalf("row %d: CompileBoundCodes(%s) = (%v, %v), interpreter %v", i, fc.bound, got, err, wantBound[i])
+	}
+	orig := fmt.Sprint(vsel)
+	codes := make([]uint32, len(vsel))
+	if err := val.eval(fc.cols, vsel, codes); err != nil {
+		t.Fatalf("value %s over %v: %v", fc.bound, vsel, err)
+	}
+	if fmt.Sprint(vsel) != orig {
+		t.Fatalf("value %s changed its selection %s to %v", fc.bound, orig, vsel)
+	}
+	for k, r := range vsel {
+		if codes[k] != wantCode[r] {
+			t.Fatalf("row %d: value %s = %v, interpreter %v", r, fc.bound, dict.Value(codes[k]), dict.Value(wantCode[r]))
 		}
 	}
 
-	vp, err := ev.CompileBoundVec(fc.bound)
+	named, err := ev.CompileVec(fc.e, fc.ix)
+	if err != nil {
+		t.Fatalf("CompileVec(%s): %v", fc.e, err)
+	}
+	bound, err := ev.CompileBoundVec(fc.bound)
 	if err != nil {
 		t.Fatalf("CompileBoundVec(%s): %v", fc.bound, err)
 	}
+	code := []uint32{0}
+	for i := range want {
+		crow := fc.row(i)
+		if got, err := RowTrue(named, crow); err != nil || got != want[i] {
+			t.Fatalf("row %d alone: CompileVec(%s) = (%v, %v), interpreter %v", i, fc.e, got, err, want[i])
+		}
+		if got, err := RowTrue(bound, crow); err != nil || got != wantBound[i] {
+			t.Fatalf("row %d alone: CompileBoundVec(%s) = (%v, %v), interpreter %v", i, fc.bound, got, err, wantBound[i])
+		}
+		one := make([][]uint32, len(crow))
+		for j := range crow {
+			one[j] = crow[j : j+1]
+		}
+		if err := val.eval(one, []uint32{0}, code); err != nil || code[0] != wantCode[i] {
+			t.Fatalf("row %d alone: value %s = (%v, %v), interpreter %v", i, fc.bound, dict.Value(code[0]), err, dict.Value(wantCode[i]))
+		}
+	}
+
 	var sel, wantSel []uint32
 	for i := 0; i < nrows; i++ {
 		if rng.Intn(4) != 0 {
@@ -168,7 +208,7 @@ func checkCompiledForms(t *testing.T, ev *Evaluator, fc fuzzCase, rng *rand.Rand
 			}
 		}
 	}
-	kept, err := vp.EvalVec(fc.cols, sel)
+	kept, err := bound.EvalVec(fc.cols, sel)
 	if err != nil {
 		t.Fatalf("EvalVec(%s): %v", fc.bound, err)
 	}

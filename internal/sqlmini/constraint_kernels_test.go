@@ -64,8 +64,9 @@ func splitStable(e sqlmini.Expr, fireCol string) (conds, branches []sqlmini.Expr
 // TestCompiledConstraintsMatchInterpreter is the golden equivalence check
 // of the constraint-compilation layer: for every constraint of every
 // controller spec, on randomly sampled rows drawn from the column
-// domains, the tree-walking Evaluator.True must agree with the compiled
-// predicate MonolithicOpts runs, and lane by lane with the selection-vector
+// domains, the tree-walking Evaluator.True must agree with the whole
+// constraint's predicate, which MonolithicOpts runs, on each complete row
+// as a one-row batch, and lane by lane with the selection-vector
 // predicates the solver sweeps over the constraint's last referenced
 // column (SweepLanes): the whole constraint, and its rule chain split into
 // a Selector over the stable leading conditions and the chosen arm's
@@ -90,10 +91,6 @@ func TestCompiledConstraintsMatchInterpreter(t *testing.T) {
 			e := spec.Constraint(col)
 			if e == nil {
 				continue
-			}
-			pred, err := ev.CompileCodes(e, colIdx)
-			if err != nil {
-				t.Fatalf("%s.%s: compile: %v", name, col, err)
 			}
 			// The solver sweeps a constraint over its last referenced
 			// column.
@@ -183,7 +180,7 @@ func TestCompiledConstraintsMatchInterpreter(t *testing.T) {
 					env[cols[sweep].Name] = v
 					crow[sweep] = domain[i]
 					want, werr := ev.True(e, env)
-					got, gerr := pred(crow)
+					got, gerr := sqlmini.RowTrue(whole, crow)
 					if (werr == nil) != (gerr == nil) || got != want {
 						t.Fatalf("%s.%s on %v: interpreter (%v, %v), compiled (%v, %v)\nconstraint: %s",
 							name, col, row, want, werr, got, gerr, e)
@@ -198,12 +195,11 @@ func TestCompiledConstraintsMatchInterpreter(t *testing.T) {
 	}
 }
 
-// BenchmarkConstraintKernel is the C2 kernel: the solver's hot loop
-// evaluates one column constraint per candidate row. It pins the
-// per-evaluation gap between the tree-walking interpreter (name
-// resolution through a MapEnv, operator dispatch on strings) and the
-// compiled kernel (position-bound closures) on a real directory-table
-// rule chain.
+// BenchmarkConstraintKernel is the C2 kernel: one column constraint
+// decided on one candidate row. It pins the per-evaluation gap between
+// the tree-walking interpreter (name resolution through a MapEnv,
+// operator dispatch on strings) and the compiled kernels (position-bound,
+// on the row as a one-row batch) on a real directory-table rule chain.
 func BenchmarkConstraintKernel(b *testing.B) {
 	spec, err := protocol.SpecBuilders()[0].Build() // D
 	if err != nil {
@@ -234,7 +230,7 @@ func BenchmarkConstraintKernel(b *testing.B) {
 		}
 	})
 	b.Run("compiled", func(b *testing.B) {
-		pred, err := ev.CompileCodes(e, colIdx)
+		pred, err := ev.CompileVec(e, colIdx)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -244,7 +240,7 @@ func BenchmarkConstraintKernel(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := pred(crow); err != nil {
+			if _, err := sqlmini.RowTrue(pred, crow); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -837,21 +837,24 @@ func (r *run) execInsert(s *InsertStmt) (*Result, error) {
 		}
 		pos[i] = j
 	}
-	// VALUES have no row to read: any column reference fails to compile.
+	// Each value is a batch of one row with no columns: VALUES have no row
+	// to read, so any column reference fails to compile.
 	rows := make([][]rel.Value, len(s.Rows))
+	one, code := []uint32{0}, []uint32{0}
 	for k, rexprs := range s.Rows {
 		if len(rexprs) != len(cols) {
 			return nil, fmt.Errorf("%w: INSERT row has %d values, want %d", rel.ErrArity, len(rexprs), len(cols))
 		}
 		row := make([]rel.Value, t.NumCols())
 		for i, e := range rexprs {
-			fn, err := r.ev.compileBoundVal(e)
+			v, err := r.ev.compileValue(e)
 			if err != nil {
 				return nil, err
 			}
-			if row[pos[i]], err = fn(nil); err != nil {
+			if err := v.eval(nil, one, code); err != nil {
 				return nil, err
 			}
+			row[pos[i]] = dict.Value(code[0])
 		}
 		rows[k] = row
 	}
@@ -879,9 +882,9 @@ func (r *run) execDelete(s *DeleteStmt) (*Result, error) {
 }
 
 // execUpdate selects the WHERE's rows, compiles every SET expression
-// against the target table, evaluates them on every selected row, and
-// only then writes the cells: SET a = b, b = a swaps, and an error leaves
-// the target untouched.
+// against the target table, evaluates each over the table's column
+// vectors on the selected rows, and only then writes the cells: SET a =
+// b, b = a swaps, and an error leaves the target untouched.
 func (r *run) execUpdate(s *UpdateStmt) (*Result, error) {
 	t, ok := r.writeTable(s.Table)
 	if !ok {
@@ -899,33 +902,24 @@ func (r *run) execUpdate(s *UpdateStmt) (*Result, error) {
 		return nil, err
 	}
 	sc := tableScope(t, t.Name())
-	sets := make([]valFn, len(s.Exprs))
+	sets := make([]*vecValue, len(s.Exprs))
 	for i, e := range s.Exprs {
-		if sets[i], err = r.ev.compileBoundVal(bindExpr(e, sc)); err != nil {
+		if sets[i], err = r.ev.compileValue(bindExpr(e, sc)); err != nil {
 			return nil, err
 		}
 	}
-	crow := make([]uint32, t.NumCols())
-	vals := make([]rel.Value, 0, len(sel)*len(s.Exprs))
-	for _, ri := range sel {
-		for j := range crow {
-			crow[j] = t.CodeAt(int(ri), j)
-		}
-		for _, fn := range sets {
-			v, err := fn(crow)
-			if err != nil {
-				return nil, err
-			}
-			vals = append(vals, v)
+	cols := tableFrame(t).cols
+	codes := make([]uint32, len(sel)*len(sets)) // SET i's codes at [i*len(sel):]
+	for i, v := range sets {
+		if err := v.eval(cols, sel, codes[i*len(sel):(i+1)*len(sel)]); err != nil {
+			return nil, err
 		}
 	}
-	k := 0
-	for _, ri := range sel {
-		for _, c := range s.Cols {
-			if err := t.Set(int(ri), c, vals[k]); err != nil {
+	for k, ri := range sel {
+		for i, c := range s.Cols {
+			if err := t.Set(int(ri), c, dict.Value(codes[i*len(sel)+k])); err != nil {
 				return nil, err
 			}
-			k++
 		}
 	}
 	return &Result{Affected: len(sel)}, nil

@@ -50,33 +50,8 @@ func triOf(v rel.Value) tri {
 	return triFalse
 }
 
-func triVal(t tri) rel.Value {
-	switch t {
-	case triTrue:
-		return rel.B(true)
-	case triFalse:
-		return rel.B(false)
-	default:
-		return rel.Null()
-	}
-}
-
-func triMin(a, b tri) tri {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func triMax(a, b tri) tri {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// compareVals is the operator kernel of the compiled closures
-// (compile.go): one comparison under the given NULL dialect.
+// compareVals is one comparison under the given NULL dialect: the
+// decoded form of the ordered-comparison kernels, and the interpreter's.
 func compareVals(op string, l, r rel.Value, nullEq bool) tri {
 	if l.IsNull() || r.IsNull() {
 		if nullEq {

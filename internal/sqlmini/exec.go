@@ -248,57 +248,44 @@ func (r *run) execSelectOne(s *SelectStmt, plan *branchPlan) (*rel.Table, error)
 	return r.finish(s, op.cols, out, f.len(), keys)
 }
 
-// rowView reads the rows of a layout: the columns of frame f, then the
-// output columns out, whose row k belongs to f's k-th row. It evaluates
-// compiled output expressions on those rows.
-type rowView struct {
-	f    *frame
-	out  [][]uint32
-	crow []uint32 // scratch row for closures
-}
+// column is an output expression's codes over a frame's rows, by the
+// row's ordinal: a frame column read through its selection, or dense.
+type column struct{ codes, sel []uint32 }
 
-func newRowView(f *frame, out [][]uint32) *rowView {
-	return &rowView{f: f, out: out, crow: make([]uint32, len(f.cols)+len(out))}
-}
-
-// code returns the code at position p of row k.
-func (v *rowView) code(p, k int) uint32 {
-	if w := len(v.f.cols); p >= w {
-		return v.out[p-w][k]
+func (c column) at(k int) uint32 {
+	if c.sel != nil {
+		return c.codes[c.sel[k]]
 	}
-	return v.f.cols[p][v.f.row(k)]
+	return c.codes[k]
 }
 
-// value evaluates e on row k: a direct column decodes its code, and a
-// closure runs over the scratch row with only the positions it reads
-// filled in, as a kernel's multi-column fallback does.
-func (v *rowView) value(e outExpr, k int) (rel.Value, error) {
+// column returns e's codes over f's rows: a direct column is read through
+// the selection, and a compiled value runs once over f's rows.
+func (f *frame) column(e outExpr) (column, error) {
 	if e.at >= 0 {
-		return dict.Value(v.code(e.at, k)), nil
+		return column{codes: f.cols[e.at], sel: f.sel}, nil
 	}
-	for _, p := range e.reads {
-		v.crow[p] = v.code(p, k)
-	}
-	return e.fn(v.crow)
+	codes := make([]uint32, f.len())
+	return column{codes: codes}, f.eval(e.val, codes)
 }
 
-// codeOf is value as a dictionary code.
-func (v *rowView) codeOf(e outExpr, k int) (uint32, error) {
-	if e.at >= 0 {
-		return v.code(e.at, k), nil
+// eval writes v's code on f's k-th row into dst[k].
+func (f *frame) eval(v *vecValue, dst []uint32) error {
+	if f.sel != nil {
+		return v.eval(f.cols, f.sel, dst)
 	}
-	val, err := v.value(e, k)
-	return dict.Code(val), err
+	sv := getSel(f.n)
+	defer selPool.Put(sv)
+	return v.eval(f.cols, identity(sv.s[:f.n]), dst)
 }
 
 // project evaluates the select list over f's rows into output columns: a
 // direct column gathers its codes through the selection, a computed item
-// runs its closure on each row.
+// runs its compiled value over the frame.
 func project(f *frame, items []outExpr) ([][]uint32, error) {
 	n := f.len()
 	out := make([][]uint32, len(items))
 	flat := make([]uint32, n*len(items))
-	v := newRowView(f, nil)
 	for c, it := range items {
 		col := flat[c*n : (c+1)*n : (c+1)*n]
 		switch {
@@ -309,12 +296,8 @@ func project(f *frame, items []outExpr) ([][]uint32, error) {
 				col[k] = f.cols[it.at][i]
 			}
 		default:
-			for k := range col {
-				code, err := v.codeOf(it, k)
-				if err != nil {
-					return nil, err
-				}
-				col[k] = code
+			if err := f.eval(it.val, col); err != nil {
+				return nil, err
 			}
 		}
 		out[c] = col
@@ -323,22 +306,55 @@ func project(f *frame, items []outExpr) ([][]uint32, error) {
 }
 
 // orderKeys evaluates the ORDER BY keys on every row of the layout f then
-// out, or returns nil when there are none.
+// out, or returns nil when there are none. The layout's columns the keys
+// read are laid out densely over f's rows, as out's already are.
 func orderKeys(order []outExpr, f *frame, out [][]uint32) ([][]rel.Value, error) {
 	if len(order) == 0 {
 		return nil, nil
 	}
-	v := newRowView(f, out)
-	keys := make([][]rel.Value, f.len())
+	n, w := f.len(), len(f.cols)
+	lay := &frame{cols: make([][]uint32, w+len(out)), n: n}
+	dense := func(p int) []uint32 {
+		if lay.cols[p] == nil {
+			switch {
+			case p >= w:
+				lay.cols[p] = out[p-w]
+			case f.sel == nil:
+				lay.cols[p] = f.cols[p][:n]
+			default:
+				c := make([]uint32, n)
+				for k, ri := range f.sel {
+					c[k] = f.cols[p][ri]
+				}
+				lay.cols[p] = c
+			}
+		}
+		return lay.cols[p]
+	}
+	keys := make([][]rel.Value, n)
 	flat := make([]rel.Value, len(keys)*len(order))
 	for k := range keys {
 		keys[k] = flat[k*len(order) : (k+1)*len(order)]
-		for i, e := range order {
-			val, err := v.value(e, k)
-			if err != nil {
+	}
+	var codes []uint32
+	for i, e := range order {
+		var src []uint32
+		if e.at >= 0 {
+			src = dense(e.at)
+		} else {
+			for _, p := range e.reads {
+				dense(p)
+			}
+			if codes == nil {
+				codes = make([]uint32, n)
+			}
+			if err := lay.eval(e.val, codes); err != nil {
 				return nil, err
 			}
-			keys[k][i] = val
+			src = codes
+		}
+		for k := range keys {
+			keys[k][i] = dict.Value(src[k])
 		}
 	}
 	return keys, nil
@@ -358,19 +374,21 @@ func (r *run) group(f *frame, op *outPlan) (*frame, error) {
 	// the key string is allocated only the first time a group is seen (the
 	// map probe with string(buf) does not allocate).
 	n := f.len()
-	v := newRowView(f, nil)
+	keys := make([]column, len(op.keys))
+	for i, e := range op.keys {
+		var err error
+		if keys[i], err = f.column(e); err != nil {
+			return nil, err
+		}
+	}
 	index := map[string]int32{}
 	gid := make([]int32, n)
 	var first []int // each group's first row
 	var buf []byte
 	for k := 0; k < n; k++ {
 		buf = buf[:0]
-		for _, e := range op.keys {
-			c, err := v.codeOf(e, k)
-			if err != nil {
-				return nil, err
-			}
-			buf = rel.AppendCodeKey(buf, c)
+		for _, c := range keys {
+			buf = rel.AppendCodeKey(buf, c.at(k))
 		}
 		g, ok := index[string(buf)]
 		if !ok {
@@ -401,7 +419,7 @@ func (r *run) group(f *frame, op *outPlan) (*frame, error) {
 		gf.cols[j] = col
 	}
 	for a, agg := range op.aggs {
-		vals, err := agg.eval(v, gid, ng)
+		vals, err := agg.eval(f, gid, ng)
 		if err != nil {
 			return nil, err
 		}

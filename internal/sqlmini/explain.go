@@ -16,7 +16,7 @@ import (
 // the executor runs: the planner fixes it, and no row count changes it.
 // Every filter, residue, ON and HAVING runs on the selection-vector
 // kernels, and a select item, grouping key or ORDER BY key that is not a
-// bare column runs its compiled row closure. Estimated cardinalities use
+// bare column runs as a compiled value over the frame's vectors. Estimated cardinalities use
 // coarse textbook rules: an index scan keeps rows/distinct-keys, a filter
 // keeps a third of its input per conjunct, a hash join produces
 // max(left, right) rows, a nested-loop join a third of the cross product,

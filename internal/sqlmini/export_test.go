@@ -35,12 +35,15 @@ func (db *DB) ExecScript(src string) error {
 	return nil
 }
 
-// CompileBoundCodes lowers a plan-bound expression into a CodePred over
-// code rows: the row-at-a-time form of what CompileBoundVec compiles,
-// which the compiled-versus-interpreter fuzzer checks lane by lane. It
-// fails where CompileBoundVec fails.
-func (ev *Evaluator) CompileBoundCodes(e Expr) (CodePred, error) {
-	return (&compiler{ev: ev, bound: true}).pred(e)
+// RowTrue runs vp on one code row as a batch of one lane, the shape an
+// INSERT value and a memo miss take, and reports whether the row is kept.
+func RowTrue(vp *VecPred, crow []uint32) (bool, error) {
+	cols := make([][]uint32, len(crow))
+	for j := range crow {
+		cols[j] = crow[j : j+1]
+	}
+	kept, err := vp.EvalVec(cols, []uint32{0})
+	return len(kept) == 1, err
 }
 
 // Columns returns the set of column names e references.

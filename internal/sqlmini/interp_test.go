@@ -11,7 +11,7 @@ import (
 // the compile and vectorize tests, the protocol constraints' golden check)
 // and the evaluator of the statement-level oracle (stmt_oracle_test.go).
 // No binary evaluates through it: the engine compiles every expression
-// when its statement plans (compile.go). It resolves names per row
+// when its statement plans (vectorize.go). It resolves names per row
 // through an Env, so it reports an unknown column or function only when
 // a row reaches it.
 
@@ -250,6 +250,31 @@ func (e frameEnv) At(i int) (rel.Value, bool) {
 		return rel.Null(), false
 	}
 	return dict.Value(e.row[i]), true
+}
+
+func triVal(t tri) rel.Value {
+	switch t {
+	case triTrue:
+		return rel.B(true)
+	case triFalse:
+		return rel.B(false)
+	default:
+		return rel.Null()
+	}
+}
+
+func triMin(a, b tri) tri {
+	if a < b {
+		return a
+	}
+	return b
+}
+
+func triMax(a, b tri) tri {
+	if a > b {
+		return a
+	}
+	return b
 }
 
 // rowEnv adapts row i of t to Env; the qualifier, if present, must match

@@ -221,25 +221,26 @@ func TestPlanCacheDialectSlots(t *testing.T) {
 	}
 }
 
-// TestCompileBoundUnboundColumn: CompileBoundCodes only accepts
+// TestCompileBoundUnboundColumn: plan-bound compilation only accepts
 // plan-bound expressions; a bare Col is one the planner could not resolve
-// and must fail to compile with the unknown-column error a statement
-// reports, rather than resolve names per row.
+// and must fail to compile, as a value and as a predicate, with the
+// unknown-column error a statement reports, rather than resolve names per
+// row.
 func TestCompileBoundUnboundColumn(t *testing.T) {
 	ev := Evaluator{}
-	c := &compiler{ev: &ev, bound: true}
-	if _, err := c.val(Col{Name: "x"}); !errors.Is(err, ErrUnknownColumn) || err.Error() != "sqlmini: unknown column: x" {
+	if _, err := ev.compileValue(Col{Name: "x"}); !errors.Is(err, ErrUnknownColumn) || err.Error() != "sqlmini: unknown column: x" {
 		t.Fatalf("compiling a bare Col: err = %v, want ErrUnknownColumn", err)
 	}
-	if _, err := ev.CompileBoundCodes(Binary{Op: "=", L: Col{Qualifier: "t", Name: "x"}, R: Lit{Val: rel.S("a")}}); !errors.Is(err, ErrUnknownColumn) || err.Error() != "sqlmini: unknown column: t.x" {
-		t.Fatalf("CompileBoundCodes with unbound column: err = %v, want ErrUnknownColumn", err)
+	if _, err := ev.CompileBoundVec(Binary{Op: "=", L: Col{Qualifier: "t", Name: "x"}, R: Lit{Val: rel.S("a")}}); !errors.Is(err, ErrUnknownColumn) || err.Error() != "sqlmini: unknown column: t.x" {
+		t.Fatalf("CompileBoundVec with unbound column: err = %v, want ErrUnknownColumn", err)
 	}
 }
 
 // TestCompileBoundValueConditionals pins the value-position semantics of
 // CASE and ternary under compilation: the chosen branch's raw value (not
 // its truth value) flows into the enclosing comparison, matching the
-// interpreter exactly.
+// interpreter exactly, on each row as a one-row batch; compiled as a
+// value, the conditional itself yields the interpreter's value.
 func TestCompileBoundValueConditionals(t *testing.T) {
 	// Row layout: [0]=tag, [1]=payload.
 	col := func(i int, name string) Expr { return boundCol{Col: Col{Name: name}, Idx: i} }
@@ -270,13 +271,18 @@ func TestCompileBoundValueConditionals(t *testing.T) {
 	}
 	ev := Evaluator{}
 	for name, e := range map[string]Expr{"case": caseExpr, "ternary": ternExpr} {
-		pred, err := ev.CompileBoundCodes(e)
+		pred, err := ev.CompileBoundVec(e)
 		if err != nil {
-			t.Fatalf("%s: CompileBoundCodes: %v", name, err)
+			t.Fatalf("%s: CompileBoundVec: %v", name, err)
+		}
+		cond := e.(Binary).L
+		val, err := ev.compileValue(cond)
+		if err != nil {
+			t.Fatalf("%s: compileValue: %v", name, err)
 		}
 		ev := Evaluator{}
 		for i, row := range rows {
-			got, err := pred(codesOf(row))
+			got, err := RowTrue(pred, codesOf(row))
 			if err != nil {
 				t.Fatalf("%s row %d: %v", name, i, err)
 			}
@@ -287,6 +293,13 @@ func TestCompileBoundValueConditionals(t *testing.T) {
 			}
 			if got != want {
 				t.Errorf("%s row %d: compiled = %v, interpreted = %v", name, i, got, want)
+			}
+			crow, code := codesOf(row), []uint32{0}
+			if err := val.eval([][]uint32{crow[:1], crow[1:]}, []uint32{0}, code); err != nil {
+				t.Fatalf("%s row %d value: %v", name, i, err)
+			}
+			if wantVal, err := ev.Eval(cond, env); err != nil || !dict.Value(code[0]).Equal(wantVal) {
+				t.Errorf("%s row %d: compiled value = %v, interpreted = (%v, %v)", name, i, dict.Value(code[0]), wantVal, err)
 			}
 		}
 	}

@@ -117,11 +117,11 @@ type outPlan struct {
 }
 
 // outExpr produces one value per row: a direct read of column at, or,
-// when at is negative, fn evaluated over a scratch row in which only the
-// positions reads lists are filled.
+// when at is negative, the compiled value val, which reads the positions
+// reads lists.
 type outExpr struct {
 	at    int
-	fn    valFn
+	val   *vecValue
 	reads []int
 }
 
@@ -133,8 +133,8 @@ type aggSlot struct {
 }
 
 // eval computes the aggregate of each of ng groups, where gid[k] is the
-// group of the view's row k; rows are visited in order.
-func (a aggSlot) eval(v *rowView, gid []int32, ng int) ([]rel.Value, error) {
+// group of f's k-th row; rows are visited in order.
+func (a aggSlot) eval(f *frame, gid []int32, ng int) ([]rel.Value, error) {
 	out := make([]rel.Value, ng)
 	if a.arg == nil {
 		counts := make([]int64, ng)
@@ -149,11 +149,12 @@ func (a aggSlot) eval(v *rowView, gid []int32, ng int) ([]rel.Value, error) {
 	for g := range out {
 		out[g] = rel.Null()
 	}
+	src, err := f.column(*a.arg)
+	if err != nil {
+		return nil, err
+	}
 	for k, g := range gid {
-		val, err := v.value(*a.arg, k)
-		if err != nil {
-			return nil, err
-		}
+		val := dict.Value(src.at(k))
 		if val.IsNull() {
 			continue
 		}
@@ -520,13 +521,13 @@ func planAgg(ev *Evaluator, call Call, f *scope) (aggSlot, error) {
 }
 
 // compileOut compiles a bound output expression: a bare column reference
-// reads its position directly, anything else compiles to a closure.
+// reads its position directly, anything else compiles to a value.
 func compileOut(ev *Evaluator, e Expr) (outExpr, error) {
 	if b, ok := e.(boundCol); ok {
 		return outExpr{at: b.Idx}, nil
 	}
-	fn, err := ev.compileBoundVal(e)
-	return outExpr{at: -1, fn: fn, reads: reads(e)}, err
+	val, err := ev.compileValue(e)
+	return outExpr{at: -1, val: val, reads: reads(e)}, err
 }
 
 // reads lists the distinct row positions a bound expression reads.

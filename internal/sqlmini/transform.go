@@ -6,7 +6,7 @@ import "coherdb/internal/rel"
 // children left to right — until visit returns false, and reports whether
 // the walk ran to the end. It is the one walker over expression trees:
 // column collection (VisitColumns, pushTarget, StmtInputs), aggregate
-// detection and the selection-vector fallback all go through it. It
+// detection and the kernels' verdict memo all go through it. It
 // allocates nothing.
 func walk(e Expr, visit func(Expr) bool) bool {
 	// The last child of each node is walked by the loop rather than by a

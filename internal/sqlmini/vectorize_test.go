@@ -11,20 +11,20 @@ import (
 
 // Kernel-level audits of the vectorized execution layer: the selection-
 // vector kernels, over scan morsels and over the constraint solver's
-// domain batches (SweepLanes), against the row-at-a-time compiled
-// predicates and the tree-walking Evaluator, and the steady-state
-// allocation contract of EvalVec.
+// domain batches (SweepLanes), against each row alone as a one-row batch
+// and the tree-walking Evaluator, and the steady-state allocation
+// contract of EvalVec.
 
 // vecTestValues is the value universe the random predicate generator draws
 // from: a NULL, a few strings, a few ints — enough to exercise both NULL
-// dialects and the decoded-compare fallback.
+// dialects and the decoding comparisons.
 var vecTestValues = []rel.Value{
 	rel.Null(), rel.S("p"), rel.S("q"), rel.S("r"), rel.I(1), rel.I(2), rel.I(7),
 }
 
 // randBoundExpr builds a random plan-bound predicate over ncols columns
 // from the grammar's comparable subset: =, <>, IN, IS NULL, ordered
-// compares (which exercise the memoized fallback kernel), NOT, AND, OR,
+// compares (which exercise the per-code verdict memo), NOT, AND, OR,
 // the ternary and CASE, with and without ELSE.
 func randBoundExpr(rng *rand.Rand, ncols, depth int) Expr {
 	col := func() Expr {
@@ -92,9 +92,10 @@ func randCodeCols(rng *rand.Rand, ncols, nrows int) [][]uint32 {
 
 // TestVecPredMatchesScalarKernel is the seeded randomized cross-check: for
 // hundreds of random predicates, in both NULL dialects, the selection
-// vector EvalVec keeps must be exactly the rows the row-at-a-time CodePred
-// and the tree-walking Evaluator accept one at a time. Every predicate
-// vectorizes, including those that read several columns.
+// vector EvalVec keeps must be exactly the rows the same predicate keeps
+// on each row alone, as a one-row batch, and the tree-walking Evaluator
+// accepts one at a time. Every predicate vectorizes, including those that
+// read several columns.
 func TestVecPredMatchesScalarKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	const ncols, nrows = 3, 64
@@ -106,10 +107,6 @@ func TestVecPredMatchesScalarKernel(t *testing.T) {
 			vp, err := ev.CompileBoundVec(e)
 			if err != nil {
 				t.Fatalf("trial %d strict=%v: vectorized compile of %s: %v", trial, strict, e, err)
-			}
-			cp, err := ev.CompileBoundCodes(e)
-			if err != nil {
-				t.Fatalf("trial %d strict=%v: scalar compile of %s: %v", trial, strict, e, err)
 			}
 			sel := make([]uint32, nrows)
 			for i := range sel {
@@ -125,9 +122,9 @@ func TestVecPredMatchesScalarKernel(t *testing.T) {
 				for j := 0; j < ncols; j++ {
 					crow[j] = cols[j][i]
 				}
-				ok, err := cp(crow)
+				ok, err := RowTrue(vp, crow)
 				if err != nil {
-					t.Fatalf("trial %d strict=%v: scalar eval of %s: %v", trial, strict, e, err)
+					t.Fatalf("trial %d strict=%v: one-row eval of %s: %v", trial, strict, e, err)
 				}
 				interp, err := ev.True(e, frameEnv{f: &scope{}, row: crow})
 				if err != nil || interp != ok {
@@ -138,7 +135,7 @@ func TestVecPredMatchesScalarKernel(t *testing.T) {
 				}
 			}
 			if fmt.Sprint(kept) != fmt.Sprint(want) {
-				t.Fatalf("trial %d strict=%v: %s\nvectorized keeps %v\nscalar keeps    %v",
+				t.Fatalf("trial %d strict=%v: %s\nvectorized keeps %v\none-row keeps   %v",
 					trial, strict, e, kept, want)
 			}
 		}
@@ -147,8 +144,8 @@ func TestVecPredMatchesScalarKernel(t *testing.T) {
 
 // randSweepExpr builds a random unbound condition over named columns,
 // including the shapes the kernels lower structurally (=, <>, IN, IS NULL,
-// AND/OR, ternary) and the ones they route through the compiled-closure
-// fallback (ordered compares, BETWEEN).
+// AND/OR, ternary) and the ones that decode values (ordered compares,
+// BETWEEN).
 func randSweepExpr(rng *rand.Rand, names []string, depth int) Expr {
 	col := func() Expr { return Col{Name: names[rng.Intn(len(names))]} }
 	lit := func() Expr { return Lit{Val: vecTestValues[rng.Intn(len(vecTestValues))]} }
@@ -575,9 +572,9 @@ func TestSelectorBatchMatchesRows(t *testing.T) {
 // TestVectorizedFilterAllocs audits the steady-state allocation contract:
 // once a VecPred's pooled scratch state is warm, EvalVec must not allocate
 // — for the pure code-compare kernels, the ternary's partition and merge
-// (OR and CASE included), the memoized single-column fallback (the memo
-// table is grown on first contact, then reused) and the per-row
-// multi-column fallback alike.
+// (OR and CASE included), a single-column ordered comparison behind its
+// verdict memo (the memo table is grown on first contact, then reused)
+// and a two-column one decoded per row alike.
 func TestVectorizedFilterAllocs(t *testing.T) {
 	if raceEnabled {
 		// Under the race detector sync.Pool deliberately drops items to
@@ -608,7 +605,7 @@ func TestVectorizedFilterAllocs(t *testing.T) {
 		{"case-no-else", Unary{Op: "NOT", X: Case{Whens: []When{
 			{Cond: IsNull{X: boundCol{Col: Col{Name: "a"}, Idx: 0}}, Val: Binary{Op: "=", L: boundCol{Col: Col{Name: "b"}, Idx: 1}, R: Lit{Val: rel.I(1)}}},
 		}}}},
-		{"memo-fallback", Binary{Op: ">", L: boundCol{Col: Col{Name: "b"}, Idx: 1}, R: Lit{Val: rel.I(1)}}},
+		{"memo", Binary{Op: ">", L: boundCol{Col: Col{Name: "b"}, Idx: 1}, R: Lit{Val: rel.I(1)}}},
 		{"multi-column", Binary{Op: "<", L: boundCol{Col: Col{Name: "a"}, Idx: 0}, R: boundCol{Col: Col{Name: "b"}, Idx: 1}}},
 	}
 	sel := make([]uint32, nrows)
@@ -625,7 +622,7 @@ func TestVectorizedFilterAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		run() // warm the pool and the fallback memo
+		run() // warm the pool and the verdict memo
 		if got := testing.AllocsPerRun(100, run); got > 0 {
 			t.Errorf("%s: EvalVec allocates %.1f per call at steady state, want 0", tc.name, got)
 		}

@@ -45,9 +45,11 @@
 # scan-filter and solver-batch equivalence suites (frozen result digests,
 # and every compiled form against the tree-walking interpreter, over scan
 # morsels, over the solver's domain batches and over a rule-chain
-# family's selection batches (TestSelectorBatchMatchesRows), including the
-# differential fuzzer's seed corpus, and whole SELECTs against the naive
-# nested-loop oracle), the MVCC epoch/catalog layer
+# family's selection batches (TestSelectorBatchMatchesRows), the value
+# form over a random selection and each row alone as a one-row batch,
+# including the differential fuzzer's seed corpus, MonolithicOpts across
+# lane-batch boundaries (TestMonolithicAcrossLaneBatches), and whole
+# SELECTs against the naive nested-loop oracle), the MVCC epoch/catalog layer
 # (with DML atomicity on shared and session tables, UPDATE/DELETE against
 # their row-at-a-time oracle, indexes carried across epochs against a
 # rebuild, and DML building no index) and the query server (concurrent
@@ -82,7 +84,7 @@ echo "== race-detector storage-engine tests =="
 go test -race ./internal/rel/...
 
 echo "== race-detector solver tests =="
-go test -race -run 'TestSolve|TestMonolithic|TestConcurrentSolves|TestQuickSolveEqualsMonolithic|TestBatchCursor|TestCompiledPredConcurrentUse|TestVectorizedSweepMatchesScalar|TestQuickSharedChainsMatchOracles|TestIncrementalMemberLeavesFamily|TestArmSelectionsOncePerRow|TestFamilySplit|TestFamilySelectionErrors|TestCompileSweepAgreesWithInterpreter|TestStepSharesColumns|TestSelectorBatchMatchesRows' \
+go test -race -run 'TestSolve|TestMonolithic|TestMonolithicAcrossLaneBatches|TestConcurrentSolves|TestQuickSolveEqualsMonolithic|TestBatchCursor|TestCompiledPredConcurrentUse|TestVectorizedSweepMatchesScalar|TestQuickSharedChainsMatchOracles|TestIncrementalMemberLeavesFamily|TestArmSelectionsOncePerRow|TestFamilySplit|TestFamilySelectionErrors|TestCompileSweepAgreesWithInterpreter|TestStepSharesColumns|TestSelectorBatchMatchesRows|FuzzCompiledMatchesInterpreter' \
     ./internal/constraint/ ./internal/sqlmini/
 
 echo "== race-detector parallel-executor tests =="
@@ -90,7 +92,7 @@ go test -race -run 'TestParallelMatchesSerial|TestParallelMatchesSerialControlle
     ./internal/pool/ ./internal/sqlmini/
 
 echo "== race-detector vectorized-equivalence tests =="
-go test -race -run 'TestScanFiltersMatchFrozenResults|TestVecPredMatchesScalarKernel|TestSweepVecMatchesInterpreter|FuzzCompiledMatchesInterpreter|TestStatementsMatchOracle|FuzzStatementsMatchOracle|TestCompiledConstraintsMatchInterpreter' \
+go test -race -run 'TestScanFiltersMatchFrozenResults|TestVecPredMatchesScalarKernel|TestSweepVecMatchesInterpreter|FuzzCompiledMatchesInterpreter|TestCompileAgreesWithInterpreter|TestCompileBoundValueConditionals|TestStatementsMatchOracle|FuzzStatementsMatchOracle|TestCompiledConstraintsMatchInterpreter' \
     ./internal/sqlmini/
 
 echo "== race-detector observability tests =="
