@@ -29,6 +29,7 @@ import (
 	"coherdb/internal/protocol"
 	"coherdb/internal/segment"
 	"coherdb/internal/sim"
+	"coherdb/internal/sqlmini"
 )
 
 func main() {
@@ -322,7 +323,10 @@ func printInvariantStats(results []check.Result) {
 	fmt.Printf("  %-28s %-7s %9s %8s %8s %6s %6s %6s %7s\n",
 		"invariant", "exec", "elapsed", "scanned", "rows", "hashj", "idxj", "loopj", "morsels")
 	for _, r := range sorted {
-		st := r.Stats
+		var st sqlmini.QueryStats
+		if r.Stats != nil {
+			st = *r.Stats
+		}
 		exec := "run"
 		if r.Skipped {
 			exec = "skipped"

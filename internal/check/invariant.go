@@ -13,6 +13,7 @@ package check
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -44,13 +45,29 @@ type Result struct {
 	Elapsed    time.Duration
 	Err        error
 	// Stats is the invariant query's execution profile (rows scanned,
-	// join strategies, morsel/steal counts). Zero when the query fell
-	// back to the unprepared path.
-	Stats sqlmini.QueryStats
+	// join strategies, morsel/steal counts). Nil when the query fell back
+	// to the unprepared path, or RunDelta kept an empty result without
+	// running it; a carried-over result shares its run's.
+	Stats *sqlmini.QueryStats
 	// Skipped marks a result carried over from the previous run by
 	// RunDelta because the invariant's input columns were untouched by
 	// the revision's delta; Violations then aliases the prior table.
 	Skipped bool
+	// Positions holds, for an invariant over one table whose rows the
+	// query can place (see sqlmini.ShapeOf), the base-table position of
+	// each violating row: the row itself, or a violating group's first
+	// row. RunDelta seeds the next re-check from them. It is nil for any
+	// other result, which RunDelta re-runs in full when it is touched.
+	Positions []uint32
+}
+
+// rowsRead is the number of base rows the result's query read: 0 when
+// it has no stats.
+func (r Result) rowsRead() int {
+	if r.Stats == nil {
+		return 0
+	}
+	return r.Stats.RowsScanned
 }
 
 // Passed reports whether the invariant held.
@@ -60,10 +77,12 @@ func (r Result) Passed() bool { return r.Err == nil && r.Violations != nil && r.
 type Suite struct {
 	invs []Invariant
 	// inputs caches each invariant's (table, columns) dependency list,
-	// extracted from its SQL; see inputSets. Dropped on Add. mu guards it:
+	// and shapes how RunDelta may re-run it seeded (nil: in full), both
+	// extracted from its SQL; see deps. Dropped on Add. mu guards them:
 	// concurrent server sessions re-check through one shared suite.
 	mu     sync.Mutex
 	inputs [][]delta.Input
+	shapes []*sqlmini.Shape
 }
 
 // NewSuite builds an empty suite.
@@ -88,7 +107,7 @@ func (s *Suite) Add(inv Invariant) *Suite {
 	}
 	s.invs = append(s.invs, inv)
 	s.mu.Lock()
-	s.inputs = nil
+	s.inputs, s.shapes = nil, nil
 	s.mu.Unlock()
 	return s
 }
@@ -147,94 +166,113 @@ type DBLike interface {
 // suites (or the constraint dialect) never perturb each other.
 func (s *Suite) Run(db DBLike, opts Options) []Result {
 	results := make([]Result, len(s.invs))
-	idx := make([]int, len(s.invs))
-	for i := range idx {
-		idx[i] = i
+	jobs := make([]job, len(s.invs))
+	for i := range jobs {
+		jobs[i].i = i
 	}
-	s.runSubset(db, idx, results, opts, nil)
+	s.runSubset(db, jobs, results, opts, nil)
 	return results
 }
 
-// runSubset checks the invariants named by idx, writing their results into
-// the matching slots of results; other slots are left as the caller set
-// them. extra builds attributes for the "check.suite" span; it runs, and
-// the span's attributes are formatted, only when opts has a tracer.
-func (s *Suite) runSubset(db DBLike, idx []int, results []Result, opts Options, extra func() []obs.Attr) {
+// job is one invariant check: invariant i, run in full, or seeded over
+// the base rows seed lists (see RunDelta).
+type job struct {
+	i      int
+	seeded bool
+	seed   []uint32
+}
+
+// runSubset runs jobs, writing each result into its invariant's slot of
+// results; other slots are left as the caller set them. extra builds
+// attributes for the "check.suite" span; it runs, and the span's
+// attributes are formatted, only when opts has a tracer.
+func (s *Suite) runSubset(db DBLike, jobs []job, results []Result, opts Options, extra func() []obs.Attr) {
 	exec := pool.Shared()
 	workers := opts.Workers
 	if workers <= 0 || workers > exec.Size() {
 		workers = exec.Size()
 	}
-	if workers > len(idx) {
-		workers = len(idx)
+	if workers > len(jobs) {
+		workers = len(jobs)
+	}
+	if !slices.ContainsFunc(jobs, func(j job) bool { return !j.seeded }) {
+		// Seeded checks read a handful of rows each: handing them to
+		// other workers costs more than running them.
+		workers = min(workers, 1)
 	}
 
 	// Prepare every invariant up front: re-running the suite (the paper's
 	// every-revision workflow) then never re-parses or re-plans a query.
-	prepared := make([]*sqlmini.Prepared, len(idx))
-	for k, i := range idx {
-		prepared[k], _ = db.Prepare(s.invs[i].SQL) // a nil entry falls back to Query
+	prepared := make([]*sqlmini.Prepared, len(jobs))
+	for k, j := range jobs {
+		prepared[k], _ = db.Prepare(s.invs[j.i].SQL) // a nil entry falls back to Query
 	}
 
 	var suite *obs.Span
 	if opts.Tracer != nil {
-		attrs := []obs.Attr{obs.Int("invariants", len(idx)), obs.Int("workers", workers)}
+		attrs := []obs.Attr{obs.Int("invariants", len(jobs)), obs.Int("workers", workers)}
 		if extra != nil {
 			attrs = append(attrs, extra()...)
 		}
 		suite = obs.StartSpan(opts.Tracer, "check.suite", attrs...)
 	}
-	if len(idx) == 0 {
+	if len(jobs) == 0 {
 		suite.Finish()
 		return
 	}
-	st, _ := exec.Each(workers, len(idx), 1, func(k, _, _ int) error {
-		i := k
-		inv := s.invs[idx[i]]
+	st, _ := exec.Each(workers, len(jobs), 1, func(k, _, _ int) error {
+		j := jobs[k]
+		inv := s.invs[j.i]
 		var sp *obs.Span
 		if suite != nil {
 			sp = suite.Child("check.invariant", obs.String("invariant", inv.Name))
 		}
 		start := time.Now()
-		var tab *rel.Table
-		var qs sqlmini.QueryStats
-		var err error
-		if p := prepared[i]; p != nil {
+		r := Result{Invariant: inv}
+		if p := prepared[k]; p != nil {
 			var res *sqlmini.Result
-			res, qs, err = p.ExecStatsDialect(true)
-			if err == nil {
-				tab = res.Table
-				if tab == nil {
-					err = fmt.Errorf("check: invariant %q is not a query", inv.Name)
-				}
+			var qs sqlmini.QueryStats
+			var err error
+			if j.seeded {
+				res, qs, err = p.ExecSeeded(true, j.seed)
+			}
+			if !j.seeded || err != nil {
+				res, qs, err = p.ExecStatsDialect(true)
+			}
+			r.Stats = &qs
+			switch {
+			case err != nil:
+				r.Err = err
+			case res.Table == nil:
+				r.Err = fmt.Errorf("check: invariant %q is not a query", inv.Name)
+			default:
+				r.Violations, r.Positions = res.Table, res.Positions
 			}
 		} else {
-			tab, err = db.Query(inv.SQL)
+			r.Violations, r.Err = db.Query(inv.SQL)
 		}
-		r := Result{
-			Invariant:  inv,
-			Violations: tab,
-			Elapsed:    time.Since(start),
-			Err:        err,
-			Stats:      qs,
-		}
+		r.Elapsed = time.Since(start)
 		if sp != nil {
 			violations := 0
-			if tab != nil {
-				violations = tab.NumRows()
+			if r.Violations != nil {
+				violations = r.Violations.NumRows()
 			}
-			sp.SetAttr(obs.Int("violations", violations))
-			if err != nil {
-				sp.SetAttr(obs.String("error", err.Error()))
+			sp.SetAttr(obs.Int("violations", violations), obs.Int("rows", r.rowsRead()))
+			if r.Err != nil {
+				sp.SetAttr(obs.String("error", r.Err.Error()))
 			}
 			sp.Finish()
 		}
 		opts.observe(r)
-		results[idx[i]] = r
+		results[j.i] = r
 		return nil
 	})
 	if suite != nil {
-		suite.SetAttr(obs.Int("steals", st.Steals))
+		rows := 0
+		for _, j := range jobs {
+			rows += results[j.i].rowsRead()
+		}
+		suite.SetAttr(obs.Int("steals", st.Steals), obs.Int("rows_evaluated", rows))
 		suite.Finish()
 	}
 }

@@ -1,91 +1,6 @@
 package constraint
 
-import (
-	"slices"
-	"sync/atomic"
-)
-
-// codeKeys maps the projections of a partial table's rows onto the
-// positions ps to dense ids, in first-seen order. Keys are read from the
-// column vectors as codes, hashed a word at a time and stored flat,
-// len(ps) codes per id, so interning allocates nothing per key. The table
-// is open-addressed at a load of at most 3/4; one sized for its final key
-// count never grows. A step's grouping and a family's arm memo both key
-// on it.
-type codeKeys struct {
-	ps    []int
-	keys  []uint32 // id i's key is keys[i*len(ps) : (i+1)*len(ps)]
-	key   []uint32 // scratch: the row being interned
-	slots []int32  // open-addressed: id + 1, 0 = empty
-	mask  uint64   // len(slots) - 1
-	n     int      // ids handed out
-}
-
-// newCodeKeys returns an empty table over positions ps with room for hint
-// keys before it grows.
-func newCodeKeys(ps []int, hint int) *codeKeys {
-	size := 16
-	for size*3 < hint*4 {
-		size *= 2
-	}
-	return &codeKeys{
-		ps:    ps,
-		keys:  make([]uint32, 0, hint*len(ps)),
-		key:   make([]uint32, len(ps)),
-		slots: make([]int32, size),
-		mask:  uint64(size - 1),
-	}
-}
-
-// intern returns the id of row r's projection onto the table's positions
-// in the column vectors cols, adding it if new.
-func (t *codeKeys) intern(cols [][]uint32, r int) int32 {
-	for j, p := range t.ps {
-		t.key[j] = cols[p][r]
-	}
-	k := len(t.ps)
-	for i := hashCodes(t.key) & t.mask; ; i = (i + 1) & t.mask {
-		s := t.slots[i]
-		if s == 0 {
-			id := int32(t.n)
-			t.keys = append(t.keys, t.key...)
-			t.slots[i] = id + 1
-			t.n++
-			if uint64(t.n)*4 > uint64(len(t.slots))*3 {
-				t.grow()
-			}
-			return id
-		}
-		if slices.Equal(t.keys[int(s-1)*k:int(s)*k], t.key) {
-			return s - 1
-		}
-	}
-}
-
-func (t *codeKeys) grow() {
-	slots := make([]int32, len(t.slots)*2)
-	mask := uint64(len(slots) - 1)
-	k := len(t.ps)
-	for id := 0; id < t.n; id++ {
-		i := hashCodes(t.keys[id*k:(id+1)*k]) & mask
-		for slots[i] != 0 {
-			i = (i + 1) & mask
-		}
-		slots[i] = int32(id) + 1
-	}
-	t.slots, t.mask = slots, mask
-}
-
-// hashCodes hashes a key a code at a time, FNV-1a style with 32-bit words
-// in place of bytes, folding the high half into the low bits the slots
-// index by.
-func hashCodes(key []uint32) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range key {
-		h = (h ^ uint64(c)) * 1099511628211
-	}
-	return h ^ h>>32
-}
+import "sync/atomic"
 
 // batchCursor deals contiguous [lo, hi) batches of the index space [0, n)
 // to competing workers through one atomic counter. Compared to the static

@@ -108,9 +108,10 @@ func TestMonolithicTinySpaceManyWorkers(t *testing.T) {
 	}
 }
 
-// TestGroupTableIntern checks the code-keyed group table: dense ids in
-// first-seen order, a duplicate projection read from a different row, and
-// growth past the initial slot count.
+// TestGroupTableIntern checks the code-keyed group table a solve step
+// groups its rows with (rel.CodeKeys): dense ids in first-seen order, a
+// duplicate projection read from a different row, and one group when
+// the projection is empty. rel's TestCodeKeys covers growth and Find.
 func TestGroupTableIntern(t *testing.T) {
 	const n = 300
 	// Rows i and i+n project equally onto positions 0 and 2; column 1,
@@ -126,23 +127,26 @@ func TestGroupTableIntern(t *testing.T) {
 		cols[1][i] = uint32(i)
 		cols[2][i] = k % 16 << 20
 	}
-	keys := newCodeKeys([]int{0, 2}, 0)
-	slots := len(keys.slots)
+	ps := []int{0, 2}
+	keys := rel.NewCodeKeys(len(ps), 0)
 	for i := 0; i < n; i++ {
-		if id := keys.intern(cols, i); id != int32(i) {
+		if id := keys.Intern(keys.Row(cols, ps, i)); id != int32(i) {
 			t.Fatalf("row %d interns as %d, want %d", i, id, i)
 		}
 	}
 	for i := n; i < 2*n; i++ {
-		if id := keys.intern(cols, i); id != int32(i-n) {
+		if id := keys.Intern(keys.Row(cols, ps, i)); id != int32(i-n) {
 			t.Fatalf("row %d interns as %d, want row %d's id %d", i, id, i-n, i-n)
 		}
 	}
-	if keys.n != n {
-		t.Fatalf("%d ids, want %d", keys.n, n)
+	if keys.Len() != n {
+		t.Fatalf("%d ids, want %d", keys.Len(), n)
 	}
-	if len(keys.slots) <= slots {
-		t.Fatalf("%d slots after %d keys: the table never grew past its initial %d", len(keys.slots), n, slots)
+	none := rel.NewCodeKeys(0, 0)
+	for i := 0; i < 3; i++ {
+		if id := none.Intern(none.Row(cols, nil, i)); id != 0 {
+			t.Fatalf("row %d of an empty projection interns as %d, want 0", i, id)
+		}
 	}
 }
 

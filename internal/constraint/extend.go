@@ -3,6 +3,8 @@ package constraint
 import (
 	"slices"
 	"sync"
+
+	"coherdb/internal/rel"
 )
 
 // part is the partial table of a column-at-a-time solve, column-major: one
@@ -80,10 +82,10 @@ func (r *solveRun) extend(cur part, domain []uint32, fire []compiledConstraint, 
 			reps[i] = uint32(i)
 		}
 	} else {
-		keys := newCodeKeys(oldRefs, cur.n)
+		keys := rel.NewCodeKeys(len(oldRefs), cur.n)
 		reps = make([]uint32, 0, cur.n)
 		for i := range groupOf {
-			g := keys.intern(cur.cols, i)
+			g := keys.Intern(keys.Row(cur.cols, oldRefs, i))
 			if int(g) == len(reps) {
 				reps = append(reps, uint32(i))
 			}

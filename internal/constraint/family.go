@@ -3,6 +3,7 @@ package constraint
 import (
 	"fmt"
 
+	"coherdb/internal/rel"
 	"coherdb/internal/sqlmini"
 )
 
@@ -248,8 +249,8 @@ func (w *chainScan) branches(k int, rest sqlmini.Expr) ([]*sqlmini.VecPred, []in
 // IncrementalSolver assumes too), so a projection's arm never changes
 // within a solve and every later step looks it up.
 type armMemo struct {
-	keys *codeKeys // over the family's cols
-	arms []int32   // per key: the arm, or -1-i for errs[i]
+	keys *rel.CodeKeys // over the family's cols
+	arms []int32       // per key: the arm, or -1-i for errs[i]
 	errs []error
 }
 
@@ -269,7 +270,7 @@ func (m *armMemo) selectArms(f *family, cols [][]uint32, reps []uint32) (groupAr
 	seen := len(m.arms)
 	var batch []uint32 // the rows of keys new at this step, ascending
 	for g, rep := range reps {
-		id := m.keys.intern(cols, int(rep))
+		id := m.keys.Intern(m.keys.Row(cols, f.cols, int(rep)))
 		if int(id) == seen+len(batch) {
 			batch = append(batch, rep)
 		}

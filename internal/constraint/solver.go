@@ -303,7 +303,7 @@ func (r *solveRun) arms(cols [][]uint32, reps []uint32, fire []compiledConstrain
 				if r.memos == nil {
 					r.memos = make(map[*family]*armMemo)
 				}
-				m = &armMemo{keys: newCodeKeys(c.fam.cols, len(reps))}
+				m = &armMemo{keys: rel.NewCodeKeys(len(c.fam.cols), len(reps))}
 				r.memos[c.fam] = m
 			}
 			out[i], n = m.selectArms(c.fam, cols, reps)

@@ -72,6 +72,15 @@ func (s *Set) Touches(table string, cols ...string) bool {
 	return d.Touches(cols...)
 }
 
+// Table returns the named table's delta, or nil when the table is
+// untouched (or the Set is nil).
+func (s *Set) Table(name string) *rel.TableDelta {
+	if s == nil {
+		return nil
+	}
+	return s.byTable[name]
+}
+
 // Rows returns the total delta size across tables: Σ |Added| + |Removed|.
 func (s *Set) Rows() int {
 	if s == nil {

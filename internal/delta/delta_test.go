@@ -1,6 +1,7 @@
 package delta
 
 import (
+	"maps"
 	"testing"
 
 	"coherdb/internal/rel"
@@ -20,6 +21,13 @@ func (c mapCatalog) Names() []string {
 func (c mapCatalog) Table(name string) (*rel.Table, bool) {
 	t, ok := c[name]
 	return t, ok
+}
+
+// Diff returns the delta from tr's baseline to c's current state without
+// moving the baseline: DiffAndCapture on a copy of the tracker.
+func (tr *Tracker) Diff(c Catalog) *Set {
+	cp := &Tracker{snaps: maps.Clone(tr.snaps), live: maps.Clone(tr.live), revs: maps.Clone(tr.revs)}
+	return cp.DiffAndCapture(c)
 }
 
 func twoColTable(name string) *rel.Table {
@@ -59,6 +67,39 @@ func TestTrackerDiffFastPathAndEdit(t *testing.T) {
 	tr.Capture(cat)
 	if s3 := tr.Diff(cat); s3.String() != "<empty>" {
 		t.Fatalf("diff after recapture not empty: %s", s3)
+	}
+}
+
+// TestDiffAndCaptureMovesBaseline: each DiffAndCapture reports the edits
+// since the previous one, over edited, untouched, created and dropped
+// tables alike.
+func TestDiffAndCaptureMovesBaseline(t *testing.T) {
+	cat := mapCatalog{"D": twoColTable("D"), "M": twoColTable("M")}
+	tr := NewTracker()
+	tr.Capture(cat)
+	if err := cat["D"].Set(0, "pv", rel.S("7")); err != nil {
+		t.Fatal(err)
+	}
+	if s := tr.DiffAndCapture(cat); !s.Touches("D", "pv") || s.Touches("M") || s.Rows() != 2 {
+		t.Fatalf("first edit: %s", s)
+	}
+	if s := tr.DiffAndCapture(cat); s.String() != "<empty>" {
+		t.Fatalf("no edit since the last diff: %s", s)
+	}
+	cat["D"].MustInsert(rel.S("S"), rel.S("2"))
+	if err := cat["M"].Set(1, "st", rel.S("E")); err != nil {
+		t.Fatal(err)
+	}
+	if s := tr.DiffAndCapture(cat); !s.Touches("D") || !s.Touches("M", "st") || s.Touches("M", "pv") || s.Rows() != 3 {
+		t.Fatalf("second edit: %s", s)
+	}
+	delete(cat, "M")
+	cat["N"] = twoColTable("N")
+	if s := tr.DiffAndCapture(cat); s.Touches("D") || !s.Touches("M") || !s.Touches("N") || s.Rows() != 4 {
+		t.Fatalf("drop and create: %s", s)
+	}
+	if s := tr.DiffAndCapture(cat); s.String() != "<empty>" {
+		t.Fatalf("after drop and create: %s", s)
 	}
 }
 

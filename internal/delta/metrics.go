@@ -5,7 +5,10 @@ import "coherdb/internal/obs"
 // Counters registers (or fetches) the delta-layer counters on reg:
 //
 //	coherdb_delta_rows_reused_total   — input rows a consumer did not
-//	                                    re-scan because its node was skipped
+//	                                    re-scan: every input row of a
+//	                                    skipped node, and the rows a node
+//	                                    re-checked over the changed rows
+//	                                    did not re-read
 //	coherdb_delta_nodes_skipped_total — consumer nodes (invariants,
 //	                                    analyses, reconstructions) skipped
 //	                                    because their inputs were untouched
@@ -16,7 +19,7 @@ func Counters(reg *obs.Registry) (rowsReused, nodesSkipped *obs.Counter) {
 		return nil, nil
 	}
 	reg.Help("coherdb_delta_rows_reused_total",
-		"Input rows not re-scanned because the consuming node was delta-skipped.")
+		"Input rows not re-scanned: those of delta-skipped nodes, and those a row-level re-check did not re-read.")
 	reg.Help("coherdb_delta_nodes_skipped_total",
 		"Consumer nodes skipped because their input columns were untouched by the delta.")
 	return reg.Counter("coherdb_delta_rows_reused_total"),

@@ -13,7 +13,7 @@ type Catalog interface {
 
 // Tracker captures a baseline of a catalog — copy-on-write snapshots plus
 // (pointer, revision) pairs — and diffs the live catalog against it.
-// Capture costs O(tables × cols); Diff costs O(1) per unchanged table
+// Capture costs O(tables × cols); a diff costs O(1) per unchanged table
 // (pointer identity + revision compare, no data access) and a real
 // rel.DiffCodes only for tables that mutated, were replaced, created, or
 // dropped.
@@ -27,8 +27,8 @@ type Tracker struct {
 	revs  map[string]uint64     // live revision at capture
 }
 
-// NewTracker returns a tracker with no baseline; Diff before the first
-// Capture returns a full delta for every table.
+// NewTracker returns a tracker with no baseline; DiffAndCapture before
+// the first Capture returns a full delta for every table.
 func NewTracker() *Tracker {
 	return &Tracker{
 		snaps: make(map[string]*rel.Table),
@@ -43,59 +43,64 @@ func (tr *Tracker) Capture(c Catalog) {
 	clear(tr.live)
 	clear(tr.revs)
 	for _, name := range c.Names() {
-		t, ok := c.Table(name)
-		if !ok {
-			continue
+		if t, ok := c.Table(name); ok {
+			tr.capture(name, t)
 		}
-		tr.snaps[name] = t.Snapshot()
-		tr.live[name] = t
-		tr.revs[name] = t.Revision()
 	}
 }
 
-// Diff returns the delta from the captured baseline to the catalog's
-// current state. It does not move the baseline; call Capture (or
-// DiffAndCapture) to advance it.
-func (tr *Tracker) Diff(c Catalog) *Set {
+// capture baselines one table.
+func (tr *Tracker) capture(name string, t *rel.Table) {
+	tr.snaps[name] = t.Snapshot()
+	tr.live[name] = t
+	tr.revs[name] = t.Revision()
+}
+
+// DiffAndCapture returns the delta from the captured baseline to the
+// catalog's current state and re-baselines in the same pass — the
+// edit-loop primitive: each call returns what the edits since the
+// previous call changed. Only the tables that changed, were created or
+// were dropped are re-captured.
+func (tr *Tracker) DiffAndCapture(c Catalog) *Set {
 	s := NewSet()
-	seen := make(map[string]bool, len(tr.snaps))
+	base, kept := len(tr.snaps), 0 // baselined tables, and those still in c
 	for _, name := range c.Names() {
 		cur, ok := c.Table(name)
 		if !ok {
 			continue
 		}
-		seen[name] = true
 		snap, had := tr.snaps[name]
-		if !had {
+		switch {
+		case !had:
 			// Created since capture: everything is added.
-			s.Add(rel.DiffCodes(emptyLike(cur), cur))
-			continue
-		}
-		if tr.live[name] == cur && tr.revs[name] == cur.Revision() {
+			s.Add(rel.DiffCodes(cur.Blank(), cur))
+		case tr.live[name] == cur && tr.revs[name] == cur.Revision():
+			kept++
 			continue // same object, same revision: provably unchanged
+		default:
+			kept++
+			s.Add(rel.DiffCodes(snap, cur))
 		}
-		s.Add(rel.DiffCodes(snap, cur))
+		tr.capture(name, cur)
+	}
+	if kept == base {
+		return s // nothing dropped
+	}
+	seen := make(map[string]bool, len(tr.snaps))
+	for _, name := range c.Names() {
+		if _, ok := c.Table(name); ok {
+			seen[name] = true
+		}
 	}
 	for name, snap := range tr.snaps {
-		if !seen[name] {
-			// Dropped since capture: everything is removed.
-			s.Add(rel.DiffCodes(snap, emptyLike(snap)))
+		if seen[name] {
+			continue
 		}
+		// Dropped since capture: everything is removed.
+		s.Add(rel.DiffCodes(snap, snap.Blank()))
+		delete(tr.snaps, name)
+		delete(tr.live, name)
+		delete(tr.revs, name)
 	}
 	return s
-}
-
-// DiffAndCapture diffs, then re-baselines, in one pass — the edit-loop
-// primitive: each call returns what the edits since the previous call
-// changed.
-func (tr *Tracker) DiffAndCapture(c Catalog) *Set {
-	s := tr.Diff(c)
-	tr.Capture(c)
-	return s
-}
-
-// emptyLike returns a rowless table with t's schema, for diffing created
-// and dropped tables.
-func emptyLike(t *rel.Table) *rel.Table {
-	return rel.MustNewTable(t.Name(), t.ColumnsRef()...)
 }

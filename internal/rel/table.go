@@ -52,19 +52,26 @@ type Table struct {
 	rev uint64
 
 	// shared marks the column vectors as aliased by a Snapshot (in either
-	// direction); the next mutation copies them first (copy-on-write), so
-	// snapshots stay immutable at O(cols) capture cost. It is atomic so
+	// direction); a mutation copies each vector before it first writes it
+	// (copy-on-write), so snapshots stay immutable at O(cols) capture cost
+	// and a write to one column leaves the others aliased. It is atomic so
 	// concurrent readers may Snapshot the same published (immutable)
 	// table — every session's revision tracker does — without racing;
 	// mutators still require external exclusion.
 	shared atomic.Bool
+	// owned[j] records, once a mutation has seen shared, that column j's
+	// vector has since been copied and is this table's alone; nil means
+	// every vector is. Only mutators read or write it.
+	owned []bool
 
-	// rewriteGen counts mutations that rewrite, remove, or reorder
-	// existing rows (appends leave it alone). A snapshot carries its
-	// source's value, so "same rewriteGen, no fewer rows" proves a
-	// derived table is an append-only extension — the precondition for
-	// extending persistent indexes incrementally at epoch-publish time
-	// instead of rebuilding them.
+	// rewriteGen names the table's contents as of its creation or its
+	// last mutation that rewrote, removed or reordered existing rows
+	// (appends leave it alone): each of those draws a process-wide fresh
+	// value (nextGen). A snapshot carries its source's value, so "same
+	// rewriteGen, no fewer rows" proves one table is an append-only
+	// extension of the other — what lets CarryIndexes extend persistent
+	// indexes over just the new rows, and DiffCodes report an append
+	// without comparing the old rows.
 	rewriteGen uint64
 
 	// idxMu serializes lazy index construction by concurrent readers; it
@@ -85,6 +92,8 @@ func NewTable(name string, cols ...string) (*Table, error) {
 		pos:  make(map[string]int, len(cols)),
 		dict: shared,
 		data: make([][]uint32, len(cols)),
+
+		rewriteGen: nextGen.Add(1),
 	}
 	for i, c := range cols {
 		if _, dup := t.pos[c]; dup {
@@ -93,6 +102,21 @@ func NewTable(name string, cols ...string) (*Table, error) {
 		t.pos[c] = i
 	}
 	return t, nil
+}
+
+// Blank returns an empty table with t's name and columns. It shares t's
+// column list and name index, which no table ever writes, so it costs one
+// allocation where NewTable builds the index: an executor that emits many
+// results of one shape keeps a blank template and calls Blank per result.
+func (t *Table) Blank() *Table {
+	return &Table{
+		name:       t.name,
+		cols:       t.cols,
+		pos:        t.pos,
+		dict:       t.dict,
+		data:       make([][]uint32, len(t.cols)),
+		rewriteGen: nextGen.Add(1),
+	}
 }
 
 // MustNewTable is NewTable that panics on error; for statically known schemas.
@@ -150,6 +174,12 @@ func (t *Table) Dict() *Dict { return t.dict }
 // the zero-copy column view the vectorized layers scan.
 func (t *Table) ColCodes(j int) []uint32 { return t.data[j][:t.nrows] }
 
+// ColVectors returns every column's code vector, NumRows long, in column
+// order, without copying: the table's own slice. Callers must treat the
+// slice and the vectors as read-only and must not retain them across
+// mutations.
+func (t *Table) ColVectors() [][]uint32 { return t.data }
+
 // CodeAt returns the dictionary code at row i, column j.
 func (t *Table) CodeAt(i, j int) uint32 { return t.data[j][i] }
 
@@ -183,17 +213,33 @@ func (t *Table) Snapshot() *Table {
 	return s
 }
 
-// ensureOwned copies the column vectors if a Snapshot aliases them, so
-// in-place writes and appends cannot leak into the snapshot's view. Every
-// mutator calls it before touching data.
+// ensureOwned copies every column vector a Snapshot may alias, so
+// in-place writes and appends cannot leak into the snapshot's view.
+// Mutators that touch every column call it before touching data; those
+// that write one column call own.
 func (t *Table) ensureOwned() {
-	if !t.shared.Load() {
+	for j := range t.data {
+		t.own(j)
+	}
+}
+
+// own copies column j's vector unless the table owns it already.
+func (t *Table) own(j int) {
+	if t.shared.Load() {
+		// A Snapshot was taken since the last mutation: it aliases every
+		// vector, copied or not.
+		t.shared.Store(false)
+		if t.owned == nil {
+			t.owned = make([]bool, len(t.data))
+		} else {
+			clear(t.owned)
+		}
+	}
+	if t.owned == nil || t.owned[j] {
 		return
 	}
-	for j, col := range t.data {
-		t.data[j] = append(make([]uint32, 0, t.nrows), col[:t.nrows]...)
-	}
-	t.shared.Store(false)
+	t.data[j] = append(make([]uint32, 0, t.nrows), t.data[j][:t.nrows]...)
+	t.owned[j] = true
 }
 
 // appended is the single bookkeeping point for mutations that only add
@@ -215,9 +261,13 @@ func (t *Table) appended(base int) {
 // cached indexes wholesale.
 func (t *Table) rewritten() {
 	t.rev++
-	t.rewriteGen++
+	t.rewriteGen = nextGen.Add(1)
 	t.invalidateIndexes()
 }
+
+// nextGen hands out rewriteGen values: no two tables' contents share one
+// unless one was derived from the other by Snapshot and appends.
+var nextGen atomic.Uint64
 
 // Insert appends a row. The number of values must equal the column count.
 func (t *Table) Insert(vals ...Value) error {
@@ -306,7 +356,7 @@ func (t *Table) Set(i int, name string, v Value) error {
 	if j < 0 {
 		return fmt.Errorf("%w: %q in table %q", ErrUnknownColumn, name, t.name)
 	}
-	t.ensureOwned()
+	t.own(j)
 	t.data[j][i] = t.dict.Code(v)
 	t.rewritten()
 	return nil
@@ -326,22 +376,21 @@ func (t *Table) ReplaceInCol(name string, from, to Value) int {
 	if !ok {
 		return 0
 	}
-	t.ensureOwned()
-	col := t.data[j][:t.nrows]
+	first := slices.Index(t.data[j][:t.nrows], fc)
+	if first < 0 {
+		return 0
+	}
+	t.own(j)
+	col := t.data[j][first:t.nrows]
+	tc := t.dict.Code(to)
 	n := 0
-	var tc uint32
 	for i, c := range col {
 		if c == fc {
-			if n == 0 {
-				tc = t.dict.Code(to)
-			}
 			col[i] = tc
 			n++
 		}
 	}
-	if n > 0 {
-		t.rewritten()
-	}
+	t.rewritten()
 	return n
 }
 
@@ -505,7 +554,7 @@ func (t *Table) sameCodes(old *Table, cols []int) bool {
 		return false
 	}
 	for _, j := range cols {
-		if !slices.Equal(t.data[j][:t.nrows], old.data[j][:old.nrows]) {
+		if !sharedVec(t.data[j], old.data[j], t.nrows) && !slices.Equal(t.data[j][:t.nrows], old.data[j][:old.nrows]) {
 			return false
 		}
 	}

@@ -128,6 +128,12 @@ type run struct {
 	// cost one nil check each on the normal path.
 	az *azRun
 
+	// track is set on a positional SELECT asked for its output positions,
+	// which execSelectOne leaves in pos; seeded scans its table from the
+	// rows seed lists (see seed.go).
+	track, seeded bool
+	seed, pos     []uint32
+
 	pool    *pool.Pool
 	workers int
 	morsel  int
@@ -514,6 +520,13 @@ type Result struct {
 	Table *rel.Table
 	// Affected is the number of rows inserted, deleted or updated.
 	Affected int
+	// Positions holds the base-table position of each output row of a
+	// single-table SELECT without JOIN, UNION, DISTINCT, ORDER BY or
+	// LIMIT run through a Prepared handle: the row itself, or a group's
+	// first row. It is non-nil, possibly empty, for those statements, and
+	// nil for any other, and for an aggregate without GROUP BY, whose row
+	// is no base row's.
+	Positions []uint32
 }
 
 // Exec executes a single statement, parsing it through the plan cache: a
@@ -569,6 +582,10 @@ type execOpts struct {
 	// suite's per-statement alternative to toggling SetStrictNulls, which
 	// would perturb concurrent sessions.
 	strict *bool
+	// track asks a positional SELECT for its output rows' base positions
+	// (Result.Positions); seeded runs it over the base rows seed lists.
+	track, seeded bool
+	seed          []uint32
 }
 
 // writeTarget classifies a statement: the table it writes and whether it
@@ -689,9 +706,15 @@ func (db *DB) execute(stmt Stmt, o execOpts) (res *Result, err error) {
 			span.Finish()
 		}
 	}()
+	if err = r.position(stmt, o); err != nil {
+		return nil, err
+	}
 	res, err = r.dispatch(stmt)
 	if err == nil && r.write != nil {
 		r.write.publish(db)
+	}
+	if err == nil && r.track {
+		res.Positions = r.pos
 	}
 	return res, err
 }

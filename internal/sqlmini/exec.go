@@ -24,15 +24,12 @@ type frame struct {
 	sel  []uint32
 }
 
-// tableFrame is the whole-table frame over t's own column vectors.
-// Frames never write to their vectors, and the statement pins its
-// catalog epoch, so the storage cannot change underneath it.
+// tableFrame is the whole-table frame over t's own column vectors, the
+// table's own slice of them. Frames never write to their vectors or to
+// a table frame's slice, and the statement pins its catalog epoch, so the
+// storage cannot change underneath it.
 func tableFrame(t *rel.Table) *frame {
-	f := &frame{cols: make([][]uint32, t.NumCols()), n: t.NumRows()}
-	for j := range f.cols {
-		f.cols[j] = t.ColCodes(j)
-	}
-	return f
+	return &frame{cols: t.ColVectors(), n: t.NumRows()}
 }
 
 // len returns the frame's row count.
@@ -148,7 +145,7 @@ func (r *run) execSelect(s *SelectStmt) (*rel.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.finish(&SelectStmt{OrderBy: s.OrderBy, Limit: s.Limit}, out.Columns(), cols, out.NumRows(), keys)
+	return r.finish(&SelectStmt{OrderBy: s.OrderBy, Limit: s.Limit}, out.Blank(), cols, out.NumRows(), keys)
 }
 
 func renameTo(from, to []string) map[string]string {
@@ -235,6 +232,8 @@ func (r *run) execSelectOne(s *SelectStmt, plan *branchPlan) (*rel.Table, error)
 			return nil, err
 		}
 		kf = &frame{n: f.len()}
+	} else if r.track {
+		r.pos = f.rows()
 	}
 	out, err := project(f, op.items)
 	if err != nil {
@@ -245,7 +244,11 @@ func (r *run) execSelectOne(s *SelectStmt, plan *branchPlan) (*rel.Table, error)
 		return nil, err
 	}
 	r.azEnd(f.len())
-	return r.finish(s, op.cols, out, f.len(), keys)
+	res, err := op.result()
+	if err != nil {
+		return nil, err
+	}
+	return r.finish(s, res, out, f.len(), keys)
 }
 
 // column is an output expression's codes over a frame's rows, by the
@@ -366,13 +369,12 @@ func orderKeys(order []outExpr, f *frame, out [][]uint32) ([][]rel.Value, error)
 // group is one row holding its first row's columns (NULLs for an empty
 // group; only the columns in op.firsts are filled) and then one column
 // per aggregate. HAVING narrows that frame on the kernels; the select
-// list reads it.
+// list reads it. When positions are tracked, each kept group's is its
+// first row's.
 func (r *run) group(f *frame, op *outPlan) (*frame, error) {
 	r.qs.phase(obs.PhaseAggregate)
-	// Group keys are 4 bytes per key code; codes are injective over
-	// values, so code-byte keys bucket exactly as value keys would, and
-	// the key string is allocated only the first time a group is seen (the
-	// map probe with string(buf) does not allocate).
+	// A row's key is its key codes; codes are injective over values, so
+	// code tuples bucket exactly as value keys would.
 	n := f.len()
 	keys := make([]column, len(op.keys))
 	for i, e := range op.keys {
@@ -381,19 +383,16 @@ func (r *run) group(f *frame, op *outPlan) (*frame, error) {
 			return nil, err
 		}
 	}
-	index := map[string]int32{}
+	index := rel.NewCodeKeys(len(keys), n)
+	key := make([]uint32, len(keys))
 	gid := make([]int32, n)
 	var first []int // each group's first row
-	var buf []byte
 	for k := 0; k < n; k++ {
-		buf = buf[:0]
-		for _, c := range keys {
-			buf = rel.AppendCodeKey(buf, c.at(k))
+		for i, c := range keys {
+			key[i] = c.at(k)
 		}
-		g, ok := index[string(buf)]
-		if !ok {
-			g = int32(len(first))
-			index[string(buf)] = g
+		g := index.Intern(key)
+		if int(g) == len(first) {
 			first = append(first, k)
 		}
 		gid[k] = g
@@ -434,14 +433,20 @@ func (r *run) group(f *frame, op *outPlan) (*frame, error) {
 			return nil, err
 		}
 	}
+	if r.track && len(op.keys) > 0 {
+		r.pos = make([]uint32, gf.len())
+		for k := range r.pos {
+			r.pos[k] = f.row(first[gf.row(k)])
+		}
+	}
 	return gf, nil
 }
 
 // finish applies DISTINCT, ORDER BY and LIMIT to a branch's n output rows,
 // held column-major in out with their ORDER BY keys, as a permutation of
-// the rows, and builds the result table from the columns in its order.
-// It replaces out's vectors but never writes into them.
-func (r *run) finish(s *SelectStmt, names []string, out [][]uint32, n int, keys [][]rel.Value) (*rel.Table, error) {
+// the rows, and fills the empty result table res from the columns in its
+// order. It replaces out's vectors but never writes into them.
+func (r *run) finish(s *SelectStmt, res *rel.Table, out [][]uint32, n int, keys [][]rel.Value) (*rel.Table, error) {
 	var perm []int // nil: the rows in order
 	if s.Distinct {
 		r.azBegin("distinct", "")
@@ -494,10 +499,6 @@ func (r *run) finish(s *SelectStmt, names []string, out [][]uint32, n int, keys 
 		n = min(n, s.Limit)
 		r.azEnd(n)
 	}
-	res, err := rel.NewTable("result", names...)
-	if err != nil {
-		return nil, err
-	}
 	for c, col := range out {
 		if perm == nil {
 			out[c] = col[:n]
@@ -536,6 +537,9 @@ func (r *run) scanSource(ref TableRef, sp srcPlan) (*frame, error) {
 	}
 	r.qs.phase(obs.PhaseScan)
 	f := tableFrame(t)
+	if r.seeded {
+		return f, r.seedFrame(f, sp)
+	}
 	if len(sp.eqCols) > 0 {
 		// The planner resolved and deduplicated the columns against this
 		// schema epoch, so the index always builds.

@@ -39,6 +39,9 @@ type srcPlan struct {
 	// (index-reduced) scan of this source.
 	filters []Expr
 	vecs    []*VecPred
+	// eqVecs are the equality conjuncts' kernels, which a seeded scan
+	// runs instead of probing the index.
+	eqVecs []*VecPred
 }
 
 // pristine reports whether the source is scanned whole, with no pushed
@@ -97,6 +100,9 @@ func (jp *joinPlan) strategy(alias string, on Expr) string {
 type outPlan struct {
 	cols  []string
 	items []outExpr
+	// blank is an empty table named "result" with the output columns,
+	// from which every execution's result table is made (see result).
+	blank *rel.Table
 	// grouped is set when the branch aggregates: it has GROUP BY or
 	// HAVING, or an aggregate anywhere in its select list. keys then
 	// bucket the frame's rows, aggs are computed once per group, and
@@ -114,6 +120,15 @@ type outPlan struct {
 	// branch, otherwise over the frame row extended by the output row, so
 	// a key may name a source column or an output alias.
 	order []outExpr
+}
+
+// result returns an empty result table with the output columns. It fails
+// as NewTable does when two output names collide.
+func (op *outPlan) result() (*rel.Table, error) {
+	if op.blank == nil {
+		return rel.NewTable("result", op.cols...)
+	}
+	return op.blank.Blank(), nil
 }
 
 // outExpr produces one value per row: a direct read of column at, or,
@@ -320,6 +335,7 @@ func (r *run) planBranch(s *SelectStmt) (*branchPlan, error) {
 	}
 	plan := &branchPlan{srcs: make([]srcPlan, len(sources)), joins: make([]joinPlan, len(s.Joins))}
 	var residue []Expr
+	eqs := make([][]Expr, len(sources)) // the index keys' conjuncts, per source
 	if s.Where != nil {
 		for _, c := range splitAnd(s.Where) {
 			target := pushTarget(c, sources)
@@ -331,6 +347,7 @@ func (r *run) planBranch(s *SelectStmt) (*branchPlan, error) {
 			if col, val, ok := indexableEq(c, sources[target]); ok && !hasCol(sp.eqCols, col) {
 				sp.eqCols = append(sp.eqCols, col)
 				sp.eqVals = append(sp.eqVals, val)
+				eqs[target] = append(eqs[target], bindExpr(c, sources[target]))
 				continue
 			}
 			sp.filters = append(sp.filters, c)
@@ -342,6 +359,9 @@ func (r *run) planBranch(s *SelectStmt) (*branchPlan, error) {
 			sp.filters[j] = bindExpr(e, sources[i])
 		}
 		if sp.vecs, err = compileVecs(&r.ev, sp.filters); err != nil {
+			return nil, err
+		}
+		if sp.eqVecs, err = compileVecs(&r.ev, eqs[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -393,6 +413,7 @@ func planOutput(ev *Evaluator, s *SelectStmt, f *scope) (outPlan, error) {
 		}
 	}
 	op := outPlan{cols: cols, grouped: len(s.GroupBy) > 0 || s.Having != nil}
+	op.blank, _ = rel.NewTable("result", cols...) // a collision fails when the branch runs
 	for _, e := range exprs {
 		op.grouped = op.grouped || hasAgg(e)
 	}
@@ -716,11 +737,14 @@ func (db *DB) Prepare(src string) (*Prepared, error) {
 // DB default, and also returns the execution's QueryStats — rows
 // scanned/produced, join strategies, morsel and steal counts — so callers
 // like the invariant suite can attribute runtime per query. The suite runs
-// its ~50 queries this way so concurrent sessions never observe each
-// other's dialect, as they would through the DB-wide SetStrictNulls.
+// its ~60 queries this way so concurrent sessions never observe each
+// other's dialect, as they would through the DB-wide SetStrictNulls. A
+// positional SELECT also reports its output rows' base positions, from
+// which ExecSeeded's seeds are derived.
 func (p *Prepared) ExecStatsDialect(strict bool) (*Result, QueryStats, error) {
 	var qs QueryStats
-	res, err := p.db.execute(p.entry.stmt, execOpts{entry: p.entry, src: p.src, planCache: "hit", into: &qs, sess: p.sess, strict: &strict})
+	res, err := p.db.execute(p.entry.stmt, execOpts{entry: p.entry, src: p.src, planCache: "hit", into: &qs,
+		sess: p.sess, strict: &strict, track: true})
 	return res, qs, err
 }
 
