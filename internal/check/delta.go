@@ -1,8 +1,6 @@
 package check
 
 import (
-	"slices"
-
 	"coherdb/internal/delta"
 	"coherdb/internal/obs"
 	"coherdb/internal/rel"
@@ -58,17 +56,19 @@ func (s *Suite) deps() ([][]delta.Input, []*sqlmini.Shape) {
 //
 // A touched invariant over one table re-runs seeded (see seedFor) on the
 // rows the delta could have changed the outcome of, when its previous
-// result placed its rows: a selection over its previous violations and
-// the changed rows, a grouped check over the groups the changed rows
-// belong to. An empty seed over an empty previous result keeps that
-// result. Any other invariant, and a seeded run that fails, re-runs in
-// full, so every result is the one Run would return.
+// result placed its rows in the table state the delta starts from: a
+// selection over its previous violations and the changed rows, a grouped
+// check over the groups the changed rows belong to. An empty seed over an
+// empty previous result keeps that result. Any other invariant, and a
+// seeded run that fails — its table moved on since the delta was taken,
+// say — re-runs in full, so every result is the one Run would return.
 //
 // With prev or d missing (or the suite changed shape since prev) it falls
 // back to a full Run. The "check.suite" span carries delta_rows, skipped,
 // rechecked and rows_evaluated attributes; opts.Metrics accumulates the
 // coherdb_delta_nodes_skipped_total / coherdb_delta_rows_reused_total
-// counters.
+// counters, and observes each query it runs as Run does: a kept result
+// runs none, so it counts as rechecked but is not observed.
 func (s *Suite) RunDelta(db DBLike, prev []Result, d *delta.Set, opts Options) []Result {
 	if prev == nil || len(prev) != len(s.invs) || d == nil {
 		return s.Run(db, opts)
@@ -84,16 +84,21 @@ func (s *Suite) RunDelta(db DBLike, prev []Result, d *delta.Set, opts Options) [
 	var jobs []job
 	var kept []int // touched invariants whose empty result stands
 	for i := range s.invs {
+		var td *rel.TableDelta // the delta of the table a shape places rows in
+		if shapes[i] != nil {
+			td = d.Table(shapes[i].Table)
+		}
 		// Re-check on touched inputs, unanalyzable SQL, or a previous
 		// error (an errored result proves nothing to carry over).
 		if prev[i].Err != nil || ins[i] == nil || delta.DirtyInputs(d, ins[i]) {
 			j := job{i: i}
-			if shapes[i] != nil {
-				j.seed, j.seeded = seedFor(db, shapes[i], prev[i], d)
+			if td != nil {
+				j.seed, j.seeded = seedFor(db, shapes[i], prev[i], td)
+				j.base = td.NewVersion
 			}
 			if j.seeded && len(j.seed) == 0 && prev[i].Violations.Empty() {
 				r := prev[i]
-				r.Skipped, r.Elapsed, r.Stats = false, 0, nil
+				r.Skipped, r.Elapsed, r.Stats, r.base = false, 0, nil, j.base
 				results[i] = r
 				kept = append(kept, i)
 				continue
@@ -104,6 +109,11 @@ func (s *Suite) RunDelta(db DBLike, prev []Result, d *delta.Set, opts Options) [
 		r := prev[i]
 		r.Skipped = true
 		r.Elapsed = 0
+		if td != nil && r.base == td.OldVersion {
+			// The table kept its row count and the invariant's columns,
+			// so the result and its positions stand for the new state.
+			r.base = td.NewVersion
+		}
 		results[i] = r
 	}
 	rechecked := len(jobs) + len(kept)
@@ -149,11 +159,14 @@ func (s *Suite) RunDelta(db DBLike, prev []Result, d *delta.Set, opts Options) [
 	return results
 }
 
-// seedFor returns the base rows of its table a touched invariant of shape
-// sh must re-read after the delta d, given its previous result, and
-// whether it can be re-checked from them at all: prev must have placed
-// its rows (Positions), on the table revision d starts from, and d must
-// keep the table's schema.
+// seedFor returns the rows of its table a touched invariant of shape sh
+// must re-read after td, the delta of that table, given its previous
+// result, and whether it can be re-checked from them at all: prev must
+// have placed its rows (Positions) in the table state td starts from, td
+// must keep the table's schema, and db must show the table at the state
+// td ends in. Under concurrent writers neither is a given: a server
+// session's Commit, its queries and this call each read the shared
+// catalog as it is at that moment.
 //
 // The delta keeps every row outside its changed positions and their
 // order, and an invariant decides each row, or each group, from its own
@@ -164,17 +177,12 @@ func (s *Suite) RunDelta(db DBLike, prev []Result, d *delta.Set, opts Options) [
 // every row whose group key is that of a removed row, of an added row, or
 // of a previously violating group, whose rows must be re-read for its
 // result to list it.
-func seedFor(db DBLike, sh *sqlmini.Shape, prev Result, d *delta.Set) ([]uint32, bool) {
-	td := d.Table(sh.Table)
-	if prev.Err != nil || prev.Violations == nil || prev.Positions == nil ||
-		len(prev.Positions) != prev.Violations.NumRows() || td == nil || td.SchemaChanged {
-		return nil, false
-	}
-	if n := len(prev.Positions); n > 0 && int(prev.Positions[n-1]) >= td.OldRows {
+func seedFor(db DBLike, sh *sqlmini.Shape, prev Result, td *rel.TableDelta) ([]uint32, bool) {
+	if prev.Err != nil || prev.Positions == nil || prev.base != td.OldVersion || td.SchemaChanged {
 		return nil, false
 	}
 	t, ok := db.Table(sh.Table)
-	if !ok || t.NumRows() != td.NewRows {
+	if !ok || t.Version() != td.NewVersion {
 		return nil, false
 	}
 	kept := td.MapKept(prev.Positions)
@@ -190,33 +198,25 @@ func seedFor(db DBLike, sh *sqlmini.Shape, prev Result, d *delta.Set) ([]uint32,
 		cols[ps[k]] = t.ColCodes(ps[k])
 	}
 	keys := rel.NewCodeKeys(len(ps), len(td.Removed)+len(td.NewPos)+len(kept))
-	var lead []uint32 // the keys' distinct first codes
-	add := func(key []uint32) {
-		keys.Intern(key)
-		if !slices.Contains(lead, key[0]) {
-			lead = append(lead, key[0])
-		}
-	}
 	key := make([]uint32, len(ps))
 	for _, row := range td.Removed {
 		for k, j := range ps {
 			key[k] = row[j]
 		}
-		add(key)
+		keys.Intern(key)
 	}
 	for _, r := range td.NewPos {
-		add(keys.Row(cols, ps, int(r)))
+		keys.Intern(keys.Row(cols, ps, int(r)))
 	}
 	for _, r := range kept {
-		add(keys.Row(cols, ps, int(r)))
+		keys.Intern(keys.Row(cols, ps, int(r)))
 	}
 	seed := []uint32{}
 	if keys.Len() == 0 {
 		return seed, true
 	}
-	first := cols[ps[0]]
-	for r := range first {
-		if slices.Contains(lead, first[r]) && keys.Find(keys.Row(cols, ps, r)) >= 0 {
+	for r := range t.NumRows() {
+		if keys.Find(keys.Row(cols, ps, r)) >= 0 {
 			seed = append(seed, uint32(r))
 		}
 	}

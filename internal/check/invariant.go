@@ -59,6 +59,10 @@ type Result struct {
 	// row. RunDelta seeds the next re-check from them. It is nil for any
 	// other result, which RunDelta re-runs in full when it is touched.
 	Positions []uint32
+	// base is the table state Positions index: the one the query read,
+	// or the one RunDelta carried the result to. RunDelta seeds only from
+	// a result whose base is the state its delta starts from.
+	base rel.Version
 }
 
 // rowsRead is the number of base rows the result's query read: 0 when
@@ -128,7 +132,10 @@ type Options struct {
 	Tracer obs.Tracer
 	// Metrics, when set, accumulates a per-invariant duration histogram
 	// (coherdb_invariant_duration_seconds) and violation counter
-	// (coherdb_invariant_violations_total).
+	// (coherdb_invariant_violations_total) over the invariant queries that
+	// run. RunDelta's carried-over (Skipped) and kept results run none and
+	// are not observed, so the histogram counts fewer observations than a
+	// re-check's "rechecked" attribute when it keeps results.
 	Metrics *obs.Registry
 }
 
@@ -141,7 +148,7 @@ func (o Options) observe(r Result) {
 	if r.Violations != nil {
 		violations = r.Violations.NumRows()
 	}
-	o.Metrics.Help("coherdb_invariant_duration_seconds", "Wall time of each invariant query.")
+	o.Metrics.Help("coherdb_invariant_duration_seconds", "Wall time of each invariant query run; a result a re-check carries over or keeps runs none and is not observed.")
 	o.Metrics.Histogram("coherdb_invariant_duration_seconds", nil, obs.L("invariant", r.Invariant.Name)).ObserveDuration(r.Elapsed)
 	o.Metrics.Help("coherdb_invariant_violations_total", "Violating rows returned by each invariant query.")
 	o.Metrics.Counter("coherdb_invariant_violations_total", obs.L("invariant", r.Invariant.Name)).Add(int64(violations))
@@ -175,11 +182,12 @@ func (s *Suite) Run(db DBLike, opts Options) []Result {
 }
 
 // job is one invariant check: invariant i, run in full, or seeded over
-// the base rows seed lists (see RunDelta).
+// the rows seed lists of its table's state base (see RunDelta).
 type job struct {
 	i      int
 	seeded bool
 	seed   []uint32
+	base   rel.Version
 }
 
 // runSubset runs jobs, writing each result into its invariant's slot of
@@ -234,7 +242,7 @@ func (s *Suite) runSubset(db DBLike, jobs []job, results []Result, opts Options,
 			var qs sqlmini.QueryStats
 			var err error
 			if j.seeded {
-				res, qs, err = p.ExecSeeded(true, j.seed)
+				res, qs, err = p.ExecSeeded(true, j.base, j.seed)
 			}
 			if !j.seeded || err != nil {
 				res, qs, err = p.ExecStatsDialect(true)
@@ -246,7 +254,7 @@ func (s *Suite) runSubset(db DBLike, jobs []job, results []Result, opts Options,
 			case res.Table == nil:
 				r.Err = fmt.Errorf("check: invariant %q is not a query", inv.Name)
 			default:
-				r.Violations, r.Positions = res.Table, res.Positions
+				r.Violations, r.Positions, r.base = res.Table, res.Positions, res.Base
 			}
 		} else {
 			r.Violations, r.Err = db.Query(inv.SQL)

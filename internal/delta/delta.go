@@ -36,6 +36,10 @@ import (
 type Set struct {
 	byTable map[string]*rel.TableDelta
 	order   []string // insertion order for deterministic iteration
+	// same holds the empty deltas of tables that moved to a new version
+	// with the same rows in the same order, for Table: a consumer carries
+	// what it computed at the old version to the new one.
+	same map[string]*rel.TableDelta
 }
 
 // NewSet returns an empty delta set.
@@ -43,10 +47,17 @@ func NewSet() *Set {
 	return &Set{byTable: make(map[string]*rel.TableDelta)}
 }
 
-// Add records a table's delta. Empty deltas are dropped so that
-// Touches(table) stays an exact "something changed" test.
+// Add records a table's delta. Empty deltas are kept out of the set so
+// that Touches(table) stays an exact "something changed" test; one
+// between two versions is kept aside for Table.
 func (s *Set) Add(d *rel.TableDelta) {
 	if d.Empty() {
+		if d.OldVersion != d.NewVersion {
+			if s.same == nil {
+				s.same = make(map[string]*rel.TableDelta)
+			}
+			s.same[d.Table] = d
+		}
 		return
 	}
 	if _, dup := s.byTable[d.Table]; !dup {
@@ -72,13 +83,17 @@ func (s *Set) Touches(table string, cols ...string) bool {
 	return d.Touches(cols...)
 }
 
-// Table returns the named table's delta, or nil when the table is
-// untouched (or the Set is nil).
+// Table returns the named table's delta: nil when the table is
+// untouched (or the Set is nil), and an empty delta when it only moved
+// to a new version with the same rows.
 func (s *Set) Table(name string) *rel.TableDelta {
 	if s == nil {
 		return nil
 	}
-	return s.byTable[name]
+	if d, ok := s.byTable[name]; ok {
+		return d
+	}
+	return s.same[name]
 }
 
 // Rows returns the total delta size across tables: Σ |Added| + |Removed|.

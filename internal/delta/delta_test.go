@@ -26,7 +26,7 @@ func (c mapCatalog) Table(name string) (*rel.Table, bool) {
 // Diff returns the delta from tr's baseline to c's current state without
 // moving the baseline: DiffAndCapture on a copy of the tracker.
 func (tr *Tracker) Diff(c Catalog) *Set {
-	cp := &Tracker{snaps: maps.Clone(tr.snaps), live: maps.Clone(tr.live), revs: maps.Clone(tr.revs)}
+	cp := &Tracker{snaps: maps.Clone(tr.snaps), vers: maps.Clone(tr.vers)}
 	return cp.DiffAndCapture(c)
 }
 
@@ -100,6 +100,53 @@ func TestDiffAndCaptureMovesBaseline(t *testing.T) {
 	}
 	if s := tr.DiffAndCapture(cat); s.String() != "<empty>" {
 		t.Fatalf("after drop and create: %s", s)
+	}
+}
+
+// TestDiffAndCaptureVersions: each delta names the live tables it goes
+// between; a table that moved to a new version with the same rows — a
+// no-op write, a copy — touches nothing, but Table returns its empty
+// delta between the two versions.
+func TestDiffAndCaptureVersions(t *testing.T) {
+	cat := mapCatalog{"D": twoColTable("D")}
+	tr := NewTracker()
+	tr.Capture(cat)
+	if s := tr.DiffAndCapture(cat); s.Table("D") != nil {
+		t.Fatalf("no write: %+v", s.Table("D"))
+	}
+	for _, move := range []string{"no-op write", "copy"} {
+		v0 := cat["D"].Version()
+		if move == "copy" {
+			cat["D"] = cat["D"].Clone()
+		} else if err := cat["D"].Set(0, "pv", rel.S("0")); err != nil {
+			t.Fatal(err)
+		}
+		s := tr.DiffAndCapture(cat)
+		if d := s.Table("D"); s.String() != "<empty>" || s.Touches("D") || d == nil || !d.Empty() ||
+			d.OldVersion != v0 || d.NewVersion != cat["D"].Version() {
+			t.Fatalf("%s: %s, %+v", move, s, d)
+		}
+	}
+	v1 := cat["D"].Version()
+	if err := cat["D"].Set(0, "pv", rel.S("7")); err != nil {
+		t.Fatal(err)
+	}
+	if d := tr.DiffAndCapture(cat).Table("D"); d == nil || d.OldVersion != v1 || d.NewVersion != cat["D"].Version() {
+		t.Fatalf("edit: %+v", d)
+	}
+	v1 = cat["D"].Version()
+	cat["D"].MustInsert(rel.S("S"), rel.S("2"))
+	if d := tr.DiffAndCapture(cat).Table("D"); d == nil || d.OldVersion != v1 || d.NewVersion != cat["D"].Version() {
+		t.Fatalf("second edit: %+v", d)
+	}
+	n := twoColTable("N")
+	cat["N"] = n
+	if d := tr.DiffAndCapture(cat).Table("N"); d == nil || d.OldVersion != (rel.Version{}) || d.NewVersion != n.Version() {
+		t.Fatalf("created: %+v", d)
+	}
+	delete(cat, "N")
+	if d := tr.DiffAndCapture(cat).Table("N"); d == nil || d.OldVersion != n.Version() || d.NewVersion != (rel.Version{}) {
+		t.Fatalf("dropped: %+v", d)
 	}
 }
 

@@ -12,7 +12,7 @@ type Catalog interface {
 }
 
 // Tracker captures a baseline of a catalog — copy-on-write snapshots plus
-// (pointer, revision) pairs — and diffs the live catalog against it.
+// each live table's rel.Version — and diffs the live catalog against it.
 // Capture costs O(tables × cols); a diff costs O(1) per unchanged table
 // (pointer identity + revision compare, no data access) and a real
 // rel.DiffCodes only for tables that mutated, were replaced, created, or
@@ -22,9 +22,8 @@ type Catalog interface {
 // exclusion the catalog's mutations already require (sqlmini.DB's revision
 // API handles this for its own catalog).
 type Tracker struct {
-	snaps map[string]*rel.Table // frozen snapshot at capture
-	live  map[string]*rel.Table // live pointer at capture
-	revs  map[string]uint64     // live revision at capture
+	snaps map[string]*rel.Table  // frozen snapshot at capture
+	vers  map[string]rel.Version // live table's state at capture
 }
 
 // NewTracker returns a tracker with no baseline; DiffAndCapture before
@@ -32,16 +31,14 @@ type Tracker struct {
 func NewTracker() *Tracker {
 	return &Tracker{
 		snaps: make(map[string]*rel.Table),
-		live:  make(map[string]*rel.Table),
-		revs:  make(map[string]uint64),
+		vers:  make(map[string]rel.Version),
 	}
 }
 
 // Capture (re-)baselines the tracker against the catalog's current state.
 func (tr *Tracker) Capture(c Catalog) {
 	clear(tr.snaps)
-	clear(tr.live)
-	clear(tr.revs)
+	clear(tr.vers)
 	for _, name := range c.Names() {
 		if t, ok := c.Table(name); ok {
 			tr.capture(name, t)
@@ -52,15 +49,19 @@ func (tr *Tracker) Capture(c Catalog) {
 // capture baselines one table.
 func (tr *Tracker) capture(name string, t *rel.Table) {
 	tr.snaps[name] = t.Snapshot()
-	tr.live[name] = t
-	tr.revs[name] = t.Revision()
+	tr.vers[name] = t.Version()
 }
 
 // DiffAndCapture returns the delta from the captured baseline to the
 // catalog's current state and re-baselines in the same pass — the
 // edit-loop primitive: each call returns what the edits since the
 // previous call changed. Only the tables that changed, were created or
-// were dropped are re-captured.
+// were dropped are re-captured. Each rel.TableDelta's OldVersion is the
+// live table's state at capture (zero for a created table), not its
+// snapshot's, so a consumer can tell whether what it computed at that
+// state is what the delta starts from; a table that moved to a new
+// version with the same rows (a no-op UPDATE, a copy) leaves an empty
+// delta that only Set.Table returns.
 func (tr *Tracker) DiffAndCapture(c Catalog) *Set {
 	s := NewSet()
 	base, kept := len(tr.snaps), 0 // baselined tables, and those still in c
@@ -70,17 +71,20 @@ func (tr *Tracker) DiffAndCapture(c Catalog) *Set {
 			continue
 		}
 		snap, had := tr.snaps[name]
+		var td *rel.TableDelta
 		switch {
 		case !had:
 			// Created since capture: everything is added.
-			s.Add(rel.DiffCodes(cur.Blank(), cur))
-		case tr.live[name] == cur && tr.revs[name] == cur.Revision():
+			td = rel.DiffCodes(emptyLike(cur), cur)
+		case tr.vers[name] == cur.Version():
 			kept++
 			continue // same object, same revision: provably unchanged
 		default:
 			kept++
-			s.Add(rel.DiffCodes(snap, cur))
+			td = rel.DiffCodes(snap, cur)
 		}
+		td.OldVersion = tr.vers[name]
+		s.Add(td)
 		tr.capture(name, cur)
 	}
 	if kept == base {
@@ -97,10 +101,17 @@ func (tr *Tracker) DiffAndCapture(c Catalog) *Set {
 			continue
 		}
 		// Dropped since capture: everything is removed.
-		s.Add(rel.DiffCodes(snap, snap.Blank()))
+		td := rel.DiffCodes(snap, emptyLike(snap))
+		td.OldVersion, td.NewVersion = tr.vers[name], rel.Version{}
+		s.Add(td)
 		delete(tr.snaps, name)
-		delete(tr.live, name)
-		delete(tr.revs, name)
+		delete(tr.vers, name)
 	}
 	return s
+}
+
+// emptyLike returns a rowless table with t's schema, for diffing created
+// and dropped tables.
+func emptyLike(t *rel.Table) *rel.Table {
+	return rel.MustNewTable(t.Name(), t.ColumnsRef()...)
 }

@@ -51,6 +51,14 @@ type TableDelta struct {
 	SchemaChanged bool
 
 	OldRows, NewRows int
+
+	// OldVersion and NewVersion name the two table states diffed. A
+	// result computed over the table at OldVersion, and placed by row
+	// position, can be carried to NewVersion through OldPos and NewPos;
+	// over any other state it cannot. A diff against a Snapshot names the
+	// snapshot, so a caller that diffs a live table's snapshot sets
+	// OldVersion to the live table's state when it took the snapshot.
+	OldVersion, NewVersion Version
 }
 
 // Empty reports whether the two revisions are identical.
@@ -105,6 +113,8 @@ func fullDelta(old, new *Table) *TableDelta {
 		SchemaChanged: true,
 		OldRows:       old.nrows,
 		NewRows:       new.nrows,
+		OldVersion:    old.Version(),
+		NewVersion:    new.Version(),
 		OldPos:        span(0, old.nrows),
 		NewPos:        span(0, new.nrows),
 	}
@@ -187,6 +197,8 @@ func DiffCodes(old, new *Table) *TableDelta {
 		ColTouched: make([]bool, len(new.cols)),
 		OldRows:    old.nrows,
 		NewRows:    new.nrows,
+		OldVersion: old.Version(),
+		NewVersion: new.Version(),
 	}
 	if old == new {
 		return d

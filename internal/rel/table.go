@@ -175,9 +175,8 @@ func (t *Table) Dict() *Dict { return t.dict }
 func (t *Table) ColCodes(j int) []uint32 { return t.data[j][:t.nrows] }
 
 // ColVectors returns every column's code vector, NumRows long, in column
-// order, without copying: the table's own slice. Callers must treat the
-// slice and the vectors as read-only and must not retain them across
-// mutations.
+// order, without copying: the table's own slice. Callers must not write
+// to the slice or the vectors, and must not retain them across mutations.
 func (t *Table) ColVectors() [][]uint32 { return t.data }
 
 // CodeAt returns the dictionary code at row i, column j.
@@ -191,6 +190,18 @@ func (t *Table) At(i, j int) Value { return t.dict.Value(t.data[j][i]) }
 // bulk appends), so "same *Table pointer, same revision" proves the
 // contents are unchanged — the O(1) fast path delta tracking relies on.
 func (t *Table) Revision() uint64 { return t.rev }
+
+// Version names one state of one table: the table and its revision. Two
+// equal Versions name the same rows in the same order; a Snapshot is a
+// different table, and the zero Version names none. A Version keeps its
+// table reachable.
+type Version struct {
+	t   *Table
+	rev uint64
+}
+
+// Version returns the table's current state.
+func (t *Table) Version() Version { return Version{t, t.rev} }
 
 // Snapshot returns an immutable O(cols) copy of the table: the column
 // vectors are shared, and both tables are marked copy-on-write so the

@@ -129,10 +129,12 @@ type run struct {
 	az *azRun
 
 	// track is set on a positional SELECT asked for its output positions,
-	// which execSelectOne leaves in pos; seeded scans its table from the
-	// rows seed lists (see seed.go).
+	// which execSelectOne leaves in pos, over the table state the scan
+	// records in base; seeded scans its table from the rows seed lists,
+	// and only at base (see seed.go).
 	track, seeded bool
 	seed, pos     []uint32
+	base          rel.Version
 
 	pool    *pool.Pool
 	workers int
@@ -527,6 +529,9 @@ type Result struct {
 	// nil for any other, and for an aggregate without GROUP BY, whose row
 	// is no base row's.
 	Positions []uint32
+	// Base is the state of the table Positions index: the one the
+	// statement read.
+	Base rel.Version
 }
 
 // Exec executes a single statement, parsing it through the plan cache: a
@@ -583,9 +588,11 @@ type execOpts struct {
 	// would perturb concurrent sessions.
 	strict *bool
 	// track asks a positional SELECT for its output rows' base positions
-	// (Result.Positions); seeded runs it over the base rows seed lists.
+	// (Result.Positions); seeded runs it over the base rows seed lists of
+	// the table state base.
 	track, seeded bool
 	seed          []uint32
+	base          rel.Version
 }
 
 // writeTarget classifies a statement: the table it writes and whether it
@@ -714,7 +721,7 @@ func (db *DB) execute(stmt Stmt, o execOpts) (res *Result, err error) {
 		r.write.publish(db)
 	}
 	if err == nil && r.track {
-		res.Positions = r.pos
+		res.Positions, res.Base = r.pos, r.base
 	}
 	return res, err
 }

@@ -26,8 +26,8 @@ type frame struct {
 
 // tableFrame is the whole-table frame over t's own column vectors, the
 // table's own slice of them. Frames never write to their vectors or to
-// a table frame's slice, and the statement pins its catalog epoch, so the
-// storage cannot change underneath it.
+// that slice, and the statement pins its catalog epoch, so the storage
+// cannot change underneath it.
 func tableFrame(t *rel.Table) *frame {
 	return &frame{cols: t.ColVectors(), n: t.NumRows()}
 }
@@ -140,7 +140,7 @@ func (r *run) execSelect(s *SelectStmt) (*rel.Table, error) {
 	if s.Union == nil || (len(s.OrderBy) == 0 && s.Limit < 0) {
 		return out, nil
 	}
-	cols := tableFrame(out).cols
+	cols := append([][]uint32(nil), out.ColVectors()...) // finish replaces its entries
 	keys, err := orderKeys(plans[0].order, &frame{n: out.NumRows()}, cols)
 	if err != nil {
 		return nil, err
@@ -244,11 +244,10 @@ func (r *run) execSelectOne(s *SelectStmt, plan *branchPlan) (*rel.Table, error)
 		return nil, err
 	}
 	r.azEnd(f.len())
-	res, err := op.result()
-	if err != nil {
-		return nil, err
+	if op.blankErr != nil {
+		return nil, op.blankErr
 	}
-	return r.finish(s, res, out, f.len(), keys)
+	return r.finish(s, op.blank.Blank(), out, f.len(), keys)
 }
 
 // column is an output expression's codes over a frame's rows, by the
@@ -538,7 +537,10 @@ func (r *run) scanSource(ref TableRef, sp srcPlan) (*frame, error) {
 	r.qs.phase(obs.PhaseScan)
 	f := tableFrame(t)
 	if r.seeded {
-		return f, r.seedFrame(f, sp)
+		return f, r.seedFrame(t, f, sp)
+	}
+	if r.track {
+		r.base = t.Version()
 	}
 	if len(sp.eqCols) > 0 {
 		// The planner resolved and deduplicated the columns against this

@@ -101,8 +101,11 @@ type outPlan struct {
 	cols  []string
 	items []outExpr
 	// blank is an empty table named "result" with the output columns,
-	// from which every execution's result table is made (see result).
-	blank *rel.Table
+	// which each execution copies (rel.Table.Blank) for its result;
+	// blankErr is NewTable's error when two output names collide, which
+	// fails the branch when it runs, not when it plans.
+	blank    *rel.Table
+	blankErr error
 	// grouped is set when the branch aggregates: it has GROUP BY or
 	// HAVING, or an aggregate anywhere in its select list. keys then
 	// bucket the frame's rows, aggs are computed once per group, and
@@ -120,15 +123,6 @@ type outPlan struct {
 	// branch, otherwise over the frame row extended by the output row, so
 	// a key may name a source column or an output alias.
 	order []outExpr
-}
-
-// result returns an empty result table with the output columns. It fails
-// as NewTable does when two output names collide.
-func (op *outPlan) result() (*rel.Table, error) {
-	if op.blank == nil {
-		return rel.NewTable("result", op.cols...)
-	}
-	return op.blank.Blank(), nil
 }
 
 // outExpr produces one value per row: a direct read of column at, or,
@@ -413,7 +407,7 @@ func planOutput(ev *Evaluator, s *SelectStmt, f *scope) (outPlan, error) {
 		}
 	}
 	op := outPlan{cols: cols, grouped: len(s.GroupBy) > 0 || s.Having != nil}
-	op.blank, _ = rel.NewTable("result", cols...) // a collision fails when the branch runs
+	op.blank, op.blankErr = rel.NewTable("result", cols...)
 	for _, e := range exprs {
 		op.grouped = op.grouped || hasAgg(e)
 	}

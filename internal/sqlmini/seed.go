@@ -3,6 +3,8 @@ package sqlmini
 import (
 	"errors"
 	"fmt"
+
+	"coherdb/internal/rel"
 )
 
 // Seeded execution re-runs a positional SELECT over some of its base
@@ -20,6 +22,11 @@ import (
 // ErrNotPositional is returned by a seeded execution of a statement that
 // is not a positional SELECT.
 var ErrNotPositional = errors.New("sqlmini: only a single-table SELECT without JOIN, UNION, DISTINCT, ORDER BY or LIMIT runs seeded")
+
+// ErrStaleSeed is returned by a seeded execution whose table, as the
+// statement reads it, is not at the state the seed was taken from: a
+// writer published another since.
+var ErrStaleSeed = errors.New("sqlmini: the seeded table is not at the seed's version")
 
 // positional reports whether each output row of s is one row of its only
 // table source, or one group of those rows: one source, no JOIN, no
@@ -73,14 +80,15 @@ func ShapeOf(st Stmt) (Shape, bool) {
 }
 
 // ExecSeeded executes the prepared SELECT like ExecStatsDialect, but its
-// scan starts from the base rows seed lists — ascending positions, which
-// may be empty — instead of the whole table. The statement must be
-// positional (ErrNotPositional otherwise), and Result.Positions holds each
+// scan starts from the base rows seed lists — ascending positions of the
+// table state base, which may be empty — instead of the whole table. The
+// statement must be positional (ErrNotPositional otherwise) and must read
+// its table at base (ErrStaleSeed otherwise); Result.Positions holds each
 // output row's base position.
-func (p *Prepared) ExecSeeded(strict bool, seed []uint32) (*Result, QueryStats, error) {
+func (p *Prepared) ExecSeeded(strict bool, base rel.Version, seed []uint32) (*Result, QueryStats, error) {
 	var qs QueryStats
 	res, err := p.db.execute(p.entry.stmt, execOpts{entry: p.entry, src: p.src, planCache: "hit", into: &qs,
-		sess: p.sess, strict: &strict, track: true, seeded: true, seed: seed})
+		sess: p.sess, strict: &strict, track: true, seeded: true, seed: seed, base: base})
 	return res, qs, err
 }
 
@@ -92,7 +100,7 @@ func (r *run) position(stmt Stmt, o execOpts) error {
 		return nil
 	}
 	if s, ok := stmt.(*SelectStmt); ok && positional(s) {
-		r.track, r.seeded, r.seed = true, o.seeded, o.seed
+		r.track, r.seeded, r.seed, r.base = true, o.seeded, o.seed, o.base
 		return nil
 	}
 	if o.seeded {
@@ -102,8 +110,12 @@ func (r *run) position(stmt Stmt, o execOpts) error {
 }
 
 // seedFrame narrows the frame over t's n rows to the seed rows that pass
-// every pushed conjunct of sp, the equality conjuncts included.
-func (r *run) seedFrame(f *frame, sp srcPlan) error {
+// every pushed conjunct of sp, the equality conjuncts included. t must be
+// at the seed's version.
+func (r *run) seedFrame(t *rel.Table, f *frame, sp srcPlan) error {
+	if t.Version() != r.base {
+		return ErrStaleSeed
+	}
 	for i, p := range r.seed {
 		if int(p) >= f.n || (i > 0 && r.seed[i-1] >= p) {
 			return fmt.Errorf("sqlmini: seed row %d: not ascending below %d", p, f.n)

@@ -57,7 +57,8 @@ func sameRun(t *testing.T, what string, got, want *Result, gerr, werr error) {
 // table and error the statement returns over a copy of its base table
 // holding only the seed rows, and positions that are that run's positions
 // taken through the seed. Over every row it reproduces ExecStatsDialect,
-// positions included. Statements of any other shape refuse to run seeded.
+// positions and base version included. A seed of another version of the
+// table, and statements of any other shape, refuse to run seeded.
 func TestSeededMatchesSubtable(t *testing.T) {
 	seeds, n := int64(24), 30
 	if testing.Short() || raceEnabled {
@@ -84,7 +85,7 @@ func TestSeededMatchesSubtable(t *testing.T) {
 			}
 			sel := st.(*SelectStmt)
 			if !positional(sel) {
-				if _, _, err := p.ExecSeeded(true, nil); !errors.Is(err, ErrNotPositional) {
+				if _, _, err := p.ExecSeeded(true, rel.Version{}, nil); !errors.Is(err, ErrNotPositional) {
 					t.Fatalf("%s: seeded run of a statement of another shape: %v", sql, err)
 				}
 				refused++
@@ -119,15 +120,25 @@ func TestSeededMatchesSubtable(t *testing.T) {
 				for _, way := range []struct {
 					name string
 					p    *Prepared
-				}{{"db", p}, {"session", sessP}} {
-					got, qs, gerr := way.p.ExecSeeded(strict, rows)
+					view interface {
+						Table(string) (*rel.Table, bool)
+					}
+				}{{"db", p, db}, {"session", sessP, sess}} {
 					what := sql + " (" + way.name + ")"
+					tab, _ := way.view.Table(name)
+					got, qs, gerr := way.p.ExecSeeded(strict, tab.Version(), rows)
 					sameRun(t, what, got, want, gerr, werr)
 					if gerr != nil {
 						continue
 					}
+					if _, _, err := way.p.ExecSeeded(strict, tab.Snapshot().Version(), rows); !errors.Is(err, ErrStaleSeed) {
+						t.Fatalf("%s: seeded run from another version of the table: %v", what, err)
+					}
 					if qs.RowsScanned != len(rows) {
 						t.Fatalf("%s: scanned %d rows of a %d-row seed", what, qs.RowsScanned, len(rows))
+					}
+					if got.Base != tab.Version() {
+						t.Fatalf("%s: result names another table version", what)
 					}
 					if (got.Positions == nil) != (want.Positions == nil) {
 						t.Fatalf("%s: positions %v, want %v through %v", what, got.Positions, want.Positions, rows)
@@ -143,9 +154,9 @@ func TestSeededMatchesSubtable(t *testing.T) {
 				}
 				if len(rows) == base.NumRows() {
 					full, _, ferr := p.ExecStatsDialect(strict)
-					all, _, aerr := p.ExecSeeded(strict, rows)
+					all, _, aerr := p.ExecSeeded(strict, base.Version(), rows)
 					sameRun(t, sql+" (every row)", all, full, aerr, ferr)
-					if ferr == nil && !slices.Equal(all.Positions, full.Positions) {
+					if ferr == nil && (!slices.Equal(all.Positions, full.Positions) || all.Base != full.Base) {
 						t.Fatalf("%s: positions over every row %v, full run %v", sql, all.Positions, full.Positions)
 					}
 				}

@@ -102,7 +102,7 @@ echo "== race-detector delta-tracking tests =="
 go test -race ./internal/delta/...
 
 echo "== race-detector incremental-recheck equivalence =="
-go test -race -run 'TestEditScriptEquivalence|TestSQLEditScriptEquivalence|TestSeededRecheckMatchesRun' ./internal/check/
+go test -race -run 'TestEditScriptEquivalence|TestSQLEditScriptEquivalence|TestSeededRecheckMatchesRun|TestRecheckUnderConcurrentWriter' ./internal/check/
 
 echo "== race-detector segment-store tests =="
 go test -race ./internal/segment/
